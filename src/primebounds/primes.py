@@ -457,6 +457,10 @@ class ScanReport:
             return True
         return self.last_violation == threshold and self.last_violation_side == "left"
 
+    def integer_threshold_consistent(self, threshold: float) -> bool:
+        """True iff the inequality holds at every integer x >= threshold."""
+        return self.last_integer_violation is None or self.last_integer_violation < threshold
+
 
 def _li64(x: np.ndarray) -> np.ndarray:
     from scipy.special import expi

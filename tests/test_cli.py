@@ -1,6 +1,10 @@
 """CLI surface: subcommands, exit codes, formats, configuration merging."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -67,6 +71,16 @@ class TestVerifyPrimes:
         assert res.exit_code == EXIT_PASS
         assert "threshold 59 confirmed" in res.output
 
+    def test_pi_li_judged_on_integers(self, runner):
+        # Pi_li holds from 59 at integers but only from 97 on the real line
+        res = run(runner, ["--format", "json", "verify-primes", "--limit", "1e4",
+                           "--spec", "Pi_li"])
+        assert res.exit_code == EXIT_PASS
+        (entry,) = json.loads(res.output)["results"]
+        assert entry["last_violation"] == 97.0
+        assert entry["last_integer_violation"] == 58
+        assert entry["consistent"] is True
+
     def test_limit_below_thresholds_warns(self, runner):
         res = run(runner, ["--sieve-limit", "10000", "verify-primes",
                            "--limit", "1e4", "--spec", "theta_shift"])
@@ -109,10 +123,37 @@ class TestRamanujan:
         assert res.exit_code == EXIT_PASS
         assert "rung 0" in res.output
 
+    @pytest.mark.parametrize("bad", [
+        {"--z-lo": "40"}, {"--delta": "0"}, {"--delta": "nan"}, {"--delta": "inf"},
+        {"--delta": "1e-90"}, {"--a": "-1"}, {"--steps": "0"}, {"--steps": "-5"},
+        {"--z-lo": "2e9", "--z-hi": "3e9", "--delta": "1"},
+    ])
+    def test_bad_explicit_window_is_config_error(self, runner, bad):
+        window = {"--z-lo": "43", "--z-hi": "44", "--delta": "1e-8", "--a": "1",
+                  "--steps": "3", **bad}
+        args = ["ramanujan"] + [item for pair in window.items() for item in pair]
+        res = run(runner, args)
+        assert res.exit_code == EXIT_CONFIG
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_explicit_window_failure_exit(self, runner):
         res = run(runner, ["ramanujan", "--z-lo", "43", "--z-hi", "53",
                            "--delta", "10", "--a", "1e7", "--steps", "2"])
         assert res.exit_code == EXIT_FAIL
+
+
+class TestOutput:
+    def test_replaced_stdout_is_released(self):
+        # in-process callers swap sys.stdout per command; the CLI must not
+        # keep the old stream, and everything written to it, alive
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(SystemExit):
+            cli.main(args=["--format", "json", "ramanujan", "--list"], standalone_mode=False)
+        assert json.loads(buf.getvalue())["schema_version"] == 1
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None
 
 
 class TestConfig:

@@ -1,10 +1,10 @@
 """Extended profile: long-running verifications excluded from the default run.
 
 Select with ``pytest -m extended``.  The counterexample boundary takes
-roughly 20 minutes of segmented sieving; a full rung at the published delta
-is a multi-hour to day-scale computation and is sized down here to a
-million-step block (still ~10 minutes) with the full-rung entry point left
-to the CLI.
+roughly 20 minutes of segmented sieving.  A full rung at the published delta
+is 3.2e8 to 5e9 steps at 9-15 us each, one to 14 hours, so it is sized down
+here to a million-step block (11 s on a 2 vCPU KVM guest) with the full-rung
+entry point left to the CLI.
 """
 
 import pytest

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from primebounds import published
+from primebounds import ramanujan
 from primebounds.ramanujan import (
     CounterexampleVerdict,
     ParameterError,
@@ -16,7 +19,7 @@ from primebounds.ramanujan import (
     regime_schedule,
     step_verify,
 )
-from primebounds.hiprec import working_precision
+from primebounds.hiprec import PrecisionError, working_precision
 
 # frozen 25-digit fixtures, independently evaluated through the quadrature-
 # backed li oracle at 256 bits during development
@@ -26,6 +29,22 @@ F_59 = "5.250017382843194172357211e+47"
 G_59_A1 = "5.250016854168233951847409e+47"
 
 A8PI = 1 / (8 * math.pi)
+SCHEDULE = regime_schedule()
+
+
+def direct_margins(regime, k0, n, prec=192):
+    """(f(z_k) - g(min(z_k + delta, z_hi)), z_k) for k0 <= k < k0 + n, one f and g per step."""
+    with working_precision(prec):
+        d, top, a = mpf(regime.delta), mpf(regime.z_hi), mpf(regime.a)
+        out = []
+        for k in range(k0, k0 + n):
+            z = mpf(regime.z_lo) + k * d
+            out.append((f(z, prec) - g(min(z + d, top), a, prec), float(z)))
+    return out
+
+
+def rel(x, y):
+    return abs(x - y) / abs(y)
 
 
 class TestFG:
@@ -141,6 +160,84 @@ class TestStepVerify:
             assert tail.passed, (regime.a, float(tail.min_margin))
 
 
+class TestKernel:
+    """The fixed-point stepping kernel against one direct f and g per step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rung=st.integers(0, len(SCHEDULE) - 1), frac=st.floats(0, 1), n=st.integers(1, 50))
+    def test_matches_direct_loop(self, rung, frac, n):
+        r = SCHEDULE[rung]
+        z0 = r.z_lo + frac * (r.z_hi - r.z_lo - (n + 1) * r.delta)
+        regime = Regime(z0, r.z_hi, r.a, r.delta, r.floor_valid)
+        report = step_verify(regime, max_steps=n)
+        margins = direct_margins(regime, 0, n)
+        low, low_at = min(margins, key=lambda m: m[0])  # earliest of equal minima
+        assert report.steps_checked == n and report.passed
+        assert report.min_margin_at == low_at
+        assert rel(report.min_margin, low) < mpf("1e-40")
+
+    def test_window_across_two_anchors(self, monkeypatch):
+        # a = 1 is far too large at z = 43: every margin is negative and falls
+        # with z, so the minimum sits on the last step, past both anchors
+        ei = ramanujan.ei
+        calls = []
+
+        def counting_ei(y, prec=None):
+            calls.append(float(y))
+            return ei(y, prec=prec)
+
+        monkeypatch.setattr(ramanujan, "ei", counting_ei)
+        regime = Regime(43.0, 44.0, 1.0, 1e-8, math.inf)
+        n = 2 * ramanujan._ANCHOR + 7
+        report = step_verify(regime, max_steps=n)
+        # window start plus two anchors, each a fresh Ei on both grids; every
+        # re-anchor passed its drift check against the carried values
+        assert len(calls) == 6
+        monkeypatch.setattr(ramanujan, "ei", ei)
+        ((last, last_at),) = direct_margins(regime, n - 1, 1)
+        assert report.steps_checked == n and report.first_failure == 43.0
+        assert report.min_margin_at == last_at
+        assert rel(report.min_margin, last) < mpf("1e-40")
+
+    def test_drift_check_raises(self, monkeypatch):
+        # an anchor Ei off by 2^-150 relative is far outside 2^-(prec+16)
+        ei = ramanujan.ei
+        calls = []
+
+        def skewed_ei(y, prec=None):
+            calls.append(y)
+            value = ei(y, prec=prec)
+            return value * (1 + mpf(2) ** -150) if len(calls) > 2 else value
+
+        monkeypatch.setattr(ramanujan, "ei", skewed_ei)
+        monkeypatch.setattr(ramanujan, "_ANCHOR", 16)
+        with pytest.raises(PrecisionError):
+            step_verify(SCHEDULE[0], max_steps=40)
+
+    def test_from_end_window_clamps_last_step(self):
+        regime = Regime(43.0, 43.0 + 1234.5 * 5e-8, A8PI, 5e-8, published.STRONG_X_MAX)
+        n = 30
+        k0 = regime.n_steps - n
+        with working_precision(192):
+            z_last = mpf(regime.z_lo) + (regime.n_steps - 1) * mpf(regime.delta)
+            assert z_last + mpf(regime.delta) > mpf(regime.z_hi)
+        report = step_verify(regime, max_steps=n, from_end=True)
+        margins = direct_margins(regime, k0, n)
+        low, low_at = min(margins, key=lambda m: m[0])
+        assert report.min_margin_at == low_at
+        assert rel(report.min_margin, low) < mpf("1e-40")
+        last = step_verify(regime, max_steps=1, from_end=True)
+        with working_precision(192):
+            clamped = f(z_last) - g(regime.z_hi, mpf(regime.a))
+            assert rel(last.min_margin, clamped) < mpf("1e-40")
+            assert rel(last.min_margin, margins[-1][0]) < mpf("1e-40")
+
+    def test_empty_window_rejected(self):
+        for steps in (0, -5):
+            with pytest.raises(ParameterError):
+                step_verify(SCHEDULE[0], max_steps=steps)
+
+
 class TestRegimeSchedule:
     def test_ladder_structure(self):
         rungs = regime_schedule()
@@ -177,6 +274,19 @@ class TestRegimeSchedule:
             Regime(40.0, 59.0, 1.0, 1e-8, 1e300)  # starts below 43
         with pytest.raises(ParameterError):
             Regime(43.0, 60.0, A8PI, 5e-8, published.STRONG_X_MAX)  # e^60 too high
+
+    @pytest.mark.parametrize("field", ["z_lo", "z_hi", "a", "delta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_regime_rejects_non_finite(self, field, value):
+        fields = dict(z_lo=43.0, z_hi=44.0, a=1.0, delta=1e-8, floor_valid=math.inf)
+        fields[field] = value
+        with pytest.raises(ParameterError):
+            Regime(**fields)
+
+    def test_regime_top_beyond_float_range(self):
+        with pytest.raises(ParameterError):
+            Regime(43.0, 800.0, 1.0, 1e-8, 1e300)  # e^800 overflows a float
+        assert Regime(43.0, 800.0, 1.0, 1e-8, math.inf).z_hi == 800.0
 
 
 class TestCounterexample:
