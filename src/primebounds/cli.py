@@ -94,6 +94,11 @@ def _emit(cfg: RunConfig, payload: dict, text_lines, csv_rows=None) -> None:
             click.echo(line, file=out)
 
 
+def _echo_err(message: str) -> None:
+    # an explicit stream for the same reason as in _emit
+    click.echo(message, file=sys.stderr)
+
+
 def _cache_path(cfg: RunConfig, limit: int) -> str | None:
     if cfg.cache_dir is None:
         return None
@@ -158,7 +163,7 @@ def derive(cfg: RunConfig, t_value, variant, a_value, seed_a, seed_d, seed_e, ma
             )
         report = engine.iterate(T, seed=seed, max_rounds=max_rounds, variant=var)
     except error_terms.ParameterError as exc:
-        click.echo(f"not admissible: {exc}", err=True)
+        _echo_err(f"not admissible: {exc}")
         raise SystemExit(EXIT_CONFIG)
     lines = [f"variant={variant} a={float(var.leading_a()):.6g} T={T:g}"]
     for i, rnd in enumerate(report.rounds, start=1):
@@ -255,9 +260,9 @@ def verify_primes(cfg: RunConfig, limit, specs):
                 chosen[s] = catalog[s]
     max_threshold = max(thr for _, thr in chosen.values())
     if limit <= max_threshold:
-        click.echo(
+        _echo_err(
             f"warning: limit {limit} does not reach the largest threshold {max_threshold}; "
-            "scan cannot confirm it", err=True,
+            "scan cannot confirm it"
         )
     tables_ = primes.build_tables(limit, cache_path=_cache_path(cfg, limit))
     results = []
@@ -309,15 +314,15 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
     try:
         zl = zeros.load_zeros(path)
     except OSError as exc:
-        click.echo(f"cannot read {path}: {exc}", err=True)
+        _echo_err(f"cannot read {path}: {exc}")
         raise SystemExit(EXIT_IO)
     except zeros.ZeroDataError as exc:
-        click.echo(str(exc), err=True)
+        _echo_err(str(exc))
         raise SystemExit(EXIT_CONFIG)
     try:
         sum_verdict = zeros.check_zero_sum(zl, t2)
     except ValueError as exc:  # coverage or parameter errors
-        click.echo(str(exc), err=True)
+        _echo_err(str(exc))
         raise SystemExit(EXIT_CONFIG)
     weights_verdict = zeros.check_kernel_weights(zl, KernelParams(kernel_c, kernel_eps))
     payload = {
@@ -382,7 +387,7 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
             regime = ramanujan.Regime(z_lo, z_hi, a_value, delta, float("inf"))
         report = ramanujan.step_verify(regime, max_steps=steps, from_end=from_end, prec=prec)
     except (ramanujan.ParameterError, hiprec.PrecisionError, OverflowError) as exc:
-        click.echo(str(exc), err=True)
+        _echo_err(str(exc))
         raise SystemExit(EXIT_CONFIG)
     _emit(cfg, report.to_dict(), [
         f"rung z=({regime.z_lo}, {regime.z_hi}] a={regime.a:.4g} delta={regime.delta:g}",
@@ -401,7 +406,8 @@ def cache():
 @cache.command("path")
 @click.pass_obj
 def cache_path_cmd(cfg: RunConfig):
-    click.echo(cfg.cache_dir or "(cache disabled; set --cache-dir or PRIMEBOUNDS_CACHE_DIR)")
+    click.echo(cfg.cache_dir or "(cache disabled; set --cache-dir or PRIMEBOUNDS_CACHE_DIR)",
+               file=sys.stdout)
     raise SystemExit(EXIT_PASS)
 
 
@@ -414,7 +420,7 @@ def cache_build(cfg: RunConfig, limit):
     if path is None:
         raise click.UsageError("no cache directory configured")
     primes.build_tables(limit, cache_path=path)
-    click.echo(path)
+    click.echo(path, file=sys.stdout)
     raise SystemExit(EXIT_PASS)
 
 
@@ -422,14 +428,14 @@ def cache_build(cfg: RunConfig, limit):
 @click.pass_obj
 def cache_clear(cfg: RunConfig):
     if cfg.cache_dir is None or not os.path.isdir(cfg.cache_dir):
-        click.echo("nothing to clear")
+        click.echo("nothing to clear", file=sys.stdout)
         raise SystemExit(EXIT_PASS)
     removed = 0
     for name in os.listdir(cfg.cache_dir):
         if name.startswith("prime_tables_") and name.endswith(".txt"):
             os.remove(os.path.join(cfg.cache_dir, name))
             removed += 1
-    click.echo(f"removed {removed} cache file(s)")
+    click.echo(f"removed {removed} cache file(s)", file=sys.stdout)
     raise SystemExit(EXIT_PASS)
 
 
@@ -437,17 +443,17 @@ def main():
     try:
         cli(standalone_mode=False)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        _echo_err(f"usage error: {exc.format_message()}")
         sys.exit(EXIT_CONFIG)
     except click.ClickException as exc:
-        exc.show()
+        exc.show(file=sys.stderr)
         sys.exit(EXIT_CONFIG)
     except click.exceptions.Abort:
         sys.exit(EXIT_CONFIG)
     except SystemExit:
         raise
     except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
+        _echo_err(f"I/O error: {exc}")
         sys.exit(EXIT_IO)
 
 

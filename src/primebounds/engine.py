@@ -14,6 +14,16 @@ Admissibility is decided with exact (unrounded) coefficient substitution.
 The declared shift C of a published state is accepted when it is within one
 printed ulp (0.01) of the exact largest admissible shift C* = -E(A)/a;
 strict mode insists on C <= C*.
+
+Every admissibility decision at a threshold goes through one
+``_Admissibility`` routine built for that A: log A, sqrt A, the
+normalizers, the shift requirement and the parsed constants are computed
+once, and the pieces that depend on D alone are memoised per grid D for the
+life of one search (see ``error_terms.ProfileAt`` and ``TermsAt``).  The
+strong search also prunes: once a best B is known, an E whose smallest
+admissible D cannot beat it costs one evaluation instead of a bisection.
+Both leave every decision, and so every output, bit-identical to evaluating
+each (D, E) from scratch.
 """
 
 from __future__ import annotations
@@ -28,12 +38,15 @@ from .error_terms import (
     ErrorProfile,
     IterationState,
     ParameterError,
+    ProfileAt,
     STRONG,
-    derive_profile,
-    e_total,
+    TermsAt,
     round_up_sig,
     shift_requirement,
 )
+# not called here any more, but kept importable from this module:
+# perfbench/tracing.py installs its spans on these two names
+from .error_terms import derive_profile, e_total  # noqa: F401
 from .hiprec import get_default_precision, li, working_precision
 
 __all__ = [
@@ -134,12 +147,64 @@ def admissible_B(state: IterationState, prec: int | None = None) -> mpf:
     """
     prec = get_default_precision() if prec is None else int(prec)
     with working_precision(prec):
-        exact = mpf(state.E) / 2 + mpf(state.D) * mpf(state.E) / mp.log(mpf(state.A))
-        return round_up_sig(exact, 3)
+        return round_up_sig(_exact_B(state.A, state.D, state.E), 3)
 
 
 def _exact_B(A, D, E) -> mpf:
     return mpf(E) / 2 + mpf(D) * mpf(E) / mp.log(mpf(A))
+
+
+class _Admissibility:
+    """Admissibility of kernel parameters (D, E) at one threshold A.
+
+    (D, E) is admissible when the lemma preconditions hold at A and the
+    largest usable shift C* = -E(A)/a exceeds the psi->theta requirement.
+    The profile is substituted at A rounded to a double and D, E are taken
+    as doubles, as an ``IterationState`` stores them; E(A) and the
+    requirement are evaluated at the full-precision A.
+    """
+
+    def __init__(self, A, variant: BoundVariant, prec: int):
+        variant.check_threshold(float(A))
+        self.prec = prec
+        with working_precision(prec):
+            self.A = mpf(A)
+            self.a = variant.leading_a(prec)
+            self._profiles = ProfileAt(float(A), variant, prec)
+            self._terms = TermsAt(self.A, variant, prec)
+            self.c_required = shift_requirement(self.A, self.a, prec=prec)
+            self._eps_max = mpf("1e-4")
+
+    def preconditions(self, D, E) -> list:
+        """The kernel-lemma preconditions at A that (D, E) violates."""
+        failures = []
+        with working_precision(self.prec):
+            c, eps = self._profiles.kernel(float(D), float(E))
+            if c < 3:
+                failures.append(f"c(A)={float(c):.3f} < 3")
+            if eps > self._eps_max:
+                failures.append(f"eps(A)={float(eps):.3g} > 1e-4")
+            # outer-band split point: a_frac = sqrt(2/c) needs a_frac*c/eps >= 1e3
+            if mp.sqrt(2 * c) / eps < 1000:
+                failures.append("sqrt(2c)/eps below 1e3")
+        return failures
+
+    def shift(self, D, E):
+        """(profile, E(A), C*) for kernel parameters (D, E)."""
+        D, E = float(D), float(E)
+        with working_precision(self.prec):
+            profile = self._profiles.profile(D, E)
+            e_at_a = self._terms.total(profile, D)
+            return profile, e_at_a, -e_at_a / self.a
+
+    def margin(self, D, E) -> mpf:
+        """C* - requirement: positive exactly when the shift is usable."""
+        c_star = self.shift(D, E)[2]
+        with working_precision(self.prec):
+            return c_star - self.c_required
+
+    def admissible(self, D, E) -> bool:
+        return not self.preconditions(D, E) and self.shift(D, E)[2] > self.c_required
 
 
 @dataclass(frozen=True)
@@ -170,23 +235,11 @@ def check_admissible(
     unless ``strict``.
     """
     prec = get_default_precision() if prec is None else int(prec)
+    at = _Admissibility(state.A, state.variant, prec)
+    failures = at.preconditions(state.D, state.E)
+    profile, e_at_a, c_star = at.shift(state.D, state.E)
+    c_req = at.c_required
     with working_precision(prec):
-        failures = []
-        A = mpf(state.A)
-        a = state.variant.leading_a(prec)
-        c_a = state.c_of(A)
-        eps_a = state.eps_of(A)
-        if c_a < 3:
-            failures.append(f"c(A)={float(c_a):.3f} < 3")
-        if eps_a > mpf("1e-4"):
-            failures.append(f"eps(A)={float(eps_a):.3g} > 1e-4")
-        # outer-band split point: a_frac = sqrt(2/c) needs a_frac*c/eps >= 1e3
-        if mp.sqrt(2 * c_a) / eps_a < 1000:
-            failures.append("sqrt(2c)/eps below 1e3")
-        profile = derive_profile(state, rounding=None, prec=prec)
-        e_at_a = e_total(A, state, profile, prec=prec)
-        c_star = -e_at_a / a
-        c_req = shift_requirement(A, a, prec=prec)
         if not c_star > c_req:
             failures.append(
                 f"no admissible shift: C*={mp.nstr(c_star, 8)} <= required {mp.nstr(c_req, 8)}"
@@ -201,33 +254,17 @@ def check_admissible(
             failures.append(
                 f"declared C={state.C} exceeds largest admissible shift {mp.nstr(c_star, 8)}"
             )
-        if mpf(state.B) < _exact_B(A, state.D, state.E) - mpf("5e-3"):
+        if mpf(state.B) < _exact_B(state.A, state.D, state.E) - mpf("5e-3"):
             failures.append("declared B below E/2 + D*E/log A")
         return AdmissibilityReport(
             passed=not failures,
-            c_star=+c_star,
-            c_required=+c_req,
-            e_at_a=+e_at_a,
+            c_star=c_star,
+            c_required=c_req,
+            e_at_a=e_at_a,
             profile=profile,
             declared_c_exact=declared_exact,
             failures=tuple(failures),
         )
-
-
-def _is_admissible(A, D, E, variant: BoundVariant, prec: int) -> bool:
-    """Bare admissibility of kernel parameters at threshold A (existence form)."""
-    a = variant.leading_a(prec)
-    c_a = mp.log(A) / 2 + mpf(D)
-    if variant.kind == "strong":
-        eps_a = mp.log(A) ** mpf("1.5") * mp.log(mp.log(A)) / (mpf(E) * mp.sqrt(A))
-    else:
-        eps_a = mp.log(A) ** mpf("2.5") / (mpf(E) * mp.sqrt(A))
-    if c_a < 3 or eps_a > mpf("1e-4") or mp.sqrt(2 * c_a) / eps_a < 1000:
-        return False
-    state = IterationState(float(A), 10.0, 2.0, float(D), float(E), variant)
-    profile = derive_profile(state, rounding=None, prec=prec)
-    e_at_a = e_total(A, state, profile, prec=prec)
-    return bool(-e_at_a / a > shift_requirement(A, a, prec=prec))
 
 
 # grid points are exact integer ratios (n / denominator); accumulating an
@@ -237,26 +274,54 @@ def _grid(n: int, denom: int) -> mpf:
     return mpf(n) / denom
 
 
-def _min_admissible_D(A, E, variant, prec, denom=50, n_hi=400):
-    # E(A) is decreasing in D over [0, 8], so admissibility is monotone and
-    # the smallest admissible grid D is found by bisection on grid indices.
-    if not _is_admissible(A, _grid(n_hi, denom), E, variant, prec):
+def _first_admissible(ok, n_hi: int):
+    """Smallest n in [0, n_hi] with ok(n), or None when ok(n_hi) fails.
+
+    ok must be monotone on the grid (False up to some index, True from
+    there on); the answer is then found by bisection.
+    """
+    if not ok(n_hi):
         return None
-    if _is_admissible(A, mpf(0), E, variant, prec):
-        return mpf(0)
-    n_lo = 0
-    while n_hi - n_lo > 1:
-        mid = (n_lo + n_hi) // 2
-        if _is_admissible(A, _grid(mid, denom), E, variant, prec):
-            n_hi = mid
+    lo, hi = -1, n_hi      # ok(hi) holds; lo is the last index known to fail
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
         else:
-            n_lo = mid
-    return _grid(n_hi, denom)
+            lo = mid
+    return hi
+
+
+def _below_best(A, E, best, denom: int, n_hi: int) -> int:
+    """Largest grid index n <= n_hi with _exact_B(A, n/denom, E) < best, or -1.
+
+    _exact_B is nondecreasing in n (each rounded operation is monotone), so
+    the real-valued estimate is corrected step by step with the exact test.
+    """
+    estimate = (best - mpf(E) / 2) * mp.log(mpf(A)) / mpf(E) * denom
+    n = min(n_hi, max(-1, int(mp.floor(estimate))))
+    while n < n_hi and _exact_B(A, _grid(n + 1, denom), E) < best:
+        n += 1
+    while n >= 0 and not _exact_B(A, _grid(n, denom), E) < best:
+        n -= 1
+    return n
 
 
 def _search_strong(A, prec):
-    """Minimize exact B over admissible (D, E): coarse scan then two refinements."""
-    variant = STRONG
+    """Minimize exact B over admissible (D, E): coarse scan then two refinements.
+
+    E runs over a 0.1 grid on [10, 20], then 0.02 and 0.005 grids around the
+    best so far; for each E the smallest admissible D on the matching grid
+    gives B = E/2 + D E/log A, and a strictly smaller B replaces the best.
+    E(A) is decreasing in D over [0, 8], so admissibility is monotone in D.
+
+    All decisions go through one ``_Admissibility`` routine for A.  Once a
+    best B exists, only D below the largest grid index n_cap whose B is still
+    smaller can improve it: one evaluation at n_cap rejects every other E,
+    and a bisection on [0, n_cap] finds the D of the rest.  The result is
+    the same as bisecting each E over the whole D range.
+    """
+    at = _Admissibility(A, STRONG, prec)
     best = None
 
     def consider(e_num, e_denom, d_denom):
@@ -264,9 +329,15 @@ def _search_strong(A, prec):
         E = _grid(e_num, e_denom)
         if not (10 <= E <= 20):
             return
-        D = _min_admissible_D(A, E, variant, prec, denom=d_denom, n_hi=8 * d_denom)
-        if D is None:
+        n_hi = 8 * d_denom
+        if best is not None:
+            n_hi = _below_best(A, E, best[0], d_denom, n_hi)
+            if n_hi < 0:
+                return
+        n = _first_admissible(lambda n: at.admissible(_grid(n, d_denom), E), n_hi)
+        if n is None:
             return
+        D = _grid(n, d_denom)
         b = _exact_B(A, D, E)
         if best is None or b < best[0]:
             best = (b, D, E)
@@ -291,27 +362,15 @@ def _search_weak(A, a, prec, u_lo_milli=1000, u_hi_milli=6000, step_milli=2):
     scale of E is inversely proportional to a, so one grid resolves every
     published row at three significant figures.
     """
-    variant = BoundVariant("weak", float(a))
-    n_hi = (u_hi_milli - u_lo_milli) // step_milli
+    at = _Admissibility(A, BoundVariant("weak", float(a)), prec)
 
     def E_at(n):
         return mpf(u_lo_milli + n * step_milli) / (1000 * mpf(a))
 
-    def ok(n):
-        return _is_admissible(A, mpf(0), E_at(n), variant, prec)
-
-    if not ok(n_hi):
-        return None
-    if ok(0):
-        return E_at(0)
-    lo, hi = 0, n_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return E_at(hi)
+    n = _first_admissible(
+        lambda n: at.admissible(0, E_at(n)), (u_hi_milli - u_lo_milli) // step_milli
+    )
+    return None if n is None else E_at(n)
 
 
 @dataclass(frozen=True)
@@ -382,13 +441,9 @@ def default_seed(T: float = DEFAULT_T, variant: BoundVariant = STRONG, prec: int
             strong = iterate(T, prec=prec)
             A = strong.x_max
             D, E = 0.0, float(_search_weak(mpf(A), variant.a, prec) or 2.4)
-        a = variant.leading_a(prec)
-        state_probe = IterationState(float(A), 10.0, 2.0, D, E, variant)
-        profile = derive_profile(state_probe, rounding=None, prec=prec)
-        c_star = -e_total(mpf(A), state_probe, profile, prec=prec) / a
-        c_req = shift_requirement(mpf(A), a, prec=prec)
-        C = _display_shift(c_star, c_req)
-        B = admissible_B(state_probe, prec=prec)
+        at = _Admissibility(A, variant, prec)
+        C = _display_shift(at.shift(D, E)[2], at.c_required)
+        B = round_up_sig(_exact_B(float(A), D, E), 3)
         return IterationState(float(A), float(B), float(C), D, E, variant)
 
 
@@ -416,7 +471,6 @@ def iterate(
         if seed is None:
             seed = default_seed(T, variant, prec=prec)
         variant = seed.variant
-        a = variant.leading_a(prec)
         seed_report = check_admissible(seed, prec=prec)
         if not seed_report:
             raise ParameterError(
@@ -443,12 +497,9 @@ def iterate(
             if prev_b is not None and b_rounded >= prev_b:
                 converged = True
                 break
-            state_probe = IterationState(float(A), float(b_rounded), 2.0, float(D), float(E), variant)
-            profile = derive_profile(state_probe, rounding=None, prec=prec)
-            e_at_a = e_total(A, state_probe, profile, prec=prec)
-            c_star = -e_at_a / a
-            c_req = shift_requirement(A, a, prec=prec)
-            C = _display_shift(c_star, c_req)
+            at = _Admissibility(A, variant, prec)
+            profile, e_at_a, c_star = at.shift(D, E)
+            C = _display_shift(c_star, at.c_required)
             state = IterationState(float(A), float(b_rounded), float(C), float(D), float(E), variant)
             x_max = solve_x_max(ThresholdEquation(eq_kind, float(b_rounded), T), prec=prec)
             rounds.append(

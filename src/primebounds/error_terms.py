@@ -21,6 +21,13 @@ log(c/eps) <= log(x)/2 -- while the assembled E_1 multiplies
 sqrt(x) log(x) loglog(x).  The aggregate therefore understates the lemma-exact
 high-tail piece by a factor of order log x / (2 loglog x); the containment
 tests in the suite check each piece against its derivation normalization.
+
+Both steps are split by what they depend on.  ``ProfileAt`` holds everything
+of the substitution that depends on A alone and ``TermsAt`` everything of the
+assembly that depends on x alone, each computed once; the pieces that depend
+on D alone are memoised per D for the life of the object.  A search over
+(D, E) at one threshold builds one of each, and ``derive_profile``,
+``e_terms`` and ``e_total`` are the one-shot uses of the same code.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ __all__ = [
     "BoundVariant",
     "IterationState",
     "ErrorProfile",
+    "ProfileAt",
+    "TermsAt",
     "Verdict",
     "STRONG",
     "PRINTED_FIRST",
@@ -85,6 +94,12 @@ class BoundVariant:
                 return 1 / (8 * mp.pi)
             return +mpf(self.a)
 
+    def check_threshold(self, A: float) -> None:
+        """Reject a threshold below the floor the variant's lemmas hold from."""
+        floor = 1e25 if self.kind == "strong" else 1e26
+        if A < floor:
+            raise ParameterError(f"A={A} below the {floor:g} validity floor")
+
 
 STRONG = BoundVariant("strong")
 
@@ -99,9 +114,7 @@ class IterationState:
     variant: BoundVariant = STRONG
 
     def __post_init__(self):
-        floor = 1e25 if self.variant.kind == "strong" else 1e26
-        if self.A < floor:
-            raise ParameterError(f"A={self.A} below the {floor:g} validity floor")
+        self.variant.check_threshold(self.A)
         if self.E <= 0 or self.D < 0:
             raise ParameterError("requires E > 0 and D >= 0")
 
@@ -110,10 +123,14 @@ class IterationState:
 
     def eps_of(self, x) -> mpf:
         x = mpf(x)
-        L = mp.log(x)
-        if self.variant.kind == "strong":
-            return L ** mpf("1.5") * mp.log(L) / (mpf(self.E) * mp.sqrt(x))
-        return L ** mpf("2.5") / (mpf(self.E) * mp.sqrt(x))
+        return _eps_numerator(mp.log(x), self.variant) / (mpf(self.E) * mp.sqrt(x))
+
+
+def _eps_numerator(L, variant: BoundVariant) -> mpf:
+    """The x-dependent factor of eps(x) = numerator / (E sqrt x), from L = log x."""
+    if variant.kind == "strong":
+        return L ** mpf("1.5") * mp.log(L)
+    return L ** mpf("2.5")
 
 
 @dataclass(frozen=True)
@@ -169,6 +186,143 @@ PRINTED_FIRST = {"coef1": 2, "coef2": 3, "alpha3": 2, "coef4": 3}
 PRINTED_REFINED = {"coef1": 3, "coef2": 4, "alpha3": 4, "coef4": 4}
 
 
+class ProfileAt:
+    """The substitution x = A of ``derive_profile``, for any kernel parameters.
+
+    Everything that depends on A alone, and every parsed constant, is
+    computed once here; the pieces that depend on D alone (sinh c, log 3c,
+    the chain term, sqrt(1 + 2D/log A)) are memoised per D value.  Each
+    call evaluates the same expressions, in the same order, as a one-shot
+    substitution, so every coefficient is bit-identical to it.
+    """
+
+    def __init__(self, A, variant: BoundVariant = STRONG, prec: int | None = None):
+        self.prec = get_default_precision() if prec is None else int(prec)
+        self._by_d = {}
+        with working_precision(self.prec):
+            self.A = mpf(A)
+            self.L = mp.log(self.A)
+            self._half_L = self.L / 2
+            self._eps_num = _eps_numerator(self.L, variant)
+            self._root = mp.sqrt(self.A)
+            self._g_scale = mpf("0.16") * (self.A + 1)
+            self._norm = self._root * self.L
+            self._two_pi = 2 * mp.pi
+            self._inv_e = 1 / mp.e
+            self._sqrt_pi = mp.sqrt(mp.pi)
+            self._eps_max = mpf("1e-3")
+            self._g_rate = mpf("0.71")
+            self._coef4_num = mpf("4.0002")
+            self._coef5a_num = mpf("2.02")
+            self._coef5b = mpf("0.51")
+
+    def kernel(self, D, E) -> tuple:
+        """(c(A), eps(A)) of ``IterationState.c_of``/``eps_of`` for (D, E)."""
+        with working_precision(self.prec):
+            return self._kernel(mpf(D), mpf(E))
+
+    def _kernel(self, D: mpf, E: mpf) -> tuple:
+        return self._half_L + D, self._eps_num / (E * self._root)
+
+    def _d_parts(self, D, c: mpf) -> tuple:
+        parts = self._by_d.get(D)
+        if parts is None:
+            parts = self._by_d[D] = (
+                self._g_scale / mp.sinh(c),
+                mp.log(3 * c),
+                self._inv_e + mp.exp(-(mp.sqrt(c) * mp.sqrt(c - 2) + c)),
+                11 * c,
+                mp.sqrt(1 + 2 * mpf(D) / self.L),
+            )
+        return parts
+
+    def profile(self, D, E) -> ErrorProfile:
+        """Exact (unrounded) coefficients of the five error terms."""
+        with working_precision(self.prec):
+            E = mpf(E)
+            c, eps = self._kernel(mpf(D), E)
+            if c < 3 or eps > self._eps_max:
+                raise ParameterError(
+                    f"lemma preconditions need c >= 3 and eps <= 1e-3 at A (c={float(c):.3f}, eps={float(eps):.3g})"
+                )
+            g_over_sinh, log_3c, chain, c11, alpha_root = self._d_parts(D, c)
+            big_g = g_over_sinh * mp.exp(self._g_rate * mp.sqrt(c * eps)) * log_3c
+            return ErrorProfile(
+                big_g / self._norm / 2,
+                (1 + c11 * eps) / self._two_pi * chain / 2,
+                E * alpha_root / self._two_pi,
+                self._coef4_num / (E * self._sqrt_pi),
+                self._coef5a_num / E,
+                self._coef5b,
+            )
+
+
+class TermsAt:
+    """The assembly of E_1..E_5 and of E(x) at one point x, for any profile.
+
+    Everything that depends on x alone is computed once here, and
+    sqrt(log x + 2D) is memoised per D value; each call is bit-identical to
+    a one-shot evaluation of the same expressions.
+    """
+
+    def __init__(self, x, variant: BoundVariant = STRONG, prec: int | None = None):
+        self.prec = get_default_precision() if prec is None else int(prec)
+        self._strong = variant.kind == "strong"
+        self._by_d = {}
+        with working_precision(self.prec):
+            self.x = x = mpf(x)
+            self.L = L = mp.log(x)
+            self._lL = lL = mp.log(L)
+            self._root = rx = mp.sqrt(x)
+            self._norm = rx * L
+            self._half_L = L / 2
+            self._e3_scale = rx / (2 * mp.pi)
+            self._e5_tail = mp.log(mp.log(2 * x ** 2))
+            if self._strong:
+                self._inner_shift = mp.log(lL)
+                self._e3_main = rx / (8 * mp.pi) * L ** 2
+                self._e4_power = L ** mpf("1.5")
+                self._e5_power = L ** mpf("2.5")
+            else:
+                self._inner_shift = 2 * lL
+                self._e3_main = variant.leading_a(self.prec) * rx * L ** 2
+                self._e4_power = L ** 2
+                self._e5_power = L ** mpf("3.5")
+
+    def terms(self, profile: ErrorProfile, D) -> tuple:
+        """(E_1, ..., E_5) at x, unnormalized."""
+        with working_precision(self.prec):
+            return self._terms(profile, D)
+
+    def total(self, profile: ErrorProfile, D) -> mpf:
+        """Normalized aggregate E(x) = sum(E_i) / (sqrt(x) log x)."""
+        with working_precision(self.prec):
+            return sum(self._terms(profile, D)) / self._norm
+
+    def _terms(self, profile: ErrorProfile, D) -> tuple:
+        L, lL, rx = self.L, self._lL, self._root
+        e1 = profile.coef1 * rx * L * lL
+        e2 = profile.coef2 * rx * L
+        e5_tail = profile.coef5b * L * self._e5_tail
+        if self._strong:
+            inner = self._half_L + mp.log(profile.alpha3) - lL - self._inner_shift
+            e3 = self._e3_scale * inner ** 2 - self._e3_main
+            e4 = profile.coef4 * rx * self._e4_power * lL / self._d_root(D)
+            e5 = profile.coef5a * self._e5_power * lL + e5_tail + 2
+        else:
+            inner = self._half_L + mp.log(profile.alpha3) - self._inner_shift
+            e3 = self._e3_scale * inner ** 2 - self._e3_main
+            e4 = profile.coef4 * rx * self._e4_power
+            e5 = profile.coef5a * self._e5_power + e5_tail + 2
+        return e1, e2, e3, e4, e5
+
+    def _d_root(self, D) -> mpf:
+        root = self._by_d.get(D)
+        if root is None:
+            root = self._by_d[D] = mp.sqrt(self.L + 2 * mpf(D))
+        return root
+
+
 def derive_profile(
     state: IterationState,
     rounding: Optional[dict] = None,
@@ -181,76 +335,37 @@ def derive_profile(
     printed precision (and attaches the exact profile as ``.exact``).
     """
     prec = get_default_precision() if prec is None else int(prec)
+    exact = ProfileAt(state.A, state.variant, prec).profile(state.D, state.E)
+    if rounding is None:
+        return exact
     with working_precision(prec):
-        A = mpf(state.A)
-        L = mp.log(A)
-        c = state.c_of(A)
-        eps = state.eps_of(A)
-        if c < 3 or eps > mpf("1e-3"):
-            raise ParameterError(
-                f"lemma preconditions need c >= 3 and eps <= 1e-3 at A (c={float(c):.3f}, eps={float(eps):.3g})"
-            )
-        big_g = (
-            mpf("0.16")
-            * (A + 1)
-            / mp.sinh(c)
-            * mp.exp(mpf("0.71") * mp.sqrt(c * eps))
-            * mp.log(3 * c)
-        )
-        coef1 = big_g / (mp.sqrt(A) * L) / 2
-        chain = 1 / mp.e + mp.exp(-(mp.sqrt(c) * mp.sqrt(c - 2) + c))
-        coef2 = (1 + 11 * c * eps) / (2 * mp.pi) * chain / 2
-        alpha3 = mpf(state.E) * mp.sqrt(1 + 2 * mpf(state.D) / L) / (2 * mp.pi)
-        coef4 = mpf("4.0002") / (mpf(state.E) * mp.sqrt(mp.pi))
-        coef5a = mpf("2.02") / mpf(state.E)
-        coef5b = mpf("0.51")
-        exact = ErrorProfile(+coef1, +coef2, +alpha3, +coef4, +coef5a, +coef5b)
-        if rounding is None:
-            return exact
         return ErrorProfile(
-            round_up_sig(coef1, rounding["coef1"]),
-            round_up_sig(coef2, rounding["coef2"]),
-            round_up_sig(alpha3, rounding["alpha3"]),
-            round_up_sig(coef4, rounding["coef4"]),
-            +coef5a,
-            +coef5b,
+            round_up_sig(exact.coef1, rounding["coef1"]),
+            round_up_sig(exact.coef2, rounding["coef2"]),
+            round_up_sig(exact.alpha3, rounding["alpha3"]),
+            round_up_sig(exact.coef4, rounding["coef4"]),
+            exact.coef5a,
+            exact.coef5b,
             exact=exact,
         )
 
 
+def _terms_at(x, state: IterationState, prec: int | None) -> TermsAt:
+    at = TermsAt(x, state.variant, prec)
+    with working_precision(at.prec):
+        if not at.x > mpf(state.A) * (1 - mpf("1e-12")):
+            raise ParameterError(f"x={float(at.x):.4g} is below the state's threshold A")
+    return at
+
+
 def e_terms(x, state: IterationState, profile: ErrorProfile, prec: int | None = None):
     """Evaluate (E_1, ..., E_5) at x > A, unnormalized."""
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
-        x = mpf(x)
-        if not x > mpf(state.A) * (1 - mpf("1e-12")):
-            raise ParameterError(f"x={float(x):.4g} is below the state's threshold A")
-        L = mp.log(x)
-        lL = mp.log(L)
-        rx = mp.sqrt(x)
-        e1 = profile.coef1 * rx * L * lL
-        e2 = profile.coef2 * rx * L
-        if state.variant.kind == "strong":
-            inner = L / 2 + mp.log(profile.alpha3) - lL - mp.log(lL)
-            e3 = rx / (2 * mp.pi) * inner ** 2 - rx / (8 * mp.pi) * L ** 2
-            e4 = profile.coef4 * rx * L ** mpf("1.5") * lL / mp.sqrt(L + 2 * mpf(state.D))
-            e5 = profile.coef5a * L ** mpf("2.5") * lL + profile.coef5b * L * mp.log(mp.log(2 * x ** 2)) + 2
-        else:
-            a = state.variant.leading_a(prec)
-            inner = L / 2 + mp.log(profile.alpha3) - 2 * lL
-            e3 = rx / (2 * mp.pi) * inner ** 2 - a * rx * L ** 2
-            e4 = profile.coef4 * rx * L ** 2
-            e5 = profile.coef5a * L ** mpf("3.5") + profile.coef5b * L * mp.log(mp.log(2 * x ** 2)) + 2
-        return +e1, +e2, +e3, +e4, +e5
+    return _terms_at(x, state, prec).terms(profile, state.D)
 
 
 def e_total(x, state: IterationState, profile: ErrorProfile, prec: int | None = None) -> mpf:
     """Normalized aggregate E(x) = sum(E_i) / (sqrt(x) log x)."""
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
-        x = mpf(x)
-        terms = e_terms(x, state, profile, prec=prec)
-        return +(sum(terms) / (mp.sqrt(x) * mp.log(x)))
+    return _terms_at(x, state, prec).total(profile, state.D)
 
 
 def verify_decreasing(

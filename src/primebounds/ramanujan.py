@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -124,7 +125,12 @@ class Regime:
 
     @property
     def n_steps(self) -> int:
-        return int(math.ceil((self.z_hi - self.z_lo) / self.delta))
+        """Steps of width delta from z_lo to z_hi, the last one clamped at z_hi.
+
+        Taken from the exact quotient of the stored doubles: a float quotient
+        can round down onto an integer and drop the last sliver below z_hi.
+        """
+        return math.ceil((Fraction(self.z_hi) - Fraction(self.z_lo)) / Fraction(self.delta))
 
 
 @dataclass(frozen=True)

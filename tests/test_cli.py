@@ -155,6 +155,18 @@ class TestOutput:
         gc.collect()
         assert ref() is None
 
+    def test_replaced_stderr_is_released(self):
+        # the same for the error path, which writes to stderr
+        buf = io.StringIO()
+        with contextlib.redirect_stderr(buf), pytest.raises(SystemExit) as exit_:
+            cli.main(args=["ramanujan", "--rung", "0", "--steps", "0"], standalone_mode=False)
+        assert exit_.value.code == EXIT_CONFIG
+        assert "max_steps must be >= 1" in buf.getvalue()
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None
+
 
 class TestConfig:
     def test_config_file_merging(self, runner, tmp_path):

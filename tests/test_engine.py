@@ -1,9 +1,11 @@
 """Threshold solving, admissibility, the tightening loop, and both tables."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from primebounds import published
+from primebounds import engine, published
 from primebounds.engine import (
     BracketError,
     ThresholdEquation,
@@ -17,11 +19,14 @@ from primebounds.engine import (
     table2,
 )
 from primebounds.error_terms import (
+    STRONG,
     BoundVariant,
     IterationState,
     ParameterError,
     derive_profile,
     e_terms,
+    e_total,
+    shift_requirement,
 )
 from primebounds.hiprec import working_precision
 from primebounds.kernel import (
@@ -210,6 +215,113 @@ class TestIterate:
     def test_default_seed_is_admissible(self):
         seed = default_seed(3e12)
         assert check_admissible(seed).passed
+
+
+def reference_margin(A, D, E, variant=STRONG, prec=192):
+    """C* - requirement from one-shot derive_profile/e_total/shift_requirement
+    calls, with the state holding A, D and E as doubles."""
+    state = IterationState(float(A), 10.0, 2.0, float(D), float(E), variant)
+    with working_precision(prec):
+        a = variant.leading_a(prec)
+        profile = derive_profile(state, prec=prec)
+        return -e_total(A, state, profile, prec=prec) / a - shift_requirement(A, a, prec=prec)
+
+
+def reference_search_strong(A, prec=192):
+    """The unpruned strong search: every E bisected over the whole D grid,
+    each admissibility decided from scratch."""
+    best = None
+
+    def ok(D, E):
+        state = IterationState(float(A), 10.0, 2.0, float(D), float(E))
+        with working_precision(prec):
+            c, eps = state.c_of(A), state.eps_of(A)
+            if c < 3 or eps > mpf("1e-4") or mp.sqrt(2 * c) / eps < 1000:
+                return False
+            return reference_margin(A, D, E, prec=prec) > 0
+
+    def consider(e_num, e_denom, d_denom):
+        nonlocal best
+        E = mpf(e_num) / e_denom
+        if not (10 <= E <= 20):
+            return
+        lo, hi = 0, 8 * d_denom
+        if not ok(mpf(hi) / d_denom, E):
+            return
+        if ok(mpf(0), E):
+            hi = 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if ok(mpf(mid) / d_denom, E):
+                hi = mid
+            else:
+                lo = mid
+        D = mpf(hi) / d_denom
+        b = E / 2 + D * E / mp.log(A)
+        if best is None or b < best[0]:
+            best = (b, D, E)
+
+    with working_precision(prec):
+        for i in range(100, 201):
+            consider(i, 10, 50)
+        centre = int(round(float(best[2]) * 50))
+        for k in range(-6, 7):
+            consider(centre + k, 50, 50)
+        centre = int(round(float(best[2]) * 200))
+        for k in range(-4, 5):
+            consider(centre + k, 200, 200)
+    return best
+
+
+# the published strong thresholds and the reach of two Table 1 rows
+SEARCH_THRESHOLDS = [s.A for s in STRONG_STATES] + [published.TABLE1[0][2], published.TABLE1[-1][2]]
+_ROUTINES = {}
+
+
+@pytest.mark.slow
+class TestSearch:
+    @pytest.mark.parametrize("A", SEARCH_THRESHOLDS)
+    def test_pruned_search_matches_unpruned_scan(self, A):
+        with working_precision(192):
+            got = engine._search_strong(mpf(A), 192)
+            want = reference_search_strong(mpf(A))
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        A=st.sampled_from(SEARCH_THRESHOLDS),
+        d_num=st.integers(0, 400),
+        e_num=st.integers(100, 200),
+    )
+    def test_routine_margin_matches_check_admissible(self, A, d_num, e_num):
+        # one routine per threshold across examples, so memoised D parts are reused
+        at = _ROUTINES.setdefault(A, engine._Admissibility(A, STRONG, 192))
+        with working_precision(192):
+            D, E = mpf(d_num) / 50, mpf(e_num) / 10
+            margin = at.margin(D, E)
+            report = check_admissible(IterationState(A, 10.0, 2.0, float(D), float(E)))
+            tol = mpf(2) ** -150 * report.c_required
+            assert abs(margin - (report.c_star - report.c_required)) <= tol
+            assert abs(margin - reference_margin(A, D, E)) <= tol
+            assert at.admissible(D, E) == (margin > 0)
+
+    def test_iterate_evaluation_count(self, monkeypatch):
+        # the unpruned search needed 2,378 evaluations for this derivation
+        calls = []
+        admissible = engine._Admissibility.admissible
+
+        def counted(self, D, E):
+            calls.append((D, E))
+            return admissible(self, D, E)
+
+        monkeypatch.setattr(engine._Admissibility, "admissible", counted)
+        report = iterate(3e12)
+        assert float(report.final_constant) == published.STRONG_CONSTANT
+        assert 0 < len(calls) <= 1000
+
+    def test_weak_search_below_floor_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="validity floor"):
+            engine._search_weak(mpf("5e25"), 1.0, 192)
 
 
 class TestSlack:

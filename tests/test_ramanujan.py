@@ -1,6 +1,7 @@
 """Stepping verification: f/g fixtures, monotonicity, windows, schedule."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,13 @@ class TestRegimeSchedule:
     def test_rung_tops_respect_validity(self):
         for r in regime_schedule():
             assert math.exp(r.z_hi) <= r.floor_valid * (1 + 1e-9)
+
+    def test_steps_cover_every_rung_exactly(self):
+        # in exact arithmetic on the stored doubles, n_steps - 1 steps stop
+        # short of z_hi and n_steps reach it (the last one clamped there)
+        for r in regime_schedule():
+            z_lo, z_hi, delta = Fraction(r.z_lo), Fraction(r.z_hi), Fraction(r.delta)
+            assert z_lo + (r.n_steps - 1) * delta < z_hi <= z_lo + r.n_steps * delta
 
     def test_deltas_never_below_floor(self):
         assert all(r.delta >= 1e-9 for r in regime_schedule())
