@@ -168,11 +168,10 @@ class _Admissibility:
         variant.check_threshold(float(A))
         self.prec = prec
         with working_precision(prec):
-            self.A = mpf(A)
             self.a = variant.leading_a(prec)
             self._profiles = ProfileAt(float(A), variant, prec)
-            self._terms = TermsAt(self.A, variant, prec)
-            self.c_required = shift_requirement(self.A, self.a, prec=prec)
+            self._terms = TermsAt(A, variant, prec)
+            self.c_required = shift_requirement(A, self.a, prec=prec)
             self._eps_max = mpf("1e-4")
 
     def preconditions(self, D, E) -> list:
@@ -199,12 +198,11 @@ class _Admissibility:
 
     def margin(self, D, E) -> mpf:
         """C* - requirement: positive exactly when the shift is usable."""
-        c_star = self.shift(D, E)[2]
         with working_precision(self.prec):
-            return c_star - self.c_required
+            return self.shift(D, E)[2] - self.c_required
 
     def admissible(self, D, E) -> bool:
-        return not self.preconditions(D, E) and self.shift(D, E)[2] > self.c_required
+        return not self.preconditions(D, E) and self.margin(D, E) > 0
 
 
 @dataclass(frozen=True)
