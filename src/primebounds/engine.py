@@ -44,7 +44,7 @@ from .error_terms import (
     round_up_sig,
     shift_requirement,
 )
-# not called here any more, but kept importable from this module:
+# unused here, but importable from this module on purpose:
 # perfbench/tracing.py installs its spans on these two names
 from .error_terms import derive_profile, e_total  # noqa: F401
 from .hiprec import get_default_precision, li, working_precision

@@ -1,5 +1,7 @@
 """Threshold solving, admissibility, the tightening loop, and both tables."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,7 +277,12 @@ def reference_search_strong(A, prec=192):
 
 # the published strong thresholds and the reach of two Table 1 rows
 SEARCH_THRESHOLDS = [s.A for s in STRONG_STATES] + [published.TABLE1[0][2], published.TABLE1[-1][2]]
-_ROUTINES = {}
+
+
+@functools.cache
+def routine_at(A):
+    # one routine per threshold across examples, so memoised D parts are reused
+    return engine._Admissibility(A, STRONG, 192)
 
 
 @pytest.mark.slow
@@ -294,8 +301,7 @@ class TestSearch:
         e_num=st.integers(100, 200),
     )
     def test_routine_margin_matches_check_admissible(self, A, d_num, e_num):
-        # one routine per threshold across examples, so memoised D parts are reused
-        at = _ROUTINES.setdefault(A, engine._Admissibility(A, STRONG, 192))
+        at = routine_at(A)
         with working_precision(192):
             D, E = mpf(d_num) / 50, mpf(e_num) / 10
             margin = at.margin(D, E)
