@@ -10,7 +10,6 @@ inequality pi(x)^2 < (e x / log x) pi(x/e).
 
 from .hiprec import (
     DEFAULT_PRECISION_BITS,
-    SpecialFunctionConfig,
     bessel_i1,
     d_of,
     ei,

@@ -4,9 +4,17 @@ Subcommands: derive, tables, verify-primes, zeros (check), ramanujan, cache.
 Configuration merges, in increasing precedence: built-in defaults, a simple
 ``key = value`` config file, environment (PRIMEBOUNDS_CACHE_DIR), flags.
 
-Exit codes are a stable scripting contract:
-  0 pass, 1 a checked inequality genuinely failed, 2 precondition or
-  configuration error, 3 I/O error.
+Exit codes are a stable scripting contract, the same for ``main()``,
+``cli.main(..., standalone_mode=False)`` and click's test runner:
+  0  every check passed;
+  1  a checked inequality genuinely failed, and nothing else;
+  2  bad input: a usage or config-file error, or a ``ParameterError``
+     (``errors``: failed precondition, malformed zero table, precision
+     below the floor, no root bracket, ...) or ``OverflowError`` raised
+     while running;
+  3  an I/O error (``OSError``), such as an unreadable file.
+Errors are mapped to codes 2 and 3 in one place, the ``cli`` group, and
+print a one-line message to stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass, replace
 import click
 
 from . import engine, error_terms, hiprec, published, primes, ramanujan, zeros
+from .errors import ParameterError
 
 SCHEMA_VERSION = 1
 
@@ -68,7 +77,10 @@ def _read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise click.UsageError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val.strip())
+            try:
+                values[key] = _CONFIG_KEYS[key](val.strip())
+            except ValueError:
+                raise click.UsageError(f"{path}:{line_no}: bad value for {key}: {val.strip()!r}")
     return values
 
 
@@ -106,7 +118,29 @@ def _cache_path(cfg: RunConfig, limit: int) -> str | None:
     return os.path.join(cfg.cache_dir, f"prime_tables_{limit}.txt")
 
 
-@click.group()
+def _limit(cfg: RunConfig, limit: float | None) -> int:
+    if limit is None:
+        return cfg.sieve_limit
+    if not math.isfinite(limit):
+        raise ParameterError(f"limit must be finite, got {limit}")
+    return int(limit)
+
+
+class _Cli(click.Group):
+    """The top-level group: the one place errors become exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ParameterError, OverflowError) as exc:
+            _echo_err(f"error: {exc}")
+            raise SystemExit(EXIT_CONFIG)
+        except OSError as exc:
+            _echo_err(f"I/O error: {exc}")
+            raise SystemExit(EXIT_IO)
+
+
+@click.group(cls=_Cli)
 @click.option("--precision-bits", type=int, default=None, help="working precision (>= 100)")
 @click.option("--T", "t_value", type=float, default=None, help="verification height T")
 @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
@@ -124,10 +158,7 @@ def cli(ctx, precision_bits, t_value, cache_dir, output_format, grid_density,
     partially verified zero data."""
     values = {}
     if config_path is not None:
-        try:
-            values.update(_read_config_file(config_path))
-        except OSError as exc:
-            raise SystemExit(EXIT_IO) from exc
+        values.update(_read_config_file(config_path))
     for key, val in [("precision_bits", precision_bits), ("T", t_value),
                      ("cache_dir", cache_dir), ("output_format", output_format),
                      ("grid_density", grid_density), ("sieve_limit", sieve_limit)]:
@@ -151,20 +182,16 @@ def derive(cfg: RunConfig, t_value, variant, a_value, seed_a, seed_d, seed_e, ma
     """Run the iterative tightening loop and print the trace."""
     T = cfg.T if t_value is None else t_value
     var = error_terms.STRONG if variant == "strong" else error_terms.BoundVariant("weak", a_value)
-    try:
-        seed = None
-        if seed_a is not None or seed_d is not None or seed_e is not None:
-            base = engine.default_seed(T, var)
-            seed = replace(
-                base,
-                A=seed_a if seed_a is not None else base.A,
-                D=seed_d if seed_d is not None else base.D,
-                E=seed_e if seed_e is not None else base.E,
-            )
-        report = engine.iterate(T, seed=seed, max_rounds=max_rounds, variant=var)
-    except error_terms.ParameterError as exc:
-        _echo_err(f"not admissible: {exc}")
-        raise SystemExit(EXIT_CONFIG)
+    seed = None
+    if seed_a is not None or seed_d is not None or seed_e is not None:
+        base = engine.default_seed(T, var)
+        seed = replace(
+            base,
+            A=seed_a if seed_a is not None else base.A,
+            D=seed_d if seed_d is not None else base.D,
+            E=seed_e if seed_e is not None else base.E,
+        )
+    report = engine.iterate(T, seed=seed, max_rounds=max_rounds, variant=var)
     lines = [f"variant={variant} a={float(var.leading_a()):.6g} T={T:g}"]
     for i, rnd in enumerate(report.rounds, start=1):
         lines.append(
@@ -184,16 +211,10 @@ def derive(cfg: RunConfig, t_value, variant, a_value, seed_a, seed_d, seed_e, ma
 @click.pass_obj
 def tables(cfg: RunConfig, which, compare):
     """Regenerate the threshold-constant tables (choose 1, 2, or both)."""
-    if not which:
-        raise click.UsageError("select at least one table: 1 and/or 2")
-    try:
-        selection = sorted({int(w) for w in which})
-    except ValueError:
-        raise click.UsageError("table selector must be 1 or 2")
-    if any(w not in (1, 2) for w in selection):
-        raise click.UsageError("table selector must be 1 or 2")
+    if not which or any(w not in ("1", "2") for w in which):
+        raise click.UsageError("select tables 1 and/or 2")
     all_ok = True
-    for w in selection:
+    for w in sorted({int(w) for w in which}):
         rows_out = []
         lines = [f"table {w}:"]
         if w == 1:
@@ -233,7 +254,7 @@ _SPEC_CHOICES = ["psi_sq", "theta_sq", "psi_shift", "theta_shift", "Pi_li", "pi_
 @click.pass_obj
 def verify_primes(cfg: RunConfig, limit, specs):
     """Scan the prime-counting inequalities against exact sieve tables."""
-    limit = int(cfg.sieve_limit if limit is None else limit)
+    limit = _limit(cfg, limit)
     a8 = 1 / (8 * math.pi)
     catalog = {
         "psi_sq": (primes.InequalitySpec("psi_sq", a8), published.THRESHOLDS_STRONG["psi_sq"]),
@@ -258,13 +279,13 @@ def verify_primes(cfg: RunConfig, limit, specs):
                 chosen.update(weak_catalog)
             else:
                 chosen[s] = catalog[s]
+    tables_ = primes.build_tables(limit, cache_path=_cache_path(cfg, limit))
     max_threshold = max(thr for _, thr in chosen.values())
     if limit <= max_threshold:
         _echo_err(
             f"warning: limit {limit} does not reach the largest threshold {max_threshold}; "
             "scan cannot confirm it"
         )
-    tables_ = primes.build_tables(limit, cache_path=_cache_path(cfg, limit))
     results = []
     lines = []
     worst = EXIT_PASS
@@ -311,19 +332,8 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
     from .kernel import KernelParams
 
     path = zeros.bundled_zeros_path() if path is None else path
-    try:
-        zl = zeros.load_zeros(path)
-    except OSError as exc:
-        _echo_err(f"cannot read {path}: {exc}")
-        raise SystemExit(EXIT_IO)
-    except zeros.ZeroDataError as exc:
-        _echo_err(str(exc))
-        raise SystemExit(EXIT_CONFIG)
-    try:
-        sum_verdict = zeros.check_zero_sum(zl, t2)
-    except ValueError as exc:  # coverage or parameter errors
-        _echo_err(str(exc))
-        raise SystemExit(EXIT_CONFIG)
+    zl = zeros.load_zeros(path)
+    sum_verdict = zeros.check_zero_sum(zl, t2)
     weights_verdict = zeros.check_kernel_weights(zl, KernelParams(kernel_c, kernel_eps))
     payload = {
         "file": path, "n_zeros": len(zl),
@@ -382,13 +392,8 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
     else:
         if z_lo is None or z_hi is None or delta is None or a_value is None:
             raise click.UsageError("give --rung or all of --z-lo/--z-hi/--delta/--a")
-    try:
-        if rung is None:
-            regime = ramanujan.Regime(z_lo, z_hi, a_value, delta, float("inf"))
-        report = ramanujan.step_verify(regime, max_steps=steps, from_end=from_end, prec=prec)
-    except (ramanujan.ParameterError, hiprec.PrecisionError, OverflowError) as exc:
-        _echo_err(str(exc))
-        raise SystemExit(EXIT_CONFIG)
+        regime = ramanujan.Regime(z_lo, z_hi, a_value, delta, float("inf"))
+    report = ramanujan.step_verify(regime, max_steps=steps, from_end=from_end, prec=prec)
     _emit(cfg, report.to_dict(), [
         f"rung z=({regime.z_lo}, {regime.z_hi}] a={regime.a:.4g} delta={regime.delta:g}",
         f"checked {report.steps_checked} steps at {report.precision_bits} bits: "
@@ -415,7 +420,7 @@ def cache_path_cmd(cfg: RunConfig):
 @click.option("--limit", type=float, default=None)
 @click.pass_obj
 def cache_build(cfg: RunConfig, limit):
-    limit = int(cfg.sieve_limit if limit is None else limit)
+    limit = _limit(cfg, limit)
     path = _cache_path(cfg, limit)
     if path is None:
         raise click.UsageError("no cache directory configured")
@@ -450,11 +455,6 @@ def main():
         sys.exit(EXIT_CONFIG)
     except click.exceptions.Abort:
         sys.exit(EXIT_CONFIG)
-    except SystemExit:
-        raise
-    except OSError as exc:
-        _echo_err(f"I/O error: {exc}")
-        sys.exit(EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ from .error_terms import (
 # unused here, but importable from this module on purpose:
 # perfbench/tracing.py installs its spans on these two names
 from .error_terms import derive_profile, e_total  # noqa: F401
+from .errors import BracketError
 from .hiprec import get_default_precision, li, working_precision
 
 __all__ = [
@@ -102,10 +103,6 @@ class ThresholdEquation:
         if self.variant == "weak":
             return K * mp.sqrt(x / L ** 3)
         return K * mp.sqrt(x / L)
-
-
-class BracketError(RuntimeError):
-    """solve_x_max could not bracket a root even after expansion."""
 
 
 def solve_x_max(eq: ThresholdEquation, rel_tol: float = 1e-13, prec: int | None = None) -> mpf:

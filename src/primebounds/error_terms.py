@@ -32,11 +32,13 @@ on D alone are memoised per D for the life of the object.  A search over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from mpmath import mp, mpf
 
+from .errors import ParameterError
 from .hiprec import get_default_precision, working_precision
 
 __all__ = [
@@ -67,10 +69,6 @@ PSI_THETA_GAP_A2 = "1.01718"
 PSI_THETA_GAP_MIN_LOG = 50
 
 
-class ParameterError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BoundVariant:
     """Leading constant of the squared-log bound.
@@ -85,8 +83,8 @@ class BoundVariant:
     def __post_init__(self):
         if self.kind not in ("strong", "weak"):
             raise ParameterError(f"unknown variant kind {self.kind!r}")
-        if self.kind == "weak" and (self.a is None or self.a <= 0):
-            raise ParameterError("weak variant requires a > 0")
+        if self.kind == "weak" and not (self.a is not None and 0 < self.a < math.inf):
+            raise ParameterError("weak variant requires a finite a > 0")
 
     def leading_a(self, prec: int | None = None) -> mpf:
         with working_precision(prec):
@@ -115,8 +113,8 @@ class IterationState:
 
     def __post_init__(self):
         self.variant.check_threshold(self.A)
-        if self.E <= 0 or self.D < 0:
-            raise ParameterError("requires E > 0 and D >= 0")
+        if not (0 < self.E < math.inf and 0 <= self.D < math.inf):
+            raise ParameterError("requires finite E > 0 and D >= 0")
 
     def c_of(self, x) -> mpf:
         return mp.log(mpf(x)) / 2 + mpf(self.D)

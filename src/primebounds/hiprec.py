@@ -7,16 +7,18 @@ arithmetic are provided here:
 
 * ``ei`` / ``li`` -- the exponential integral and the logarithmic integral
   (Cauchy principal value),
-* ``bessel_i1`` -- the modified Bessel function I_1,
+* ``bessel_i1`` -- the modified Bessel function I_1, from ``mp.besseli``,
 * ``d_of``      -- the ratio D(c0) = sqrt(pi*c0/2) * I_1(c0)/sinh(c0), which
   sandwiches I_1(c)/(2 sinh c) between D(c0)/sqrt(2 pi c) and 1/sqrt(2 pi c)
   for all c >= c0.
 
-Evaluation strategy: convergent power series below a precision-dependent
-cutoff, divergent asymptotic series truncated at the smallest term above it.
-The hot path (the power series for Ei at moderate argument) runs in
-fixed-point integer arithmetic for speed; results are deterministic for a
-fixed precision setting.
+Ei is evaluated by its convergent power series up to 0.75 * precision and
+by the divergent asymptotic series, truncated at the smallest term, above.
+The hot path (the power series at moderate argument, where the stepping
+verifier anchors) runs in fixed-point integer arithmetic and is faster than
+``mp.ei`` there.  I_1 comes straight from ``mp.besseli``; the tests check
+it against a direct summation of its defining series.  Results are
+deterministic for a fixed precision setting.
 
 Concurrency: every function is pure, but mpmath's precision context is
 process-global.  Concurrent use is safe when the precision is set once at
@@ -27,15 +29,15 @@ across threads is not supported.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_fixed
 
+from .errors import DomainError, PrecisionError
+
 __all__ = [
     "DEFAULT_PRECISION_BITS",
     "MIN_PRECISION_BITS",
-    "SpecialFunctionConfig",
     "set_default_precision",
     "get_default_precision",
     "working_precision",
@@ -50,14 +52,6 @@ MIN_PRECISION_BITS = 100
 DEFAULT_PRECISION_BITS = 192
 
 _precision_bits = DEFAULT_PRECISION_BITS
-
-
-class PrecisionError(ValueError):
-    """Raised for precision settings below the supported floor."""
-
-
-class DomainError(ValueError):
-    """Raised when a special function is evaluated outside its domain."""
 
 
 def set_default_precision(bits: int) -> None:
@@ -98,38 +92,14 @@ def mpreal(x, prec: int | None = None) -> mpf:
         return +mpf(x)
 
 
-@dataclass(frozen=True)
-class SpecialFunctionConfig:
-    """Tuning knobs for series/asymptotic switching.
-
-    ``series_cutoff``: argument above which the asymptotic expansion is used.
-    ``None`` selects ``0.75 * precision_bits``, which keeps the truncation
-    error of the optimally-truncated asymptotic tail below one ulp at that
-    precision.  ``target_rel_error`` must be at most 2^-64.
-    """
-
-    series_cutoff: float | None = None
-    max_terms: int = 100_000
-    target_rel_error: float = 2.0 ** -64
-
-    def __post_init__(self):
-        if self.target_rel_error > 2.0 ** -64:
-            raise PrecisionError("target_rel_error must be <= 2^-64")
-        if self.max_terms < 16:
-            raise PrecisionError("max_terms too small to converge anything")
-
-    def cutoff(self, prec: int) -> float:
-        if self.series_cutoff is not None:
-            return float(self.series_cutoff)
-        return 0.75 * prec
-
-
-DEFAULT_CONFIG = SpecialFunctionConfig()
-
+# Ei takes its asymptotic series above this fraction of the precision in
+# bits: there the optimally truncated tail is below one ulp
+_ASYMPTOTIC_FROM = 0.75
+_MAX_TERMS = 100_000
 _OVERFLOW_ARG = 1e9  # exp() beyond this is refused rather than silently huge
 
 
-def _ei_series_fixed(y: mpf, prec: int, max_terms: int) -> mpf:
+def _ei_series_fixed(y: mpf, prec: int) -> mpf:
     # sum_{n>=1} y^n/(n*n!) in fixed point; valid and fast for y >= 1
     w = prec + 30
     yfix = to_fixed(y._mpf_, w)
@@ -137,18 +107,18 @@ def _ei_series_fixed(y: mpf, prec: int, max_terms: int) -> mpf:
     total = 0
     n = 1
     n_floor = int(y) + 2
-    while n < max_terms:
+    while n < _MAX_TERMS:
         term = (term * yfix >> w) // n
         total += term // n
         n += 1
         if n > n_floor and term <= (total >> (prec + 8)) + 1:
             break
     else:
-        raise PrecisionError(f"Ei series did not converge in {max_terms} terms")
+        raise PrecisionError(f"Ei series did not converge in {_MAX_TERMS} terms")
     return mpf(from_man_exp(total, -w, prec, "n"))
 
 
-def _ei_series_mpf(y: mpf, prec: int, max_terms: int) -> mpf:
+def _ei_series_mpf(y: mpf, prec: int) -> mpf:
     # straightforward series; handles small and negative arguments.
     # Alternating terms for y < 0 cancel, so add head room proportional to |y|.
     bump = int(3 * abs(y)) + 16 if y < 0 else 8
@@ -156,16 +126,16 @@ def _ei_series_mpf(y: mpf, prec: int, max_terms: int) -> mpf:
         term = mpf(1)
         total = mpf(0)
         tol = mpf(2) ** (-(prec + 8))
-        for n in range(1, max_terms):
+        for n in range(1, _MAX_TERMS):
             term = term * y / n
             add = term / n
             total += add
             if abs(add) < abs(total) * tol and n > abs(y):
                 return total
-    raise PrecisionError(f"Ei series did not converge in {max_terms} terms")
+    raise PrecisionError(f"Ei series did not converge in {_MAX_TERMS} terms")
 
 
-def _ei_asymptotic(y: mpf, prec: int, max_terms: int) -> mpf:
+def _ei_asymptotic(y: mpf, prec: int) -> mpf:
     # Ei(y) ~ e^y/y * sum_k k!/y^k, truncated at the smallest term.  The
     # smallest term has relative size about sqrt(2*pi*|y|)*e^-|y|, which is
     # below 2^-prec whenever |y| > 0.75*prec; callers enforce that.
@@ -173,7 +143,7 @@ def _ei_asymptotic(y: mpf, prec: int, max_terms: int) -> mpf:
         total = mpf(1)
         term = mpf(1)
         prev = None
-        for k in range(1, max_terms):
+        for k in range(1, _MAX_TERMS):
             term = term * k / y
             if prev is not None and abs(term) > prev:
                 break
@@ -184,7 +154,7 @@ def _ei_asymptotic(y: mpf, prec: int, max_terms: int) -> mpf:
         return mp.exp(y) / y * total
 
 
-def ei(y, prec: int | None = None, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> mpf:
+def ei(y, prec: int | None = None) -> mpf:
     """Exponential integral Ei(y) (principal value for y > 0).
 
     li(x) = Ei(log x); this is the workhorse behind every li call.
@@ -194,19 +164,18 @@ def ei(y, prec: int | None = None, config: SpecialFunctionConfig = DEFAULT_CONFI
         y = mpf(y)
         if y == 0:
             raise DomainError("Ei has a logarithmic singularity at 0")
-        cut = config.cutoff(prec)
         if abs(y) > _OVERFLOW_ARG:
             raise OverflowError(f"exp({y}) exceeds the supported range")
-        if abs(y) > cut:
-            return +_ei_asymptotic(y, prec, config.max_terms)
+        if abs(y) > _ASYMPTOTIC_FROM * prec:
+            return +_ei_asymptotic(y, prec)
         if y >= 1:
-            series = _ei_series_fixed(y, prec, config.max_terms)
+            series = _ei_series_fixed(y, prec)
         else:
-            series = _ei_series_mpf(y, prec, config.max_terms)
+            series = _ei_series_mpf(y, prec)
         return +(mp.euler + mp.log(abs(y)) + series)
 
 
-def li(x, prec: int | None = None, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> mpf:
+def li(x, prec: int | None = None) -> mpf:
     """Logarithmic integral li(x), the principal value of int_0^x dt/log t.
 
     Defined for x >= 0, x != 1.  li(0) = 0; x = 1 is a hard domain error
@@ -221,46 +190,10 @@ def li(x, prec: int | None = None, config: SpecialFunctionConfig = DEFAULT_CONFI
             return mpf(0)
         if x == 1:
             raise DomainError("li diverges at x = 1")
-        return ei(mp.log(x), prec=prec, config=config)
+        return ei(mp.log(x), prec=prec)
 
 
-def _i1_series(c: mpf, prec: int, max_terms: int) -> mpf:
-    # I_1(c) = sum_{n>=0} (c/2)^(2n+1) / (n! (n+1)!); all terms positive.
-    with mp.workprec(prec + 16):
-        half = c / 2
-        q = half * half
-        term = half
-        total = term
-        tol = mpf(2) ** (-(prec + 8))
-        for n in range(1, max_terms):
-            term = term * q / (n * (n + 1))
-            total += term
-            if term < total * tol:
-                return total
-    raise PrecisionError(f"I1 series did not converge in {max_terms} terms")
-
-
-def _i1_asymptotic(c: mpf, prec: int, max_terms: int) -> mpf:
-    # I_1(c) ~ e^c/sqrt(2 pi c) * (1 - 3/(8c) - 15/(128c^2) - ...) with
-    # t_k = t_{k-1} * ((2k-1)^2 - 4) / (8 k c); truncated at smallest term.
-    # Valid on this side of the cutoff, where both the truncation floor and
-    # the omitted e^{-c} reflection series are below one ulp.
-    with mp.workprec(prec + 16):
-        total = mpf(1)
-        term = mpf(1)
-        prev = None
-        for k in range(1, max_terms):
-            term = term * ((2 * k - 1) ** 2 - 4) / (8 * k * c)
-            if prev is not None and abs(term) > prev:
-                break
-            total += term
-            prev = abs(term)
-            if abs(term) < abs(total) * mpf(2) ** (-(prec + 8)):
-                break
-        return mp.exp(c) / mp.sqrt(2 * mp.pi * c) * total
-
-
-def bessel_i1(c, prec: int | None = None, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> mpf:
+def bessel_i1(c, prec: int | None = None) -> mpf:
     """Modified Bessel function of the first kind, I_1(c), for c >= 0."""
     prec = _precision_bits if prec is None else int(prec)
     with mp.workprec(prec):
@@ -271,10 +204,7 @@ def bessel_i1(c, prec: int | None = None, config: SpecialFunctionConfig = DEFAUL
             raise OverflowError(f"exp({c}) exceeds the supported range")
         if c == 0:
             return mpf(0)
-        cut = max(128.0, config.cutoff(prec))
-        if c > cut:
-            return +_i1_asymptotic(c, prec, config.max_terms)
-        return +_i1_series(c, prec, config.max_terms)
+        return +mp.besseli(1, c)
 
 
 def d_of(c0, prec: int | None = None) -> mpf:

@@ -19,10 +19,12 @@ precondition enforced) on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
+from .errors import ParameterError
 from .hiprec import bessel_i1, get_default_precision, working_precision
 
 __all__ = [
@@ -39,10 +41,6 @@ __all__ = [
 ]
 
 
-class ParameterError(ValueError):
-    """A bound was requested outside the range where it is proven."""
-
-
 @dataclass(frozen=True)
 class KernelParams:
     """Smoothing sharpness c > 0 and width eps > 0.
@@ -56,8 +54,8 @@ class KernelParams:
     eps: float
 
     def __post_init__(self):
-        if not (self.c > 0 and self.eps > 0):
-            raise ParameterError("KernelParams requires c > 0 and eps > 0")
+        if not (0 < self.c < math.inf and 0 < self.eps < math.inf):
+            raise ParameterError("KernelParams requires finite c > 0 and eps > 0")
 
     def require_tail_high(self) -> None:
         # band-tail bound is proven for eps <= 1e-3 and c >= 3

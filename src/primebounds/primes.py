@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 from mpmath import mp, mpf
 
+from .errors import ParameterError
 from .hiprec import li as li_hp
 from .hiprec import working_precision
 
@@ -50,10 +51,6 @@ CACHE_VERSION = "primebounds-tables v1"
 
 
 class CacheError(RuntimeError):
-    pass
-
-
-class ParameterError(ValueError):
     pass
 
 

@@ -28,7 +28,8 @@ from typing import Optional
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_fixed
 
-from .hiprec import PrecisionError, ei, get_default_precision, working_precision
+from .errors import ParameterError, PrecisionError
+from .hiprec import ei, get_default_precision, working_precision
 from . import published
 
 __all__ = [
@@ -58,10 +59,6 @@ _MAX_TERMS = 16
 A_SHARP_UP = 0.03978873577297384
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-class ParameterError(ValueError):
-    pass
 
 
 def _step_precision(prec: int | None) -> int:
@@ -381,6 +378,14 @@ class CounterexampleVerdict:
         }
 
 
+def _counterexample_x(x) -> int:
+    # below 2, log x is zero or undefined; at 2 the inequality is simply false
+    x = int(x)
+    if x < 2:
+        raise ParameterError(f"the counterexample check needs x >= 2, got {x}")
+    return x
+
+
 def _verdict_from_counts(x: int, pi_x: int, pi_xe: int, prec: int) -> CounterexampleVerdict:
     with working_precision(prec):
         xm = mpf(x)
@@ -399,7 +404,7 @@ def counterexample_check(x: int, tables, prec: int | None = None) -> Counterexam
     import numpy as np
 
     prec = _step_precision(prec)
-    x = int(x)
+    x = _counterexample_x(x)
     if tables is None or tables.limit < x:
         have = 0 if tables is None else tables.limit
         return CounterexampleVerdict(
@@ -421,7 +426,7 @@ def counterexample_check_direct(
     from .primes import segmented_prime_count
 
     prec = _step_precision(prec)
-    x = int(x)
+    x = _counterexample_x(x)
     with working_precision(prec):
         xe_floor = int(mp.floor(mpf(x) / mp.e))
     pi_xe = segmented_prime_count(xe_floor, segment_size=segment_size, progress=progress)

@@ -18,8 +18,9 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
+from .errors import CoverageError, ParameterError, ZeroDataError
 from .hiprec import get_default_precision, working_precision
-from .kernel import KernelParams, ParameterError, a_weight, zero_sum_bound
+from .kernel import KernelParams, a_weight, zero_sum_bound
 
 __all__ = [
     "ZeroList",
@@ -36,14 +37,6 @@ __all__ = [
 # the first nontrivial zero has ordinate 14.1347...
 FIRST_ZERO_LOW = 14.13
 FIRST_ZERO_HIGH = 14.14
-
-
-class ZeroDataError(ValueError):
-    """Malformed zero table (non-numeric, non-ascending, or nonpositive)."""
-
-
-class CoverageError(ValueError):
-    """The loaded list does not reach the requested height."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +142,8 @@ def check_zero_sum(zeros: ZeroList, t2, prec: int | None = None) -> ZeroSumVerdi
     prec = get_default_precision() if prec is None else int(prec)
     with working_precision(prec):
         t2m = mpf(t2)
+        if not mp.isfinite(t2m):
+            raise ParameterError(f"t2 must be finite, got {t2}")
         if zeros.max_height < t2m:
             raise CoverageError(
                 f"need ordinates up to {float(t2m)}, file reaches {float(zeros.max_height)}"

@@ -4,12 +4,13 @@ import contextlib
 import gc
 import io
 import json
+import sys
 import weakref
 
 import pytest
 from click.testing import CliRunner
 
-from primebounds.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, cli
+from primebounds.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, cli, main
 
 
 @pytest.fixture()
@@ -142,6 +143,57 @@ class TestRamanujan:
         assert res.exit_code == EXIT_FAIL
 
 
+# bad input that once escaped as a traceback with exit 1, or (kernel-eps inf)
+# emptied the kernel band into a vacuous pass
+BAD_INPUTS = [
+    ["derive", "--T", "1e-3"],
+    ["derive", "--T", "1e300"],
+    ["derive", "--T", "inf"],
+    ["derive", "--variant", "weak", "--a", "0"],
+    ["derive", "--variant", "weak", "--a", "inf"],
+    ["derive", "--seed-E", "inf"],
+    ["zeros", "check", "--kernel-c", "-1"],
+    ["zeros", "check", "--kernel-eps", "0"],
+    ["zeros", "check", "--kernel-eps", "inf"],
+    ["zeros", "check", "--t2", "nan"],
+    ["verify-primes", "--limit", "50"],
+    ["verify-primes", "--limit", "1e30"],
+    ["verify-primes", "--limit", "nan"],
+    ["verify-primes", "--limit", "inf"],
+    ["ramanujan", "--counterexample", "1"],
+    ["ramanujan", "--counterexample", "-5"],
+]
+
+
+class TestFaults:
+    @pytest.mark.parametrize("args", BAD_INPUTS, ids=" ".join)
+    def test_bad_input_exits_2(self, runner, args):
+        res = run(runner, args)
+        assert res.exit_code == EXIT_CONFIG
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert len(res.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args", BAD_INPUTS, ids=" ".join)
+    def test_in_process_entry_points_exit_2(self, monkeypatch, args):
+        # cli.main(..., standalone_mode=False) is how in-process callers
+        # drive the CLI; main() is the console entry point
+        monkeypatch.setattr(sys, "argv", ["primebounds", *args])
+        entry_points = [lambda: cli.main(args=args, standalone_mode=False), main]
+        for entry in entry_points:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    pytest.raises(SystemExit) as exit_:
+                entry()
+            assert exit_.value.code == EXIT_CONFIG
+            assert len(err.getvalue().strip().splitlines()) == 1
+
+    def test_counterexample_at_2_is_a_real_failure(self, runner):
+        # pi(2)^2 = 1 > 0 = (2e/log 2) pi(2/e): the inequality is false, not bad input
+        res = run(runner, ["--format", "json", "ramanujan", "--counterexample", "2"])
+        assert res.exit_code == EXIT_FAIL
+        assert json.loads(res.stdout)["holds"] is False
+
+
 class TestOutput:
     def test_replaced_stdout_is_released(self):
         # in-process callers swap sys.stdout per command; the CLI must not
@@ -181,6 +233,18 @@ class TestConfig:
         cfg.write_text("bogus = 1\n")
         res = run(runner, ["--config", str(cfg), "tables", "1"])
         assert res.exit_code == EXIT_CONFIG
+
+    def test_bad_config_value(self, runner, tmp_path):
+        cfg = tmp_path / "pb.conf"
+        cfg.write_text("precision_bits = lots\n")
+        res = run(runner, ["--config", str(cfg), "tables", "1"])
+        assert res.exit_code == EXIT_CONFIG
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    def test_missing_config_file_is_io_error(self, runner, tmp_path):
+        res = run(runner, ["--config", str(tmp_path / "absent.conf"), "tables", "1"])
+        assert res.exit_code == 3
+        assert "absent.conf" in res.stderr
 
     def test_precision_floor(self, runner):
         res = run(runner, ["--precision-bits", "64", "zeros", "check"])

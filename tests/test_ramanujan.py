@@ -316,3 +316,12 @@ class TestCounterexample:
         assert isinstance(v, CounterexampleVerdict)
         assert not v.holds
         assert counterexample_check(12, tables_10k).holds
+
+    @pytest.mark.parametrize("x", [1, 0, -5])
+    def test_x_below_2_rejected(self, tables_10k, x):
+        # log x is 0 at 1 and not real below; x = 2 is a genuine failure
+        with pytest.raises(ParameterError, match="x >= 2"):
+            counterexample_check(x, tables_10k)
+        with pytest.raises(ParameterError, match="x >= 2"):
+            ramanujan.counterexample_check_direct(x)
+        assert counterexample_check(2, tables_10k).holds is False

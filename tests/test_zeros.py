@@ -100,6 +100,11 @@ class TestZeroSum:
         with pytest.raises(ParameterError):
             check_zero_sum(zero_list, 30)
 
+    @pytest.mark.parametrize("t2", [float("nan"), float("inf")])
+    def test_non_finite_t2_rejected(self, zero_list, t2):
+        with pytest.raises(ParameterError, match="finite"):
+            check_zero_sum(zero_list, t2)
+
     def test_insufficient_coverage(self, tmp_path):
         p = tmp_path / "z.txt"
         p.write_text(FIRST_THREE)
