@@ -1,18 +1,23 @@
 """Golden outputs: the CLI JSON of the derivation and the tables, field for field.
 
 The files under ``tests/golden/`` are the ``--format json`` output of each
-command below, frozen before the engine's search was restructured.  Any
-change to a printed constant, threshold, shift, error value or verdict shows
-up here as a mismatch; a deliberate change must regenerate the file and be
-called out as a behaviour change.
+command below: the derivation and table files were frozen before the
+engine's search was restructured, the sieve, Ramanujan and zero-check files
+before the sieve layer was.  Any change to a printed constant, threshold,
+shift, error value or verdict shows up here as a mismatch; a deliberate
+change must regenerate the file and be called out as a behaviour change.
+The sha256 of a prime-table cache file is frozen too, because caches written
+by earlier versions must keep loading without a rebuild.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from primebounds import zeros
 from primebounds.cli import EXIT_PASS, cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -22,7 +27,13 @@ CASES = {
     "derive_strong_1e15.json": ["derive", "--T", "1e15"],
     "derive_weak_a1.json": ["derive", "--variant", "weak", "--a", "1"],
     "tables_1_2.json": ["tables", "1", "2", "--compare-published"],
+    "verify_primes_2e5.json": ["verify-primes", "--limit", "200000"],
+    "counterexample_1e7.json": ["ramanujan", "--counterexample", "10000000"],
+    "ramanujan_list.json": ["ramanujan", "--list"],
+    "zeros_check.json": ["zeros", "check"],
 }
+# the zero check prints the path it read; the frozen file names it by role
+BUNDLED = "<bundled>"
 
 
 def json_documents(text: str) -> list:
@@ -55,6 +66,9 @@ def test_cli_json_matches_golden(name):
     res = CliRunner().invoke(cli, ["--format", "json"] + CASES[name])
     assert res.exit_code == EXIT_PASS, res.output
     got = json_documents(res.output)
+    for doc in got:
+        if doc.get("file") == zeros.bundled_zeros_path():
+            doc["file"] = BUNDLED
     want = json_documents((GOLDEN / name).read_text())
     assert len(got) == len(want)
     got_fields, want_fields = list(leaves(got)), list(leaves(want))
@@ -62,3 +76,11 @@ def test_cli_json_matches_golden(name):
     for (path, value), (_, expected) in zip(got_fields, want_fields):
         # exact: floats round-trip through JSON, so equal means bit-identical
         assert type(value) is type(expected) and value == expected, path
+
+
+def test_cache_file_bytes_match_golden(tmp_path):
+    want, name = (GOLDEN / "cache_1e5.sha256").read_text().split()
+    args = ["--cache-dir", str(tmp_path), "cache", "build", "--limit", "100000"]
+    res = CliRunner().invoke(cli, args)
+    assert res.exit_code == EXIT_PASS, res.output
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
