@@ -54,6 +54,7 @@ from .primes import (
     InequalitySpec,
     PrimeTables,
     build_tables,
+    prime_counts,
     psi_theta_gap,
     scan_inequality,
     segmented_prime_count,

@@ -46,7 +46,6 @@ class RunConfig:
     T: float = published.T_DEFAULT
     cache_dir: str | None = None
     output_format: str = "text"
-    grid_density: int = 256
     sieve_limit: int = 1_000_000
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {"precision_bits": int, "T": float, "cache_dir": str,
-                "output_format": str, "grid_density": int, "sieve_limit": int}
+                "output_format": str, "sieve_limit": int}
 
 
 def _read_config_file(path: str) -> dict:
@@ -147,13 +146,11 @@ class _Cli(click.Group):
               envvar="PRIMEBOUNDS_CACHE_DIR", help="prime-table cache directory")
 @click.option("--format", "output_format",
               type=click.Choice(["json", "csv", "text"]), default=None)
-@click.option("--grid-density", type=int, default=None, help="points per monotonicity grid")
 @click.option("--sieve-limit", type=int, default=None, help="default sieve limit")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None,
               help="key = value config file, overridden by flags")
 @click.pass_context
-def cli(ctx, precision_bits, t_value, cache_dir, output_format, grid_density,
-        sieve_limit, config_path):
+def cli(ctx, precision_bits, t_value, cache_dir, output_format, sieve_limit, config_path):
     """Verification toolkit for explicit prime-counting bounds under
     partially verified zero data."""
     values = {}
@@ -161,7 +158,7 @@ def cli(ctx, precision_bits, t_value, cache_dir, output_format, grid_density,
         values.update(_read_config_file(config_path))
     for key, val in [("precision_bits", precision_bits), ("T", t_value),
                      ("cache_dir", cache_dir), ("output_format", output_format),
-                     ("grid_density", grid_density), ("sieve_limit", sieve_limit)]:
+                     ("sieve_limit", sieve_limit)]:
         if val is not None:
             values[key] = val
     cfg = RunConfig(**values)
@@ -363,7 +360,7 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
 @click.option("--a", "a_value", type=float, default=None)
 @click.option("--precision-bits", "prec", type=int, default=None)
 @click.option("--counterexample", type=int, default=None,
-              help="direct count-only inequality check at this x (minutes near 3.8e10)")
+              help="direct count-only inequality check at this x (one sieve pass to x)")
 @click.pass_obj
 def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
                   delta, a_value, prec, counterexample):

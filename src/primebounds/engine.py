@@ -461,6 +461,8 @@ def iterate(
     Stops when the rounded constant no longer improves (or max_rounds).
     A non-admissible seed aborts immediately.
     """
+    if max_rounds < 1:
+        raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     prec = get_default_precision() if prec is None else int(prec)
     with working_precision(prec):
         if seed is None:

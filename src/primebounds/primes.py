@@ -5,25 +5,27 @@ point the final summand carries weight 1/2, so the value at a prime power is
 the midpoint of the one-sided limits.  theta and psi are accumulated exactly
 as fixed-point integers (96 fractional bits, each log evaluated at 160-bit
 precision), Pi as exact fractions; the float64 views used by the vectorized
-scans are derived from those, and any margin too close to zero for float64
-to be trusted is re-checked in extended precision.
+scans are derived from those, once per table, and any margin too close to
+zero for float64 to be trusted is re-checked in extended precision.
 
 Tables are built by segmented sieving, checkpointed per segment, and can be
 persisted to a versioned line-oriented cache with a content hash per
 segment; a partial or corrupted cache is completed or rebuilt (with a
-warning) rather than trusted.
+warning) rather than trusted.  Plain counts beyond the tables' reach come
+from one odd-only sieve pass that counts at several points at once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import ParameterError
 from .hiprec import li as li_hp
@@ -36,6 +38,7 @@ __all__ = [
     "InequalitySpec",
     "ScanReport",
     "build_tables",
+    "prime_counts",
     "psi_theta_gap",
     "scan_inequality",
     "segmented_prime_count",
@@ -55,9 +58,17 @@ class CacheError(RuntimeError):
 
 
 def _log_fixed(p: int) -> int:
-    """round(log(p) * 2^FIX_BITS), computed at LOG_PREC bits."""
-    with mp.workprec(LOG_PREC):
-        return int(mp.floor(mp.log(p) * (mpf(2) ** FIX_BITS) + mpf("0.5")))
+    """round(log(p) * 2^FIX_BITS), half up, from log(p) rounded to LOG_PREC bits.
+
+    The same arithmetic as floor(mp.log(p) * 2^FIX_BITS + 1/2) at LOG_PREC
+    bits, done on the mantissa: the scaling by 2^FIX_BITS is exact, and so is
+    adding 1/2, because log(p) * 2^FIX_BITS is far below 2^(LOG_PREC - 1).
+    """
+    _, man, exp, _ = libmp.mpf_log(libmp.from_int(p), LOG_PREC, "n")
+    shift = exp + FIX_BITS
+    if shift >= 0:
+        return man << shift
+    return (man + (1 << (-shift - 1))) >> -shift
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -69,19 +80,32 @@ def _simple_sieve(n: int) -> np.ndarray:
     return np.flatnonzero(is_p).astype(np.int64)
 
 
+def _odd_mask(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
+    """Odd-only sieve of [lo, hi), lo >= 2, given base primes covering sqrt(hi).
+
+    Returns (first, mask): mask[i] is True iff first + 2 i is an odd prime.
+    """
+    first = lo | 1
+    mask = np.ones(max(0, (hi - first + 1) // 2), dtype=bool)
+    for p in base[1:]:
+        p = int(p)
+        if p * p >= hi:
+            break
+        start = max(p * p, ((first + p - 1) // p) * p)
+        if start % 2 == 0:
+            start += p
+        mask[(start - first) // 2 :: p] = False
+    return first, mask
+
+
 def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi) given base primes covering sqrt(hi)."""
     if hi <= 2:
         return np.empty(0, dtype=np.int64)
     lo = max(lo, 2)
-    mask = np.ones(hi - lo, dtype=bool)
-    for p in base:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        mask[start - lo :: p] = False
-    return (np.flatnonzero(mask) + lo).astype(np.int64)
+    first, mask = _odd_mask(lo, hi, base)
+    odd = np.flatnonzero(mask).astype(np.int64) * 2 + first
+    return np.concatenate(([2], odd)) if lo == 2 else odd
 
 
 @dataclass
@@ -172,40 +196,121 @@ class PrimeTables:
 
     # -- float64 scan views ----------------------------------------------
 
-    def scan_arrays(self) -> dict:
-        """float64 per-jump arrays: at-point (starred), left and right limits."""
-        logp = np.array([v / 2 ** FIX_BITS for v in self.logp_fix], dtype=np.float64)
-        m1 = (self.jump_m == 1).astype(np.float64)
-        pi_r = self.pi2_right.astype(np.float64) / 2.0
-        theta_r = np.array(
-            [v / 2 ** FIX_BITS for v in self.theta_fix_right], dtype=np.float64
-        )
-        psi_r = np.array(
-            [v / 2 ** FIX_BITS for v in self.psi_fix_right], dtype=np.float64
-        )
-        Pi_r = np.array(
-            [v.numerator / v.denominator for v in self.Pi_right], dtype=np.float64
+    _scan: Optional["_ScanContext"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def scan_context(self) -> "_ScanContext":
+        """The spec-independent scan inputs of this table, built on first use."""
+        if self._scan is None:
+            self._scan = _ScanContext(self)
+        return self._scan
+
+
+class _ScanContext:
+    """What every scan of one table shares, whatever the inequality.
+
+    The float64 views, the sample grids and li on them depend on the table
+    and the scan range only, so each is built once, on first use, and kept
+    for the life of the table.  It holds no reference back to the table, so
+    dropping the table frees it at once, without waiting for a cycle collection.
+    """
+
+    def __init__(self, tables: PrimeTables):
+        self.arrays = _float_views(tables)
+        self._jumps = tables.jumps
+        self._grids: dict = {}
+        self._li: dict = {}
+
+    def grid(self, key: tuple):
+        """The sample grid ``key`` names, built once.
+
+        ``("jumps",)``: the jump points.  ``("interior", k0, k1, n)``: n points
+        strictly inside each gap between jumps k0..k1, shape (k1 - k0, n).
+        ``("integers", n_lo, n_hi)``: an ``_IntegerGrid`` of n_lo..n_hi.
+        """
+        if key not in self._grids:
+            self._grids[key] = self._build_grid(key)
+        return self._grids[key]
+
+    def _build_grid(self, key: tuple):
+        xs = self.arrays["x"]
+        if key[0] == "jumps":
+            return xs
+        if key[0] == "interior":
+            _, k0, k1, n = key
+            seg_starts = xs[k0:k1]
+            seg_ends = xs[k0 + 1 : k1 + 1]
+            fracs = np.arange(1, n + 1) / (n + 1.0)
+            return seg_starts[:, None] + (seg_ends - seg_starts)[:, None] * fracs[None, :]
+        _, n_lo, n_hi = key
+        ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+        idx = np.searchsorted(self._jumps, ns, side="right")
+        prev = np.maximum(idx - 1, 0)
+        return _IntegerGrid(
+            ns=ns,
+            nf=ns.astype(np.float64),
+            prev=prev,
+            below=idx == 0,
+            is_jump=(idx > 0) & (self._jumps[prev] == ns),
         )
 
-        def left(a):
-            out = np.empty_like(a)
-            out[0] = 0.0
-            out[1:] = a[:-1]
-            return out
+    def li(self, key: tuple) -> np.ndarray:
+        """float64 li on the grid ``key`` names, evaluated once."""
+        if key not in self._li:
+            g = self.grid(key)
+            self._li[key] = _li64(g.nf if isinstance(g, _IntegerGrid) else g)
+        return self._li[key]
 
-        half_jump = {
-            "pi": 0.5 * m1,
-            "theta": 0.5 * logp * m1,
-            "psi": 0.5 * logp,
-            "Pi": 0.5 / self.jump_m.astype(np.float64),
-        }
-        right = {"pi": pi_r, "theta": theta_r, "psi": psi_r, "Pi": Pi_r}
-        return {
-            "x": self.jumps.astype(np.float64),
-            "right": right,
-            "at": {k: right[k] - half_jump[k] for k in right},
-            "left": {k: left(right[k]) for k in right},
-        }
+
+def _float_views(tables: PrimeTables) -> dict:
+    """float64 per-jump arrays: at-point (starred), left and right limits."""
+    logp = np.array([v / 2 ** FIX_BITS for v in tables.logp_fix], dtype=np.float64)
+    m1 = (tables.jump_m == 1).astype(np.float64)
+    pi_r = tables.pi2_right.astype(np.float64) / 2.0
+    theta_r = np.array(
+        [v / 2 ** FIX_BITS for v in tables.theta_fix_right], dtype=np.float64
+    )
+    psi_r = np.array(
+        [v / 2 ** FIX_BITS for v in tables.psi_fix_right], dtype=np.float64
+    )
+    Pi_r = np.array(
+        [v.numerator / v.denominator for v in tables.Pi_right], dtype=np.float64
+    )
+
+    def left(a):
+        out = np.empty_like(a)
+        out[0] = 0.0
+        out[1:] = a[:-1]
+        return out
+
+    half_jump = {
+        "pi": 0.5 * m1,
+        "theta": 0.5 * logp * m1,
+        "psi": 0.5 * logp,
+        "Pi": 0.5 / tables.jump_m.astype(np.float64),
+    }
+    right = {"pi": pi_r, "theta": theta_r, "psi": psi_r, "Pi": Pi_r}
+    return {
+        "x": tables.jumps.astype(np.float64),
+        "right": right,
+        "at": {k: right[k] - half_jump[k] for k in right},
+        "left": {k: left(right[k]) for k in right},
+    }
+
+
+@dataclass(frozen=True)
+class _IntegerGrid:
+    ns: np.ndarray        # int64 integers of the scan range
+    nf: np.ndarray        # the same as float64
+    prev: np.ndarray      # index of the last jump <= n, 0 where there is none
+    below: np.ndarray     # no jump <= n
+    is_jump: np.ndarray   # n is itself a jump
+
+    def values(self, right: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """A starred count at every integer from its per-jump right/at values."""
+        vals = np.where(self.below, 0.0, right[self.prev])
+        return np.where(self.is_jump, at[self.prev], vals)
 
 
 def _build_segments(limit: int, segment_size: int, start_index: int, base):
@@ -485,11 +590,12 @@ def scan_inequality(
         raise ParameterError(f"x_hi={x_hi} beyond table limit {tables.limit}")
     if not (2 <= x_lo < x_hi):
         raise ParameterError("requires 2 <= x_lo < x_hi")
-    arrays = tables.scan_arrays()
+    ctx = tables.scan_context()
+    arrays = ctx.arrays
     xs = arrays["x"]
     in_range = (xs >= x_lo) & (xs <= x_hi)
     ck = spec.count_kind
-    target64 = _li64(xs) if spec.uses_li else xs
+    target64 = ctx.li(("jumps",)) if spec.uses_li else xs
     rhs = spec.rhs64(xs)
     guard = 1e-9 * np.maximum(rhs, 1.0)
 
@@ -534,13 +640,11 @@ def scan_inequality(
     if interior_samples > 0:
         ks = np.flatnonzero(in_range)
         if len(ks) > 1:
-            k0, k1 = ks[0], ks[-1]
-            seg_starts = xs[k0:k1]
-            seg_ends = xs[k0 + 1 : k1 + 1]
-            fracs = (np.arange(1, interior_samples + 1) / (interior_samples + 1.0))
-            sample_x = seg_starts[:, None] + (seg_ends - seg_starts)[:, None] * fracs[None, :]
+            k0, k1 = int(ks[0]), int(ks[-1])
+            key = ("interior", k0, k1, interior_samples)
+            sample_x = ctx.grid(key)
             vals = arrays["right"][ck][k0:k1, None]
-            t64 = _li64(sample_x) if spec.uses_li else sample_x
+            t64 = ctx.li(key) if spec.uses_li else sample_x
             rh = spec.rhs64(sample_x)
             marg = np.abs(vals - t64) - rh
             g = 1e-9 * np.maximum(rh, 1.0)
@@ -550,7 +654,7 @@ def scan_inequality(
                 decide(float(marg[i, j]), xv, "interior", (int(k0 + i), "right", xv))
 
     # integer-argument convention: check every integer in range directly
-    last_int = _integer_scan(spec, tables, arrays, x_lo, x_hi, prec)
+    last_int = _integer_scan(spec, tables, x_lo, x_hi, prec)
 
     n_points = int(3 * in_range.sum()) + (
         int((in_range.sum() - 1) * interior_samples) if interior_samples else 0
@@ -568,20 +672,14 @@ def scan_inequality(
     )
 
 
-def _integer_scan(spec, tables, arrays, x_lo, x_hi, prec) -> Optional[int]:
-    n_lo = int(np.ceil(x_lo))
-    n_hi = int(np.floor(x_hi))
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    xs = tables.jumps
-    idx = np.searchsorted(xs, ns, side="right")
+def _integer_scan(spec, tables, x_lo, x_hi, prec) -> Optional[int]:
+    ctx = tables.scan_context()
+    key = ("integers", int(np.ceil(x_lo)), int(np.floor(x_hi)))
+    grid = ctx.grid(key)
     ck = spec.count_kind
-    right = arrays["right"][ck]
-    at = arrays["at"][ck]
-    vals = np.where(idx > 0, right[np.maximum(idx - 1, 0)], 0.0)
-    is_jump = (idx > 0) & (xs[np.maximum(idx - 1, 0)] == ns)
-    vals = np.where(is_jump, at[np.maximum(idx - 1, 0)], vals)
-    nf = ns.astype(np.float64)
-    t64 = _li64(nf) if spec.uses_li else nf
+    vals = grid.values(ctx.arrays["right"][ck], ctx.arrays["at"][ck])
+    ns, nf = grid.ns, grid.nf
+    t64 = ctx.li(key) if spec.uses_li else nf
     rhs = spec.rhs64(nf)
     guard = 1e-9 * np.maximum(rhs, 1.0)
     margin = np.abs(vals - t64) - rhs
@@ -634,22 +732,46 @@ def _right_value(tables, ck, k, prec) -> mpf:
         return mpf(fr.numerator) / fr.denominator
 
 
-def segmented_prime_count(x: int, segment_size: int = 1 << 24, progress=None) -> int:
-    """Plain pi(x) by segmented sieve, holding one segment at a time.
+def prime_counts(points, segment_size: int = 1 << 24, progress=None) -> list[int]:
+    """Plain pi(x) at every x in ``points``, from one segmented sieve pass.
 
     Count-only path for arguments far beyond what per-jump tables support
-    (the Ramanujan counterexample neighborhood needs x ~ 3.8e10).
+    (the Ramanujan counterexample neighborhood needs x ~ 3.8e10).  Sieves
+    the odd numbers up to the largest point once, holding one segment of
+    ``segment_size`` integers at a time; ``progress(done, total)`` is called
+    after each segment.  Returns the counts in the order of ``points``.
     """
-    x = int(x)
-    if x < 2:
-        return 0
-    base = _simple_sieve(int(x ** 0.5) + 1)
-    total = 0
+    points = [int(x) for x in points]
+    if segment_size < 1:
+        raise ParameterError(f"segment_size must be >= 1, got {segment_size}")
+    order = sorted(range(len(points)), key=points.__getitem__)
+    counts = [0] * len(points)
+    top = max(points, default=0)
+    if top < 2:
+        return counts
+    base = _simple_sieve(math.isqrt(top) + 1)
+    total = 1  # the prime 2; the segments hold the odd numbers from 3 on
+    k = 0
+    while points[order[k]] < 2:
+        k += 1
     lo = 2
-    while lo <= x:
-        hi = min(lo + segment_size, x + 1)
-        total += len(_segment_primes(lo, hi, base))
+    while lo <= top:
+        hi = min(lo + segment_size, top + 1)
+        first, mask = _odd_mask(lo, hi, base)
+        done = 0  # mask slots already added to total
+        while k < len(order) and points[order[k]] < hi:
+            upto = max(0, (points[order[k]] - first) // 2 + 1)
+            total += int(np.count_nonzero(mask[done:upto]))
+            done = upto
+            counts[order[k]] = total
+            k += 1
+        total += int(np.count_nonzero(mask[done:]))
         if progress is not None:
-            progress(hi - 1, x)
+            progress(hi - 1, top)
         lo = hi
-    return total
+    return counts
+
+
+def segmented_prime_count(x: int, segment_size: int = 1 << 24, progress=None) -> int:
+    """Plain pi(x) by segmented sieve: ``prime_counts`` at the one point x."""
+    return prime_counts([x], segment_size=segment_size, progress=progress)[0]

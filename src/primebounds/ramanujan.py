@@ -422,13 +422,15 @@ def counterexample_check(x: int, tables, prec: int | None = None) -> Counterexam
 def counterexample_check_direct(
     x: int, segment_size: int = 1 << 24, prec: int | None = None, progress=None
 ) -> CounterexampleVerdict:
-    """Count-only check via segmented sieving; minutes of work near 3.84e10."""
-    from .primes import segmented_prime_count
+    """Count-only check: pi(x/e) and pi(x) from one segmented sieve pass to x.
+
+    ``progress(done, x)`` is called after each segment of the pass.
+    """
+    from .primes import prime_counts
 
     prec = _step_precision(prec)
     x = _counterexample_x(x)
     with working_precision(prec):
         xe_floor = int(mp.floor(mpf(x) / mp.e))
-    pi_xe = segmented_prime_count(xe_floor, segment_size=segment_size, progress=progress)
-    pi_x = segmented_prime_count(x, segment_size=segment_size, progress=progress)
+    pi_xe, pi_x = prime_counts([xe_floor, x], segment_size=segment_size, progress=progress)
     return _verdict_from_counts(x, pi_x, pi_xe, prec)

@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code path it checks: the logarithmic
 integral is integrated numerically (tanh-sinh quadrature of a principal-value
 decomposition), the Bessel function is summed naively from its defining
-series, and the large-argument li sanity value comes from the divergent
-asymptotic series truncated at its smallest term.
+series, the large-argument li sanity value comes from the divergent
+asymptotic series truncated at its smallest term, and the fixed-point prime
+logs are rounded by mpmath's high-level floor instead of integer shifts.
 """
 
 from mpmath import inf, log, mp, mpf, quad
@@ -52,3 +53,9 @@ def li_asymptotic(x, prec=192):
             total += term
             k += 1
         return x / y * total
+
+
+def log_fixed_mp(p, fix_bits=96, prec=160):
+    """round(log(p) * 2^fix_bits), half up, through mpmath's high-level API."""
+    with mp.workprec(prec):
+        return int(mp.floor(mp.log(p) * (mpf(2) ** fix_bits) + mpf("0.5")))

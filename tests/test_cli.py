@@ -47,6 +47,13 @@ class TestDerive:
         assert res.exit_code == EXIT_CONFIG
         assert "not admissible" in res.output
 
+    def test_zero_rounds_names_max_rounds(self, runner):
+        # an empty loop is bad input, not a seed without admissible parameters
+        res = run(runner, ["derive", "--max-rounds", "0"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "max_rounds" in res.stderr
+        assert "seed" not in res.stderr
+
 
 class TestTables:
     def test_empty_selection_usage_error(self, runner):
@@ -245,6 +252,18 @@ class TestConfig:
         res = run(runner, ["--config", str(tmp_path / "absent.conf"), "tables", "1"])
         assert res.exit_code == 3
         assert "absent.conf" in res.stderr
+
+    def test_grid_density_flag_is_gone(self, runner):
+        res = run(runner, ["--grid-density", "256", "ramanujan", "--list"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "--grid-density" in res.stderr
+
+    def test_grid_density_key_is_gone(self, runner, tmp_path):
+        cfg = tmp_path / "pb.conf"
+        cfg.write_text("grid_density = 256\n")
+        res = run(runner, ["--config", str(cfg), "ramanujan", "--list"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "grid_density" in res.stderr
 
     def test_precision_floor(self, runner):
         res = run(runner, ["--precision-bits", "64", "zeros", "check"])

@@ -207,6 +207,11 @@ class TestIterate:
         with pytest.raises(ParameterError):
             iterate(3e12, seed=bad)
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_fewer_than_one_round_rejected(self, rounds):
+        with pytest.raises(ParameterError, match="max_rounds"):
+            iterate(3e12, max_rounds=rounds)
+
     def test_trace_monotone(self):
         report = iterate(3e12)
         xs = [float(r.x_max) for r in report.rounds]

@@ -1,7 +1,7 @@
 """Extended profile: long-running verifications excluded from the default run.
 
-Select with ``pytest -m extended``.  The counterexample boundary takes
-roughly 20 minutes of segmented sieving.  A full rung at the published delta
+Select with ``pytest -m extended``.  The counterexample boundary takes two
+sieve passes to 3.84e10, about 2.5 minutes each.  A full rung at the published delta
 is 3.2e8 to 5e9 steps at 9-15 us each, one to 14 hours, so it is sized down
 here to a million-step block (11 s on a 2 vCPU KVM guest) with the full-rung
 entry point left to the CLI.

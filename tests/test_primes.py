@@ -1,23 +1,35 @@
 """Exact tables, normalization conventions, scans, and the cache contract."""
 
+import gc
+import json
 import os
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from primebounds import published
+from primebounds import primes, published
+from primebounds.cli import EXIT_PASS, cli
 from primebounds.hiprec import li, working_precision
 from primebounds.primes import (
     InequalitySpec,
     ParameterError,
+    _log_fixed,
     _recheck,
+    _simple_sieve,
     build_tables,
+    prime_counts,
     psi_theta_gap,
     scan_inequality,
     segmented_prime_count,
 )
+
+from .oracles import log_fixed_mp
 
 A8PI = 0.039788735772973836  # 1/(8 pi)
 
@@ -261,3 +273,122 @@ class TestSegmentedCount:
         assert segmented_prime_count(1) == 0
         assert segmented_prime_count(2) == 1
         assert segmented_prime_count(100) == 25
+
+    def test_progress_reaches_x(self):
+        seen = []
+        segmented_prime_count(1000, segment_size=100,
+                              progress=lambda done, total: seen.append((done, total)))
+        assert seen[-1] == (1000, 1000)
+        assert len(seen) == 10
+
+
+_PI_TO_5000 = np.cumsum(np.isin(np.arange(5001), _simple_sieve(5000)))
+
+
+class TestPrimeCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 5000)), min_size=1, max_size=12
+        ).map(sorted),
+        segment_size=st.one_of(st.integers(1, 8), st.integers(9, 700), st.just(1 << 24)),
+    )
+    def test_sorted_points_against_cumsum(self, points, segment_size):
+        # duplicates, 0..3, both parities and segment edges all occur
+        got = prime_counts(points, segment_size=segment_size)
+        assert got == [int(_PI_TO_5000[x]) for x in points]
+
+    @pytest.mark.parametrize("segment_size", [2, 3, 10, 64])
+    def test_points_on_segment_edges(self, segment_size):
+        # segment k covers [2 + k s, 2 + (k + 1) s): probe both sides of each edge
+        edges = [2 + k * segment_size for k in range(1, 40)]
+        points = sorted({e + d for e in edges for d in (-1, 0, 1)})
+        got = prime_counts(points, segment_size=segment_size)
+        assert got == [int(_PI_TO_5000[x]) for x in points]
+
+    def test_order_of_points_kept(self):
+        assert prime_counts([100, 10, 100, 2, 0]) == [25, 4, 25, 1, 0]
+
+    def test_one_pass_for_all_points(self):
+        seen = []
+        prime_counts([300, 1000, 50], segment_size=100,
+                     progress=lambda done, total: seen.append(done))
+        assert seen == [101 + 100 * k for k in range(9)] + [1000]
+
+    def test_empty_and_small(self):
+        assert prime_counts([]) == []
+        assert prime_counts([-3, 0, 1]) == [0, 0, 0]
+
+    def test_bad_segment_size(self):
+        with pytest.raises(ParameterError):
+            prime_counts([10], segment_size=0)
+
+
+class TestLogFixed:
+    def test_every_prime_to_2e5_matches_oracle(self):
+        for p in _simple_sieve(200_000).tolist():
+            assert _log_fixed(p) == log_fixed_mp(p), p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 20_000_000))
+    def test_integers_to_2e7_match_oracle(self, n):
+        assert _log_fixed(n) == log_fixed_mp(n)
+
+
+def _report_fields(report):
+    return (report.holds_everywhere, report.last_violation, report.last_violation_side,
+            report.last_integer_violation, report.n_points, report.n_rechecked)
+
+
+class TestScanContext:
+    def test_verify_primes_evaluates_li_three_times(self, monkeypatch):
+        # jumps, interior samples and integers: once each for all ten specs
+        calls = []
+
+        def counting_li64(x):
+            calls.append(x.size)
+            return _li64(x)
+
+        _li64 = primes._li64
+        monkeypatch.setattr(primes, "_li64", counting_li64)
+        res = CliRunner().invoke(cli, ["--format", "json", "verify-primes", "--limit", "20000"])
+        assert res.exit_code == EXIT_PASS, res.output
+        assert len(json.loads(res.stdout)["results"]) == 10
+        assert len(calls) == 3
+
+    def test_filled_context_gives_the_same_report(self):
+        fresh = build_tables(30_000)
+        filled = build_tables(30_000)
+        for kind, C in (("pi_li", None), ("theta_shift", published.THETA_SHIFT_C)):
+            warm = InequalitySpec(kind, 1.0, C=C)
+            # the other sample count on each range, so a grid keyed too
+            # coarsely is reused where it must not be
+            scan_inequality(warm, 2, 30_000, filled, interior_samples=4)
+            scan_inequality(warm, 10.5, 20_000.5, filled, interior_samples=16)
+        for kind, C in (("pi_li", None), ("Pi_li", None), ("psi_sq", None),
+                        ("theta_shift", published.THETA_SHIFT_C)):
+            spec = InequalitySpec(kind, A8PI, C=C)
+            for lo, hi, n in ((2, 30_000, 16), (10.5, 20_000.5, 4)):
+                assert _report_fields(scan_inequality(spec, lo, hi, fresh, n)) == \
+                    _report_fields(scan_inequality(spec, lo, hi, filled, n))
+                fresh = build_tables(30_000)
+        # the interior samples rarely decide a report, so compare li on every
+        # grid the scans used, as the filled context and a fresh one give it
+        xs = filled.jumps
+        for lo, hi in ((2, 30_000), (10.5, 20_000.5)):
+            ks = np.flatnonzero((xs >= lo) & (xs <= hi))
+            keys = [("jumps",), ("integers", int(np.ceil(lo)), int(np.floor(hi)))]
+            keys += [("interior", int(ks[0]), int(ks[-1]), n) for n in (4, 16)]
+            for key in keys:
+                np.testing.assert_array_equal(filled.scan_context().li(key),
+                                              fresh.scan_context().li(key))
+
+    def test_context_is_per_table_and_freed_with_it(self):
+        a, b = build_tables(10 ** 4), build_tables(10 ** 4)
+        assert a.scan_context() is a.scan_context()
+        assert a.scan_context() is not b.scan_context()
+        assert "_scan" not in repr(a)
+        ref = weakref.ref(a.scan_context())
+        del a
+        gc.collect()
+        assert ref() is None

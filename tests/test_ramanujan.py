@@ -317,6 +317,20 @@ class TestCounterexample:
         assert not v.holds
         assert counterexample_check(12, tables_10k).holds
 
+    @pytest.mark.parametrize("x", [2, 3, 11, 12, 100, 38358, 999_983, 10 ** 6])
+    def test_direct_count_matches_tables(self, tables_1e6, x):
+        # one sieve pass for pi(x/e) and pi(x) against the per-jump tables
+        direct = ramanujan.counterexample_check_direct(x, segment_size=1 << 12)
+        assert direct == counterexample_check(x, tables_1e6)
+
+    def test_direct_progress_reports_one_pass(self):
+        seen = []
+        ramanujan.counterexample_check_direct(10 ** 5, segment_size=10 ** 4,
+                                              progress=lambda done, total: seen.append((done, total)))
+        assert seen[-1] == (10 ** 5, 10 ** 5)
+        assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+        assert len(seen) == 10
+
     @pytest.mark.parametrize("x", [1, 0, -5])
     def test_x_below_2_rejected(self, tables_10k, x):
         # log x is 0 at 1 and not real below; x = 2 is a genuine failure
