@@ -431,10 +431,18 @@ def default_seed(T: float = DEFAULT_T, variant: BoundVariant = STRONG, prec: int
     with working_precision(prec):
         if variant.kind == "strong":
             A = solve_x_max(ThresholdEquation("comparison", float(mpf(COMPARISON_CONSTANT)), T), prec=prec)
+        else:
+            A = iterate(T, prec=prec).x_max
+        return _seed_at(A, variant, prec)
+
+
+def _seed_at(A, variant: BoundVariant, prec: int) -> IterationState:
+    """The reference state at threshold A: (D, E) = (6, 16) for the strong
+    variant, D = 0 and the smallest admissible E for the weak one."""
+    with working_precision(prec):
+        if variant.kind == "strong":
             D, E = 6.0, 16.0
         else:
-            strong = iterate(T, prec=prec)
-            A = strong.x_max
             D, E = 0.0, float(_search_weak(mpf(A), variant.a, prec) or 2.4)
         at = _Admissibility(A, variant, prec)
         C = _display_shift(at.shift(D, E)[2], at.c_required)
@@ -550,35 +558,24 @@ def table1(T0s: Sequence[float], prec: int | None = None):
     return rows
 
 
-def table2(a_values: Sequence[float], T: float = DEFAULT_T, prec: int | None = None):
+def table2(
+    a_values: Sequence[float],
+    T: float = DEFAULT_T,
+    prec: int | None = None,
+    strong_x_max=None,
+):
     """Rows (a, K, x_max) of the weak variant, seeded sequentially.
 
     Row a_k starts where row a_{k-1} stopped: the weaker constant's bound is
     implied by the stronger one on the already-covered range, so each seed
-    threshold is sound.  The first row starts at the strong x_max for T.
+    threshold is sound.  The first row starts at the strong x_max for T,
+    derived here unless the caller already has it (``strong_x_max``).
     """
     prec = get_default_precision() if prec is None else int(prec)
-    a_values = sorted(float(v) for v in a_values)
-    strong = iterate(T, prec=prec)
-    A = strong.x_max
+    A = iterate(T, prec=prec).x_max if strong_x_max is None else strong_x_max
     rows = []
-    with working_precision(prec):
-        for a in a_values:
-            variant = BoundVariant("weak", a)
-            prev_K, prev_xm = None, None
-            cur_A = mpf(A)
-            for _ in range(8):
-                E = _search_weak(cur_A, a, prec)
-                if E is None:
-                    break
-                K = round_up_sig(_exact_B(cur_A, mpf(0), E), 3)
-                xm = solve_x_max(ThresholdEquation("weak", float(K), T), prec=prec)
-                if prev_K is not None and K >= prev_K:
-                    break
-                prev_K, prev_xm = K, xm
-                cur_A = xm
-            if prev_K is None:
-                raise ParameterError(f"no admissible weak parameters for a={a}")
-            rows.append((a, +prev_K, +prev_xm))
-            A = prev_xm
+    for a in sorted(float(v) for v in a_values):
+        report = iterate(T, seed=_seed_at(A, BoundVariant("weak", a), prec), prec=prec)
+        rows.append((a, report.final_constant, report.x_max))
+        A = report.x_max
     return rows

@@ -2,11 +2,14 @@
 
 The four counting functions are the *-normalized ones: at an integer jump
 point the final summand carries weight 1/2, so the value at a prime power is
-the midpoint of the one-sided limits.  theta and psi are accumulated exactly
-as fixed-point integers (96 fractional bits, each log evaluated at 160-bit
-precision), Pi as exact fractions; the float64 views used by the vectorized
-scans are derived from those, once per table, and any margin too close to
-zero for float64 to be trusted is re-checked in extended precision.
+the midpoint of the one-sided limits.  Each function is stored the same way,
+as a column of exact integer right limits over a fixed per-kind scale: pi
+over 1, theta and psi over 2^96 (each log evaluated at 160-bit precision and
+rounded to 96 fractional bits), Pi over lcm(1..24).  Every read, exact or
+float64, is a left limit, starred value or right limit at one jump; the
+float64 views used by the vectorized scans are built once per table, and any
+margin too close to zero for float64 to be trusted is re-checked in extended
+precision from the exact columns.
 
 Tables are built by segmented sieving, checkpointed per segment, and can be
 persisted to a versioned line-oriented cache with a content hash per
@@ -21,7 +24,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -34,6 +37,7 @@ from .hiprec import working_precision
 __all__ = [
     "FIX_BITS",
     "LOG_PREC",
+    "SCALE",
     "PrimeTables",
     "InequalitySpec",
     "ScanReport",
@@ -49,6 +53,19 @@ FIX_BITS = 96          # fractional bits of the exact theta/psi accumulators
 LOG_PREC = 160         # precision at which each log p is evaluated
 DEFAULT_SEGMENT = 1 << 22
 DETAIL_LIMIT_MAX = 20_000_000  # per-jump tables above this would not be desk scale
+
+# the denominator of each kind's exact column; below DETAIL_LIMIT_MAX < 2^25
+# every prime-power exponent m is at most 24, so each Pi step SCALE/m is an integer
+SCALE = {
+    "pi": 1,
+    "theta": 1 << FIX_BITS,
+    "psi": 1 << FIX_BITS,
+    "Pi": math.lcm(*range(1, 25)),
+}
+assert DETAIL_LIMIT_MAX < 1 << 25
+
+# a read at jump k from one side, as weights on (R[k - 1], R[k]) over 2 SCALE
+_SIDES = {"left": (2, 0), "at": (1, 1), "right": (0, 2)}
 
 CACHE_VERSION = "primebounds-tables v1"
 
@@ -120,79 +137,59 @@ class _Segment:
 class PrimeTables:
     """Per-jump exact tables of the normalized counting functions.
 
-    Arrays are indexed by jump points (prime powers <= limit, ascending);
-    ``*_right`` holds the cumulative value just after the jump.  pi is kept
-    doubled (always integral), theta/psi as fixed-point integers, Pi as an
-    exact Fraction.
+    Arrays are indexed by jump points (prime powers <= limit, ascending).
+    ``right[kind][k]`` is SCALE[kind] times the count just after jump k, an
+    exact int for every kind.
     """
 
     limit: int
     segment_size: int
     jumps: np.ndarray          # int64 prime powers
-    jump_p: np.ndarray         # int64 base prime
     jump_m: np.ndarray         # int64 exponent
-    logp_fix: list             # int, log(p) * 2^FIX per jump
-    pi2_right: np.ndarray      # int64, 2 * pi at right limit
-    theta_fix_right: list      # int
-    psi_fix_right: list        # int
-    Pi_right: list             # Fraction
+    right: dict                # kind -> list of int right limits over SCALE[kind]
     segments: list = field(default_factory=list, repr=False)
 
-    # -- basic accessors ------------------------------------------------
+    # -- exact accessors ------------------------------------------------
 
     @property
     def primes(self) -> np.ndarray:
         return self.jumps[self.jump_m == 1]
 
-    def _index_below(self, x) -> int:
-        """Number of jumps with jump <= x."""
-        return int(np.searchsorted(self.jumps, int(np.floor(float(x))), side="right"))
+    def locate(self, x) -> tuple[int, str]:
+        """(k, side) of the read that gives a count at real x <= limit.
+
+        k is the last jump <= x (-1 below the first); the side is 'at' when
+        x is that jump, else 'right'.
+        """
+        xf = float(x)
+        if xf > self.limit:
+            raise ParameterError(f"x={x} beyond table limit {self.limit}")
+        k = int(np.searchsorted(self.jumps, math.floor(xf), side="right")) - 1
+        return k, "at" if k >= 0 and self.jumps[k] == xf else "right"
+
+    def scaled(self, kind: str, k: int, side: str) -> int:
+        """2 SCALE[kind] times the count at jump k read from ``side``.
+
+        With R = ``right[kind]``: 'left' is R[k - 1], 'right' is R[k] and
+        'at' their mean, the starred value.  Below the first jump (k = -1)
+        and left of it (k = 0, 'left') the sum is empty, 0.
+        """
+        if kind not in self.right:
+            raise ParameterError(f"unknown counting kind {kind!r}")
+        col = self.right[kind]
+        w_left, w_right = _SIDES[side]
+        left = col[k - 1] if k > 0 else 0
+        right = col[k] if k >= 0 else 0
+        return w_left * left + w_right * right
+
+    def value(self, kind: str, k: int, side: str, prec: int | None = None) -> mpf:
+        """The count at jump k read from ``side``, as an mpf."""
+        with working_precision(prec):
+            return mpf(self.scaled(kind, k, side)) / (2 * SCALE[kind])
 
     def count(self, kind: str, x, prec: int | None = None) -> mpf:
         """Exact normalized count at real x <= limit, as an mpf."""
-        xf = float(x)
-        if xf > self.limit:
-            raise ParameterError(f"x={x} beyond table limit {self.limit}")
-        if xf < 2:
-            return mpf(0)
-        k = self._index_below(xf)
-        at_jump = k > 0 and float(self.jumps[k - 1]) == xf and xf == int(xf)
-        with working_precision(prec):
-            scale = mpf(2) ** FIX_BITS
-            if kind == "pi":
-                v = mpf(int(self.pi2_right[k - 1])) / 2 if k else mpf(0)
-                if at_jump and self.jump_m[k - 1] == 1:
-                    v -= mpf(1) / 2
-                return +v
-            if kind == "theta":
-                v = mpf(self.theta_fix_right[k - 1]) / scale if k else mpf(0)
-                if at_jump and self.jump_m[k - 1] == 1:
-                    v -= mpf(self.logp_fix[k - 1]) / (2 * scale)
-                return +v
-            if kind == "psi":
-                v = mpf(self.psi_fix_right[k - 1]) / scale if k else mpf(0)
-                if at_jump:
-                    v -= mpf(self.logp_fix[k - 1]) / (2 * scale)
-                return +v
-            if kind == "Pi":
-                fr = self.Pi_right[k - 1] if k else Fraction(0)
-                if at_jump:
-                    fr = fr - Fraction(1, 2 * int(self.jump_m[k - 1]))
-                return +(mpf(fr.numerator) / fr.denominator)
-        raise ParameterError(f"unknown counting kind {kind!r}")
-
-    def Pi_fraction(self, x) -> Fraction:
-        """Exact Pi* at real x as a Fraction."""
-        xf = float(x)
-        if xf > self.limit:
-            raise ParameterError(f"x={x} beyond table limit {self.limit}")
-        k = self._index_below(xf)
-        if k == 0:
-            return Fraction(0)
-        fr = self.Pi_right[k - 1]
-        if float(self.jumps[k - 1]) == xf and xf == int(xf):
-            fr = fr - Fraction(1, 2 * int(self.jump_m[k - 1]))
-        return fr
+        return self.value(kind, *self.locate(x), prec=prec)
 
     # -- float64 scan views ----------------------------------------------
 
@@ -264,39 +261,21 @@ class _ScanContext:
 
 
 def _float_views(tables: PrimeTables) -> dict:
-    """float64 per-jump arrays: at-point (starred), left and right limits."""
-    logp = np.array([v / 2 ** FIX_BITS for v in tables.logp_fix], dtype=np.float64)
-    m1 = (tables.jump_m == 1).astype(np.float64)
-    pi_r = tables.pi2_right.astype(np.float64) / 2.0
-    theta_r = np.array(
-        [v / 2 ** FIX_BITS for v in tables.theta_fix_right], dtype=np.float64
-    )
-    psi_r = np.array(
-        [v / 2 ** FIX_BITS for v in tables.psi_fix_right], dtype=np.float64
-    )
-    Pi_r = np.array(
-        [v.numerator / v.denominator for v in tables.Pi_right], dtype=np.float64
-    )
+    """float64 per-jump arrays: left limit, starred value and right limit.
 
-    def left(a):
-        out = np.empty_like(a)
-        out[0] = 0.0
-        out[1:] = a[:-1]
-        return out
-
-    half_jump = {
-        "pi": 0.5 * m1,
-        "theta": 0.5 * logp * m1,
-        "psi": 0.5 * logp,
-        "Pi": 0.5 / tables.jump_m.astype(np.float64),
-    }
-    right = {"pi": pi_r, "theta": theta_r, "psi": psi_r, "Pi": Pi_r}
-    return {
-        "x": tables.jumps.astype(np.float64),
-        "right": right,
-        "at": {k: right[k] - half_jump[k] for k in right},
-        "left": {k: left(right[k]) for k in right},
-    }
+    Each entry is the correctly rounded image of the exact ``scaled`` read.
+    """
+    views = {"x": tables.jumps.astype(np.float64), "left": {}, "at": {}, "right": {}}
+    for kind, rights in tables.right.items():
+        scale = SCALE[kind]
+        right = np.array([r / scale for r in rights], dtype=np.float64)
+        views["right"][kind] = right
+        views["left"][kind] = np.concatenate(([0.0], right[:-1]))
+        views["at"][kind] = np.array(
+            [(prev + cur) / (2 * scale) for prev, cur in zip([0, *rights], rights)],
+            dtype=np.float64,
+        )
+    return views
 
 
 @dataclass(frozen=True)
@@ -381,36 +360,20 @@ def build_tables(
     n_expected = (limit - 2) // segment_size + 1
     if len(segments) < n_expected:
         segments.extend(_build_segments(limit, segment_size, len(segments), base))
-    # assemble cumulative arrays (deterministic sequential reduce)
-    jumps, jump_p, jump_m, logp_fix = [], [], [], []
-    pi2_right, theta_right, psi_right, Pi_right = [], [], [], []
-    pi2, th, ps, Pi = 0, 0, 0, Fraction(0)
-    for seg in segments:
-        for n, p, m, lf in seg.jumps:
-            jumps.append(n)
-            jump_p.append(p)
-            jump_m.append(m)
-            logp_fix.append(lf)
-            if m == 1:
-                pi2 += 2
-                th += lf
-            ps += lf
-            Pi += Fraction(1, m)
-            pi2_right.append(pi2)
-            theta_right.append(th)
-            psi_right.append(ps)
-            Pi_right.append(Pi)
+    rows = [row for seg in segments for row in seg.jumps]
+    # each jump's step in every column, summed into its exact right limits
+    steps = {
+        "pi": (int(m == 1) for _, _, m, _ in rows),
+        "theta": (lf if m == 1 else 0 for _, _, m, lf in rows),
+        "psi": (lf for _, _, _, lf in rows),
+        "Pi": (SCALE["Pi"] // m for _, _, m, _ in rows),
+    }
     tables = PrimeTables(
         limit=limit,
         segment_size=segment_size,
-        jumps=np.array(jumps, dtype=np.int64),
-        jump_p=np.array(jump_p, dtype=np.int64),
-        jump_m=np.array(jump_m, dtype=np.int64),
-        logp_fix=logp_fix,
-        pi2_right=np.array(pi2_right, dtype=np.int64),
-        theta_fix_right=theta_right,
-        psi_fix_right=psi_right,
-        Pi_right=Pi_right,
+        jumps=np.array([row[0] for row in rows], dtype=np.int64),
+        jump_m=np.array([row[2] for row in rows], dtype=np.int64),
+        right={kind: list(accumulate(col)) for kind, col in steps.items()},
         segments=segments,
     )
     if cache_path is not None and len(cached_segments) < n_expected:
@@ -694,42 +657,22 @@ def _integer_scan(spec, tables, x_lo, x_hi, prec) -> Optional[int]:
 
 
 def _recheck(spec, tables, x_val, exact_ref, prec) -> bool:
-    """Re-decide a near-zero margin in extended precision; True = violation."""
+    """Re-decide a near-zero margin in extended precision; True = violation.
+
+    ``exact_ref`` is ("integer", n), or (k, side) for a read at jump k, with
+    the sample x appended for an interior point.
+    """
     with working_precision(prec):
         ck = spec.count_kind
         if exact_ref[0] == "integer":
-            n = exact_ref[1]
-            count = tables.count(ck, n, prec=prec)
-            xq = mpf(n)
+            k, side = tables.locate(exact_ref[1])
+            xq = mpf(exact_ref[1])
         else:
             k, side = exact_ref[0], exact_ref[1]
-            xv = exact_ref[2] if len(exact_ref) > 2 else None
-            n = int(tables.jumps[k])
-            if side == "left":
-                # open interval below the jump: the previous right limit
-                count = _right_value(tables, ck, k - 1, prec) if k > 0 else mpf(0)
-                xq = mpf(n)
-            elif side == "at":
-                count = tables.count(ck, n, prec=prec)
-                xq = mpf(n)
-            else:
-                count = _right_value(tables, ck, k, prec)
-                xq = mpf(n) if xv is None else mpf(xv)
+            xq = mpf(exact_ref[2] if len(exact_ref) > 2 else int(tables.jumps[k]))
+        count = tables.value(ck, k, side, prec=prec)
         target = li_hp(xq, prec=prec) if spec.uses_li else xq
         return bool(abs(count - target) >= spec.rhs_mp(xq))
-
-
-def _right_value(tables, ck, k, prec) -> mpf:
-    with working_precision(prec):
-        scale = mpf(2) ** FIX_BITS
-        if ck == "pi":
-            return mpf(int(tables.pi2_right[k])) / 2
-        if ck == "theta":
-            return mpf(tables.theta_fix_right[k]) / scale
-        if ck == "psi":
-            return mpf(tables.psi_fix_right[k]) / scale
-        fr = tables.Pi_right[k]
-        return mpf(fr.numerator) / fr.denominator
 
 
 def prime_counts(points, segment_size: int = 1 << 24, progress=None) -> list[int]:

@@ -95,6 +95,8 @@ def load_zeros(path: str, limit: Optional[float] = None, prec: int | None = None
                     g = mpf(token)
                 except Exception as exc:
                     raise ZeroDataError(f"{path}:{line_no}: not a number: {token!r}") from exc
+                if not mp.isfinite(g):
+                    raise ZeroDataError(f"{path}:{line_no}: non-finite ordinate {token}")
                 if g <= 0:
                     raise ZeroDataError(f"{path}:{line_no}: nonpositive ordinate {token}")
                 if gammas and g <= gammas[-1]:

@@ -4,9 +4,16 @@ Each oracle deliberately avoids the code path it checks: the logarithmic
 integral is integrated numerically (tanh-sinh quadrature of a principal-value
 decomposition), the Bessel function is summed naively from its defining
 series, the large-argument li sanity value comes from the divergent
-asymptotic series truncated at its smallest term, and the fixed-point prime
-logs are rounded by mpmath's high-level floor instead of integer shifts.
+asymptotic series truncated at its smallest term, the fixed-point prime
+logs are rounded by mpmath's high-level floor instead of integer shifts, and
+the normalized prime counts come from prime powers found by trial division,
+summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi).
 """
+
+import bisect
+from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 from mpmath import inf, log, mp, mpf, quad
 
@@ -59,3 +66,50 @@ def log_fixed_mp(p, fix_bits=96, prec=160):
     """round(log(p) * 2^fix_bits), half up, through mpmath's high-level API."""
     with mp.workprec(prec):
         return int(mp.floor(mp.log(p) * (mpf(2) ** fix_bits) + mpf("0.5")))
+
+
+@lru_cache(maxsize=None)
+def prime_powers(n_max):
+    """(n, p, m) for every prime power n = p^m <= n_max, by trial division."""
+    out = []
+    for n in range(2, n_max + 1):
+        p = next((d for d in range(2, int(n ** 0.5) + 1) if n % d == 0), n)
+        q, m = n, 0
+        while q % p == 0:
+            q, m = q // p, m + 1
+        if q == 1:
+            out.append((n, p, m))
+    return out
+
+
+# each prime power p^m's term in the sum for a kind
+_TERMS = {
+    "pi": lambda p, m: Fraction(int(m == 1)),
+    "Pi": lambda p, m: Fraction(1, m),
+    "theta": lambda p, m: log(p) if m == 1 else mpf(0),
+    "psi": lambda p, m: log(p),
+}
+
+
+@lru_cache(maxsize=None)
+def _running_sums(kind, n_max):
+    """The prime powers <= n_max, their terms for ``kind`` and the running sums."""
+    powers = prime_powers(n_max)
+    with mp.workprec(192):
+        terms = [_TERMS[kind](p, m) for _, p, m in powers]
+        zero = Fraction(0) if kind in ("pi", "Pi") else mpf(0)
+        sums = list(accumulate(terms, initial=zero))
+    return [n for n, _, _ in powers], terms, sums
+
+
+def count_star(kind, x, n_max=10_000):
+    """pi*, theta*, psi* or Pi* at real 0 <= x <= n_max, the last term halved
+    when x is itself a prime power: a Fraction for pi and Pi, an mpf at 192
+    bits for theta and psi."""
+    x = Fraction(x)
+    ns, terms, sums = _running_sums(kind, n_max)
+    i = bisect.bisect_right(ns, x)
+    with mp.workprec(192):
+        if i and ns[i - 1] == x:
+            return sums[i] - terms[i - 1] / 2
+        return sums[i]

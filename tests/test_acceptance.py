@@ -260,7 +260,7 @@ def test_criterion_9_property_suites(tables_1e6, tmp_path):
         with open(path, "w") as f:
             f.writelines(lines[:cut])
         resumed = build_tables(10 ** 5, cache_path=path, segment_size=2 ** 14)
-        ok &= cold.psi_fix_right == resumed.psi_fix_right
-        ok &= cold.theta_fix_right == resumed.theta_fix_right
+        ok &= set(cold.right) == {"pi", "theta", "psi", "Pi"}
+        ok &= cold.right == resumed.right
         ok &= list(cold.jumps) == list(resumed.jumps)
     _report(9, "sandwich, weight sweeps, monotonicity, oracle digits, restart identity", ok and t.elapsed < 60.0, t.elapsed)

@@ -10,6 +10,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from primebounds import engine
 from primebounds.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, cli, main
 
 
@@ -64,6 +65,21 @@ class TestTables:
         res = run(runner, ["tables", "7"])
         assert res.exit_code == EXIT_CONFIG
 
+    def test_both_tables_derive_the_strong_constant_once(self, runner, monkeypatch):
+        # table 2 starts from table 1's first row instead of re-deriving it
+        strong_runs = []
+        original = engine.iterate
+
+        def counting_iterate(T=engine.DEFAULT_T, seed=None, **kw):
+            if seed is None and kw.get("variant", engine.STRONG).kind == "strong":
+                strong_runs.append(T)
+            return original(T, seed=seed, **kw)
+
+        monkeypatch.setattr(engine, "iterate", counting_iterate)
+        res = run(runner, ["--format", "json", "tables", "1", "2"])
+        assert res.exit_code == EXIT_PASS
+        assert strong_runs.count(3e12) == 1
+
     def test_table2_csv_with_comparison(self, runner):
         res = run(runner, ["--format", "csv", "tables", "2", "--compare-paper"])
         assert res.exit_code == EXIT_PASS
@@ -111,6 +127,14 @@ class TestZeros:
     def test_missing_file_is_io_error(self, runner):
         res = run(runner, ["zeros", "check", "--file", "/nonexistent/zeros.txt"])
         assert res.exit_code == 3
+
+    def test_infinite_ordinate_is_config_error(self, runner, tmp_path):
+        # an inf row once "covered" t2 and the check printed pass
+        p = tmp_path / "z.txt"
+        p.write_text("14.134725\ninf\n")
+        res = run(runner, ["zeros", "check", "--file", str(p)])
+        assert res.exit_code == EXIT_CONFIG
+        assert ":2:" in res.stderr
 
 
 class TestRamanujan:

@@ -223,6 +223,10 @@ class TestIterate:
         seed = default_seed(3e12)
         assert check_admissible(seed).passed
 
+    def test_table2_takes_the_strong_x_max_from_its_caller(self):
+        strong = iterate(3e12).x_max
+        assert table2([1.0, 10.0], strong_x_max=strong) == table2([1.0, 10.0])
+
 
 def reference_margin(A, D, E, variant=STRONG, prec=192):
     """C* - requirement from one-shot derive_profile/e_total/shift_requirement

@@ -17,6 +17,8 @@ from primebounds import primes, published
 from primebounds.cli import EXIT_PASS, cli
 from primebounds.hiprec import li, working_precision
 from primebounds.primes import (
+    FIX_BITS,
+    SCALE,
     InequalitySpec,
     ParameterError,
     _log_fixed,
@@ -29,7 +31,7 @@ from primebounds.primes import (
     segmented_prime_count,
 )
 
-from .oracles import log_fixed_mp
+from .oracles import count_star, log_fixed_mp, prime_powers
 
 A8PI = 0.039788735772973836  # 1/(8 pi)
 
@@ -85,8 +87,13 @@ class TestBuildAndCount:
 
     def test_Pi_fraction_exact(self, tables_10k):
         # 2, 3, 4, 5, 7, 8, 9 up to 9: 1 + 1 + 1/2 + 1 + 1 + 1/3 + 1/2
-        assert tables_10k.Pi_fraction(9) == Fraction(1 + 1 + 1 + 1) + Fraction(1, 2) * 2 + Fraction(1, 3) - Fraction(1, 4)
         # at the square 9 the last term 1/2 is halved: total - 1/4
+        got = Fraction(tables_10k.scaled("Pi", *tables_10k.locate(9)), 2 * SCALE["Pi"])
+        assert got == Fraction(1 + 1 + 1 + 1) + Fraction(1, 2) * 2 + Fraction(1, 3) - Fraction(1, 4)
+
+    def test_unknown_kind_rejected(self, tables_10k):
+        with pytest.raises(ParameterError, match="unknown counting kind"):
+            tables_10k.count("phi", 100)
 
     def test_beyond_limit_rejected(self, tables_10k):
         with pytest.raises(ParameterError):
@@ -95,6 +102,49 @@ class TestBuildAndCount:
     def test_limit_floor(self):
         with pytest.raises(ParameterError):
             build_tables(50)
+
+
+COUNT_KINDS = ("pi", "theta", "psi", "Pi")
+_JUMPS_TO_1E4 = [n for n, _, _ in prime_powers(10_000)]
+
+
+def _assert_count_matches_oracle(tables, kind, x):
+    """pi and Pi exactly; theta and psi within n 2^-96 over n summed logs."""
+    k, side = tables.locate(x)
+    want = count_star(kind, x)
+    if kind in ("pi", "Pi"):
+        assert Fraction(tables.scaled(kind, k, side), 2 * SCALE[kind]) == want, (kind, x)
+        with working_precision(192):
+            assert tables.count(kind, x, prec=192) == mpf(want.numerator) / want.denominator
+    else:
+        with working_precision(192):
+            err = abs(tables.count(kind, x, prec=192) - want)
+            assert err <= (k + 1) * mpf(2) ** -FIX_BITS, (kind, x, err)
+
+
+class TestCountOracle:
+    @pytest.mark.parametrize("kind", COUNT_KINDS)
+    def test_integers_and_half_integers_below_3000(self, tables_10k, kind):
+        for twice in range(6000):
+            _assert_count_matches_oracle(tables_10k, kind, Fraction(twice, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from(_JUMPS_TO_1E4), offset=st.sampled_from([0, Fraction(-1, 2), Fraction(1, 2)]))
+    def test_jumps_below_1e4(self, tables_10k, n, offset):
+        for kind in COUNT_KINDS:
+            _assert_count_matches_oracle(tables_10k, kind, n + offset)
+
+    def test_jumps_are_the_oracle_prime_powers(self, tables_10k):
+        assert tables_10k.jumps.tolist() == _JUMPS_TO_1E4
+        assert tables_10k.primes.tolist() == [n for n, _, m in prime_powers(10_000) if m == 1]
+
+    def test_float_views_round_the_exact_reads(self, tables_10k):
+        views = tables_10k.scan_context().arrays
+        for kind in COUNT_KINDS:
+            for side in ("left", "at", "right"):
+                want = [tables_10k.scaled(kind, k, side) / (2 * SCALE[kind])
+                        for k in range(len(tables_10k.jumps))]
+                assert views[side][kind].tolist() == want, (kind, side)
 
 
 class TestPsiThetaGap:
@@ -227,9 +277,8 @@ class TestCache:
         cold = build_tables(10 ** 4, cache_path=path)
         warm = build_tables(10 ** 4, cache_path=path)
         assert np.array_equal(cold.jumps, warm.jumps)
-        assert cold.theta_fix_right == warm.theta_fix_right
-        assert cold.psi_fix_right == warm.psi_fix_right
-        assert cold.Pi_right == warm.Pi_right
+        assert set(cold.right) == {"pi", "theta", "psi", "Pi"}
+        assert cold.right == warm.right
 
     def test_resume_from_partial_prefix(self, tmp_path):
         path = str(tmp_path / "tables.txt")
@@ -243,7 +292,8 @@ class TestCache:
             f.writelines(lines[:cut])
         resumed = build_tables(3 * 10 ** 4, cache_path=path, segment_size=10 ** 4)
         assert np.array_equal(cold.jumps, resumed.jumps)
-        assert cold.psi_fix_right == resumed.psi_fix_right
+        assert set(cold.right) == {"pi", "theta", "psi", "Pi"}
+        assert cold.right == resumed.right
 
     def test_corrupted_cache_rebuilds_with_warning(self, tmp_path):
         path = str(tmp_path / "tables.txt")

@@ -49,6 +49,13 @@ class TestLoadZeros:
         with pytest.raises(ZeroDataError, match=":2:"):
             load_zeros(str(p))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_ordinate_errors_with_line_number(self, tmp_path, token):
+        p = tmp_path / "z.txt"
+        p.write_text(f"14.134725141\n{token}\n")
+        with pytest.raises(ZeroDataError, match=":2: non-finite ordinate"):
+            load_zeros(str(p))
+
     def test_wrong_first_ordinate_rejected(self, tmp_path):
         p = tmp_path / "z.txt"
         p.write_text("21.022039639\n25.010857580\n")
