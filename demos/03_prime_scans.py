@@ -12,7 +12,12 @@ import math
 from mpmath import mp
 
 from primebounds.engine import partial_summation_slack
-from primebounds.primes import InequalitySpec, build_tables, scan_inequality
+from primebounds.primes import (
+    InequalitySpec,
+    build_tables,
+    scan_inequality,
+    threshold_consistent,
+)
 
 A8PI = 1 / (8 * math.pi)
 
@@ -33,7 +38,7 @@ CLAIMS = [
 
 for kind, a, C, threshold, text in CLAIMS:
     rep = scan_inequality(InequalitySpec(kind, a, C=C), 2, 10 ** 6, tables)
-    status = "confirmed" if rep.threshold_consistent(threshold) else "NOT CONFIRMED"
+    status = "confirmed" if threshold_consistent(rep, threshold) else "NOT CONFIRMED"
     print(f"{text}")
     print(
         f"  published from x >= {threshold}: {status}; last real-x violation "

@@ -26,7 +26,7 @@ print("\nreciprocal-ordinate sum vs bound (conjugate pairs counted twice):")
 for t2 in (100, 1000, 5000):
     v = check_zero_sum(zl, t2)
     print(
-        f"  t2 = {t2}: sum = {float(v.empirical):.5f} <= "
+        f"  t2 = {t2}: sum = {float(v.empirical_sum):.5f} <= "
         f"{float(v.bound):.5f}: {'pass' if v else 'FAIL'} (margin {float(v.margin):.4f})"
     )
 

@@ -62,12 +62,12 @@ from .primes import (
 from .zeros import ZeroList, check_kernel_weights, check_zero_sum, load_zeros
 from .ramanujan import (
     Regime,
-    StepReport,
     counterexample_check,
     f,
     g,
     regime_schedule,
     step_verify,
 )
+from .verdict import Verdict
 
 __version__ = "0.1.0"

@@ -43,7 +43,6 @@ EXIT_IO = 3
 @dataclass(frozen=True)
 class RunConfig:
     precision_bits: int = hiprec.DEFAULT_PRECISION_BITS
-    T: float = published.T_DEFAULT
     cache_dir: str | None = None
     output_format: str = "text"
     sieve_limit: int = 1_000_000
@@ -59,8 +58,8 @@ class RunConfig:
             raise click.UsageError(f"unknown output format {self.output_format!r}")
 
 
-_CONFIG_KEYS = {"precision_bits": int, "T": float, "cache_dir": str,
-                "output_format": str, "sieve_limit": int}
+_CONFIG_KEYS = {"precision_bits": int, "cache_dir": str, "output_format": str,
+                "sieve_limit": int}
 
 
 def _read_config_file(path: str) -> dict:
@@ -141,7 +140,6 @@ class _Cli(click.Group):
 
 @click.group(cls=_Cli)
 @click.option("--precision-bits", type=int, default=None, help="working precision (>= 100)")
-@click.option("--T", "t_value", type=float, default=None, help="verification height T")
 @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
               envvar="PRIMEBOUNDS_CACHE_DIR", help="prime-table cache directory")
 @click.option("--format", "output_format",
@@ -150,15 +148,14 @@ class _Cli(click.Group):
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None,
               help="key = value config file, overridden by flags")
 @click.pass_context
-def cli(ctx, precision_bits, t_value, cache_dir, output_format, sieve_limit, config_path):
+def cli(ctx, precision_bits, cache_dir, output_format, sieve_limit, config_path):
     """Verification toolkit for explicit prime-counting bounds under
     partially verified zero data."""
     values = {}
     if config_path is not None:
         values.update(_read_config_file(config_path))
-    for key, val in [("precision_bits", precision_bits), ("T", t_value),
-                     ("cache_dir", cache_dir), ("output_format", output_format),
-                     ("sieve_limit", sieve_limit)]:
+    for key, val in [("precision_bits", precision_bits), ("cache_dir", cache_dir),
+                     ("output_format", output_format), ("sieve_limit", sieve_limit)]:
         if val is not None:
             values[key] = val
     cfg = RunConfig(**values)
@@ -167,7 +164,7 @@ def cli(ctx, precision_bits, t_value, cache_dir, output_format, sieve_limit, con
 
 
 @cli.command()
-@click.option("--T", "t_value", type=float, default=None)
+@click.option("--T", "T", type=float, default=published.T_DEFAULT, help="verification height T")
 @click.option("--variant", type=click.Choice(["strong", "weak"]), default="strong")
 @click.option("--a", "a_value", type=float, default=1.0, help="weak-variant constant a")
 @click.option("--seed-A", "seed_a", type=float, default=None)
@@ -175,9 +172,8 @@ def cli(ctx, precision_bits, t_value, cache_dir, output_format, sieve_limit, con
 @click.option("--seed-E", "seed_e", type=float, default=None)
 @click.option("--max-rounds", type=int, default=8)
 @click.pass_obj
-def derive(cfg: RunConfig, t_value, variant, a_value, seed_a, seed_d, seed_e, max_rounds):
+def derive(cfg: RunConfig, T, variant, a_value, seed_a, seed_d, seed_e, max_rounds):
     """Run the iterative tightening loop and print the trace."""
-    T = cfg.T if t_value is None else t_value
     var = error_terms.STRONG if variant == "strong" else error_terms.BoundVariant("weak", a_value)
     seed = None
     if seed_a is not None or seed_d is not None or seed_e is not None:
@@ -287,9 +283,9 @@ def verify_primes(cfg: RunConfig, limit, specs):
         # Pi's published thresholds are integer ones: halving at its jumps
         # keeps it violated on the real line up to 97, past the 59 at integers
         if spec.kind == "Pi_li":
-            consistent = report.integer_threshold_consistent(threshold)
+            consistent = primes.integer_threshold_consistent(report, threshold)
         else:
-            consistent = report.threshold_consistent(threshold)
+            consistent = primes.threshold_consistent(report, threshold)
         if not consistent and limit > threshold:
             worst = EXIT_FAIL
         entry = {
@@ -335,7 +331,7 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
     }
     lines = [
         f"zeros: {len(zl)} ordinates from {path}",
-        f"sum 2/gamma (gamma <= {t2:g}) = {float(sum_verdict.empirical):.6f} "
+        f"sum 2/gamma (gamma <= {t2:g}) = {float(sum_verdict.empirical_sum):.6f} "
         f"<= bound {float(sum_verdict.bound):.6f}: {'pass' if sum_verdict else 'FAIL'}",
         f"kernel weights: {weights_verdict.checked} checked, "
         f"{weights_verdict.skipped_out_of_band} out of band: "
@@ -354,12 +350,11 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
 @click.option("--z-hi", type=float, default=None)
 @click.option("--delta", type=float, default=None)
 @click.option("--a", "a_value", type=float, default=None)
-@click.option("--precision-bits", "prec", type=int, default=None)
 @click.option("--counterexample", type=int, default=None,
               help="direct count-only inequality check at this x (one sieve pass to x)")
 @click.pass_obj
 def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
-                  delta, a_value, prec, counterexample):
+                  delta, a_value, counterexample):
     """Stepping verification windows and the counterexample spot check."""
     schedule = ramanujan.regime_schedule()
     if list_only:
@@ -371,7 +366,9 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         raise SystemExit(EXIT_PASS)
     if counterexample is not None:
         verdict = ramanujan.counterexample_check_direct(counterexample)
-        _emit(cfg, verdict.to_dict(),
+        payload = verdict.to_dict()
+        del payload["passed"]  # this document states the outcome as "holds"
+        _emit(cfg, payload,
               [f"x={counterexample}: inequality {'holds' if verdict.holds else 'FAILS'}"])
         raise SystemExit(EXIT_PASS if verdict.holds else EXIT_FAIL)
     if rung is not None and z_lo is not None:
@@ -386,7 +383,7 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         if z_lo is None or z_hi is None or delta is None or a_value is None:
             raise click.UsageError("give --rung or all of --z-lo/--z-hi/--delta/--a")
         regime = ramanujan.Regime(z_lo, z_hi, a_value, delta, float("inf"))
-    report = ramanujan.step_verify(regime, max_steps=steps, from_end=from_end, prec=prec)
+    report = ramanujan.step_verify(regime, max_steps=steps, from_end=from_end)
     _emit(cfg, report.to_dict(), [
         f"rung z=({regime.z_lo}, {regime.z_hi}] a={regime.a:.4g} delta={regime.delta:g}",
         f"checked {report.steps_checked} steps at {report.precision_bits} bits: "

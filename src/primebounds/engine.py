@@ -49,13 +49,12 @@ from .error_terms import (
 from .error_terms import derive_profile, e_total  # noqa: F401
 from .errors import BracketError
 from .hiprec import get_default_precision, li, working_precision
+from .verdict import Verdict
 
 __all__ = [
     "ThresholdEquation",
-    "AdmissibilityReport",
     "DerivationRound",
     "DerivationReport",
-    "SlackReport",
     "solve_x_max",
     "admissible_B",
     "check_admissible",
@@ -202,32 +201,21 @@ class _Admissibility:
         return not self.preconditions(D, E) and self.margin(D, E) > 0
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    passed: bool
-    c_star: mpf            # largest admissible shift, -E(A)/a
-    c_required: mpf        # smallest shift the psi->theta transfer allows
-    e_at_a: mpf
-    profile: ErrorProfile
-    declared_c_exact: bool  # declared C <= C* without display tolerance
-    failures: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def check_admissible(
     state: IterationState,
     strict: bool = False,
     prec: int | None = None,
-) -> AdmissibilityReport:
+) -> Verdict:
     """Decide whether a state supports its claimed bound chain.
 
     Checks, in order: kernel-lemma preconditions at A; the declared B
     dominating E/2 + D E/log A; existence of a usable shift
     (C* = -E(A)/a above the transfer requirement); and the declared C lying
     in [requirement, C*] -- with one printed ulp of slack on the upper end
-    unless ``strict``.
+    unless ``strict``.  The verdict reports C* (``c_star``), the transfer
+    requirement (``c_required``), E(A), the exact profile, whether the
+    declared C <= C* without the slack (``declared_c_exact``), and the
+    failures found.
     """
     prec = get_default_precision() if prec is None else int(prec)
     at = _Admissibility(state.A, state.variant, prec)
@@ -251,8 +239,8 @@ def check_admissible(
             )
         if mpf(state.B) < _exact_B(state.A, state.D, state.E) - mpf("5e-3"):
             failures.append("declared B below E/2 + D*E/log A")
-        return AdmissibilityReport(
-            passed=not failures,
+        return Verdict(
+            not failures,
             c_star=c_star,
             c_required=c_req,
             e_at_a=e_at_a,
@@ -520,22 +508,15 @@ def iterate(
         return DerivationReport(variant, float(T), tuple(rounds), converged)
 
 
-@dataclass(frozen=True)
-class SlackReport:
-    anchor: mpf   # |pi(x0) - li(x0) - (theta(x0) - x0)/log x0|
-    credit: mpf   # 2 a sqrt(x0), the integral credit available at x0
-    slack: mpf    # anchor - credit; negative closes the partial summation
-
-    def __bool__(self) -> bool:
-        return self.slack < 0
-
-
-def partial_summation_slack(x0: int, a, tables, prec: int | None = None) -> SlackReport:
+def partial_summation_slack(x0: int, a, tables, prec: int | None = None) -> Verdict:
     """Constant-term bookkeeping of the theta -> pi partial summation at x0.
 
     Needs exact pi*(x0) and theta*(x0) from prime tables.  The step succeeds
     iff the anchor constant is beaten by the credit 2 a sqrt(x0) freed when
-    the integral of t^{-1/2}(1 - 2/log t) is extended down from x0.
+    the integral of t^{-1/2}(1 - 2/log t) is extended down from x0: the
+    verdict passes when ``slack`` = ``anchor`` - ``credit`` is negative,
+    with anchor |pi(x0) - li(x0) - (theta(x0) - x0)/log x0| and credit
+    2 a sqrt(x0).
     """
     prec = get_default_precision() if prec is None else int(prec)
     if tables.limit < x0:
@@ -546,7 +527,8 @@ def partial_summation_slack(x0: int, a, tables, prec: int | None = None) -> Slac
         theta_x0 = tables.count("theta", x0)
         anchor = abs(pi_x0 - li(x0m, prec=prec) - (theta_x0 - x0m) / mp.log(x0m))
         credit = 2 * mpf(a) * mp.sqrt(x0m)
-        return SlackReport(+anchor, +credit, +(anchor - credit))
+        slack = anchor - credit
+        return Verdict(slack < 0, anchor=+anchor, credit=+credit, slack=+slack)
 
 
 def table1(T0s: Sequence[float], prec: int | None = None):

@@ -40,6 +40,7 @@ from mpmath import mp, mpf
 
 from .errors import ParameterError
 from .hiprec import get_default_precision, working_precision
+from .verdict import Verdict
 
 __all__ = [
     "PSI_THETA_GAP_A1",
@@ -50,7 +51,6 @@ __all__ = [
     "ErrorProfile",
     "ProfileAt",
     "TermsAt",
-    "Verdict",
     "STRONG",
     "PRINTED_FIRST",
     "PRINTED_REFINED",
@@ -145,16 +145,6 @@ class ErrorProfile:
         for name in ("coef1", "coef2", "alpha3", "coef4", "coef5a", "coef5b"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"profile coefficient {name} must be positive")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    first_failure: Optional[float] = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def round_up_sig(value, sig: int) -> mpf:
@@ -391,12 +381,14 @@ def verify_decreasing(
         vals = [mpf(f(x)) for x in xs]
         for k in range(1, grid_points):
             if not vals[k] < vals[k - 1]:
-                return Verdict(False, float(xs[k]), f"not strictly decreasing at node {k}")
+                return Verdict(False, first_failure=float(xs[k]),
+                               detail=f"not strictly decreasing at node {k}")
         for k in range(1, grid_points - 1):
             slope = (vals[k + 1] - vals[k - 1]) / (ys[k + 1] - ys[k - 1])
             if not slope < 0:
-                return Verdict(False, float(xs[k]), f"nonnegative centered slope at node {k}")
-        return Verdict(True)
+                return Verdict(False, first_failure=float(xs[k]),
+                               detail=f"nonnegative centered slope at node {k}")
+        return Verdict(True, first_failure=None, detail="")
 
 
 def shift_requirement(x, a, prec: int | None = None) -> mpf:
@@ -426,5 +418,6 @@ def psi_theta_margin(x, C, a, prec: int | None = None) -> Verdict:
         lhs = mpf(PSI_THETA_GAP_A1) * mp.sqrt(x) + mpf(PSI_THETA_GAP_A2) * x ** (mpf(1) / 3)
         rhs = (mpf(C) - 2) * mpf(a) * mp.sqrt(x) * mp.log(x)
         if lhs <= rhs:
-            return Verdict(True, detail=f"margin {mp.nstr(rhs - lhs, 6)}")
-        return Verdict(False, float(x), f"transfer short by {mp.nstr(lhs - rhs, 6)}")
+            return Verdict(True, first_failure=None, detail=f"margin {mp.nstr(rhs - lhs, 6)}")
+        return Verdict(False, first_failure=float(x),
+                       detail=f"transfer short by {mp.nstr(lhs - rhs, 6)}")

@@ -33,6 +33,7 @@ from mpmath import libmp, mp, mpf
 from .errors import ParameterError
 from .hiprec import li as li_hp
 from .hiprec import working_precision
+from .verdict import Verdict
 
 __all__ = [
     "FIX_BITS",
@@ -40,12 +41,13 @@ __all__ = [
     "SCALE",
     "PrimeTables",
     "InequalitySpec",
-    "ScanReport",
     "build_tables",
+    "integer_threshold_consistent",
     "prime_counts",
     "psi_theta_gap",
     "scan_inequality",
     "segmented_prime_count",
+    "threshold_consistent",
     "CacheError",
 ]
 
@@ -502,31 +504,6 @@ class InequalitySpec:
         return a * mp.sqrt(x) * lx
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    spec: InequalitySpec
-    x_lo: float
-    x_hi: float
-    holds_everywhere: bool
-    last_violation: Optional[float]       # sup of violating real x (None if clean)
-    last_violation_side: Optional[str]    # 'left': violations approach it from below
-    last_integer_violation: Optional[int]
-    n_points: int
-    n_rechecked: int
-
-    def threshold_consistent(self, threshold: float) -> bool:
-        """True iff the inequality holds for every real x >= threshold."""
-        if self.last_violation is None:
-            return True
-        if self.last_violation < threshold:
-            return True
-        return self.last_violation == threshold and self.last_violation_side == "left"
-
-    def integer_threshold_consistent(self, threshold: float) -> bool:
-        """True iff the inequality holds at every integer x >= threshold."""
-        return self.last_integer_violation is None or self.last_integer_violation < threshold
-
-
 def _li64(x: np.ndarray) -> np.ndarray:
     from scipy.special import expi
 
@@ -540,8 +517,12 @@ def scan_inequality(
     tables: PrimeTables,
     interior_samples: int = 16,
     prec: int | None = None,
-) -> ScanReport:
+) -> Verdict:
     """Check the inequality for all real x in [x_lo, x_hi].
+
+    The verdict passes when no real x in range violates it, and reports the
+    last violation (``last_violation_side`` 'left' when violations approach
+    it from below) and the last violating integer, each None when clean.
 
     Both sides can only trade places at jump points, so evaluating the left
     limit, the starred value and the right limit at every prime power in
@@ -622,17 +603,30 @@ def scan_inequality(
     n_points = int(3 * in_range.sum()) + (
         int((in_range.sum() - 1) * interior_samples) if interior_samples else 0
     )
-    return ScanReport(
+    return Verdict(
+        worst_x is None,
         spec=spec,
         x_lo=float(x_lo),
         x_hi=float(x_hi),
-        holds_everywhere=worst_x is None,
         last_violation=worst_x,
         last_violation_side=worst_side,
         last_integer_violation=last_int,
         n_points=n_points,
         n_rechecked=n_recheck,
     )
+
+
+def threshold_consistent(scan: Verdict, threshold: float) -> bool:
+    """True iff the scanned inequality holds for every real x >= threshold."""
+    last = scan.last_violation
+    if last is None or last < threshold:
+        return True
+    return last == threshold and scan.last_violation_side == "left"
+
+
+def integer_threshold_consistent(scan: Verdict, threshold: float) -> bool:
+    """True iff the scanned inequality holds at every integer x >= threshold."""
+    return scan.last_integer_violation is None or scan.last_integer_violation < threshold
 
 
 def _integer_scan(spec, tables, x_lo, x_hi, prec) -> Optional[int]:

@@ -30,12 +30,11 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import ParameterError, PrecisionError
 from .hiprec import ei, get_default_precision, working_precision
+from .verdict import Verdict
 from . import published
 
 __all__ = [
     "Regime",
-    "StepReport",
-    "CounterexampleVerdict",
     "f",
     "g",
     "step_verify",
@@ -130,48 +129,17 @@ class Regime:
         return math.ceil((Fraction(self.z_hi) - Fraction(self.z_lo)) / Fraction(self.delta))
 
 
-@dataclass(frozen=True)
-class StepReport:
-    regime: Regime
-    steps_checked: int
-    min_margin: mpf
-    min_margin_at: float
-    first_failure: Optional[float]
-    precision_bits: int
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failure is None and self.min_margin > 0
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "z_lo": self.regime.z_lo,
-            "z_hi": self.regime.z_hi,
-            "a": self.regime.a,
-            "delta": self.regime.delta,
-            "steps_checked": self.steps_checked,
-            "min_margin": float(self.min_margin),
-            "min_margin_at": self.min_margin_at,
-            "first_failure": self.first_failure,
-            "precision_bits": self.precision_bits,
-            "passed": self.passed,
-        }
-
-
 def step_verify(
     regime: Regime,
     max_steps: Optional[int] = None,
     from_end: bool = False,
     prec: int | None = None,
-) -> StepReport:
+) -> Verdict:
     """March the delta-grid checking f(z_k) > g(z_k + delta) at every step.
 
     ``max_steps`` (>= 1) restricts to a window at the start (or, with
     ``from_end``, the tail) of the rung.  A nonpositive margin is recorded
-    in the report, not raised.
+    in the verdict, not raised.
 
     The steps run through a fixed-point kernel (see ``_march``) at
     ``prec + 64`` bits that carries e^{-t} Ei(t) from one step to the next
@@ -215,8 +183,12 @@ def step_verify(
             if margin <= 0 and first_failure is None:
                 first_failure = float(z)
     with working_precision(prec):
-        return StepReport(
-            regime=regime,
+        return Verdict(
+            first_failure is None and best > 0,
+            z_lo=regime.z_lo,
+            z_hi=regime.z_hi,
+            a=regime.a,
+            delta=regime.delta,
             steps_checked=n,
             min_margin=+best,
             min_margin_at=best_at,
@@ -357,27 +329,6 @@ def regime_schedule(table2_rows=None, strong_x_max: float | None = None) -> list
     return rungs
 
 
-@dataclass(frozen=True)
-class CounterexampleVerdict:
-    x: int
-    holds: Optional[bool]     # None when skipped
-    lhs: Optional[mpf]        # pi(x)^2
-    rhs: Optional[mpf]        # (e x / log x) * pi(x/e)
-    skipped_reason: str = ""
-
-    def __bool__(self) -> bool:
-        return bool(self.holds)
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "holds": self.holds,
-            "lhs": None if self.lhs is None else float(self.lhs),
-            "rhs": None if self.rhs is None else float(self.rhs),
-            "skipped_reason": self.skipped_reason,
-        }
-
-
 def _counterexample_x(x) -> int:
     # below 2, log x is zero or undefined; at 2 the inequality is simply false
     x = int(x)
@@ -386,15 +337,21 @@ def _counterexample_x(x) -> int:
     return x
 
 
-def _verdict_from_counts(x: int, pi_x: int, pi_xe: int, prec: int) -> CounterexampleVerdict:
+def _floor_over_e(x: int, prec: int) -> int:
+    with working_precision(prec):
+        return int(mp.floor(mpf(x) / mp.e))  # x/e is irrational, so flooring is safe
+
+
+def _verdict_from_counts(x: int, pi_x: int, pi_xe: int, prec: int) -> Verdict:
     with working_precision(prec):
         xm = mpf(x)
         lhs = mpf(pi_x) ** 2
         rhs = mp.e * xm / mp.log(xm) * pi_xe
-        return CounterexampleVerdict(x=x, holds=bool(lhs < rhs), lhs=+lhs, rhs=+rhs)
+        holds = bool(lhs < rhs)
+        return Verdict(holds, x=x, holds=holds, lhs=+lhs, rhs=+rhs, skipped_reason="")
 
 
-def counterexample_check(x: int, tables, prec: int | None = None) -> CounterexampleVerdict:
+def counterexample_check(x: int, tables, prec: int | None = None) -> Verdict:
     """Evaluate pi(x)^2 < (e x/log x) pi(x/e) exactly from prime tables.
 
     The inequality concerns the plain (unnormalized) counting function.
@@ -407,21 +364,19 @@ def counterexample_check(x: int, tables, prec: int | None = None) -> Counterexam
     x = _counterexample_x(x)
     if tables is None or tables.limit < x:
         have = 0 if tables is None else tables.limit
-        return CounterexampleVerdict(
-            x=x, holds=None, lhs=None, rhs=None,
+        return Verdict(
+            False, x=x, holds=None, lhs=None, rhs=None,
             skipped_reason=f"tables reach {have}, need {x}; use the count-only direct check",
         )
-    with working_precision(prec):
-        primes = tables.primes
-        pi_x = int(np.searchsorted(primes, x, side="right"))
-        xe_floor = int(mp.floor(mpf(x) / mp.e))  # x/e is irrational, so flooring is safe
-        pi_xe = int(np.searchsorted(primes, xe_floor, side="right"))
+    primes = tables.primes
+    pi_x = int(np.searchsorted(primes, x, side="right"))
+    pi_xe = int(np.searchsorted(primes, _floor_over_e(x, prec), side="right"))
     return _verdict_from_counts(x, pi_x, pi_xe, prec)
 
 
 def counterexample_check_direct(
     x: int, segment_size: int = 1 << 24, prec: int | None = None, progress=None
-) -> CounterexampleVerdict:
+) -> Verdict:
     """Count-only check: pi(x/e) and pi(x) from one segmented sieve pass to x.
 
     ``progress(done, x)`` is called after each segment of the pass.
@@ -430,7 +385,6 @@ def counterexample_check_direct(
 
     prec = _step_precision(prec)
     x = _counterexample_x(x)
-    with working_precision(prec):
-        xe_floor = int(mp.floor(mpf(x) / mp.e))
-    pi_xe, pi_x = prime_counts([xe_floor, x], segment_size=segment_size, progress=progress)
+    pi_xe, pi_x = prime_counts([_floor_over_e(x, prec), x], segment_size=segment_size,
+                               progress=progress)
     return _verdict_from_counts(x, pi_x, pi_xe, prec)

@@ -21,6 +21,7 @@ from mpmath import mp, mpf
 from .errors import CoverageError, ParameterError, ZeroDataError
 from .hiprec import get_default_precision, working_precision
 from .kernel import KernelParams, a_weight, zero_sum_bound
+from .verdict import Verdict
 
 __all__ = [
     "ZeroList",
@@ -114,33 +115,11 @@ def load_zeros(path: str, limit: Optional[float] = None, prec: int | None = None
     return ZeroList(tuple(gammas), source=path, decimal_places=min_decimals or 0)
 
 
-@dataclass(frozen=True)
-class ZeroSumVerdict:
-    passed: bool
-    t2: float
-    empirical: mpf        # sum of 2/gamma over gamma <= t2 (pairs folded in)
-    bound: mpf
-    margin: mpf
-    zeros_used: int
-    convention: str = "sum over |Im rho|: each listed gamma counted twice (conjugate pair)"
+def check_zero_sum(zeros: ZeroList, t2, prec: int | None = None) -> Verdict:
+    """Compare sum of 1/|Im rho| over |Im rho| <= t2 with its closed-form bound.
 
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "t2": self.t2,
-            "empirical_sum": float(self.empirical),
-            "bound": float(self.bound),
-            "margin": float(self.margin),
-            "zeros_used": self.zeros_used,
-            "convention": self.convention,
-            "passed": self.passed,
-        }
-
-
-def check_zero_sum(zeros: ZeroList, t2, prec: int | None = None) -> ZeroSumVerdict:
-    """Compare sum of 1/|Im rho| over |Im rho| <= t2 with its closed-form bound."""
+    ``empirical_sum`` is the sum of 2/gamma over the listed gamma <= t2.
+    """
     prec = get_default_precision() if prec is None else int(prec)
     with working_precision(prec):
         t2m = mpf(t2)
@@ -153,42 +132,20 @@ def check_zero_sum(zeros: ZeroList, t2, prec: int | None = None) -> ZeroSumVerdi
         bound = zero_sum_bound(t2m, prec=prec)  # raises below 4*pi*e
         used = zeros.below(t2m)
         empirical = 2 * mp.fsum(1 / g for g in used)
-        return ZeroSumVerdict(
-            passed=bool(empirical <= bound),
+        return Verdict(
+            empirical <= bound,
             t2=float(t2m),
-            empirical=+empirical,
+            empirical_sum=+empirical,
             bound=+bound,
             margin=+(bound - empirical),
             zeros_used=len(used),
+            convention="sum over |Im rho|: each listed gamma counted twice (conjugate pair)",
         )
-
-
-@dataclass(frozen=True)
-class WeightsVerdict:
-    passed: bool
-    checked: int
-    skipped_out_of_band: int
-    min_weight: Optional[mpf]
-    max_weight: Optional[mpf]
-    warning: str = ""
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "skipped_out_of_band": self.skipped_out_of_band,
-            "min_weight": None if self.min_weight is None else float(self.min_weight),
-            "max_weight": None if self.max_weight is None else float(self.max_weight),
-            "warning": self.warning,
-            "passed": self.passed,
-        }
 
 
 def check_kernel_weights(
     zeros: ZeroList, params: KernelParams, prec: int | None = None
-) -> WeightsVerdict:
+) -> Verdict:
     """Assert the normalized kernel weight lies in (0, 1] for every in-band zero.
 
     Ordinates beyond the band edge c/eps are skipped and counted; an empty
@@ -205,13 +162,15 @@ def check_kernel_weights(
                 continue
             w = a_weight(g, params, prec=prec)
             if not (0 < w <= 1):
-                return WeightsVerdict(False, checked, skipped, lo, hi,
-                                      warning=f"weight {float(w)} outside (0,1] at gamma={float(g)}")
+                return Verdict(False, checked=checked, skipped_out_of_band=skipped,
+                               min_weight=lo, max_weight=hi,
+                               warning=f"weight {float(w)} outside (0,1] at gamma={float(g)}")
             lo = w if lo is None else min(lo, w)
             hi = w if hi is None else max(hi, w)
             checked += 1
         warning = "" if checked else "no ordinates inside the kernel band; vacuous pass"
-        return WeightsVerdict(True, checked, skipped, lo, hi, warning=warning)
+        return Verdict(True, checked=checked, skipped_out_of_band=skipped,
+                       min_weight=lo, max_weight=hi, warning=warning)
 
 
 def riemann_count_estimate(t, prec: int | None = None) -> mpf:

@@ -28,7 +28,12 @@ from primebounds.error_terms import (
 )
 from primebounds.hiprec import bessel_i1, d_of, li, working_precision
 from primebounds.kernel import KernelParams, a_weight
-from primebounds.primes import InequalitySpec, build_tables, scan_inequality
+from primebounds.primes import (
+    InequalitySpec,
+    build_tables,
+    scan_inequality,
+    threshold_consistent,
+)
 from primebounds.ramanujan import Regime, step_verify
 from primebounds.zeros import check_kernel_weights, check_zero_sum
 
@@ -148,7 +153,7 @@ def test_criterion_5_sieve_verification(tables_1e6):
         for kind, a, C, threshold in _SCAN_CLAIMS:
             spec = InequalitySpec(kind, a, C=C)
             rep = scan_inequality(spec, 2, 10 ** 6, tables_1e6)
-            ok &= rep.threshold_consistent(threshold)
+            ok &= threshold_consistent(rep, threshold)
             frozen = _FROZEN[(kind, a)]
             ok &= (rep.last_violation, rep.last_violation_side, rep.last_integer_violation) == frozen
         # sixth strong kind: the Pi bound's threshold holds at integer
@@ -156,7 +161,7 @@ def test_criterion_5_sieve_verification(tables_1e6):
         rep = scan_inequality(InequalitySpec("Pi_li", A8PI), 2, 10 ** 6, tables_1e6)
         ok &= rep.last_integer_violation == 58
         ok &= (rep.last_violation, rep.last_violation_side) == (97.0, "left")
-        ok &= rep.threshold_consistent(97)
+        ok &= threshold_consistent(rep, 97)
     _report(5, "six kinds + weak set reproduce thresholds (Pi: 59 at integers, 97 real-x)", ok and t.elapsed < 120.0, t.elapsed)
 
 
@@ -190,7 +195,7 @@ def test_criterion_7_zero_data_lemma(zero_list):
             ok &= v.passed and v.checked == 100 and v.max_weight <= 1
     _report(
         7,
-        f"sum 2/gamma = {float(sum_verdict.empirical):.4f} <= {float(sum_verdict.bound):.4f}; weights in (0,1]",
+        f"sum 2/gamma = {float(sum_verdict.empirical_sum):.4f} <= {float(sum_verdict.bound):.4f}; weights in (0,1]",
         ok and t.elapsed < 5.0,
         t.elapsed,
     )

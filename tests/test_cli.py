@@ -146,6 +146,18 @@ class TestRamanujan:
         assert payload["passed"] is True
         assert payload["steps_checked"] == 500
 
+    def test_precision_comes_from_the_global_flag(self, runner):
+        res = run(runner, ["--format", "json", "--precision-bits", "256", "ramanujan",
+                           "--rung", "0", "--steps", "50"])
+        assert res.exit_code == EXIT_PASS
+        assert json.loads(res.output)["precision_bits"] == 256
+
+    def test_subcommand_precision_flag_is_gone(self, runner):
+        res = run(runner, ["ramanujan", "--rung", "0", "--steps", "50",
+                           "--precision-bits", "256"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "--precision-bits" in res.stderr
+
     def test_bad_rung_usage_error(self, runner):
         res = run(runner, ["ramanujan", "--rung", "99"])
         assert res.exit_code == EXIT_CONFIG
@@ -288,6 +300,19 @@ class TestConfig:
         res = run(runner, ["--config", str(cfg), "ramanujan", "--list"])
         assert res.exit_code == EXIT_CONFIG
         assert "grid_density" in res.stderr
+
+    def test_global_T_flag_is_gone(self, runner):
+        # only derive takes a height, through its own --T
+        res = run(runner, ["--T", "1e13", "ramanujan", "--list"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "--T" in res.stderr
+
+    def test_T_key_is_gone(self, runner, tmp_path):
+        cfg = tmp_path / "pb.conf"
+        cfg.write_text("T = 1e13\n")
+        res = run(runner, ["--config", str(cfg), "ramanujan", "--list"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "'T'" in res.stderr
 
     def test_precision_floor(self, runner):
         res = run(runner, ["--precision-bits", "64", "zeros", "check"])

@@ -25,10 +25,12 @@ from primebounds.primes import (
     _recheck,
     _simple_sieve,
     build_tables,
+    integer_threshold_consistent,
     prime_counts,
     psi_theta_gap,
     scan_inequality,
     segmented_prime_count,
+    threshold_consistent,
 )
 
 from .oracles import count_star, log_fixed_mp, prime_powers
@@ -208,7 +210,7 @@ class TestScans:
     def test_thresholds_reproduce(self, tables_1e6, kind, a, C, threshold):
         spec = InequalitySpec(kind, a, C=C)
         report = scan_inequality(spec, 2, 10 ** 6, tables_1e6)
-        assert report.threshold_consistent(threshold), (
+        assert threshold_consistent(report, threshold), (
             report.last_violation, report.last_violation_side
         )
         frozen = FROZEN_LAST_VIOLATIONS[(kind, a)]
@@ -222,8 +224,10 @@ class TestScans:
         report = scan_inequality(spec, 2, 10 ** 6, tables_1e6)
         assert (report.last_violation, report.last_violation_side) == (97.0, "left")
         assert report.last_integer_violation == 58
-        assert not report.threshold_consistent(59)
-        assert report.threshold_consistent(97)
+        assert not threshold_consistent(report, 59)
+        assert threshold_consistent(report, 97)
+        assert integer_threshold_consistent(report, 59)
+        assert not integer_threshold_consistent(report, 58)
 
     def test_sharpness_just_below_thresholds(self, tables_1e6):
         # the reported left-limit points are genuine: the inequality fails at
@@ -241,7 +245,7 @@ class TestScans:
     def test_holds_everywhere_on_clean_interval(self, tables_1e6):
         spec = InequalitySpec("pi_li", A8PI)
         report = scan_inequality(spec, 2657, 10 ** 6, tables_1e6)
-        assert report.holds_everywhere
+        assert report.passed
         assert report.last_violation is None
 
     def test_range_validation(self, tables_10k):
@@ -386,7 +390,7 @@ class TestLogFixed:
 
 
 def _report_fields(report):
-    return (report.holds_everywhere, report.last_violation, report.last_violation_side,
+    return (report.passed, report.last_violation, report.last_violation_side,
             report.last_integer_violation, report.n_points, report.n_rechecked)
 
 

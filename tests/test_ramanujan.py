@@ -11,7 +11,6 @@ from mpmath import mp, mpf
 from primebounds import published
 from primebounds import ramanujan
 from primebounds.ramanujan import (
-    CounterexampleVerdict,
     ParameterError,
     Regime,
     counterexample_check,
@@ -21,6 +20,7 @@ from primebounds.ramanujan import (
     step_verify,
 )
 from primebounds.hiprec import PrecisionError, working_precision
+from primebounds.verdict import Verdict
 
 # frozen 25-digit fixtures, independently evaluated through the quadrature-
 # backed li oracle at 256 bits during development
@@ -313,7 +313,7 @@ class TestCounterexample:
         # small counterexamples exist well below the last one; x = 11 is the
         # first odd prime case where pi(x)^2 catches up
         v = counterexample_check(11, tables_10k)
-        assert isinstance(v, CounterexampleVerdict)
+        assert isinstance(v, Verdict)
         assert not v.holds
         assert counterexample_check(12, tables_10k).holds
 

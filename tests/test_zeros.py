@@ -119,7 +119,7 @@ class TestZeroSum:
             check_zero_sum(load_zeros(str(p)), 5000)
 
     def test_empirical_sum_monotone_in_t2(self, zero_list):
-        vals = [check_zero_sum(zero_list, t).empirical for t in (100, 500, 1000, 5000)]
+        vals = [check_zero_sum(zero_list, t).empirical_sum for t in (100, 500, 1000, 5000)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
