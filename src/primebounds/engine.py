@@ -19,11 +19,12 @@ Every admissibility decision at a threshold goes through one
 ``_Admissibility`` routine built for that A: log A, sqrt A, the
 normalizers, the shift requirement and the parsed constants are computed
 once, and the pieces that depend on D alone are memoised per grid D for the
-life of one search (see ``error_terms.ProfileAt`` and ``TermsAt``).  The
-strong search also prunes: once a best B is known, an E whose smallest
-admissible D cannot beat it costs one evaluation instead of a bisection.
-Both leave every decision, and so every output, bit-identical to evaluating
-each (D, E) from scratch.
+life of one search (see ``error_terms.ProfileAt`` and ``TermsAt``).  A
+decision opens one precision context, computes (c, eps) once and stops at
+the first violated precondition.  The strong search also prunes: once a
+best B is known, an E whose smallest admissible D cannot beat it costs one
+evaluation instead of a bisection.  All of this leaves every decision, and
+so every output, bit-identical to evaluating each (D, E) from scratch.
 """
 
 from __future__ import annotations
@@ -172,33 +173,44 @@ class _Admissibility:
 
     def preconditions(self, D, E) -> list:
         """The kernel-lemma preconditions at A that (D, E) violates."""
-        failures = []
-        with working_precision(self.prec):
-            c, eps = self._profiles.kernel(float(D), float(E))
-            if c < 3:
-                failures.append(f"c(A)={float(c):.3f} < 3")
-            if eps > self._eps_max:
-                failures.append(f"eps(A)={float(eps):.3g} > 1e-4")
-            # outer-band split point: a_frac = sqrt(2/c) needs a_frac*c/eps >= 1e3
-            if mp.sqrt(2 * c) / eps < 1000:
-                failures.append("sqrt(2c)/eps below 1e3")
-        return failures
+        with mp.workprec(self.prec):
+            return list(self._violations(*self._profiles._kernel(mpf(float(D)), mpf(float(E)))))
+
+    def _violations(self, c: mpf, eps: mpf):
+        # lazily, so a decision stops at the first violation
+        if c < 3:
+            yield f"c(A)={float(c):.3f} < 3"
+        if eps > self._eps_max:
+            yield f"eps(A)={float(eps):.3g} > 1e-4"
+        # outer-band split point: a_frac = sqrt(2/c) needs a_frac*c/eps >= 1e3
+        if mp.sqrt(2 * c) / eps < 1000:
+            yield "sqrt(2c)/eps below 1e3"
 
     def shift(self, D, E):
         """(profile, E(A), C*) for kernel parameters (D, E)."""
-        D, E = float(D), float(E)
-        with working_precision(self.prec):
-            profile = self._profiles.profile(D, E)
-            e_at_a = self._terms.total(profile, D)
-            return profile, e_at_a, -e_at_a / self.a
+        D = float(D)
+        with mp.workprec(self.prec):
+            return self._shift(D, self._profiles.profile(D, float(E)))
+
+    def _shift(self, D: float, profile: ErrorProfile) -> tuple:
+        e_at_a = self._terms._total(profile, D)
+        return profile, e_at_a, -e_at_a / self.a
 
     def margin(self, D, E) -> mpf:
         """C* - requirement: positive exactly when the shift is usable."""
-        with working_precision(self.prec):
+        with mp.workprec(self.prec):
             return self.shift(D, E)[2] - self.c_required
 
     def admissible(self, D, E) -> bool:
-        return not self.preconditions(D, E) and self.margin(D, E) > 0
+        """``not preconditions(D, E) and margin(D, E) > 0``, in one precision
+        context, with (c, eps) computed once."""
+        D, E = float(D), mpf(float(E))
+        with mp.workprec(self.prec):
+            c, eps = self._profiles._kernel(mpf(D), E)
+            if next(self._violations(c, eps), None) is not None:
+                return False
+            profile = self._profiles._profile(D, E, c, eps)
+            return self._shift(D, profile)[2] - self.c_required > 0
 
 
 def check_admissible(
@@ -421,21 +433,37 @@ def default_seed(T: float = DEFAULT_T, variant: BoundVariant = STRONG, prec: int
             A = solve_x_max(ThresholdEquation("comparison", float(mpf(COMPARISON_CONSTANT)), T), prec=prec)
         else:
             A = iterate(T, prec=prec).x_max
-        return _seed_at(A, variant, prec)
+        return _seed_at(A, variant, prec)[0]
 
 
-def _seed_at(A, variant: BoundVariant, prec: int) -> IterationState:
-    """The reference state at threshold A: (D, E) = (6, 16) for the strong
-    variant, D = 0 and the smallest admissible E for the weak one."""
+def _seed_at(A, variant: BoundVariant, prec: int) -> tuple:
+    """(seed, found): the reference state at threshold A and the search it
+    was built from.
+
+    The strong seed is (D, E) = (6, 16), from no search (``found`` is None).
+    The weak seed is D = 0 and the smallest admissible E, from the search at
+    A as the state stores it, which is the first round's search of an
+    iteration from this seed; ``_iterate`` takes it as ``found``.
+    """
+    found = None
     with working_precision(prec):
         if variant.kind == "strong":
             D, E = 6.0, 16.0
         else:
-            D, E = 0.0, float(_search_weak(mpf(A), variant.a, prec) or 2.4)
+            found = _search(mpf(float(A)), variant, prec)
+            D, E = 0.0, float(found[2]) if found else 2.4
         at = _Admissibility(A, variant, prec)
         C = _display_shift(at.shift(D, E)[2], at.c_required)
         B = round_up_sig(_exact_B(float(A), D, E), 3)
-        return IterationState(float(A), float(B), float(C), D, E, variant)
+        return IterationState(float(A), float(B), float(C), D, E, variant), found
+
+
+def _search(A, variant: BoundVariant, prec: int):
+    """(exact B, D, E) of the variant's search at A, or None."""
+    if variant.kind == "strong":
+        return _search_strong(A, prec)
+    E = _search_weak(A, variant.a, prec)
+    return None if E is None else (_exact_B(A, 0, E), mpf(0), E)
 
 
 def _display_shift(c_star: mpf, c_req: mpf, step=mpf("0.005")) -> mpf:
@@ -463,6 +491,13 @@ def iterate(
     with working_precision(prec):
         if seed is None:
             seed = default_seed(T, variant, prec=prec)
+    return _iterate(T, seed, max_rounds, prec)
+
+
+def _iterate(T, seed: IterationState, max_rounds: int, prec: int, found=None) -> DerivationReport:
+    """``iterate`` from a seed; ``found``, when given, is the first round's
+    search at the seed's threshold, already run by the caller."""
+    with working_precision(prec):
         variant = seed.variant
         seed_report = check_admissible(seed, prec=prec)
         if not seed_report:
@@ -475,17 +510,12 @@ def iterate(
         prev_b = None
         converged = False
         for _ in range(max_rounds):
-            if variant.kind == "strong":
-                found = _search_strong(A, prec)
-                if found is None:
-                    break
-                b_exact, D, E = found
-            else:
-                E = _search_weak(A, variant.a, prec)
-                if E is None:
-                    break
-                D = mpf(0)
-                b_exact = _exact_B(A, D, E)
+            if found is None:
+                found = _search(A, variant, prec)
+            if found is None:
+                break
+            b_exact, D, E = found
+            found = None  # every later round searches at its own threshold
             b_rounded = round_up_sig(b_exact, 3)
             if prev_b is not None and b_rounded >= prev_b:
                 converged = True
@@ -551,13 +581,15 @@ def table2(
     Row a_k starts where row a_{k-1} stopped: the weaker constant's bound is
     implied by the stronger one on the already-covered range, so each seed
     threshold is sound.  The first row starts at the strong x_max for T,
-    derived here unless the caller already has it (``strong_x_max``).
+    derived here unless the caller already has it (``strong_x_max``).  Each
+    row's first round reuses the search its seed was built from.
     """
     prec = get_default_precision() if prec is None else int(prec)
     A = iterate(T, prec=prec).x_max if strong_x_max is None else strong_x_max
     rows = []
     for a in sorted(float(v) for v in a_values):
-        report = iterate(T, seed=_seed_at(A, BoundVariant("weak", a), prec), prec=prec)
+        seed, found = _seed_at(A, BoundVariant("weak", a), prec)
+        report = _iterate(T, seed, 8, prec, found)
         rows.append((a, report.final_constant, report.x_max))
         A = report.x_max
     return rows

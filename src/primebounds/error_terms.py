@@ -204,12 +204,9 @@ class ProfileAt:
             self._coef5a_num = mpf("2.02")
             self._coef5b = mpf("0.51")
 
-    def kernel(self, D, E) -> tuple:
-        """(c(A), eps(A)) of ``IterationState.c_of``/``eps_of`` for (D, E)."""
-        with working_precision(self.prec):
-            return self._kernel(mpf(D), mpf(E))
-
     def _kernel(self, D: mpf, E: mpf) -> tuple:
+        """(c(A), eps(A)) of ``IterationState.c_of``/``eps_of`` for (D, E),
+        at the caller's precision."""
         return self._half_L + D, self._eps_num / (E * self._root)
 
     def _d_parts(self, D, c: mpf) -> tuple:
@@ -233,16 +230,21 @@ class ProfileAt:
                 raise ParameterError(
                     f"lemma preconditions need c >= 3 and eps <= 1e-3 at A (c={float(c):.3f}, eps={float(eps):.3g})"
                 )
-            g_over_sinh, log_3c, chain, c11, alpha_root = self._d_parts(D, c)
-            big_g = g_over_sinh * mp.exp(self._g_rate * mp.sqrt(c * eps)) * log_3c
-            return ErrorProfile(
-                big_g / self._norm / 2,
-                (1 + c11 * eps) / self._two_pi * chain / 2,
-                E * alpha_root / self._two_pi,
-                self._coef4_num / (E * self._sqrt_pi),
-                self._coef5a_num / E,
-                self._coef5b,
-            )
+            return self._profile(D, E, c, eps)
+
+    def _profile(self, D, E: mpf, c: mpf, eps: mpf) -> ErrorProfile:
+        """``profile`` from (c, eps) = ``_kernel(D, E)``, unchecked, at the
+        caller's precision."""
+        g_over_sinh, log_3c, chain, c11, alpha_root = self._d_parts(D, c)
+        big_g = g_over_sinh * mp.exp(self._g_rate * mp.sqrt(c * eps)) * log_3c
+        return ErrorProfile(
+            big_g / self._norm / 2,
+            (1 + c11 * eps) / self._two_pi * chain / 2,
+            E * alpha_root / self._two_pi,
+            self._coef4_num / (E * self._sqrt_pi),
+            self._coef5a_num / E,
+            self._coef5b,
+        )
 
 
 class TermsAt:
@@ -285,7 +287,11 @@ class TermsAt:
     def total(self, profile: ErrorProfile, D) -> mpf:
         """Normalized aggregate E(x) = sum(E_i) / (sqrt(x) log x)."""
         with working_precision(self.prec):
-            return sum(self._terms(profile, D)) / self._norm
+            return self._total(profile, D)
+
+    def _total(self, profile: ErrorProfile, D) -> mpf:
+        # ``total`` at the caller's precision
+        return sum(self._terms(profile, D)) / self._norm
 
     def _terms(self, profile: ErrorProfile, D) -> tuple:
         L, lL, rx = self.L, self._lL, self._root

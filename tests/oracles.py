@@ -5,9 +5,11 @@ integral is integrated numerically (tanh-sinh quadrature of a principal-value
 decomposition), the Bessel function is summed naively from its defining
 series, the large-argument li sanity value comes from the divergent
 asymptotic series truncated at its smallest term, the fixed-point prime
-logs are rounded by mpmath's high-level floor instead of integer shifts, and
+logs are rounded by mpmath's high-level floor instead of integer shifts,
 the normalized prime counts come from prime powers found by trial division,
-summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi).
+summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi), and the kernel
+weights are evaluated at every in-band ordinate instead of at the two ends
+the monotonicity lemma allows.
 """
 
 import bisect
@@ -16,6 +18,9 @@ from functools import lru_cache
 from itertools import accumulate
 
 from mpmath import inf, log, mp, mpf, quad
+
+from primebounds import kernel
+from primebounds.verdict import Verdict
 
 
 def li_quadrature(x, prec=256):
@@ -113,3 +118,31 @@ def count_star(kind, x, n_max=10_000):
         if i and ns[i - 1] == x:
             return sums[i] - terms[i - 1] / 2
         return sums[i]
+
+
+def kernel_weights_scan(zeros, params, prec=192, weight=None):
+    """The kernel-weight verdict from one ``a_weight`` per ordinate.
+
+    Stops at the first weight outside (0, 1]; ``weight`` replaces
+    ``kernel.a_weight`` (same signature) to exercise the failure paths.
+    """
+    weight = kernel.a_weight if weight is None else weight
+    with mp.workprec(prec):
+        edge = mpf(params.c) / mpf(params.eps)
+        lo, hi = None, None
+        checked = skipped = 0
+        for g in zeros.gammas:
+            if g > edge:
+                skipped += 1
+                continue
+            w = weight(g, params, prec=prec)
+            if not (0 < w <= 1):
+                return Verdict(False, checked=checked, skipped_out_of_band=skipped,
+                               min_weight=lo, max_weight=hi,
+                               warning=f"weight {float(w)} outside (0,1] at gamma={float(g)}")
+            lo = w if lo is None else min(lo, w)
+            hi = w if hi is None else max(hi, w)
+            checked += 1
+        warning = "" if checked else "no ordinates inside the kernel band; vacuous pass"
+        return Verdict(True, checked=checked, skipped_out_of_band=skipped,
+                       min_weight=lo, max_weight=hi, warning=warning)

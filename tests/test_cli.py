@@ -105,6 +105,21 @@ class TestVerifyPrimes:
         assert entry["last_integer_violation"] == 58
         assert entry["consistent"] is True
 
+    def test_truncated_cache_rebuilds_to_the_fresh_result(self, runner, tmp_path):
+        fresh_dir, cut_dir = tmp_path / "fresh", tmp_path / "cut"
+        args = ["--format", "json", "verify-primes", "--limit", "100000"]
+        fresh = run(runner, ["--cache-dir", str(fresh_dir)] + args)
+        assert fresh.exit_code == EXIT_PASS
+        (cache,) = fresh_dir.iterdir()
+        cut_dir.mkdir()
+        (cut_dir / cache.name).write_bytes(cache.read_bytes()[:3000])
+        with pytest.warns(UserWarning, match="rebuilding"):
+            res = run(runner, ["--cache-dir", str(cut_dir)] + args)
+        assert res.exit_code == EXIT_PASS
+        assert "Traceback" not in res.output
+        assert json.loads(res.output) == json.loads(fresh.output)
+        assert (cut_dir / cache.name).read_bytes() == cache.read_bytes()
+
     def test_limit_below_thresholds_warns(self, runner):
         res = run(runner, ["--sieve-limit", "10000", "verify-primes",
                            "--limit", "1e4", "--spec", "theta_shift"])
@@ -135,6 +150,21 @@ class TestZeros:
         res = run(runner, ["zeros", "check", "--file", str(p)])
         assert res.exit_code == EXIT_CONFIG
         assert ":2:" in res.stderr
+
+
+    @pytest.mark.parametrize("rows, message", [
+        ("14.134725141\n25.010857580\n21.022039639\n", "z.txt:3: ordinates not ascending"),
+        ("14.134725141\n21.0x\n", "z.txt:2: not a number: '21.0x'"),
+        ("21.022039639\n25.010857580\n", "is not the first zeta zero"),
+    ], ids=["descending", "non-numeric", "no-first-zero"])
+    def test_bad_ordinate_file_is_one_line_config_error(self, runner, tmp_path, rows, message):
+        p = tmp_path / "z.txt"
+        p.write_text(rows)
+        res = run(runner, ["zeros", "check", "--file", str(p)])
+        assert res.exit_code == EXIT_CONFIG
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert message in res.stderr
+        assert "Traceback" not in res.output
 
 
 class TestRamanujan:

@@ -339,6 +339,38 @@ class TestSearch:
             engine._search_weak(mpf("5e25"), 1.0, 192)
 
 
+# (threshold, variant, typical E): two strong thresholds of Table 1's
+# derivation and the strong x_max as the seed of two weak rows
+REPLAY_CASES = [
+    (2.169e25, STRONG, 16.0),
+    (1.1e26, STRONG, 16.0),
+    (1.101e26, BoundVariant("weak", 1.0), 2.0),
+    (1.101e26, BoundVariant("weak", 1e7), 2e-7),
+]
+
+
+class TestDecisionReplay:
+    @pytest.mark.parametrize("A, variant, e_typical", REPLAY_CASES)
+    def test_admissible_replays_preconditions_and_margin(self, A, variant, e_typical):
+        at = engine._Admissibility(A, variant, 192)
+        with working_precision(192):
+            half_log = float(mp.log(A) / 2)
+        # c(A) = log(A)/2 + D: D near -log(A)/2 makes c tiny (all three
+        # preconditions reachable), the rest spans the searched range
+        ds = [-half_log + 1e-3, -half_log + 2, 0.0, 0.5, 1, 2, 4, 6, 8]
+        es = [e_typical * f for f in
+              (1e-9, 1e-7, 1e-6, 2.5e-6, 1e-4, 1e-2, 0.1, 0.5, 0.75, 1, 1.25, 2, 10, 1e3)]
+        seen = set()
+        for D in ds:
+            for E in es:
+                failures = at.preconditions(D, E)
+                want = not failures and at.margin(D, E) > 0
+                assert at.admissible(D, E) == want, (D, E)
+                seen.update(f.split("=")[0].split()[0] for f in failures)
+                seen.add(want)
+        assert {"c(A)", "eps(A)", "sqrt(2c)/eps", True} <= seen
+
+
 class TestSlack:
     def test_anchor_and_credit_at_5000(self, tables_1e6):
         with working_precision(192):
@@ -377,6 +409,30 @@ class TestTables:
         ks = {row[0]: float(row[1]) for row in rows}
         for a in (1e3, 1e4, 1e5, 1e6):
             assert abs(ks[10 * a] / ks[a] - 0.1) < 0.1 * 0.02
+
+    def test_table2_reuses_each_seed_search(self, monkeypatch):
+        a_values = [r[0] for r in published.TABLE2]
+        strong = iterate(3e12).x_max
+        calls = []
+        search_weak = engine._search_weak
+
+        def counted(*args):
+            calls.append(args[:2])
+            return search_weak(*args)
+
+        monkeypatch.setattr(engine, "_search_weak", counted)
+        rows = table2(a_values, strong_x_max=strong)
+        # one search per seed and one per later round; the seed's search is
+        # the first round's (26 searches when the first round repeated it)
+        assert len(calls) == 18
+        assert len(set(calls)) == len(calls)
+        # the same rows as iterating from each seed with the public loop
+        want, A = [], strong
+        for a in sorted(a_values):
+            report = iterate(3e12, seed=engine._seed_at(A, BoundVariant("weak", a), 192)[0])
+            want.append((a, report.final_constant, report.x_max))
+            A = report.x_max
+        assert rows == want
 
     def test_single_entry_table(self):
         rows = table1([1e13])

@@ -2,8 +2,10 @@
 
 The files under ``tests/golden/`` are the ``--format json`` output of each
 command below: the derivation and table files were frozen before the
-engine's search was restructured, the sieve, Ramanujan and zero-check files
-before the sieve layer was.  Any change to a printed constant, threshold,
+engine's search was restructured, the sieve, Ramanujan and default
+zero-check files before the sieve layer was, and the partial-band and
+vacuous-band zero checks before the kernel-weight check moved from a
+per-zero loop to two endpoint evaluations.  Any change to a printed constant, threshold,
 shift, error value or verdict shows up here as a mismatch; a deliberate
 change must regenerate the file and be called out as a behaviour change.
 The sha256 of a prime-table cache file is frozen too, because caches written
@@ -31,6 +33,8 @@ CASES = {
     "counterexample_1e7.json": ["ramanujan", "--counterexample", "10000000"],
     "ramanujan_list.json": ["ramanujan", "--list"],
     "zeros_check.json": ["zeros", "check"],
+    "zeros_check_partial_band.json": ["zeros", "check", "--kernel-c", "3", "--kernel-eps", "0.1", "--t2", "100"],
+    "zeros_check_vacuous_band.json": ["zeros", "check", "--kernel-c", "3", "--kernel-eps", "0.25"],
 }
 # the zero check prints the path it read; the frozen file names it by role
 BUNDLED = "<bundled>"

@@ -1,9 +1,14 @@
 """Zero-table ingestion and the empirical zero-data checks."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from primebounds.kernel import KernelParams, ParameterError
+from primebounds import zeros
+from primebounds.kernel import KernelParams, ParameterError, a_weight
 from primebounds.zeros import (
     CoverageError,
     ZeroDataError,
@@ -12,6 +17,8 @@ from primebounds.zeros import (
     load_zeros,
     riemann_count_estimate,
 )
+
+from .oracles import kernel_weights_scan
 
 FIRST_THREE = "14.134725141\n21.022039639\n25.010857580\n"
 
@@ -161,3 +168,81 @@ class TestKernelWeights:
         assert v.passed
         assert v.checked == 0
         assert "vacuous" in v.warning
+
+
+def prefix(zero_list, n):
+    return dataclasses.replace(zero_list, gammas=zero_list.gammas[:n])
+
+
+def assert_same_verdict(got, want):
+    # same passed, same facts in the same order, mpf facts equal to the bit
+    assert got == want
+    assert list(got.facts) == list(want.facts)
+
+
+class TestKernelWeightsAgainstScan:
+    """The two-endpoint check gives the verdict of the zero-by-zero scan."""
+
+    @pytest.mark.parametrize("c, eps, n", [
+        (35.17, 1e-8, None),      # the bundled list at the CLI defaults
+        (35.17, 2.43e-11, 100),   # the criterion-7 parameter sets
+        (34.92, 1.2e-11, 100),
+        (35.0, 1e-8, 100),
+        (3.0, 0.1, None),         # partial band: three ordinates below 30
+        (3.0, 0.25, None),        # vacuous band: edge 12 below the first zero
+    ])
+    def test_matches_scan(self, zero_list, c, eps, n):
+        zl = zero_list if n is None else prefix(zero_list, n)
+        params = KernelParams(c, eps)
+        assert_same_verdict(check_kernel_weights(zl, params), kernel_weights_scan(zl, params))
+
+    def test_default_parameters_facts(self, zero_list):
+        v = check_kernel_weights(zero_list, KernelParams(35.17, 1e-8))
+        assert (v.passed, v.checked, v.skipped_out_of_band) == (True, 4522, 0)
+        assert v.max_weight == a_weight(zero_list.gammas[0], KernelParams(35.17, 1e-8))
+        assert v.min_weight == a_weight(zero_list.gammas[-1], KernelParams(35.17, 1e-8))
+
+    def test_empty_list_matches_scan(self, zero_list):
+        params = KernelParams(35.0, 1e-8)
+        empty = prefix(zero_list, 0)
+        assert_same_verdict(check_kernel_weights(empty, params), kernel_weights_scan(empty, params))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.floats(3.0, 40.0),
+        log_eps=st.floats(-12.0, 0.0),
+        n=st.integers(0, 60),
+    )
+    def test_matches_scan_drawn(self, zero_list, c, log_eps, n):
+        params = KernelParams(c, 10.0 ** log_eps)
+        zl = prefix(zero_list, n)
+        assert_same_verdict(check_kernel_weights(zl, params), kernel_weights_scan(zl, params))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        c=st.floats(3.0, 40.0),
+        log_eps=st.floats(-12.0, 0.0),
+        n=st.integers(2, 60),
+    )
+    def test_weight_does_not_increase_in_band(self, zero_list, c, log_eps, n):
+        params = KernelParams(c, 10.0 ** log_eps)
+        with mp.workprec(192):
+            edge = mpf(params.c) / mpf(params.eps)
+            weights = [a_weight(g, params) for g in zero_list.gammas[:n] if g <= edge]
+        assert all(b <= a for a, b in zip(weights, weights[1:]))
+
+    @pytest.mark.parametrize("fake, first", [
+        (lambda g: 1 + 1 / g, 0),        # above 1 from the first ordinate on
+        (lambda g: 1 - g / 30, 3),       # at or below 0 from the fourth, 30.42, on
+        (lambda g: -g, 0),               # at or below 0 everywhere
+    ])
+    def test_failure_matches_scan(self, zero_list, monkeypatch, fake, first):
+        def weight(g, params, prec=None):
+            with mp.workprec(192):
+                return +fake(mpf(g))
+
+        monkeypatch.setattr(zeros, "a_weight", weight)
+        zl, params = prefix(zero_list, 50), KernelParams(35.0, 1e-8)
+        got = check_kernel_weights(zl, params)
+        assert not got.passed and got.checked == first
+        assert_same_verdict(got, kernel_weights_scan(zl, params, weight=weight))
