@@ -48,5 +48,5 @@ for x in (100, 1000, 38358):
     print(f"  x = {x}: pi^2 = {float(v.lhs):.6g} vs (e x/log x) pi(x/e) = "
           f"{float(v.rhs):.6g}: {'holds' if v.holds else 'fails'}")
 print("\nthe boundary pair x = 38,358,837,682 (fails) and its successor (holds)")
-print("needs ~2.5 minutes of segmented counting per value; run it via:")
+print("takes two exact prime counts, under a second per value; run it via:")
 print("  primebounds ramanujan --counterexample 38358837682")

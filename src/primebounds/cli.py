@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import click
@@ -114,6 +115,16 @@ def _cache_path(cfg: RunConfig, limit: int) -> str | None:
         return None
     os.makedirs(cfg.cache_dir, exist_ok=True)
     return os.path.join(cfg.cache_dir, f"prime_tables_{limit}.txt")
+
+
+def _build_tables(limit: int, path: str | None) -> primes.PrimeTables:
+    # the library warns when it rebuilds an invalid cache; print that as one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        tables_ = primes.build_tables(limit, cache_path=path)
+    for w in caught:
+        _echo_err(f"warning: {w.message}")
+    return tables_
 
 
 def _limit(cfg: RunConfig, limit: float | None) -> int:
@@ -268,7 +279,7 @@ def verify_primes(cfg: RunConfig, limit, specs):
                 chosen.update(weak_catalog)
             else:
                 chosen[s] = catalog[s]
-    tables_ = primes.build_tables(limit, cache_path=_cache_path(cfg, limit))
+    tables_ = _build_tables(limit, _cache_path(cfg, limit))
     max_threshold = max(thr for _, thr in chosen.values())
     if limit <= max_threshold:
         _echo_err(
@@ -351,7 +362,7 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
 @click.option("--delta", type=float, default=None)
 @click.option("--a", "a_value", type=float, default=None)
 @click.option("--counterexample", type=int, default=None,
-              help="direct count-only inequality check at this x (one sieve pass to x)")
+              help="direct count-only inequality check at this x <= 1e12 (two prime counts)")
 @click.pass_obj
 def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
                   delta, a_value, counterexample):
@@ -414,7 +425,7 @@ def cache_build(cfg: RunConfig, limit):
     path = _cache_path(cfg, limit)
     if path is None:
         raise click.UsageError("no cache directory configured")
-    primes.build_tables(limit, cache_path=path)
+    _build_tables(limit, path)
     click.echo(path, file=sys.stdout)
     raise SystemExit(EXIT_PASS)
 

@@ -14,8 +14,9 @@ precision from the exact columns.
 Tables are built by segmented sieving, checkpointed per segment, and can be
 persisted to a versioned line-oriented cache with a content hash per
 segment; a partial or corrupted cache is completed or rebuilt (with a
-warning) rather than trusted.  Plain counts beyond the tables' reach come
-from one odd-only sieve pass that counts at several points at once.
+warning) rather than trusted.  Plain counts beyond the tables' reach, up to
+1e12, come from Lucy's O(x^(3/4)) recursion over the values floor(x/k), not
+from a sieve.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .verdict import Verdict
 __all__ = [
     "FIX_BITS",
     "LOG_PREC",
+    "PRIME_COUNT_MAX",
     "SCALE",
     "PrimeTables",
     "InequalitySpec",
@@ -54,6 +56,7 @@ __all__ = [
 FIX_BITS = 96          # fractional bits of the exact theta/psi accumulators
 LOG_PREC = 160         # precision at which each log p is evaluated
 DEFAULT_SEGMENT = 1 << 22
+PRIME_COUNT_MAX = 10 ** 12     # int64-exact; ~50 MB of arrays at the cap
 DETAIL_LIMIT_MAX = 20_000_000  # per-jump tables above this would not be desk scale
 
 # the denominator of each kind's exact column; below DETAIL_LIMIT_MAX < 2^25
@@ -345,7 +348,7 @@ def build_tables(
         raise ParameterError("build_tables requires limit >= 100")
     if limit > DETAIL_LIMIT_MAX:
         raise ParameterError(
-            f"per-jump tables capped at {DETAIL_LIMIT_MAX}; use segmented_prime_count "
+            f"per-jump tables capped at {DETAIL_LIMIT_MAX}; use prime_counts "
             "for plain counts beyond that"
         )
     base = _simple_sieve(int(limit ** 0.5) + 1)
@@ -669,46 +672,44 @@ def _recheck(spec, tables, x_val, exact_ref, prec) -> bool:
         return bool(abs(count - target) >= spec.rhs_mp(xq))
 
 
-def prime_counts(points, segment_size: int = 1 << 24, progress=None) -> list[int]:
-    """Plain pi(x) at every x in ``points``, from one segmented sieve pass.
+def prime_counts(points) -> list[int]:
+    """Plain pi(x) at every x in ``points``, in their order.
 
     Count-only path for arguments far beyond what per-jump tables support
-    (the Ramanujan counterexample neighborhood needs x ~ 3.8e10).  Sieves
-    the odd numbers up to the largest point once, holding one segment of
-    ``segment_size`` integers at a time; ``progress(done, total)`` is called
-    after each segment.  Returns the counts in the order of ``points``.
+    (the Ramanujan counterexample neighborhood needs x ~ 3.8e10): Lucy's
+    recursion, once per distinct point >= 2.  Points above
+    ``PRIME_COUNT_MAX`` are rejected.
     """
     points = [int(x) for x in points]
-    if segment_size < 1:
-        raise ParameterError(f"segment_size must be >= 1, got {segment_size}")
-    order = sorted(range(len(points)), key=points.__getitem__)
-    counts = [0] * len(points)
-    top = max(points, default=0)
-    if top < 2:
-        return counts
-    base = _simple_sieve(math.isqrt(top) + 1)
-    total = 1  # the prime 2; the segments hold the odd numbers from 3 on
-    k = 0
-    while points[order[k]] < 2:
-        k += 1
-    lo = 2
-    while lo <= top:
-        hi = min(lo + segment_size, top + 1)
-        first, mask = _odd_mask(lo, hi, base)
-        done = 0  # mask slots already added to total
-        while k < len(order) and points[order[k]] < hi:
-            upto = max(0, (points[order[k]] - first) // 2 + 1)
-            total += int(np.count_nonzero(mask[done:upto]))
-            done = upto
-            counts[order[k]] = total
-            k += 1
-        total += int(np.count_nonzero(mask[done:]))
-        if progress is not None:
-            progress(hi - 1, top)
-        lo = hi
-    return counts
+    if max(points, default=0) > PRIME_COUNT_MAX:
+        raise ParameterError(f"prime_counts is capped at x <= {PRIME_COUNT_MAX}, got {max(points)}")
+    counts = {x: _lucy_pi(x) for x in set(points) if x >= 2}
+    return [counts.get(x, 0) for x in points]
 
 
-def segmented_prime_count(x: int, segment_size: int = 1 << 24, progress=None) -> int:
-    """Plain pi(x) by segmented sieve: ``prime_counts`` at the one point x."""
-    return prime_counts([x], segment_size=segment_size, progress=progress)[0]
+def _lucy_pi(x: int) -> int:
+    """pi(x), x >= 2, by Lucy's recursion: O(x^(3/4)) time, O(sqrt x) memory.
+
+    S(v) starts at v - 1, and each prime p <= sqrt(x) in turn strikes out the
+    numbers whose least prime factor is p: S(v) -= S(v // p) - S(p - 1) for
+    every v >= p^2, reading the values left by the previous prime.  Only
+    v = x // k is ever needed, so S lives in small[v] for v <= r = isqrt(x)
+    and large[k] = S(x // k) for k <= r.  No value or index exceeds x.
+    """
+    r = math.isqrt(x)
+    ks = np.arange(r + 1, dtype=np.int64)
+    small = np.maximum(ks - 1, 0)
+    large = x // np.maximum(ks, 1) - 1   # large[0] is never read
+    for p in _simple_sieve(r).tolist():
+        below = small[p - 1]
+        k_max = min(r, x // (p * p))   # x // k >= p^2
+        inside = min(k_max, r // p)    # k p <= r: x // (k p) is a large entry
+        large[1 : inside + 1] -= large[p : inside * p + 1 : p] - below
+        large[inside + 1 : k_max + 1] -= small[x // (ks[inside + 1 : k_max + 1] * p)] - below
+        small[p * p :] -= small[ks[p * p :] // p] - below
+    return int(large[1])
+
+
+def segmented_prime_count(x: int) -> int:
+    """Plain pi(x): ``prime_counts`` at the one point x."""
+    return prime_counts([x])[0]

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import ParameterError, PrecisionError
 from .hiprec import ei, get_default_precision, working_precision
+from .primes import prime_counts
 from .verdict import Verdict
 from . import published
 
@@ -358,8 +360,6 @@ def counterexample_check(x: int, tables, prec: int | None = None) -> Verdict:
     Skips (with a reason) when the tables do not reach x; the interesting
     neighborhood x ~ 3.84e10 needs the count-only path below.
     """
-    import numpy as np
-
     prec = _step_precision(prec)
     x = _counterexample_x(x)
     if tables is None or tables.limit < x:
@@ -374,17 +374,9 @@ def counterexample_check(x: int, tables, prec: int | None = None) -> Verdict:
     return _verdict_from_counts(x, pi_x, pi_xe, prec)
 
 
-def counterexample_check_direct(
-    x: int, segment_size: int = 1 << 24, prec: int | None = None, progress=None
-) -> Verdict:
-    """Count-only check: pi(x/e) and pi(x) from one segmented sieve pass to x.
-
-    ``progress(done, x)`` is called after each segment of the pass.
-    """
-    from .primes import prime_counts
-
+def counterexample_check_direct(x: int, prec: int | None = None) -> Verdict:
+    """Count-only check: pi(x/e) and pi(x) from ``primes.prime_counts``."""
     prec = _step_precision(prec)
     x = _counterexample_x(x)
-    pi_xe, pi_x = prime_counts([_floor_over_e(x, prec), x], segment_size=segment_size,
-                               progress=progress)
+    pi_xe, pi_x = prime_counts([_floor_over_e(x, prec), x])
     return _verdict_from_counts(x, pi_x, pi_xe, prec)

@@ -7,19 +7,24 @@ series, the large-argument li sanity value comes from the divergent
 asymptotic series truncated at its smallest term, the fixed-point prime
 logs are rounded by mpmath's high-level floor instead of integer shifts,
 the normalized prime counts come from prime powers found by trial division,
-summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi), and the kernel
-weights are evaluated at every in-band ordinate instead of at the two ends
-the monotonicity lemma allows.
+summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi), plain prime
+counts come from one odd-only segmented sieve pass instead of Lucy's
+recursion, and the kernel weights are evaluated at every in-band ordinate
+instead of at the two ends the monotonicity lemma allows.
 """
 
 import bisect
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
+import numpy as np
 from mpmath import inf, log, mp, mpf, quad
 
 from primebounds import kernel
+from primebounds.errors import ParameterError
+from primebounds.primes import _odd_mask, _simple_sieve
 from primebounds.verdict import Verdict
 
 
@@ -146,3 +151,41 @@ def kernel_weights_scan(zeros, params, prec=192, weight=None):
         warning = "" if checked else "no ordinates inside the kernel band; vacuous pass"
         return Verdict(True, checked=checked, skipped_out_of_band=skipped,
                        min_weight=lo, max_weight=hi, warning=warning)
+
+
+def sieve_prime_counts(points, segment_size: int = 1 << 24, progress=None) -> list[int]:
+    """Plain pi(x) at every x in ``points``, from one segmented sieve pass.
+
+    Sieves the odd numbers up to the largest point once, holding one segment
+    of ``segment_size`` integers at a time; ``progress(done, total)`` is
+    called after each segment.  Returns the counts in the order of ``points``.
+    """
+    points = [int(x) for x in points]
+    if segment_size < 1:
+        raise ParameterError(f"segment_size must be >= 1, got {segment_size}")
+    order = sorted(range(len(points)), key=points.__getitem__)
+    counts = [0] * len(points)
+    top = max(points, default=0)
+    if top < 2:
+        return counts
+    base = _simple_sieve(math.isqrt(top) + 1)
+    total = 1  # the prime 2; the segments hold the odd numbers from 3 on
+    k = 0
+    while points[order[k]] < 2:
+        k += 1
+    lo = 2
+    while lo <= top:
+        hi = min(lo + segment_size, top + 1)
+        first, mask = _odd_mask(lo, hi, base)
+        done = 0  # mask slots already added to total
+        while k < len(order) and points[order[k]] < hi:
+            upto = max(0, (points[order[k]] - first) // 2 + 1)
+            total += int(np.count_nonzero(mask[done:upto]))
+            done = upto
+            counts[order[k]] = total
+            k += 1
+        total += int(np.count_nonzero(mask[done:]))
+        if progress is not None:
+            progress(hi - 1, top)
+        lo = hi
+    return counts

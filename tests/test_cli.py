@@ -10,7 +10,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from primebounds import engine
+from primebounds import engine, published
 from primebounds.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, cli, main
 
 
@@ -113,11 +113,12 @@ class TestVerifyPrimes:
         (cache,) = fresh_dir.iterdir()
         cut_dir.mkdir()
         (cut_dir / cache.name).write_bytes(cache.read_bytes()[:3000])
-        with pytest.warns(UserWarning, match="rebuilding"):
-            res = run(runner, ["--cache-dir", str(cut_dir)] + args)
+        res = run(runner, ["--cache-dir", str(cut_dir)] + args)
         assert res.exit_code == EXIT_PASS
         assert "Traceback" not in res.output
-        assert json.loads(res.output) == json.loads(fresh.output)
+        assert res.stderr.splitlines() == [
+            "warning: prime-table cache invalid (file ends mid-segment); rebuilding"]
+        assert json.loads(res.stdout) == json.loads(fresh.stdout)
         assert (cut_dir / cache.name).read_bytes() == cache.read_bytes()
 
     def test_limit_below_thresholds_warns(self, runner):
@@ -215,6 +216,15 @@ class TestRamanujan:
                            "--delta", "10", "--a", "1e7", "--steps", "2"])
         assert res.exit_code == EXIT_FAIL
 
+    @pytest.mark.parametrize("x, code, verdict", [
+        (published.RAMANUJAN_LAST_COUNTEREXAMPLE, EXIT_FAIL, "FAILS"),
+        (published.RAMANUJAN_LAST_COUNTEREXAMPLE + 1, EXIT_PASS, "holds"),
+    ])
+    def test_last_counterexample_boundary(self, runner, x, code, verdict):
+        res = run(runner, ["ramanujan", "--counterexample", str(x)])
+        assert res.exit_code == code
+        assert res.stdout == f"x={x}: inequality {verdict}\n"
+
 
 # bad input that once escaped as a traceback with exit 1, or (kernel-eps inf)
 # emptied the kernel band into a vacuous pass
@@ -235,6 +245,7 @@ BAD_INPUTS = [
     ["verify-primes", "--limit", "inf"],
     ["ramanujan", "--counterexample", "1"],
     ["ramanujan", "--counterexample", "-5"],
+    ["ramanujan", "--counterexample", "1000000000001"],
 ]
 
 

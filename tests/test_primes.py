@@ -18,6 +18,7 @@ from primebounds.cli import EXIT_PASS, cli
 from primebounds.hiprec import li, working_precision
 from primebounds.primes import (
     FIX_BITS,
+    PRIME_COUNT_MAX,
     SCALE,
     InequalitySpec,
     ParameterError,
@@ -33,7 +34,7 @@ from primebounds.primes import (
     threshold_consistent,
 )
 
-from .oracles import count_star, log_fixed_mp, prime_powers
+from .oracles import count_star, log_fixed_mp, prime_powers, sieve_prime_counts
 
 A8PI = 0.039788735772973836  # 1/(8 pi)
 
@@ -321,7 +322,7 @@ class TestCache:
 class TestSegmentedCount:
     def test_against_tables(self, tables_1e6):
         expected = len(tables_1e6.primes)
-        assert segmented_prime_count(10 ** 6, segment_size=1 << 14) == expected
+        assert segmented_prime_count(10 ** 6) == expected
 
     def test_small_values(self):
         assert segmented_prime_count(1) == 0
@@ -330,16 +331,22 @@ class TestSegmentedCount:
 
     def test_progress_reaches_x(self):
         seen = []
-        segmented_prime_count(1000, segment_size=100,
-                              progress=lambda done, total: seen.append((done, total)))
+        sieve_prime_counts([1000], segment_size=100,
+                           progress=lambda done, total: seen.append((done, total)))
         assert seen[-1] == (1000, 1000)
         assert len(seen) == 10
 
 
 _PI_TO_5000 = np.cumsum(np.isin(np.arange(5001), _simple_sieve(5000)))
+_PRIMES_TO_1414 = _simple_sieve(1414).tolist()  # p^2 <= 2e6
+
+# pi(10^k), k = 1..10, from the standard table
+_PI_POWERS_OF_10 = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511]
 
 
 class TestPrimeCounts:
+    """``prime_counts`` (Lucy's recursion) and the sieve oracle it is checked on."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         points=st.lists(
@@ -349,7 +356,7 @@ class TestPrimeCounts:
     )
     def test_sorted_points_against_cumsum(self, points, segment_size):
         # duplicates, 0..3, both parities and segment edges all occur
-        got = prime_counts(points, segment_size=segment_size)
+        got = sieve_prime_counts(points, segment_size=segment_size)
         assert got == [int(_PI_TO_5000[x]) for x in points]
 
     @pytest.mark.parametrize("segment_size", [2, 3, 10, 64])
@@ -357,16 +364,41 @@ class TestPrimeCounts:
         # segment k covers [2 + k s, 2 + (k + 1) s): probe both sides of each edge
         edges = [2 + k * segment_size for k in range(1, 40)]
         points = sorted({e + d for e in edges for d in (-1, 0, 1)})
-        got = prime_counts(points, segment_size=segment_size)
+        got = sieve_prime_counts(points, segment_size=segment_size)
         assert got == [int(_PI_TO_5000[x]) for x in points]
+
+    def test_every_x_to_5000_against_cumsum(self):
+        assert prime_counts(range(5001)) == _PI_TO_5000.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(
+            st.one_of(
+                st.integers(0, 2_000_000),
+                # where p^2 starts striking out multiples of p
+                st.builds(lambda p, d: p * p + d, st.sampled_from(_PRIMES_TO_1414),
+                          st.sampled_from((-1, 0, 1))),
+                # where isqrt(x), the length of both arrays, steps up
+                st.builds(lambda k, d: k * k + d, st.integers(1, 1414),
+                          st.sampled_from((-1, 0))),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_against_sieve_oracle(self, points):
+        assert prime_counts(points) == sieve_prime_counts(points)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_powers_of_10_against_table(self, k):
+        assert prime_counts([10 ** k]) == [_PI_POWERS_OF_10[k - 1]]
 
     def test_order_of_points_kept(self):
         assert prime_counts([100, 10, 100, 2, 0]) == [25, 4, 25, 1, 0]
 
     def test_one_pass_for_all_points(self):
         seen = []
-        prime_counts([300, 1000, 50], segment_size=100,
-                     progress=lambda done, total: seen.append(done))
+        sieve_prime_counts([300, 1000, 50], segment_size=100,
+                           progress=lambda done, total: seen.append(done))
         assert seen == [101 + 100 * k for k in range(9)] + [1000]
 
     def test_empty_and_small(self):
@@ -375,7 +407,11 @@ class TestPrimeCounts:
 
     def test_bad_segment_size(self):
         with pytest.raises(ParameterError):
-            prime_counts([10], segment_size=0)
+            sieve_prime_counts([10], segment_size=0)
+
+    def test_points_above_the_cap_rejected(self):
+        with pytest.raises(ParameterError, match="capped"):
+            prime_counts([10, PRIME_COUNT_MAX + 1])
 
 
 class TestLogFixed:

@@ -20,6 +20,7 @@ from primebounds.ramanujan import (
     step_verify,
 )
 from primebounds.hiprec import PrecisionError, working_precision
+from primebounds.primes import prime_counts
 from primebounds.verdict import Verdict
 
 # frozen 25-digit fixtures, independently evaluated through the quadrature-
@@ -319,17 +320,25 @@ class TestCounterexample:
 
     @pytest.mark.parametrize("x", [2, 3, 11, 12, 100, 38358, 999_983, 10 ** 6])
     def test_direct_count_matches_tables(self, tables_1e6, x):
-        # one sieve pass for pi(x/e) and pi(x) against the per-jump tables
-        direct = ramanujan.counterexample_check_direct(x, segment_size=1 << 12)
+        # the count-only pi(x/e) and pi(x) against the per-jump tables
+        direct = ramanujan.counterexample_check_direct(x)
         assert direct == counterexample_check(x, tables_1e6)
 
-    def test_direct_progress_reports_one_pass(self):
-        seen = []
-        ramanujan.counterexample_check_direct(10 ** 5, segment_size=10 ** 4,
-                                              progress=lambda done, total: seen.append((done, total)))
-        assert seen[-1] == (10 ** 5, 10 ** 5)
-        assert [d for d, _ in seen] == sorted(d for d, _ in seen)
-        assert len(seen) == 10
+    def test_counterexample_boundary(self):
+        """The inequality fails at the last counterexample and holds just above it.
+
+        One ``prime_counts`` call counts at floor(x/e) and x for both x, and
+        the verdicts come from the counts as in the CLI's count-only check.
+        """
+        last = published.RAMANUJAN_LAST_COUNTEREXAMPLE
+        xs = [last, last + 1]
+        prec = ramanujan.MIN_STEP_PRECISION
+        counts = prime_counts([ramanujan._floor_over_e(x, prec) for x in xs] + xs)
+        at_last, above = (ramanujan._verdict_from_counts(x, counts[2 + i], counts[i], prec)
+                          for i, x in enumerate(xs))
+        assert at_last.holds is False
+        assert at_last.lhs >= at_last.rhs
+        assert above.holds is True
 
     @pytest.mark.parametrize("x", [1, 0, -5])
     def test_x_below_2_rejected(self, tables_10k, x):
