@@ -25,6 +25,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -212,57 +213,19 @@ class PrimeTables:
 class _ScanContext:
     """What every scan of one table shares, whatever the inequality.
 
-    The float64 views, the sample grids and li on them depend on the table
-    and the scan range only, so each is built once, on first use, and kept
-    for the life of the table.  It holds no reference back to the table, so
-    dropping the table frees it at once, without waiting for a cycle collection.
+    The float64 views and li on the jumps depend on the table only, so each
+    is built once, on first use, and kept for the life of the table.  It
+    holds no reference back to the table, so dropping the table frees it at
+    once, without waiting for a cycle collection.
     """
 
     def __init__(self, tables: PrimeTables):
         self.arrays = _float_views(tables)
-        self._jumps = tables.jumps
-        self._grids: dict = {}
-        self._li: dict = {}
 
-    def grid(self, key: tuple):
-        """The sample grid ``key`` names, built once.
-
-        ``("jumps",)``: the jump points.  ``("interior", k0, k1, n)``: n points
-        strictly inside each gap between jumps k0..k1, shape (k1 - k0, n).
-        ``("integers", n_lo, n_hi)``: an ``_IntegerGrid`` of n_lo..n_hi.
-        """
-        if key not in self._grids:
-            self._grids[key] = self._build_grid(key)
-        return self._grids[key]
-
-    def _build_grid(self, key: tuple):
-        xs = self.arrays["x"]
-        if key[0] == "jumps":
-            return xs
-        if key[0] == "interior":
-            _, k0, k1, n = key
-            seg_starts = xs[k0:k1]
-            seg_ends = xs[k0 + 1 : k1 + 1]
-            fracs = np.arange(1, n + 1) / (n + 1.0)
-            return seg_starts[:, None] + (seg_ends - seg_starts)[:, None] * fracs[None, :]
-        _, n_lo, n_hi = key
-        ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-        idx = np.searchsorted(self._jumps, ns, side="right")
-        prev = np.maximum(idx - 1, 0)
-        return _IntegerGrid(
-            ns=ns,
-            nf=ns.astype(np.float64),
-            prev=prev,
-            below=idx == 0,
-            is_jump=(idx > 0) & (self._jumps[prev] == ns),
-        )
-
-    def li(self, key: tuple) -> np.ndarray:
-        """float64 li on the grid ``key`` names, evaluated once."""
-        if key not in self._li:
-            g = self.grid(key)
-            self._li[key] = _li64(g.nf if isinstance(g, _IntegerGrid) else g)
-        return self._li[key]
+    @cached_property
+    def li(self) -> np.ndarray:
+        """float64 li at every jump."""
+        return _li64(self.arrays["x"])
 
 
 def _float_views(tables: PrimeTables) -> dict:
@@ -281,20 +244,6 @@ def _float_views(tables: PrimeTables) -> dict:
             dtype=np.float64,
         )
     return views
-
-
-@dataclass(frozen=True)
-class _IntegerGrid:
-    ns: np.ndarray        # int64 integers of the scan range
-    nf: np.ndarray        # the same as float64
-    prev: np.ndarray      # index of the last jump <= n, 0 where there is none
-    below: np.ndarray     # no jump <= n
-    is_jump: np.ndarray   # n is itself a jump
-
-    def values(self, right: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """A starred count at every integer from its per-jump right/at values."""
-        vals = np.where(self.below, 0.0, right[self.prev])
-        return np.where(self.is_jump, at[self.prev], vals)
 
 
 def _build_segments(limit: int, segment_size: int, start_index: int, base):
@@ -474,10 +423,13 @@ class InequalitySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown inequality kind {self.kind!r}")
-        if self.a <= 0:
-            raise ParameterError("requires a > 0")
+        # a NaN margin compares false both ways, so a non-finite spec would pass everything
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ParameterError(f"requires a finite a > 0, got {self.a}")
         if self.kind.endswith("_shift") and self.C is None:
             raise ParameterError("shift kinds need the shift constant C")
+        if self.C is not None and not math.isfinite(self.C):
+            raise ParameterError(f"requires a finite shift constant C, got {self.C}")
 
     @property
     def count_kind(self) -> str:
@@ -513,6 +465,11 @@ def _li64(x: np.ndarray) -> np.ndarray:
     return expi(np.log(x))
 
 
+def _guard(rhs: np.ndarray) -> np.ndarray:
+    """Half-width of the band around 0 in which a float64 margin is re-decided."""
+    return 1e-9 * np.maximum(rhs, 1.0)
+
+
 def scan_inequality(
     spec: InequalitySpec,
     x_lo: float,
@@ -529,9 +486,36 @@ def scan_inequality(
 
     Both sides can only trade places at jump points, so evaluating the left
     limit, the starred value and the right limit at every prime power in
-    range is exhaustive; interior sample points are added as a cross-check.
-    float64 does the sweep; any margin within the guard band is re-decided
-    in extended precision from the exact tables.
+    range is exhaustive, and each gap between jumps is decided from its two
+    ends.  On the gap from jump k to jump k + 1 the count is frozen at
+    c = R[k], and c - target falls, because the target, x or li(x), rises
+    for x > 1; at the ends it is the deviation of the right limit at k and
+    of the left limit at k + 1.  So |c - target| is largest at an end, and
+    smallest at an end unless it changes sign in the gap.  The envelopes
+    a sqrt(x) log^2 x and a sqrt(x) log x rise for x > 1, and
+    a sqrt(x) log x (log x - C) has at most one turning point on x > 1, a
+    minimum below e^C; each is largest at an end, and smallest at an end
+    once the gap starts at or above e^C.  Hence, on the whole gap:
+
+    - the margin is at most the larger end deviation minus the smaller end
+      envelope.  When that is below the guard band, every real x and every
+      integer in the gap holds.  A shift gap starting below e^C is never
+      settled so: its envelope is negative at its start, so the bound is
+      positive.
+    - the margin is at least the smaller end deviation (0 on a sign change)
+      minus the larger end envelope.  When that is above the guard band,
+      the whole gap fails; the left limit at k + 1, a later violation than
+      any point inside, is recorded already, so only the gap's last integer
+      is added.
+
+    Every other gap gets ``interior_samples`` evenly spaced points and all
+    of its integers.  An integer at a jump reads the starred value, so the
+    jump pass decides it; the integers of the partial gaps at both ends of
+    the range, or of a range with no jump in it, are checked one by one.
+
+    float64 does the sweep; any margin within the guard band of the
+    spec's own envelope, or NaN, is re-decided in extended precision from
+    the exact tables.
     """
     if x_hi > tables.limit:
         raise ParameterError(f"x_hi={x_hi} beyond table limit {tables.limit}")
@@ -540,72 +524,88 @@ def scan_inequality(
     ctx = tables.scan_context()
     arrays = ctx.arrays
     xs = arrays["x"]
-    in_range = (xs >= x_lo) & (xs <= x_hi)
     ck = spec.count_kind
-    target64 = ctx.li(("jumps",)) if spec.uses_li else xs
+    target = ctx.li if spec.uses_li else xs
     rhs = spec.rhs64(xs)
-    guard = 1e-9 * np.maximum(rhs, 1.0)
+    guard = _guard(rhs)
+    dev = {side: arrays[side][ck] - target for side in ("left", "at", "right")}
+    in_range = (xs >= x_lo) & (xs <= x_hi)
+    n_jumps = int(in_range.sum())
+    k0 = int(np.searchsorted(xs, x_lo))   # first jump >= x_lo
+    k1 = k0 + n_jumps - 1                 # last jump <= x_hi, k0 - 1 when none
 
     worst_x = None
     worst_side = None
     n_recheck = 0
+    int_violations = []
 
-    def decide(value64, x_val, side, exact_side):
+    def decide(margin, g, x_val, side, exact_ref) -> bool:
+        # margin: |count - target| - rhs at x_val; > 0 is a violation
         nonlocal worst_x, worst_side, n_recheck
-        # value64: |count - target| - rhs at this point; > 0 is a violation
-        if value64 <= -guard_at(x_val):
+        if margin <= -g:
             return False
-        if value64 >= guard_at(x_val):
-            record(x_val, side)
-            return True
-        n_recheck += 1
-        if _recheck(spec, tables, x_val, exact_side, prec):
-            record(x_val, side)
-            return True
-        return False
-
-    def guard_at(x_val):
-        return 1e-9 * max(spec.a * np.sqrt(x_val) * np.log(x_val), 1.0)
-
-    def record(x_val, side):
-        nonlocal worst_x, worst_side
+        if not margin >= g:
+            n_recheck += 1
+            if not _recheck(spec, tables, x_val, exact_ref, prec):
+                return False
         if worst_x is None or x_val > worst_x or (x_val == worst_x and side != "left"):
             worst_x = x_val
             worst_side = side
+        return True
 
-    # vectorized pass over the three per-jump evaluations
+    # the three reads at every jump in range
     for side in ("left", "at", "right"):
-        vals = arrays[side][ck]
-        margin = np.abs(vals - target64) - rhs
+        margin = np.abs(dev[side]) - rhs
         # left-limit violations at jump j cover (prev, j): count when j > x_lo
         mask = in_range if side != "left" else (xs > x_lo) & (xs <= x_hi)
-        hot = np.flatnonzero(mask & (margin > -guard))
-        for k in hot:
-            decide(margin[k], float(xs[k]), side, (int(k), side))
+        for k in np.flatnonzero(mask & ~(margin <= -guard)):
+            if decide(margin[k], guard[k], float(xs[k]), side, (int(k), side)) and side == "at":
+                int_violations.append(int(xs[k]))
+
+    # gap k, k0 <= k < k1, bounded from its two ends; g is the widest guard
+    # band in the gap
+    lo_dev, hi_dev = dev["right"][k0:k1], dev["left"][k0 + 1 : k1 + 1]
+    lo_rhs, hi_rhs = rhs[k0:k1], rhs[k0 + 1 : k1 + 1]
+    g = np.maximum(guard[k0:k1], guard[k0 + 1 : k1 + 1])
+    upper = np.maximum(np.abs(lo_dev), np.abs(hi_dev)) - np.minimum(lo_rhs, hi_rhs)
+    closest = np.where(lo_dev * hi_dev > 0, np.minimum(np.abs(lo_dev), np.abs(hi_dev)), 0.0)
+    fails = closest - np.maximum(lo_rhs, hi_rhs) >= g
+    open_gaps = k0 + np.flatnonzero(~(upper <= -g) & ~fails)
+    # the last integer of the last failing gap with any is its last violation
+    jumps = tables.jumps
+    failing = k0 + np.flatnonzero(fails)
+    with_ints = failing[jumps[failing + 1] - jumps[failing] > 1]
+    if len(with_ints):
+        int_violations.append(int(jumps[with_ints[-1] + 1]) - 1)
 
     # interior samples: count side frozen at the right limit of the last jump
-    if interior_samples > 0:
-        ks = np.flatnonzero(in_range)
-        if len(ks) > 1:
-            k0, k1 = int(ks[0]), int(ks[-1])
-            key = ("interior", k0, k1, interior_samples)
-            sample_x = ctx.grid(key)
-            vals = arrays["right"][ck][k0:k1, None]
-            t64 = ctx.li(key) if spec.uses_li else sample_x
-            rh = spec.rhs64(sample_x)
-            marg = np.abs(vals - t64) - rh
-            g = 1e-9 * np.maximum(rh, 1.0)
-            hot = np.argwhere(marg > -g)
-            for i, j in hot:
-                xv = float(sample_x[i, j])
-                decide(float(marg[i, j]), xv, "interior", (int(k0 + i), "right", xv))
+    if interior_samples > 0 and len(open_gaps):
+        starts, ends = xs[open_gaps], xs[open_gaps + 1]
+        fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
+        sample_x = starts[:, None] + (ends - starts)[:, None] * fracs[None, :]
+        t64 = _li64(sample_x) if spec.uses_li else sample_x
+        rh = spec.rhs64(sample_x)
+        g = _guard(rh)
+        marg = np.abs(arrays["right"][ck][open_gaps, None] - t64) - rh
+        for i, j in np.argwhere(~(marg <= -g)):
+            xv = float(sample_x[i, j])
+            decide(marg[i, j], g[i, j], xv, "interior", (int(open_gaps[i]), "right", xv))
 
-    # integer-argument convention: check every integer in range directly
-    last_int = _integer_scan(spec, tables, x_lo, x_hi, prec)
+    # integer-argument convention: every integer of the open gaps and of the
+    # partial gaps at both ends, off the jumps decided above
+    gaps = np.unique(np.concatenate(([k0 - 1], open_gaps, [k1])))
+    ns, gap_of = _gap_integers(jumps, gaps, math.ceil(x_lo), math.floor(x_hi))
+    nf = ns.astype(np.float64)
+    t64 = _li64(nf) if spec.uses_li else nf
+    rh = spec.rhs64(nf)
+    g = _guard(rh)
+    marg = np.abs(arrays["right"][ck][gap_of] - t64) - rh
+    for i in np.flatnonzero(~(marg <= -g)):
+        n = int(ns[i])
+        if marg[i] >= g[i] or _recheck(spec, tables, float(n), ("integer", n), prec):
+            int_violations.append(n)
 
-    n_points = int(3 * in_range.sum()) + (
-        int((in_range.sum() - 1) * interior_samples) if interior_samples else 0
-    )
+    n_points = 3 * n_jumps + ((n_jumps - 1) * interior_samples if interior_samples else 0)
     return Verdict(
         worst_x is None,
         spec=spec,
@@ -613,10 +613,25 @@ def scan_inequality(
         x_hi=float(x_hi),
         last_violation=worst_x,
         last_violation_side=worst_side,
-        last_integer_violation=last_int,
+        last_integer_violation=max(int_violations, default=None),
         n_points=n_points,
         n_rechecked=n_recheck,
     )
+
+
+def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The integers of [n_lo, n_hi] strictly inside each gap, and the gap of each.
+
+    Gap k runs from jump k to jump k + 1; gap -1 ends at the first jump and
+    gap len(jumps) - 1 has no right end.  ``gaps`` is ascending, so the
+    integers are too.  No integer >= 2 lies in gap -1, so its count, 0, is
+    never read.
+    """
+    edges = np.concatenate(([n_lo - 1], jumps, [n_hi + 1]))
+    lo = np.maximum(edges[gaps + 1] + 1, n_lo)
+    lens = np.maximum(np.minimum(edges[gaps + 2], n_hi + 1) - lo, 0)
+    offsets = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+    return np.repeat(lo, lens) + offsets, np.repeat(gaps, lens)
 
 
 def threshold_consistent(scan: Verdict, threshold: float) -> bool:
@@ -630,27 +645,6 @@ def threshold_consistent(scan: Verdict, threshold: float) -> bool:
 def integer_threshold_consistent(scan: Verdict, threshold: float) -> bool:
     """True iff the scanned inequality holds at every integer x >= threshold."""
     return scan.last_integer_violation is None or scan.last_integer_violation < threshold
-
-
-def _integer_scan(spec, tables, x_lo, x_hi, prec) -> Optional[int]:
-    ctx = tables.scan_context()
-    key = ("integers", int(np.ceil(x_lo)), int(np.floor(x_hi)))
-    grid = ctx.grid(key)
-    ck = spec.count_kind
-    vals = grid.values(ctx.arrays["right"][ck], ctx.arrays["at"][ck])
-    ns, nf = grid.ns, grid.nf
-    t64 = ctx.li(key) if spec.uses_li else nf
-    rhs = spec.rhs64(nf)
-    guard = 1e-9 * np.maximum(rhs, 1.0)
-    margin = np.abs(vals - t64) - rhs
-    hot = np.flatnonzero(margin > -guard)
-    last = None
-    for k in hot:
-        if margin[k] >= guard[k] or _recheck(
-            spec, tables, float(ns[k]), ("integer", int(ns[k])), prec
-        ):
-            last = int(ns[k])
-    return last
 
 
 def _recheck(spec, tables, x_val, exact_ref, prec) -> bool:

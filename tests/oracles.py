@@ -9,8 +9,10 @@ logs are rounded by mpmath's high-level floor instead of integer shifts,
 the normalized prime counts come from prime powers found by trial division,
 summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi), plain prime
 counts come from one odd-only segmented sieve pass instead of Lucy's
-recursion, and the kernel weights are evaluated at every in-band ordinate
-instead of at the two ends the monotonicity lemma allows.
+recursion, the kernel weights are evaluated at every in-band ordinate
+instead of at the two ends the monotonicity lemma allows, and the
+inequality scan samples every gap between jumps and checks every integer
+instead of settling gaps from their two ends.
 """
 
 import bisect
@@ -24,7 +26,7 @@ from mpmath import inf, log, mp, mpf, quad
 
 from primebounds import kernel
 from primebounds.errors import ParameterError
-from primebounds.primes import _odd_mask, _simple_sieve
+from primebounds.primes import _li64, _odd_mask, _recheck, _simple_sieve
 from primebounds.verdict import Verdict
 
 
@@ -189,3 +191,79 @@ def sieve_prime_counts(points, segment_size: int = 1 << 24, progress=None) -> li
             progress(hi - 1, top)
         lo = hi
     return counts
+
+
+def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=None):
+    """The ``scan_inequality`` verdict with nothing settled by the gap lemma.
+
+    Reads every jump in range from all three sides, puts
+    ``interior_samples`` points inside every gap between jumps in range and
+    checks every integer in range, each as a float64 margin with the spec's
+    own guard band, re-deciding the margins inside it with ``_recheck``.
+    """
+    arrays = tables.scan_context().arrays
+    xs = arrays["x"]
+    ck = spec.count_kind
+    in_range = (xs >= x_lo) & (xs <= x_hi)
+    worst = {"x": None, "side": None, "rechecked": 0}
+
+    def margins(x, counts):
+        """Each margin, its guard, and whether it is outside the clean side of the band."""
+        rhs = spec.rhs64(x)
+        margin = np.abs(counts - (_li64(x) if spec.uses_li else x)) - rhs
+        guard = 1e-9 * np.maximum(rhs, 1.0)
+        return margin, guard, ~(margin <= -guard)
+
+    def violated(margin, guard, x_val, exact_ref):
+        if margin >= guard:
+            return True
+        # the scan counts the rechecks of real points, not of integers
+        worst["rechecked"] += exact_ref[0] != "integer"
+        return _recheck(spec, tables, x_val, exact_ref, prec)
+
+    def record(x_val, side):
+        if worst["x"] is None or x_val > worst["x"] or (x_val == worst["x"] and side != "left"):
+            worst["x"], worst["side"] = x_val, side
+
+    for side in ("left", "at", "right"):
+        margin, guard, hot = margins(xs, arrays[side][ck])
+        mask = in_range if side != "left" else (xs > x_lo) & (xs <= x_hi)
+        for k in np.flatnonzero(mask & hot):
+            if violated(margin[k], guard[k], float(xs[k]), (int(k), side)):
+                record(float(xs[k]), side)
+
+    ks = np.flatnonzero(in_range)
+    if interior_samples > 0 and len(ks) > 1:
+        k0, k1 = int(ks[0]), int(ks[-1])
+        fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
+        starts, ends = xs[k0:k1], xs[k0 + 1 : k1 + 1]
+        sample_x = starts[:, None] + (ends - starts)[:, None] * fracs[None, :]
+        margin, guard, hot = margins(sample_x, arrays["right"][ck][k0:k1, None])
+        for i, j in np.argwhere(hot):
+            xv = float(sample_x[i, j])
+            if violated(margin[i, j], guard[i, j], xv, (k0 + int(i), "right", xv)):
+                record(xv, "interior")
+
+    last_int = None
+    ns = np.arange(math.ceil(x_lo), math.floor(x_hi) + 1, dtype=np.int64)
+    idx = np.searchsorted(tables.jumps, ns, side="right") - 1
+    at_jump = tables.jumps[idx] == ns
+    counts = np.where(at_jump, arrays["at"][ck][idx], arrays["right"][ck][idx])
+    margin, guard, hot = margins(ns.astype(np.float64), counts)
+    for i in np.flatnonzero(hot):
+        n = int(ns[i])
+        if violated(margin[i], guard[i], float(n), ("integer", n)):
+            last_int = n
+
+    n_jumps = int(in_range.sum())
+    return Verdict(
+        worst["x"] is None,
+        spec=spec,
+        x_lo=float(x_lo),
+        x_hi=float(x_hi),
+        last_violation=worst["x"],
+        last_violation_side=worst["side"],
+        last_integer_violation=last_int,
+        n_points=3 * n_jumps + ((n_jumps - 1) * interior_samples if interior_samples else 0),
+        n_rechecked=worst["rechecked"],
+    )

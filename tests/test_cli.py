@@ -121,6 +121,27 @@ class TestVerifyPrimes:
         assert json.loads(res.stdout) == json.loads(fresh.stdout)
         assert (cut_dir / cache.name).read_bytes() == cache.read_bytes()
 
+    def test_hash_mismatched_cache_rebuilds_to_the_fresh_result(self, runner, tmp_path):
+        fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
+        args = ["--format", "json", "verify-primes", "--limit", "100000"]
+        fresh = run(runner, ["--cache-dir", str(fresh_dir)] + args)
+        assert fresh.exit_code == EXIT_PASS
+        (cache,) = fresh_dir.iterdir()
+        # flip the last bit of the first jump row's log
+        lines = cache.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith("J "))
+        *row, log_hex = lines[i].split()
+        lines[i] = " ".join(row + [f"{int(log_hex, 16) ^ 1:x}"]) + "\n"
+        bad_dir.mkdir()
+        (bad_dir / cache.name).write_text("".join(lines))
+        res = run(runner, ["--cache-dir", str(bad_dir)] + args)
+        assert res.exit_code == EXIT_PASS
+        assert "Traceback" not in res.output
+        assert res.stderr.splitlines() == [
+            "warning: prime-table cache invalid (segment 0 hash mismatch); rebuilding"]
+        assert res.stdout == fresh.stdout
+        assert (bad_dir / cache.name).read_bytes() == cache.read_bytes()
+
     def test_limit_below_thresholds_warns(self, runner):
         res = run(runner, ["--sieve-limit", "10000", "verify-primes",
                            "--limit", "1e4", "--spec", "theta_shift"])

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import weakref
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -34,7 +35,13 @@ from primebounds.primes import (
     threshold_consistent,
 )
 
-from .oracles import count_star, log_fixed_mp, prime_powers, sieve_prime_counts
+from .oracles import (
+    count_star,
+    log_fixed_mp,
+    prime_powers,
+    scan_inequality_sampled,
+    sieve_prime_counts,
+)
 
 A8PI = 0.039788735772973836  # 1/(8 pi)
 
@@ -264,6 +271,27 @@ class TestScans:
         with pytest.raises(ParameterError):
             InequalitySpec("psi_sq", -1.0)
 
+    @pytest.mark.parametrize("kind,a,C", [
+        ("pi_li", float("nan"), None),
+        ("pi_li", float("inf"), None),
+        ("psi_shift", A8PI, float("nan")),
+    ])
+    def test_non_finite_spec_rejected(self, kind, a, C):
+        # each once passed every scan: a NaN margin fails both comparisons
+        with pytest.raises(ParameterError, match="finite"):
+            InequalitySpec(kind, a, C=C)
+
+    def test_nan_margin_is_rechecked_not_taken_as_clean(self, monkeypatch):
+        tables = build_tables(3000)
+        spec = InequalitySpec("pi_li", A8PI)
+        want = scan_inequality(spec, 2600, 2700, tables)
+        monkeypatch.setattr(primes, "_li64", lambda x: np.full(np.shape(x), np.nan))
+        got = scan_inequality(spec, 2600, 2700, build_tables(3000))
+        assert (got.last_violation, got.last_violation_side, got.last_integer_violation) == (
+            want.last_violation, want.last_violation_side, want.last_integer_violation)
+        assert (want.last_violation, want.last_integer_violation) == (2657.0, 2656)
+        assert got.n_rechecked > want.n_rechecked == 0
+
     def test_extended_precision_recheck_decides_correctly(self, tables_10k):
         # drive the recheck path directly at a known-violating and a
         # known-clean point
@@ -274,6 +302,71 @@ class TestScans:
         assert not _recheck(spec, tables_10k, 2657.0, (k_2657, "at"), 192)
         assert _recheck(spec, tables_10k, 2656.0, ("integer", 2656), 192)
         assert not _recheck(spec, tables_10k, 2657.0, ("integer", 2657), 192)
+
+
+# the ten specs verify-primes scans
+VERIFY_SPECS = [
+    InequalitySpec("psi_sq", A8PI),
+    InequalitySpec("theta_sq", A8PI),
+    InequalitySpec("psi_shift", A8PI, C=published.PSI_SHIFT_C),
+    InequalitySpec("theta_shift", A8PI, C=published.THETA_SHIFT_C),
+    InequalitySpec("Pi_li", A8PI),
+    InequalitySpec("pi_li", A8PI),
+] + [InequalitySpec(kind, 1.0) for kind in published.THRESHOLDS_WEAK]
+
+_SCAN_ENDS = st.one_of(st.integers(2, 10_000), st.floats(2, 10_000), st.just(10_000),
+                       st.sampled_from(_JUMPS_TO_1E4))
+_SAMPLES = st.sampled_from((0, 4, 16))
+
+
+class TestScanAgainstSampledOracle:
+    """Gaps settled from their two ends give the verdict of sampling them all."""
+
+    @staticmethod
+    def _assert_same(spec, lo, hi, tables, samples):
+        got = scan_inequality(spec, lo, hi, tables, interior_samples=samples)
+        want = scan_inequality_sampled(spec, lo, hi, tables, interior_samples=samples)
+        assert got.to_dict() == want.to_dict()
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.sampled_from(VERIFY_SPECS), ends=st.tuples(_SCAN_ENDS, _SCAN_ENDS),
+           samples=_SAMPLES)
+    def test_ranges(self, tables_10k, spec, ends, samples):
+        lo, hi = sorted(ends)
+        assume(lo < hi)
+        self._assert_same(spec, lo, hi, tables_10k, samples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from(VERIFY_SPECS),
+           k=st.one_of(st.integers(0, 20), st.integers(0, len(_JUMPS_TO_1E4) - 2)),
+           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)), samples=_SAMPLES)
+    def test_ranges_inside_one_gap(self, tables_10k, spec, k, fracs, samples):
+        # the low gaps hold the shift kinds' envelope below e^C
+        start, end = _JUMPS_TO_1E4[k], _JUMPS_TO_1E4[k + 1]
+        lo, hi = (start + f * (end - start) for f in sorted(fracs))
+        assume(lo < hi)
+        self._assert_same(spec, lo, hi, tables_10k, samples)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(primes._KINDS)), log_a=st.floats(-3, 1),
+           e_C=st.floats(2, 300), ends=st.tuples(_SCAN_ENDS, _SCAN_ENDS), samples=_SAMPLES)
+    def test_drawn_specs(self, tables_10k, kind, log_a, e_C, ends, samples):
+        # e^C among the small jumps puts the shift envelope's turn inside a gap
+        lo, hi = sorted(ends)
+        assume(lo < hi)
+        spec = InequalitySpec(kind, 10 ** log_a, C=math.log(e_C))
+        self._assert_same(spec, lo, hi, tables_10k, samples)
+
+    @pytest.mark.parametrize("spec,lo,hi,last_int", [
+        # 2656 lies in the gap (2647, 2657) that x_lo = 2648 cuts in two
+        (InequalitySpec("pi_li", A8PI), 2648, 10_000, 2656),
+        # psi crosses x at 206.1, inside the gap (199, 211) whose two ends
+        # both fail, so 203..210 hold
+        (InequalitySpec("psi_sq", 0.01), 2, 211, 202),
+    ])
+    def test_last_integer_violation(self, tables_10k, spec, lo, hi, last_int):
+        self._assert_same(spec, lo, hi, tables_10k, 16)
+        assert scan_inequality(spec, lo, hi, tables_10k).last_integer_violation == last_int
 
 
 class TestCache:
@@ -431,12 +524,13 @@ def _report_fields(report):
 
 
 class TestScanContext:
-    def test_verify_primes_evaluates_li_three_times(self, monkeypatch):
-        # jumps, interior samples and integers: once each for all ten specs
+    def test_verify_primes_evaluates_li_on_the_jumps_once(self, monkeypatch):
+        # the ten specs share li on the jumps; the rest is li on the samples
+        # and integers of the few gaps their two ends leave open
         calls = []
 
         def counting_li64(x):
-            calls.append(x.size)
+            calls.append(np.array(x))
             return _li64(x)
 
         _li64 = primes._li64
@@ -444,15 +538,19 @@ class TestScanContext:
         res = CliRunner().invoke(cli, ["--format", "json", "verify-primes", "--limit", "20000"])
         assert res.exit_code == EXIT_PASS, res.output
         assert len(json.loads(res.stdout)["results"]) == 10
-        assert len(calls) == 3
+        jumps = build_tables(20_000).jumps.astype(np.float64)
+        assert sum(np.array_equal(x, jumps) for x in calls) == 1
+        # sampling every gap took li on the jumps, 16 points in each gap and
+        # every integer: 59,559 points
+        sampled_grids = len(jumps) + 16 * (len(jumps) - 1) + (20_000 - 1)
+        assert sum(x.size for x in calls) < sampled_grids / 10
 
     def test_filled_context_gives_the_same_report(self):
         fresh = build_tables(30_000)
         filled = build_tables(30_000)
+        # other specs and sample counts fill the shared context first
         for kind, C in (("pi_li", None), ("theta_shift", published.THETA_SHIFT_C)):
             warm = InequalitySpec(kind, 1.0, C=C)
-            # the other sample count on each range, so a grid keyed too
-            # coarsely is reused where it must not be
             scan_inequality(warm, 2, 30_000, filled, interior_samples=4)
             scan_inequality(warm, 10.5, 20_000.5, filled, interior_samples=16)
         for kind, C in (("pi_li", None), ("Pi_li", None), ("psi_sq", None),
@@ -462,16 +560,6 @@ class TestScanContext:
                 assert _report_fields(scan_inequality(spec, lo, hi, fresh, n)) == \
                     _report_fields(scan_inequality(spec, lo, hi, filled, n))
                 fresh = build_tables(30_000)
-        # the interior samples rarely decide a report, so compare li on every
-        # grid the scans used, as the filled context and a fresh one give it
-        xs = filled.jumps
-        for lo, hi in ((2, 30_000), (10.5, 20_000.5)):
-            ks = np.flatnonzero((xs >= lo) & (xs <= hi))
-            keys = [("jumps",), ("integers", int(np.ceil(lo)), int(np.floor(hi)))]
-            keys += [("interior", int(ks[0]), int(ks[-1]), n) for n in (4, 16)]
-            for key in keys:
-                np.testing.assert_array_equal(filled.scan_context().li(key),
-                                              fresh.scan_context().li(key))
 
     def test_context_is_per_table_and_freed_with_it(self):
         a, b = build_tables(10 ** 4), build_tables(10 ** 4)
