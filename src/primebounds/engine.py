@@ -19,16 +19,46 @@ Every admissibility decision at a threshold goes through one
 ``_Admissibility`` routine built for that A: log A, sqrt A, the
 normalizers, the shift requirement and the parsed constants are computed
 once, and the pieces that depend on D alone are memoised per grid D for the
-life of one search (see ``error_terms.ProfileAt`` and ``TermsAt``).  A
-decision opens one precision context, computes (c, eps) once and stops at
-the first violated precondition.  The strong search also prunes: once a
-best B is known, an E whose smallest admissible D cannot beat it costs one
-evaluation instead of a bisection.  All of this leaves every decision, and
-so every output, bit-identical to evaluating each (D, E) from scratch.
+life of one search (see ``error_terms.ProfileAt`` and ``TermsAt``).  The
+strong search also prunes: once a best B is known, an E whose smallest
+admissible D cannot beat it costs one evaluation instead of a bisection.
+
+Each search decision is made in float64 first.  ``admissible`` runs
+float64 twins of the precondition tests, of the profile substitution and of
+the assembly of E(A) (``error_terms``), in the same order, on the nearest
+doubles of the same precomputed constants, and keeps the float64 answer
+only when it is clear:
+
+- each precondition quantity (c, eps, sqrt(2c)/eps) lies outside its bound
+  (3, 1e-4, 1e3) by more than 1e-9 of the bound;
+- |margin| > 1e-9 * max(S, 1, requirement), where margin = C* -
+  requirement and S is the sum of the magnitudes of the summands of E(A),
+  each divided by sqrt(A) log A a, with E_3 counted as its two pieces;
+- no step overflows or leaves its domain, and nothing is NaN or infinite.
+
+Anything else is re-decided at the routine's precision as
+``not preconditions(D, E) and margin(D, E) > 0`` and counted in
+``rechecks``.  The bound behind the band: with u = 2^-53, each float64
+operation errs by at most u relative and each libm call (exp, log, sinh,
+sqrt) by at most 2u, and every constant is the double nearest its 192-bit
+value.  Each summand is a product or quotient of at most 16 such factors
+(E_3 a square of a sum of four terms below log A in size), whose arguments
+carry relative errors amplified at most by the condition number of sinh at
+c, below c + 1 <= 711 wherever sinh c is finite.  A generous count gives
+an error below 4000 u (4.5e-13) of S for the sum, 2u of the requirement
+and of a, and 1e-13 absolute for c, an addition to log(A)/2 < 355; the
+192-bit values err by about 2^-180.  The band is over 2000 times these
+bounds, so a float64 answer kept is the 192-bit answer, and every output
+is bit-identical to deciding everything at 192 bits.  Measured over the
+3,860 decisions of ``derive --T 2.5e14`` and ``tables 1 2``: the float64
+and 192-bit margins differ by at most 4.2e-14 (2.1 u of S), the smallest
+|margin| is 7.8e-6, and no decision is re-decided.  The strong search's
+tests B < best take the same two stages, with the band 1e-9 * max(1, best).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -72,6 +102,10 @@ DEFAULT_T = 3.0e12
 
 # declared shifts are printed to two decimals; accept one ulp of slack
 C_DISPLAY_TOL = 0.01
+
+# relative half-width of the band in which a float64 search decision is
+# re-decided at full precision (module docstring)
+_GUARD = 1e-9
 
 _EQ_KINDS = ("strong", "weak", "comparison")
 
@@ -148,7 +182,12 @@ def admissible_B(state: IterationState, prec: int | None = None) -> mpf:
 
 
 def _exact_B(A, D, E) -> mpf:
-    return mpf(E) / 2 + mpf(D) * mpf(E) / mp.log(mpf(A))
+    return _b_at(mp.log(mpf(A)), D, E)
+
+
+def _b_at(log_a, D, E) -> mpf:
+    # _exact_B from log A
+    return mpf(E) / 2 + mpf(D) * mpf(E) / log_a
 
 
 class _Admissibility:
@@ -159,17 +198,24 @@ class _Admissibility:
     The profile is substituted at A rounded to a double and D, E are taken
     as doubles, as an ``IterationState`` stores them; E(A) and the
     requirement are evaluated at the full-precision A.
+
+    ``admissible`` decides in float64 first and re-decides at the routine's
+    precision only inside the guard band (module docstring); ``rechecks``
+    counts those re-decisions.
     """
 
     def __init__(self, A, variant: BoundVariant, prec: int):
         variant.check_threshold(float(A))
         self.prec = prec
+        self.rechecks = 0
         with working_precision(prec):
             self.a = variant.leading_a(prec)
             self._profiles = ProfileAt(float(A), variant, prec)
             self._terms = TermsAt(A, variant, prec)
             self.c_required = shift_requirement(A, self.a, prec=prec)
             self._eps_max = mpf("1e-4")
+        self._a64 = float(self.a)
+        self._c_required64 = float(self.c_required)
 
     def preconditions(self, D, E) -> list:
         """The kernel-lemma preconditions at A that (D, E) violates."""
@@ -202,15 +248,49 @@ class _Admissibility:
             return self.shift(D, E)[2] - self.c_required
 
     def admissible(self, D, E) -> bool:
-        """``not preconditions(D, E) and margin(D, E) > 0``, in one precision
-        context, with (c, eps) computed once."""
-        D, E = float(D), mpf(float(E))
-        with mp.workprec(self.prec):
-            c, eps = self._profiles._kernel(mpf(D), E)
-            if next(self._violations(c, eps), None) is not None:
+        """``not preconditions(D, E) and margin(D, E) > 0``.
+
+        Decided by the float64 twin when it is clear of every boundary by
+        the guard band, else by that expression at the routine's precision.
+        """
+        D, E = float(D), float(E)
+        decided = self._admissible64(D, E)
+        if decided is None:
+            self.rechecks += 1
+            decided = not self.preconditions(D, E) and self.margin(D, E) > 0
+        return decided
+
+    def _admissible64(self, D: float, E: float):
+        """The float64 decision, or None when it is not clear."""
+        try:
+            c, eps = self._profiles._kernel64(D, E)
+            # float twin of _violations: 1 met, -1 violated, 0 too close to tell
+            met = [_side(c, 3.0), -_side(eps, 1e-4)]
+            if -1 not in met:
+                met.append(_side(math.sqrt(2 * c) / eps, 1000.0))
+            if -1 in met:
                 return False
-            profile = self._profiles._profile(D, E, c, eps)
-            return self._shift(D, profile)[2] - self.c_required > 0
+            if 0 in met:
+                return None
+            total, scale = self._terms._total64(self._profiles._profile64(D, E, c, eps), D)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return None
+        margin = -total / self._a64 - self._c_required64
+        # a NaN or infinite margin or scale never clears the band
+        if abs(margin) > _GUARD * max(scale / self._a64, 1.0, self._c_required64):
+            return margin > 0
+        return None
+
+
+def _side(value: float, bound: float) -> int:
+    """1 or -1 when a float64 ``value`` is above or below ``bound`` by more
+    than the guard band relative to the bound, 0 inside it (or NaN)."""
+    band = _GUARD * abs(bound)
+    if value > bound + band:
+        return 1
+    if value < bound - band:
+        return -1
+    return 0
 
 
 def check_admissible(
@@ -287,17 +367,27 @@ def _first_admissible(ok, n_hi: int):
     return hi
 
 
-def _below_best(A, E, best, denom: int, n_hi: int) -> int:
+def _below_best(log_a, E, best, denom: int, n_hi: int) -> int:
     """Largest grid index n <= n_hi with _exact_B(A, n/denom, E) < best, or -1.
 
-    _exact_B is nondecreasing in n (each rounded operation is monotone), so
-    the real-valued estimate is corrected step by step with the exact test.
+    ``log_a`` is log A as ``_exact_B`` computes it.  _exact_B is
+    nondecreasing in n (each rounded operation is monotone), so the
+    real-valued estimate is corrected step by step with the test, which is
+    decided in float64 outside the guard band and at full precision inside.
     """
-    estimate = (best - mpf(E) / 2) * mp.log(mpf(A)) / mpf(E) * denom
-    n = min(n_hi, max(-1, int(mp.floor(estimate))))
-    while n < n_hi and _exact_B(A, _grid(n + 1, denom), E) < best:
+    e64, log64, best64 = float(E), float(log_a), float(best)
+    band = _GUARD * max(1.0, best64)
+
+    def below(n: int) -> bool:
+        diff = e64 / 2 + n / denom * e64 / log64 - best64
+        if abs(diff) > band:
+            return diff < 0
+        return _b_at(log_a, _grid(n, denom), E) < best
+
+    n = min(n_hi, max(-1, math.floor((best64 - e64 / 2) * log64 / e64 * denom)))
+    while n < n_hi and below(n + 1):
         n += 1
-    while n >= 0 and not _exact_B(A, _grid(n, denom), E) < best:
+    while n >= 0 and not below(n):
         n -= 1
     return n
 
@@ -326,17 +416,18 @@ def _search_strong(A, prec):
             return
         n_hi = 8 * d_denom
         if best is not None:
-            n_hi = _below_best(A, E, best[0], d_denom, n_hi)
+            n_hi = _below_best(log_a, E, best[0], d_denom, n_hi)
             if n_hi < 0:
                 return
         n = _first_admissible(lambda n: at.admissible(_grid(n, d_denom), E), n_hi)
         if n is None:
             return
         D = _grid(n, d_denom)
-        b = _exact_B(A, D, E)
+        b = _b_at(log_a, D, E)
         if best is None or b < best[0]:
             best = (b, D, E)
 
+    log_a = mp.log(mpf(A))
     for i in range(100, 201):          # E = 10.0 .. 20.0 step 0.1
         consider(i, 10, 50)
     if best is None:

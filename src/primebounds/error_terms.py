@@ -27,13 +27,18 @@ of the substitution that depends on A alone and ``TermsAt`` everything of the
 assembly that depends on x alone, each computed once; the pieces that depend
 on D alone are memoised per D for the life of the object.  A search over
 (D, E) at one threshold builds one of each, and ``derive_profile``,
-``e_terms`` and ``e_total`` are the one-shot uses of the same code.
+``e_terms`` and ``e_total`` are the one-shot uses of the same code.  Each
+also has a float64 twin of its per-(D, E) step (``_kernel64``,
+``_profile64``, ``_total64``): the same expressions in the same order, from
+the correctly rounded doubles of the same precomputed constants, for the
+engine's float-first admissibility decisions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from mpmath import mp, mpf
@@ -209,6 +214,20 @@ class ProfileAt:
         at the caller's precision."""
         return self._half_L + D, self._eps_num / (E * self._root)
 
+    @cached_property
+    def _floats(self) -> tuple:
+        # the doubles nearest the constants the float64 twins read
+        return tuple(float(v) for v in (
+            self._half_L, self._eps_num, self._root, self._g_scale, self._norm,
+            self._two_pi, self._inv_e, self._sqrt_pi, self._g_rate,
+            self._coef4_num, self._coef5a_num, self._coef5b, self.L,
+        ))
+
+    def _kernel64(self, D: float, E: float) -> tuple:
+        """float64 twin of ``_kernel``."""
+        half_L, eps_num, root = self._floats[:3]
+        return half_L + D, eps_num / (E * root)
+
     def _d_parts(self, D, c: mpf) -> tuple:
         parts = self._by_d.get(D)
         if parts is None:
@@ -244,6 +263,25 @@ class ProfileAt:
             self._coef4_num / (E * self._sqrt_pi),
             self._coef5a_num / E,
             self._coef5b,
+        )
+
+    def _profile64(self, D: float, E: float, c: float, eps: float) -> tuple:
+        """float64 twin of ``_profile``: the six coefficients as a tuple.
+
+        Raises OverflowError or ValueError where the float64 functions
+        cannot represent a step (sinh c beyond the double range).
+        """
+        (_, _, _, g_scale, norm, two_pi, inv_e, sqrt_pi, g_rate,
+         coef4_num, coef5a_num, coef5b, L) = self._floats
+        big_g = g_scale / math.sinh(c) * math.exp(g_rate * math.sqrt(c * eps)) * math.log(3 * c)
+        chain = inv_e + math.exp(-(math.sqrt(c) * math.sqrt(c - 2) + c))
+        return (
+            big_g / norm / 2,
+            (1 + 11 * c * eps) / two_pi * chain / 2,
+            E * math.sqrt(1 + 2 * D / L) / two_pi,
+            coef4_num / (E * sqrt_pi),
+            coef5a_num / E,
+            coef5b,
         )
 
 
@@ -309,6 +347,40 @@ class TermsAt:
             e4 = profile.coef4 * rx * self._e4_power
             e5 = profile.coef5a * self._e5_power + e5_tail + 2
         return e1, e2, e3, e4, e5
+
+    @cached_property
+    def _floats(self) -> tuple:
+        # the doubles nearest the constants ``_total64`` reads
+        return tuple(float(v) for v in (
+            self.L, self._lL, self._root, self._norm, self._half_L, self._e3_scale,
+            self._e5_tail, self._inner_shift, self._e3_main, self._e4_power, self._e5_power,
+        ))
+
+    def _total64(self, coefs: tuple, D: float) -> tuple:
+        """float64 twin of ``_total`` from ``ProfileAt._profile64`` coefficients.
+
+        Returns (E(x), scale): scale is the sum of the magnitudes of every
+        summand, each normalized like E(x), with E_3 counted as its two
+        pieces (|E_3| + 2 e3_main bounds them), so the rounding error of
+        E(x) is a small multiple of the unit roundoff times scale.
+        """
+        L, lL, rx, norm, half_L, e3_scale, e5_tail_c, inner_shift, e3_main, e4_power, e5_power = self._floats
+        coef1, coef2, alpha3, coef4, coef5a, coef5b = coefs
+        e1 = coef1 * rx * L * lL
+        e2 = coef2 * rx * L
+        e5_tail = coef5b * L * e5_tail_c
+        if self._strong:
+            inner = half_L + math.log(alpha3) - lL - inner_shift
+            e3 = e3_scale * inner ** 2 - e3_main
+            e4 = coef4 * rx * e4_power * lL / math.sqrt(L + 2 * D)
+            e5 = coef5a * e5_power * lL + e5_tail + 2
+        else:
+            inner = half_L + math.log(alpha3) - inner_shift
+            e3 = e3_scale * inner ** 2 - e3_main
+            e4 = coef4 * rx * e4_power
+            e5 = coef5a * e5_power + e5_tail + 2
+        terms = (e1, e2, e3, e4, e5)
+        return sum(terms) / norm, (sum(abs(t) for t in terms) + 2 * e3_main) / norm
 
     def _d_root(self, D) -> mpf:
         root = self._by_d.get(D)

@@ -21,10 +21,12 @@ from a sieve.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Optional
@@ -459,10 +461,45 @@ class InequalitySpec:
         return a * mp.sqrt(x) * lx
 
 
-def _li64(x: np.ndarray) -> np.ndarray:
-    from scipy.special import expi
+def _li_coefficients(n_terms: int) -> tuple:
+    """(-1)^(n-1) / (n! 2^(n-1)) * sum_{k < n/2} 1/(2k+1), n = 1..n_terms,
+    each the double nearest the exact rational."""
+    out, inner, fact = [], Fraction(0), 1
+    for n in range(1, n_terms + 1):
+        fact *= n
+        if n % 2:
+            inner += Fraction(1, n)
+        out.append(float((-1) ** (n - 1) * inner / (fact << (n - 1))))
+    return tuple(out)
 
-    return expi(np.log(x))
+
+_LI_COEFFICIENTS = _li_coefficients(64)
+# REACH[n - 1]: the largest log x at which the terms from the n-th on are
+# all below 2^-70, the sum being above 1/2 for x >= 2
+_LI_REACH = list(accumulate(
+    ((2.0 ** -70 / abs(c)) ** (1 / n) for n, c in enumerate(_LI_COEFFICIENTS, start=1)), max))
+_EULER = 0.5772156649015329
+
+
+def _li64(x: np.ndarray) -> np.ndarray:
+    """float64 li(x) for 2 <= x <= 6e9, by Ramanujan's series
+
+        li(x) = gamma + log log x + sqrt(x) sum_{n>=1} c_n (log x)^n,
+
+    summed by Horner's rule over the terms that the largest x needs.  The
+    largest term exceeds the sum by a factor of about 2 sqrt(log x), below
+    10, so the alternating series loses little to cancellation: against
+    120-bit values the relative error stays below 5e-15.
+    """
+    lx = np.log(x)
+    n_terms = bisect.bisect_left(_LI_REACH, np.max(lx, initial=0.0)) + 1
+    if n_terms > len(_LI_COEFFICIENTS):
+        raise ParameterError("the float64 li is for x <= 6e9")
+    acc = np.full(np.shape(lx), _LI_COEFFICIENTS[n_terms - 1])
+    for c in _LI_COEFFICIENTS[n_terms - 2 :: -1]:
+        acc *= lx
+        acc += c
+    return _EULER + np.log(lx) + np.sqrt(x) * (acc * lx)
 
 
 def _guard(rhs: np.ndarray) -> np.ndarray:
@@ -482,15 +519,20 @@ def scan_inequality(
 
     The verdict passes when no real x in range violates it, and reports the
     last violation (``last_violation_side`` 'left' when violations approach
-    it from below) and the last violating integer, each None when clean.
+    it from below, 'interior' for a point inside a gap) and the last
+    violating integer, each None when clean.  ``n_points`` counts the reads
+    made: the jump reads in range, the range ends that are not jumps, the
+    samples and the integers checked one by one.
 
     Both sides can only trade places at jump points, so evaluating the left
     limit, the starred value and the right limit at every prime power in
-    range is exhaustive, and each gap between jumps is decided from its two
-    ends.  On the gap from jump k to jump k + 1 the count is frozen at
-    c = R[k], and c - target falls, because the target, x or li(x), rises
-    for x > 1; at the ends it is the deviation of the right limit at k and
-    of the left limit at k + 1.  So |c - target| is largest at an end, and
+    range, and the count at each end of the range that is not a jump, is
+    exhaustive, and each gap between these nodes is decided from its two
+    ends.  On a gap that follows jump k the count is frozen at c = R[k],
+    and c - target falls, because the target, x or li(x), rises for x > 1;
+    at the ends it is the deviation of the right limit at k, or of the read
+    at the range's start, and of the left limit at the next jump, or of the
+    read at the range's end.  So |c - target| is largest at an end, and
     smallest at an end unless it changes sign in the gap.  The envelopes
     a sqrt(x) log^2 x and a sqrt(x) log x rise for x > 1, and
     a sqrt(x) log x (log x - C) has at most one turning point on x > 1, a
@@ -504,14 +546,13 @@ def scan_inequality(
       positive.
     - the margin is at least the smaller end deviation (0 on a sign change)
       minus the larger end envelope.  When that is above the guard band,
-      the whole gap fails; the left limit at k + 1, a later violation than
-      any point inside, is recorded already, so only the gap's last integer
-      is added.
+      the whole gap fails; its later end, the left limit at the next jump
+      or the range's end, is a later violation than any point inside and
+      is recorded already, so only the gap's last integer is added.
 
     Every other gap gets ``interior_samples`` evenly spaced points and all
     of its integers.  An integer at a jump reads the starred value, so the
-    jump pass decides it; the integers of the partial gaps at both ends of
-    the range, or of a range with no jump in it, are checked one by one.
+    jump pass decides it.
 
     float64 does the sweep; any margin within the guard band of the
     spec's own envelope, or NaN, is re-decided in extended precision from
@@ -537,6 +578,7 @@ def scan_inequality(
     worst_x = None
     worst_side = None
     n_recheck = 0
+    n_points = 0
     int_violations = []
 
     def decide(margin, g, x_val, side, exact_ref) -> bool:
@@ -558,54 +600,84 @@ def scan_inequality(
         margin = np.abs(dev[side]) - rhs
         # left-limit violations at jump j cover (prev, j): count when j > x_lo
         mask = in_range if side != "left" else (xs > x_lo) & (xs <= x_hi)
+        n_points += int(mask.sum())
         for k in np.flatnonzero(mask & ~(margin <= -guard)):
             if decide(margin[k], guard[k], float(xs[k]), side, (int(k), side)) and side == "at":
                 int_violations.append(int(xs[k]))
 
-    # gap k, k0 <= k < k1, bounded from its two ends; g is the widest guard
-    # band in the gap
-    lo_dev, hi_dev = dev["right"][k0:k1], dev["left"][k0 + 1 : k1 + 1]
-    lo_rhs, hi_rhs = rhs[k0:k1], rhs[k0 + 1 : k1 + 1]
-    g = np.maximum(guard[k0:k1], guard[k0 + 1 : k1 + 1])
-    upper = np.maximum(np.abs(lo_dev), np.abs(hi_dev)) - np.minimum(lo_rhs, hi_rhs)
-    closest = np.where(lo_dev * hi_dev > 0, np.minimum(np.abs(lo_dev), np.abs(hi_dev)), 0.0)
-    fails = closest - np.maximum(lo_rhs, hi_rhs) >= g
-    open_gaps = k0 + np.flatnonzero(~(upper <= -g) & ~fails)
+    # each end of the range that is not a jump, read with the count of the
+    # last jump below it
+    lo_end = not (n_jumps and xs[k0] == x_lo)
+    hi_end = not (n_jumps and xs[k1] == x_hi)
+    end_x = np.array([float(x) for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
+    end_k = np.searchsorted(xs, end_x, side="right") - 1
+    end_dev = arrays["right"][ck][end_k] - (_li64(end_x) if spec.uses_li else end_x)
+    end_rhs = spec.rhs64(end_x)
+    end_guard = _guard(end_rhs)
+    n_points += len(end_x)
+    for i in range(len(end_x)):
+        xv = float(end_x[i])
+        decide(abs(end_dev[i]) - end_rhs[i], end_guard[i], xv, "interior", (int(end_k[i]), "right", xv))
+
+    # gaps between consecutive jumps in range, bounded from their jump reads
+    fails, opened = _gap_bounds(dev["right"][k0:k1], dev["left"][k0 + 1 : k1 + 1],
+                                rhs[k0:k1], rhs[k0 + 1 : k1 + 1])
+    failing = k0 + np.flatnonzero(fails)
+    open_k = k0 + np.flatnonzero(opened)
+    starts, ends = xs[open_k], xs[open_k + 1]
+
+    # the partial gaps at the ends, bounded from an end read and the nearest
+    # jump's read, or from both end reads when no jump is in range; each is
+    # (jump k it follows, (x, deviation, envelope) at its start and its end)
+    end_reads = list(zip(end_x, end_dev, end_rhs))
+    partial = []
+    if lo_end:
+        to = (xs[k0], dev["left"][k0], rhs[k0]) if n_jumps else end_reads[-1]
+        partial.append((k0 - 1, end_reads[0], to))
+    if hi_end and n_jumps:
+        partial.append((k1, (xs[k1], dev["right"][k1], rhs[k1]), end_reads[-1]))
+    for k, (x0, d0, r0), (x1, d1, r1) in partial:
+        gap_fails, gap_open = _gap_bounds(d0, d1, r0, r1)
+        if gap_fails:
+            failing = np.append(failing, k)
+        elif gap_open:
+            at = 0 if k < k0 else len(open_k)   # open_k stays ascending
+            open_k, starts, ends = (np.insert(a, at, v) for a, v in ((open_k, k), (starts, x0), (ends, x1)))
+
     # the last integer of the last failing gap with any is its last violation
     jumps = tables.jumps
-    failing = k0 + np.flatnonzero(fails)
-    with_ints = failing[jumps[failing + 1] - jumps[failing] > 1]
-    if len(with_ints):
-        int_violations.append(int(jumps[with_ints[-1] + 1]) - 1)
+    n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)
+    first, last = _gap_integer_bounds(jumps, failing, n_lo, n_hi)
+    if np.any(last >= first):
+        int_violations.append(int(last[last >= first].max()))
 
-    # interior samples: count side frozen at the right limit of the last jump
-    if interior_samples > 0 and len(open_gaps):
-        starts, ends = xs[open_gaps], xs[open_gaps + 1]
+    # interior samples: count side frozen at the right limit of the gap's jump
+    if interior_samples > 0 and len(open_k):
         fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
         sample_x = starts[:, None] + (ends - starts)[:, None] * fracs[None, :]
         t64 = _li64(sample_x) if spec.uses_li else sample_x
         rh = spec.rhs64(sample_x)
         g = _guard(rh)
-        marg = np.abs(arrays["right"][ck][open_gaps, None] - t64) - rh
+        marg = np.abs(arrays["right"][ck][open_k, None] - t64) - rh
+        n_points += sample_x.size
         for i, j in np.argwhere(~(marg <= -g)):
             xv = float(sample_x[i, j])
-            decide(marg[i, j], g[i, j], xv, "interior", (int(open_gaps[i]), "right", xv))
+            decide(marg[i, j], g[i, j], xv, "interior", (int(open_k[i]), "right", xv))
 
-    # integer-argument convention: every integer of the open gaps and of the
-    # partial gaps at both ends, off the jumps decided above
-    gaps = np.unique(np.concatenate(([k0 - 1], open_gaps, [k1])))
-    ns, gap_of = _gap_integers(jumps, gaps, math.ceil(x_lo), math.floor(x_hi))
+    # integer-argument convention: every integer of the open gaps, off the
+    # jumps decided above
+    ns, int_gap = _gap_integers(jumps, open_k, n_lo, n_hi)
     nf = ns.astype(np.float64)
     t64 = _li64(nf) if spec.uses_li else nf
     rh = spec.rhs64(nf)
     g = _guard(rh)
-    marg = np.abs(arrays["right"][ck][gap_of] - t64) - rh
+    marg = np.abs(arrays["right"][ck][int_gap] - t64) - rh
+    n_points += len(ns)
     for i in np.flatnonzero(~(marg <= -g)):
         n = int(ns[i])
         if marg[i] >= g[i] or _recheck(spec, tables, float(n), ("integer", n), prec):
             int_violations.append(n)
 
-    n_points = 3 * n_jumps + ((n_jumps - 1) * interior_samples if interior_samples else 0)
     return Verdict(
         worst_x is None,
         spec=spec,
@@ -619,19 +691,37 @@ def scan_inequality(
     )
 
 
-def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
-    """The integers of [n_lo, n_hi] strictly inside each gap, and the gap of each.
+def _gap_bounds(lo_dev, hi_dev, lo_rhs, hi_rhs):
+    """(fails, open): the gaps with these deviations and envelopes at their
+    two ends that fail throughout, and those neither bound settles (the
+    lemma in ``scan_inequality``), each within the guard band of the larger
+    envelope."""
+    g = _guard(np.maximum(lo_rhs, hi_rhs))
+    upper = np.maximum(np.abs(lo_dev), np.abs(hi_dev)) - np.minimum(lo_rhs, hi_rhs)
+    closest = np.where(lo_dev * hi_dev > 0, np.minimum(np.abs(lo_dev), np.abs(hi_dev)), 0.0)
+    fails = closest - np.maximum(lo_rhs, hi_rhs) >= g
+    return fails, ~(upper <= -g) & ~fails
 
-    Gap k runs from jump k to jump k + 1; gap -1 ends at the first jump and
-    gap len(jumps) - 1 has no right end.  ``gaps`` is ascending, so the
-    integers are too.  No integer >= 2 lies in gap -1, so its count, 0, is
-    never read.
+
+def _gap_integer_bounds(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
+    """(first, last): the integers of [n_lo, n_hi] strictly inside gap k are
+    first..last, none when last < first.
+
+    Gap k runs from jump k to jump k + 1; gap len(jumps) - 1 has no right
+    end.  The ranges scanned start at 2, the first jump, so no gap is -1.
     """
-    edges = np.concatenate(([n_lo - 1], jumps, [n_hi + 1]))
-    lo = np.maximum(edges[gaps + 1] + 1, n_lo)
-    lens = np.maximum(np.minimum(edges[gaps + 2], n_hi + 1) - lo, 0)
+    last = len(jumps) - 1
+    before_next = np.where(gaps < last, jumps[np.minimum(gaps + 1, last)] - 1, n_hi)
+    return np.maximum(jumps[gaps] + 1, n_lo), np.minimum(before_next, n_hi)
+
+
+def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The integers of [n_lo, n_hi] strictly inside each gap, and the gap of
+    each; ``gaps`` is ascending, so the integers are too."""
+    first, last = _gap_integer_bounds(jumps, gaps, n_lo, n_hi)
+    lens = np.maximum(last - first + 1, 0)
     offsets = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-    return np.repeat(lo, lens) + offsets, np.repeat(gaps, lens)
+    return np.repeat(first, lens) + offsets, np.repeat(gaps, lens)
 
 
 def threshold_consistent(scan: Verdict, threshold: float) -> bool:

@@ -10,9 +10,11 @@ the normalized prime counts come from prime powers found by trial division,
 summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi), plain prime
 counts come from one odd-only segmented sieve pass instead of Lucy's
 recursion, the kernel weights are evaluated at every in-band ordinate
-instead of at the two ends the monotonicity lemma allows, and the
+instead of at the two ends the monotonicity lemma allows, the
 inequality scan samples every gap between jumps and checks every integer
-instead of settling gaps from their two ends.
+instead of settling gaps from their two ends, and each admissibility
+decision of the engine's searches is made at full precision instead of in
+float64 first.
 """
 
 import bisect
@@ -24,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 from mpmath import inf, log, mp, mpf, quad
 
-from primebounds import kernel
+from primebounds import engine, kernel
 from primebounds.errors import ParameterError
 from primebounds.primes import _li64, _odd_mask, _recheck, _simple_sieve
 from primebounds.verdict import Verdict
@@ -196,19 +198,24 @@ def sieve_prime_counts(points, segment_size: int = 1 << 24, progress=None) -> li
 def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=None):
     """The ``scan_inequality`` verdict with nothing settled by the gap lemma.
 
-    Reads every jump in range from all three sides, puts
-    ``interior_samples`` points inside every gap between jumps in range and
-    checks every integer in range, each as a float64 margin with the spec's
-    own guard band, re-deciding the margins inside it with ``_recheck``.
+    Reads every jump in range from all three sides and each end of the
+    range that is not a jump once, puts ``interior_samples`` points inside
+    every interval between these nodes and checks every integer in range,
+    each as a float64 margin with the spec's own guard band, re-deciding
+    the margins inside it with ``_recheck``.  ``n_points`` counts all of
+    these reads.
     """
     arrays = tables.scan_context().arrays
     xs = arrays["x"]
     ck = spec.count_kind
     in_range = (xs >= x_lo) & (xs <= x_hi)
     worst = {"x": None, "side": None, "rechecked": 0}
+    n_points = 0
 
     def margins(x, counts):
         """Each margin, its guard, and whether it is outside the clean side of the band."""
+        nonlocal n_points
+        n_points += np.size(x)
         rhs = spec.rhs64(x)
         margin = np.abs(counts - (_li64(x) if spec.uses_li else x)) - rhs
         guard = 1e-9 * np.maximum(rhs, 1.0)
@@ -226,22 +233,32 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
             worst["x"], worst["side"] = x_val, side
 
     for side in ("left", "at", "right"):
-        margin, guard, hot = margins(xs, arrays[side][ck])
-        mask = in_range if side != "left" else (xs > x_lo) & (xs <= x_hi)
-        for k in np.flatnonzero(mask & hot):
-            if violated(margin[k], guard[k], float(xs[k]), (int(k), side)):
+        ks = np.flatnonzero(in_range if side != "left" else (xs > x_lo) & (xs <= x_hi))
+        margin, guard, hot = margins(xs[ks], arrays[side][ck][ks])
+        for i in np.flatnonzero(hot):
+            k = int(ks[i])
+            if violated(margin[i], guard[i], float(xs[k]), (k, side)):
                 record(float(xs[k]), side)
 
-    ks = np.flatnonzero(in_range)
-    if interior_samples > 0 and len(ks) > 1:
-        k0, k1 = int(ks[0]), int(ks[-1])
+    # each end that is not a jump, read with the count of the last jump below it
+    end_x = np.array([float(x) for x in (x_lo, x_hi) if not np.any(xs == x)])
+    end_k = np.searchsorted(xs, end_x, side="right") - 1
+    margin, guard, hot = margins(end_x, arrays["right"][ck][end_k])
+    for i in np.flatnonzero(hot):
+        xv = float(end_x[i])
+        if violated(margin[i], guard[i], xv, (int(end_k[i]), "right", xv)):
+            record(xv, "interior")
+
+    nodes = np.unique(np.concatenate((xs[in_range], end_x)))
+    if interior_samples > 0:
         fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
-        starts, ends = xs[k0:k1], xs[k0 + 1 : k1 + 1]
+        starts, ends = nodes[:-1], nodes[1:]
+        gap_k = np.searchsorted(xs, starts, side="right") - 1
         sample_x = starts[:, None] + (ends - starts)[:, None] * fracs[None, :]
-        margin, guard, hot = margins(sample_x, arrays["right"][ck][k0:k1, None])
+        margin, guard, hot = margins(sample_x, arrays["right"][ck][gap_k, None])
         for i, j in np.argwhere(hot):
             xv = float(sample_x[i, j])
-            if violated(margin[i, j], guard[i, j], xv, (k0 + int(i), "right", xv)):
+            if violated(margin[i, j], guard[i, j], xv, (int(gap_k[i]), "right", xv)):
                 record(xv, "interior")
 
     last_int = None
@@ -255,7 +272,6 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         if violated(margin[i], guard[i], float(n), ("integer", n)):
             last_int = n
 
-    n_jumps = int(in_range.sum())
     return Verdict(
         worst["x"] is None,
         spec=spec,
@@ -264,6 +280,35 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         last_violation=worst["x"],
         last_violation_side=worst["side"],
         last_integer_violation=last_int,
-        n_points=3 * n_jumps + ((n_jumps - 1) * interior_samples if interior_samples else 0),
+        n_points=n_points,
         n_rechecked=worst["rechecked"],
     )
+
+
+def admissible_mpf(at, D, E) -> bool:
+    """``engine._Admissibility.admissible`` at the routine's full precision,
+    with no float64 stage: (c, eps) once, the first violated precondition
+    ends the decision, else the sign of C* - requirement."""
+    D, E = float(D), mpf(float(E))
+    with mp.workprec(at.prec):
+        c, eps = at._profiles._kernel(mpf(D), E)
+        if next(at._violations(c, eps), None) is not None:
+            return False
+        profile = at._profiles._profile(D, E, c, eps)
+        return at._shift(D, profile)[2] - at.c_required > 0
+
+
+def below_best_mpf(log_a, E, best, denom, n_hi) -> int:
+    """``engine._below_best`` with every test made at full precision:
+    B = E/2 + D E / log A against ``best`` for D = n/denom."""
+    E = mpf(E)
+
+    def below(n):
+        return E / 2 + engine._grid(n, denom) * E / log_a < best
+
+    n = min(n_hi, max(-1, int(mp.floor((best - E / 2) * log_a / E * denom))))
+    while n < n_hi and below(n + 1):
+        n += 1
+    while n >= 0 and not below(n):
+        n -= 1
+    return n

@@ -1,6 +1,7 @@
 """Threshold solving, admissibility, the tightening loop, and both tables."""
 
 import functools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,8 @@ from primebounds.kernel import (
     tail_bound_mid,
     zero_sum_bound,
 )
+
+from .oracles import admissible_mpf, below_best_mpf
 
 
 def sig3(x):
@@ -369,6 +372,80 @@ class TestDecisionReplay:
                 seen.update(f.split("=")[0].split()[0] for f in failures)
                 seen.add(want)
         assert {"c(A)", "eps(A)", "sqrt(2c)/eps", True} <= seen
+
+
+def record_routines(monkeypatch):
+    """Every ``_Admissibility`` built from now on, in order."""
+    routines = []
+    init = engine._Admissibility.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        routines.append(self)
+
+    monkeypatch.setattr(engine._Admissibility, "__init__", recording)
+    return routines
+
+
+class TestFloatFirstDecisions:
+    @pytest.mark.slow
+    def test_every_search_decision_matches_the_oracle(self, monkeypatch):
+        decisions, mismatches = [], []
+        admissible, below_best = engine._Admissibility.admissible, engine._below_best
+
+        def checked(self, D, E):
+            got = admissible(self, D, E)
+            decisions.append(got)
+            if got != admissible_mpf(self, D, E):
+                mismatches.append(("admissible", float(self._terms.x), float(D), float(E)))
+            return got
+
+        def checked_below(*args):
+            got = below_best(*args)
+            if got != below_best_mpf(*args):
+                mismatches.append(("below_best",) + args)
+            return got
+
+        monkeypatch.setattr(engine._Admissibility, "admissible", checked)
+        monkeypatch.setattr(engine, "_below_best", checked_below)
+        strong = iterate(3e12).x_max
+        iterate(1e15)
+        table2([r[0] for r in published.TABLE2], strong_x_max=strong)
+        assert mismatches == []
+        assert len(decisions) > 1000 and True in decisions and False in decisions
+
+    def test_no_recheck_at_the_default_height(self, monkeypatch):
+        routines = record_routines(monkeypatch)
+        iterate(3e12)
+        assert routines and sum(at.rechecks for at in routines) == 0
+
+    def test_all_mpf_decisions_give_the_same_reports(self, monkeypatch):
+        weak = BoundVariant("weak", 1.0)
+        want = [iterate(3e12).to_dict(), iterate(3e12, variant=weak).to_dict()]
+        routines = record_routines(monkeypatch)
+        monkeypatch.setattr(engine, "_GUARD", math.inf)
+        got = [iterate(3e12).to_dict(), iterate(3e12, variant=weak).to_dict()]
+        assert got == want
+        assert sum(at.rechecks for at in routines) > 1000
+
+    def test_each_boundary_is_re_decided(self):
+        A, D = 2.169e25, 6.0
+        at = engine._Admissibility(A, STRONG, 192)
+        half_L, eps_num, root = at._profiles._floats[:3]
+        # E with C* - requirement within 1e-12 of zero, by bisection on doubles
+        lo, hi = 10.0, 20.0
+        assert (at.margin(D, lo) > 0) != (at.margin(D, hi) > 0)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if (at.margin(D, mid) > 0) == (at.margin(D, lo) > 0):
+                lo = mid
+            else:
+                hi = mid
+        assert abs(at.margin(D, lo)) < 1e-12
+        cases = [(3.0 - half_L, 16.0), (D, eps_num / (1e-4 * root)), (D, lo), (D, hi)]
+        for k, (d, e) in enumerate(cases, start=1):
+            assert at.admissible(d, e) == admissible_mpf(at, d, e), (d, e)
+            assert at.rechecks == k
 
 
 class TestSlack:

@@ -4,8 +4,11 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import primebounds
 from primebounds import primes, published
 from primebounds.cli import EXIT_PASS, cli
 from primebounds.hiprec import li, working_precision
@@ -324,9 +328,11 @@ class TestScanAgainstSampledOracle:
 
     @staticmethod
     def _assert_same(spec, lo, hi, tables, samples):
-        got = scan_inequality(spec, lo, hi, tables, interior_samples=samples)
-        want = scan_inequality_sampled(spec, lo, hi, tables, interior_samples=samples)
-        assert got.to_dict() == want.to_dict()
+        # n_points counts the reads each makes; the scan's are a subset
+        got = scan_inequality(spec, lo, hi, tables, interior_samples=samples).to_dict()
+        want = scan_inequality_sampled(spec, lo, hi, tables, interior_samples=samples).to_dict()
+        assert 0 < got.pop("n_points") <= want.pop("n_points")
+        assert got == want
 
     @settings(max_examples=300, deadline=None)
     @given(spec=st.sampled_from(VERIFY_SPECS), ends=st.tuples(_SCAN_ENDS, _SCAN_ENDS),
@@ -367,6 +373,20 @@ class TestScanAgainstSampledOracle:
     def test_last_integer_violation(self, tables_10k, spec, lo, hi, last_int):
         self._assert_same(spec, lo, hi, tables_10k, 16)
         assert scan_inequality(spec, lo, hi, tables_10k).last_integer_violation == last_int
+
+    @pytest.mark.parametrize("lo,hi,side,n_points", [
+        (2.5, 2.9, "interior", 2 + 16),          # two ends, 16 samples
+        (2.1, 3.0, "left", 1 + 3 + 16),          # one end, the jump 3, 16 samples
+    ])
+    def test_ends_inside_a_gap_are_read(self, lo, hi, side, n_points):
+        # psi = log 2 on [2, 3): the margin is 0.48 at 2.5 and 0.28 at 2.9
+        spec = InequalitySpec("psi_sq", 1.0)
+        tables = build_tables(1000)
+        self._assert_same(spec, lo, hi, tables, 16)
+        report = scan_inequality(spec, lo, hi, tables)
+        assert not report.passed
+        assert (report.last_violation, report.last_violation_side) == (hi, side)
+        assert report.n_points == n_points
 
 
 class TestCache:
@@ -516,6 +536,31 @@ class TestLogFixed:
     @given(st.integers(2, 20_000_000))
     def test_integers_to_2e7_match_oracle(self, n):
         assert _log_fixed(n) == log_fixed_mp(n)
+
+
+class TestLi64:
+    def test_against_120_bit_li(self):
+        # log-spaced, uniform over the table range and dense at the low end
+        rng = np.random.default_rng(2021)
+        xs = np.concatenate([np.geomspace(2, 2e7, 2000), rng.uniform(2, 2e7, 1000),
+                             rng.uniform(2, 100, 1000), [2.0, 2.5, 2657.0, 2e7]])
+        with mp.workprec(120):
+            want = np.array([float(mp.li(mpf(float(x)))) for x in xs])
+        got = primes._li64(xs)
+        assert len(xs) >= 4000
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    def test_verify_primes_runs_without_scipy(self, tmp_path):
+        # an entry of None in sys.modules makes ``import scipy`` fail
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from primebounds.cli import main; main()")
+        package_root = str(Path(primebounds.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-c", code, "--cache-dir", str(tmp_path), "verify-primes",
+             "--limit", "3000"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": package_root})
+        assert res.returncode == EXIT_PASS, res.stderr[-2000:]
 
 
 def _report_fields(report):
