@@ -4,12 +4,16 @@ The four counting functions are the *-normalized ones: at an integer jump
 point the final summand carries weight 1/2, so the value at a prime power is
 the midpoint of the one-sided limits.  Each function is stored the same way,
 as a column of exact integer right limits over a fixed per-kind scale: pi
-over 1, theta and psi over 2^96 (each log evaluated at 160-bit precision and
-rounded to 96 fractional bits), Pi over lcm(1..24).  Every read, exact or
-float64, is a left limit, starred value or right limit at one jump; the
-float64 views used by the vectorized scans are built once per table, and any
-margin too close to zero for float64 to be trusted is re-checked in extended
-precision from the exact columns.
+over 1, theta and psi over 2^96 (each log p is log(p) at 160-bit precision
+rounded to 96 fractional bits), Pi over lcm(1..24).  The logs are carried
+from prime to prime in 144-bit fixed point, re-anchored every 4,096 primes
+and at each segment's start, and are bit for bit those 160-bit roundings:
+a carried value too close to a rounding tie for its proven error bound is
+redone at 160 bits.  Every read, exact or float64, is a left limit, starred
+value or right limit at one jump; the float64 views used by the vectorized
+scans are built once per table, each entry the correctly rounded image of
+its exact read, and any margin too close to zero for float64 to be trusted
+is re-checked in extended precision from the exact columns.
 
 Tables are built by segmented sieving, checkpointed per segment, and can be
 persisted to a versioned line-oriented cache with a content hash per
@@ -28,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Optional
 
 import numpy as np
@@ -57,7 +61,14 @@ __all__ = [
 ]
 
 FIX_BITS = 96          # fractional bits of the exact theta/psi accumulators
-LOG_PREC = 160         # precision at which each log p is evaluated
+LOG_PREC = 160         # precision of the reference log p that FIX_BITS rounds
+CARRY_BITS = 144       # fractional bits of the logs carried from prime to prime
+ANCHOR_EVERY = 4096    # carried steps between anchors to LOG_PREC logs
+_STEP_ULPS = 40        # bound on one carried step's error, 2^-CARRY_BITS units
+# carried values this close to a FIX_BITS rounding tie, in 2^-CARRY_BITS
+# units, are re-done exactly: it covers the anchor's error, ANCHOR_EVERY - 1
+# steps and the reference's own rounding (see _carried_logs)
+_TIE_BAND = 1 + ANCHOR_EVERY * _STEP_ULPS
 DEFAULT_SEGMENT = 1 << 22
 PRIME_COUNT_MAX = 10 ** 12     # int64-exact; ~50 MB of arrays at the cap
 DETAIL_LIMIT_MAX = 20_000_000  # per-jump tables above this would not be desk scale
@@ -71,6 +82,8 @@ SCALE = {
     "Pi": math.lcm(*range(1, 25)),
 }
 assert DETAIL_LIMIT_MAX < 1 << 25
+# every denominator of a float64 read is exact in float64 (_exact_quotients)
+assert 2 * SCALE["Pi"] < 1 << 53
 
 # a read at jump k from one side, as weights on (R[k - 1], R[k]) over 2 SCALE
 _SIDES = {"left": (2, 0), "at": (1, 1), "right": (0, 2)}
@@ -82,18 +95,89 @@ class CacheError(RuntimeError):
     pass
 
 
-def _log_fixed(p: int) -> int:
-    """round(log(p) * 2^FIX_BITS), half up, from log(p) rounded to LOG_PREC bits.
+def _log_fixed(p: int, bits: int = FIX_BITS) -> int:
+    """round(log(p) * 2^bits), half up, from log(p) rounded to LOG_PREC bits.
 
-    The same arithmetic as floor(mp.log(p) * 2^FIX_BITS + 1/2) at LOG_PREC
-    bits, done on the mantissa: the scaling by 2^FIX_BITS is exact, and so is
-    adding 1/2, because log(p) * 2^FIX_BITS is far below 2^(LOG_PREC - 1).
+    The same arithmetic as floor(mp.log(p) * 2^bits + 1/2) at LOG_PREC bits,
+    done on the mantissa: the scaling by 2^bits is exact, and so is adding
+    1/2, because log(p) * 2^bits is far below 2^(LOG_PREC - 1) for both
+    widths used, FIX_BITS and CARRY_BITS.  Tables take it at CARRY_BITS as
+    the anchor of each run of carried logs, and at FIX_BITS for the rare
+    carried value that lands near a rounding tie (``_prime_logs``).
     """
     _, man, exp, _ = libmp.mpf_log(libmp.from_int(p), LOG_PREC, "n")
-    shift = exp + FIX_BITS
+    shift = exp + bits
     if shift >= 0:
         return man << shift
     return (man + (1 << (-shift - 1))) >> -shift
+
+
+def _carried_logs(primes: list[int]) -> list[int]:
+    """log(p) * 2^CARRY_BITS as integers, within a proven bound, for a run
+    of consecutive primes.
+
+    The first prime, and every ANCHOR_EVERY-th after it, is anchored with
+    ``_log_fixed(p, CARRY_BITS)``; each other prime p is carried from the
+    one before it, q, as
+
+        log p = log q + 2 atanh(u),  u = g / s,  g = p - q,  s = p + q,
+
+    with 2 atanh(u) = sum_k 2 u^(2k+1) / (2k+1) summed in integers of
+    W = CARRY_BITS fractional bits: t_0 = floor(2 g 2^W / s),
+    t_k = floor(t_(k-1) g^2 / s^2), adding floor(t_k / (2k+1)) until t_K = 0.
+
+    Error of one step, in units of 2^-W.  Every operation rounds down, so a
+    step never exceeds its true value tau = sum_k tau_k / (2k+1),
+    tau_k = 2 u^(2k+1) 2^W.  Consecutive primes have u <= 1/4 (p <= 5q/3:
+    checked below 25, and above it Nagura's prime in (n, 6n/5) gives it).
+    The shortfall d_k = tau_k - t_k obeys d_0 < 1 and d_k < d_(k-1) u^2 + 1,
+    so d_k < 16/15.  Each summand is then short by less than
+    1 + (16/15) / (2k+1).  Every t_k with k < K is at least 1, so
+    2^(W + 1 - 2(2k+1)) >= tau_k >= 1 bounds K by 36; and the first zero
+    t_K leaves tau_K < 1 + 1/15 and a tail below (16/15)^2 / (2K+1) < 1.
+    So a step is short by less than 36 + (16/15) sum_(k<36) 1/(2k+1) + 1
+    < 36 + 3 + 1 = _STEP_ULPS = 40 units.
+
+    The anchor is off by at most 1/2 unit from rounding plus the reference's
+    own error: log p < 2^5 below DETAIL_LIMIT_MAX, so rounding it to
+    LOG_PREC = 160 bits costs under 2^-155, 2^-11 units.  n steps past an
+    anchor the carried value is therefore within 1 + 40 n units of
+    log(p) 2^W, and within that plus 2^-11 of the LOG_PREC reference.
+    """
+    out = []
+    for i, p in enumerate(primes):
+        if i % ANCHOR_EVERY == 0:
+            c = _log_fixed(p, CARRY_BITS)
+        else:
+            g, s = p - q, p + q
+            t = (g << (CARRY_BITS + 1)) // s
+            c += t
+            g2, s2 = g * g, s * s
+            k = 3
+            while t:
+                t = t * g2 // s2
+                c += t // k
+                k += 2
+        out.append(c)
+        q = p
+    return out
+
+
+def _prime_logs(primes: list[int]) -> list[int]:
+    """``_log_fixed(p)`` for a run of consecutive primes, bit for bit.
+
+    Each carried value (``_carried_logs``) is rounded half up to FIX_BITS.
+    It lies within _TIE_BAND units of 2^-CARRY_BITS of the LOG_PREC
+    reference that ``_log_fixed`` rounds, so when it is farther than that
+    from every rounding tie, both lie strictly inside the same rounding
+    interval and round alike.  Any other prime takes ``_log_fixed`` itself.
+    """
+    drop = CARRY_BITS - FIX_BITS
+    half, low = 1 << (drop - 1), (1 << drop) - 1
+    return [
+        _log_fixed(p) if abs((c & low) - half) <= _TIE_BAND else (c + half) >> drop
+        for p, c in zip(primes, _carried_logs(primes))
+    ]
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -137,7 +221,7 @@ def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 class _Segment:
     index: int
     x_end: int
-    jumps: list          # (n, p, m) for prime powers n in segment
+    jumps: list          # (n, p, m, log p over 2^-FIX_BITS) per prime power n
     digest: str
 
 
@@ -233,32 +317,57 @@ class _ScanContext:
 def _float_views(tables: PrimeTables) -> dict:
     """float64 per-jump arrays: left limit, starred value and right limit.
 
-    Each entry is the correctly rounded image of the exact ``scaled`` read.
+    Each entry is the correctly rounded image of the exact ``scaled`` read:
+    the right limits R[k] / SCALE and the starred values
+    (R[k - 1] + R[k]) / (2 SCALE), their numerators summed exactly as
+    Python ints (``_exact_quotients``).
     """
     views = {"x": tables.jumps.astype(np.float64), "left": {}, "at": {}, "right": {}}
     for kind, rights in tables.right.items():
-        scale = SCALE[kind]
-        right = np.array([r / scale for r in rights], dtype=np.float64)
+        col = np.array(rights, dtype=object)
+        sums = col.copy()
+        sums[1:] += col[:-1]
+        right = _exact_quotients(col, SCALE[kind])
         views["right"][kind] = right
         views["left"][kind] = np.concatenate(([0.0], right[:-1]))
-        views["at"][kind] = np.array(
-            [(prev + cur) / (2 * scale) for prev, cur in zip([0, *rights], rights)],
-            dtype=np.float64,
-        )
+        views["at"][kind] = _exact_quotients(sums, 2 * SCALE[kind])
     return views
 
 
+def _exact_quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """float64 n / den, correctly rounded, for an object array of ints n >= 0.
+
+    numpy's object-to-float64 cast rounds each int once, correctly.  For a
+    power-of-two ``den`` the division is then an exact ldexp.  Otherwise the
+    cast is exact for n < 2^53, where an IEEE division by a den below 2^53
+    rounds once, correctly; any larger n is divided exactly, one by one.
+    """
+    floats = nums.astype(np.float64)
+    shift = den.bit_length() - 1
+    if den == 1 << shift:
+        return np.ldexp(floats, -shift)
+    exact = floats < 2.0 ** 53
+    out = floats / den
+    out[~exact] = [int(n) / den for n in nums[~exact]]
+    return out
+
+
 def _build_segments(limit: int, segment_size: int, start_index: int, base):
-    """Generate segments (raw jump payloads) from start_index onward."""
+    """Generate segments (raw jump payloads) from start_index onward.
+
+    The logs of each segment's primes are carried from prime to prime and
+    anchored at the segment's first prime, so a segment depends on nothing
+    built before it; powers take the logs of the sieving base's primes.
+    """
+    base_primes = base.tolist()
+    base_logs = _prime_logs(base_primes)
     seg_index = start_index
     lo = 2 + seg_index * segment_size
-    log_cache: dict[int, int] = {}
     while lo <= limit:
         hi = min(lo + segment_size, limit + 1)
-        seg_primes = _segment_primes(lo, hi, base)
-        jumps = [(int(p), int(p), 1) for p in seg_primes]
-        for p in base:
-            p = int(p)
+        seg_primes = _segment_primes(lo, hi, base).tolist()
+        rows = list(zip(seg_primes, seg_primes, repeat(1), _prime_logs(seg_primes)))
+        for p, lf in zip(base_primes, base_logs):
             if p * p >= hi:
                 break
             n = p * p
@@ -267,19 +376,11 @@ def _build_segments(limit: int, segment_size: int, start_index: int, base):
                 n *= p
                 m += 1
             while n < hi:
-                jumps.append((n, p, m))
+                rows.append((n, p, m, lf))
                 n *= p
                 m += 1
-        jumps.sort()
-        payload = []
-        for n, p, m in jumps:
-            if p not in log_cache:
-                log_cache[p] = _log_fixed(p)
-            payload.append((n, p, m, log_cache[p]))
-        digest = hashlib.sha256(
-            ("|".join(f"{n},{p},{m},{lf:x}" for n, p, m, lf in payload)).encode()
-        ).hexdigest()[:16]
-        yield _Segment(seg_index, hi - 1, [(n, p, m, lf) for n, p, m, lf in payload], digest)
+        rows.sort()
+        yield _Segment(seg_index, hi - 1, rows, _digest(rows))
         seg_index += 1
         lo = hi
 
@@ -388,11 +489,14 @@ def _load_cache_segments(path: str, limit: int, segment_size: int) -> list:
     return segments
 
 
+def _digest(rows) -> str:
+    """Content hash of one segment's jump rows, as stored in the cache."""
+    text = "|".join(f"{n},{p},{m},{lf:x}" for n, p, m, lf in rows)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _verify_segment(seg: _Segment) -> None:
-    digest = hashlib.sha256(
-        ("|".join(f"{n},{p},{m},{lf:x}" for n, p, m, lf in seg.jumps)).encode()
-    ).hexdigest()[:16]
-    if digest != seg.digest:
+    if _digest(seg.jumps) != seg.digest:
         raise CacheError(f"segment {seg.index} hash mismatch")
 
 
@@ -526,10 +630,12 @@ def scan_inequality(
 
     Both sides can only trade places at jump points, so evaluating the left
     limit, the starred value and the right limit at every prime power in
-    range, and the count at each end of the range that is not a jump, is
-    exhaustive, and each gap between these nodes is decided from its two
-    ends.  On a gap that follows jump k the count is frozen at c = R[k],
-    and c - target falls, because the target, x or li(x), rises for x > 1;
+    range (bar the left limit at x_lo and the right limit at x_hi, which
+    describe x outside the range), and the count at each end of the range
+    that is not a jump, is exhaustive, and each gap between these nodes is
+    decided from its two ends.  On a gap that follows jump k the count is
+    frozen at c = R[k], and c - target falls, because the target, x or
+    li(x), rises for x > 1;
     at the ends it is the deviation of the right limit at k, or of the read
     at the range's start, and of the left limit at the next jump, or of the
     read at the range's end.  So |c - target| is largest at an end, and
@@ -595,11 +701,13 @@ def scan_inequality(
             worst_side = side
         return True
 
-    # the three reads at every jump in range
-    for side in ("left", "at", "right"):
+    # the reads at every jump in range; a one-sided limit describes x on
+    # its side of the jump, so the left limit at a jump counts when the jump
+    # is above x_lo and the right limit when it is below x_hi
+    reads = {"left": (xs > x_lo) & (xs <= x_hi), "at": in_range,
+             "right": (xs >= x_lo) & (xs < x_hi)}
+    for side, mask in reads.items():
         margin = np.abs(dev[side]) - rhs
-        # left-limit violations at jump j cover (prev, j): count when j > x_lo
-        mask = in_range if side != "left" else (xs > x_lo) & (xs <= x_hi)
         n_points += int(mask.sum())
         for k in np.flatnonzero(mask & ~(margin <= -guard)):
             if decide(margin[k], guard[k], float(xs[k]), side, (int(k), side)) and side == "at":

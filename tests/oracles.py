@@ -198,12 +198,12 @@ def sieve_prime_counts(points, segment_size: int = 1 << 24, progress=None) -> li
 def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=None):
     """The ``scan_inequality`` verdict with nothing settled by the gap lemma.
 
-    Reads every jump in range from all three sides and each end of the
-    range that is not a jump once, puts ``interior_samples`` points inside
-    every interval between these nodes and checks every integer in range,
-    each as a float64 margin with the spec's own guard band, re-deciding
-    the margins inside it with ``_recheck``.  ``n_points`` counts all of
-    these reads.
+    Reads every jump in range from all three sides, bar the left limit at
+    x_lo and the right limit at x_hi, and each end of the range that is not
+    a jump once, puts ``interior_samples`` points inside every interval
+    between these nodes and checks every integer in range, each as a
+    float64 margin with the spec's own guard band, re-deciding the margins
+    inside it with ``_recheck``.  ``n_points`` counts all of these reads.
     """
     arrays = tables.scan_context().arrays
     xs = arrays["x"]
@@ -232,8 +232,9 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         if worst["x"] is None or x_val > worst["x"] or (x_val == worst["x"] and side != "left"):
             worst["x"], worst["side"] = x_val, side
 
-    for side in ("left", "at", "right"):
-        ks = np.flatnonzero(in_range if side != "left" else (xs > x_lo) & (xs <= x_hi))
+    reads = {"left": (xs > x_lo) & (xs <= x_hi), "at": in_range, "right": (xs >= x_lo) & (xs < x_hi)}
+    for side, mask in reads.items():
+        ks = np.flatnonzero(mask)
         margin, guard, hot = margins(xs[ks], arrays[side][ck][ks])
         for i in np.flatnonzero(hot):
             k = int(ks[i])

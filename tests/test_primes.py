@@ -8,6 +8,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,15 @@ from primebounds import primes, published
 from primebounds.cli import EXIT_PASS, cli
 from primebounds.hiprec import li, working_precision
 from primebounds.primes import (
+    _STEP_ULPS,
+    ANCHOR_EVERY,
+    CARRY_BITS,
     FIX_BITS,
     PRIME_COUNT_MAX,
     SCALE,
     InequalitySpec,
     ParameterError,
+    _carried_logs,
     _log_fixed,
     _recheck,
     _simple_sieve,
@@ -136,6 +141,14 @@ def _assert_count_matches_oracle(tables, kind, x):
             assert err <= (k + 1) * mpf(2) ** -FIX_BITS, (kind, x, err)
 
 
+def _assert_views_round_the_exact_reads(tables):
+    views = tables.scan_context().arrays
+    for kind in COUNT_KINDS:
+        for side in ("left", "at", "right"):
+            want = [tables.scaled(kind, k, side) / (2 * SCALE[kind]) for k in range(len(tables.jumps))]
+            assert views[side][kind].tolist() == want, (kind, side)
+
+
 class TestCountOracle:
     @pytest.mark.parametrize("kind", COUNT_KINDS)
     def test_integers_and_half_integers_below_3000(self, tables_10k, kind):
@@ -152,13 +165,31 @@ class TestCountOracle:
         assert tables_10k.jumps.tolist() == _JUMPS_TO_1E4
         assert tables_10k.primes.tolist() == [n for n, _, m in prime_powers(10_000) if m == 1]
 
-    def test_float_views_round_the_exact_reads(self, tables_10k):
-        views = tables_10k.scan_context().arrays
-        for kind in COUNT_KINDS:
-            for side in ("left", "at", "right"):
-                want = [tables_10k.scaled(kind, k, side) / (2 * SCALE[kind])
-                        for k in range(len(tables_10k.jumps))]
-                assert views[side][kind].tolist() == want, (kind, side)
+    def test_float_views_round_the_exact_reads(self, tables_10k, tables_1e6):
+        for tables in (tables_10k, tables_1e6):
+            _assert_views_round_the_exact_reads(tables)
+
+    def test_float_views_at_rounding_ties_and_past_2_53(self):
+        # theta and psi: 55-bit right limits over 2^96 and 56-bit starred
+        # numerators over 2^97, each halfway between two doubles; Pi: right
+        # limits and starred numerators on both sides of 2^53
+        n = 80
+        ties_down = [(2 ** 54 + 2 + 8 * j) << 40 for j in range(n)]
+        ties_up = [(2 ** 54 + 6 + 8 * j) << 40 for j in range(n)]
+        big_Pi = [2 ** 52 - 40 + j for j in range(n - 8)] + [2 ** 53 - 4 + j for j in range(8)]
+        tables = primes.PrimeTables(
+            limit=2 + n, segment_size=n, jumps=np.arange(2, 2 + n), jump_m=np.ones(n, dtype=np.int64),
+            right={"pi": list(range(1, n + 1)), "theta": ties_down, "psi": ties_up, "Pi": big_Pi},
+        )
+        _assert_views_round_the_exact_reads(tables)
+        views = tables.scan_context().arrays
+        for kind in ("theta", "psi"):
+            for side in ("at", "right"):
+                for k, v in enumerate(views[side][kind].tolist()):
+                    exact = Fraction(tables.scaled(kind, k, side), 2 * SCALE[kind])
+                    assert abs(Fraction(v) - exact) == Fraction(math.ulp(v)) / 2, (kind, side, k)
+        sums = [tables.scaled("Pi", k, "at") for k in range(n)]
+        assert min(sums) < 2 ** 53 < max(sums) and max(big_Pi) > 2 ** 53
 
 
 class TestPsiThetaGap:
@@ -376,7 +407,7 @@ class TestScanAgainstSampledOracle:
 
     @pytest.mark.parametrize("lo,hi,side,n_points", [
         (2.5, 2.9, "interior", 2 + 16),          # two ends, 16 samples
-        (2.1, 3.0, "left", 1 + 3 + 16),          # one end, the jump 3, 16 samples
+        (2.1, 3.0, "left", 1 + 2 + 16),          # one end, the jump 3 but its right limit, 16 samples
     ])
     def test_ends_inside_a_gap_are_read(self, lo, hi, side, n_points):
         # psi = log 2 on [2, 3): the margin is 0.48 at 2.5 and 0.28 at 2.9
@@ -387,6 +418,15 @@ class TestScanAgainstSampledOracle:
         assert not report.passed
         assert (report.last_violation, report.last_violation_side) == (hi, side)
         assert report.n_points == n_points
+
+    def test_right_limit_at_x_hi_is_not_read(self):
+        # psi - x jumps at 32 = 2^5 from -0.09 to 0.60, past the envelope
+        # 0.43, but the right limit describes only x > 32
+        spec = InequalitySpec("psi_sq", 0.00633)
+        tables = build_tables(1000)
+        self._assert_same(spec, 31.5, 32, tables, 16)
+        assert scan_inequality(spec, 31.5, 32, tables).passed
+        assert not scan_inequality(spec, 31.5, 32.5, tables).passed
 
 
 class TestCache:
@@ -536,6 +576,68 @@ class TestLogFixed:
     @given(st.integers(2, 20_000_000))
     def test_integers_to_2e7_match_oracle(self, n):
         assert _log_fixed(n) == log_fixed_mp(n)
+
+
+class TestCarriedLogs:
+    def test_theta_psi_columns_sum_the_oracle_logs(self, tables_1e6):
+        logs = {p: log_fixed_mp(p) for p in tables_1e6.primes.tolist()}
+        steps = {"theta": [], "psi": []}
+        for n, m in zip(tables_1e6.jumps.tolist(), tables_1e6.jump_m.tolist()):
+            p = round(n ** (1 / m))
+            assert p ** m == n
+            steps["theta"].append(logs[p] if m == 1 else 0)
+            steps["psi"].append(logs[p])
+        for kind, col in steps.items():
+            assert tables_1e6.right[kind] == list(accumulate(col)), kind
+
+    def test_segmented_build_matches_one_segment_and_exact_logs(self, tmp_path, monkeypatch):
+        # 1e4-wide segments restart the carry at each segment's first prime;
+        # one segment runs 17,984 primes through four anchors
+        limit = 2 * 10 ** 5
+        paths = {size: str(tmp_path / f"carried_{size}.txt") for size in (10 ** 4, primes.DEFAULT_SEGMENT)}
+        carried = {size: build_tables(limit, cache_path=path, segment_size=size) for size, path in paths.items()}
+        one, segmented = carried[primes.DEFAULT_SEGMENT], carried[10 ** 4]
+        assert np.array_equal(one.jumps, segmented.jumps)
+        assert one.right == segmented.right
+
+        def jump_rows(path):
+            return [line for line in Path(path).read_text().splitlines() if line.startswith("J ")]
+
+        assert jump_rows(paths[10 ** 4]) == jump_rows(paths[primes.DEFAULT_SEGMENT])
+        # the same builds with every log from _log_fixed write the same bytes
+        monkeypatch.setattr(primes, "_prime_logs", lambda ps: [_log_fixed(p) for p in ps])
+        for size, path in paths.items():
+            exact_path = tmp_path / f"exact_{size}.txt"
+            build_tables(limit, cache_path=str(exact_path), segment_size=size)
+            assert exact_path.read_bytes() == Path(path).read_bytes(), size
+
+    def test_band_covering_everything_falls_back_at_every_prime(self, monkeypatch):
+        want = build_tables(10 ** 5)
+        exact_calls = []
+        real_log_fixed = primes._log_fixed
+
+        def counting(p, bits=FIX_BITS):
+            exact_calls.extend([p] if bits == FIX_BITS else [])
+            return real_log_fixed(p, bits)
+
+        monkeypatch.setattr(primes, "_log_fixed", counting)
+        monkeypatch.setattr(primes, "_TIE_BAND", 1 << (CARRY_BITS - FIX_BITS))
+        got = build_tables(10 ** 5)
+        assert set(exact_calls) == set(got.primes.tolist())
+        assert got.right == want.right
+
+    @pytest.mark.parametrize("start", [2, 10 ** 6])
+    def test_carried_error_over_an_anchor_interval_is_within_the_bound(self, start):
+        # from 2 the steps are the largest, u up to 1/4, and take the most terms
+        ps = [p for p in _simple_sieve(start + 60_000).tolist() if p >= start][: ANCHOR_EVERY + 1]
+        assert len(ps) == ANCHOR_EVERY + 1
+        carried = _carried_logs(ps)
+        with mp.workprec(300):
+            errs = [abs(c - mp.log(p) * mpf(2) ** CARRY_BITS) for p, c in zip(ps, carried)]
+        for n, err in enumerate(errs[:ANCHOR_EVERY]):
+            assert err < 1 + n * _STEP_ULPS, (n, err)
+        assert max(errs) < primes._TIE_BAND
+        assert carried[ANCHOR_EVERY] == _log_fixed(ps[ANCHOR_EVERY], CARRY_BITS)
 
 
 class TestLi64:
