@@ -244,12 +244,9 @@ def tables(cfg: RunConfig, which, compare):
     raise SystemExit(EXIT_PASS if all_ok else EXIT_FAIL)
 
 
-_SPEC_CHOICES = ["psi_sq", "theta_sq", "psi_shift", "theta_shift", "Pi_li", "pi_li"]
-
-
 @cli.command("verify-primes")
 @click.option("--limit", type=float, default=None, help="scan upper end (sieve limit)")
-@click.option("--spec", "specs", multiple=True, type=click.Choice(_SPEC_CHOICES + ["weak"]),
+@click.option("--spec", "specs", multiple=True, type=click.Choice([*primes._KINDS, "weak"]),
               help="inequality kinds; default all strong kinds plus weak a=1 set")
 @click.pass_obj
 def verify_primes(cfg: RunConfig, limit, specs):

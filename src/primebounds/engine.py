@@ -18,16 +18,15 @@ strict mode insists on C <= C*.
 Every admissibility decision at a threshold goes through one
 ``_Admissibility`` routine built for that A: log A, sqrt A, the
 normalizers, the shift requirement and the parsed constants are computed
-once, and the pieces that depend on D alone are memoised per grid D for the
-life of one search (see ``error_terms.ProfileAt`` and ``TermsAt``).  The
-strong search also prunes: once a best B is known, an E whose smallest
-admissible D cannot beat it costs one evaluation instead of a bisection.
+once (see ``error_terms.ProfileAt`` and ``TermsAt``).  The strong search
+also prunes: once a best B is known, an E whose smallest admissible D
+cannot beat it costs one evaluation instead of a bisection.
 
-Each search decision is made in float64 first.  ``admissible`` runs
-float64 twins of the precondition tests, of the profile substitution and of
-the assembly of E(A) (``error_terms``), in the same order, on the nearest
-doubles of the same precomputed constants, and keeps the float64 answer
-only when it is clear:
+Each search decision is made in float64 first.  ``admissible`` runs the
+precondition tests, the profile substitution and the assembly of E(A) in
+float64: the same code as the full-precision path, with ``math`` for
+``mp``, on the nearest doubles of the same precomputed constants.  It keeps
+the float64 answer only when it is clear:
 
 - each precondition quantity (c, eps, sqrt(2c)/eps) lies outside its bound
   (3, 1e-4, 1e3) by more than 1e-9 of the bound;
@@ -182,12 +181,12 @@ def admissible_B(state: IterationState, prec: int | None = None) -> mpf:
 
 
 def _exact_B(A, D, E) -> mpf:
-    return _b_at(mp.log(mpf(A)), D, E)
+    return _b_at(mp.log(mpf(A)), mpf(D), mpf(E))
 
 
-def _b_at(log_a, D, E) -> mpf:
-    # _exact_B from log A
-    return mpf(E) / 2 + mpf(D) * mpf(E) / log_a
+def _b_at(log_a, D, E):
+    # _exact_B from log A, in the number type of its arguments
+    return E / 2 + D * E / log_a
 
 
 class _Admissibility:
@@ -197,7 +196,8 @@ class _Admissibility:
     largest usable shift C* = -E(A)/a exceeds the psi->theta requirement.
     The profile is substituted at A rounded to a double and D, E are taken
     as doubles, as an ``IterationState`` stores them; E(A) and the
-    requirement are evaluated at the full-precision A.
+    requirement are evaluated at the full-precision A.  The preconditions
+    are written once, as (quantity, lower bound) pairs (``_conditions``).
 
     ``admissible`` decides in float64 first and re-decides at the routine's
     precision only inside the guard band (module docstring); ``rechecks``
@@ -213,34 +213,41 @@ class _Admissibility:
             self._profiles = ProfileAt(float(A), variant, prec)
             self._terms = TermsAt(A, variant, prec)
             self.c_required = shift_requirement(A, self.a, prec=prec)
-            self._eps_max = mpf("1e-4")
+            lows = (mpf(3), -mpf("1e-4"), mpf(1000))
+        self._lows = {mp: lows, math: tuple(float(v) for v in lows)}
         self._a64 = float(self.a)
         self._c_required64 = float(self.c_required)
 
     def preconditions(self, D, E) -> list:
         """The kernel-lemma preconditions at A that (D, E) violates."""
         with mp.workprec(self.prec):
-            return list(self._violations(*self._profiles._kernel(mpf(float(D)), mpf(float(E)))))
+            c, eps = self._profiles._kernel(mpf(float(D)), mpf(float(E)), mp)
+            return list(self._violations(c, eps))
+
+    def _conditions(self, c, eps, m):
+        """The preconditions as (quantity, lower bound) pairs in number type
+        ``m``, each met when quantity >= bound: c >= 3, eps <= 1e-4 and
+        sqrt(2c)/eps >= 1e3.  Lazily, so a decision stops at the first
+        violation."""
+        c_min, minus_eps_max, ratio_min = self._lows[m]
+        yield c, c_min
+        yield -eps, minus_eps_max
+        # outer-band split point: a_frac = sqrt(2/c) needs a_frac*c/eps >= 1e3
+        yield m.sqrt(2 * c) / eps, ratio_min
 
     def _violations(self, c: mpf, eps: mpf):
-        # lazily, so a decision stops at the first violation
-        if c < 3:
-            yield f"c(A)={float(c):.3f} < 3"
-        if eps > self._eps_max:
-            yield f"eps(A)={float(eps):.3g} > 1e-4"
-        # outer-band split point: a_frac = sqrt(2/c) needs a_frac*c/eps >= 1e3
-        if mp.sqrt(2 * c) / eps < 1000:
-            yield "sqrt(2c)/eps below 1e3"
+        # the violated ``_conditions`` at the routine's precision, lazily
+        for (value, low), message in zip(self._conditions(c, eps, mp), _VIOLATIONS):
+            if value < low:
+                yield message.format(c=float(c), eps=float(eps))
 
     def shift(self, D, E):
         """(profile, E(A), C*) for kernel parameters (D, E)."""
         D = float(D)
         with mp.workprec(self.prec):
-            return self._shift(D, self._profiles.profile(D, float(E)))
-
-    def _shift(self, D: float, profile: ErrorProfile) -> tuple:
-        e_at_a = self._terms._total(profile, D)
-        return profile, e_at_a, -e_at_a / self.a
+            profile = self._profiles.profile(D, float(E))
+            e_at_a = self._terms._total(profile.coefficients, D, mp)[0]
+            return profile, e_at_a, -e_at_a / self.a
 
     def margin(self, D, E) -> mpf:
         """C* - requirement: positive exactly when the shift is usable."""
@@ -250,8 +257,8 @@ class _Admissibility:
     def admissible(self, D, E) -> bool:
         """``not preconditions(D, E) and margin(D, E) > 0``.
 
-        Decided by the float64 twin when it is clear of every boundary by
-        the guard band, else by that expression at the routine's precision.
+        Decided in float64 when that is clear of every boundary by the
+        guard band, else by that expression at the routine's precision.
         """
         D, E = float(D), float(E)
         decided = self._admissible64(D, E)
@@ -263,16 +270,17 @@ class _Admissibility:
     def _admissible64(self, D: float, E: float):
         """The float64 decision, or None when it is not clear."""
         try:
-            c, eps = self._profiles._kernel64(D, E)
-            # float twin of _violations: 1 met, -1 violated, 0 too close to tell
-            met = [_side(c, 3.0), -_side(eps, 1e-4)]
-            if -1 not in met:
-                met.append(_side(math.sqrt(2 * c) / eps, 1000.0))
-            if -1 in met:
-                return False
-            if 0 in met:
+            c, eps = self._profiles._kernel(D, E, math)
+            clear = True
+            for value, low in self._conditions(c, eps, math):
+                side = _side(value, low)
+                if side < 0:
+                    return False
+                clear = clear and side > 0
+            if not clear:
                 return None
-            total, scale = self._terms._total64(self._profiles._profile64(D, E, c, eps), D)
+            coefs = self._profiles._profile(D, E, c, eps, math)
+            total, scale = self._terms._total(coefs, D, math)
         except (OverflowError, ValueError, ZeroDivisionError):
             return None
         margin = -total / self._a64 - self._c_required64
@@ -280,6 +288,11 @@ class _Admissibility:
         if abs(margin) > _GUARD * max(scale / self._a64, 1.0, self._c_required64):
             return margin > 0
         return None
+
+
+# what ``_Admissibility.preconditions`` reports for each of its
+# ``_conditions``, in order
+_VIOLATIONS = ("c(A)={c:.3f} < 3", "eps(A)={eps:.3g} > 1e-4", "sqrt(2c)/eps below 1e3")
 
 
 def _side(value: float, bound: float) -> int:
@@ -379,10 +392,10 @@ def _below_best(log_a, E, best, denom: int, n_hi: int) -> int:
     band = _GUARD * max(1.0, best64)
 
     def below(n: int) -> bool:
-        diff = e64 / 2 + n / denom * e64 / log64 - best64
+        diff = _b_at(log64, n / denom, e64) - best64
         if abs(diff) > band:
             return diff < 0
-        return _b_at(log_a, _grid(n, denom), E) < best
+        return _b_at(log_a, _grid(n, denom), mpf(E)) < best
 
     n = min(n_hi, max(-1, math.floor((best64 - e64 / 2) * log64 / e64 * denom)))
     while n < n_hi and below(n + 1):
@@ -493,10 +506,6 @@ class DerivationReport:
     @property
     def final_constant(self) -> mpf:
         return self.rounds[-1].b_rounded
-
-    @property
-    def final_C(self) -> mpf:
-        return self.rounds[-1].state.C
 
     @property
     def x_max(self) -> mpf:

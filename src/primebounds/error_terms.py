@@ -24,21 +24,19 @@ tests in the suite check each piece against its derivation normalization.
 
 Both steps are split by what they depend on.  ``ProfileAt`` holds everything
 of the substitution that depends on A alone and ``TermsAt`` everything of the
-assembly that depends on x alone, each computed once; the pieces that depend
-on D alone are memoised per D for the life of the object.  A search over
-(D, E) at one threshold builds one of each, and ``derive_profile``,
-``e_terms`` and ``e_total`` are the one-shot uses of the same code.  Each
-also has a float64 twin of its per-(D, E) step (``_kernel64``,
-``_profile64``, ``_total64``): the same expressions in the same order, from
-the correctly rounded doubles of the same precomputed constants, for the
-engine's float-first admissibility decisions.
+assembly that depends on x alone, each computed once at the routine's
+precision (and as the nearest doubles, once float64 needs them).  A search over (D, E) at one
+threshold builds one of each, and ``derive_profile``, ``e_terms`` and
+``e_total`` are the one-shot uses of the same code.  Each formula is written
+once and takes its number type as an argument: ``mp`` for the full-precision
+values, ``math`` for the engine's float-first admissibility decisions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from mpmath import mp, mpf
@@ -99,6 +97,8 @@ class BoundVariant:
 
     def check_threshold(self, A: float) -> None:
         """Reject a threshold below the floor the variant's lemmas hold from."""
+        if not math.isfinite(A):
+            raise ParameterError(f"threshold A={A} is not finite")
         floor = 1e25 if self.kind == "strong" else 1e26
         if A < floor:
             raise ParameterError(f"A={A} below the {floor:g} validity floor")
@@ -151,6 +151,11 @@ class ErrorProfile:
             if getattr(self, name) <= 0:
                 raise ParameterError(f"profile coefficient {name} must be positive")
 
+    @property
+    def coefficients(self) -> tuple:
+        """The six coefficients, in field order."""
+        return self.coef1, self.coef2, self.alpha3, self.coef4, self.coef5a, self.coef5b
+
 
 def round_up_sig(value, sig: int) -> mpf:
     """Round a positive value up at ``sig`` significant figures.
@@ -179,214 +184,156 @@ PRINTED_FIRST = {"coef1": 2, "coef2": 3, "alpha3": 2, "coef4": 3}
 PRINTED_REFINED = {"coef1": 3, "coef2": 4, "alpha3": 4, "coef4": 4}
 
 
+class _InBothTypes(dict):
+    """Named values by number type: ``mp`` holds them as given and ``math``
+    the doubles nearest them, made on first use, since a routine built for
+    one full-precision evaluation never reads them."""
+
+    def __init__(self, **values):
+        super().__init__({mp: SimpleNamespace(**values)})
+
+    def __missing__(self, m):
+        values = vars(self[mp])
+        doubles = self[m] = SimpleNamespace(**{name: float(v) for name, v in values.items()})
+        return doubles
+
+
 class ProfileAt:
     """The substitution x = A of ``derive_profile``, for any kernel parameters.
 
     Everything that depends on A alone, and every parsed constant, is
-    computed once here; the pieces that depend on D alone (sinh c, log 3c,
-    the chain term, sqrt(1 + 2D/log A)) are memoised per D value.  Each
-    call evaluates the same expressions, in the same order, as a one-shot
-    substitution, so every coefficient is bit-identical to it.
+    computed once here at the routine's precision, and its nearest double
+    once when float64 first needs it.  ``_kernel`` and ``_profile`` take the
+    number type ``m``: ``mp`` evaluates at the caller's precision,
+    bit-identical to a one-shot substitution, and ``math`` evaluates the
+    same expressions in float64.
     """
 
     def __init__(self, A, variant: BoundVariant = STRONG, prec: int | None = None):
         self.prec = get_default_precision() if prec is None else int(prec)
-        self._by_d = {}
         with working_precision(self.prec):
             self.A = mpf(A)
-            self.L = mp.log(self.A)
-            self._half_L = self.L / 2
-            self._eps_num = _eps_numerator(self.L, variant)
-            self._root = mp.sqrt(self.A)
-            self._g_scale = mpf("0.16") * (self.A + 1)
-            self._norm = self._root * self.L
-            self._two_pi = 2 * mp.pi
-            self._inv_e = 1 / mp.e
-            self._sqrt_pi = mp.sqrt(mp.pi)
+            self.L = L = mp.log(self.A)
+            root = mp.sqrt(self.A)
             self._eps_max = mpf("1e-3")
-            self._g_rate = mpf("0.71")
-            self._coef4_num = mpf("4.0002")
-            self._coef5a_num = mpf("2.02")
-            self._coef5b = mpf("0.51")
-
-    def _kernel(self, D: mpf, E: mpf) -> tuple:
-        """(c(A), eps(A)) of ``IterationState.c_of``/``eps_of`` for (D, E),
-        at the caller's precision."""
-        return self._half_L + D, self._eps_num / (E * self._root)
-
-    @cached_property
-    def _floats(self) -> tuple:
-        # the doubles nearest the constants the float64 twins read
-        return tuple(float(v) for v in (
-            self._half_L, self._eps_num, self._root, self._g_scale, self._norm,
-            self._two_pi, self._inv_e, self._sqrt_pi, self._g_rate,
-            self._coef4_num, self._coef5a_num, self._coef5b, self.L,
-        ))
-
-    def _kernel64(self, D: float, E: float) -> tuple:
-        """float64 twin of ``_kernel``."""
-        half_L, eps_num, root = self._floats[:3]
-        return half_L + D, eps_num / (E * root)
-
-    def _d_parts(self, D, c: mpf) -> tuple:
-        parts = self._by_d.get(D)
-        if parts is None:
-            parts = self._by_d[D] = (
-                self._g_scale / mp.sinh(c),
-                mp.log(3 * c),
-                self._inv_e + mp.exp(-(mp.sqrt(c) * mp.sqrt(c - 2) + c)),
-                11 * c,
-                mp.sqrt(1 + 2 * mpf(D) / self.L),
+            self._at = _InBothTypes(
+                L=L, half_L=L / 2, eps_num=_eps_numerator(L, variant), root=root, norm=root * L,
+                g_scale=mpf("0.16") * (self.A + 1), g_rate=mpf("0.71"), inv_e=1 / mp.e,
+                two_pi=2 * mp.pi, sqrt_pi=mp.sqrt(mp.pi),
+                coef4_num=mpf("4.0002"), coef5a_num=mpf("2.02"), coef5b=mpf("0.51"),
             )
-        return parts
+
+    def _kernel(self, D, E, m) -> tuple:
+        """(c(A), eps(A)) of ``IterationState.c_of``/``eps_of`` for (D, E),
+        in number type ``m``."""
+        k = self._at[m]
+        return k.half_L + D, k.eps_num / (E * k.root)
 
     def profile(self, D, E) -> ErrorProfile:
         """Exact (unrounded) coefficients of the five error terms."""
         with working_precision(self.prec):
             E = mpf(E)
-            c, eps = self._kernel(mpf(D), E)
+            c, eps = self._kernel(mpf(D), E, mp)
             if c < 3 or eps > self._eps_max:
                 raise ParameterError(
                     f"lemma preconditions need c >= 3 and eps <= 1e-3 at A (c={float(c):.3f}, eps={float(eps):.3g})"
                 )
-            return self._profile(D, E, c, eps)
+            return ErrorProfile(*self._profile(D, E, c, eps, mp))
 
-    def _profile(self, D, E: mpf, c: mpf, eps: mpf) -> ErrorProfile:
-        """``profile`` from (c, eps) = ``_kernel(D, E)``, unchecked, at the
-        caller's precision."""
-        g_over_sinh, log_3c, chain, c11, alpha_root = self._d_parts(D, c)
-        big_g = g_over_sinh * mp.exp(self._g_rate * mp.sqrt(c * eps)) * log_3c
-        return ErrorProfile(
-            big_g / self._norm / 2,
-            (1 + c11 * eps) / self._two_pi * chain / 2,
-            E * alpha_root / self._two_pi,
-            self._coef4_num / (E * self._sqrt_pi),
-            self._coef5a_num / E,
-            self._coef5b,
-        )
+    def _profile(self, D, E, c, eps, m) -> tuple:
+        """``ErrorProfile.coefficients`` of ``profile`` from (c, eps) =
+        ``_kernel(D, E, m)``, unchecked, in number type ``m``.
 
-    def _profile64(self, D: float, E: float, c: float, eps: float) -> tuple:
-        """float64 twin of ``_profile``: the six coefficients as a tuple.
-
-        Raises OverflowError or ValueError where the float64 functions
-        cannot represent a step (sinh c beyond the double range).
+        With ``math`` a step beyond the float64 range (sinh c overflowing)
+        raises OverflowError or ValueError.
         """
-        (_, _, _, g_scale, norm, two_pi, inv_e, sqrt_pi, g_rate,
-         coef4_num, coef5a_num, coef5b, L) = self._floats
-        big_g = g_scale / math.sinh(c) * math.exp(g_rate * math.sqrt(c * eps)) * math.log(3 * c)
-        chain = inv_e + math.exp(-(math.sqrt(c) * math.sqrt(c - 2) + c))
+        k = self._at[m]
+        big_g = k.g_scale / m.sinh(c) * m.exp(k.g_rate * m.sqrt(c * eps)) * m.log(3 * c)
+        chain = k.inv_e + m.exp(-(m.sqrt(c) * m.sqrt(c - 2) + c))
         return (
-            big_g / norm / 2,
-            (1 + 11 * c * eps) / two_pi * chain / 2,
-            E * math.sqrt(1 + 2 * D / L) / two_pi,
-            coef4_num / (E * sqrt_pi),
-            coef5a_num / E,
-            coef5b,
+            big_g / k.norm / 2,
+            (1 + 11 * c * eps) / k.two_pi * chain / 2,
+            E * m.sqrt(1 + 2 * D / k.L) / k.two_pi,
+            k.coef4_num / (E * k.sqrt_pi),
+            k.coef5a_num / E,
+            k.coef5b,
         )
 
 
 class TermsAt:
     """The assembly of E_1..E_5 and of E(x) at one point x, for any profile.
 
-    Everything that depends on x alone is computed once here, and
-    sqrt(log x + 2D) is memoised per D value; each call is bit-identical to
-    a one-shot evaluation of the same expressions.
+    Everything that depends on x alone is computed once here at the
+    routine's precision, and its nearest double once when float64 first
+    needs it; ``_terms`` and ``_total`` take the number type as
+    ``ProfileAt`` does, and at ``mp`` each call is bit-identical to a
+    one-shot evaluation.
     """
 
     def __init__(self, x, variant: BoundVariant = STRONG, prec: int | None = None):
         self.prec = get_default_precision() if prec is None else int(prec)
         self._strong = variant.kind == "strong"
-        self._by_d = {}
         with working_precision(self.prec):
             self.x = x = mpf(x)
             self.L = L = mp.log(x)
-            self._lL = lL = mp.log(L)
-            self._root = rx = mp.sqrt(x)
-            self._norm = rx * L
-            self._half_L = L / 2
-            self._e3_scale = rx / (2 * mp.pi)
-            self._e5_tail = mp.log(mp.log(2 * x ** 2))
+            lL = mp.log(L)
+            rx = mp.sqrt(x)
             if self._strong:
-                self._inner_shift = mp.log(lL)
-                self._e3_main = rx / (8 * mp.pi) * L ** 2
-                self._e4_power = L ** mpf("1.5")
-                self._e5_power = L ** mpf("2.5")
+                inner_shift = mp.log(lL)
+                e3_main = rx / (8 * mp.pi) * L ** 2
+                e4_power = L ** mpf("1.5")
+                e5_power = L ** mpf("2.5")
             else:
-                self._inner_shift = 2 * lL
-                self._e3_main = variant.leading_a(self.prec) * rx * L ** 2
-                self._e4_power = L ** 2
-                self._e5_power = L ** mpf("3.5")
+                inner_shift = 2 * lL
+                e3_main = variant.leading_a(self.prec) * rx * L ** 2
+                e4_power = L ** 2
+                e5_power = L ** mpf("3.5")
+            self._at = _InBothTypes(
+                L=L, lL=lL, root=rx, norm=rx * L, half_L=L / 2, inner_shift=inner_shift,
+                e3_scale=rx / (2 * mp.pi), e3_main=e3_main, e4_power=e4_power,
+                e5_power=e5_power, e5_tail=mp.log(mp.log(2 * x ** 2)),
+            )
 
     def terms(self, profile: ErrorProfile, D) -> tuple:
         """(E_1, ..., E_5) at x, unnormalized."""
         with working_precision(self.prec):
-            return self._terms(profile, D)
+            return self._terms(profile.coefficients, D, mp)
 
     def total(self, profile: ErrorProfile, D) -> mpf:
         """Normalized aggregate E(x) = sum(E_i) / (sqrt(x) log x)."""
         with working_precision(self.prec):
-            return self._total(profile, D)
+            return self._total(profile.coefficients, D, mp)[0]
 
-    def _total(self, profile: ErrorProfile, D) -> mpf:
-        # ``total`` at the caller's precision
-        return sum(self._terms(profile, D)) / self._norm
+    def _total(self, coefs: tuple, D, m) -> tuple:
+        """(E(x), scale) from ``ErrorProfile.coefficients`` in number type ``m``.
 
-    def _terms(self, profile: ErrorProfile, D) -> tuple:
-        L, lL, rx = self.L, self._lL, self._root
-        e1 = profile.coef1 * rx * L * lL
-        e2 = profile.coef2 * rx * L
-        e5_tail = profile.coef5b * L * self._e5_tail
-        if self._strong:
-            inner = self._half_L + mp.log(profile.alpha3) - lL - self._inner_shift
-            e3 = self._e3_scale * inner ** 2 - self._e3_main
-            e4 = profile.coef4 * rx * self._e4_power * lL / self._d_root(D)
-            e5 = profile.coef5a * self._e5_power * lL + e5_tail + 2
-        else:
-            inner = self._half_L + mp.log(profile.alpha3) - self._inner_shift
-            e3 = self._e3_scale * inner ** 2 - self._e3_main
-            e4 = profile.coef4 * rx * self._e4_power
-            e5 = profile.coef5a * self._e5_power + e5_tail + 2
-        return e1, e2, e3, e4, e5
-
-    @cached_property
-    def _floats(self) -> tuple:
-        # the doubles nearest the constants ``_total64`` reads
-        return tuple(float(v) for v in (
-            self.L, self._lL, self._root, self._norm, self._half_L, self._e3_scale,
-            self._e5_tail, self._inner_shift, self._e3_main, self._e4_power, self._e5_power,
-        ))
-
-    def _total64(self, coefs: tuple, D: float) -> tuple:
-        """float64 twin of ``_total`` from ``ProfileAt._profile64`` coefficients.
-
-        Returns (E(x), scale): scale is the sum of the magnitudes of every
-        summand, each normalized like E(x), with E_3 counted as its two
-        pieces (|E_3| + 2 e3_main bounds them), so the rounding error of
-        E(x) is a small multiple of the unit roundoff times scale.
+        The scale is the sum of the magnitudes of every summand, each
+        normalized like E(x), with E_3 counted as its two pieces (|E_3| +
+        2 e3_main bounds them), so the float64 rounding error of E(x) is a
+        small multiple of the unit roundoff times scale.
         """
-        L, lL, rx, norm, half_L, e3_scale, e5_tail_c, inner_shift, e3_main, e4_power, e5_power = self._floats
+        k = self._at[m]
+        terms = self._terms(coefs, D, m)
+        return sum(terms) / k.norm, (sum(map(abs, terms)) + 2 * k.e3_main) / k.norm
+
+    def _terms(self, coefs: tuple, D, m) -> tuple:
+        k = self._at[m]
         coef1, coef2, alpha3, coef4, coef5a, coef5b = coefs
+        L, lL, rx = k.L, k.lL, k.root
         e1 = coef1 * rx * L * lL
         e2 = coef2 * rx * L
-        e5_tail = coef5b * L * e5_tail_c
+        e5_tail = coef5b * L * k.e5_tail
         if self._strong:
-            inner = half_L + math.log(alpha3) - lL - inner_shift
-            e3 = e3_scale * inner ** 2 - e3_main
-            e4 = coef4 * rx * e4_power * lL / math.sqrt(L + 2 * D)
-            e5 = coef5a * e5_power * lL + e5_tail + 2
+            inner = k.half_L + m.log(alpha3) - lL - k.inner_shift
+            e3 = k.e3_scale * inner ** 2 - k.e3_main
+            e4 = coef4 * rx * k.e4_power * lL / m.sqrt(L + 2 * D)
+            e5 = coef5a * k.e5_power * lL + e5_tail + 2
         else:
-            inner = half_L + math.log(alpha3) - inner_shift
-            e3 = e3_scale * inner ** 2 - e3_main
-            e4 = coef4 * rx * e4_power
-            e5 = coef5a * e5_power + e5_tail + 2
-        terms = (e1, e2, e3, e4, e5)
-        return sum(terms) / norm, (sum(abs(t) for t in terms) + 2 * e3_main) / norm
-
-    def _d_root(self, D) -> mpf:
-        root = self._by_d.get(D)
-        if root is None:
-            root = self._by_d[D] = mp.sqrt(self.L + 2 * mpf(D))
-        return root
+            inner = k.half_L + m.log(alpha3) - k.inner_shift
+            e3 = k.e3_scale * inner ** 2 - k.e3_main
+            e4 = coef4 * rx * k.e4_power
+            e5 = coef5a * k.e5_power + e5_tail + 2
+        return e1, e2, e3, e4, e5
 
 
 def derive_profile(

@@ -41,7 +41,6 @@ __all__ = [
     "set_default_precision",
     "get_default_precision",
     "working_precision",
-    "mpreal",
     "ei",
     "li",
     "bessel_i1",
@@ -84,12 +83,6 @@ def working_precision(bits: int | None = None):
         )
     with mp.workprec(bits):
         yield mp
-
-
-def mpreal(x, prec: int | None = None) -> mpf:
-    """Convert to mpf at the working precision."""
-    with working_precision(prec):
-        return +mpf(x)
 
 
 # Ei takes its asymptotic series above this fraction of the precision in

@@ -239,7 +239,6 @@ class PrimeTables:
     jumps: np.ndarray          # int64 prime powers
     jump_m: np.ndarray         # int64 exponent
     right: dict                # kind -> list of int right limits over SCALE[kind]
-    segments: list = field(default_factory=list, repr=False)
 
     # -- exact accessors ------------------------------------------------
 
@@ -431,19 +430,16 @@ def build_tables(
         jumps=np.array([row[0] for row in rows], dtype=np.int64),
         jump_m=np.array([row[2] for row in rows], dtype=np.int64),
         right={kind: list(accumulate(col)) for kind, col in steps.items()},
-        segments=segments,
     )
     if cache_path is not None and len(cached_segments) < n_expected:
-        _write_cache(cache_path, tables)
+        _write_cache(cache_path, limit, segment_size, segments)
     return tables
 
 
-def _write_cache(path: str, tables: PrimeTables) -> None:
+def _write_cache(path: str, limit: int, segment_size: int, segments: list) -> None:
     with open(path, "w") as f:
-        f.write(
-            f"{CACHE_VERSION} limit={tables.limit} segment={tables.segment_size} fix={FIX_BITS}\n"
-        )
-        for seg in tables.segments:
+        f.write(f"{CACHE_VERSION} limit={limit} segment={segment_size} fix={FIX_BITS}\n")
+        for seg in segments:
             f.write(f"S {seg.index} {seg.x_end} {seg.digest} {len(seg.jumps)}\n")
             for n, p, m, lf in seg.jumps:
                 f.write(f"J {n} {p} {m} {lf:x}\n")
@@ -539,9 +535,7 @@ class InequalitySpec:
 
     @property
     def count_kind(self) -> str:
-        return {"psi": "psi", "theta": "theta", "Pi": "Pi", "pi": "pi"}[
-            self.kind.split("_")[0]
-        ]
+        return self.kind.split("_")[0]
 
     @property
     def uses_li(self) -> bool:

@@ -93,14 +93,6 @@ RAMANUJAN_DELTA_FIRST = 5e-8    # rung (43, 59], a = 1/8pi
 RAMANUJAN_DELTA_SECOND = 2.5e-8  # rung (59, 69], a = 1
 
 
-def table1_rows() -> list:
-    return [dict(T0=t, K=k, x_max=x) for t, k, x in TABLE1]
-
-
-def table2_rows() -> list:
-    return [dict(a=a, K=k, x_max=x) for a, k, x in TABLE2]
-
-
 def dominates_table1(row, published_row, k_tol=0.01, x_frac=0.995) -> bool:
     """Engine row (T0, K, x_max) is at least as strong as the published one."""
     _, k, x = row

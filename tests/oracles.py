@@ -292,11 +292,20 @@ def admissible_mpf(at, D, E) -> bool:
     ends the decision, else the sign of C* - requirement."""
     D, E = float(D), mpf(float(E))
     with mp.workprec(at.prec):
-        c, eps = at._profiles._kernel(mpf(D), E)
+        c, eps = at._profiles._kernel(mpf(D), E, mp)
         if next(at._violations(c, eps), None) is not None:
             return False
-        profile = at._profiles._profile(D, E, c, eps)
-        return at._shift(D, profile)[2] - at.c_required > 0
+        coefs = at._profiles._profile(D, E, c, eps, mp)
+        return -at._terms._total(coefs, D, mp)[0] / at.a - at.c_required > 0
+
+
+def margin64(at, D, E):
+    """(margin, S / a) as ``engine._Admissibility``'s float64 stage computes
+    them for (D, E), whatever the preconditions say."""
+    D, E = float(D), float(E)
+    c, eps = at._profiles._kernel(D, E, math)
+    total, scale = at._terms._total(at._profiles._profile(D, E, c, eps, math), D, math)
+    return -total / at._a64 - at._c_required64, scale / at._a64
 
 
 def below_best_mpf(log_a, E, best, denom, n_hi) -> int:

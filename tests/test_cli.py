@@ -256,6 +256,8 @@ BAD_INPUTS = [
     ["derive", "--variant", "weak", "--a", "0"],
     ["derive", "--variant", "weak", "--a", "inf"],
     ["derive", "--seed-E", "inf"],
+    ["derive", "--seed-A", "nan"],
+    ["derive", "--seed-A", "inf"],
     ["zeros", "check", "--kernel-c", "-1"],
     ["zeros", "check", "--kernel-eps", "0"],
     ["zeros", "check", "--kernel-eps", "inf"],

@@ -40,7 +40,7 @@ from primebounds.kernel import (
     zero_sum_bound,
 )
 
-from .oracles import admissible_mpf, below_best_mpf
+from .oracles import admissible_mpf, below_best_mpf, margin64
 
 
 def sig3(x):
@@ -428,10 +428,33 @@ class TestFloatFirstDecisions:
         assert got == want
         assert sum(at.rechecks for at in routines) > 1000
 
+    @pytest.mark.slow
+    def test_float_margins_are_inside_the_error_bound(self, monkeypatch):
+        # the bound of the module docstring: 4000 u of max(S/a, 1, requirement)
+        errors = []
+        admissible = engine._Admissibility.admissible
+
+        def measured(self, D, E):
+            rechecks = self.rechecks
+            got = admissible(self, D, E)
+            if self.rechecks == rechecks:  # decided in float64
+                margin, scale = margin64(self, D, E)
+                bound = max(scale, 1.0, float(self.c_required))
+                errors.append(float(abs(margin - self.margin(D, E))) / bound / 2.0 ** -53)
+            return got
+
+        monkeypatch.setattr(engine._Admissibility, "admissible", measured)
+        strong = iterate(3e12).x_max
+        iterate(3e12, variant=BoundVariant("weak", 1.0))
+        table2([r[0] for r in published.TABLE2], strong_x_max=strong)
+        assert len(errors) > 1000
+        assert max(errors) <= 4000
+
     def test_each_boundary_is_re_decided(self):
         A, D = 2.169e25, 6.0
         at = engine._Admissibility(A, STRONG, 192)
-        half_L, eps_num, root = at._profiles._floats[:3]
+        with working_precision(192):
+            c0, eps1 = (float(v) for v in at._profiles._kernel(mpf(0), mpf(1), mp))
         # E with C* - requirement within 1e-12 of zero, by bisection on doubles
         lo, hi = 10.0, 20.0
         assert (at.margin(D, lo) > 0) != (at.margin(D, hi) > 0)
@@ -442,7 +465,7 @@ class TestFloatFirstDecisions:
             else:
                 hi = mid
         assert abs(at.margin(D, lo)) < 1e-12
-        cases = [(3.0 - half_L, 16.0), (D, eps_num / (1e-4 * root)), (D, lo), (D, hi)]
+        cases = [(3.0 - c0, 16.0), (D, eps1 / 1e-4), (D, lo), (D, hi)]
         for k, (d, e) in enumerate(cases, start=1):
             assert at.admissible(d, e) == admissible_mpf(at, d, e), (d, e)
             assert at.rechecks == k
