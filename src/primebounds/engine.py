@@ -15,11 +15,12 @@ The declared shift C of a published state is accepted when it is within one
 printed ulp (0.01) of the exact largest admissible shift C* = -E(A)/a;
 strict mode insists on C <= C*.
 
-Every admissibility decision at a threshold goes through one
-``_Admissibility`` routine built for that A: log A, sqrt A, the
-normalizers, the shift requirement and the parsed constants are computed
-once (see ``error_terms.ProfileAt`` and ``TermsAt``).  The strong search
-also prunes: once a best B is known, an E whose smallest admissible D
+One ``_Admissibility`` routine owns all work at a threshold A: it computes
+log A, sqrt A, the normalizers, the shift requirement and the parsed
+constants once (``error_terms.ProfileAt``, ``TermsAt``) and runs the
+search once (``best``).  Each round of the loop builds one, for its search
+and its shift C*; the first round's also checks the seed.  The strong
+search prunes: once a best B is known, an E whose smallest admissible D
 cannot beat it costs one evaluation instead of a bisection.
 
 Each search decision is made in float64 first.  ``admissible`` runs the
@@ -58,14 +59,14 @@ tests B < best take the same two stages, with the band 1e-9 * max(1, best).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
 
 from .error_terms import (
     BoundVariant,
-    ErrorProfile,
     IterationState,
     ParameterError,
     ProfileAt,
@@ -138,8 +139,8 @@ class ThresholdEquation:
         return K * mp.sqrt(x / L)
 
 
-def solve_x_max(eq: ThresholdEquation, rel_tol: float = 1e-13, prec: int | None = None) -> mpf:
-    """Largest x with LHS(x) = T, by geometric bisection.
+def solve_x_max(eq: ThresholdEquation, prec: int | None = None) -> mpf:
+    """Largest x with LHS(x) = T, by geometric bisection to 1e-13 relative.
 
     The LHS is strictly increasing for x >= e^3, so the root is unique on
     the bracket; the default bracket [1e5, 1e60] covers every table entry
@@ -155,14 +156,13 @@ def solve_x_max(eq: ThresholdEquation, rel_tol: float = 1e-13, prec: int | None 
                 raise BracketError(
                     f"no sign change for {eq.variant} K={eq.constant} T={eq.T}"
                 )
-        tol = mpf(rel_tol)
         for _ in range(600):
             mid = mp.sqrt(lo * hi)
             if eq.lhs(mid) < T:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < tol * lo:
+            if hi - lo < 1e-13 * lo:
                 break
         return +mp.sqrt(lo * hi)
 
@@ -177,20 +177,17 @@ def admissible_B(state: IterationState, prec: int | None = None) -> mpf:
     """
     prec = get_default_precision() if prec is None else int(prec)
     with working_precision(prec):
-        return round_up_sig(_exact_B(state.A, state.D, state.E), 3)
-
-
-def _exact_B(A, D, E) -> mpf:
-    return _b_at(mp.log(mpf(A)), mpf(D), mpf(E))
+        return round_up_sig(_b_at(mp.log(mpf(state.A)), mpf(state.D), mpf(state.E)), 3)
 
 
 def _b_at(log_a, D, E):
-    # _exact_B from log A, in the number type of its arguments
+    # the exact B = E/2 + D E / log A, in the number type of its arguments
     return E / 2 + D * E / log_a
 
 
 class _Admissibility:
-    """Admissibility of kernel parameters (D, E) at one threshold A.
+    """Admissibility of kernel parameters (D, E) at one threshold A, and
+    the variant's search there (``best``).
 
     (D, E) is admissible when the lemma preconditions hold at A and the
     largest usable shift C* = -E(A)/a exceeds the psi->theta requirement.
@@ -206,6 +203,7 @@ class _Admissibility:
 
     def __init__(self, A, variant: BoundVariant, prec: int):
         variant.check_threshold(float(A))
+        self.variant = variant
         self.prec = prec
         self.rechecks = 0
         with working_precision(prec):
@@ -217,6 +215,15 @@ class _Admissibility:
         self._lows = {mp: lows, math: tuple(float(v) for v in lows)}
         self._a64 = float(self.a)
         self._c_required64 = float(self.c_required)
+
+    @cached_property
+    def best(self):
+        """(exact B, D, E) of the variant's search at A, or None."""
+        with working_precision(self.prec):
+            if self.variant.kind == "strong":
+                return _search_strong(self)
+            E = _search_weak(self)
+            return None if E is None else (_b_at(self._terms.L, mpf(0), E), mpf(0), E)
 
     def preconditions(self, D, E) -> list:
         """The kernel-lemma preconditions at A that (D, E) violates."""
@@ -323,11 +330,15 @@ def check_admissible(
     failures found.
     """
     prec = get_default_precision() if prec is None else int(prec)
-    at = _Admissibility(state.A, state.variant, prec)
+    return _check(_Admissibility(state.A, state.variant, prec), state, strict)
+
+
+def _check(at: _Admissibility, state: IterationState, strict: bool = False) -> Verdict:
+    """``check_admissible`` with the routine at the state's threshold."""
     failures = at.preconditions(state.D, state.E)
     profile, e_at_a, c_star = at.shift(state.D, state.E)
     c_req = at.c_required
-    with working_precision(prec):
+    with working_precision(at.prec):
         if not c_star > c_req:
             failures.append(
                 f"no admissible shift: C*={mp.nstr(c_star, 8)} <= required {mp.nstr(c_req, 8)}"
@@ -342,7 +353,7 @@ def check_admissible(
             failures.append(
                 f"declared C={state.C} exceeds largest admissible shift {mp.nstr(c_star, 8)}"
             )
-        if mpf(state.B) < _exact_B(state.A, state.D, state.E) - mpf("5e-3"):
+        if mpf(state.B) < _b_at(at._terms.L, mpf(state.D), mpf(state.E)) - mpf("5e-3"):
             failures.append("declared B below E/2 + D*E/log A")
         return Verdict(
             not failures,
@@ -381,10 +392,9 @@ def _first_admissible(ok, n_hi: int):
 
 
 def _below_best(log_a, E, best, denom: int, n_hi: int) -> int:
-    """Largest grid index n <= n_hi with _exact_B(A, n/denom, E) < best, or -1.
+    """Largest grid index n <= n_hi with _b_at(log_a, n/denom, E) < best, or -1.
 
-    ``log_a`` is log A as ``_exact_B`` computes it.  _exact_B is
-    nondecreasing in n (each rounded operation is monotone), so the
+    _b_at is nondecreasing in n (each rounded operation is monotone), so the
     real-valued estimate is corrected step by step with the test, which is
     decided in float64 outside the guard band and at full precision inside.
     """
@@ -405,7 +415,7 @@ def _below_best(log_a, E, best, denom: int, n_hi: int) -> int:
     return n
 
 
-def _search_strong(A, prec):
+def _search_strong(at: _Admissibility):
     """Minimize exact B over admissible (D, E): coarse scan then two refinements.
 
     E runs over a 0.1 grid on [10, 20], then 0.02 and 0.005 grids around the
@@ -413,13 +423,13 @@ def _search_strong(A, prec):
     gives B = E/2 + D E/log A, and a strictly smaller B replaces the best.
     E(A) is decreasing in D over [0, 8], so admissibility is monotone in D.
 
-    All decisions go through one ``_Admissibility`` routine for A.  Once a
+    All decisions go through the routine ``at`` for A.  Once a
     best B exists, only D below the largest grid index n_cap whose B is still
     smaller can improve it: one evaluation at n_cap rejects every other E,
     and a bisection on [0, n_cap] finds the D of the rest.  The result is
     the same as bisecting each E over the whole D range.
     """
-    at = _Admissibility(A, STRONG, prec)
+    log_a = at._terms.L
     best = None
 
     def consider(e_num, e_denom, d_denom):
@@ -440,7 +450,6 @@ def _search_strong(A, prec):
         if best is None or b < best[0]:
             best = (b, D, E)
 
-    log_a = mp.log(mpf(A))
     for i in range(100, 201):          # E = 10.0 .. 20.0 step 0.1
         consider(i, 10, 50)
     if best is None:
@@ -454,21 +463,18 @@ def _search_strong(A, prec):
     return best
 
 
-def _search_weak(A, a, prec, u_lo_milli=1000, u_hi_milli=6000, step_milli=2):
-    """Smallest admissible E for the weak variant (D fixed at 0).
+def _search_weak(at: _Admissibility):
+    """Smallest admissible E for the weak variant (D fixed at 0), or None.
 
-    Parameterized as E = u/a with u on a fixed milli-unit grid: the feasible
-    scale of E is inversely proportional to a, so one grid resolves every
-    published row at three significant figures.
+    Parameterized as E = u/a with u on the grid 1.000, 1.002, ..., 6.000:
+    the feasible scale of E is inversely proportional to a, so one grid
+    resolves every published row at three significant figures.
     """
-    at = _Admissibility(A, BoundVariant("weak", float(a)), prec)
 
     def E_at(n):
-        return mpf(u_lo_milli + n * step_milli) / (1000 * mpf(a))
+        return mpf(1000 + 2 * n) / (1000 * at.a)
 
-    n = _first_admissible(
-        lambda n: at.admissible(0, E_at(n)), (u_hi_milli - u_lo_milli) // step_milli
-    )
+    n = _first_admissible(lambda n: at.admissible(0, E_at(n)), 2500)
     return None if n is None else E_at(n)
 
 
@@ -480,7 +486,6 @@ class DerivationRound:
     x_max: mpf
     e_at_a: mpf
     c_star: mpf
-    profile: ErrorProfile = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -528,47 +533,40 @@ def default_seed(T: float = DEFAULT_T, variant: BoundVariant = STRONG, prec: int
     """Starting state: threshold from the comparison bound (strong) or from
     the strong result itself (weak), with the reference kernel parameters."""
     prec = get_default_precision() if prec is None else int(prec)
+    return _default_seed(T, variant, prec)[0]
+
+
+def _default_seed(T, variant: BoundVariant, prec: int) -> tuple:
+    # (seed, routine) of ``default_seed``, as ``_seed_at`` returns them
     with working_precision(prec):
         if variant.kind == "strong":
             A = solve_x_max(ThresholdEquation("comparison", float(mpf(COMPARISON_CONSTANT)), T), prec=prec)
         else:
             A = iterate(T, prec=prec).x_max
-        return _seed_at(A, variant, prec)[0]
+    return _seed_at(A, variant, prec)
 
 
 def _seed_at(A, variant: BoundVariant, prec: int) -> tuple:
-    """(seed, found): the reference state at threshold A and the search it
-    was built from.
-
-    The strong seed is (D, E) = (6, 16), from no search (``found`` is None).
-    The weak seed is D = 0 and the smallest admissible E, from the search at
-    A as the state stores it, which is the first round's search of an
-    iteration from this seed; ``_iterate`` takes it as ``found``.
-    """
-    found = None
+    """(seed, routine): the reference state at threshold A and the routine
+    at ``float(A)``, the A the state stores, which checks the seed and serves
+    the first round from it.  The strong seed is (D, E) = (6, 16); the weak
+    one D = 0 and the smallest admissible E (2.4, which fails the check,
+    when there is none)."""
+    at = _Admissibility(float(A), variant, prec)
     with working_precision(prec):
         if variant.kind == "strong":
             D, E = 6.0, 16.0
         else:
-            found = _search(mpf(float(A)), variant, prec)
-            D, E = 0.0, float(found[2]) if found else 2.4
-        at = _Admissibility(A, variant, prec)
+            D, E = 0.0, float(at.best[2]) if at.best else 2.4
         C = _display_shift(at.shift(D, E)[2], at.c_required)
-        B = round_up_sig(_exact_B(float(A), D, E), 3)
-        return IterationState(float(A), float(B), float(C), D, E, variant), found
+        B = round_up_sig(_b_at(at._terms.L, mpf(D), mpf(E)), 3)
+        return IterationState(float(A), float(B), float(C), D, E, variant), at
 
 
-def _search(A, variant: BoundVariant, prec: int):
-    """(exact B, D, E) of the variant's search at A, or None."""
-    if variant.kind == "strong":
-        return _search_strong(A, prec)
-    E = _search_weak(A, variant.a, prec)
-    return None if E is None else (_exact_B(A, 0, E), mpf(0), E)
-
-
-def _display_shift(c_star: mpf, c_req: mpf, step=mpf("0.005")) -> mpf:
-    """Largest grid multiple below C*, falling back to C* when the window
-    between requirement and C* is narrower than the grid."""
+def _display_shift(c_star: mpf, c_req: mpf) -> mpf:
+    """Largest multiple of the double nearest 0.005 below C*, falling back
+    to C* when the window between requirement and C* is narrower."""
+    step = mpf(0.005)
     floored = mp.floor(c_star / step) * step
     return floored if floored >= c_req else +c_star
 
@@ -583,55 +581,56 @@ def iterate(
     """Run the tightening loop; the trace records one row per round.
 
     Stops when the rounded constant no longer improves (or max_rounds).
-    A non-admissible seed aborts immediately.
+    A non-admissible seed aborts immediately, and so does a first round
+    whose x_max is not above its threshold A (its bound holds for no x).
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
-        if seed is None:
-            seed = default_seed(T, variant, prec=prec)
-    return _iterate(T, seed, max_rounds, prec)
+    at = None
+    if seed is None:
+        seed, at = _default_seed(T, variant, prec)
+    return _iterate(T, seed, max_rounds, prec, at)
 
 
-def _iterate(T, seed: IterationState, max_rounds: int, prec: int, found=None) -> DerivationReport:
-    """``iterate`` from a seed; ``found``, when given, is the first round's
-    search at the seed's threshold, already run by the caller."""
+def _iterate(T, seed: IterationState, max_rounds: int, prec: int, at=None) -> DerivationReport:
+    """``iterate`` from a seed; ``at``, when given, is the routine at the
+    seed's threshold (``_seed_at``), which may have searched already."""
     with working_precision(prec):
         variant = seed.variant
-        seed_report = check_admissible(seed, prec=prec)
+        A = mpf(seed.A)
+        if at is None:
+            at = _Admissibility(A, variant, prec)
+        seed_report = _check(at, seed)
         if not seed_report:
             raise ParameterError(
                 f"seed state not admissible: {'; '.join(seed_report.failures)}"
             )
         eq_kind = "strong" if variant.kind == "strong" else "weak"
-        A = mpf(seed.A)
         rounds = []
         prev_b = None
         converged = False
-        for _ in range(max_rounds):
-            if found is None:
-                found = _search(A, variant, prec)
-            if found is None:
+        for round_no in range(max_rounds):
+            if round_no:
+                at = _Admissibility(A, variant, prec)
+            if at.best is None:
                 break
-            b_exact, D, E = found
-            found = None  # every later round searches at its own threshold
+            b_exact, D, E = at.best
             b_rounded = round_up_sig(b_exact, 3)
             if prev_b is not None and b_rounded >= prev_b:
                 converged = True
                 break
-            at = _Admissibility(A, variant, prec)
-            profile, e_at_a, c_star = at.shift(D, E)
-            C = _display_shift(c_star, at.c_required)
-            state = IterationState(float(A), float(b_rounded), float(C), float(D), float(E), variant)
             x_max = solve_x_max(ThresholdEquation(eq_kind, float(b_rounded), T), prec=prec)
-            rounds.append(
-                DerivationRound(state, +b_exact, +b_rounded, +x_max, +e_at_a, +c_star, profile)
-            )
-            prev_b = b_rounded
-            if x_max <= A:
+            if x_max <= A:  # the round's bound holds for A < x <= x_max: no x
+                if not rounds:
+                    raise ParameterError(f"round 1 covers no x: x_max={float(x_max):.4g} <= A={float(A):.4g}")
                 converged = True
                 break
+            _, e_at_a, c_star = at.shift(D, E)
+            C = _display_shift(c_star, at.c_required)
+            state = IterationState(float(A), float(b_rounded), float(C), float(D), float(E), variant)
+            rounds.append(DerivationRound(state, +b_exact, +b_rounded, +x_max, +e_at_a, +c_star))
+            prev_b = b_rounded
             A = x_max
         if not rounds:
             raise ParameterError("no admissible parameters found at the seed threshold")
@@ -682,14 +681,14 @@ def table2(
     implied by the stronger one on the already-covered range, so each seed
     threshold is sound.  The first row starts at the strong x_max for T,
     derived here unless the caller already has it (``strong_x_max``).  Each
-    row's first round reuses the search its seed was built from.
+    row's seed and first round share one routine, and so one search.
     """
     prec = get_default_precision() if prec is None else int(prec)
     A = iterate(T, prec=prec).x_max if strong_x_max is None else strong_x_max
     rows = []
     for a in sorted(float(v) for v in a_values):
-        seed, found = _seed_at(A, BoundVariant("weak", a), prec)
-        report = _iterate(T, seed, 8, prec, found)
+        seed, at = _seed_at(A, BoundVariant("weak", a), prec)
+        report = _iterate(T, seed, 8, prec, at)
         rows.append((a, report.final_constant, report.x_max))
         A = report.x_max
     return rows

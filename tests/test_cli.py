@@ -258,6 +258,7 @@ BAD_INPUTS = [
     ["derive", "--seed-E", "inf"],
     ["derive", "--seed-A", "nan"],
     ["derive", "--seed-A", "inf"],
+    ["derive", "--seed-A", "1e27"],
     ["zeros", "check", "--kernel-c", "-1"],
     ["zeros", "check", "--kernel-eps", "0"],
     ["zeros", "check", "--kernel-eps", "inf"],

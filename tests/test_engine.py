@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,13 @@ class TestIterate:
         seed = default_seed(3e12)
         assert check_admissible(seed).passed
 
+    def test_first_round_covering_no_x_is_an_error(self):
+        # from A = 1e27 the first round's constant 8.95 reaches only
+        # x_max = 1.13e26 < A, so its bound would hold for no x
+        seed = replace(default_seed(3e12), A=1e27)
+        with pytest.raises(ParameterError, match=r"x_max=1\.13e\+26 .*A=1e\+27"):
+            iterate(3e12, seed=seed)
+
     def test_table2_takes_the_strong_x_max_from_its_caller(self):
         strong = iterate(3e12).x_max
         assert table2([1.0, 10.0], strong_x_max=strong) == table2([1.0, 10.0])
@@ -302,7 +310,7 @@ class TestSearch:
     @pytest.mark.parametrize("A", SEARCH_THRESHOLDS)
     def test_pruned_search_matches_unpruned_scan(self, A):
         with working_precision(192):
-            got = engine._search_strong(mpf(A), 192)
+            got = engine._Admissibility(mpf(A), STRONG, 192).best
             want = reference_search_strong(mpf(A))
         assert got == want
 
@@ -339,7 +347,7 @@ class TestSearch:
 
     def test_weak_search_below_floor_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="validity floor"):
-            engine._search_weak(mpf("5e25"), 1.0, 192)
+            engine._Admissibility(mpf("5e25"), BoundVariant("weak", 1.0), 192)
 
 
 # (threshold, variant, typical E): two strong thresholds of Table 1's
@@ -413,6 +421,21 @@ class TestFloatFirstDecisions:
         table2([r[0] for r in published.TABLE2], strong_x_max=strong)
         assert mismatches == []
         assert len(decisions) > 1000 and True in decisions and False in decisions
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda: iterate(3e12),
+            lambda: iterate(3e12, variant=BoundVariant("weak", 1.0)),
+            lambda: table2([r[0] for r in published.TABLE2]),
+        ],
+        ids=["strong", "weak", "table2"],
+    )
+    def test_one_routine_per_threshold(self, monkeypatch, derive):
+        routines = record_routines(monkeypatch)
+        derive()
+        keys = [(float(at._terms.x), at.variant) for at in routines]
+        assert keys and len(set(keys)) == len(keys)
 
     def test_no_recheck_at_the_default_height(self, monkeypatch):
         routines = record_routines(monkeypatch)
@@ -516,14 +539,15 @@ class TestTables:
         calls = []
         search_weak = engine._search_weak
 
-        def counted(*args):
-            calls.append(args[:2])
-            return search_weak(*args)
+        def counted(at):
+            calls.append((float(at._terms.x), at.variant.a))
+            return search_weak(at)
 
         monkeypatch.setattr(engine, "_search_weak", counted)
         rows = table2(a_values, strong_x_max=strong)
         # one search per seed and one per later round; the seed's search is
-        # the first round's (26 searches when the first round repeated it)
+        # the first round's (26 searches when the first round repeated it),
+        # and no routine searches twice
         assert len(calls) == 18
         assert len(set(calls)) == len(calls)
         # the same rows as iterating from each seed with the public loop
