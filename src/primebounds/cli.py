@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import click
 
@@ -40,27 +40,25 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+DEFAULT_LIMIT = 1_000_000  # the default --limit of verify-primes and cache build
+
 
 @dataclass(frozen=True)
 class RunConfig:
     precision_bits: int = hiprec.DEFAULT_PRECISION_BITS
     cache_dir: str | None = None
     output_format: str = "text"
-    sieve_limit: int = 1_000_000
 
     def __post_init__(self):
         if self.precision_bits < hiprec.MIN_PRECISION_BITS:
             raise click.UsageError(
                 f"precision_bits must be >= {hiprec.MIN_PRECISION_BITS}"
             )
-        if self.sieve_limit < 10_000:
-            raise click.UsageError("sieve_limit must be >= 1e4")
         if self.output_format not in ("json", "csv", "text"):
             raise click.UsageError(f"unknown output format {self.output_format!r}")
 
 
-_CONFIG_KEYS = {"precision_bits": int, "cache_dir": str, "output_format": str,
-                "sieve_limit": int}
+_CONFIG_KEYS = {"precision_bits": int, "cache_dir": str, "output_format": str}
 
 
 def _read_config_file(path: str) -> dict:
@@ -127,9 +125,7 @@ def _build_tables(limit: int, path: str | None) -> primes.PrimeTables:
     return tables_
 
 
-def _limit(cfg: RunConfig, limit: float | None) -> int:
-    if limit is None:
-        return cfg.sieve_limit
+def _limit(limit: float) -> int:
     if not math.isfinite(limit):
         raise ParameterError(f"limit must be finite, got {limit}")
     return int(limit)
@@ -155,18 +151,17 @@ class _Cli(click.Group):
               envvar="PRIMEBOUNDS_CACHE_DIR", help="prime-table cache directory")
 @click.option("--format", "output_format",
               type=click.Choice(["json", "csv", "text"]), default=None)
-@click.option("--sieve-limit", type=int, default=None, help="default sieve limit")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None,
               help="key = value config file, overridden by flags")
 @click.pass_context
-def cli(ctx, precision_bits, cache_dir, output_format, sieve_limit, config_path):
+def cli(ctx, precision_bits, cache_dir, output_format, config_path):
     """Verification toolkit for explicit prime-counting bounds under
     partially verified zero data."""
     values = {}
     if config_path is not None:
         values.update(_read_config_file(config_path))
     for key, val in [("precision_bits", precision_bits), ("cache_dir", cache_dir),
-                     ("output_format", output_format), ("sieve_limit", sieve_limit)]:
+                     ("output_format", output_format)]:
         if val is not None:
             values[key] = val
     cfg = RunConfig(**values)
@@ -188,13 +183,7 @@ def derive(cfg: RunConfig, T, variant, a_value, seed_a, seed_d, seed_e, max_roun
     var = error_terms.STRONG if variant == "strong" else error_terms.BoundVariant("weak", a_value)
     seed = None
     if seed_a is not None or seed_d is not None or seed_e is not None:
-        base = engine.default_seed(T, var)
-        seed = replace(
-            base,
-            A=seed_a if seed_a is not None else base.A,
-            D=seed_d if seed_d is not None else base.D,
-            E=seed_e if seed_e is not None else base.E,
-        )
+        seed = engine.default_seed(T, var, A=seed_a, D=seed_d, E=seed_e)
     report = engine.iterate(T, seed=seed, max_rounds=max_rounds, variant=var)
     lines = [f"variant={variant} a={float(var.leading_a()):.6g} T={T:g}"]
     for i, rnd in enumerate(report.rounds, start=1):
@@ -245,23 +234,17 @@ def tables(cfg: RunConfig, which, compare):
 
 
 @cli.command("verify-primes")
-@click.option("--limit", type=float, default=None, help="scan upper end (sieve limit)")
+@click.option("--limit", type=float, default=DEFAULT_LIMIT, help="scan upper end (sieve limit)")
 @click.option("--spec", "specs", multiple=True, type=click.Choice([*primes._KINDS, "weak"]),
               help="inequality kinds; default all strong kinds plus weak a=1 set")
 @click.pass_obj
 def verify_primes(cfg: RunConfig, limit, specs):
     """Scan the prime-counting inequalities against exact sieve tables."""
-    limit = _limit(cfg, limit)
-    a8 = 1 / (8 * math.pi)
+    limit = _limit(limit)
+    shifts = {"psi_shift": published.PSI_SHIFT_C, "theta_shift": published.THETA_SHIFT_C}
     catalog = {
-        "psi_sq": (primes.InequalitySpec("psi_sq", a8), published.THRESHOLDS_STRONG["psi_sq"]),
-        "theta_sq": (primes.InequalitySpec("theta_sq", a8), published.THRESHOLDS_STRONG["theta_sq"]),
-        "psi_shift": (primes.InequalitySpec("psi_shift", a8, C=published.PSI_SHIFT_C),
-                      published.THRESHOLDS_STRONG["psi_shift"]),
-        "theta_shift": (primes.InequalitySpec("theta_shift", a8, C=published.THETA_SHIFT_C),
-                        published.THRESHOLDS_STRONG["theta_shift"]),
-        "Pi_li": (primes.InequalitySpec("Pi_li", a8), published.THRESHOLDS_STRONG["Pi_li"]),
-        "pi_li": (primes.InequalitySpec("pi_li", a8), published.THRESHOLDS_STRONG["pi_li"]),
+        kind: (primes.InequalitySpec(kind, 1 / (8 * math.pi), C=shifts.get(kind)), thr)
+        for kind, thr in published.THRESHOLDS_STRONG.items()
     }
     weak_catalog = {
         f"weak_{kind}": (primes.InequalitySpec(kind, 1.0), thr)
@@ -415,10 +398,10 @@ def cache_path_cmd(cfg: RunConfig):
 
 
 @cache.command("build")
-@click.option("--limit", type=float, default=None)
+@click.option("--limit", type=float, default=DEFAULT_LIMIT)
 @click.pass_obj
 def cache_build(cfg: RunConfig, limit):
-    limit = _limit(cfg, limit)
+    limit = _limit(limit)
     path = _cache_path(cfg, limit)
     if path is None:
         raise click.UsageError("no cache directory configured")

@@ -529,35 +529,48 @@ class DerivationReport:
         }
 
 
-def default_seed(T: float = DEFAULT_T, variant: BoundVariant = STRONG, prec: int | None = None) -> IterationState:
+def default_seed(
+    T: float = DEFAULT_T,
+    variant: BoundVariant = STRONG,
+    prec: int | None = None,
+    A=None,
+    D: float | None = None,
+    E: float | None = None,
+) -> IterationState:
     """Starting state: threshold from the comparison bound (strong) or from
-    the strong result itself (weak), with the reference kernel parameters."""
+    the strong result itself (weak), with the reference kernel parameters.
+
+    A given ``A``, ``D`` or ``E`` replaces the reference one; B and C are
+    always computed at the state's own threshold from its D and E.
+    """
     prec = get_default_precision() if prec is None else int(prec)
-    return _default_seed(T, variant, prec)[0]
+    return _default_seed(T, variant, prec, A, D, E)[0]
 
 
-def _default_seed(T, variant: BoundVariant, prec: int) -> tuple:
+def _default_seed(T, variant: BoundVariant, prec: int, A=None, D=None, E=None) -> tuple:
     # (seed, routine) of ``default_seed``, as ``_seed_at`` returns them
-    with working_precision(prec):
-        if variant.kind == "strong":
-            A = solve_x_max(ThresholdEquation("comparison", float(mpf(COMPARISON_CONSTANT)), T), prec=prec)
-        else:
-            A = iterate(T, prec=prec).x_max
-    return _seed_at(A, variant, prec)
+    if A is None:
+        with working_precision(prec):
+            if variant.kind == "strong":
+                A = solve_x_max(ThresholdEquation("comparison", float(mpf(COMPARISON_CONSTANT)), T), prec=prec)
+            else:
+                A = iterate(T, prec=prec).x_max
+    return _seed_at(A, variant, prec, D, E)
 
 
-def _seed_at(A, variant: BoundVariant, prec: int) -> tuple:
+def _seed_at(A, variant: BoundVariant, prec: int, D=None, E=None) -> tuple:
     """(seed, routine): the reference state at threshold A and the routine
     at ``float(A)``, the A the state stores, which checks the seed and serves
     the first round from it.  The strong seed is (D, E) = (6, 16); the weak
     one D = 0 and the smallest admissible E (2.4, which fails the check,
-    when there is none)."""
+    when there is none).  A given D or E replaces the reference one."""
     at = _Admissibility(float(A), variant, prec)
     with working_precision(prec):
-        if variant.kind == "strong":
-            D, E = 6.0, 16.0
-        else:
-            D, E = 0.0, float(at.best[2]) if at.best else 2.4
+        strong = variant.kind == "strong"
+        D = float((6.0 if strong else 0.0) if D is None else D)
+        if E is None:
+            E = 16.0 if strong else float(at.best[2]) if at.best else 2.4
+        E = float(E)
         C = _display_shift(at.shift(D, E)[2], at.c_required)
         B = round_up_sig(_b_at(at._terms.L, mpf(D), mpf(E)), 3)
         return IterationState(float(A), float(B), float(C), D, E, variant), at

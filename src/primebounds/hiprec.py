@@ -12,13 +12,13 @@ arithmetic are provided here:
   sandwiches I_1(c)/(2 sinh c) between D(c0)/sqrt(2 pi c) and 1/sqrt(2 pi c)
   for all c >= c0.
 
-Ei is evaluated by its convergent power series up to 0.75 * precision and
-by the divergent asymptotic series, truncated at the smallest term, above.
-The hot path (the power series at moderate argument, where the stepping
-verifier anchors) runs in fixed-point integer arithmetic and is faster than
-``mp.ei`` there.  I_1 comes straight from ``mp.besseli``; the tests check
-it against a direct summation of its defining series.  Results are
-deterministic for a fixed precision setting.
+Ei is summed by its convergent power series in fixed-point integer
+arithmetic for 1 <= y <= 0.75 * precision, the range where the stepping
+verifier anchors (y up to 103), and where from about y = 60 on this is
+faster than ``mp.ei``; everywhere else it comes from ``mp.ei``.  I_1 comes
+straight from ``mp.besseli``; the tests check it against a direct summation
+of its defining series.  Results are deterministic for a fixed precision
+setting.
 
 Concurrency: every function is pure, but mpmath's precision context is
 process-global.  Concurrent use is safe when the precision is set once at
@@ -85,9 +85,9 @@ def working_precision(bits: int | None = None):
         yield mp
 
 
-# Ei takes its asymptotic series above this fraction of the precision in
-# bits: there the optimally truncated tail is below one ulp
-_ASYMPTOTIC_FROM = 0.75
+# Ei takes the fixed-point series for 1 <= y <= this fraction of the
+# precision in bits, and mp.ei elsewhere
+_SERIES_TO = 0.75
 _MAX_TERMS = 100_000
 _OVERFLOW_ARG = 1e9  # exp() beyond this is refused rather than silently huge
 
@@ -111,42 +111,6 @@ def _ei_series_fixed(y: mpf, prec: int) -> mpf:
     return mpf(from_man_exp(total, -w, prec, "n"))
 
 
-def _ei_series_mpf(y: mpf, prec: int) -> mpf:
-    # straightforward series; handles small and negative arguments.
-    # Alternating terms for y < 0 cancel, so add head room proportional to |y|.
-    bump = int(3 * abs(y)) + 16 if y < 0 else 8
-    with mp.workprec(prec + bump):
-        term = mpf(1)
-        total = mpf(0)
-        tol = mpf(2) ** (-(prec + 8))
-        for n in range(1, _MAX_TERMS):
-            term = term * y / n
-            add = term / n
-            total += add
-            if abs(add) < abs(total) * tol and n > abs(y):
-                return total
-    raise PrecisionError(f"Ei series did not converge in {_MAX_TERMS} terms")
-
-
-def _ei_asymptotic(y: mpf, prec: int) -> mpf:
-    # Ei(y) ~ e^y/y * sum_k k!/y^k, truncated at the smallest term.  The
-    # smallest term has relative size about sqrt(2*pi*|y|)*e^-|y|, which is
-    # below 2^-prec whenever |y| > 0.75*prec; callers enforce that.
-    with mp.workprec(prec + 16):
-        total = mpf(1)
-        term = mpf(1)
-        prev = None
-        for k in range(1, _MAX_TERMS):
-            term = term * k / y
-            if prev is not None and abs(term) > prev:
-                break
-            total += term
-            prev = abs(term)
-            if abs(term) < abs(total) * mpf(2) ** (-(prec + 8)):
-                break
-        return mp.exp(y) / y * total
-
-
 def ei(y, prec: int | None = None) -> mpf:
     """Exponential integral Ei(y) (principal value for y > 0).
 
@@ -159,13 +123,9 @@ def ei(y, prec: int | None = None) -> mpf:
             raise DomainError("Ei has a logarithmic singularity at 0")
         if abs(y) > _OVERFLOW_ARG:
             raise OverflowError(f"exp({y}) exceeds the supported range")
-        if abs(y) > _ASYMPTOTIC_FROM * prec:
-            return +_ei_asymptotic(y, prec)
-        if y >= 1:
-            series = _ei_series_fixed(y, prec)
-        else:
-            series = _ei_series_mpf(y, prec)
-        return +(mp.euler + mp.log(abs(y)) + series)
+        if not 1 <= y <= _SERIES_TO * prec:
+            return mp.ei(y)
+        return +(mp.euler + mp.log(y) + _ei_series_fixed(y, prec))
 
 
 def li(x, prec: int | None = None) -> mpf:

@@ -11,9 +11,11 @@ and at each segment's start, and are bit for bit those 160-bit roundings:
 a carried value too close to a rounding tie for its proven error bound is
 redone at 160 bits.  Every read, exact or float64, is a left limit, starred
 value or right limit at one jump; the float64 views used by the vectorized
-scans are built once per table, each entry the correctly rounded image of
-its exact read, and any margin too close to zero for float64 to be trusted
-is re-checked in extended precision from the exact columns.
+scans are cached on the table on first use, each entry the correctly
+rounded image of its exact read, and any margin too close to zero for
+float64 to be trusted is re-checked in extended precision from the exact
+columns.  A scan reads the jumps in range and the range ends that are not
+jumps, and settles each gap between these nodes from its two ends.
 
 Tables are built by segmented sieving, checkpointed per segment, and can be
 persisted to a versioned line-oriented cache with a content hash per
@@ -29,7 +31,7 @@ import bisect
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -284,53 +286,31 @@ class PrimeTables:
 
     # -- float64 scan views ----------------------------------------------
 
-    _scan: Optional["_ScanContext"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    @cached_property
+    def float_views(self) -> dict:
+        """float64 per-jump arrays, built on first use: the jumps ``x`` and,
+        per side and kind, the left limit, starred value and right limit.
 
-    def scan_context(self) -> "_ScanContext":
-        """The spec-independent scan inputs of this table, built on first use."""
-        if self._scan is None:
-            self._scan = _ScanContext(self)
-        return self._scan
-
-
-class _ScanContext:
-    """What every scan of one table shares, whatever the inequality.
-
-    The float64 views and li on the jumps depend on the table only, so each
-    is built once, on first use, and kept for the life of the table.  It
-    holds no reference back to the table, so dropping the table frees it at
-    once, without waiting for a cycle collection.
-    """
-
-    def __init__(self, tables: PrimeTables):
-        self.arrays = _float_views(tables)
+        Each entry is the correctly rounded image of the exact ``scaled``
+        read: the right limits R[k] / SCALE and the starred values
+        (R[k - 1] + R[k]) / (2 SCALE), their numerators summed exactly as
+        Python ints (``_exact_quotients``).
+        """
+        views = {"x": self.jumps.astype(np.float64), "left": {}, "at": {}, "right": {}}
+        for kind, rights in self.right.items():
+            col = np.array(rights, dtype=object)
+            sums = col.copy()
+            sums[1:] += col[:-1]
+            right = _exact_quotients(col, SCALE[kind])
+            views["right"][kind] = right
+            views["left"][kind] = np.concatenate(([0.0], right[:-1]))
+            views["at"][kind] = _exact_quotients(sums, 2 * SCALE[kind])
+        return views
 
     @cached_property
-    def li(self) -> np.ndarray:
-        """float64 li at every jump."""
-        return _li64(self.arrays["x"])
-
-
-def _float_views(tables: PrimeTables) -> dict:
-    """float64 per-jump arrays: left limit, starred value and right limit.
-
-    Each entry is the correctly rounded image of the exact ``scaled`` read:
-    the right limits R[k] / SCALE and the starred values
-    (R[k - 1] + R[k]) / (2 SCALE), their numerators summed exactly as
-    Python ints (``_exact_quotients``).
-    """
-    views = {"x": tables.jumps.astype(np.float64), "left": {}, "at": {}, "right": {}}
-    for kind, rights in tables.right.items():
-        col = np.array(rights, dtype=object)
-        sums = col.copy()
-        sums[1:] += col[:-1]
-        right = _exact_quotients(col, SCALE[kind])
-        views["right"][kind] = right
-        views["left"][kind] = np.concatenate(([0.0], right[:-1]))
-        views["at"][kind] = _exact_quotients(sums, 2 * SCALE[kind])
-    return views
+    def jump_li(self) -> np.ndarray:
+        """float64 li at every jump, built on first use."""
+        return _li64(self.float_views["x"])
 
 
 def _exact_quotients(nums: np.ndarray, den: int) -> np.ndarray:
@@ -541,22 +521,15 @@ class InequalitySpec:
     def uses_li(self) -> bool:
         return self.kind.endswith("_li")
 
-    def rhs64(self, x: np.ndarray) -> np.ndarray:
-        lx = np.log(x)
+    def rhs(self, x, m):
+        """The envelope at x in number type ``m``: numpy on float64 arrays,
+        or mpmath's ``mp`` on an mpf, where a and C convert exactly."""
+        lx = m.log(x)
         if self.kind.endswith("_sq"):
-            return self.a * np.sqrt(x) * lx ** 2
+            return self.a * m.sqrt(x) * lx ** 2
         if self.kind.endswith("_shift"):
-            return self.a * np.sqrt(x) * lx * (lx - self.C)
-        return self.a * np.sqrt(x) * lx
-
-    def rhs_mp(self, x: mpf) -> mpf:
-        lx = mp.log(x)
-        a = mpf(self.a)
-        if self.kind.endswith("_sq"):
-            return a * mp.sqrt(x) * lx ** 2
-        if self.kind.endswith("_shift"):
-            return a * mp.sqrt(x) * lx * (lx - mpf(self.C))
-        return a * mp.sqrt(x) * lx
+            return self.a * m.sqrt(x) * lx * (lx - self.C)
+        return self.a * m.sqrt(x) * lx
 
 
 def _li_coefficients(n_terms: int) -> tuple:
@@ -617,22 +590,22 @@ def scan_inequality(
 
     The verdict passes when no real x in range violates it, and reports the
     last violation (``last_violation_side`` 'left' when violations approach
-    it from below, 'interior' for a point inside a gap) and the last
-    violating integer, each None when clean.  ``n_points`` counts the reads
-    made: the jump reads in range, the range ends that are not jumps, the
-    samples and the integers checked one by one.
+    it from below, 'interior' for a point inside a gap or a range end that
+    is not a jump) and the last violating integer, each None when clean.
+    ``n_points`` counts the reads made: the jump reads in range, the range
+    ends that are not jumps, the samples and the integers checked one by one.
 
-    Both sides can only trade places at jump points, so evaluating the left
-    limit, the starred value and the right limit at every prime power in
-    range (bar the left limit at x_lo and the right limit at x_hi, which
-    describe x outside the range), and the count at each end of the range
-    that is not a jump, is exhaustive, and each gap between these nodes is
-    decided from its two ends.  On a gap that follows jump k the count is
-    frozen at c = R[k], and c - target falls, because the target, x or
-    li(x), rises for x > 1;
-    at the ends it is the deviation of the right limit at k, or of the read
-    at the range's start, and of the left limit at the next jump, or of the
-    read at the range's end.  So |c - target| is largest at an end, and
+    Both sides can only trade places at jump points.  The scan's nodes are
+    the prime powers in range and each end of the range that is not one.
+    Reading every node is exhaustive: a jump from the left, at the jump and
+    from the right (bar the left limit at x_lo and the right limit at x_hi,
+    which describe x outside the range), an end with the count of the last
+    jump below it.  Each gap between consecutive nodes is then decided from
+    its two ends.  On a gap the count is frozen at c = R[k], the right
+    limit of the last jump k at its start, and c - target falls, because
+    the target, x or li(x), rises for x > 1; at the gap's ends it is the
+    deviation of the right read at its first node and of the left read at
+    its second.  So |c - target| is largest at an end, and
     smallest at an end unless it changes sign in the gap.  The envelopes
     a sqrt(x) log^2 x and a sqrt(x) log x rise for x > 1, and
     a sqrt(x) log x (log x - C) has at most one turning point on x > 1, a
@@ -646,13 +619,13 @@ def scan_inequality(
       positive.
     - the margin is at least the smaller end deviation (0 on a sign change)
       minus the larger end envelope.  When that is above the guard band,
-      the whole gap fails; its later end, the left limit at the next jump
-      or the range's end, is a later violation than any point inside and
-      is recorded already, so only the gap's last integer is added.
+      the whole gap fails; its later end, the left read at its second node,
+      is a later violation than any point inside and is recorded already,
+      so only the gap's last integer is added.
 
     Every other gap gets ``interior_samples`` evenly spaced points and all
     of its integers.  An integer at a jump reads the starred value, so the
-    jump pass decides it.
+    node pass decides it.
 
     float64 does the sweep; any margin within the guard band of the
     spec's own envelope, or NaN, is re-decided in extended precision from
@@ -662,18 +635,35 @@ def scan_inequality(
         raise ParameterError(f"x_hi={x_hi} beyond table limit {tables.limit}")
     if not (2 <= x_lo < x_hi):
         raise ParameterError("requires 2 <= x_lo < x_hi")
-    ctx = tables.scan_context()
-    arrays = ctx.arrays
-    xs = arrays["x"]
+    views = tables.float_views
+    xs = views["x"]
     ck = spec.count_kind
-    target = ctx.li if spec.uses_li else xs
-    rhs = spec.rhs64(xs)
-    guard = _guard(rhs)
-    dev = {side: arrays[side][ck] - target for side in ("left", "at", "right")}
-    in_range = (xs >= x_lo) & (xs <= x_hi)
-    n_jumps = int(in_range.sum())
+
+    def last_jump(x):   # the last jump <= x, where the count at x is read
+        return np.searchsorted(xs, x, side="right") - 1
+
     k0 = int(np.searchsorted(xs, x_lo))   # first jump >= x_lo
-    k1 = k0 + n_jumps - 1                 # last jump <= x_hi, k0 - 1 when none
+    k1 = int(last_jump(x_hi))
+    in_range = slice(k0, k1 + 1)
+
+    # the nodes, ascending: each end that is not a jump, and the jumps in range
+    lo_end = int(k1 < k0 or xs[k0] != x_lo)
+    hi_end = k1 < k0 or xs[k1] != x_hi
+    end_x = np.array([float(x) for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
+
+    def on_nodes(at_ends, at_jumps):
+        return np.concatenate((at_ends[:lo_end], at_jumps, at_ends[lo_end:]))
+
+    node_x = on_nodes(end_x, xs[in_range])
+    is_jump = on_nodes(np.zeros(len(end_x), bool), np.ones(k1 + 1 - k0, bool))
+    target = on_nodes(_li64(end_x), tables.jump_li[in_range]) if spec.uses_li else node_x
+    # off the jumps the count is the same from every side
+    end_count = views["right"][ck][last_jump(end_x)]
+    dev = {side: on_nodes(end_count, views[side][ck][in_range]) for side in _SIDES}
+    for d in dev.values():
+        d -= target
+    rhs = spec.rhs(node_x, np)
+    guard = _guard(rhs)
 
     worst_x = None
     worst_side = None
@@ -681,70 +671,41 @@ def scan_inequality(
     n_points = 0
     int_violations = []
 
-    def decide(margin, g, x_val, side, exact_ref) -> bool:
-        # margin: |count - target| - rhs at x_val; > 0 is a violation
+    def decide(margin, g, x_val, label, k, side) -> bool:
+        # margin: |count - target| - rhs at x_val, the count read at jump k
+        # from ``side``; > 0 is a violation
         nonlocal worst_x, worst_side, n_recheck
         if margin <= -g:
             return False
         if not margin >= g:
             n_recheck += 1
-            if not _recheck(spec, tables, x_val, exact_ref, prec):
+            if not _recheck(spec, tables, k, side, x_val, prec):
                 return False
-        if worst_x is None or x_val > worst_x or (x_val == worst_x and side != "left"):
+        if worst_x is None or x_val > worst_x or (x_val == worst_x and label != "left"):
             worst_x = x_val
-            worst_side = side
+            worst_side = label
         return True
 
-    # the reads at every jump in range; a one-sided limit describes x on
-    # its side of the jump, so the left limit at a jump counts when the jump
-    # is above x_lo and the right limit when it is below x_hi
-    reads = {"left": (xs > x_lo) & (xs <= x_hi), "at": in_range,
-             "right": (xs >= x_lo) & (xs < x_hi)}
+    # a one-sided limit describes x on its side of the jump, so the left
+    # limit at a jump counts when the jump is above x_lo and the right limit
+    # when it is below x_hi; an end is read once, as a point inside its gap
+    reads = {"left": is_jump & (node_x > x_lo), "at": is_jump,
+             "right": ~is_jump | (node_x < x_hi)}
     for side, mask in reads.items():
-        margin = np.abs(dev[side]) - rhs
+        margin = np.abs(dev[side])
+        margin -= rhs
         n_points += int(mask.sum())
-        for k in np.flatnonzero(mask & ~(margin <= -guard)):
-            if decide(margin[k], guard[k], float(xs[k]), side, (int(k), side)) and side == "at":
-                int_violations.append(int(xs[k]))
+        hot = np.flatnonzero(mask & ~(margin <= -guard))
+        hot_x = node_x[hot]
+        for m, g, xv, k, jump in zip(margin[hot].tolist(), guard[hot].tolist(), hot_x.tolist(),
+                                     last_jump(hot_x).tolist(), is_jump[hot].tolist()):
+            if decide(m, g, xv, side if jump else "interior", k, side) and side == "at":
+                int_violations.append(int(xv))
 
-    # each end of the range that is not a jump, read with the count of the
-    # last jump below it
-    lo_end = not (n_jumps and xs[k0] == x_lo)
-    hi_end = not (n_jumps and xs[k1] == x_hi)
-    end_x = np.array([float(x) for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
-    end_k = np.searchsorted(xs, end_x, side="right") - 1
-    end_dev = arrays["right"][ck][end_k] - (_li64(end_x) if spec.uses_li else end_x)
-    end_rhs = spec.rhs64(end_x)
-    end_guard = _guard(end_rhs)
-    n_points += len(end_x)
-    for i in range(len(end_x)):
-        xv = float(end_x[i])
-        decide(abs(end_dev[i]) - end_rhs[i], end_guard[i], xv, "interior", (int(end_k[i]), "right", xv))
-
-    # gaps between consecutive jumps in range, bounded from their jump reads
-    fails, opened = _gap_bounds(dev["right"][k0:k1], dev["left"][k0 + 1 : k1 + 1],
-                                rhs[k0:k1], rhs[k0 + 1 : k1 + 1])
-    failing = k0 + np.flatnonzero(fails)
-    open_k = k0 + np.flatnonzero(opened)
-    starts, ends = xs[open_k], xs[open_k + 1]
-
-    # the partial gaps at the ends, bounded from an end read and the nearest
-    # jump's read, or from both end reads when no jump is in range; each is
-    # (jump k it follows, (x, deviation, envelope) at its start and its end)
-    end_reads = list(zip(end_x, end_dev, end_rhs))
-    partial = []
-    if lo_end:
-        to = (xs[k0], dev["left"][k0], rhs[k0]) if n_jumps else end_reads[-1]
-        partial.append((k0 - 1, end_reads[0], to))
-    if hi_end and n_jumps:
-        partial.append((k1, (xs[k1], dev["right"][k1], rhs[k1]), end_reads[-1]))
-    for k, (x0, d0, r0), (x1, d1, r1) in partial:
-        gap_fails, gap_open = _gap_bounds(d0, d1, r0, r1)
-        if gap_fails:
-            failing = np.append(failing, k)
-        elif gap_open:
-            at = 0 if k < k0 else len(open_k)   # open_k stays ascending
-            open_k, starts, ends = (np.insert(a, at, v) for a, v in ((open_k, k), (starts, x0), (ends, x1)))
+    # every gap between consecutive nodes, bounded from its two ends
+    fails, opened = _gap_bounds(dev["right"][:-1], dev["left"][1:], rhs[:-1], rhs[1:])
+    failing, open_k = last_jump(node_x[:-1][fails]), last_jump(node_x[:-1][opened])
+    starts, ends = node_x[:-1][opened], node_x[1:][opened]
 
     # the last integer of the last failing gap with any is its last violation
     jumps = tables.jumps
@@ -758,26 +719,25 @@ def scan_inequality(
         fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
         sample_x = starts[:, None] + (ends - starts)[:, None] * fracs[None, :]
         t64 = _li64(sample_x) if spec.uses_li else sample_x
-        rh = spec.rhs64(sample_x)
+        rh = spec.rhs(sample_x, np)
         g = _guard(rh)
-        marg = np.abs(arrays["right"][ck][open_k, None] - t64) - rh
+        marg = np.abs(views["right"][ck][open_k, None] - t64) - rh
         n_points += sample_x.size
         for i, j in np.argwhere(~(marg <= -g)):
-            xv = float(sample_x[i, j])
-            decide(marg[i, j], g[i, j], xv, "interior", (int(open_k[i]), "right", xv))
+            decide(marg[i, j], g[i, j], float(sample_x[i, j]), "interior", int(open_k[i]), "right")
 
     # integer-argument convention: every integer of the open gaps, off the
     # jumps decided above
     ns, int_gap = _gap_integers(jumps, open_k, n_lo, n_hi)
     nf = ns.astype(np.float64)
     t64 = _li64(nf) if spec.uses_li else nf
-    rh = spec.rhs64(nf)
+    rh = spec.rhs(nf, np)
     g = _guard(rh)
-    marg = np.abs(arrays["right"][ck][int_gap] - t64) - rh
+    marg = np.abs(views["right"][ck][int_gap] - t64) - rh
     n_points += len(ns)
     for i in np.flatnonzero(~(marg <= -g)):
         n = int(ns[i])
-        if marg[i] >= g[i] or _recheck(spec, tables, float(n), ("integer", n), prec):
+        if marg[i] >= g[i] or _recheck(spec, tables, *tables.locate(n), n, prec):
             int_violations.append(n)
 
     return Verdict(
@@ -839,23 +799,17 @@ def integer_threshold_consistent(scan: Verdict, threshold: float) -> bool:
     return scan.last_integer_violation is None or scan.last_integer_violation < threshold
 
 
-def _recheck(spec, tables, x_val, exact_ref, prec) -> bool:
+def _recheck(spec, tables, k, side, x, prec) -> bool:
     """Re-decide a near-zero margin in extended precision; True = violation.
 
-    ``exact_ref`` is ("integer", n), or (k, side) for a read at jump k, with
-    the sample x appended for an interior point.
+    The count is the read at jump k from ``side`` and the target and
+    envelope are taken at x: an integer n reads ``*tables.locate(n), n``.
     """
     with working_precision(prec):
-        ck = spec.count_kind
-        if exact_ref[0] == "integer":
-            k, side = tables.locate(exact_ref[1])
-            xq = mpf(exact_ref[1])
-        else:
-            k, side = exact_ref[0], exact_ref[1]
-            xq = mpf(exact_ref[2] if len(exact_ref) > 2 else int(tables.jumps[k]))
-        count = tables.value(ck, k, side, prec=prec)
+        xq = mpf(x)
+        count = tables.value(spec.count_kind, k, side, prec=prec)
         target = li_hp(xq, prec=prec) if spec.uses_li else xq
-        return bool(abs(count - target) >= spec.rhs_mp(xq))
+        return bool(abs(count - target) >= spec.rhs(xq, mp))
 
 
 def prime_counts(points) -> list[int]:

@@ -205,7 +205,7 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
     float64 margin with the spec's own guard band, re-deciding the margins
     inside it with ``_recheck``.  ``n_points`` counts all of these reads.
     """
-    arrays = tables.scan_context().arrays
+    arrays = tables.float_views
     xs = arrays["x"]
     ck = spec.count_kind
     in_range = (xs >= x_lo) & (xs <= x_hi)
@@ -216,17 +216,17 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         """Each margin, its guard, and whether it is outside the clean side of the band."""
         nonlocal n_points
         n_points += np.size(x)
-        rhs = spec.rhs64(x)
+        rhs = spec.rhs(x, np)
         margin = np.abs(counts - (_li64(x) if spec.uses_li else x)) - rhs
         guard = 1e-9 * np.maximum(rhs, 1.0)
         return margin, guard, ~(margin <= -guard)
 
-    def violated(margin, guard, x_val, exact_ref):
+    def violated(margin, guard, x_val, k, side, integer=False):
         if margin >= guard:
             return True
         # the scan counts the rechecks of real points, not of integers
-        worst["rechecked"] += exact_ref[0] != "integer"
-        return _recheck(spec, tables, x_val, exact_ref, prec)
+        worst["rechecked"] += not integer
+        return _recheck(spec, tables, k, side, x_val, prec)
 
     def record(x_val, side):
         if worst["x"] is None or x_val > worst["x"] or (x_val == worst["x"] and side != "left"):
@@ -238,7 +238,7 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         margin, guard, hot = margins(xs[ks], arrays[side][ck][ks])
         for i in np.flatnonzero(hot):
             k = int(ks[i])
-            if violated(margin[i], guard[i], float(xs[k]), (k, side)):
+            if violated(margin[i], guard[i], float(xs[k]), k, side):
                 record(float(xs[k]), side)
 
     # each end that is not a jump, read with the count of the last jump below it
@@ -247,7 +247,7 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
     margin, guard, hot = margins(end_x, arrays["right"][ck][end_k])
     for i in np.flatnonzero(hot):
         xv = float(end_x[i])
-        if violated(margin[i], guard[i], xv, (int(end_k[i]), "right", xv)):
+        if violated(margin[i], guard[i], xv, int(end_k[i]), "right"):
             record(xv, "interior")
 
     nodes = np.unique(np.concatenate((xs[in_range], end_x)))
@@ -259,7 +259,7 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         margin, guard, hot = margins(sample_x, arrays["right"][ck][gap_k, None])
         for i, j in np.argwhere(hot):
             xv = float(sample_x[i, j])
-            if violated(margin[i, j], guard[i, j], xv, (int(gap_k[i]), "right", xv)):
+            if violated(margin[i, j], guard[i, j], xv, int(gap_k[i]), "right"):
                 record(xv, "interior")
 
     last_int = None
@@ -270,7 +270,7 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
     margin, guard, hot = margins(ns.astype(np.float64), counts)
     for i in np.flatnonzero(hot):
         n = int(ns[i])
-        if violated(margin[i], guard[i], float(n), ("integer", n)):
+        if violated(margin[i], guard[i], n, *tables.locate(n), integer=True):
             last_int = n
 
     return Verdict(

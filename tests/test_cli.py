@@ -48,6 +48,30 @@ class TestDerive:
         assert res.exit_code == EXIT_CONFIG
         assert "not admissible" in res.output
 
+    def test_seed_a_alone_recomputes_b_and_c_there(self, runner):
+        # B and C once came from the default threshold 2.169e25, and the
+        # seed failed "declared B below E/2 + D*E/log A"
+        res = run(runner, ["derive", "--seed-A", "1.5e25"])
+        assert res.exit_code == EXIT_PASS, res.output
+        assert "round 1: A=1.5e+25 D=2.085 E=17.075 B=9.16 C=2.434" in res.output
+        assert "final: K=9.06" in res.output
+
+    def test_seeded_weak_run_derives_no_strong_chain(self, runner, monkeypatch):
+        # the weak default threshold is the strong x_max; a given A replaces it
+        variants = []
+        original = engine.iterate
+
+        def recording_iterate(T=engine.DEFAULT_T, seed=None, **kw):
+            variants.append(kw.get("variant", engine.STRONG).kind)
+            return original(T, seed=seed, **kw)
+
+        monkeypatch.setattr(engine, "iterate", recording_iterate)
+        res = run(runner, ["--format", "json", "derive", "--variant", "weak",
+                           "--seed-A", str(published.WEAK_ITERATION_STATES[0][0])])
+        assert res.exit_code == EXIT_PASS, res.output
+        assert variants == ["weak"]
+        assert json.loads(res.output)["iterations"][0]["A"] == published.WEAK_ITERATION_STATES[0][0]
+
     def test_zero_rounds_names_max_rounds(self, runner):
         # an empty loop is bad input, not a seed without admissible parameters
         res = run(runner, ["derive", "--max-rounds", "0"])
@@ -143,9 +167,11 @@ class TestVerifyPrimes:
         assert (bad_dir / cache.name).read_bytes() == cache.read_bytes()
 
     def test_limit_below_thresholds_warns(self, runner):
-        res = run(runner, ["--sieve-limit", "10000", "verify-primes",
-                           "--limit", "1e4", "--spec", "theta_shift"])
-        assert "warning" in res.stderr or res.exit_code == EXIT_PASS
+        # 4000 is below theta_shift's threshold 5000: a warning, not a failure
+        res = run(runner, ["verify-primes", "--limit", "4000", "--spec", "theta_shift"])
+        assert res.exit_code == EXIT_PASS
+        assert res.stderr.splitlines() == [
+            "warning: limit 4000 does not reach the largest threshold 5000; scan cannot confirm it"]
 
 
 class TestZeros:
@@ -331,10 +357,11 @@ class TestOutput:
 class TestConfig:
     def test_config_file_merging(self, runner, tmp_path):
         cfg = tmp_path / "pb.conf"
-        cfg.write_text("sieve_limit = 20000\nprecision_bits = 128\n")
-        res = run(runner, ["--config", str(cfg), "verify-primes", "--spec", "psi_sq",
-                           "--limit", "1e4"])
+        cfg.write_text("output_format = json\nprecision_bits = 128\n")
+        res = run(runner, ["--config", str(cfg), "--format", "text", "verify-primes",
+                           "--spec", "psi_sq", "--limit", "1e4"])
         assert res.exit_code == EXIT_PASS
+        assert res.output.startswith("psi_sq: last violation")
 
     def test_unknown_config_key(self, runner, tmp_path):
         cfg = tmp_path / "pb.conf"
@@ -378,6 +405,19 @@ class TestConfig:
         res = run(runner, ["--config", str(cfg), "ramanujan", "--list"])
         assert res.exit_code == EXIT_CONFIG
         assert "'T'" in res.stderr
+
+    def test_sieve_limit_flag_is_gone(self, runner):
+        # it only set the default of --limit, now the constant 1e6
+        res = run(runner, ["--sieve-limit", "20000", "cache", "path"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "--sieve-limit" in res.stderr
+
+    def test_sieve_limit_key_is_gone(self, runner, tmp_path):
+        cfg = tmp_path / "pb.conf"
+        cfg.write_text("sieve_limit = 20000\n")
+        res = run(runner, ["--config", str(cfg), "cache", "path"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "sieve_limit" in res.stderr
 
     def test_precision_floor(self, runner):
         res = run(runner, ["--precision-bits", "64", "zeros", "check"])

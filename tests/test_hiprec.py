@@ -66,13 +66,14 @@ class TestLi:
             li(-2)
 
     def test_asymptotic_branch_consistent_with_series(self):
-        # at 192 bits ei switches to the asymptotic series above y = 144;
+        # at 192 bits ei switches from the series to mp.ei above y = 144;
         # both branches must agree just past the switch
         y = mpf(150)
         with working_precision(192):
             a = mp.euler + mp.log(y) + hiprec._ei_series_fixed(y, 192)
-        b = hiprec._ei_asymptotic(y, 192)
+            b = mp.ei(y)
         assert rel_err(a, b) < mpf("1e-40")
+        assert ei(y, prec=192) == b
 
     def test_small_and_negative_ei_arguments(self):
         # Ei(log 0.5) = li(0.5); series branch with cancellation head room

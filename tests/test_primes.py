@@ -157,7 +157,7 @@ def _assert_count_matches_oracle(tables, kind, x):
 
 
 def _assert_views_round_the_exact_reads(tables):
-    views = tables.scan_context().arrays
+    views = tables.float_views
     for kind in COUNT_KINDS:
         for side in ("left", "at", "right"):
             want = [tables.scaled(kind, k, side) / (2 * SCALE[kind]) for k in range(len(tables.jumps))]
@@ -197,7 +197,7 @@ class TestCountOracle:
             right={"pi": list(range(1, n + 1)), "theta": ties_down, "psi": ties_up, "Pi": big_Pi},
         )
         _assert_views_round_the_exact_reads(tables)
-        views = tables.scan_context().arrays
+        views = tables.float_views
         for kind in ("theta", "psi"):
             for side in ("at", "right"):
                 for k, v in enumerate(views[side][kind].tolist()):
@@ -348,10 +348,10 @@ class TestScans:
         spec = InequalitySpec("pi_li", A8PI)
         k_2657 = int(np.searchsorted(tables_10k.jumps, 2657))
         assert int(tables_10k.jumps[k_2657]) == 2657
-        assert _recheck(spec, tables_10k, 2657.0, (k_2657, "left"), 192)
-        assert not _recheck(spec, tables_10k, 2657.0, (k_2657, "at"), 192)
-        assert _recheck(spec, tables_10k, 2656.0, ("integer", 2656), 192)
-        assert not _recheck(spec, tables_10k, 2657.0, ("integer", 2657), 192)
+        assert _recheck(spec, tables_10k, k_2657, "left", 2657.0, 192)
+        assert not _recheck(spec, tables_10k, k_2657, "at", 2657.0, 192)
+        assert _recheck(spec, tables_10k, *tables_10k.locate(2656), 2656, 192)
+        assert not _recheck(spec, tables_10k, *tables_10k.locate(2657), 2657, 192)
 
 
 # the ten specs verify-primes scans
@@ -707,6 +707,15 @@ class TestScanContext:
         sampled_grids = len(jumps) + 16 * (len(jumps) - 1) + (20_000 - 1)
         assert sum(x.size for x in calls) < sampled_grids / 10
 
+    def test_verify_primes_read_counts_at_2e5(self):
+        # the reads and rechecks of each verify-primes scan, which no golden
+        # file prints
+        tables = build_tables(200_000)
+        reports = [scan_inequality(spec, 2, 200_000, tables) for spec in VERIFY_SPECS]
+        assert [r.n_points for r in reports] == [
+            54_559, 55_250, 54_939, 55_975, 54_707, 55_639, 54_392, 54_392, 54_376, 54_376]
+        assert [r.n_rechecked for r in reports] == [0] * 10
+
     def test_filled_context_gives_the_same_report(self):
         fresh = build_tables(30_000)
         filled = build_tables(30_000)
@@ -724,11 +733,15 @@ class TestScanContext:
                 fresh = build_tables(30_000)
 
     def test_context_is_per_table_and_freed_with_it(self):
+        # the scan views are cached properties of the table, not fields
         a, b = build_tables(10 ** 4), build_tables(10 ** 4)
-        assert a.scan_context() is a.scan_context()
-        assert a.scan_context() is not b.scan_context()
-        assert "_scan" not in repr(a)
-        ref = weakref.ref(a.scan_context())
+        for view in ("float_views", "jump_li"):
+            assert getattr(a, view) is getattr(a, view)
+            assert getattr(a, view) is not getattr(b, view)
+            assert view not in repr(a)
+        # a dict cannot be weakly referenced; its columns can
+        refs = [weakref.ref(a.float_views["x"]), weakref.ref(a.float_views["right"]["pi"]),
+                weakref.ref(a.jump_li)]
         del a
         gc.collect()
-        assert ref() is None
+        assert all(ref() is None for ref in refs)
