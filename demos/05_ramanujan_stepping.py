@@ -10,8 +10,7 @@ walks windows at the start and the (tighter) top of each rung.
 
 from mpmath import mp
 
-from primebounds.primes import build_tables
-from primebounds.ramanujan import counterexample_check, f, g, regime_schedule, step_verify
+from primebounds.ramanujan import counterexample_check_direct, f, g, regime_schedule, step_verify
 
 mp.pretty = True
 
@@ -41,10 +40,9 @@ for i, r in enumerate(schedule):
         f"{'pass' if head.passed and tail.passed else 'FAIL'}"
     )
 
-print("\nsmall-x spot checks of the inequality itself (exact sieve counts):")
-tables = build_tables(10 ** 5)
+print("\nsmall-x spot checks of the inequality itself (exact prime counts):")
 for x in (100, 1000, 38358):
-    v = counterexample_check(x, tables)
+    v = counterexample_check_direct(x)
     print(f"  x = {x}: pi^2 = {float(v.lhs):.6g} vs (e x/log x) pi(x/e) = "
           f"{float(v.rhs):.6g}: {'holds' if v.holds else 'fails'}")
 print("\nthe boundary pair x = 38,358,837,682 (fails) and its successor (holds)")

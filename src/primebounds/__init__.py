@@ -62,7 +62,6 @@ from .primes import (
 from .zeros import ZeroList, check_kernel_weights, check_zero_sum, load_zeros
 from .ramanujan import (
     Regime,
-    counterexample_check,
     f,
     g,
     regime_schedule,

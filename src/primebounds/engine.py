@@ -81,6 +81,7 @@ from .error_terms import derive_profile, e_total  # noqa: F401
 from .errors import BracketError
 from .hiprec import get_default_precision, li, working_precision
 from .verdict import Verdict
+from . import published
 
 __all__ = [
     "ThresholdEquation",
@@ -94,10 +95,8 @@ __all__ = [
     "partial_summation_slack",
     "table1",
     "table2",
-    "COMPARISON_CONSTANT",
 ]
 
-COMPARISON_CONSTANT = "4.92"  # comparison threshold constant: K sqrt(x/log x) <= T
 DEFAULT_T = 3.0e12
 
 # declared shifts are printed to two decimals; accept one ulp of slack
@@ -552,7 +551,7 @@ def _default_seed(T, variant: BoundVariant, prec: int, A=None, D=None, E=None) -
     if A is None:
         with working_precision(prec):
             if variant.kind == "strong":
-                A = solve_x_max(ThresholdEquation("comparison", float(mpf(COMPARISON_CONSTANT)), T), prec=prec)
+                A = solve_x_max(ThresholdEquation("comparison", published.COMPARISON_K, T), prec=prec)
             else:
                 A = iterate(T, prec=prec).x_max
     return _seed_at(A, variant, prec, D, E)

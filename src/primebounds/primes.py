@@ -592,8 +592,14 @@ def scan_inequality(
     last violation (``last_violation_side`` 'left' when violations approach
     it from below, 'interior' for a point inside a gap or a range end that
     is not a jump) and the last violating integer, each None when clean.
+    Every violating point read moves the last violation, integers too.  In
+    a gap that neither bound below settles it is the last violating sample
+    or integer, a lower bound on the true one: psi_sq with a = 0.002 on
+    [2, 1e4] fails at 9996 by 0.435 and holds at 9996.5 by 0.065, and the
+    scan reports 9996.
     ``n_points`` counts the reads made: the jump reads in range, the range
-    ends that are not jumps, the samples and the integers checked one by one.
+    ends that are not jumps, the samples and the integers checked one by
+    one; ``n_rechecked`` counts those re-decided in extended precision.
 
     Both sides can only trade places at jump points.  The scan's nodes are
     the prime powers in range and each end of the range that is not one.
@@ -625,7 +631,7 @@ def scan_inequality(
 
     Every other gap gets ``interior_samples`` evenly spaced points and all
     of its integers.  An integer at a jump reads the starred value, so the
-    node pass decides it.
+    node reads decide it.
 
     float64 does the sweep; any margin within the guard band of the
     spec's own envelope, or NaN, is re-decided in extended precision from
@@ -665,80 +671,64 @@ def scan_inequality(
     rhs = spec.rhs(node_x, np)
     guard = _guard(rhs)
 
-    worst_x = None
-    worst_side = None
-    n_recheck = 0
-    n_points = 0
-    int_violations = []
-
-    def decide(margin, g, x_val, label, k, side) -> bool:
-        # margin: |count - target| - rhs at x_val, the count read at jump k
-        # from ``side``; > 0 is a violation
-        nonlocal worst_x, worst_side, n_recheck
-        if margin <= -g:
-            return False
-        if not margin >= g:
-            n_recheck += 1
-            if not _recheck(spec, tables, k, side, x_val, prec):
-                return False
-        if worst_x is None or x_val > worst_x or (x_val == worst_x and label != "left"):
-            worst_x = x_val
-            worst_side = label
-        return True
-
-    # a one-sided limit describes x on its side of the jump, so the left
-    # limit at a jump counts when the jump is above x_lo and the right limit
-    # when it is below x_hi; an end is read once, as a point inside its gap
-    reads = {"left": is_jump & (node_x > x_lo), "at": is_jump,
-             "right": ~is_jump | (node_x < x_hi)}
-    for side, mask in reads.items():
-        margin = np.abs(dev[side])
-        margin -= rhs
-        n_points += int(mask.sum())
-        hot = np.flatnonzero(mask & ~(margin <= -guard))
-        hot_x = node_x[hot]
-        for m, g, xv, k, jump in zip(margin[hot].tolist(), guard[hot].tolist(), hot_x.tolist(),
-                                     last_jump(hot_x).tolist(), is_jump[hot].tolist()):
-            if decide(m, g, xv, side if jump else "interior", k, side) and side == "at":
-                int_violations.append(int(xv))
-
     # every gap between consecutive nodes, bounded from its two ends
     fails, opened = _gap_bounds(dev["right"][:-1], dev["left"][1:], rhs[:-1], rhs[1:])
-    failing, open_k = last_jump(node_x[:-1][fails]), last_jump(node_x[:-1][opened])
-    starts, ends = node_x[:-1][opened], node_x[1:][opened]
+    open_k = last_jump(node_x[:-1][opened])
+    n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)
+
+    def inside_gaps(x, k, integer):
+        # points strictly inside the gaps of jumps k, each read at R[k]
+        rh = spec.rhs(x, np)
+        g = _guard(rh)
+        margin = np.abs(views["right"][ck][k] - (_li64(x) if spec.uses_li else x)) - rh
+        hot = np.flatnonzero(~(margin <= -g))
+        labels = np.full(len(hot), "interior")
+        return len(x), "right", integer, x[hot], k[hot], labels, margin[hot], g[hot]
+
+    def blocks():
+        # each block: number read, side, integer, then x, jump k, label,
+        # margin and guard of its reads outside the clean side of the band.
+        # A one-sided limit describes x on its side of the jump, so the left
+        # limit at a jump counts when the jump is above x_lo and the right
+        # limit when it is below x_hi; an end is read once, as a point inside
+        # its gap
+        reads = {"left": is_jump & (node_x > x_lo), "at": is_jump,
+                 "right": ~is_jump | (node_x < x_hi)}
+        for side, mask in reads.items():
+            margin = np.abs(dev[side])
+            margin -= rhs
+            hot = np.flatnonzero(mask & ~(margin <= -guard))
+            hot_x = node_x[hot]
+            yield (int(mask.sum()), side, side == "at", hot_x, last_jump(hot_x),
+                   np.where(is_jump[hot], side, "interior"), margin[hot], guard[hot])
+        starts, ends = node_x[:-1][opened], node_x[1:][opened]
+        fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
+        yield inside_gaps((starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
+                          np.repeat(open_k, interior_samples), False)
+        # integer-argument convention: every integer of the open gaps, those
+        # at the jumps read above
+        ns, int_gap = _gap_integers(tables.jumps, open_k, n_lo, n_hi)
+        yield inside_gaps(ns.astype(np.float64), int_gap, True)
+
+    worst_x = worst_side = None
+    n_points = n_recheck = 0
+    int_violations = []
+    for n_read, side, integer, *hot in blocks():
+        n_points += n_read
+        for x, k, label, margin, g in zip(*(a.tolist() for a in hot)):
+            if not margin >= g:
+                n_recheck += 1
+                if not _recheck(spec, tables, k, side, x, prec):
+                    continue
+            if worst_x is None or x > worst_x or (x == worst_x and label != "left"):
+                worst_x, worst_side = x, label
+            if integer:
+                int_violations.append(int(x))
 
     # the last integer of the last failing gap with any is its last violation
-    jumps = tables.jumps
-    n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)
-    first, last = _gap_integer_bounds(jumps, failing, n_lo, n_hi)
+    first, last = _gap_integer_bounds(tables.jumps, last_jump(node_x[:-1][fails]), n_lo, n_hi)
     if np.any(last >= first):
         int_violations.append(int(last[last >= first].max()))
-
-    # interior samples: count side frozen at the right limit of the gap's jump
-    if interior_samples > 0 and len(open_k):
-        fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
-        sample_x = starts[:, None] + (ends - starts)[:, None] * fracs[None, :]
-        t64 = _li64(sample_x) if spec.uses_li else sample_x
-        rh = spec.rhs(sample_x, np)
-        g = _guard(rh)
-        marg = np.abs(views["right"][ck][open_k, None] - t64) - rh
-        n_points += sample_x.size
-        for i, j in np.argwhere(~(marg <= -g)):
-            decide(marg[i, j], g[i, j], float(sample_x[i, j]), "interior", int(open_k[i]), "right")
-
-    # integer-argument convention: every integer of the open gaps, off the
-    # jumps decided above
-    ns, int_gap = _gap_integers(jumps, open_k, n_lo, n_hi)
-    nf = ns.astype(np.float64)
-    t64 = _li64(nf) if spec.uses_li else nf
-    rh = spec.rhs(nf, np)
-    g = _guard(rh)
-    marg = np.abs(views["right"][ck][int_gap] - t64) - rh
-    n_points += len(ns)
-    for i in np.flatnonzero(~(marg <= -g)):
-        n = int(ns[i])
-        if marg[i] >= g[i] or _recheck(spec, tables, *tables.locate(n), n, prec):
-            int_violations.append(n)
 
     return Verdict(
         worst_x is None,
@@ -787,7 +777,12 @@ def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def threshold_consistent(scan: Verdict, threshold: float) -> bool:
-    """True iff the scanned inequality holds for every real x >= threshold."""
+    """True iff no point the scan read at or above ``threshold`` violates,
+    bar a left limit at the threshold, which describes x below it.  Then
+    every real x >= threshold holds, unless the last violation is inside a
+    gap (side 'interior'): the true one can lie past it, up to the next
+    point read, and so past the threshold.
+    """
     last = scan.last_violation
     if last is None or last < threshold:
         return True

@@ -2,8 +2,11 @@
 
 These are frozen targets from the literature being checked, kept separate
 from anything the engine derives: comparison output marks them as reference
-values, never as results.  Constants named here are exercised throughout
-the test suite; each carries the convention used when comparing.
+values, never as results.  The few cited inputs the derivations start
+from (the comparison constant, the first two Ramanujan rung deltas) are
+read from here too, so each is written once.  Constants named here are
+exercised throughout the test suite; each carries the convention used when
+comparing.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_fixed
 
@@ -41,7 +40,6 @@ __all__ = [
     "g",
     "step_verify",
     "regime_schedule",
-    "counterexample_check",
     "counterexample_check_direct",
     "MIN_STEP_PRECISION",
 ]
@@ -315,13 +313,13 @@ def regime_schedule(table2_rows=None, strong_x_max: float | None = None) -> list
     rows = sorted((float(a), float(K), float(xm)) for a, K, xm in table2_rows)
     if not rows or rows[0][0] != 1.0:
         raise ParameterError("schedule needs the a = 1 row to anchor the second rung")
-    rungs = [Regime(43.0, 59.0, A_SHARP_UP, 5e-8, strong_x_max)]
-    a_prev, delta_prev = 1.0, 2.5e-8
+    rungs = [Regime(43.0, 59.0, A_SHARP_UP, published.RAMANUJAN_DELTA_FIRST, strong_x_max)]
+    a_prev, delta_prev = 1.0, published.RAMANUJAN_DELTA_SECOND
     z_prev = 59.0
     for a, _, x_max in rows:
         z_hi = float(math.floor(math.log(x_max)))
         if a == 1.0:
-            delta = 2.5e-8
+            delta = published.RAMANUJAN_DELTA_SECOND
         else:
             delta = max(delta_prev * math.sqrt(a_prev / a), DELTA_FLOOR)
         if z_hi <= z_prev:
@@ -329,14 +327,6 @@ def regime_schedule(table2_rows=None, strong_x_max: float | None = None) -> list
         rungs.append(Regime(z_prev, z_hi, a, delta, x_max))
         z_prev, a_prev, delta_prev = z_hi, a, delta
     return rungs
-
-
-def _counterexample_x(x) -> int:
-    # below 2, log x is zero or undefined; at 2 the inequality is simply false
-    x = int(x)
-    if x < 2:
-        raise ParameterError(f"the counterexample check needs x >= 2, got {x}")
-    return x
 
 
 def _floor_over_e(x: int, prec: int) -> int:
@@ -353,30 +343,13 @@ def _verdict_from_counts(x: int, pi_x: int, pi_xe: int, prec: int) -> Verdict:
         return Verdict(holds, x=x, holds=holds, lhs=+lhs, rhs=+rhs, skipped_reason="")
 
 
-def counterexample_check(x: int, tables, prec: int | None = None) -> Verdict:
-    """Evaluate pi(x)^2 < (e x/log x) pi(x/e) exactly from prime tables.
-
-    The inequality concerns the plain (unnormalized) counting function.
-    Skips (with a reason) when the tables do not reach x; the interesting
-    neighborhood x ~ 3.84e10 needs the count-only path below.
-    """
-    prec = _step_precision(prec)
-    x = _counterexample_x(x)
-    if tables is None or tables.limit < x:
-        have = 0 if tables is None else tables.limit
-        return Verdict(
-            False, x=x, holds=None, lhs=None, rhs=None,
-            skipped_reason=f"tables reach {have}, need {x}; use the count-only direct check",
-        )
-    primes = tables.primes
-    pi_x = int(np.searchsorted(primes, x, side="right"))
-    pi_xe = int(np.searchsorted(primes, _floor_over_e(x, prec), side="right"))
-    return _verdict_from_counts(x, pi_x, pi_xe, prec)
-
-
 def counterexample_check_direct(x: int, prec: int | None = None) -> Verdict:
-    """Count-only check: pi(x/e) and pi(x) from ``primes.prime_counts``."""
+    """pi(x)^2 < (e x/log x) pi(x/e) at an integer 2 <= x <= 1e12, from the
+    plain counts pi(x/e) and pi(x) of ``primes.prime_counts``."""
     prec = _step_precision(prec)
-    x = _counterexample_x(x)
+    x = int(x)
+    # below 2, log x is zero or undefined; at 2 the inequality is simply false
+    if x < 2:
+        raise ParameterError(f"the counterexample check needs x >= 2, got {x}")
     pi_xe, pi_x = prime_counts([_floor_over_e(x, prec), x])
     return _verdict_from_counts(x, pi_x, pi_xe, prec)

@@ -201,15 +201,19 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
     Reads every jump in range from all three sides, bar the left limit at
     x_lo and the right limit at x_hi, and each end of the range that is not
     a jump once, puts ``interior_samples`` points inside every interval
-    between these nodes and checks every integer in range, each as a
-    float64 margin with the spec's own guard band, re-deciding the margins
-    inside it with ``_recheck``.  ``n_points`` counts all of these reads.
+    between these nodes and checks every integer in range off the jumps,
+    each as a float64 margin with the spec's own guard band, re-deciding
+    the margins inside it with ``_recheck``.  An integer at a jump is its
+    starred read, decided once.  Every violating point, integers too, moves
+    the last violation.  ``n_points`` counts all of these reads and
+    ``n_rechecked`` every re-decision.
     """
     arrays = tables.float_views
     xs = arrays["x"]
     ck = spec.count_kind
     in_range = (xs >= x_lo) & (xs <= x_hi)
     worst = {"x": None, "side": None, "rechecked": 0}
+    violating_ints = []
     n_points = 0
 
     def margins(x, counts):
@@ -221,11 +225,10 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         guard = 1e-9 * np.maximum(rhs, 1.0)
         return margin, guard, ~(margin <= -guard)
 
-    def violated(margin, guard, x_val, k, side, integer=False):
+    def violated(margin, guard, x_val, k, side):
         if margin >= guard:
             return True
-        # the scan counts the rechecks of real points, not of integers
-        worst["rechecked"] += not integer
+        worst["rechecked"] += 1
         return _recheck(spec, tables, k, side, x_val, prec)
 
     def record(x_val, side):
@@ -240,6 +243,8 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
             k = int(ks[i])
             if violated(margin[i], guard[i], float(xs[k]), k, side):
                 record(float(xs[k]), side)
+                if side == "at":
+                    violating_ints.append(int(xs[k]))
 
     # each end that is not a jump, read with the count of the last jump below it
     end_x = np.array([float(x) for x in (x_lo, x_hi) if not np.any(xs == x)])
@@ -262,16 +267,16 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
             if violated(margin[i, j], guard[i, j], xv, int(gap_k[i]), "right"):
                 record(xv, "interior")
 
-    last_int = None
     ns = np.arange(math.ceil(x_lo), math.floor(x_hi) + 1, dtype=np.int64)
     idx = np.searchsorted(tables.jumps, ns, side="right") - 1
-    at_jump = tables.jumps[idx] == ns
-    counts = np.where(at_jump, arrays["at"][ck][idx], arrays["right"][ck][idx])
-    margin, guard, hot = margins(ns.astype(np.float64), counts)
+    off_jump = tables.jumps[idx] != ns
+    ns, idx = ns[off_jump], idx[off_jump]
+    margin, guard, hot = margins(ns.astype(np.float64), arrays["right"][ck][idx])
     for i in np.flatnonzero(hot):
         n = int(ns[i])
-        if violated(margin[i], guard[i], n, *tables.locate(n), integer=True):
-            last_int = n
+        if violated(margin[i], guard[i], n, int(idx[i]), "right"):
+            record(float(n), "interior")
+            violating_ints.append(n)
 
     return Verdict(
         worst["x"] is None,
@@ -280,7 +285,7 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         x_hi=float(x_hi),
         last_violation=worst["x"],
         last_violation_side=worst["side"],
-        last_integer_violation=last_int,
+        last_integer_violation=max(violating_ints, default=None),
         n_points=n_points,
         n_rechecked=worst["rechecked"],
     )

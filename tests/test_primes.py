@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -364,6 +364,8 @@ VERIFY_SPECS = [
     InequalitySpec("pi_li", A8PI),
 ] + [InequalitySpec(kind, 1.0) for kind in published.THRESHOLDS_WEAK]
 
+PSI_SQ_9996 = InequalitySpec("psi_sq", 0.002)
+
 _SCAN_ENDS = st.one_of(st.integers(2, 10_000), st.floats(2, 10_000), st.just(10_000),
                        st.sampled_from(_JUMPS_TO_1E4))
 _SAMPLES = st.sampled_from((0, 4, 16))
@@ -383,6 +385,8 @@ class TestScanAgainstSampledOracle:
     @settings(max_examples=300, deadline=None)
     @given(spec=st.sampled_from(VERIFY_SPECS), ends=st.tuples(_SCAN_ENDS, _SCAN_ENDS),
            samples=_SAMPLES)
+    # its last violation is the integer 9996, inside an open gap
+    @example(spec=PSI_SQ_9996, ends=(2, 10_000), samples=16)
     def test_ranges(self, tables_10k, spec, ends, samples):
         lo, hi = sorted(ends)
         assume(lo < hi)
@@ -408,6 +412,24 @@ class TestScanAgainstSampledOracle:
         assume(lo < hi)
         spec = InequalitySpec(kind, 10 ** log_a, C=math.log(e_C))
         self._assert_same(spec, lo, hi, tables_10k, samples)
+        # a violating integer is a violating point of the real line
+        report = scan_inequality(spec, lo, hi, tables_10k, interior_samples=samples)
+        if report.last_integer_violation is not None:
+            assert report.last_violation >= report.last_integer_violation
+
+    def test_violating_integer_inside_an_open_gap(self, tables_10k):
+        # 9996 lies in the gap from the prime 9973 to the range's end and
+        # fails by 0.435; the samples around it are 9995.24, which fails, and
+        # 9996.82, which holds, and the true last violation is in (9996, 9996.5)
+        report = scan_inequality(PSI_SQ_9996, 2, 10_000, tables_10k)
+        assert (report.last_violation, report.last_violation_side) == (9996.0, "interior")
+        assert report.last_integer_violation == 9996
+        assert not threshold_consistent(report, 9996)
+        assert threshold_consistent(report, 9996.5)
+        with working_precision(192):
+            for x, sign in ((9996, 1), (mpf("9996.5"), -1)):
+                margin = abs(tables_10k.count("psi", x) - x) - PSI_SQ_9996.rhs(mpf(x), mp)
+                assert sign * margin > 0
 
     @pytest.mark.parametrize("spec,lo,hi,last_int", [
         # 2656 lies in the gap (2647, 2657) that x_lo = 2648 cuts in two

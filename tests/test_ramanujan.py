@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from primebounds import ramanujan
 from primebounds.ramanujan import (
     ParameterError,
     Regime,
-    counterexample_check,
+    counterexample_check_direct,
     f,
     g,
     regime_schedule,
@@ -299,30 +300,28 @@ class TestRegimeSchedule:
 
 
 class TestCounterexample:
-    def test_small_value_holds(self, tables_10k):
-        v = counterexample_check(100, tables_10k)
+    def test_small_value_holds(self):
+        v = counterexample_check_direct(100)
         assert v.holds
         assert float(v.lhs) == 625.0
         assert 649 < float(v.rhs) < 650
 
-    def test_skip_with_reason_when_tables_short(self, tables_10k):
-        v = counterexample_check(published.RAMANUJAN_LAST_COUNTEREXAMPLE, tables_10k)
-        assert v.holds is None
-        assert "count-only" in v.skipped_reason
-
-    def test_known_failures_at_small_x(self, tables_10k):
+    def test_known_failures_at_small_x(self):
         # small counterexamples exist well below the last one; x = 11 is the
         # first odd prime case where pi(x)^2 catches up
-        v = counterexample_check(11, tables_10k)
+        v = counterexample_check_direct(11)
         assert isinstance(v, Verdict)
         assert not v.holds
-        assert counterexample_check(12, tables_10k).holds
+        assert counterexample_check_direct(12).holds
 
     @pytest.mark.parametrize("x", [2, 3, 11, 12, 100, 38358, 999_983, 10 ** 6])
     def test_direct_count_matches_tables(self, tables_1e6, x):
-        # the count-only pi(x/e) and pi(x) against the per-jump tables
-        direct = ramanujan.counterexample_check_direct(x)
-        assert direct == counterexample_check(x, tables_1e6)
+        # the count-only pi(x/e) and pi(x) against the primes of the per-jump tables
+        prec = ramanujan.MIN_STEP_PRECISION
+        pi_xe, pi_x = np.searchsorted(tables_1e6.primes, [ramanujan._floor_over_e(x, prec), x],
+                                      side="right").tolist()
+        want = ramanujan._verdict_from_counts(x, pi_x, pi_xe, prec)
+        assert counterexample_check_direct(x) == want
 
     def test_counterexample_boundary(self):
         """The inequality fails at the last counterexample and holds just above it.
@@ -341,10 +340,8 @@ class TestCounterexample:
         assert above.holds is True
 
     @pytest.mark.parametrize("x", [1, 0, -5])
-    def test_x_below_2_rejected(self, tables_10k, x):
+    def test_x_below_2_rejected(self, x):
         # log x is 0 at 1 and not real below; x = 2 is a genuine failure
         with pytest.raises(ParameterError, match="x >= 2"):
-            counterexample_check(x, tables_10k)
-        with pytest.raises(ParameterError, match="x >= 2"):
-            ramanujan.counterexample_check_direct(x)
-        assert counterexample_check(2, tables_10k).holds is False
+            counterexample_check_direct(x)
+        assert counterexample_check_direct(2).holds is False
