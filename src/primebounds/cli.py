@@ -1,26 +1,24 @@
 """Command-line front end.
 
 Subcommands: derive, tables, verify-primes, zeros (check), ramanujan, cache.
-Configuration merges, in increasing precedence: built-in defaults, a simple
-``key = value`` config file, environment (PRIMEBOUNDS_CACHE_DIR), flags.
+Three global flags set a run, each from the flag alone: ``--precision-bits``
+(the package-wide working precision), ``--cache-dir`` (the prime-table
+cache, off without it) and ``--format json|text``.
 
 Exit codes are a stable scripting contract, the same for ``main()``,
 ``cli.main(..., standalone_mode=False)`` and click's test runner:
   0  every check passed;
   1  a checked inequality genuinely failed, and nothing else;
-  2  bad input: a usage or config-file error, or a ``ParameterError``
-     (``errors``: failed precondition, malformed zero table, precision
-     below the floor, no root bracket, ...) or ``OverflowError`` raised
-     while running;
-  3  an I/O error (``OSError``), such as an unreadable file.
+  2  bad input: a usage error, or a ``ParameterError`` (``errors``: failed
+     precondition, malformed zero table, precision below the floor, no
+     root bracket, ...) or ``OverflowError`` raised while running;
+  3  an I/O error (``OSError``), such as an unreadable ordinate file.
 Errors are mapped to codes 2 and 3 in one place, the ``cli`` group, and
 print a one-line message to stderr instead of a traceback.
 """
 
 from __future__ import annotations
 
-import csv as _csv
-import io
 import json
 import math
 import os
@@ -45,43 +43,11 @@ DEFAULT_LIMIT = 1_000_000  # the default --limit of verify-primes and cache buil
 
 @dataclass(frozen=True)
 class RunConfig:
-    precision_bits: int = hiprec.DEFAULT_PRECISION_BITS
-    cache_dir: str | None = None
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.precision_bits < hiprec.MIN_PRECISION_BITS:
-            raise click.UsageError(
-                f"precision_bits must be >= {hiprec.MIN_PRECISION_BITS}"
-            )
-        if self.output_format not in ("json", "csv", "text"):
-            raise click.UsageError(f"unknown output format {self.output_format!r}")
+    cache_dir: str | None
+    output_format: str
 
 
-_CONFIG_KEYS = {"precision_bits": int, "cache_dir": str, "output_format": str}
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"{path}:{line_no}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise click.UsageError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](val.strip())
-            except ValueError:
-                raise click.UsageError(f"{path}:{line_no}: bad value for {key}: {val.strip()!r}")
-    return values
-
-
-def _emit(cfg: RunConfig, payload: dict, text_lines, csv_rows=None) -> None:
+def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
     # An explicit file skips click's per-stream wrapper cache: that cache maps
     # a plain text stream to itself in a WeakKeyDictionary, so every sys.stdout
     # a caller swaps in (and all it holds) would stay alive for good.
@@ -89,15 +55,6 @@ def _emit(cfg: RunConfig, payload: dict, text_lines, csv_rows=None) -> None:
     if cfg.output_format == "json":
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         click.echo(json.dumps(payload, indent=2, default=float), file=out)
-    elif cfg.output_format == "csv":
-        rows = csv_rows if csv_rows is not None else [payload]
-        buf = io.StringIO()
-        if rows:
-            writer = _csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        click.echo(buf.getvalue().rstrip("\n"), file=out)
     else:
         for line in text_lines:
             click.echo(line, file=out)
@@ -146,27 +103,17 @@ class _Cli(click.Group):
 
 
 @click.group(cls=_Cli)
-@click.option("--precision-bits", type=int, default=None, help="working precision (>= 100)")
+@click.option("--precision-bits", type=int, default=hiprec.DEFAULT_PRECISION_BITS,
+              help=f"working precision (>= {hiprec.MIN_PRECISION_BITS})")
 @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
-              envvar="PRIMEBOUNDS_CACHE_DIR", help="prime-table cache directory")
-@click.option("--format", "output_format",
-              type=click.Choice(["json", "csv", "text"]), default=None)
-@click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None,
-              help="key = value config file, overridden by flags")
+              help="prime-table cache directory")
+@click.option("--format", "output_format", type=click.Choice(["json", "text"]), default="text")
 @click.pass_context
-def cli(ctx, precision_bits, cache_dir, output_format, config_path):
+def cli(ctx, precision_bits, cache_dir, output_format):
     """Verification toolkit for explicit prime-counting bounds under
     partially verified zero data."""
-    values = {}
-    if config_path is not None:
-        values.update(_read_config_file(config_path))
-    for key, val in [("precision_bits", precision_bits), ("cache_dir", cache_dir),
-                     ("output_format", output_format)]:
-        if val is not None:
-            values[key] = val
-    cfg = RunConfig(**values)
-    hiprec.set_default_precision(cfg.precision_bits)
-    ctx.obj = cfg
+    hiprec.set_default_precision(precision_bits)
+    ctx.obj = RunConfig(cache_dir, output_format)
 
 
 @cli.command()
@@ -181,10 +128,7 @@ def cli(ctx, precision_bits, cache_dir, output_format, config_path):
 def derive(cfg: RunConfig, T, variant, a_value, seed_a, seed_d, seed_e, max_rounds):
     """Run the iterative tightening loop and print the trace."""
     var = error_terms.STRONG if variant == "strong" else error_terms.BoundVariant("weak", a_value)
-    seed = None
-    if seed_a is not None or seed_d is not None or seed_e is not None:
-        seed = engine.default_seed(T, var, A=seed_a, D=seed_d, E=seed_e)
-    report = engine.iterate(T, seed=seed, max_rounds=max_rounds, variant=var)
+    report = engine.iterate(T, max_rounds=max_rounds, variant=var, A=seed_a, D=seed_d, E=seed_e)
     lines = [f"variant={variant} a={float(var.leading_a()):.6g} T={T:g}"]
     for i, rnd in enumerate(report.rounds, start=1):
         lines.append(
@@ -199,7 +143,7 @@ def derive(cfg: RunConfig, T, variant, a_value, seed_a, seed_d, seed_e, max_roun
 
 @cli.command()
 @click.argument("which", nargs=-1)
-@click.option("--compare-published", "--compare-paper", "compare", is_flag=True,
+@click.option("--compare-published", "compare", is_flag=True,
               help="add published reference rows and per-row verdicts")
 @click.pass_obj
 def tables(cfg: RunConfig, which, compare):
@@ -229,7 +173,7 @@ def tables(cfg: RunConfig, which, compare):
                               "dominates": ok})
             rows_out.append(entry)
             lines.append("  " + " ".join(f"{k}={v}" for k, v in entry.items()))
-        _emit(cfg, {"table": w, "rows": rows_out}, lines, csv_rows=rows_out)
+        _emit(cfg, {"table": w, "rows": rows_out}, lines)
     raise SystemExit(EXIT_PASS if all_ok else EXIT_FAIL)
 
 
@@ -291,7 +235,7 @@ def verify_primes(cfg: RunConfig, limit, specs):
             f"{name}: last violation {report.last_violation} ({report.last_violation_side}); "
             f"threshold {threshold} {'confirmed' if consistent else 'NOT confirmed'}"
         )
-    _emit(cfg, {"limit": limit, "results": results}, lines, csv_rows=results)
+    _emit(cfg, {"limit": limit, "results": results}, lines)
     raise SystemExit(worst)
 
 
@@ -349,11 +293,9 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
     """Stepping verification windows and the counterexample spot check."""
     schedule = ramanujan.regime_schedule()
     if list_only:
-        rows = [r.__dict__ | {"n_steps": r.n_steps} for r in schedule]
-        _emit(cfg, {"schedule": rows},
+        _emit(cfg, {"schedule": [r.__dict__ | {"n_steps": r.n_steps} for r in schedule]},
               [f"rung {i}: z ({r.z_lo}, {r.z_hi}] a={r.a:.4g} delta={r.delta:g} "
-               f"steps={r.n_steps}" for i, r in enumerate(schedule)],
-              csv_rows=rows)
+               f"steps={r.n_steps}" for i, r in enumerate(schedule)])
         raise SystemExit(EXIT_PASS)
     if counterexample is not None:
         verdict = ramanujan.counterexample_check_direct(counterexample)
@@ -392,8 +334,7 @@ def cache():
 @cache.command("path")
 @click.pass_obj
 def cache_path_cmd(cfg: RunConfig):
-    click.echo(cfg.cache_dir or "(cache disabled; set --cache-dir or PRIMEBOUNDS_CACHE_DIR)",
-               file=sys.stdout)
+    click.echo(cfg.cache_dir or "(cache disabled; set --cache-dir)", file=sys.stdout)
     raise SystemExit(EXIT_PASS)
 
 

@@ -441,7 +441,9 @@ def _search_strong(at: _Admissibility):
             n_hi = _below_best(log_a, E, best[0], d_denom, n_hi)
             if n_hi < 0:
                 return
-        n = _first_admissible(lambda n: at.admissible(_grid(n, d_denom), E), n_hi)
+        # probes pass D as the double n / d_denom, which is what admissible
+        # reads: float(_grid(n, d)) == n / d on every grid (a test checks it)
+        n = _first_admissible(lambda n: at.admissible(n / d_denom, E), n_hi)
         if n is None:
             return
         D = _grid(n, d_denom)
@@ -532,22 +534,18 @@ def default_seed(
     T: float = DEFAULT_T,
     variant: BoundVariant = STRONG,
     prec: int | None = None,
-    A=None,
-    D: float | None = None,
-    E: float | None = None,
 ) -> IterationState:
     """Starting state: threshold from the comparison bound (strong) or from
-    the strong result itself (weak), with the reference kernel parameters.
-
-    A given ``A``, ``D`` or ``E`` replaces the reference one; B and C are
-    always computed at the state's own threshold from its D and E.
+    the strong result itself (weak), with the reference kernel parameters;
+    B and C are computed at the state's own threshold from its D and E.
     """
     prec = get_default_precision() if prec is None else int(prec)
-    return _default_seed(T, variant, prec, A, D, E)[0]
+    return _default_seed(T, variant, prec)[0]
 
 
 def _default_seed(T, variant: BoundVariant, prec: int, A=None, D=None, E=None) -> tuple:
-    # (seed, routine) of ``default_seed``, as ``_seed_at`` returns them
+    # (seed, routine) of ``default_seed`` with any given A, D or E in place
+    # of the reference one, as ``_seed_at`` returns them
     if A is None:
         with working_precision(prec):
             if variant.kind == "strong":
@@ -589,19 +587,28 @@ def iterate(
     max_rounds: int = 8,
     variant: BoundVariant = STRONG,
     prec: int | None = None,
+    A=None,
+    D: float | None = None,
+    E: float | None = None,
 ) -> DerivationReport:
     """Run the tightening loop; the trace records one row per round.
 
-    Stops when the rounded constant no longer improves (or max_rounds).
-    A non-admissible seed aborts immediately, and so does a first round
-    whose x_max is not above its threshold A (its bound holds for no x).
+    Without a ``seed`` the loop starts from ``default_seed``, with a given
+    ``A``, ``D`` or ``E`` in place of the reference one; its B and C are
+    computed at its own threshold, and one routine there checks it and
+    serves the first round.  Stops when the rounded constant no longer
+    improves (or max_rounds).  A non-admissible seed aborts immediately,
+    and so does a first round whose x_max is not above its threshold A
+    (its bound holds for no x).
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     prec = get_default_precision() if prec is None else int(prec)
     at = None
     if seed is None:
-        seed, at = _default_seed(T, variant, prec)
+        seed, at = _default_seed(T, variant, prec, A, D, E)
+    elif (A, D, E) != (None, None, None):
+        raise ParameterError("give a seed state or A, D, E for the default one, not both")
     return _iterate(T, seed, max_rounds, prec, at)
 
 

@@ -116,8 +116,8 @@ def ei(y, prec: int | None = None) -> mpf:
 
     li(x) = Ei(log x); this is the workhorse behind every li call.
     """
-    prec = _precision_bits if prec is None else int(prec)
-    with mp.workprec(prec):
+    with working_precision(prec):
+        prec = mp.prec
         y = mpf(y)
         if y == 0:
             raise DomainError("Ei has a logarithmic singularity at 0")
@@ -134,8 +134,7 @@ def li(x, prec: int | None = None) -> mpf:
     Defined for x >= 0, x != 1.  li(0) = 0; x = 1 is a hard domain error
     (the integrand's singularity is not integrable there), as is x < 0.
     """
-    prec = _precision_bits if prec is None else int(prec)
-    with mp.workprec(prec):
+    with working_precision(prec):
         x = mpf(x)
         if x < 0:
             raise DomainError("li is not defined for negative arguments")
@@ -143,13 +142,12 @@ def li(x, prec: int | None = None) -> mpf:
             return mpf(0)
         if x == 1:
             raise DomainError("li diverges at x = 1")
-        return ei(mp.log(x), prec=prec)
+        return ei(mp.log(x), prec=mp.prec)
 
 
 def bessel_i1(c, prec: int | None = None) -> mpf:
     """Modified Bessel function of the first kind, I_1(c), for c >= 0."""
-    prec = _precision_bits if prec is None else int(prec)
-    with mp.workprec(prec):
+    with working_precision(prec):
         c = mpf(c)
         if c < 0:
             raise DomainError("bessel_i1 requires c >= 0")
@@ -166,9 +164,8 @@ def d_of(c0, prec: int | None = None) -> mpf:
     Tends to 1 from below as c0 grows; D(c0)/sqrt(2 pi c) is the lower
     sandwich bound on I_1(c)/(2 sinh c) for every c >= c0.
     """
-    prec = _precision_bits if prec is None else int(prec)
-    with mp.workprec(prec):
+    with working_precision(prec):
         c0 = mpf(c0)
         if c0 <= 0:
             raise DomainError("d_of requires c0 > 0")
-        return +(mp.sqrt(mp.pi * c0 / 2) * bessel_i1(c0, prec=prec) / mp.sinh(c0))
+        return +(mp.sqrt(mp.pi * c0 / 2) * bessel_i1(c0, prec=mp.prec) / mp.sinh(c0))

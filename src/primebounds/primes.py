@@ -631,7 +631,10 @@ def scan_inequality(
 
     Every other gap gets ``interior_samples`` evenly spaced points and all
     of its integers.  An integer at a jump reads the starred value, so the
-    node reads decide it.
+    node reads decide it.  Such a gap is decided from its samples and
+    integers, not proved: a violation between two reads that hold goes
+    unseen.  At 2e5 the weak Pi_li and pi_li specs (a = 1) pass the open
+    gap (2, 3) this way.
 
     float64 does the sweep; any margin within the guard band of the
     spec's own envelope, or NaN, is re-decided in extended precision from
@@ -777,16 +780,20 @@ def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def threshold_consistent(scan: Verdict, threshold: float) -> bool:
-    """True iff no point the scan read at or above ``threshold`` violates,
-    bar a left limit at the threshold, which describes x below it.  Then
-    every real x >= threshold holds, unless the last violation is inside a
-    gap (side 'interior'): the true one can lie past it, up to the next
-    point read, and so past the threshold.
+    """True iff the scan shows every real x >= threshold holds.
+
+    No point read at or above ``threshold`` may violate, bar a left limit
+    at the threshold, which describes x below it.  A last violation inside
+    a gap (side 'interior') can lie past the point read, up to the next
+    point read, and every integer of such a gap is read: so the threshold
+    must reach the next integer, floor(last) + 1.
     """
     last = scan.last_violation
-    if last is None or last < threshold:
+    if last is None:
         return True
-    return last == threshold and scan.last_violation_side == "left"
+    if scan.last_violation_side == "interior":
+        return math.floor(last) + 1 <= threshold
+    return last < threshold or (last == threshold and scan.last_violation_side == "left")
 
 
 def integer_threshold_consistent(scan: Verdict, threshold: float) -> bool:

@@ -96,14 +96,16 @@ RAMANUJAN_DELTA_FIRST = 5e-8    # rung (43, 59], a = 1/8pi
 RAMANUJAN_DELTA_SECOND = 2.5e-8  # rung (59, 69], a = 1
 
 
-def dominates_table1(row, published_row, k_tol=0.01, x_frac=0.995) -> bool:
-    """Engine row (T0, K, x_max) is at least as strong as the published one."""
+def dominates_table1(row, published_row) -> bool:
+    """Engine row (T0, K, x_max) is at least as strong as the published one:
+    K at most one printed ulp (0.01) above it, x_max within 0.5% below it."""
     _, k, x = row
     _, pk, px = published_row
-    return float(k) <= pk + k_tol and float(x) >= x_frac * px
+    return float(k) <= pk + 0.01 and float(x) >= 0.995 * px
 
 
-def dominates_table2(row, published_row, k_rel=1e-6, x_frac=0.995) -> bool:
+def dominates_table2(row, published_row) -> bool:
+    """The same for a row (a, K, x_max): K at most 1e-6 relative above."""
     _, k, x = row
     _, pk, px = published_row
-    return float(k) <= pk * (1 + k_rel) and float(x) >= x_frac * px
+    return float(k) <= pk * (1 + 1e-6) and float(x) >= 0.995 * px

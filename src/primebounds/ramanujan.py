@@ -297,35 +297,24 @@ def _march(regime: Regime, zlo_f: int, d_f: int, k_start: int, k_end: int,
     return margin, z_at(best_k), None if fail_k is None else z_at(fail_k)
 
 
-def regime_schedule(table2_rows=None, strong_x_max: float | None = None) -> list:
+def regime_schedule() -> list:
     """The ladder covering z in (43, 103].
 
     First rung under the sharp constant 1/8pi up to z = 59, then a = 1, then
-    one rung per weak-table row, each ending at floor(log(row x_max)).  The
-    published deltas cover the first two rungs; later rungs scale delta by
-    sqrt(a_prev/a_next) with a 1e-9 floor -- an engineering reconstruction
-    (margins shrink as a grows), validated by the margin-scaling checks.
+    one rung per weak-table row (``published.TABLE2``, ascending in a), each
+    ending at floor(log(row x_max)).  The published deltas cover the first
+    two rungs; later rungs scale delta by sqrt(a_prev/a_next) with a 1e-9
+    floor -- an engineering reconstruction (margins shrink as a grows),
+    validated by the margin-scaling checks.
     """
-    if table2_rows is None:
-        table2_rows = published.TABLE2
-    if strong_x_max is None:
-        strong_x_max = published.STRONG_X_MAX
-    rows = sorted((float(a), float(K), float(xm)) for a, K, xm in table2_rows)
-    if not rows or rows[0][0] != 1.0:
-        raise ParameterError("schedule needs the a = 1 row to anchor the second rung")
-    rungs = [Regime(43.0, 59.0, A_SHARP_UP, published.RAMANUJAN_DELTA_FIRST, strong_x_max)]
+    rungs = [Regime(43.0, 59.0, A_SHARP_UP, published.RAMANUJAN_DELTA_FIRST,
+                    published.STRONG_X_MAX)]
+    # the a = 1 row comes first, and scaling from a = 1 keeps its published delta
     a_prev, delta_prev = 1.0, published.RAMANUJAN_DELTA_SECOND
-    z_prev = 59.0
-    for a, _, x_max in rows:
-        z_hi = float(math.floor(math.log(x_max)))
-        if a == 1.0:
-            delta = published.RAMANUJAN_DELTA_SECOND
-        else:
-            delta = max(delta_prev * math.sqrt(a_prev / a), DELTA_FLOOR)
-        if z_hi <= z_prev:
-            continue
-        rungs.append(Regime(z_prev, z_hi, a, delta, x_max))
-        z_prev, a_prev, delta_prev = z_hi, a, delta
+    for a, _, x_max in published.TABLE2:
+        delta = max(delta_prev * math.sqrt(a_prev / a), DELTA_FLOOR)
+        rungs.append(Regime(rungs[-1].z_hi, float(math.floor(math.log(x_max))), a, delta, x_max))
+        a_prev, delta_prev = a, delta
     return rungs
 
 

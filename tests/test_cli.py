@@ -1,4 +1,4 @@
-"""CLI surface: subcommands, exit codes, formats, configuration merging."""
+"""CLI surface: subcommands, exit codes, formats, the global flags."""
 
 import contextlib
 import gc
@@ -104,13 +104,12 @@ class TestTables:
         assert res.exit_code == EXIT_PASS
         assert strong_runs.count(3e12) == 1
 
-    def test_table2_csv_with_comparison(self, runner):
-        res = run(runner, ["--format", "csv", "tables", "2", "--compare-paper"])
+    def test_table2_text_with_comparison(self, runner):
+        res = run(runner, ["tables", "2", "--compare-published"])
         assert res.exit_code == EXIT_PASS
-        header = res.output.splitlines()[0]
-        assert "K_published" in header
-        assert "dominates" in header
-        assert res.output.count("True") >= 8
+        rows = res.output.splitlines()[1:]
+        assert len(rows) == len(published.TABLE2)
+        assert all("K_published=" in row and row.endswith("dominates=True") for row in rows)
 
 
 class TestVerifyPrimes:
@@ -355,43 +354,30 @@ class TestOutput:
 
 
 class TestConfig:
-    def test_config_file_merging(self, runner, tmp_path):
-        cfg = tmp_path / "pb.conf"
-        cfg.write_text("output_format = json\nprecision_bits = 128\n")
-        res = run(runner, ["--config", str(cfg), "--format", "text", "verify-primes",
-                           "--spec", "psi_sq", "--limit", "1e4"])
-        assert res.exit_code == EXIT_PASS
-        assert res.output.startswith("psi_sq: last violation")
-
-    def test_unknown_config_key(self, runner, tmp_path):
-        cfg = tmp_path / "pb.conf"
-        cfg.write_text("bogus = 1\n")
-        res = run(runner, ["--config", str(cfg), "tables", "1"])
-        assert res.exit_code == EXIT_CONFIG
-
-    def test_bad_config_value(self, runner, tmp_path):
-        cfg = tmp_path / "pb.conf"
-        cfg.write_text("precision_bits = lots\n")
-        res = run(runner, ["--config", str(cfg), "tables", "1"])
+    @pytest.mark.parametrize("args, option", [
+        (["--config", "pb.conf", "tables", "1"], "--config"),
+        (["--format", "csv", "tables", "1"], "--format"),
+        (["tables", "1", "--compare-paper"], "--compare-paper"),
+    ], ids=["--config", "--format csv", "--compare-paper"])
+    def test_removed_option_is_usage_error(self, runner, tmp_path, monkeypatch, args, option):
+        # each setting has one flag: no config file, no csv writer, no alias
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pb.conf").write_text("output_format = json\n")
+        res = run(runner, args)
         assert res.exit_code == EXIT_CONFIG
         assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert option in res.stderr
+        assert res.stdout == ""
 
-    def test_missing_config_file_is_io_error(self, runner, tmp_path):
-        res = run(runner, ["--config", str(tmp_path / "absent.conf"), "tables", "1"])
-        assert res.exit_code == 3
-        assert "absent.conf" in res.stderr
+    def test_cache_dir_environment_variable_is_ignored(self, runner, tmp_path):
+        res = run(runner, ["cache", "path"], env={"PRIMEBOUNDS_CACHE_DIR": str(tmp_path)})
+        assert res.exit_code == EXIT_PASS
+        assert res.stdout == "(cache disabled; set --cache-dir)\n"
 
     def test_grid_density_flag_is_gone(self, runner):
         res = run(runner, ["--grid-density", "256", "ramanujan", "--list"])
         assert res.exit_code == EXIT_CONFIG
         assert "--grid-density" in res.stderr
-
-    def test_grid_density_key_is_gone(self, runner, tmp_path):
-        cfg = tmp_path / "pb.conf"
-        cfg.write_text("grid_density = 256\n")
-        res = run(runner, ["--config", str(cfg), "ramanujan", "--list"])
-        assert res.exit_code == EXIT_CONFIG
-        assert "grid_density" in res.stderr
 
     def test_global_T_flag_is_gone(self, runner):
         # only derive takes a height, through its own --T
@@ -399,29 +385,16 @@ class TestConfig:
         assert res.exit_code == EXIT_CONFIG
         assert "--T" in res.stderr
 
-    def test_T_key_is_gone(self, runner, tmp_path):
-        cfg = tmp_path / "pb.conf"
-        cfg.write_text("T = 1e13\n")
-        res = run(runner, ["--config", str(cfg), "ramanujan", "--list"])
-        assert res.exit_code == EXIT_CONFIG
-        assert "'T'" in res.stderr
-
     def test_sieve_limit_flag_is_gone(self, runner):
         # it only set the default of --limit, now the constant 1e6
         res = run(runner, ["--sieve-limit", "20000", "cache", "path"])
         assert res.exit_code == EXIT_CONFIG
         assert "--sieve-limit" in res.stderr
 
-    def test_sieve_limit_key_is_gone(self, runner, tmp_path):
-        cfg = tmp_path / "pb.conf"
-        cfg.write_text("sieve_limit = 20000\n")
-        res = run(runner, ["--config", str(cfg), "cache", "path"])
-        assert res.exit_code == EXIT_CONFIG
-        assert "sieve_limit" in res.stderr
-
     def test_precision_floor(self, runner):
         res = run(runner, ["--precision-bits", "64", "zeros", "check"])
         assert res.exit_code == EXIT_CONFIG
+        assert res.stderr == "error: precision 64 bits is below the 100-bit floor\n"
 
     def test_cache_commands(self, runner, tmp_path):
         res = run(runner, ["--cache-dir", str(tmp_path), "cache", "build",

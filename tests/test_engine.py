@@ -5,11 +5,13 @@ import math
 from dataclasses import replace
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from primebounds import engine, published
+from primebounds.cli import EXIT_PASS, cli
 from primebounds.engine import (
     BracketError,
     ThresholdEquation,
@@ -223,6 +225,10 @@ class TestIterate:
         for r in report.rounds:
             assert float(r.b_rounded) >= float(r.b_exact)
 
+    def test_seed_and_default_seed_overrides_are_exclusive(self):
+        with pytest.raises(ParameterError, match="not both"):
+            iterate(3e12, seed=default_seed(3e12), A=1.5e25)
+
     def test_default_seed_is_admissible(self):
         seed = default_seed(3e12)
         assert check_admissible(seed).passed
@@ -382,6 +388,11 @@ class TestDecisionReplay:
         assert {"c(A)", "eps(A)", "sqrt(2c)/eps", True} <= seen
 
 
+def derive_cli(args):
+    res = CliRunner().invoke(cli, args)
+    assert res.exit_code == EXIT_PASS, res.output
+
+
 def record_routines(monkeypatch):
     """Every ``_Admissibility`` built from now on, in order."""
     routines = []
@@ -428,14 +439,22 @@ class TestFloatFirstDecisions:
             lambda: iterate(3e12),
             lambda: iterate(3e12, variant=BoundVariant("weak", 1.0)),
             lambda: table2([r[0] for r in published.TABLE2]),
+            lambda: derive_cli(["derive", "--seed-A", "1.5e25"]),
         ],
-        ids=["strong", "weak", "table2"],
+        ids=["strong", "weak", "table2", "cli-seeded"],
     )
     def test_one_routine_per_threshold(self, monkeypatch, derive):
         routines = record_routines(monkeypatch)
         derive()
         keys = [(float(at._terms.x), at.variant) for at in routines]
         assert keys and len(set(keys)) == len(keys)
+
+    def test_probe_doubles_are_the_grid_values(self):
+        # the strong search probes D = n / d_denom as a double and keeps the
+        # exact grid value only for the chosen D: each probe decides alike
+        with working_precision(192):
+            for d in (10, 50, 200):
+                assert all(float(engine._grid(n, d)) == n / d for n in range(8 * d + 1))
 
     def test_no_recheck_at_the_default_height(self, monkeypatch):
         routines = record_routines(monkeypatch)

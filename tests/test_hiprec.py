@@ -172,6 +172,14 @@ class TestPrecisionContext:
         with pytest.raises(PrecisionError):
             set_default_precision(64)
 
+    @pytest.mark.parametrize("fn, arg, prec", [
+        (ei, 5, 64), (li, 10, 40), (bessel_i1, 3, 30), (d_of, 3, 99),
+    ], ids=["ei", "li", "bessel_i1", "d_of"])
+    def test_per_call_precision_below_the_floor_is_refused(self, fn, arg, prec):
+        with pytest.raises(PrecisionError, match="100-bit floor"):
+            fn(arg, prec=prec)
+        assert rel_err(fn(arg, prec=100), fn(arg, prec=192)) < mpf(2) ** -95  # the floor runs
+
     def test_working_precision_restores(self):
         before = mp.prec
         with working_precision(300):

@@ -425,11 +425,24 @@ class TestScanAgainstSampledOracle:
         assert (report.last_violation, report.last_violation_side) == (9996.0, "interior")
         assert report.last_integer_violation == 9996
         assert not threshold_consistent(report, 9996)
-        assert threshold_consistent(report, 9996.5)
         with working_precision(192):
             for x, sign in ((9996, 1), (mpf("9996.5"), -1)):
                 margin = abs(tables_10k.count("psi", x) - x) - PSI_SQ_9996.rhs(mpf(x), mp)
                 assert sign * margin > 0
+
+    @pytest.mark.parametrize("threshold, violated, consistent", [
+        (9996.2, True, False), (9996.4, True, False),
+        # 9996.5 holds, but the scan read no point between 9996 and 9996.82
+        (9996.5, False, False),
+        (9997, False, True),
+    ])
+    def test_interior_last_violation_confirms_from_the_next_integer(
+            self, tables_10k, threshold, violated, consistent):
+        report = scan_inequality(PSI_SQ_9996, 2, 10_000, tables_10k)
+        assert threshold_consistent(report, threshold) is consistent
+        with working_precision(192):
+            x = mpf(str(threshold))
+            assert (abs(tables_10k.count("psi", x) - x) >= PSI_SQ_9996.rhs(x, mp)) is violated
 
     @pytest.mark.parametrize("spec,lo,hi,last_int", [
         # 2656 lies in the gap (2647, 2657) that x_lo = 2648 cuts in two
