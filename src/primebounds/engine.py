@@ -64,6 +64,16 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    from_float,
+    from_str,
+    mpf_lt,
+    mpf_mul,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from .error_terms import (
     BoundVariant,
@@ -106,6 +116,10 @@ C_DISPLAY_TOL = 0.01
 # re-decided at full precision (module docstring)
 _GUARD = 1e-9
 
+# relative half-width of the band in which a float64 test LHS(x) < T of
+# ``solve_x_max`` is re-decided at full precision (its docstring)
+_X_MAX_GUARD = 1e-12
+
 _EQ_KINDS = ("strong", "weak", "comparison")
 
 
@@ -137,33 +151,77 @@ class ThresholdEquation:
             return K * mp.sqrt(x / L ** 3)
         return K * mp.sqrt(x / L)
 
+    def _lhs64(self, x: float) -> float:
+        """``lhs`` in float64, for x >= 30 (``solve_x_max``'s error bound)."""
+        K = float(self.constant)
+        L = math.log(x)
+        if self.variant == "strong":
+            return K / math.log(L) * math.sqrt(x / L)
+        if self.variant == "weak":
+            return K * math.sqrt(x / (L * L * L))
+        return K * math.sqrt(x / L)
+
 
 def solve_x_max(eq: ThresholdEquation, prec: int | None = None) -> mpf:
     """Largest x with LHS(x) = T, by geometric bisection to 1e-13 relative.
 
     The LHS is strictly increasing for x >= e^3, so the root is unique on
     the bracket; the default bracket [1e5, 1e60] covers every table entry
-    and is expanded once before giving up.
+    and is expanded once, to [30, 1e300], before giving up.
+
+    The bisection runs at the routine's precision; only its tests
+    LHS(x) < T are decided in float64 first, by ``_lhs64`` at float(x),
+    and kept when |LHS - T| > 1e-12 T (``_X_MAX_GUARD``).  Anything closer,
+    or not finite, is re-decided by ``lhs`` at full precision.  The bound
+    behind the band, with u = 2^-53, each float64 operation and sqrt
+    erring by at most u relative, each libm log by at most 2u, and K and T
+    doubles: float(x) errs by u, so log x by 2u + u/log x <= 2.4u relative
+    on x >= 30 (log x > 3.4); x/log x by 4.4u, its sqrt by 3.2u, and the
+    comparison shape by 4.2u with K; log log x by 2.5u absolute, over
+    1.22, so 4.1u relative with libm, and the strong shape by 9.3u; the
+    weak cube by 9.2u, x/log^3 x by 11.2u and the weak shape by 7.6u.  So
+    the float64 LHS lies within 10u (1.1e-15) of LHS relative, rounding
+    its difference with T adds u, and the full-precision LHS errs by about
+    2^-185.  The band is over 800 times these 11u, so every answer kept is
+    the full-precision one, each step moves lo or hi exactly as deciding
+    everything at full precision would, and the root is bit-identical to
+    it.  Only the last steps, where the bracket is narrower than about
+    2e-12 relative, are re-decided.
     """
     prec = get_default_precision() if prec is None else int(prec)
     with working_precision(prec):
         T = mpf(eq.T)
-        lo, hi = mpf("1e5"), mpf("1e60")
-        if not (eq.lhs(lo) < T <= eq.lhs(hi)):
-            lo, hi = mpf("30"), mpf("1e300")
-            if not (eq.lhs(lo) < T <= eq.lhs(hi)):
-                raise BracketError(
-                    f"no sign change for {eq.variant} K={eq.constant} T={eq.T}"
-                )
+        T64 = float(eq.T)
+        band = _X_MAX_GUARD * T64
+
+        def below(x) -> bool:
+            # eq.lhs(x) < T for a raw mpf x, in float64 outside the band
+            diff = eq._lhs64(to_float(x)) - T64
+            if math.isfinite(diff) and abs(diff) > band:
+                return diff < 0
+            return eq.lhs(mp.make_mpf(x)) < T
+
+        def geometric_mean(lo, hi):
+            # mp.sqrt(lo * hi) on raw mpf values, rounded to nearest at prec
+            # as mpf arithmetic is, without the object overhead
+            return mpf_sqrt(mpf_mul(lo, hi, prec, round_nearest), prec, round_nearest)
+
+        for ends in (("1e5", "1e60"), ("30", "1e300")):
+            lo, hi = (from_str(v, prec, round_nearest) for v in ends)
+            if below(lo) and not below(hi):
+                break
+        else:
+            raise BracketError(f"no sign change for {eq.variant} K={eq.constant} T={eq.T}")
+        tol = from_float(1e-13)
         for _ in range(600):
-            mid = mp.sqrt(lo * hi)
-            if eq.lhs(mid) < T:
+            mid = geometric_mean(lo, hi)
+            if below(mid):
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < 1e-13 * lo:
+            if mpf_lt(mpf_sub(hi, lo, prec, round_nearest), mpf_mul(tol, lo, prec, round_nearest)):
                 break
-        return +mp.sqrt(lo * hi)
+        return mp.make_mpf(geometric_mean(lo, hi))
 
 
 def admissible_B(state: IterationState, prec: int | None = None) -> mpf:

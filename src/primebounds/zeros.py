@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import bisect
 import importlib.resources
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, mpf_gt, round_nearest
 
 from .errors import CoverageError, ParameterError, ZeroDataError
 from .hiprec import get_default_precision, working_precision
@@ -58,11 +60,10 @@ class ZeroList:
         return self.gammas[-1] if self.gammas else mpf(0)
 
     def below(self, t2) -> tuple:
-        t2 = mpf(t2)
-        return tuple(g for g in self.gammas if g <= t2)
+        return self.gammas[:self.count_below(t2)]
 
     def count_below(self, t) -> int:
-        return len(self.below(t))
+        return bisect.bisect_right(self.gammas, mpf(t))
 
 
 def bundled_zeros_path() -> str:
@@ -71,18 +72,34 @@ def bundled_zeros_path() -> str:
     return str(ref)
 
 
+# a plain ASCII decimal, read as an exact integer over a power of ten; a
+# longer token goes through mpf(token), since mpmath rounds decimals with
+# over 400 places by an inexact product and int() reads at most 4300 digits
+_DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
+_DECIMAL_MAX_LEN = 400
+
+
 def load_zeros(path: str, limit: Optional[float] = None, prec: int | None = None) -> ZeroList:
     """Parse an ordinate file, validate ordering, optionally truncate at limit.
 
     Lines may carry an index column ("1 14.134725..."), detected from the
     first data line.  Blank lines and '#' comments are skipped.
+
+    A plain decimal token is read as the exact ratio num / 10^d and rounded
+    once to ``prec`` bits, which is the value ``mpf(token)`` gives; any
+    other token goes through ``mpf(token)``, whose value is its own exact
+    ratio.  Positivity and ascending order are checked on the exact ratios,
+    and two ordinates that round to the same value count as not ascending:
+    as rounding is monotone, that rejects exactly what comparing the
+    rounded values would.
     """
     prec = get_default_precision() if prec is None else int(prec)
-    gammas = []
+    gammas = []              # the accepted ordinates, as raw mpf values
+    num_prev = den_prev = None
     has_index = None
     min_decimals = None
     with working_precision(prec):
-        lim = None if limit is None else mpf(limit)
+        lim = None if limit is None else mpf(limit)._mpf_
         with open(path) as f:
             for line_no, raw in enumerate(f, start=1):
                 line = raw.strip()
@@ -96,27 +113,38 @@ def load_zeros(path: str, limit: Optional[float] = None, prec: int | None = None
                 if len(parts) != (2 if has_index else 1):
                     raise ZeroDataError(f"{path}:{line_no}: inconsistent column count")
                 token = parts[-1]
-                try:
-                    g = mpf(token)
-                except Exception as exc:
-                    raise ZeroDataError(f"{path}:{line_no}: not a number: {token!r}") from exc
-                if not mp.isfinite(g):
-                    raise ZeroDataError(f"{path}:{line_no}: non-finite ordinate {token}")
-                if g <= 0:
+                match = _DECIMAL.fullmatch(token) if len(token) <= _DECIMAL_MAX_LEN else None
+                if match:
+                    places = match[2] or ""
+                    num, den = int(match[1] + places), 10 ** len(places)
+                    g = from_rational(num, den, prec, round_nearest)
+                    decimals = len(places)
+                else:
+                    try:
+                        value = mpf(token)
+                    except Exception as exc:
+                        raise ZeroDataError(f"{path}:{line_no}: not a number: {token!r}") from exc
+                    if not mp.isfinite(value):
+                        raise ZeroDataError(f"{path}:{line_no}: non-finite ordinate {token}")
+                    sign, man, exp, _ = g = value._mpf_
+                    num, den = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+                    decimals = len(token.split(".")[1]) if "." in token else 0
+                if num <= 0:
                     raise ZeroDataError(f"{path}:{line_no}: nonpositive ordinate {token}")
-                if gammas and g <= gammas[-1]:
+                if gammas and (num * den_prev <= num_prev * den or g == gammas[-1]):
                     raise ZeroDataError(f"{path}:{line_no}: ordinates not ascending")
-                decimals = len(token.split(".")[1]) if "." in token else 0
                 min_decimals = decimals if min_decimals is None else min(min_decimals, decimals)
-                if lim is not None and g > lim:
+                if lim is not None and mpf_gt(g, lim):
                     break
-                gammas.append(+g)
+                gammas.append(g)
+                num_prev, den_prev = num, den
+        gammas = tuple(map(mp.make_mpf, gammas))
     if gammas and not (FIRST_ZERO_LOW < gammas[0] < FIRST_ZERO_HIGH):
         raise ZeroDataError(
             f"first ordinate {float(gammas[0])} is not the first zeta zero; "
             "file does not start at the bottom of the critical strip"
         )
-    return ZeroList(tuple(gammas), source=path, decimal_places=min_decimals or 0)
+    return ZeroList(gammas, source=path, decimal_places=min_decimals or 0)
 
 
 def check_zero_sum(zeros: ZeroList, t2, prec: int | None = None) -> Verdict:

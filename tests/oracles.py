@@ -13,8 +13,8 @@ recursion, the kernel weights are evaluated at every in-band ordinate
 instead of at the two ends the monotonicity lemma allows, the
 inequality scan samples every gap between jumps and checks every integer
 instead of settling gaps from their two ends, and each admissibility
-decision of the engine's searches is made at full precision instead of in
-float64 first.
+decision of the engine's searches, and each bisection test of its threshold
+root, is made at full precision instead of in float64 first.
 """
 
 import bisect
@@ -27,7 +27,7 @@ import numpy as np
 from mpmath import inf, log, mp, mpf, quad
 
 from primebounds import engine, kernel
-from primebounds.errors import ParameterError
+from primebounds.errors import BracketError, ParameterError
 from primebounds.primes import _li64, _odd_mask, _recheck, _simple_sieve
 from primebounds.verdict import Verdict
 
@@ -327,3 +327,27 @@ def below_best_mpf(log_a, E, best, denom, n_hi) -> int:
     while n >= 0 and not below(n):
         n -= 1
     return n
+
+
+def solve_x_max_mpf(eq, prec=192):
+    """``engine.solve_x_max`` with every test LHS(x) < T made by ``eq.lhs``
+    at full precision: the same geometric bisection on the same brackets,
+    in mpf objects."""
+    with mp.workprec(prec):
+        T = mpf(eq.T)
+        lo, hi = mpf("1e5"), mpf("1e60")
+        if not (eq.lhs(lo) < T <= eq.lhs(hi)):
+            lo, hi = mpf("30"), mpf("1e300")
+            if not (eq.lhs(lo) < T <= eq.lhs(hi)):
+                raise BracketError(
+                    f"no sign change for {eq.variant} K={eq.constant} T={eq.T}"
+                )
+        for _ in range(600):
+            mid = mp.sqrt(lo * hi)
+            if eq.lhs(mid) < T:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-13 * lo:
+                break
+        return +mp.sqrt(lo * hi)

@@ -7,10 +7,11 @@ import json
 import sys
 import weakref
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from primebounds import engine, published
+from primebounds import engine, hiprec, published
 from primebounds.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, cli, main
 
 
@@ -390,6 +391,23 @@ class TestConfig:
         res = run(runner, ["--sieve-limit", "20000", "cache", "path"])
         assert res.exit_code == EXIT_CONFIG
         assert "--sieve-limit" in res.stderr
+
+    @pytest.mark.parametrize("args, code", [
+        (["ramanujan", "--list"], EXIT_PASS),
+        (["ramanujan", "--counterexample", "2"], EXIT_FAIL),
+        (["derive", "--T", "1e-3"], EXIT_CONFIG),
+        (["tables", "3"], EXIT_CONFIG),
+    ], ids=["exit-0", "exit-1", "exit-2", "usage-error"])
+    def test_precision_flag_is_restored_after_the_command(self, args, code):
+        # an in-process caller's later library calls keep its own precision
+        before = hiprec.get_default_precision()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                pytest.raises((SystemExit, click.UsageError)) as exit_:
+            cli.main(args=["--precision-bits", "256", *args], standalone_mode=False)
+        got = exit_.value.code if isinstance(exit_.value, SystemExit) else exit_.value.exit_code
+        assert got == code
+        assert before != 256
+        assert hiprec.get_default_precision() == before
 
     def test_precision_floor(self, runner):
         res = run(runner, ["--precision-bits", "64", "zeros", "check"])

@@ -2,11 +2,13 @@
 
 import functools
 import math
+import random
+import re
 from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -43,7 +45,7 @@ from primebounds.kernel import (
     zero_sum_bound,
 )
 
-from .oracles import admissible_mpf, below_best_mpf, margin64
+from .oracles import admissible_mpf, below_best_mpf, margin64, solve_x_max_mpf
 
 
 def sig3(x):
@@ -94,6 +96,72 @@ class TestSolveXMax:
     def test_bracket_error_on_absurd_height(self):
         with pytest.raises(BracketError):
             solve_x_max(ThresholdEquation("comparison", 4.92, 1e200))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        variant=st.sampled_from(["strong", "weak", "comparison"]),
+        log_k=st.floats(-7, math.log10(20)),
+        log_root=st.floats(1, 340),
+    )
+    # roots below 30, in the expanded bracket's low and high parts, on the
+    # default bracket's ends, and above 1e300
+    @example(variant="comparison", log_k=0.0, log_root=1.2)
+    @example(variant="strong", log_k=0.0, log_root=3.0)
+    @example(variant="weak", log_k=-7.0, log_root=5.0)
+    @example(variant="strong", log_k=1.0, log_root=60.0)
+    @example(variant="weak", log_k=-3.0, log_root=200.0)
+    @example(variant="comparison", log_k=0.5, log_root=300.0)
+    @example(variant="strong", log_k=0.9, log_root=320.0)
+    def test_root_is_the_full_precision_bisection(self, variant, log_k, log_root):
+        # T = LHS at a drawn root, so every bracket case is reached
+        K = 10.0 ** log_k
+        with working_precision(192):
+            T = float(ThresholdEquation(variant, K).lhs(mpf(10) ** log_root))
+        eq = ThresholdEquation(variant, K, T)
+        for prec in (192, 256):
+            try:
+                want = solve_x_max_mpf(eq, prec)._mpf_
+            except BracketError as exc:
+                with pytest.raises(BracketError, match=re.escape(str(exc))):
+                    solve_x_max(eq, prec)
+            else:
+                assert solve_x_max(eq, prec)._mpf_ == want
+
+    def test_float_lhs_is_inside_the_error_bound(self):
+        # the bound of solve_x_max's docstring: 10 u of LHS, plus u for the
+        # difference with T; the band is at least 100 times that
+        u = 2.0 ** -53
+        rng = random.Random(0)
+        worst = 0.0
+        with working_precision(192):
+            for _ in range(3000):
+                eq = ThresholdEquation(rng.choice(["strong", "weak", "comparison"]),
+                                       10.0 ** rng.uniform(-7, math.log10(20)))
+                x = mpf(10) ** rng.uniform(1.5, 300)
+                ref = eq.lhs(x)
+                worst = max(worst, float(abs(eq._lhs64(float(x)) - ref) / ref) / u)
+        assert worst <= 10
+        assert engine._X_MAX_GUARD >= 100 * 11 * u
+
+    def test_full_precision_tests_in_the_constants_commands(self, monkeypatch):
+        # the parent's all-192-bit bisection made 1,484 of these in 28 calls
+        counts = {"lhs": 0, "solve": 0}
+        lhs, solve = ThresholdEquation.lhs, engine.solve_x_max
+
+        def counted_lhs(self, x):
+            counts["lhs"] += 1
+            return lhs(self, x)
+
+        def counted_solve(*args, **kwargs):
+            counts["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ThresholdEquation, "lhs", counted_lhs)
+        monkeypatch.setattr(engine, "solve_x_max", counted_solve)
+        for args in (["derive", "--T", "3e12"], ["derive", "--T", "2.5e14"], ["tables", "1", "2"]):
+            derive_cli(args)
+        assert counts == {"lhs": 199, "solve": 28}
+        assert counts["lhs"] <= 0.15 * 1484
 
 
 class TestAdmissibleB:

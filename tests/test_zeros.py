@@ -1,6 +1,7 @@
 """Zero-table ingestion and the empirical zero-data checks."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,60 @@ class TestLoadZeros:
         p.write_text(FIRST_THREE)
         zl = load_zeros(str(p), limit=22)
         assert len(zl) == 2
+
+    @pytest.mark.parametrize("prec", [192, 256])
+    def test_bundled_ordinates_are_the_mpf_of_their_tokens(self, prec):
+        path = zeros.bundled_zeros_path()
+        with open(path) as f, mp.workprec(prec):
+            want = [mpf(line.split()[-1])._mpf_ for line in f if line.strip()]
+        got = load_zeros(path, prec=prec)
+        assert [g._mpf_ for g in got.gammas] == want
+        assert len(want) == 4522
+
+    @pytest.mark.parametrize("token, decimal_places", [
+        ("+21.022039639", 9), ("2.1022039639e1", 9), ("٢١.٠٢٢", 3), ("21.0220396390000", 9),
+        ("1_000.5", 1),
+    ])
+    def test_other_tokens_parse_as_mpf_does(self, tmp_path, token, decimal_places):
+        p = tmp_path / "z.txt"
+        p.write_text(f"14.134725141\n{token}\n")
+        zl = load_zeros(str(p))
+        with mp.workprec(192):
+            assert zl.gammas[1]._mpf_ == mpf(token)._mpf_
+        assert zl.decimal_places == decimal_places
+
+    @pytest.mark.parametrize("rows, message", [
+        ("14.\n", "first ordinate 14.0 is not the first zeta zero"),
+        ("14.134725141\n14.\n", "z.txt:2: ordinates not ascending"),
+        ("0.000\n", "z.txt:1: nonpositive ordinate 0.000"),
+        ("14.134725141\n-1\n", "z.txt:2: nonpositive ordinate -1"),
+        ("14.134725141\n14.134725141\n", "z.txt:2: ordinates not ascending"),
+        ("14.134725141\n21.022039639\n21.0220396\n", "z.txt:3: ordinates not ascending"),
+        ("14.134725141\n1__000.5\n", "z.txt:2: not a number: '1__000.5'"),
+        ("14.134725141\n" + "1" * 5000 + "\n", "z.txt:2: not a number: '111"),
+    ], ids=["14.", "14.-second", "0.000", "-1", "equal", "descending", "double-underscore",
+            "5000-digits"])
+    def test_rejections_keep_their_message_and_line(self, tmp_path, rows, message):
+        p = tmp_path / "z.txt"
+        p.write_text(rows)
+        with pytest.raises(ZeroDataError, match=re.escape(message)):
+            load_zeros(str(p))
+
+    def test_distinct_tokens_equal_at_the_precision_are_not_ascending(self, tmp_path):
+        # 1e-70 apart: equal once rounded to 192 bits, distinct at 256
+        p = tmp_path / "z.txt"
+        p.write_text("14.134725141\n14.134725141" + "0" * 60 + "1\n")
+        with pytest.raises(ZeroDataError, match=":2: ordinates not ascending"):
+            load_zeros(str(p), prec=192)
+        assert len(load_zeros(str(p), prec=256)) == 2
+
+    def test_below_is_the_ordinates_up_to_t(self, zero_list):
+        gs = zero_list.gammas
+        with mp.workprec(192):
+            for t in (0, 14, gs[0], gs[100], 1000, gs[-1], 1e4):
+                want = tuple(g for g in gs if g <= t)
+                assert zero_list.below(t) == want
+                assert zero_list.count_below(t) == len(want)
 
     def test_bundled_fixture_properties(self, zero_list):
         assert len(zero_list) >= 4520
