@@ -15,7 +15,6 @@ from .hiprec import (
     ei,
     get_default_precision,
     li,
-    set_default_precision,
     working_precision,
 )
 from .kernel import (

@@ -2,9 +2,8 @@
 
 Subcommands: derive, tables, verify-primes, zeros (check), ramanujan, cache.
 Three global flags set a run, each from the flag alone: ``--precision-bits``
-(the package-wide working precision while the command runs; the previous
-one is restored when it ends), ``--cache-dir`` (the prime-table
-cache, off without it) and ``--format json|text``.
+(the ``working_precision`` scope the command runs in), ``--cache-dir`` (the
+prime-table cache, off without it) and ``--format json|text``.
 
 Exit codes are a stable scripting contract, the same for ``main()``,
 ``cli.main(..., standalone_mode=False)`` and click's test runner:
@@ -90,12 +89,9 @@ def _limit(limit: float) -> int:
 
 
 class _Cli(click.Group):
-    """The top-level group: the one place errors become exit codes, and
-    where the package-wide precision that ``--precision-bits`` sets is put
-    back when the command ends, however it ends."""
+    """The top-level group: the one place errors become exit codes."""
 
     def invoke(self, ctx):
-        precision = hiprec.get_default_precision()
         try:
             return super().invoke(ctx)
         except (ParameterError, OverflowError) as exc:
@@ -104,8 +100,6 @@ class _Cli(click.Group):
         except OSError as exc:
             _echo_err(f"I/O error: {exc}")
             raise SystemExit(EXIT_IO)
-        finally:
-            hiprec.set_default_precision(precision)
 
 
 @click.group(cls=_Cli)
@@ -118,7 +112,7 @@ class _Cli(click.Group):
 def cli(ctx, precision_bits, cache_dir, output_format):
     """Verification toolkit for explicit prime-counting bounds under
     partially verified zero data."""
-    hiprec.set_default_precision(precision_bits)
+    ctx.with_resource(hiprec.working_precision(precision_bits))
     ctx.obj = RunConfig(cache_dir, output_format)
 
 

@@ -36,7 +36,7 @@ the float64 answer only when it is clear:
   each divided by sqrt(A) log A a, with E_3 counted as its two pieces;
 - no step overflows or leaves its domain, and nothing is NaN or infinite.
 
-Anything else is re-decided at the routine's precision as
+Anything else is re-decided at the working precision as
 ``not preconditions(D, E) and margin(D, E) > 0`` and counted in
 ``rechecks``.  The bound behind the band: with u = 2^-53, each float64
 operation errs by at most u relative and each libm call (exp, log, sinh,
@@ -89,7 +89,7 @@ from .error_terms import (
 # perfbench/tracing.py installs its spans on these two names
 from .error_terms import derive_profile, e_total  # noqa: F401
 from .errors import BracketError
-from .hiprec import get_default_precision, li, working_precision
+from .hiprec import li, working_precision
 from .verdict import Verdict
 from . import published
 
@@ -142,61 +142,56 @@ class ThresholdEquation:
             raise ParameterError("threshold equation needs constant > 0 and T > 0")
 
     def lhs(self, x) -> mpf:
-        x = mpf(x)
-        K = mpf(self.constant)
-        L = mp.log(x)
+        """LHS(x) at mpmath's current precision."""
+        return self._lhs(mpf(x), mp)
+
+    def _lhs(self, x, m):
+        """LHS(x) in number type ``m``: ``mp`` at mpmath's current precision,
+        or ``math`` in float64 for x >= 30 (``solve_x_max``'s error bound)."""
+        K = self.constant
+        L = m.log(x)
         if self.variant == "strong":
-            return K / mp.log(L) * mp.sqrt(x / L)
+            return K / m.log(L) * m.sqrt(x / L)
         if self.variant == "weak":
-            return K * mp.sqrt(x / L ** 3)
-        return K * mp.sqrt(x / L)
-
-    def _lhs64(self, x: float) -> float:
-        """``lhs`` in float64, for x >= 30 (``solve_x_max``'s error bound)."""
-        K = float(self.constant)
-        L = math.log(x)
-        if self.variant == "strong":
-            return K / math.log(L) * math.sqrt(x / L)
-        if self.variant == "weak":
-            return K * math.sqrt(x / (L * L * L))
-        return K * math.sqrt(x / L)
+            return K * m.sqrt(x / L ** 3)
+        return K * m.sqrt(x / L)
 
 
-def solve_x_max(eq: ThresholdEquation, prec: int | None = None) -> mpf:
+def solve_x_max(eq: ThresholdEquation) -> mpf:
     """Largest x with LHS(x) = T, by geometric bisection to 1e-13 relative.
 
     The LHS is strictly increasing for x >= e^3, so the root is unique on
     the bracket; the default bracket [1e5, 1e60] covers every table entry
     and is expanded once, to [30, 1e300], before giving up.
 
-    The bisection runs at the routine's precision; only its tests
-    LHS(x) < T are decided in float64 first, by ``_lhs64`` at float(x),
+    The bisection runs at the working precision; only its tests
+    LHS(x) < T are decided in float64 first, by ``_lhs`` at float(x),
     and kept when |LHS - T| > 1e-12 T (``_X_MAX_GUARD``).  Anything closer,
     or not finite, is re-decided by ``lhs`` at full precision.  The bound
     behind the band, with u = 2^-53, each float64 operation and sqrt
-    erring by at most u relative, each libm log by at most 2u, and K and T
-    doubles: float(x) errs by u, so log x by 2u + u/log x <= 2.4u relative
-    on x >= 30 (log x > 3.4); x/log x by 4.4u, its sqrt by 3.2u, and the
-    comparison shape by 4.2u with K; log log x by 2.5u absolute, over
-    1.22, so 4.1u relative with libm, and the strong shape by 9.3u; the
-    weak cube by 9.2u, x/log^3 x by 11.2u and the weak shape by 7.6u.  So
-    the float64 LHS lies within 10u (1.1e-15) of LHS relative, rounding
-    its difference with T adds u, and the full-precision LHS errs by about
-    2^-185.  The band is over 800 times these 11u, so every answer kept is
-    the full-precision one, each step moves lo or hi exactly as deciding
-    everything at full precision would, and the root is bit-identical to
-    it.  Only the last steps, where the bracket is narrower than about
-    2e-12 relative, are re-decided.
+    erring by at most u relative, each libm log and pow by at most 2u, and
+    K and T doubles: float(x) errs by u, so log x by 2u + u/log x <= 2.4u
+    relative on x >= 30 (log x > 3.4); x/log x by 4.4u, its sqrt by 3.2u,
+    and the comparison shape by 4.2u with K; log log x by 2.5u absolute,
+    over 1.22, so 4.1u relative with libm, and the strong shape by 9.3u;
+    the weak cube L ** 3 by 3 * 2.4u + 2u = 9.2u, x/log^3 x by 11.2u and
+    the weak shape by 7.6u.  So the float64 LHS lies within 10u (1.1e-15)
+    of LHS relative, rounding its difference with T adds u, and the
+    full-precision LHS errs by about 2^-185.  The band is over 800 times
+    these 11u, so every answer kept is the full-precision one, each step
+    moves lo or hi exactly as deciding everything at full precision would,
+    and the root is bit-identical to it.  Only the last steps, where the
+    bracket is narrower than about 2e-12 relative, are re-decided.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
+        prec = mp.prec
         T = mpf(eq.T)
         T64 = float(eq.T)
         band = _X_MAX_GUARD * T64
 
         def below(x) -> bool:
             # eq.lhs(x) < T for a raw mpf x, in float64 outside the band
-            diff = eq._lhs64(to_float(x)) - T64
+            diff = eq._lhs(to_float(x), math) - T64
             if math.isfinite(diff) and abs(diff) > band:
                 return diff < 0
             return eq.lhs(mp.make_mpf(x)) < T
@@ -224,7 +219,7 @@ def solve_x_max(eq: ThresholdEquation, prec: int | None = None) -> mpf:
         return mp.make_mpf(geometric_mean(lo, hi))
 
 
-def admissible_B(state: IterationState, prec: int | None = None) -> mpf:
+def admissible_B(state: IterationState) -> mpf:
     """Minimal threshold constant implied by the state's kernel parameters.
 
     c/eps <= (E/2 + D E / log A) / loglog(x) * sqrt(x / log x) for x > A
@@ -232,8 +227,7 @@ def admissible_B(state: IterationState, prec: int | None = None) -> mpf:
     E/2 + D E / log A makes the threshold inequality imply c/eps <= T.
     Rounded up at three significant figures, matching the published tables.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         return round_up_sig(_b_at(mp.log(mpf(state.A)), mpf(state.D), mpf(state.E)), 3)
 
 
@@ -253,21 +247,20 @@ class _Admissibility:
     requirement are evaluated at the full-precision A.  The preconditions
     are written once, as (quantity, lower bound) pairs (``_conditions``).
 
-    ``admissible`` decides in float64 first and re-decides at the routine's
+    ``admissible`` decides in float64 first and re-decides at the working
     precision only inside the guard band (module docstring); ``rechecks``
     counts those re-decisions.
     """
 
-    def __init__(self, A, variant: BoundVariant, prec: int):
+    def __init__(self, A, variant: BoundVariant):
         variant.check_threshold(float(A))
         self.variant = variant
-        self.prec = prec
         self.rechecks = 0
-        with working_precision(prec):
-            self.a = variant.leading_a(prec)
-            self._profiles = ProfileAt(float(A), variant, prec)
-            self._terms = TermsAt(A, variant, prec)
-            self.c_required = shift_requirement(A, self.a, prec=prec)
+        with working_precision():
+            self.a = variant.leading_a()
+            self._profiles = ProfileAt(float(A), variant)
+            self._terms = TermsAt(A, variant)
+            self.c_required = shift_requirement(A, self.a)
             lows = (mpf(3), -mpf("1e-4"), mpf(1000))
         self._lows = {mp: lows, math: tuple(float(v) for v in lows)}
         self._a64 = float(self.a)
@@ -276,7 +269,7 @@ class _Admissibility:
     @cached_property
     def best(self):
         """(exact B, D, E) of the variant's search at A, or None."""
-        with working_precision(self.prec):
+        with working_precision():
             if self.variant.kind == "strong":
                 return _search_strong(self)
             E = _search_weak(self)
@@ -284,7 +277,7 @@ class _Admissibility:
 
     def preconditions(self, D, E) -> list:
         """The kernel-lemma preconditions at A that (D, E) violates."""
-        with mp.workprec(self.prec):
+        with working_precision():
             c, eps = self._profiles._kernel(mpf(float(D)), mpf(float(E)), mp)
             return list(self._violations(c, eps))
 
@@ -300,7 +293,7 @@ class _Admissibility:
         yield m.sqrt(2 * c) / eps, ratio_min
 
     def _violations(self, c: mpf, eps: mpf):
-        # the violated ``_conditions`` at the routine's precision, lazily
+        # the violated ``_conditions`` at the working precision, lazily
         for (value, low), message in zip(self._conditions(c, eps, mp), _VIOLATIONS):
             if value < low:
                 yield message.format(c=float(c), eps=float(eps))
@@ -308,21 +301,21 @@ class _Admissibility:
     def shift(self, D, E):
         """(profile, E(A), C*) for kernel parameters (D, E)."""
         D = float(D)
-        with mp.workprec(self.prec):
+        with working_precision():
             profile = self._profiles.profile(D, float(E))
             e_at_a = self._terms._total(profile.coefficients, D, mp)[0]
             return profile, e_at_a, -e_at_a / self.a
 
     def margin(self, D, E) -> mpf:
         """C* - requirement: positive exactly when the shift is usable."""
-        with mp.workprec(self.prec):
+        with working_precision():
             return self.shift(D, E)[2] - self.c_required
 
     def admissible(self, D, E) -> bool:
         """``not preconditions(D, E) and margin(D, E) > 0``.
 
         Decided in float64 when that is clear of every boundary by the
-        guard band, else by that expression at the routine's precision.
+        guard band, else by that expression at the working precision.
         """
         D, E = float(D), float(E)
         decided = self._admissible64(D, E)
@@ -370,11 +363,7 @@ def _side(value: float, bound: float) -> int:
     return 0
 
 
-def check_admissible(
-    state: IterationState,
-    strict: bool = False,
-    prec: int | None = None,
-) -> Verdict:
+def check_admissible(state: IterationState, strict: bool = False) -> Verdict:
     """Decide whether a state supports its claimed bound chain.
 
     Checks, in order: kernel-lemma preconditions at A; the declared B
@@ -386,16 +375,15 @@ def check_admissible(
     declared C <= C* without the slack (``declared_c_exact``), and the
     failures found.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    return _check(_Admissibility(state.A, state.variant, prec), state, strict)
+    return _check(_Admissibility(state.A, state.variant), state, strict)
 
 
 def _check(at: _Admissibility, state: IterationState, strict: bool = False) -> Verdict:
     """``check_admissible`` with the routine at the state's threshold."""
-    failures = at.preconditions(state.D, state.E)
-    profile, e_at_a, c_star = at.shift(state.D, state.E)
-    c_req = at.c_required
-    with working_precision(at.prec):
+    with working_precision():
+        failures = at.preconditions(state.D, state.E)
+        profile, e_at_a, c_star = at.shift(state.D, state.E)
+        c_req = at.c_required
         if not c_star > c_req:
             failures.append(
                 f"no admissible shift: C*={mp.nstr(c_star, 8)} <= required {mp.nstr(c_req, 8)}"
@@ -588,39 +576,33 @@ class DerivationReport:
         }
 
 
-def default_seed(
-    T: float = DEFAULT_T,
-    variant: BoundVariant = STRONG,
-    prec: int | None = None,
-) -> IterationState:
+def default_seed(T: float = DEFAULT_T, variant: BoundVariant = STRONG) -> IterationState:
     """Starting state: threshold from the comparison bound (strong) or from
     the strong result itself (weak), with the reference kernel parameters;
     B and C are computed at the state's own threshold from its D and E.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    return _default_seed(T, variant, prec)[0]
+    return _default_seed(T, variant)[0]
 
 
-def _default_seed(T, variant: BoundVariant, prec: int, A=None, D=None, E=None) -> tuple:
+def _default_seed(T, variant: BoundVariant, A=None, D=None, E=None) -> tuple:
     # (seed, routine) of ``default_seed`` with any given A, D or E in place
     # of the reference one, as ``_seed_at`` returns them
     if A is None:
-        with working_precision(prec):
-            if variant.kind == "strong":
-                A = solve_x_max(ThresholdEquation("comparison", published.COMPARISON_K, T), prec=prec)
-            else:
-                A = iterate(T, prec=prec).x_max
-    return _seed_at(A, variant, prec, D, E)
+        if variant.kind == "strong":
+            A = solve_x_max(ThresholdEquation("comparison", published.COMPARISON_K, T))
+        else:
+            A = iterate(T).x_max
+    return _seed_at(A, variant, D, E)
 
 
-def _seed_at(A, variant: BoundVariant, prec: int, D=None, E=None) -> tuple:
+def _seed_at(A, variant: BoundVariant, D=None, E=None) -> tuple:
     """(seed, routine): the reference state at threshold A and the routine
     at ``float(A)``, the A the state stores, which checks the seed and serves
     the first round from it.  The strong seed is (D, E) = (6, 16); the weak
     one D = 0 and the smallest admissible E (2.4, which fails the check,
     when there is none).  A given D or E replaces the reference one."""
-    at = _Admissibility(float(A), variant, prec)
-    with working_precision(prec):
+    at = _Admissibility(float(A), variant)
+    with working_precision():
         strong = variant.kind == "strong"
         D = float((6.0 if strong else 0.0) if D is None else D)
         if E is None:
@@ -644,7 +626,6 @@ def iterate(
     seed: Optional[IterationState] = None,
     max_rounds: int = 8,
     variant: BoundVariant = STRONG,
-    prec: int | None = None,
     A=None,
     D: float | None = None,
     E: float | None = None,
@@ -661,23 +642,22 @@ def iterate(
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
-    prec = get_default_precision() if prec is None else int(prec)
     at = None
     if seed is None:
-        seed, at = _default_seed(T, variant, prec, A, D, E)
+        seed, at = _default_seed(T, variant, A, D, E)
     elif (A, D, E) != (None, None, None):
         raise ParameterError("give a seed state or A, D, E for the default one, not both")
-    return _iterate(T, seed, max_rounds, prec, at)
+    return _iterate(T, seed, max_rounds, at)
 
 
-def _iterate(T, seed: IterationState, max_rounds: int, prec: int, at=None) -> DerivationReport:
+def _iterate(T, seed: IterationState, max_rounds: int, at=None) -> DerivationReport:
     """``iterate`` from a seed; ``at``, when given, is the routine at the
     seed's threshold (``_seed_at``), which may have searched already."""
-    with working_precision(prec):
+    with working_precision():
         variant = seed.variant
         A = mpf(seed.A)
         if at is None:
-            at = _Admissibility(A, variant, prec)
+            at = _Admissibility(A, variant)
         seed_report = _check(at, seed)
         if not seed_report:
             raise ParameterError(
@@ -689,7 +669,7 @@ def _iterate(T, seed: IterationState, max_rounds: int, prec: int, at=None) -> De
         converged = False
         for round_no in range(max_rounds):
             if round_no:
-                at = _Admissibility(A, variant, prec)
+                at = _Admissibility(A, variant)
             if at.best is None:
                 break
             b_exact, D, E = at.best
@@ -697,7 +677,7 @@ def _iterate(T, seed: IterationState, max_rounds: int, prec: int, at=None) -> De
             if prev_b is not None and b_rounded >= prev_b:
                 converged = True
                 break
-            x_max = solve_x_max(ThresholdEquation(eq_kind, float(b_rounded), T), prec=prec)
+            x_max = solve_x_max(ThresholdEquation(eq_kind, float(b_rounded), T))
             if x_max <= A:  # the round's bound holds for A < x <= x_max: no x
                 if not rounds:
                     raise ParameterError(f"round 1 covers no x: x_max={float(x_max):.4g} <= A={float(A):.4g}")
@@ -714,7 +694,7 @@ def _iterate(T, seed: IterationState, max_rounds: int, prec: int, at=None) -> De
         return DerivationReport(variant, float(T), tuple(rounds), converged)
 
 
-def partial_summation_slack(x0: int, a, tables, prec: int | None = None) -> Verdict:
+def partial_summation_slack(x0: int, a, tables) -> Verdict:
     """Constant-term bookkeeping of the theta -> pi partial summation at x0.
 
     Needs exact pi*(x0) and theta*(x0) from prime tables.  The step succeeds
@@ -724,24 +704,23 @@ def partial_summation_slack(x0: int, a, tables, prec: int | None = None) -> Verd
     with anchor |pi(x0) - li(x0) - (theta(x0) - x0)/log x0| and credit
     2 a sqrt(x0).
     """
-    prec = get_default_precision() if prec is None else int(prec)
     if tables.limit < x0:
         raise ParameterError(f"prime tables cover only {tables.limit} < {x0}")
-    with working_precision(prec):
+    with working_precision():
         x0m = mpf(x0)
         pi_x0 = tables.count("pi", x0)
         theta_x0 = tables.count("theta", x0)
-        anchor = abs(pi_x0 - li(x0m, prec=prec) - (theta_x0 - x0m) / mp.log(x0m))
+        anchor = abs(pi_x0 - li(x0m) - (theta_x0 - x0m) / mp.log(x0m))
         credit = 2 * mpf(a) * mp.sqrt(x0m)
         slack = anchor - credit
         return Verdict(slack < 0, anchor=+anchor, credit=+credit, slack=+slack)
 
 
-def table1(T0s: Sequence[float], prec: int | None = None):
+def table1(T0s: Sequence[float]):
     """Rows (T0, K, x_max) of the strong variant at increasing heights."""
     rows = []
     for T0 in T0s:
-        report = iterate(float(T0), prec=prec)
+        report = iterate(float(T0))
         rows.append((float(T0), report.final_constant, report.x_max))
     return rows
 
@@ -749,7 +728,6 @@ def table1(T0s: Sequence[float], prec: int | None = None):
 def table2(
     a_values: Sequence[float],
     T: float = DEFAULT_T,
-    prec: int | None = None,
     strong_x_max=None,
 ):
     """Rows (a, K, x_max) of the weak variant, seeded sequentially.
@@ -760,12 +738,11 @@ def table2(
     derived here unless the caller already has it (``strong_x_max``).  Each
     row's seed and first round share one routine, and so one search.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    A = iterate(T, prec=prec).x_max if strong_x_max is None else strong_x_max
+    A = iterate(T).x_max if strong_x_max is None else strong_x_max
     rows = []
     for a in sorted(float(v) for v in a_values):
-        seed, at = _seed_at(A, BoundVariant("weak", a), prec)
-        report = _iterate(T, seed, 8, prec, at)
+        seed, at = _seed_at(A, BoundVariant("weak", a))
+        report = _iterate(T, seed, 8, at)
         rows.append((a, report.final_constant, report.x_max))
         A = report.x_max
     return rows

@@ -24,7 +24,7 @@ tests in the suite check each piece against its derivation normalization.
 
 Both steps are split by what they depend on.  ``ProfileAt`` holds everything
 of the substitution that depends on A alone and ``TermsAt`` everything of the
-assembly that depends on x alone, each computed once at the routine's
+assembly that depends on x alone, each computed once at the working
 precision (and as the nearest doubles, once float64 needs them).  A search over (D, E) at one
 threshold builds one of each, and ``derive_profile``, ``e_terms`` and
 ``e_total`` are the one-shot uses of the same code.  Each formula is written
@@ -42,7 +42,7 @@ from typing import Callable, Optional
 from mpmath import mp, mpf
 
 from .errors import ParameterError
-from .hiprec import get_default_precision, working_precision
+from .hiprec import working_precision
 from .verdict import Verdict
 
 __all__ = [
@@ -89,8 +89,8 @@ class BoundVariant:
         if self.kind == "weak" and not (self.a is not None and 0 < self.a < math.inf):
             raise ParameterError("weak variant requires a finite a > 0")
 
-    def leading_a(self, prec: int | None = None) -> mpf:
-        with working_precision(prec):
+    def leading_a(self) -> mpf:
+        with working_precision():
             if self.kind == "strong":
                 return 1 / (8 * mp.pi)
             return +mpf(self.a)
@@ -162,21 +162,22 @@ def round_up_sig(value, sig: int) -> mpf:
 
     The result is the correctly-rounded binary value of the decimal
     n * 10^e, not a product of intermediate roundings, so it compares equal
-    to the same decimal entered as a literal at the working precision.
+    to the same decimal entered as a literal at the working precision.  It
+    is the smallest such value >= ``value``, so rounding it again returns
+    it: a decimal whose binary value lies above it rounds to itself, not to
+    the next decimal up.
     """
     v = mpf(value)
     if v <= 0:
         raise ParameterError("round_up_sig expects a positive value")
     with mp.workprec(mp.prec + 16):
-        ex = int(mp.floor(mp.log10(v)))
-        e = ex - sig + 1
-        if e < 0:
-            n = int(mp.ceil(v * (10 ** (-e))))
-        else:
-            n = int(mp.ceil(v / (10 ** e)))
+        e = int(mp.floor(mp.log10(v))) - sig + 1
+        n = int(mp.ceil(v * 10 ** -e if e < 0 else v / 10 ** e))
     if e < 0:
-        return mpf(n) / (10 ** (-e))
-    return mpf(n * 10 ** e)
+        below, up = (mpf(k) / 10 ** -e for k in (n - 1, n))
+    else:
+        below, up = (mpf(k * 10 ** e) for k in (n - 1, n))
+    return below if below >= v else up
 
 
 # significant figures used when reproducing the two printed profiles
@@ -202,16 +203,15 @@ class ProfileAt:
     """The substitution x = A of ``derive_profile``, for any kernel parameters.
 
     Everything that depends on A alone, and every parsed constant, is
-    computed once here at the routine's precision, and its nearest double
+    computed once here at the working precision, and its nearest double
     once when float64 first needs it.  ``_kernel`` and ``_profile`` take the
     number type ``m``: ``mp`` evaluates at the caller's precision,
     bit-identical to a one-shot substitution, and ``math`` evaluates the
     same expressions in float64.
     """
 
-    def __init__(self, A, variant: BoundVariant = STRONG, prec: int | None = None):
-        self.prec = get_default_precision() if prec is None else int(prec)
-        with working_precision(self.prec):
+    def __init__(self, A, variant: BoundVariant = STRONG):
+        with working_precision():
             self.A = mpf(A)
             self.L = L = mp.log(self.A)
             root = mp.sqrt(self.A)
@@ -231,7 +231,7 @@ class ProfileAt:
 
     def profile(self, D, E) -> ErrorProfile:
         """Exact (unrounded) coefficients of the five error terms."""
-        with working_precision(self.prec):
+        with working_precision():
             E = mpf(E)
             c, eps = self._kernel(mpf(D), E, mp)
             if c < 3 or eps > self._eps_max:
@@ -264,16 +264,15 @@ class TermsAt:
     """The assembly of E_1..E_5 and of E(x) at one point x, for any profile.
 
     Everything that depends on x alone is computed once here at the
-    routine's precision, and its nearest double once when float64 first
+    working precision, and its nearest double once when float64 first
     needs it; ``_terms`` and ``_total`` take the number type as
     ``ProfileAt`` does, and at ``mp`` each call is bit-identical to a
     one-shot evaluation.
     """
 
-    def __init__(self, x, variant: BoundVariant = STRONG, prec: int | None = None):
-        self.prec = get_default_precision() if prec is None else int(prec)
+    def __init__(self, x, variant: BoundVariant = STRONG):
         self._strong = variant.kind == "strong"
-        with working_precision(self.prec):
+        with working_precision():
             self.x = x = mpf(x)
             self.L = L = mp.log(x)
             lL = mp.log(L)
@@ -285,7 +284,7 @@ class TermsAt:
                 e5_power = L ** mpf("2.5")
             else:
                 inner_shift = 2 * lL
-                e3_main = variant.leading_a(self.prec) * rx * L ** 2
+                e3_main = variant.leading_a() * rx * L ** 2
                 e4_power = L ** 2
                 e5_power = L ** mpf("3.5")
             self._at = _InBothTypes(
@@ -296,12 +295,12 @@ class TermsAt:
 
     def terms(self, profile: ErrorProfile, D) -> tuple:
         """(E_1, ..., E_5) at x, unnormalized."""
-        with working_precision(self.prec):
+        with working_precision():
             return self._terms(profile.coefficients, D, mp)
 
     def total(self, profile: ErrorProfile, D) -> mpf:
         """Normalized aggregate E(x) = sum(E_i) / (sqrt(x) log x)."""
-        with working_precision(self.prec):
+        with working_precision():
             return self._total(profile.coefficients, D, mp)[0]
 
     def _total(self, coefs: tuple, D, m) -> tuple:
@@ -336,22 +335,17 @@ class TermsAt:
         return e1, e2, e3, e4, e5
 
 
-def derive_profile(
-    state: IterationState,
-    rounding: Optional[dict] = None,
-    prec: int | None = None,
-) -> ErrorProfile:
+def derive_profile(state: IterationState, rounding: Optional[dict] = None) -> ErrorProfile:
     """Derive the error-term coefficients for a state by substitution at x = A.
 
     With ``rounding=None`` the exact substitution values are returned; passing
     ``PRINTED_FIRST`` or ``PRINTED_REFINED`` rounds each coefficient up at the
     printed precision (and attaches the exact profile as ``.exact``).
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    exact = ProfileAt(state.A, state.variant, prec).profile(state.D, state.E)
+    exact = ProfileAt(state.A, state.variant).profile(state.D, state.E)
     if rounding is None:
         return exact
-    with working_precision(prec):
+    with working_precision():
         return ErrorProfile(
             round_up_sig(exact.coef1, rounding["coef1"]),
             round_up_sig(exact.coef2, rounding["coef2"]),
@@ -363,31 +357,25 @@ def derive_profile(
         )
 
 
-def _terms_at(x, state: IterationState, prec: int | None) -> TermsAt:
-    at = TermsAt(x, state.variant, prec)
-    with working_precision(at.prec):
+def _terms_at(x, state: IterationState) -> TermsAt:
+    at = TermsAt(x, state.variant)
+    with working_precision():
         if not at.x > mpf(state.A) * (1 - mpf("1e-12")):
             raise ParameterError(f"x={float(at.x):.4g} is below the state's threshold A")
     return at
 
 
-def e_terms(x, state: IterationState, profile: ErrorProfile, prec: int | None = None):
+def e_terms(x, state: IterationState, profile: ErrorProfile):
     """Evaluate (E_1, ..., E_5) at x > A, unnormalized."""
-    return _terms_at(x, state, prec).terms(profile, state.D)
+    return _terms_at(x, state).terms(profile, state.D)
 
 
-def e_total(x, state: IterationState, profile: ErrorProfile, prec: int | None = None) -> mpf:
+def e_total(x, state: IterationState, profile: ErrorProfile) -> mpf:
     """Normalized aggregate E(x) = sum(E_i) / (sqrt(x) log x)."""
-    return _terms_at(x, state, prec).total(profile, state.D)
+    return _terms_at(x, state).total(profile, state.D)
 
 
-def verify_decreasing(
-    f: Callable,
-    x_lo,
-    x_hi,
-    grid_points: int = 256,
-    prec: int | None = None,
-) -> Verdict:
+def verify_decreasing(f: Callable, x_lo, x_hi, grid_points: int = 256) -> Verdict:
     """Check that f is strictly decreasing on a log-spaced grid in [x_lo, x_hi].
 
     Asserts both strictly decreasing consecutive values and a negative
@@ -396,8 +384,7 @@ def verify_decreasing(
     """
     if grid_points < 64:
         raise ParameterError("verify_decreasing needs at least 64 grid points")
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         y_lo, y_hi = mp.log(mpf(x_lo)), mp.log(mpf(x_hi))
         if not y_lo < y_hi:
             raise ParameterError("requires x_lo < x_hi")
@@ -416,15 +403,14 @@ def verify_decreasing(
         return Verdict(True, first_failure=None, detail="")
 
 
-def shift_requirement(x, a, prec: int | None = None) -> mpf:
+def shift_requirement(x, a) -> mpf:
     """Smallest shift C for which the psi->theta transfer works at x.
 
     The transfer needs psi(x) - theta(x) <= (C - 2) a sqrt(x) log x, i.e.
     C >= 2 + (a1 + a2 x^(-1/6)) / (a log x); the right side is decreasing in
     x, so its value at the threshold A dominates the whole range.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         x = mpf(x)
         if mp.log(x) < PSI_THETA_GAP_MIN_LOG:
             raise ParameterError("psi-theta constants are valid only for x >= e^50")
@@ -433,10 +419,9 @@ def shift_requirement(x, a, prec: int | None = None) -> mpf:
         return +(2 + (a1 + a2 * x ** (mpf(-1) / 6)) / (mpf(a) * mp.log(x)))
 
 
-def psi_theta_margin(x, C, a, prec: int | None = None) -> Verdict:
+def psi_theta_margin(x, C, a) -> Verdict:
     """Check a1 sqrt(x) + a2 x^(1/3) <= (C - 2) a sqrt(x) log x at x."""
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         x = mpf(x)
         if mp.log(x) < PSI_THETA_GAP_MIN_LOG:
             raise ParameterError("psi-theta constants are valid only for x >= e^50")

@@ -1,9 +1,13 @@
 """Extended-precision arithmetic context and the special functions used everywhere else.
 
 All real-valued analytic evaluation in this package flows through mpmath's
-``mpf`` type under a configurable binary precision (default 192 bits, never
-below 100).  The three functions the rest of the package needs beyond plain
-arithmetic are provided here:
+``mpf`` type at the precision of the innermost ``working_precision(bits)``
+scope (192 bits outside any, never below 100).  That scope is the one way to
+set it: the package's functions evaluate at its bits, and one that needs more
+head room (the stepping verifier) opens a scope of its own.  Two arithmetic
+helpers, ``error_terms.round_up_sig`` and ``engine.ThresholdEquation.lhs``,
+work at mpmath's current precision instead.  The three functions the rest
+of the package needs beyond plain arithmetic are provided here:
 
 * ``ei`` / ``li`` -- the exponential integral and the logarithmic integral
   (Cauchy principal value),
@@ -20,15 +24,16 @@ straight from ``mp.besseli``; the tests check it against a direct summation
 of its defining series.  Results are deterministic for a fixed precision
 setting.
 
-Concurrency: every function is pure, but mpmath's precision context is
-process-global.  Concurrent use is safe when the precision is set once at
-startup and per-call ``prec`` overrides all agree with it; mixing precisions
-across threads is not supported.
+Concurrency: every function is pure, and the scope's bits are a context
+variable, but the scope also sets mpmath's ``mp.prec``, which is
+process-global.  Running scopes of different precisions in concurrent
+threads is not supported.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_fixed
@@ -38,7 +43,6 @@ from .errors import DomainError, PrecisionError
 __all__ = [
     "DEFAULT_PRECISION_BITS",
     "MIN_PRECISION_BITS",
-    "set_default_precision",
     "get_default_precision",
     "working_precision",
     "ei",
@@ -50,39 +54,33 @@ __all__ = [
 MIN_PRECISION_BITS = 100
 DEFAULT_PRECISION_BITS = 192
 
-_precision_bits = DEFAULT_PRECISION_BITS
-
-
-def set_default_precision(bits: int) -> None:
-    """Set the package-wide working precision in bits (>= 100).
-
-    Intended to be called once at startup; evaluation functions also accept
-    a per-call ``prec`` override, which is how modules that need extra head
-    room (the stepping verifier) raise precision without mutating the
-    global setting.
-    """
-    global _precision_bits
-    if bits < MIN_PRECISION_BITS:
-        raise PrecisionError(
-            f"precision {bits} bits is below the {MIN_PRECISION_BITS}-bit floor"
-        )
-    _precision_bits = int(bits)
+_bits = ContextVar("working_precision_bits", default=DEFAULT_PRECISION_BITS)
 
 
 def get_default_precision() -> int:
-    return _precision_bits
+    """The bits of the innermost ``working_precision`` scope (192 outside any)."""
+    return _bits.get()
 
 
 @contextmanager
 def working_precision(bits: int | None = None):
-    """Context manager running mpmath at the given (or default) precision."""
-    bits = _precision_bits if bits is None else int(bits)
+    """Scope running the package, and mpmath, at ``bits`` (>= 100).
+
+    Without ``bits`` it re-enters the innermost scope's precision, which is
+    how every function of the package sets mpmath's precision for its own
+    evaluation.  Scopes nest, and each restores the one outside it on exit.
+    """
+    bits = _bits.get() if bits is None else int(bits)
     if bits < MIN_PRECISION_BITS:
         raise PrecisionError(
             f"precision {bits} bits is below the {MIN_PRECISION_BITS}-bit floor"
         )
-    with mp.workprec(bits):
-        yield mp
+    token = _bits.set(bits)
+    try:
+        with mp.workprec(bits):
+            yield mp
+    finally:
+        _bits.reset(token)
 
 
 # Ei takes the fixed-point series for 1 <= y <= this fraction of the
@@ -111,12 +109,12 @@ def _ei_series_fixed(y: mpf, prec: int) -> mpf:
     return mpf(from_man_exp(total, -w, prec, "n"))
 
 
-def ei(y, prec: int | None = None) -> mpf:
+def ei(y) -> mpf:
     """Exponential integral Ei(y) (principal value for y > 0).
 
     li(x) = Ei(log x); this is the workhorse behind every li call.
     """
-    with working_precision(prec):
+    with working_precision():
         prec = mp.prec
         y = mpf(y)
         if y == 0:
@@ -128,13 +126,13 @@ def ei(y, prec: int | None = None) -> mpf:
         return +(mp.euler + mp.log(y) + _ei_series_fixed(y, prec))
 
 
-def li(x, prec: int | None = None) -> mpf:
+def li(x) -> mpf:
     """Logarithmic integral li(x), the principal value of int_0^x dt/log t.
 
     Defined for x >= 0, x != 1.  li(0) = 0; x = 1 is a hard domain error
     (the integrand's singularity is not integrable there), as is x < 0.
     """
-    with working_precision(prec):
+    with working_precision():
         x = mpf(x)
         if x < 0:
             raise DomainError("li is not defined for negative arguments")
@@ -142,12 +140,12 @@ def li(x, prec: int | None = None) -> mpf:
             return mpf(0)
         if x == 1:
             raise DomainError("li diverges at x = 1")
-        return ei(mp.log(x), prec=mp.prec)
+        return ei(mp.log(x))
 
 
-def bessel_i1(c, prec: int | None = None) -> mpf:
+def bessel_i1(c) -> mpf:
     """Modified Bessel function of the first kind, I_1(c), for c >= 0."""
-    with working_precision(prec):
+    with working_precision():
         c = mpf(c)
         if c < 0:
             raise DomainError("bessel_i1 requires c >= 0")
@@ -158,14 +156,14 @@ def bessel_i1(c, prec: int | None = None) -> mpf:
         return +mp.besseli(1, c)
 
 
-def d_of(c0, prec: int | None = None) -> mpf:
+def d_of(c0) -> mpf:
     """D(c0) = sqrt(pi c0 / 2) * I_1(c0) / sinh(c0) for c0 > 0.
 
     Tends to 1 from below as c0 grows; D(c0)/sqrt(2 pi c) is the lower
     sandwich bound on I_1(c)/(2 sinh c) for every c >= c0.
     """
-    with working_precision(prec):
+    with working_precision():
         c0 = mpf(c0)
         if c0 <= 0:
             raise DomainError("d_of requires c0 > 0")
-        return +(mp.sqrt(mp.pi * c0 / 2) * bessel_i1(c0, prec=mp.prec) / mp.sinh(c0))
+        return +(mp.sqrt(mp.pi * c0 / 2) * bessel_i1(c0) / mp.sinh(c0))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import ParameterError
-from .hiprec import bessel_i1, get_default_precision, working_precision
+from .hiprec import bessel_i1, working_precision
 
 __all__ = [
     "KernelParams",
@@ -93,47 +93,44 @@ def _sinc_like(u: mpf, prec: int) -> mpf:
         return mp.sinh(r) / r
 
 
-def ell_real(t, params: KernelParams, prec: int | None = None) -> mpf:
+def ell_real(t, params: KernelParams) -> mpf:
     """Evaluate the kernel at real argument t >= 0.
 
     Below the band edge (t*eps < c) this is the analytic continuation
     (c/sinh c) * sinh(sqrt(c^2 - t^2 eps^2))/sqrt(c^2 - t^2 eps^2); at the
     seam t*eps = c the limit value c/sinh(c).
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         t = mpf(t)
         if t < 0:
             raise ParameterError("ell_real requires t >= 0")
         c = mpf(params.c)
         e = mpf(params.eps)
         u = (t * e) ** 2 - c ** 2
-        return +(c / mp.sinh(c) * _sinc_like(u, prec))
+        return +(c / mp.sinh(c) * _sinc_like(u, mp.prec))
 
 
-def ell_normalizer(params: KernelParams, prec: int | None = None) -> mpf:
+def ell_normalizer(params: KernelParams) -> mpf:
     """ell evaluated at the pure-imaginary point i/2: the weight normalizer.
 
     Equals (c/sinh c) * sinh(sqrt(eps^2/4 + c^2))/sqrt(eps^2/4 + c^2) >= 1.
     The imaginary argument turns the sinc into its hyperbolic branch, so no
     complex arithmetic is needed.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         c = mpf(params.c)
         e = mpf(params.eps)
         r = mp.sqrt(e ** 2 / 4 + c ** 2)
         return +(c / mp.sinh(c) * mp.sinh(r) / r)
 
 
-def a_weight(gamma, params: KernelParams, prec: int | None = None) -> mpf:
+def a_weight(gamma, params: KernelParams) -> mpf:
     """Normalized kernel weight of a critical-line zero ordinate gamma.
 
     Requires 0 < gamma <= c/eps (the strip where RH is assumed); the result
     lies in (0, 1].
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         g = mpf(gamma)
         if not (g > 0):
             raise ParameterError("a_weight requires gamma > 0")
@@ -141,18 +138,17 @@ def a_weight(gamma, params: KernelParams, prec: int | None = None) -> mpf:
             raise ParameterError(
                 f"gamma={gamma} is beyond the band edge c/eps={params.band_edge}"
             )
-        return +(ell_real(g, params, prec=prec) / ell_normalizer(params, prec=prec))
+        return +(ell_real(g, params) / ell_normalizer(params))
 
 
-def tail_bound_high(x, params: KernelParams, prec: int | None = None) -> mpf:
+def tail_bound_high(x, params: KernelParams) -> mpf:
     """Upper bound on the zero sum over |Im rho| > c/eps.
 
     Returns 0.16 * (x+1)/sinh(c) * e^{0.71 sqrt(c eps)} * log(3c) * log(c/eps),
     valid for x > 1, eps <= 1e-3, c >= 3.
     """
-    prec = get_default_precision() if prec is None else int(prec)
     params.require_tail_high()
-    with working_precision(prec):
+    with working_precision():
         x = mpf(x)
         if not x > 1:
             raise ParameterError("tail_bound_high requires x > 1")
@@ -168,7 +164,7 @@ def tail_bound_high(x, params: KernelParams, prec: int | None = None) -> mpf:
         )
 
 
-def tail_bound_mid(x, a_frac, params: KernelParams, prec: int | None = None) -> mpf:
+def tail_bound_mid(x, a_frac, params: KernelParams) -> mpf:
     """Upper bound on the zero sum over a*c/eps < |Im rho| <= c/eps.
 
     Returns (1 + 11 c eps)/(pi c a^2) * log(c/eps) * cosh(c sqrt(1-a^2))/sinh(c) * sqrt(x).
@@ -176,8 +172,7 @@ def tail_bound_mid(x, a_frac, params: KernelParams, prec: int | None = None) -> 
     caller asserts coverage against its configured verification height).
     With a = sqrt(2/c) the prefactor denominator collapses to 2*pi.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         x = mpf(x)
         a = mpf(a_frac)
         if not (0 < a < 1):
@@ -201,28 +196,26 @@ def tail_bound_mid(x, a_frac, params: KernelParams, prec: int | None = None) -> 
 MIN_T2 = 4 * 3.141592653589793 * 2.718281828459045
 
 
-def zero_sum_bound(t2, prec: int | None = None) -> mpf:
+def zero_sum_bound(t2) -> mpf:
     """Upper bound (1/2pi) log^2(t2/2pi) on sum of 1/|Im rho| over |Im rho| <= t2.
 
     Valid for t2 >= 4*pi*e (about 34.16).
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         t2 = mpf(t2)
         if t2 < 4 * mp.pi * mp.e:
             raise ParameterError(f"zero_sum_bound requires t2 >= 4*pi*e ~ {MIN_T2:.2f}")
         return +(mp.log(t2 / (2 * mp.pi)) ** 2 / (2 * mp.pi))
 
 
-def psi_smoothing_bound(x, params: KernelParams, prec: int | None = None) -> mpf:
+def psi_smoothing_bound(x, params: KernelParams) -> mpf:
     """Upper bound on |psi(x) - psi_smooth(x)| for the kernel's smoothing.
 
     e^{2 eps} log(e^eps x) [ eps x / log(B0) * I1(c)/sinh(c) + 2.01 eps sqrt(x)
     + log log(2 x^2) / 2 ], where B0 = I1(c)/(2 sinh c) * eps * x * e^{-eps}.
     Requires x > 100, eps < 1e-2 and B0 > 1.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         x = mpf(x)
         if not x > 100:
             raise ParameterError("psi_smoothing_bound requires x > 100")
@@ -230,7 +223,7 @@ def psi_smoothing_bound(x, params: KernelParams, prec: int | None = None) -> mpf
         e = mpf(params.eps)
         if not e < mpf("1e-2"):
             raise ParameterError("psi_smoothing_bound requires eps < 1e-2")
-        ratio = bessel_i1(c, prec=prec) / mp.sinh(c)
+        ratio = bessel_i1(c) / mp.sinh(c)
         b0 = ratio / 2 * e * x * mp.exp(-e)
         if not b0 > 1:
             raise ParameterError(f"psi_smoothing_bound requires B0 > 1, got B0={float(b0):.4g}")

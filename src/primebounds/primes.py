@@ -275,14 +275,14 @@ class PrimeTables:
         right = col[k] if k >= 0 else 0
         return w_left * left + w_right * right
 
-    def value(self, kind: str, k: int, side: str, prec: int | None = None) -> mpf:
+    def value(self, kind: str, k: int, side: str) -> mpf:
         """The count at jump k read from ``side``, as an mpf."""
-        with working_precision(prec):
+        with working_precision():
             return mpf(self.scaled(kind, k, side)) / (2 * SCALE[kind])
 
-    def count(self, kind: str, x, prec: int | None = None) -> mpf:
+    def count(self, kind: str, x) -> mpf:
         """Exact normalized count at real x <= limit, as an mpf."""
-        return self.value(kind, *self.locate(x), prec=prec)
+        return self.value(kind, *self.locate(x))
 
     # -- float64 scan views ----------------------------------------------
 
@@ -476,10 +476,10 @@ def _verify_segment(seg: _Segment) -> None:
         raise CacheError(f"segment {seg.index} hash mismatch")
 
 
-def psi_theta_gap(x, tables: PrimeTables, prec: int | None = None) -> mpf:
+def psi_theta_gap(x, tables: PrimeTables) -> mpf:
     """Exact psi*(x) - theta*(x); both sums share the fixed-point grid, so
     the subtraction is exact."""
-    return tables.count("psi", x, prec=prec) - tables.count("theta", x, prec=prec)
+    return tables.count("psi", x) - tables.count("theta", x)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +584,6 @@ def scan_inequality(
     x_hi: float,
     tables: PrimeTables,
     interior_samples: int = 16,
-    prec: int | None = None,
 ) -> Verdict:
     """Check the inequality for all real x in [x_lo, x_hi].
 
@@ -721,7 +720,7 @@ def scan_inequality(
         for x, k, label, margin, g in zip(*(a.tolist() for a in hot)):
             if not margin >= g:
                 n_recheck += 1
-                if not _recheck(spec, tables, k, side, x, prec):
+                if not _recheck(spec, tables, k, side, x):
                     continue
             if worst_x is None or x > worst_x or (x == worst_x and label != "left"):
                 worst_x, worst_side = x, label
@@ -801,16 +800,16 @@ def integer_threshold_consistent(scan: Verdict, threshold: float) -> bool:
     return scan.last_integer_violation is None or scan.last_integer_violation < threshold
 
 
-def _recheck(spec, tables, k, side, x, prec) -> bool:
+def _recheck(spec, tables, k, side, x) -> bool:
     """Re-decide a near-zero margin in extended precision; True = violation.
 
     The count is the read at jump k from ``side`` and the target and
     envelope are taken at x: an integer n reads ``*tables.locate(n), n``.
     """
-    with working_precision(prec):
+    with working_precision():
         xq = mpf(x)
-        count = tables.value(spec.count_kind, k, side, prec=prec)
-        target = li_hp(xq, prec=prec) if spec.uses_li else xq
+        count = tables.value(spec.count_kind, k, side)
+        target = li_hp(xq) if spec.uses_li else xq
         return bool(abs(count - target) >= spec.rhs(xq, mp))
 
 

@@ -60,31 +60,30 @@ A_SHARP_UP = 0.03978873577297384
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _step_precision(prec: int | None) -> int:
-    return max(MIN_STEP_PRECISION, get_default_precision() if prec is None else int(prec))
+def _step_precision() -> int:
+    # the stepping checks run at the working precision, but never below 192 bits
+    return max(MIN_STEP_PRECISION, get_default_precision())
 
 
-def f(z, prec: int | None = None) -> mpf:
+def f(z) -> mpf:
     """f(z) = e^{z+1}/z * li(e^{z-1}) for z > 1."""
-    prec = _step_precision(prec)
-    with working_precision(prec):
+    with working_precision(_step_precision()):
         z = mpf(z)
         if not z > 1:
             raise ParameterError("f requires z > 1 (li(e^{z-1}) hits the singularity)")
-        return +(mp.exp(z + 1) / z * ei(z - 1, prec=prec))
+        return +(mp.exp(z + 1) / z * ei(z - 1))
 
 
-def g(z, a, prec: int | None = None) -> mpf:
+def g(z, a) -> mpf:
     """g(z) = a(z-1)/z e^{(3z+1)/2} + (li(e^z) + a z e^{z/2})^2 for z > 1, a > 0."""
-    prec = _step_precision(prec)
-    with working_precision(prec):
+    with working_precision(_step_precision()):
         z = mpf(z)
         a = mpf(a)
         if not (z > 1 and a > 0):
             raise ParameterError("g requires z > 1 and a > 0")
         return +(
             a * (z - 1) / z * mp.exp((3 * z + 1) / 2)
-            + (ei(z, prec=prec) + a * z * mp.exp(z / 2)) ** 2
+            + (ei(z) + a * z * mp.exp(z / 2)) ** 2
         )
 
 
@@ -133,7 +132,6 @@ def step_verify(
     regime: Regime,
     max_steps: Optional[int] = None,
     from_end: bool = False,
-    prec: int | None = None,
 ) -> Verdict:
     """March the delta-grid checking f(z_k) > g(z_k + delta) at every step.
 
@@ -141,18 +139,18 @@ def step_verify(
     ``from_end``, the tail) of the rung.  A nonpositive margin is recorded
     in the verdict, not raised.
 
-    The steps run through a fixed-point kernel (see ``_march``) at
-    ``prec + 64`` bits that carries e^{-t} Ei(t) from one step to the next
-    by Taylor series, with a full ``ei`` only at every ``_ANCHOR``-th step.
-    The clamped final step of a rung, and every step of a window whose
-    delta is too large for the series, are evaluated directly with ``f``
-    and ``g``.  Measured at 192 bits (2 vCPU KVM guest, Python 3.11, mpmath
+    The steps run at the working precision, 192 bits at least, through a
+    fixed-point kernel (see ``_march``) 64 bits above it that carries
+    e^{-t} Ei(t) from one step to the next by Taylor series, with a full
+    ``ei`` only at every ``_ANCHOR``-th step.  The clamped final step of a
+    rung, and every step of a window whose delta is too large for the
+    series, are evaluated directly with ``f`` and ``g``.  Measured at 192 bits (2 vCPU KVM guest, Python 3.11, mpmath
     1.3 without gmpy2): 9-15 us per step in 2e4-step windows and 20-25 us
     in 200-step ones, where the two anchor ``ei`` calls weigh more, against
     280-630 us for two direct ``ei`` calls per step.  The whole
     2.735e10-step ladder is about 3.3 core-days.
     """
-    prec = _step_precision(prec)
+    prec = _step_precision()
     total = regime.n_steps
     if max_steps is not None and int(max_steps) < 1:
         raise ParameterError(f"max_steps must be >= 1, got {max_steps}")
@@ -177,7 +175,10 @@ def step_verify(
         a = mpf(regime.a)
         for k in range(k_split, k0 + n):
             z = z_lo + k * d
-            margin = f(z, prec) - g(min(z + d, z_top), a, prec)
+            y = min(z + d, z_top)
+            with working_precision(prec):
+                fz, gy = f(z), g(y, a)
+            margin = fz - gy
             if best is None or margin < best:
                 best, best_at = margin, float(z)
             if margin <= 0 and first_failure is None:
@@ -263,8 +264,8 @@ def _march(regime: Regime, zlo_f: int, d_f: int, k_start: int, k_end: int,
         z_f = zlo_f + block * d_f
         z = mpf(from_man_exp(z_f, -w))
         y = z + d
-        fresh1 = to_fixed((ei(z - 1, prec=w) * mp.exp(1 - z))._mpf_, w)
-        fresh2 = to_fixed((ei(y, prec=w) * mp.exp(-y))._mpf_, w)
+        fresh1 = to_fixed((ei(z - 1) * mp.exp(1 - z))._mpf_, w)
+        fresh2 = to_fixed((ei(y) * mp.exp(-y))._mpf_, w)
         if r1 is not None and max(abs(r1 - fresh1), abs(r2 - fresh2)) > tol:
             raise PrecisionError(
                 f"stepping kernel drifted from Ei at z={float(z)}; "
@@ -318,27 +319,26 @@ def regime_schedule() -> list:
     return rungs
 
 
-def _floor_over_e(x: int, prec: int) -> int:
-    with working_precision(prec):
+def _floor_over_e(x: int) -> int:
+    with working_precision(_step_precision()):
         return int(mp.floor(mpf(x) / mp.e))  # x/e is irrational, so flooring is safe
 
 
-def _verdict_from_counts(x: int, pi_x: int, pi_xe: int, prec: int) -> Verdict:
-    with working_precision(prec):
+def _verdict_from_counts(x: int, pi_x: int, pi_xe: int) -> Verdict:
+    with working_precision(_step_precision()):
         xm = mpf(x)
         lhs = mpf(pi_x) ** 2
         rhs = mp.e * xm / mp.log(xm) * pi_xe
         holds = bool(lhs < rhs)
-        return Verdict(holds, x=x, holds=holds, lhs=+lhs, rhs=+rhs, skipped_reason="")
+        return Verdict(holds, x=x, holds=holds, lhs=+lhs, rhs=+rhs)
 
 
-def counterexample_check_direct(x: int, prec: int | None = None) -> Verdict:
+def counterexample_check_direct(x: int) -> Verdict:
     """pi(x)^2 < (e x/log x) pi(x/e) at an integer 2 <= x <= 1e12, from the
     plain counts pi(x/e) and pi(x) of ``primes.prime_counts``."""
-    prec = _step_precision(prec)
     x = int(x)
     # below 2, log x is zero or undefined; at 2 the inequality is simply false
     if x < 2:
         raise ParameterError(f"the counterexample check needs x >= 2, got {x}")
-    pi_xe, pi_x = prime_counts([_floor_over_e(x, prec), x])
-    return _verdict_from_counts(x, pi_x, pi_xe, prec)
+    pi_xe, pi_x = prime_counts([_floor_over_e(x), x])
+    return _verdict_from_counts(x, pi_x, pi_xe)

@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, mpf_gt, round_nearest
 
 from .errors import CoverageError, ParameterError, ZeroDataError
-from .hiprec import get_default_precision, working_precision
+from .hiprec import working_precision
 from .kernel import KernelParams, a_weight, zero_sum_bound
 from .verdict import Verdict
 
@@ -63,7 +63,8 @@ class ZeroList:
         return self.gammas[:self.count_below(t2)]
 
     def count_below(self, t) -> int:
-        return bisect.bisect_right(self.gammas, mpf(t))
+        with working_precision():
+            return bisect.bisect_right(self.gammas, mpf(t))
 
 
 def bundled_zeros_path() -> str:
@@ -79,26 +80,26 @@ _DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
 _DECIMAL_MAX_LEN = 400
 
 
-def load_zeros(path: str, limit: Optional[float] = None, prec: int | None = None) -> ZeroList:
+def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
     """Parse an ordinate file, validate ordering, optionally truncate at limit.
 
     Lines may carry an index column ("1 14.134725..."), detected from the
     first data line.  Blank lines and '#' comments are skipped.
 
     A plain decimal token is read as the exact ratio num / 10^d and rounded
-    once to ``prec`` bits, which is the value ``mpf(token)`` gives; any
-    other token goes through ``mpf(token)``, whose value is its own exact
-    ratio.  Positivity and ascending order are checked on the exact ratios,
+    once at the working precision, which is the value ``mpf(token)`` gives;
+    any other token goes through ``mpf(token)``, whose value is its own
+    exact ratio.  Positivity and ascending order are checked on the exact ratios,
     and two ordinates that round to the same value count as not ascending:
     as rounding is monotone, that rejects exactly what comparing the
     rounded values would.
     """
-    prec = get_default_precision() if prec is None else int(prec)
     gammas = []              # the accepted ordinates, as raw mpf values
     num_prev = den_prev = None
     has_index = None
     min_decimals = None
-    with working_precision(prec):
+    with working_precision():
+        prec = mp.prec
         lim = None if limit is None else mpf(limit)._mpf_
         with open(path) as f:
             for line_no, raw in enumerate(f, start=1):
@@ -147,13 +148,12 @@ def load_zeros(path: str, limit: Optional[float] = None, prec: int | None = None
     return ZeroList(gammas, source=path, decimal_places=min_decimals or 0)
 
 
-def check_zero_sum(zeros: ZeroList, t2, prec: int | None = None) -> Verdict:
+def check_zero_sum(zeros: ZeroList, t2) -> Verdict:
     """Compare sum of 1/|Im rho| over |Im rho| <= t2 with its closed-form bound.
 
     ``empirical_sum`` is the sum of 2/gamma over the listed gamma <= t2.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         t2m = mpf(t2)
         if not mp.isfinite(t2m):
             raise ParameterError(f"t2 must be finite, got {t2}")
@@ -161,7 +161,7 @@ def check_zero_sum(zeros: ZeroList, t2, prec: int | None = None) -> Verdict:
             raise CoverageError(
                 f"need ordinates up to {float(t2m)}, file reaches {float(zeros.max_height)}"
             )
-        bound = zero_sum_bound(t2m, prec=prec)  # raises below 4*pi*e
+        bound = zero_sum_bound(t2m)  # raises below 4*pi*e
         used = zeros.below(t2m)
         empirical = 2 * mp.fsum(1 / g for g in used)
         return Verdict(
@@ -175,9 +175,7 @@ def check_zero_sum(zeros: ZeroList, t2, prec: int | None = None) -> Verdict:
         )
 
 
-def check_kernel_weights(
-    zeros: ZeroList, params: KernelParams, prec: int | None = None
-) -> Verdict:
+def check_kernel_weights(zeros: ZeroList, params: KernelParams) -> Verdict:
     """Assert the normalized kernel weight lies in (0, 1] for every in-band zero.
 
     On the band 0 < gamma <= c/eps the weight is
@@ -199,9 +197,8 @@ def check_kernel_weights(
     ordinates before the first failing one counted as checked, and the
     weight and ordinate of that one in the warning.
     """
-    prec = get_default_precision() if prec is None else int(prec)
     gammas = zeros.gammas
-    with working_precision(prec):
+    with working_precision():
         n = bisect.bisect_right(gammas, mpf(params.c) / mpf(params.eps))
         skipped = len(gammas) - n
         if not n:
@@ -210,7 +207,7 @@ def check_kernel_weights(
                            warning="no ordinates inside the kernel band; vacuous pass")
 
         def weight(k):
-            return a_weight(gammas[k], params, prec=prec)
+            return a_weight(gammas[k], params)
 
         def bad(w):
             return not (0 < w <= 1)
@@ -230,14 +227,13 @@ def check_kernel_weights(
                        min_weight=lo, max_weight=hi, warning="")
 
 
-def riemann_count_estimate(t, prec: int | None = None) -> mpf:
+def riemann_count_estimate(t) -> mpf:
     """Main term of the zero-counting function: (t/2pi) log(t/2pi) - t/2pi + 7/8.
 
     Used as an ingestion sanity check: a healthy table's count below t stays
     within a few percent of this for t well above the first zero.
     """
-    prec = get_default_precision() if prec is None else int(prec)
-    with working_precision(prec):
+    with working_precision():
         t = mpf(t)
         if t <= 2 * mp.pi:
             raise ParameterError("count estimate needs t > 2*pi")

@@ -28,6 +28,7 @@ from mpmath import inf, log, mp, mpf, quad
 
 from primebounds import engine, kernel
 from primebounds.errors import BracketError, ParameterError
+from primebounds.hiprec import working_precision
 from primebounds.primes import _li64, _odd_mask, _recheck, _simple_sieve
 from primebounds.verdict import Verdict
 
@@ -136,7 +137,7 @@ def kernel_weights_scan(zeros, params, prec=192, weight=None):
     ``kernel.a_weight`` (same signature) to exercise the failure paths.
     """
     weight = kernel.a_weight if weight is None else weight
-    with mp.workprec(prec):
+    with working_precision(prec):
         edge = mpf(params.c) / mpf(params.eps)
         lo, hi = None, None
         checked = skipped = 0
@@ -144,7 +145,7 @@ def kernel_weights_scan(zeros, params, prec=192, weight=None):
             if g > edge:
                 skipped += 1
                 continue
-            w = weight(g, params, prec=prec)
+            w = weight(g, params)
             if not (0 < w <= 1):
                 return Verdict(False, checked=checked, skipped_out_of_band=skipped,
                                min_weight=lo, max_weight=hi,
@@ -195,7 +196,7 @@ def sieve_prime_counts(points, segment_size: int = 1 << 24, progress=None) -> li
     return counts
 
 
-def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=None):
+def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16):
     """The ``scan_inequality`` verdict with nothing settled by the gap lemma.
 
     Reads every jump in range from all three sides, bar the left limit at
@@ -229,7 +230,7 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
         if margin >= guard:
             return True
         worst["rechecked"] += 1
-        return _recheck(spec, tables, k, side, x_val, prec)
+        return _recheck(spec, tables, k, side, x_val)
 
     def record(x_val, side):
         if worst["x"] is None or x_val > worst["x"] or (x_val == worst["x"] and side != "left"):
@@ -292,11 +293,11 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16, prec=
 
 
 def admissible_mpf(at, D, E) -> bool:
-    """``engine._Admissibility.admissible`` at the routine's full precision,
-    with no float64 stage: (c, eps) once, the first violated precondition
-    ends the decision, else the sign of C* - requirement."""
+    """``engine._Admissibility.admissible`` at the working precision, with
+    no float64 stage: (c, eps) once, the first violated precondition ends
+    the decision, else the sign of C* - requirement."""
     D, E = float(D), mpf(float(E))
-    with mp.workprec(at.prec):
+    with working_precision():
         c, eps = at._profiles._kernel(mpf(D), E, mp)
         if next(at._violations(c, eps), None) is not None:
             return False

@@ -208,9 +208,11 @@ def test_criterion_8_stepping_windows():
         ok = True
         margins = {}
         for name, regime in (("z43", r1), ("z59", r2)):
-            rep = step_verify(regime, max_steps=20000, prec=192)
+            with working_precision(192):
+                rep = step_verify(regime, max_steps=20000)
             ok &= rep.passed and rep.steps_checked == 20000 and rep.min_margin > 0
-            doubled = step_verify(regime, max_steps=20000, prec=384)
+            with working_precision(384):
+                doubled = step_verify(regime, max_steps=20000)
             ok &= doubled.passed
             rel = abs(rep.min_margin - doubled.min_margin) / doubled.min_margin
             ok &= rel < mpf("1e-6")

@@ -112,6 +112,13 @@ class TestTables:
         assert len(rows) == len(published.TABLE2)
         assert all("K_published=" in row and row.endswith("dominates=True") for row in rows)
 
+    def test_tables_dominate_at_256_bits(self, runner):
+        # the weak a = 1 search lands on B = 1.19 exactly, which rounding up
+        # again took to K = 1.2 in the first round, and the row failed
+        res = run(runner, ["--precision-bits", "256", "tables", "1", "2", "--compare-published"])
+        assert res.exit_code == EXIT_PASS
+        assert "  a=1.0 K=1.19 x_max=2.165986859533962e+30 " in res.output
+
 
 class TestVerifyPrimes:
     def test_small_limit_warns(self, runner):

@@ -122,10 +122,11 @@ class TestSolveXMax:
             try:
                 want = solve_x_max_mpf(eq, prec)._mpf_
             except BracketError as exc:
-                with pytest.raises(BracketError, match=re.escape(str(exc))):
-                    solve_x_max(eq, prec)
+                with pytest.raises(BracketError, match=re.escape(str(exc))), working_precision(prec):
+                    solve_x_max(eq)
             else:
-                assert solve_x_max(eq, prec)._mpf_ == want
+                with working_precision(prec):
+                    assert solve_x_max(eq)._mpf_ == want
 
     def test_float_lhs_is_inside_the_error_bound(self):
         # the bound of solve_x_max's docstring: 10 u of LHS, plus u for the
@@ -139,7 +140,7 @@ class TestSolveXMax:
                                        10.0 ** rng.uniform(-7, math.log10(20)))
                 x = mpf(10) ** rng.uniform(1.5, 300)
                 ref = eq.lhs(x)
-                worst = max(worst, float(abs(eq._lhs64(float(x)) - ref) / ref) / u)
+                worst = max(worst, float(abs(eq._lhs(float(x), math) - ref) / ref) / u)
         assert worst <= 10
         assert engine._X_MAX_GUARD >= 100 * 11 * u
 
@@ -160,7 +161,9 @@ class TestSolveXMax:
         monkeypatch.setattr(engine, "solve_x_max", counted_solve)
         for args in (["derive", "--T", "3e12"], ["derive", "--T", "2.5e14"], ["tables", "1", "2"]):
             derive_cli(args)
-        assert counts == {"lhs": 199, "solve": 28}
+        # 28 calls and 199 tests before round_up_sig was idempotent: the weak
+        # a = 100 row's first round then took B = 0.0116 up to 0.0117
+        assert counts == {"lhs": 192, "solve": 27}
         assert counts["lhs"] <= 0.15 * 1484
 
 
@@ -318,9 +321,9 @@ def reference_margin(A, D, E, variant=STRONG, prec=192):
     calls, with the state holding A, D and E as doubles."""
     state = IterationState(float(A), 10.0, 2.0, float(D), float(E), variant)
     with working_precision(prec):
-        a = variant.leading_a(prec)
-        profile = derive_profile(state, prec=prec)
-        return -e_total(A, state, profile, prec=prec) / a - shift_requirement(A, a, prec=prec)
+        a = variant.leading_a()
+        profile = derive_profile(state)
+        return -e_total(A, state, profile) / a - shift_requirement(A, a)
 
 
 def reference_search_strong(A, prec=192):
@@ -376,7 +379,7 @@ SEARCH_THRESHOLDS = [s.A for s in STRONG_STATES] + [published.TABLE1[0][2], publ
 @functools.cache
 def routine_at(A):
     # one routine per threshold across examples, so memoised D parts are reused
-    return engine._Admissibility(A, STRONG, 192)
+    return engine._Admissibility(A, STRONG)
 
 
 @pytest.mark.slow
@@ -384,7 +387,7 @@ class TestSearch:
     @pytest.mark.parametrize("A", SEARCH_THRESHOLDS)
     def test_pruned_search_matches_unpruned_scan(self, A):
         with working_precision(192):
-            got = engine._Admissibility(mpf(A), STRONG, 192).best
+            got = engine._Admissibility(mpf(A), STRONG).best
             want = reference_search_strong(mpf(A))
         assert got == want
 
@@ -421,7 +424,7 @@ class TestSearch:
 
     def test_weak_search_below_floor_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="validity floor"):
-            engine._Admissibility(mpf("5e25"), BoundVariant("weak", 1.0), 192)
+            engine._Admissibility(mpf("5e25"), BoundVariant("weak", 1.0))
 
 
 # (threshold, variant, typical E): two strong thresholds of Table 1's
@@ -437,7 +440,7 @@ REPLAY_CASES = [
 class TestDecisionReplay:
     @pytest.mark.parametrize("A, variant, e_typical", REPLAY_CASES)
     def test_admissible_replays_preconditions_and_margin(self, A, variant, e_typical):
-        at = engine._Admissibility(A, variant, 192)
+        at = engine._Admissibility(A, variant)
         with working_precision(192):
             half_log = float(mp.log(A) / 2)
         # c(A) = log(A)/2 + D: D near -log(A)/2 makes c tiny (all three
@@ -562,7 +565,7 @@ class TestFloatFirstDecisions:
 
     def test_each_boundary_is_re_decided(self):
         A, D = 2.169e25, 6.0
-        at = engine._Admissibility(A, STRONG, 192)
+        at = engine._Admissibility(A, STRONG)
         with working_precision(192):
             c0, eps1 = (float(v) for v in at._profiles._kernel(mpf(0), mpf(1), mp))
         # E with C* - requirement within 1e-12 of zero, by bisection on doubles
@@ -633,14 +636,14 @@ class TestTables:
         monkeypatch.setattr(engine, "_search_weak", counted)
         rows = table2(a_values, strong_x_max=strong)
         # one search per seed and one per later round; the seed's search is
-        # the first round's (26 searches when the first round repeated it),
+        # the first round's (25 searches when the first round repeated it),
         # and no routine searches twice
-        assert len(calls) == 18
+        assert len(calls) == 17
         assert len(set(calls)) == len(calls)
         # the same rows as iterating from each seed with the public loop
         want, A = [], strong
         for a in sorted(a_values):
-            report = iterate(3e12, seed=engine._seed_at(A, BoundVariant("weak", a), 192)[0])
+            report = iterate(3e12, seed=engine._seed_at(A, BoundVariant("weak", a))[0])
             want.append((a, report.final_constant, report.x_max))
             A = report.x_max
         assert rows == want

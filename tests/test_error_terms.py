@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from primebounds import published
@@ -49,6 +51,23 @@ class TestRoundUpSig:
                 r = round_up_sig(mpf(v), sig)
                 assert r >= mpf(v)
                 assert r <= mpf(v) * (1 + mpf(10) ** (1 - sig))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.sampled_from([192, 256]), sig=st.integers(1, 4),
+           mantissa=st.integers(1, 10 ** 6), exponent=st.integers(-15, 15))
+    # decimals whose binary value lies above them, which rounded one unit up
+    @example(bits=192, sig=3, mantissa=894, exponent=-2)
+    @example(bits=192, sig=3, mantissa=116, exponent=-4)
+    @example(bits=256, sig=3, mantissa=119, exponent=-2)
+    def test_idempotent(self, bits, sig, mantissa, exponent):
+        with working_precision(bits):
+            v = mpf(f"{mantissa}e{exponent}")
+            r = round_up_sig(v, sig)
+            assert r >= v
+            assert round_up_sig(r, sig) == r
+            assert r == mpf(mp.nstr(r, sig))  # a decimal of sig figures
+            if mantissa < 10 ** sig:  # v is one already
+                assert r == v
 
 
 class TestDeriveProfile:

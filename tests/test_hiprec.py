@@ -1,5 +1,8 @@
 """Special-function layer against independent oracles and frozen fixtures."""
 
+import importlib
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +15,8 @@ from primebounds.hiprec import (
     bessel_i1,
     d_of,
     ei,
+    get_default_precision,
     li,
-    set_default_precision,
     working_precision,
 )
 
@@ -73,7 +76,7 @@ class TestLi:
             a = mp.euler + mp.log(y) + hiprec._ei_series_fixed(y, 192)
             b = mp.ei(y)
         assert rel_err(a, b) < mpf("1e-40")
-        assert ei(y, prec=192) == b
+        assert ei(y) == b
 
     def test_small_and_negative_ei_arguments(self):
         # Ei(log 0.5) = li(0.5); series branch with cancellation head room
@@ -117,7 +120,7 @@ class TestBesselI1:
     def test_large_argument_against_series_oracle(self):
         # far from the oracle's default 30 terms: sum 400 terms at 80 digits
         oracle = bessel_i1_series(200, terms=400, dps=80)
-        assert rel_err(bessel_i1(200, prec=192), oracle) < mpf("1e-55")
+        assert rel_err(bessel_i1(200), oracle) < mpf("1e-55")
 
     def test_strictly_increasing_on_grid(self):
         cs = [mpf("0.1") * k for k in range(1, 40)]
@@ -169,16 +172,21 @@ class TestDOf:
 
 class TestPrecisionContext:
     def test_floor_enforced(self):
-        with pytest.raises(PrecisionError):
-            set_default_precision(64)
+        with pytest.raises(PrecisionError, match="100-bit floor"):
+            with working_precision(99):
+                pass
+        assert get_default_precision() == 192
 
     @pytest.mark.parametrize("fn, arg, prec", [
         (ei, 5, 64), (li, 10, 40), (bessel_i1, 3, 30), (d_of, 3, 99),
     ], ids=["ei", "li", "bessel_i1", "d_of"])
     def test_per_call_precision_below_the_floor_is_refused(self, fn, arg, prec):
         with pytest.raises(PrecisionError, match="100-bit floor"):
-            fn(arg, prec=prec)
-        assert rel_err(fn(arg, prec=100), fn(arg, prec=192)) < mpf(2) ** -95  # the floor runs
+            with working_precision(prec):
+                fn(arg)
+        with working_precision(100):
+            at_floor = fn(arg)
+        assert rel_err(at_floor, fn(arg)) < mpf(2) ** -95  # the floor runs
 
     def test_working_precision_restores(self):
         before = mp.prec
@@ -186,10 +194,71 @@ class TestPrecisionContext:
             assert mp.prec == 300
         assert mp.prec == before
 
+    def test_scopes_nest_and_restore_when_the_body_raises(self):
+        before = mp.prec
+        with working_precision(256):
+            with pytest.raises(ZeroDivisionError):
+                with working_precision(320):
+                    assert (get_default_precision(), mp.prec) == (320, 320)
+                    with working_precision():
+                        assert (get_default_precision(), mp.prec) == (320, 320)
+                    1 / 0
+            assert (get_default_precision(), mp.prec) == (256, 256)
+            with pytest.raises(PrecisionError):
+                with working_precision(99):
+                    pass
+            assert (get_default_precision(), mp.prec) == (256, 256)
+        assert (get_default_precision(), mp.prec) == (192, before)
+
+    def test_functions_run_at_the_scope_not_the_ambient_precision(self):
+        with working_precision(256):
+            want = li(10)
+        assert want != li(10)  # 256 bits, not 192
+        with working_precision(256), mp.workprec(64):
+            assert li(10) == want
+
     def test_per_call_precision_changes_result_bits_not_value(self):
-        lo = li(2, prec=128)
-        hi = li(2, prec=256)
+        with working_precision(128):
+            lo = li(2)
+        with working_precision(256):
+            hi = li(2)
         assert rel_err(lo, hi) < mpf(2) ** -120
+
+
+def _public_functions():
+    """(name, function) of every public function of the package and every
+    method of its public classes."""
+    import primebounds
+
+    modules = [primebounds] + [importlib.import_module(f"primebounds.{m}") for m in (
+        "cli", "engine", "error_terms", "errors", "hiprec", "kernel", "primes",
+        "published", "ramanujan", "verdict", "zeros")]
+    for module in modules:
+        names = getattr(module, "__all__", None) or [n for n in vars(module) if not n.startswith("_")]
+        for name in names:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    if inspect.isfunction(fn):
+                        yield f"{module.__name__}.{name}.{attr}", fn
+            elif inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_no_public_function_or_method_takes_prec():
+    # the precision is set by working_precision scopes alone
+    functions = dict(_public_functions())
+    assert {"primebounds.engine.solve_x_max", "primebounds.primes.PrimeTables.count",
+            "primebounds.error_terms.ProfileAt.__init__"} <= set(functions)
+    assert [name for name, fn in functions.items() if "prec" in inspect.signature(fn).parameters] == []
+
+
+def test_the_global_setter_is_gone():
+    import primebounds
+
+    assert not hasattr(hiprec, "set_default_precision")
+    assert not hasattr(primebounds, "set_default_precision")
+    assert not hasattr(hiprec, "_precision_bits")
 
 
 @settings(max_examples=40, deadline=None)

@@ -149,10 +149,10 @@ def _assert_count_matches_oracle(tables, kind, x):
     if kind in ("pi", "Pi"):
         assert Fraction(tables.scaled(kind, k, side), 2 * SCALE[kind]) == want, (kind, x)
         with working_precision(192):
-            assert tables.count(kind, x, prec=192) == mpf(want.numerator) / want.denominator
+            assert tables.count(kind, x) == mpf(want.numerator) / want.denominator
     else:
         with working_precision(192):
-            err = abs(tables.count(kind, x, prec=192) - want)
+            err = abs(tables.count(kind, x) - want)
             assert err <= (k + 1) * mpf(2) ** -FIX_BITS, (kind, x, err)
 
 
@@ -348,10 +348,10 @@ class TestScans:
         spec = InequalitySpec("pi_li", A8PI)
         k_2657 = int(np.searchsorted(tables_10k.jumps, 2657))
         assert int(tables_10k.jumps[k_2657]) == 2657
-        assert _recheck(spec, tables_10k, k_2657, "left", 2657.0, 192)
-        assert not _recheck(spec, tables_10k, k_2657, "at", 2657.0, 192)
-        assert _recheck(spec, tables_10k, *tables_10k.locate(2656), 2656, 192)
-        assert not _recheck(spec, tables_10k, *tables_10k.locate(2657), 2657, 192)
+        assert _recheck(spec, tables_10k, k_2657, "left", 2657.0)
+        assert not _recheck(spec, tables_10k, k_2657, "at", 2657.0)
+        assert _recheck(spec, tables_10k, *tables_10k.locate(2656), 2656)
+        assert not _recheck(spec, tables_10k, *tables_10k.locate(2657), 2657)
 
 
 # the ten specs verify-primes scans

@@ -42,7 +42,7 @@ def direct_margins(regime, k0, n, prec=192):
         out = []
         for k in range(k0, k0 + n):
             z = mpf(regime.z_lo) + k * d
-            out.append((f(z, prec) - g(min(z + d, top), a, prec), float(z)))
+            out.append((f(z) - g(min(z + d, top), a), float(z)))
     return out
 
 
@@ -148,8 +148,10 @@ class TestStepVerify:
 
     def test_precision_doubling_stability(self):
         regime = Regime(43.0, 59.0, A8PI, 5e-8, published.STRONG_X_MAX)
-        base = step_verify(regime, max_steps=200, prec=192)
-        doubled = step_verify(regime, max_steps=200, prec=384)
+        with working_precision(192):
+            base = step_verify(regime, max_steps=200)
+        with working_precision(384):
+            doubled = step_verify(regime, max_steps=200)
         rel = abs(base.min_margin - doubled.min_margin) / doubled.min_margin
         assert rel < mpf("1e-6")
 
@@ -185,9 +187,9 @@ class TestKernel:
         ei = ramanujan.ei
         calls = []
 
-        def counting_ei(y, prec=None):
+        def counting_ei(y):
             calls.append(float(y))
-            return ei(y, prec=prec)
+            return ei(y)
 
         monkeypatch.setattr(ramanujan, "ei", counting_ei)
         regime = Regime(43.0, 44.0, 1.0, 1e-8, math.inf)
@@ -207,9 +209,9 @@ class TestKernel:
         ei = ramanujan.ei
         calls = []
 
-        def skewed_ei(y, prec=None):
+        def skewed_ei(y):
             calls.append(y)
-            value = ei(y, prec=prec)
+            value = ei(y)
             return value * (1 + mpf(2) ** -150) if len(calls) > 2 else value
 
         monkeypatch.setattr(ramanujan, "ei", skewed_ei)
@@ -317,10 +319,9 @@ class TestCounterexample:
     @pytest.mark.parametrize("x", [2, 3, 11, 12, 100, 38358, 999_983, 10 ** 6])
     def test_direct_count_matches_tables(self, tables_1e6, x):
         # the count-only pi(x/e) and pi(x) against the primes of the per-jump tables
-        prec = ramanujan.MIN_STEP_PRECISION
-        pi_xe, pi_x = np.searchsorted(tables_1e6.primes, [ramanujan._floor_over_e(x, prec), x],
+        pi_xe, pi_x = np.searchsorted(tables_1e6.primes, [ramanujan._floor_over_e(x), x],
                                       side="right").tolist()
-        want = ramanujan._verdict_from_counts(x, pi_x, pi_xe, prec)
+        want = ramanujan._verdict_from_counts(x, pi_x, pi_xe)
         assert counterexample_check_direct(x) == want
 
     def test_counterexample_boundary(self):
@@ -331,9 +332,8 @@ class TestCounterexample:
         """
         last = published.RAMANUJAN_LAST_COUNTEREXAMPLE
         xs = [last, last + 1]
-        prec = ramanujan.MIN_STEP_PRECISION
-        counts = prime_counts([ramanujan._floor_over_e(x, prec) for x in xs] + xs)
-        at_last, above = (ramanujan._verdict_from_counts(x, counts[2 + i], counts[i], prec)
+        counts = prime_counts([ramanujan._floor_over_e(x) for x in xs] + xs)
+        at_last, above = (ramanujan._verdict_from_counts(x, counts[2 + i], counts[i])
                           for i, x in enumerate(xs))
         assert at_last.holds is False
         assert at_last.lhs >= at_last.rhs

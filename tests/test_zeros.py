@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from primebounds import zeros
+from primebounds.hiprec import working_precision
 from primebounds.kernel import KernelParams, ParameterError, a_weight
 from primebounds.zeros import (
     CoverageError,
@@ -81,7 +82,8 @@ class TestLoadZeros:
         path = zeros.bundled_zeros_path()
         with open(path) as f, mp.workprec(prec):
             want = [mpf(line.split()[-1])._mpf_ for line in f if line.strip()]
-        got = load_zeros(path, prec=prec)
+        with working_precision(prec):
+            got = load_zeros(path)
         assert [g._mpf_ for g in got.gammas] == want
         assert len(want) == 4522
 
@@ -118,9 +120,10 @@ class TestLoadZeros:
         # 1e-70 apart: equal once rounded to 192 bits, distinct at 256
         p = tmp_path / "z.txt"
         p.write_text("14.134725141\n14.134725141" + "0" * 60 + "1\n")
-        with pytest.raises(ZeroDataError, match=":2: ordinates not ascending"):
-            load_zeros(str(p), prec=192)
-        assert len(load_zeros(str(p), prec=256)) == 2
+        with pytest.raises(ZeroDataError, match=":2: ordinates not ascending"), working_precision(192):
+            load_zeros(str(p))
+        with working_precision(256):
+            assert len(load_zeros(str(p))) == 2
 
     def test_below_is_the_ordinates_up_to_t(self, zero_list):
         gs = zero_list.gammas
@@ -129,6 +132,12 @@ class TestLoadZeros:
                 want = tuple(g for g in gs if g <= t)
                 assert zero_list.below(t) == want
                 assert zero_list.count_below(t) == len(want)
+
+    def test_below_outside_any_scope_reads_t_at_the_working_precision(self, zero_list):
+        # at mpmath's ambient 53 bits the first ordinate rounds below itself
+        gs = zero_list.gammas
+        assert zero_list.count_below(gs[0]) == 1
+        assert zero_list.below(gs[0]) == gs[:1]
 
     def test_bundled_fixture_properties(self, zero_list):
         assert len(zero_list) >= 4520
@@ -292,7 +301,7 @@ class TestKernelWeightsAgainstScan:
         (lambda g: -g, 0),               # at or below 0 everywhere
     ])
     def test_failure_matches_scan(self, zero_list, monkeypatch, fake, first):
-        def weight(g, params, prec=None):
+        def weight(g, params):
             with mp.workprec(192):
                 return +fake(mpf(g))
 
