@@ -4,7 +4,7 @@ In z = log x the inequality reduces to f(z) > g(z) for two increasing
 functions, so checking f(z0) > g(z0 + delta) on a delta-grid proves it on
 every intermediate point.  A ladder of (a, delta) regimes covers
 z in (43, 103], each rung staying below the height where its bound constant
-is valid.  Full rungs take one to 14 hours at 9-15 us per step; this demo
+is valid.  Full rungs take one to 15 hours at about 10 us per step; this demo
 walks windows at the start and the (tighter) top of each rung.
 """
 

@@ -478,8 +478,9 @@ def _verify_segment(seg: _Segment) -> None:
 
 def psi_theta_gap(x, tables: PrimeTables) -> mpf:
     """Exact psi*(x) - theta*(x); both sums share the fixed-point grid, so
-    the subtraction is exact."""
-    return tables.count("psi", x) - tables.count("theta", x)
+    the subtraction at the working precision is exact."""
+    with working_precision():
+        return tables.count("psi", x) - tables.count("theta", x)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ MIN_STEP_PRECISION = 192
 DELTA_FLOOR = 1e-9
 
 # stepping kernel: steps between full-Ei anchors, guard bits above the
-# requested precision, and the most Taylor terms a step may take
+# requested precision, and the most terms in 1/t a step may take
 _ANCHOR = 4096
 _GUARD_BITS = 64
 _MAX_TERMS = 16
@@ -141,14 +141,16 @@ def step_verify(
 
     The steps run at the working precision, 192 bits at least, through a
     fixed-point kernel (see ``_march``) 64 bits above it that carries
-    e^{-t} Ei(t) from one step to the next by Taylor series, with a full
-    ``ei`` only at every ``_ANCHOR``-th step.  The clamped final step of a
-    rung, and every step of a window whose delta is too large for the
-    series, are evaluated directly with ``f`` and ``g``.  Measured at 192 bits (2 vCPU KVM guest, Python 3.11, mpmath
-    1.3 without gmpy2): 9-15 us per step in 2e4-step windows and 20-25 us
-    in 200-step ones, where the two anchor ``ei`` calls weigh more, against
-    280-630 us for two direct ``ei`` calls per step.  The whole
-    2.735e10-step ladder is about 3.3 core-days.
+    R = e^{-t} Ei(t) from one step to the next as e^{-delta} R plus a
+    polynomial in 1/t (``_advance``), with a full ``ei`` only at every
+    ``_ANCHOR``-th step.  The clamped final step of a rung, and every step
+    of a window whose delta is too large for the series, are evaluated
+    directly with ``f`` and ``g``.  Measured at 192 bits on a 2 vCPU KVM
+    guest (Python 3.11, mpmath 1.3 without gmpy2), medians of seven runs of
+    a head window on each rung: 9.7-11.2 us per step in 2e4-step windows
+    and 15.6-16.9 us in 200-step ones, where the two anchor ``ei`` calls
+    weigh more, against 570-690 us for a direct ``f`` and ``g``.  The whole
+    2.735e10-step ladder is about 3.2 core-days.
     """
     prec = _step_precision()
     total = regime.n_steps
@@ -166,7 +168,7 @@ def step_verify(
             raise ParameterError(f"delta {regime.delta:g} is finer than the {w}-bit grid")
         # from this step on z_k + delta passes z_hi and the step ends on z_hi
         k_clamp = (top_f - zlo_f) // d_f
-        coeffs = _taylor_coefficients(d, z_lo + k0 * d - 1, w)
+        coeffs = _step_coefficients(d, z_lo + k0 * d - 1, w)
         k_split = k0 if coeffs is None else max(k0, min(k_clamp, k0 + n))
         best = best_at = first_failure = None
         if k_split > k0:
@@ -198,40 +200,62 @@ def step_verify(
         )
 
 
-def _taylor_coefficients(delta: mpf, t_min: mpf, w: int) -> Optional[list]:
-    """delta^n/n! for n = 1..N in w-bit fixed point, or None past _MAX_TERMS.
+def _step_coefficients(delta: mpf, t_min: mpf, w: int) -> Optional[list]:
+    """c_(N-1), ..., c_0 in w-bit fixed point (Horner order), or None past _MAX_TERMS.
 
-    R^(n)(t) is about (-1)^n n!/t^(n+1) for t >> n, so the n-th Taylor term
-    of R(t + delta) is about (delta/t)^n/t; N is the first n taking that
-    below 2^-(w+8) at the window's smallest t.
+    R = e^{-t} Ei(t) obeys R' = 1/t - R, so over one step of width delta
+
+        R(t + delta) = e^{-delta} R(t) + sum_m (-1)^m c_m / t^(m+1),
+        c_m = int_0^delta u^m e^{u - delta} du = m! sum_{n>m} (-1)^(n-m-1) delta^n/n!.
+
+    The m-th term is at most (delta/t)^(m+1) and the terms alternate and
+    fall, so the first omitted one bounds the tail: N is the first m taking
+    (delta/t)^(m+1) below 2^-(w+8) at the window's smallest t.  The c_m are
+    summed from the fixed-point delta^n/n!.
     """
     eps = mpf(2) ** -(w + 8)
+    ratio = term = delta / t_min
+    n_terms = 0
+    while not term < eps:
+        if n_terms == _MAX_TERMS:
+            return None
+        n_terms += 1
+        term *= ratio
+    # delta^n/n! for n = 1, 2, ... while nonzero; with t >= 42 that is at
+    # least N of them, as (delta/t)^N >= 2^-(w+8) puts delta^N/N! above 2^-w
+    d_f = to_fixed(delta._mpf_, w)
+    powers = []
+    p, n = d_f, 1
+    while p:
+        powers.append(p)
+        n += 1
+        p = p * d_f // (n << w)
     coeffs = []
-    c = mpf(1)
-    term = 1 / t_min
-    for n in range(1, _MAX_TERMS + 1):
-        c = c * delta / n
-        coeffs.append(to_fixed(c._mpf_, w))
-        term = term * delta / t_min
-        if term < eps:
-            return coeffs
-    return None
+    tail = 0  # sum_{n>m} (-1)^(n-m-1) delta^n/n!
+    for m in range(len(powers) - 1, -1, -1):
+        tail = powers[m] - tail
+        if m < n_terms:
+            coeffs.append(math.factorial(m) * tail)
+    return coeffs
 
 
-def _advance(r: int, inv_t: int, coeffs: list, w: int) -> int:
-    """R(t + delta) from R(t) by Taylor series, everything in w-bit fixed point.
+def _advance(r: int, inv_t: int, coeffs: list, decay: int, w: int) -> int:
+    """R(t + delta) = e^{-delta} R(t) + sum_m (-1)^m c_m/t^(m+1) in w-bit fixed point.
 
-    R = e^{-t} Ei(t) obeys R' = 1/t - R, so R^(n) = p_n - R^(n-1) where
-    p_n is the (n-1)-th derivative of 1/t: p_1 = 1/t, p_(n+1) = -n p_n / t.
+    ``coeffs`` are the N values of ``_step_coefficients``, ``decay`` is
+    e^{-delta} and ``inv_t`` is 1/t.  One Horner pass in 1/t, one multiply
+    per term.  Rounding: each floor of the pass but the last is scaled down
+    by 1/t <= 1/42 before it reaches the result, and so are the rounded c_m
+    and 1/t, so an advance is off by at most N + 2 ulps of 2^-w.  The error
+    carried in R shrinks by e^{-delta} each step, so an anchor block of
+    ``_ANCHOR`` = 2^12 steps drifts at most 2^12 (N + 2) ulps: < 2^16 for
+    the N <= 13 of every rung at 192 to 320 bits, < 2^17 at ``_MAX_TERMS``,
+    against the drift check's 2^(w - prec - 16) = 2^48.
     """
-    p = inv_t
-    dr = p - r
-    total = r + (dr * coeffs[0] >> w)
-    for n in range(1, len(coeffs)):
-        p = -n * p * inv_t >> w
-        dr = p - dr
-        total += dr * coeffs[n] >> w
-    return total
+    acc = 0
+    for c in coeffs:
+        acc = c - (acc * inv_t >> w)
+    return r * decay + acc * inv_t >> w
 
 
 def _march(regime: Regime, zlo_f: int, d_f: int, k_start: int, k_end: int,
@@ -256,6 +280,7 @@ def _march(regime: Regime, zlo_f: int, d_f: int, k_start: int, k_end: int,
     a = mpf(regime.a)
     z_first = mpf(from_man_exp(zlo_f + k_start * d_f, -w))
     e2d = to_fixed(mp.exp(2 * d)._mpf_, w)
+    decay = to_fixed(mp.exp(-d)._mpf_, w)
     shrink = to_fixed(mp.exp(-d / 2)._mpf_, w)
     sqrt_e = to_fixed(mp.sqrt(mp.e)._mpf_, w)
     best = best_k = fail_k = None
@@ -285,8 +310,8 @@ def _march(regime: Regime, zlo_f: int, d_f: int, k_start: int, k_end: int,
                 best, best_k = margin, k
             if margin <= 0 and fail_k is None:
                 fail_k = k
-            r1 = _advance(r1, one_sq // (z_f - one), coeffs, w)
-            r2 = _advance(r2, inv_y, coeffs, w)
+            r1 = _advance(r1, one_sq // (z_f - one), coeffs, decay, w)
+            r2 = _advance(r2, inv_y, coeffs, decay, w)
             ae = ae * shrink >> w
             scale = scale * e2d >> w
             z_f, inv_z = y_f, inv_y

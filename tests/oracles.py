@@ -14,7 +14,11 @@ instead of at the two ends the monotonicity lemma allows, the
 inequality scan samples every gap between jumps and checks every integer
 instead of settling gaps from their two ends, and each admissibility
 decision of the engine's searches, and each bisection test of its threshold
-root, is made at full precision instead of in float64 first.
+root, is made at full precision instead of in float64 first.  The stepping
+kernel's per-step coefficients are integrated by quadrature instead of summed
+from delta^n/n!, e^{-t} Ei(t) comes from mpmath's ``ei`` instead of the
+package's series, and R is carried by its Taylor series through the
+derivative chain instead of the closed-form step.
 """
 
 import bisect
@@ -25,6 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 from mpmath import inf, log, mp, mpf, quad
+from mpmath.libmp import to_fixed
 
 from primebounds import engine, kernel
 from primebounds.errors import BracketError, ParameterError
@@ -352,3 +357,47 @@ def solve_x_max_mpf(eq, prec=192):
             if hi - lo < 1e-13 * lo:
                 break
         return +mp.sqrt(lo * hi)
+
+
+def r_exact(t, prec=400):
+    """e^{-t} Ei(t) from mpmath's own ``ei``, not the package's fixed-point series."""
+    with mp.workprec(prec):
+        t = mpf(t)
+        return mp.exp(-t) * mp.ei(t)
+
+
+def step_coefficient_quad(m, delta, prec=400):
+    """c_m = int_0^delta u^m e^{u - delta} du by quadrature."""
+    with mp.workprec(prec):
+        delta = mpf(delta)
+        return quad(lambda u: u ** m * mp.exp(u - delta), [0, delta])
+
+
+def taylor_coefficients(delta, t_min, w):
+    """delta^n/n! for n = 1..N in w-bit fixed point, N the first n taking
+    (delta/t_min)^n/t_min below 2^-(w+8)."""
+    with working_precision(w):
+        delta, t_min = mpf(delta), mpf(t_min)
+        eps = mpf(2) ** -(w + 8)
+        coeffs = []
+        c = mpf(1)
+        term = 1 / t_min
+        while not term < eps:
+            c = c * delta / (len(coeffs) + 1)
+            coeffs.append(to_fixed(c._mpf_, w))
+            term = term * delta / t_min
+        return coeffs
+
+
+def advance_taylor(r, inv_t, coeffs, w):
+    """R(t + delta) from R(t) = e^{-t} Ei(t) by its Taylor series in w-bit
+    fixed point, the derivatives built by the chain R^(n) = p_n - R^(n-1),
+    p_n the (n-1)-th derivative of 1/t: p_1 = 1/t, p_(n+1) = -n p_n / t."""
+    p = inv_t
+    dr = p - r
+    total = r + (dr * coeffs[0] >> w)
+    for n in range(1, len(coeffs)):
+        p = -n * p * inv_t >> w
+        dr = p - dr
+        total += dr * coeffs[n] >> w
+    return total

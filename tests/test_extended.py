@@ -1,9 +1,9 @@
 """Extended profile: long-running verifications excluded from the default run.
 
 Select with ``pytest -m extended``.  A full rung at the published delta is
-3.2e8 to 5e9 steps at 9-15 us each, one to 14 hours, so it is sized down here
-to a million-step block (11 s on a 2 vCPU KVM guest) with the full-rung entry
-point left to the CLI.  The counterexample boundary at 3.84e10 is four prime
+3.2e8 to 5e9 steps at about 10 us each, one to 15 hours, so it is sized down
+here to a million-step block (12 s on a 2 vCPU KVM guest, through 244 anchor
+drift checks) with the full-rung entry point left to the CLI.  The counterexample boundary at 3.84e10 is four prime
 counts, about 1.3 s together, so it runs in the default suite
 (``tests/test_ramanujan.py``).
 """

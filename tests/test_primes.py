@@ -229,6 +229,16 @@ class TestPsiThetaGap:
             assert gap / sharp < mpf("1.001")
             assert gap > sharp  # the sharp shape is *not* valid this low
 
+    def test_exact_outside_any_scope(self):
+        # mpmath's ambient precision is 53 bits outside a scope; the gap is
+        # still subtracted at the 192-bit working precision
+        tables = primes.build_tables(10 ** 5)
+        gap = psi_theta_gap(99999, tables)
+        with working_precision(192):
+            assert gap == psi_theta_gap(99999, tables)
+            exact = mpf("366.17475704540341429928900468406714017695238792871024221913")
+            assert abs(gap - exact) < mpf("1e-50")
+
     def test_gap_nondecreasing(self, tables_10k):
         vals = [psi_theta_gap(x, tables_10k) for x in (10, 100, 1000, 9999)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))

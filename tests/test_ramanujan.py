@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, to_fixed
 
 from primebounds import published
 from primebounds import ramanujan
@@ -23,6 +24,8 @@ from primebounds.ramanujan import (
 from primebounds.hiprec import PrecisionError, working_precision
 from primebounds.primes import prime_counts
 from primebounds.verdict import Verdict
+
+from .oracles import advance_taylor, r_exact, step_coefficient_quad, taylor_coefficients
 
 # frozen 25-digit fixtures, independently evaluated through the quadrature-
 # backed li oracle at 256 bits during development
@@ -241,6 +244,105 @@ class TestKernel:
         for steps in (0, -5):
             with pytest.raises(ParameterError):
                 step_verify(SCHEDULE[0], max_steps=steps)
+
+
+def kernel_setup(delta, t_min, prec=192):
+    """(w, the step's c_m in Horner order, e^{-delta}) as step_verify builds them."""
+    w = prec + ramanujan._GUARD_BITS
+    with working_precision(w):
+        d = mpf(delta)
+        coeffs = ramanujan._step_coefficients(d, mpf(t_min), w)
+        decay = to_fixed(mp.exp(-d)._mpf_, w)
+    return w, coeffs, decay
+
+
+def r_fixed(t_f, w):
+    """e^{-t} Ei(t) at the w-bit fixed-point t_f, rounded down to w bits."""
+    with mp.workprec(600):
+        return to_fixed(r_exact(mpf(from_man_exp(t_f, -w)))._mpf_, w)
+
+
+class TestStepKernel:
+    """The closed-form step R(t + delta) = e^{-delta} R(t) + sum (-1)^m c_m / t^(m+1)."""
+
+    @pytest.mark.parametrize("prec", [192, 320])
+    @pytest.mark.parametrize("rung", range(len(SCHEDULE)))
+    def test_coefficients_match_quadrature(self, rung, prec):
+        # each c_m is a sum of rounded delta^n/n! times m!, so off by a few
+        # m! ulps; t^-(m+1) <= 42^-(m+1) scales that far below an ulp of R
+        r = SCHEDULE[rung]
+        w, coeffs, _ = kernel_setup(r.delta, r.z_lo - 1, prec)
+        # N + 2 ulps per advance keep an anchor block's drift within 2^16 ulps
+        assert 0 < len(coeffs) and (len(coeffs) + 2) * ramanujan._ANCHOR <= 2 ** 16
+        for m, c in enumerate(reversed(coeffs)):
+            with mp.workprec(600):
+                exact = step_coefficient_quad(m, r.delta) * mpf(2) ** w
+                assert abs(c - exact) <= 32 * math.factorial(m), (m, float(c - exact))
+
+    @pytest.mark.parametrize("rung", range(len(SCHEDULE)))
+    def test_one_advance_from_exact_r(self, rung):
+        r = SCHEDULE[rung]
+        w, coeffs, decay = kernel_setup(r.delta, r.z_lo - 1)
+        one = 1 << w
+        d_f = to_fixed(mpf(r.delta)._mpf_, w)
+        z_f = to_fixed(mpf(r.z_lo)._mpf_, w)
+        for t_f in (z_f - one, z_f + d_f, to_fixed(mpf(r.z_hi)._mpf_, w) - one):
+            got = ramanujan._advance(r_fixed(t_f, w), (one << w) // t_f, coeffs, decay, w)
+            with mp.workprec(600):
+                want = r_exact(mpf(from_man_exp(t_f + d_f, -w))) * mpf(2) ** w
+                assert abs(got - want) <= len(coeffs) + 2, float(got - want)
+
+    @pytest.mark.parametrize("rung", [0, len(SCHEDULE) - 1])
+    def test_carries_like_the_derivative_chain_across_two_anchors(self, rung):
+        # both grids of the march, carried 2 * _ANCHOR + 7 steps with no
+        # re-anchoring, by the closed form and by the Taylor series through
+        # the derivative chain, stay within the drift check's 2^-(prec + 16)
+        # of each other and of e^{-t} Ei(t)
+        prec = 192
+        r = SCHEDULE[rung]
+        w, coeffs, decay = kernel_setup(r.delta, r.z_lo - 1, prec)
+        taylor = taylor_coefficients(r.delta, r.z_lo - 1, w)
+        one = 1 << w
+        tol = 1 << (w - prec - 16)
+        d_f = to_fixed(mpf(r.delta)._mpf_, w)
+        z_f = to_fixed(mpf(r.z_lo)._mpf_, w)
+        ts = [z_f - one, z_f + d_f]
+        new = old = [r_fixed(t_f, w) for t_f in ts]
+        for _ in range(2 * ramanujan._ANCHOR + 7):
+            inv = [(one << w) // t_f for t_f in ts]
+            new = [ramanujan._advance(x, i, coeffs, decay, w) for x, i in zip(new, inv)]
+            old = [advance_taylor(x, i, taylor, w) for x, i in zip(old, inv)]
+            assert max(abs(a - b) for a, b in zip(new, old)) <= tol
+            ts = [t_f + d_f for t_f in ts]
+        for x, t_f in zip(new, ts):
+            assert abs(x - r_fixed(t_f, w)) <= tol
+
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_max_terms_boundary(self, monkeypatch, fits):
+        # N terms are needed when (delta/t)^(N+1) < 2^-(w+8) <= (delta/t)^N:
+        # the geometric middle of that range for N = _MAX_TERMS marches, and
+        # for N = _MAX_TERMS + 1 the window falls back to direct f and g
+        big_n, w = ramanujan._MAX_TERMS, 192 + ramanujan._GUARD_BITS
+        n_terms = big_n if fits else big_n + 1
+        delta = 42 * 2.0 ** (-(w + 8) * (1 / n_terms + 1 / (n_terms + 1)) / 2)
+        _, coeffs, _ = kernel_setup(delta, 42)
+        assert (len(coeffs) == big_n) if fits else (coeffs is None)
+        march = ramanujan._march
+        marched = []
+
+        def spy(*args):
+            marched.append(args[3:5])
+            return march(*args)
+
+        monkeypatch.setattr(ramanujan, "_march", spy)
+        regime = Regime(43.0, 44.0, A8PI, delta, math.inf)
+        n = 6
+        report = step_verify(regime, max_steps=n)
+        assert marched == ([(0, n)] if fits else [])
+        low, low_at = min(direct_margins(regime, 0, n), key=lambda m: m[0])
+        assert report.steps_checked == n
+        assert report.min_margin_at == low_at
+        assert rel(report.min_margin, low) < mpf("1e-40")
 
 
 class TestRegimeSchedule:
