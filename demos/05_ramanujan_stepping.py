@@ -4,8 +4,10 @@ In z = log x the inequality reduces to f(z) > g(z) for two increasing
 functions, so checking f(z0) > g(z0 + delta) on a delta-grid proves it on
 every intermediate point.  A ladder of (a, delta) regimes covers
 z in (43, 103], each rung staying below the height where its bound constant
-is valid.  Full rungs take one to 15 hours at about 10 us per step; this demo
-walks windows at the start and the (tighter) top of each rung.
+is valid.  Each step is decided in float64 under a proven error bound, so a
+full rung takes 18 s to 5 minutes (50-59 ns per step) and the whole ladder
+25 minutes; this demo walks windows at the start and the (tighter) top of
+each rung.
 """
 
 from mpmath import mp

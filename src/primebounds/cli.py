@@ -279,7 +279,8 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
 @cli.command("ramanujan")
 @click.option("--rung", type=int, default=None, help="schedule rung index (0-based)")
 @click.option("--list", "list_only", is_flag=True, help="print the regime schedule")
-@click.option("--steps", type=int, default=20000, help="steps per window")
+@click.option("--steps", type=int, default=20000,
+              help="steps per window; at or above the rung's n_steps (see --list) the whole rung")
 @click.option("--from-end", is_flag=True, help="verify the window at the rung top")
 @click.option("--z-lo", type=float, default=None)
 @click.option("--z-hi", type=float, default=None)
@@ -317,6 +318,10 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
             raise click.UsageError("give --rung or all of --z-lo/--z-hi/--delta/--a")
         regime = ramanujan.Regime(z_lo, z_hi, a_value, delta, float("inf"))
     report = ramanujan.step_verify(regime, max_steps=steps, from_end=from_end)
+    if not math.isfinite(float(report.min_margin)):
+        raise OverflowError(
+            f"the minimum margin, at z={report.min_margin_at}, does not fit a double"
+        )
     _emit(cfg, report.to_dict(), [
         f"rung z=({regime.z_lo}, {regime.z_hi}] a={regime.a:.4g} delta={regime.delta:g}",
         f"checked {report.steps_checked} steps at {report.precision_bits} bits: "

@@ -11,10 +11,13 @@ whole step (z0, z0 + delta): marching a delta-grid across an interval proves
 the inequality there.  A regime ladder switches (a, delta) as z grows, each
 rung staying below the height where its constant a is valid.
 
-Everything is computed in extended precision straight from z; x = e^z is
+f and g are computed in extended precision straight from z; x = e^z is
 never materialized as an integer.  The two leading terms of f and g agree
 to relative order ~1/z, so margins are small relative to f; the default
 precision keeps >= 15 trustworthy digits of margin with a wide cushion.
+The stepping check decides each step in float64 under a proven error bound
+and leaves to f and g only the steps that bound cannot settle and the
+reported minimum (``step_verify``).
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import ParameterError, PrecisionError
 from .hiprec import ei, get_default_precision, working_precision
@@ -47,17 +50,22 @@ __all__ = [
 MIN_STEP_PRECISION = 192
 DELTA_FLOOR = 1e-9
 
-# stepping kernel: steps between full-Ei anchors, guard bits above the
-# requested precision, and the most terms in 1/t a step may take
-_ANCHOR = 4096
-_GUARD_BITS = 64
-_MAX_TERMS = 16
+# float64 stepping: steps per chunk between fresh ei anchors and per numpy
+# block inside a chunk, the bits above
+# the working precision at which reported margins are evaluated, float64's
+# unit roundoff, and the slack over a first-order error bound
+_CHUNK = 1 << 16
+_BLOCK = 1 << 13
+_REPORT_GUARD = 64
+_U = 2.0 ** -53
+_SLACK = 1 + 2.0 ** -20
 
 # 1/(8 pi) rounded up in the last decimal: the sharp bound constant must be
 # covered from above when g is evaluated with a plain float
 A_SHARP_UP = 0.03978873577297384
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_SQRT_E = 1.6487212707001282  # the double nearest sqrt(e)
 
 
 def _step_precision() -> int:
@@ -71,7 +79,7 @@ def f(z) -> mpf:
         z = mpf(z)
         if not z > 1:
             raise ParameterError("f requires z > 1 (li(e^{z-1}) hits the singularity)")
-        return +(mp.exp(z + 1) / z * ei(z - 1))
+        return _f_at(z, ei(z - 1))
 
 
 def g(z, a) -> mpf:
@@ -81,10 +89,17 @@ def g(z, a) -> mpf:
         a = mpf(a)
         if not (z > 1 and a > 0):
             raise ParameterError("g requires z > 1 and a > 0")
-        return +(
-            a * (z - 1) / z * mp.exp((3 * z + 1) / 2)
-            + (ei(z) + a * z * mp.exp(z / 2)) ** 2
-        )
+        return _g_at(z, a, ei(z))
+
+
+def _f_at(z: mpf, ei_z1: mpf) -> mpf:
+    # f(z) from ei(z - 1)
+    return +(mp.exp(z + 1) / z * ei_z1)
+
+
+def _g_at(z: mpf, a: mpf, ei_z: mpf) -> mpf:
+    # g(z) from ei(z)
+    return +(a * (z - 1) / z * mp.exp((3 * z + 1) / 2) + (ei_z + a * z * mp.exp(z / 2)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -136,21 +151,31 @@ def step_verify(
     """March the delta-grid checking f(z_k) > g(z_k + delta) at every step.
 
     ``max_steps`` (>= 1) restricts to a window at the start (or, with
-    ``from_end``, the tail) of the rung.  A nonpositive margin is recorded
-    in the verdict, not raised.
+    ``from_end``, the tail) of the rung; a value at or above ``n_steps``
+    runs the whole rung.  A nonpositive margin is recorded in the verdict,
+    not raised.
 
-    The steps run at the working precision, 192 bits at least, through a
-    fixed-point kernel (see ``_march``) 64 bits above it that carries
-    R = e^{-t} Ei(t) from one step to the next as e^{-delta} R plus a
-    polynomial in 1/t (``_advance``), with a full ``ei`` only at every
-    ``_ANCHOR``-th step.  The clamped final step of a rung, and every step
-    of a window whose delta is too large for the series, are evaluated
-    directly with ``f`` and ``g``.  Measured at 192 bits on a 2 vCPU KVM
-    guest (Python 3.11, mpmath 1.3 without gmpy2), medians of seven runs of
-    a head window on each rung: 9.7-11.2 us per step in 2e4-step windows
-    and 15.6-16.9 us in 200-step ones, where the two anchor ``ei`` calls
-    weigh more, against 570-690 us for a direct ``f`` and ``g``.  The whole
-    2.735e10-step ladder is about 3.2 core-days.
+    Every step is decided in float64 (``_Stepper``) and keeps that answer
+    only where its float margin clears a proven error bound; any other
+    step is re-decided by ``f`` and ``g``.  The reported minimum comes from
+    a proof of the order of the margins: each float rise h_(k+1) - h_k of
+    the margin h = f - g that clears its own bound proves which of the two
+    steps is lower, a step proven above a neighbour cannot be the earliest
+    minimum, and neither can a step of a block whose float margins all
+    clear the best margin found so far (so that block's rises are never
+    formed).  Only the steps left over are evaluated, by ``f`` and ``g``
+    64 bits above the working precision and rounded to it (as the replaced
+    fixed-point kernel did), so ``min_margin``, ``min_margin_at`` and
+    ``first_failure`` are those of a direct 192-bit loop (to 1e-40) and the
+    printed doubles are the same.  Where the margins rise through a window,
+    the one step left is its first, whose ``ei`` values are the chunk's
+    anchors.  Measured on a 2 vCPU KVM guest (Python 3.11, numpy 2.4,
+    mpmath 1.3 without gmpy2), medians of seven runs of a head window on
+    each rung: 0.12-0.18 us per step in 2e4-step windows and 4.6-8.4 us in
+    200-step ones, where the two anchor ``ei`` calls and the minimum weigh
+    most (5.4-10.3 and 8.5-9.9 us with the fixed-point kernel this
+    replaced); whole rungs run at 50-59 ns per step, the 2.735e10-step
+    ladder in 25 minutes.
     """
     prec = _step_precision()
     total = regime.n_steps
@@ -158,33 +183,48 @@ def step_verify(
         raise ParameterError(f"max_steps must be >= 1, got {max_steps}")
     n = total if max_steps is None else min(int(max_steps), total)
     k0 = total - n if from_end else 0
-    w = prec + _GUARD_BITS
-    with working_precision(w):
-        d = mpf(regime.delta)
-        z_lo = mpf(regime.z_lo)
-        z_top = mpf(regime.z_hi)
-        zlo_f, d_f, top_f = (to_fixed(v._mpf_, w) for v in (z_lo, d, z_top))
-        if from_man_exp(d_f, -w) != d._mpf_:
-            raise ParameterError(f"delta {regime.delta:g} is finer than the {w}-bit grid")
-        # from this step on z_k + delta passes z_hi and the step ends on z_hi
-        k_clamp = (top_f - zlo_f) // d_f
-        coeffs = _step_coefficients(d, z_lo + k0 * d - 1, w)
-        k_split = k0 if coeffs is None else max(k0, min(k_clamp, k0 + n))
-        best = best_at = first_failure = None
-        if k_split > k0:
-            best, best_at, first_failure = _march(
-                regime, zlo_f, d_f, k0, k_split, coeffs, prec, w)
-        a = mpf(regime.a)
-        for k in range(k_split, k0 + n):
-            z = z_lo + k * d
-            y = min(z + d, z_top)
-            with working_precision(prec):
-                fz, gy = f(z), g(y, a)
-            margin = fz - gy
-            if best is None or margin < best:
-                best, best_at = margin, float(z)
-            if margin <= 0 and first_failure is None:
-                first_failure = float(z)
+    stepper = _Stepper(regime, prec)
+    best = best_at = first_failure = None
+    rising = False      # the step before the chunk is proven below its first step
+    k, end = k0, k0 + n
+    while k < end:
+        count, link = stepper.chunk_size(k, end)
+        ch = stepper.chunk(k, count, link, best)
+        margins = {}
+
+        def exact(j):
+            if j not in margins:
+                margins[j] = stepper.exact(k + j, ch.anchors if j == 0 else None)
+            return margins[j]
+
+        clear = ch.margins > ch.bound
+        if not clear.all():
+            fails = ch.margins < -ch.bound
+            for j in np.flatnonzero(~(fails | clear)):
+                fails[j] = exact(int(j)) <= 0
+            if first_failure is None and fails.any():
+                first_failure = stepper.z_at(k + int(np.argmax(fails)))
+        # step j is no earliest minimum if h_(j+1) < h_j or h_j > h_(j-1) is proven
+        up = ch.rises > ch.rise_bound
+        if up.all():
+            lowest = [] if rising else [0]
+        else:
+            down = ch.rises < -ch.rise_bound
+            if k < stepper.last < k + count:
+                # the rise into the clamped last step is taken to the unclamped
+                # g(z + delta) >= g(z_hi): it can prove that step higher, not lower
+                down[stepper.last - k - 1] = False
+            beaten = np.zeros(count, dtype=bool)
+            beaten[:down.size] = down[:count]
+            beaten[0] |= rising
+            beaten[1:] |= up[:count - 1]
+            lowest = np.flatnonzero(~(beaten | ch.above))
+        for j in lowest:
+            v = exact(int(j))
+            if best is None or v < best:
+                best, best_at = v, stepper.z_at(k + int(j))
+        rising = link and bool(up[-1])
+        k += count
     with working_precision(prec):
         return Verdict(
             first_failure is None and best > 0,
@@ -200,127 +240,293 @@ def step_verify(
         )
 
 
-def _step_coefficients(delta: mpf, t_min: mpf, w: int) -> Optional[list]:
-    """c_(N-1), ..., c_0 in w-bit fixed point (Horner order), or None past _MAX_TERMS.
+@dataclass(frozen=True)
+class _Chunk:
+    margins: np.ndarray     # m_j = h_j e^{-2 z_j}, one per step
+    bound: float            # B: |margin - m_j| <= B
+    rises: np.ndarray       # (h~_(j+1) - h_j) e^{-2 z_j}, one per step that has a next
+    rise_bound: float       # |rise - its exact value| <= rise_bound
+    anchors: tuple          # ei(z_0 - 1), ei(y_0) at 64 guard bits
+    above: np.ndarray       # steps proven above the best margin given to ``chunk``
 
-    R = e^{-t} Ei(t) obeys R' = 1/t - R, so over one step of width delta
 
-        R(t + delta) = e^{-delta} R(t) + sum_m (-1)^m c_m / t^(m+1),
-        c_m = int_0^delta u^m e^{u - delta} du = m! sum_{n>m} (-1)^(n-m-1) delta^n/n!.
+class _Stepper:
+    """The float64 margins of one regime's steps, one chunk at a time.
 
-    The m-th term is at most (delta/t)^(m+1) and the terms alternate and
-    fall, so the first omitted one bounds the tail: N is the first m taking
-    (delta/t)^(m+1) below 2^-(w+8) at the window's smallest t.  The c_m are
-    summed from the fixed-point delta^n/n!.
+    With R(t) = e^{-t} Ei(t), y = min(z + delta, z_hi) and P = a e^{-y/2},
+    f(z) - g(y) = e^{2z} m with the normalised margin
+
+        m = A - e^{2(y - z)} Q,   A = R(z - 1)/z,
+        Q = S^2 + tau,  S = R(y) + y P,  tau = sqrt(e) (1 - 1/y) P.
+
+    A chunk of steps k_0 + j (0 <= j < count, plus the next chunk's first
+    step when ``link``) takes ``ei`` once on each grid, at t_1 = z_0 - 1
+    and t_2 = y_0, and carries R to the offsets s = j delta <= S_c (S_c =
+    (count - 1 + link) delta) by its Taylor polynomial (``_taylor``).  The
+    rise of h = f - g to the next step is formed from increments, never as
+    a difference of two float margins: with e2 = e^{2 delta}, em = expm1(2
+    delta), ex = expm1(-delta/2) and primes marking step j + 1,
+
+        (h~_(j+1) - h_j) e^{-2 z_j} = F - e2 D,
+        F = em A' + dR_1/z' - R_1 delta/(z z'),
+        D = em Q' + dS (S + S') + dtau,
+        dS = dR_2 + P (y ex + delta e^{-delta/2}),
+        dtau = sqrt(e) P (ex (1 - 1/y') + delta/(y y')),
+
+    where dR = R(t + delta) - R(t) is the difference polynomial of the
+    Taylor polynomial and h~ takes g(z + delta) even at the clamped step.
+
+    Error bound.  u = 2^-53.  Every float operation is correctly rounded
+    (relative error <= u), numpy's exp is within one ulp (2u), and each
+    constant is the double nearest its value at the working precision
+    (u); terms of order u^2 are covered by ``_SLACK``.  Counting relative
+    errors in units of u: s = j delta 1, z = z_0 + s 2, y = y_0 + s 2,
+    1/z 3, 1/y 3, P = (a e^{-y_0/2}) exp(-s/2) alpha = 4 + S_c/2 (the
+    offset's rounding moves exp(-s/2) by u s/2).  Horner's rule over N
+    coefficients at a float offset is off from R by at most
+
+        E_R = u (2 c_0 + 3 N H) + rem,   H = sum_(n>=1) |c_n| S_c^n,
+
+    u c_0 for the roundings of c_0 and of the last addition, 2N u H for
+    the inner ones, u H for the rounded coefficients, N u H for the offset
+    (|R'| s <= N H), and ``rem`` for the truncation.  The same holds for
+    dR with its own coefficients and remainder.  Since R, 1/z, P, y P,
+    (1 - 1/y) P, P (y |ex| + delta) are all decreasing for z >= 43, the
+    magnitudes at the chunk's first step bound every step (the clamped step
+    too, as y_0 <= z_hi and g is increasing), and
+
+        E_A = (E_R1 + 4u c_0)/z_0,
+        E_S = E_R2 + (alpha + 3) u Y + u S,    Y = y_0 P_0,
+        E_Q = 2 S E_S + u S^2 + (alpha + 5) u tau + u Q,
+        B   = E_A + e2 E_Q + 2u e2 Q + u max(A, e2 Q),
+
+    the last two terms for e2's rounding and product and for the final
+    subtraction.  B is 17u of A on every rung, against margins of at least
+    3.8e-9 of A in 200-step windows at the head and tail of each.  The rise
+    bound adds up in the same way: em A' (em E_A + 2u em A), dR_1/z'
+    ((E_dR1 + 4u dR_1)/z), R_1 delta/(z z') (9u plus E_R1), the two sums of
+    F (2u of its summed magnitudes), P (y ex + delta e^{-delta/2}) (alpha +
+    6 of P_0 (y_0 |ex| + delta)), dtau (alpha + 12 of sqrt(e) P_0 (|ex| +
+    delta/y_0^2)), em Q' (em E_Q + 2u em Q), dS (S + S') (dS E_(S+S') +
+    2 S E_dS + 2u S dS), the two sums of D, e2 D (e2 E_D + 2u e2 D) and the
+    final subtraction.  It is 26-27u of 2 delta A, against rises of 0.23
+    (rung 0's top) to 2.0 delta m in the same windows, over 1e5 times the
+    bound.
     """
-    eps = mpf(2) ** -(w + 8)
-    ratio = term = delta / t_min
-    n_terms = 0
-    while not term < eps:
-        if n_terms == _MAX_TERMS:
-            return None
-        n_terms += 1
-        term *= ratio
-    # delta^n/n! for n = 1, 2, ... while nonzero; with t >= 42 that is at
-    # least N of them, as (delta/t)^N >= 2^-(w+8) puts delta^N/N! above 2^-w
-    d_f = to_fixed(delta._mpf_, w)
-    powers = []
-    p, n = d_f, 1
-    while p:
-        powers.append(p)
-        n += 1
-        p = p * d_f // (n << w)
-    coeffs = []
-    tail = 0  # sum_{n>m} (-1)^(n-m-1) delta^n/n!
-    for m in range(len(powers) - 1, -1, -1):
-        tail = powers[m] - tail
-        if m < n_terms:
-            coeffs.append(math.factorial(m) * tail)
-    return coeffs
 
+    def __init__(self, regime: Regime, prec: int):
+        _check_grid(regime, prec)
+        self.w = prec + _REPORT_GUARD
+        self.delta = regime.delta
+        self.carried = None     # R at the next anchors from the last chunk, with bounds
+        self.last = regime.n_steps - 1          # the step clamped at z_hi
+        with working_precision(self.w):
+            self.z_lo, self.d = mpf(regime.z_lo), mpf(regime.delta)
+            self.top, self.a = mpf(regime.z_hi), mpf(regime.a)
+            # exp - 1 keeps 70 bits or more for any delta _check_grid admits
+            e2, eh = mp.exp(2 * self.d), mp.exp(-self.d / 2)
+            self.e2, self.em, self.ex, self.eh = float(e2), float(e2 - 1), float(eh - 1), float(eh)
 
-def _advance(r: int, inv_t: int, coeffs: list, decay: int, w: int) -> int:
-    """R(t + delta) = e^{-delta} R(t) + sum_m (-1)^m c_m/t^(m+1) in w-bit fixed point.
+    def chunk_size(self, k: int, end: int):
+        """(steps, link) of the chunk from step k: at most ``_CHUNK`` steps and
+        offsets of at most t/8, where R's Taylor series falls by 8 a term."""
+        cap = int((self.z_at(k) - 1) / (8 * self.delta))
+        if cap == 0:
+            return 1, False
+        count = min(_CHUNK, end - k, cap)
+        return count, k + count < end
 
-    ``coeffs`` are the N values of ``_step_coefficients``, ``decay`` is
-    e^{-delta} and ``inv_t`` is 1/t.  One Horner pass in 1/t, one multiply
-    per term.  Rounding: each floor of the pass but the last is scaled down
-    by 1/t <= 1/42 before it reaches the result, and so are the rounded c_m
-    and 1/t, so an advance is off by at most N + 2 ulps of 2^-w.  The error
-    carried in R shrinks by e^{-delta} each step, so an anchor block of
-    ``_ANCHOR`` = 2^12 steps drifts at most 2^12 (N + 2) ulps: < 2^16 for
-    the N <= 13 of every rung at 192 to 320 bits, < 2^17 at ``_MAX_TERMS``,
-    against the drift check's 2^(w - prec - 16) = 2^48.
-    """
-    acc = 0
-    for c in coeffs:
-        acc = c - (acc * inv_t >> w)
-    return r * decay + acc * inv_t >> w
+    def z_at(self, k: int) -> float:
+        with working_precision(self.w):
+            return float(self.z_lo + k * self.d)
 
+    def exact(self, k: int, anchors=None) -> mpf:
+        """f(z_k) - g(y_k) 64 bits above the working precision."""
+        with working_precision(self.w):
+            z = self.z_lo + k * self.d
+            y = min(z + self.d, self.top)
+            if anchors is None:
+                return f(z) - g(y, self.a)
+            return _f_at(z, anchors[0]) - _g_at(y, self.a, anchors[1])
 
-def _march(regime: Regime, zlo_f: int, d_f: int, k_start: int, k_end: int,
-           coeffs: list, prec: int, w: int):
-    """Steps k_start <= k < k_end (none clamped) in w-bit fixed point.
+    def chunk(self, k: int, count: int, link: bool, best: Optional[mpf] = None) -> _Chunk:
+        """Steps k .. k + count - 1 in float64, and the rise into step k + count
+        when ``link``.  Given a ``best`` margin h > 0 of an earlier step, a
+        block whose margins all exceed best e^{-2 z_k} by more than the bound
+        is above it throughout (h_j >= e^{2 z_k} m_j): its rises are not
+        formed (NaN) and its steps are flagged in ``above``."""
+        delta, u = self.delta, _U
+        span = (count - 1 + link) * delta
+        with working_precision(self.w):
+            z0 = self.z_lo + k * self.d
+            floor = None
+            if best is not None and best > 0:
+                floor = float(best * mp.exp(-2 * z0)) * (1 + 4 * u)
+            y0 = min(z0 + self.d, self.top)
+            anchors = (ei(z0 - 1), ei(y0))
+            t1 = _taylor(anchors[0] * mp.exp(1 - z0), z0 - 1, span, self.d)
+            t2 = _taylor(anchors[1] * mp.exp(-y0), y0, span, self.d)
+            pa = float(self.a * mp.exp(-y0 / 2))
+            clamped = y0 != z0 + self.d
+            e2c = float(mp.exp(2 * (y0 - z0))) if clamped else self.e2
+            if self.carried is not None:
+                self._tripwire(t1.c[0], None if clamped else t2.c[0], z0)
+            clamp = self.last - k if k < self.last < k + count else None
+            if clamp is not None:
+                zc = z0 + clamp * self.d
+                clamp_at = (float(self.top - y0), float(self.top),
+                            float(mp.exp(2 * (self.top - zc))))
+        zf, yf = float(z0), float(y0)
+        points = count + link
+        margins, rises = np.empty(count), np.full(points - 1, np.nan)
+        above = np.zeros(count, dtype=bool)
+        em, e2, ex = self.em, self.e2, self.ex
+        bound, rise_bound = self._bounds(t1, t2, zf, yf, pa, e2c, span)
+        with np.errstate(all="ignore"):
+            # blocks of _BLOCK steps (and the next point, for the last rise)
+            # keep numpy's temporaries in cache
+            for b0 in range(0, max(points - 1, 1), _BLOCK):
+                b1 = min(b0 + _BLOCK + 1, points)
+                s = np.arange(b0, b1) * delta
+                z, y = zf + s, yf + s
+                p = pa * np.exp(-0.5 * s)
+                r1, r2 = _horner(t1.c, s), _horner(t2.c, s)
+                iz, iy, a_, s_, q = _terms(r1, r2, z, y, p)
+                top = min(b1, count)
+                margins[b0:top] = a_[:top - b0] - e2c * q[:top - b0]
+                if floor is not None and margins[b0:top].min() - bound > floor:
+                    above[b0:top] = True
+                elif b1 - b0 > 1:
+                    sl = s[:-1]
+                    dr1, dr2 = _horner(t1.d, sl), _horner(t2.d, sl)
+                    f_ = em * a_[1:] + dr1 * iz[1:] - r1[:-1] * (delta * iz[:-1] * iz[1:])
+                    p0 = p[:-1]
+                    ds = dr2 + p0 * (y[:-1] * ex + delta * self.eh)
+                    dtau = _SQRT_E * p0 * (ex * (1.0 - iy[1:]) + delta * iy[:-1] * iy[1:])
+                    rises[b0:b1 - 1] = f_ - e2 * (em * q[1:] + ds * (s_[:-1] + s_[1:]) + dtau)
+            if clamp is not None:
+                # y = z_hi, so R on the second grid sits at z_hi - y_0
+                sig, yc, ec = clamp_at
+                s1, s2 = np.array([clamp * delta]), np.array([sig])
+                _, _, ac, _, qc = _terms(_horner(t1.c, s1), _horner(t2.c, s2), zf + s1,
+                                         np.array([yc]), pa * np.exp(-0.5 * s2))
+                margins[clamp] = ac[0] - ec * qc[0]
+        self.carried = None
+        if link:
+            self.carried = (r1[-1], r2[-1], t1.err + u * t1.c[0], t2.err + u * t2.c[0])
+        return _Chunk(margins, bound, rises, rise_bound, anchors, above)
 
-    With R(t) = e^{-t} Ei(t) and y = z + delta the margin f(z) - g(y) is
-
-        e^{2z} [R(z-1)/z - e^{2 delta} ((R(y) + a y e^{-y/2})^2
-                                         + a sqrt(e) (1 - 1/y) e^{-y/2})],
-
-    so the kernel carries R on the two grids t = z_k - 1 and t = z_k + delta,
-    a e^{-y/2} and e^{2(z_k - z_first)}, and advances each by delta without
-    an ``ei`` call.  Every _ANCHOR steps it takes fresh values from ``ei``
-    and raises PrecisionError if the carried R drifted above 2^-(prec+16).
-    Returns (min margin, its z, first nonpositive z or None).
-    """
-    one = 1 << w
-    one_sq = one << w
-    tol = 1 << (w - prec - 16)
-    d = mpf(regime.delta)
-    a = mpf(regime.a)
-    z_first = mpf(from_man_exp(zlo_f + k_start * d_f, -w))
-    e2d = to_fixed(mp.exp(2 * d)._mpf_, w)
-    decay = to_fixed(mp.exp(-d)._mpf_, w)
-    shrink = to_fixed(mp.exp(-d / 2)._mpf_, w)
-    sqrt_e = to_fixed(mp.sqrt(mp.e)._mpf_, w)
-    best = best_k = fail_k = None
-    r1 = r2 = None
-    for block in range(k_start, k_end, _ANCHOR):
-        z_f = zlo_f + block * d_f
-        z = mpf(from_man_exp(z_f, -w))
-        y = z + d
-        fresh1 = to_fixed((ei(z - 1) * mp.exp(1 - z))._mpf_, w)
-        fresh2 = to_fixed((ei(y) * mp.exp(-y))._mpf_, w)
-        if r1 is not None and max(abs(r1 - fresh1), abs(r2 - fresh2)) > tol:
+    def _tripwire(self, r1: float, r2: Optional[float], z0: mpf) -> None:
+        """The last chunk's Taylor-carried R against this chunk's fresh anchors
+        (the second grid's unless its anchor is clamped off that grid)."""
+        c1, c2, e1, e2 = self.carried
+        if abs(c1 - r1) > e1 * _SLACK or (r2 is not None and abs(c2 - r2) > e2 * _SLACK):
             raise PrecisionError(
-                f"stepping kernel drifted from Ei at z={float(z)}; "
-                f"the carried e^-t Ei(t) is off by more than 2^-{prec + 16}"
+                f"stepping: e^-t Ei(t) carried to z={float(z0)} misses its fresh "
+                "anchor by more than the float64 error bound"
             )
-        r1, r2 = fresh1, fresh2
-        ae = to_fixed((a * mp.exp(-y / 2))._mpf_, w)        # a e^{-y/2}
-        scale = to_fixed(mp.exp(2 * (z - z_first))._mpf_, w)  # e^{2(z - z_first)}
-        inv_z = one_sq // z_f
-        for k in range(block, min(block + _ANCHOR, k_end)):
-            y_f = z_f + d_f
-            inv_y = one_sq // y_f
-            s = r2 + (y_f * ae >> w)
-            tail = ((one - inv_y) * ae >> w) * sqrt_e >> w
-            margin = ((r1 * inv_z >> w) - (((s * s >> w) + tail) * e2d >> w)) * scale
-            if best is None or margin < best:
-                best, best_k = margin, k
-            if margin <= 0 and fail_k is None:
-                fail_k = k
-            r1 = _advance(r1, one_sq // (z_f - one), coeffs, decay, w)
-            r2 = _advance(r2, inv_y, coeffs, decay, w)
-            ae = ae * shrink >> w
-            scale = scale * e2d >> w
-            z_f, inv_z = y_f, inv_y
 
-    def z_at(k):
-        return float(mpf(from_man_exp(zlo_f + k * d_f, -w)))
+    def _bounds(self, t1, t2, zf, yf, pa, e2c, span):
+        """(B, the rise bound) of a chunk; see the class docstring."""
+        u, delta = _U, self.delta
+        alpha = 4 + span / 2
+        c1, c2 = t1.c[0], t2.c[0]
+        a_max = c1 / zf
+        e_a = (t1.err + 4 * u * c1) / zf
+        y_ = yf * pa
+        s_ = c2 + y_
+        tau = _SQRT_E * pa
+        q = s_ * s_ + tau
+        e_s = t2.err + (alpha + 3) * u * y_ + u * s_
+        e_q = 2 * s_ * e_s + u * s_ * s_ + (alpha + 5) * u * tau + u * q
+        bound = e_a + e2c * e_q + 2 * u * e2c * q + u * max(a_max, e2c * q)
+        em, e2 = self.em, self.e2
+        f1, f2, f3 = em * a_max, t1.d_max / zf, delta * c1 / zf ** 2
+        e_f = (em * e_a + 2 * u * f1 + (t1.d_err + 4 * u * t1.d_max) / zf
+               + delta / zf ** 2 * (t1.err + 9 * u * c1) + 2 * u * (f1 + f2 + f3))
+        aw = pa * (yf * abs(self.ex) + delta)
+        ds = t2.d_max + aw
+        e_ds = t2.d_err + (alpha + 6) * u * aw + u * ds
+        dt = _SQRT_E * pa * (abs(self.ex) + delta / yf ** 2)
+        d4, d5 = em * q, 2 * s_ * ds
+        e_d = (em * e_q + 2 * u * d4 + ds * (2 * e_s + 2 * u * s_) + 2 * s_ * e_ds
+               + 2 * u * s_ * ds + (alpha + 12) * u * dt + 2 * u * (d4 + d5 + dt))
+        d_max = d4 + d5 + dt
+        rise_bound = e_f + e2 * e_d + 2 * u * e2 * d_max + u * (f1 + f2 + f3 + e2 * d_max)
+        return bound * _SLACK, rise_bound * _SLACK
 
-    margin = mpf(from_man_exp(best, -2 * w)) * mp.exp(2 * z_first)
-    return margin, z_at(best_k), None if fail_k is None else z_at(fail_k)
+
+@dataclass(frozen=True)
+class _Series:
+    c: list          # R(t + s) ~ sum c_n s^n, as doubles
+    d: list          # R(t + s + delta) - R(t + s) ~ sum d_n s^n, as doubles
+    err: float       # E_R, bounding |Horner(c, s) - R(t + s)| for 0 <= s <= span
+    d_max: float     # bounds |dR| on the span
+    d_err: float     # bounds |Horner(d, s) - dR(t + s)| for 0 <= s <= span - delta
+
+
+def _taylor(r: mpf, t: mpf, span: float, delta: mpf) -> _Series:
+    """R = e^{-t} Ei(t) from its value r at t out to t + span, as a polynomial.
+
+    The coefficients c_n = R^(n)(t)/n! come from R' = 1/t - R, which gives
+    c_n = ((-1)^(n-1) t^-n - c_(n-1))/n.  With E_n(t) = R(t) - sum_(j<n)
+    j!/t^(j+1), R^(n) = (-1)^n E_n and E_n' = n!/t^(n+1) - E_n, so for
+    t <= xi <= t + span E_n(xi) is a mean of E_n(t) and values of n!/v^(n+1)
+    at v >= t, and |R^(N)(xi)|/N! <= M = max(|c_N|, t^-(N+1)).  N terms
+    then leave at most rem = M span^N, and their difference polynomial
+    (d_i = sum_(n>i) c_n C(n, i) delta^(n-i)) at most N M span^(N-1) delta
+    of dR.  N is the first count taking the latter below 2^-63 |c_1| delta.
+    """
+    tf = float(t)
+    cs = [r]
+    p = 1 / t       # (-1)^(n-1) t^-n for the next n
+    while True:
+        n = len(cs)
+        cs.append((p - cs[-1]) / n)
+        p = -p / t
+        m = max(abs(float(cs[-1])), tf ** -(n + 1))
+        if span == 0 or n * m * span ** (n - 1) <= 2.0 ** -63 * abs(float(cs[1])) or n == 64:
+            break
+    n_terms = len(cs) - 1 if span else 1
+    c = cs[:n_terms]
+    steps = [delta ** i for i in range(n_terms)]
+    d = [sum(c[j] * math.comb(j, i) * steps[j - i] for j in range(i + 1, n_terms))
+         for i in range(n_terms - 1)]
+    cf, df = [float(v) for v in c], [float(v) for v in d]
+    rem = m * span ** n_terms if span else 0.0
+    h = sum(abs(v) * span ** i for i, v in enumerate(cf) if i)
+    hd = sum(abs(v) * span ** i for i, v in enumerate(df) if i)
+    d_rem = n_terms * m * span ** (n_terms - 1) * float(delta) if span else 0.0
+    d0 = abs(df[0]) if df else 0.0
+    return _Series(
+        c=cf,
+        d=df,
+        err=_U * (2 * cf[0] + 3 * n_terms * h) + rem,
+        d_max=d0 + hd + d_rem,
+        d_err=_U * (2 * d0 + 3 * n_terms * hd) + d_rem,
+    )
+
+
+def _terms(r1, r2, z, y, p):
+    """1/z, 1/y, A = R_1/z, S = R_2 + y P and Q = S^2 + sqrt(e) (1 - 1/y) P."""
+    iz, iy = 1.0 / z, 1.0 / y
+    s_ = r2 + y * p
+    return iz, iy, r1 * iz, s_, s_ * s_ + _SQRT_E * p * (1.0 - iy)
+
+
+def _horner(coeffs: list, s: np.ndarray) -> np.ndarray:
+    acc = np.full_like(s, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= s
+        acc += c
+    return acc
+
+
+def _check_grid(regime: Regime, prec: int) -> None:
+    # every z_lo + k delta up to z_hi + delta must be exact at prec bits
+    scale = max(Fraction(regime.z_lo).denominator, Fraction(regime.delta).denominator)
+    if (Fraction(regime.z_hi) + Fraction(regime.delta)) * scale >= 2 ** prec:
+        raise ParameterError(f"delta {regime.delta:g} is finer than the {prec}-bit grid")
 
 
 def regime_schedule() -> list:

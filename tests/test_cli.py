@@ -270,6 +270,35 @@ class TestRamanujan:
                            "--delta", "10", "--a", "1e7", "--steps", "2"])
         assert res.exit_code == EXIT_FAIL
 
+    @pytest.mark.parametrize("window, expected", [
+        (["--z-lo", "43", "--z-hi", "53", "--delta", "10", "--a", "1e7", "--steps", "5"],
+         {"steps_checked": 1, "min_margin": -5.271844390463604e+42, "min_margin_at": 43.0,
+          "first_failure": 43.0}),
+        (["--z-lo", "340", "--z-hi", "699", "--delta", "1e-8", "--a", "1", "--steps", "50"],
+         {"steps_checked": 50, "min_margin": -3.613358535174395e+282,
+          "min_margin_at": 340.00000049, "first_failure": 340.0}),
+    ])
+    def test_window_outside_float_range(self, runner, window, expected):
+        # a step of width 10, and f and g past e^680: the facts as before the
+        # steps were decided in float64
+        res = run(runner, ["--format", "json", "ramanujan", *window])
+        assert res.exit_code == EXIT_FAIL
+        payload = json.loads(res.output)
+        assert {k: payload[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("window", [
+        ["--z-lo", "400", "--z-hi", "401", "--delta", "0.1", "--a", "1", "--steps", "2"],
+        ["--z-lo", "43", "--z-hi", "44", "--delta", "1e-8", "--a", "1e308", "--steps", "3"],
+    ])
+    def test_margin_beyond_a_double_is_config_error(self, runner, fmt, window):
+        # -Infinity is not JSON: such a window says so on one line and exits 2
+        res = run(runner, ["--format", fmt, "ramanujan", *window])
+        assert res.exit_code == EXIT_CONFIG
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "does not fit a double" in res.stderr
+
     @pytest.mark.parametrize("x, code, verdict", [
         (published.RAMANUJAN_LAST_COUNTEREXAMPLE, EXIT_FAIL, "FAILS"),
         (published.RAMANUJAN_LAST_COUNTEREXAMPLE + 1, EXIT_PASS, "holds"),

@@ -1,17 +1,20 @@
 """Extended profile: long-running verifications excluded from the default run.
 
-Select with ``pytest -m extended``.  A full rung at the published delta is
-3.2e8 to 5e9 steps at about 10 us each, one to 15 hours, so it is sized down
-here to a million-step block (12 s on a 2 vCPU KVM guest, through 244 anchor
-drift checks) with the full-rung entry point left to the CLI.  The counterexample boundary at 3.84e10 is four prime
-counts, about 1.3 s together, so it runs in the default suite
-(``tests/test_ramanujan.py``).
+Select with ``pytest -m extended``.  The stepping check decides each step in
+float64 under a proven bound, at 50-59 ns per step over whole rungs on a
+2 vCPU KVM guest, so a full rung at the published delta (3.2e8 to 5e9
+steps) takes 18 s to 5 minutes, and the whole ladder 25 minutes.  The
+profile runs the rung with the fewest steps, rung 0, in full (about 20 s),
+a million-step block (0.08 s through 15 chunk re-anchor checks, 10.5 s with
+the fixed-point kernel this replaced) and 2e4-step tails of every rung.
+The counterexample boundary at 3.84e10 is four prime counts, about 1.3 s
+together, so it runs in the default suite (``tests/test_ramanujan.py``).
 """
 
 import pytest
 
 from primebounds import published
-from primebounds.ramanujan import Regime, step_verify
+from primebounds.ramanujan import Regime, regime_schedule, step_verify
 
 A8PI = 0.039788735772973836
 
@@ -27,8 +30,17 @@ def test_million_step_block_first_rung():
 
 def test_rung_tail_windows_all_regimes():
     """2e4 steps at the top of every rung: the tightest end of each range."""
-    from primebounds.ramanujan import regime_schedule
-
     for regime in regime_schedule():
         report = step_verify(regime, max_steps=20_000, from_end=True)
         assert report.passed, (regime, float(report.min_margin))
+
+
+def test_whole_first_rung():
+    """All 320,000,001 steps of rung 0, z in (43, 59], the rung with the fewest."""
+    regime = regime_schedule()[0]
+    report = step_verify(regime, max_steps=regime.n_steps)
+    assert report.passed and report.first_failure is None
+    assert report.steps_checked == regime.n_steps == 320_000_001
+    # the margins rise through the rung, so its minimum is at its foot
+    assert report.min_margin_at == 43.0
+    assert float(report.min_margin) == 2.3114524195448934e+27

@@ -196,11 +196,12 @@ class TestKernel:
 
         monkeypatch.setattr(ramanujan, "ei", counting_ei)
         regime = Regime(43.0, 44.0, 1.0, 1e-8, math.inf)
-        n = 2 * ramanujan._ANCHOR + 7
+        n = 2 * ramanujan._CHUNK + 7
         report = step_verify(regime, max_steps=n)
-        # window start plus two anchors, each a fresh Ei on both grids; every
-        # re-anchor passed its drift check against the carried values
-        assert len(calls) == 6
+        # three chunks, each a fresh Ei on both grids (every re-anchor passed
+        # its check against the carried values), and f and g at the last step,
+        # the only one the proven falling margins leave
+        assert len(calls) == 8
         monkeypatch.setattr(ramanujan, "ei", ei)
         ((last, last_at),) = direct_margins(regime, n - 1, 1)
         assert report.steps_checked == n and report.first_failure == 43.0
@@ -208,17 +209,21 @@ class TestKernel:
         assert rel(report.min_margin, last) < mpf("1e-40")
 
     def test_drift_check_raises(self, monkeypatch):
-        # an anchor Ei off by 2^-150 relative is far outside 2^-(prec+16)
+        # an anchor Ei off by 2^-40 relative is far outside the float64 bound
+        # (a few u) on the value carried from the chunk before; unskewed,
+        # the same 16-step chunks give the one-chunk verdict
+        one_chunk = step_verify(SCHEDULE[0], max_steps=40)
+        monkeypatch.setattr(ramanujan, "_CHUNK", 16)
+        assert step_verify(SCHEDULE[0], max_steps=40) == one_chunk
         ei = ramanujan.ei
         calls = []
 
         def skewed_ei(y):
             calls.append(y)
             value = ei(y)
-            return value * (1 + mpf(2) ** -150) if len(calls) > 2 else value
+            return value * (1 + mpf(2) ** -40) if len(calls) > 2 else value
 
         monkeypatch.setattr(ramanujan, "ei", skewed_ei)
-        monkeypatch.setattr(ramanujan, "_ANCHOR", 16)
         with pytest.raises(PrecisionError):
             step_verify(SCHEDULE[0], max_steps=40)
 
@@ -246,14 +251,16 @@ class TestKernel:
                 step_verify(SCHEDULE[0], max_steps=steps)
 
 
-def kernel_setup(delta, t_min, prec=192):
-    """(w, the step's c_m in Horner order, e^{-delta}) as step_verify builds them."""
-    w = prec + ramanujan._GUARD_BITS
-    with working_precision(w):
-        d = mpf(delta)
-        coeffs = ramanujan._step_coefficients(d, mpf(t_min), w)
-        decay = to_fixed(mp.exp(-d)._mpf_, w)
-    return w, coeffs, decay
+def series(t, span, delta, prec=192):
+    """The Taylor series step_verify carries e^{-t} Ei(t) on from an anchor at t."""
+    with working_precision(prec + ramanujan._REPORT_GUARD):
+        t = mpf(t)
+        return ramanujan._taylor(ramanujan.ei(t) * mp.exp(-t), t, span, mpf(delta))
+
+
+def at(coeffs, s):
+    """Horner's rule over float64 coefficients at one offset, as step_verify runs it."""
+    return float(ramanujan._horner(coeffs, np.array([float(s)]))[0])
 
 
 def r_fixed(t_f, w):
@@ -263,86 +270,187 @@ def r_fixed(t_f, w):
 
 
 class TestStepKernel:
-    """The closed-form step R(t + delta) = e^{-delta} R(t) + sum (-1)^m c_m / t^(m+1)."""
+    """The float64 Taylor series that carries R = e^{-t} Ei(t) through a chunk,
+    against the closed-form step's quadrature coefficients, mpmath's ``ei``
+    and the derivative chain."""
 
     @pytest.mark.parametrize("prec", [192, 320])
     @pytest.mark.parametrize("rung", range(len(SCHEDULE)))
     def test_coefficients_match_quadrature(self, rung, prec):
-        # each c_m is a sum of rounded delta^n/n! times m!, so off by a few
-        # m! ulps; t^-(m+1) <= 42^-(m+1) scales that far below an ulp of R
+        # the difference polynomial at offset 0 is R(t + delta) - R(t), which the
+        # closed form gives as (e^-delta - 1) R(t) + sum (-1)^m c_m / t^(m+1), each
+        # c_m = int_0^delta u^m e^{u - delta} du by quadrature; the terms fall by
+        # delta/t, so a few of them reach 2^-120
         r = SCHEDULE[rung]
-        w, coeffs, _ = kernel_setup(r.delta, r.z_lo - 1, prec)
-        # N + 2 ulps per advance keep an anchor block's drift within 2^16 ulps
-        assert 0 < len(coeffs) and (len(coeffs) + 2) * ramanujan._ANCHOR <= 2 ** 16
-        for m, c in enumerate(reversed(coeffs)):
-            with mp.workprec(600):
-                exact = step_coefficient_quad(m, r.delta) * mpf(2) ** w
-                assert abs(c - exact) <= 32 * math.factorial(m), (m, float(c - exact))
+        for t in (r.z_lo - 1, r.z_lo + r.delta):
+            sr = series(t, ramanujan._CHUNK * r.delta, r.delta, prec)
+            with mp.workprec(400):
+                step = (mp.exp(-mpf(r.delta)) - 1) * r_exact(t)
+                m, term = 0, mpf(1)
+                while term > mpf(2) ** -120 * abs(step):
+                    term = step_coefficient_quad(m, r.delta) / mpf(t) ** (m + 1)
+                    step += (-1) ** m * term
+                    m += 1
+                assert abs(sr.d[0] - step) <= min(sr.d_err, 2 * ramanujan._U * abs(step))
 
     @pytest.mark.parametrize("rung", range(len(SCHEDULE)))
     def test_one_advance_from_exact_r(self, rung):
+        # one step, and the whole chunk out to the next anchor, on both grids
+        # and at the rung top, within the series' bound and within 3u of R
         r = SCHEDULE[rung]
-        w, coeffs, decay = kernel_setup(r.delta, r.z_lo - 1)
-        one = 1 << w
-        d_f = to_fixed(mpf(r.delta)._mpf_, w)
-        z_f = to_fixed(mpf(r.z_lo)._mpf_, w)
-        for t_f in (z_f - one, z_f + d_f, to_fixed(mpf(r.z_hi)._mpf_, w) - one):
-            got = ramanujan._advance(r_fixed(t_f, w), (one << w) // t_f, coeffs, decay, w)
-            with mp.workprec(600):
-                want = r_exact(mpf(from_man_exp(t_f + d_f, -w))) * mpf(2) ** w
-                assert abs(got - want) <= len(coeffs) + 2, float(got - want)
+        span = ramanujan._CHUNK * r.delta
+        for t in (r.z_lo - 1, r.z_lo + r.delta, r.z_hi - 1):
+            sr = series(t, span, r.delta)
+            for s in (r.delta, span):
+                with mp.workprec(400):
+                    want = r_exact(mpf(t) + mpf(r.delta) * round(s / r.delta))
+                    err = abs(at(sr.c, s) - want)
+                    assert err <= sr.err and err <= 3 * ramanujan._U * want, (t, s)
 
     @pytest.mark.parametrize("rung", [0, len(SCHEDULE) - 1])
     def test_carries_like_the_derivative_chain_across_two_anchors(self, rung):
-        # both grids of the march, carried 2 * _ANCHOR + 7 steps with no
-        # re-anchoring, by the closed form and by the Taylor series through
-        # the derivative chain, stay within the drift check's 2^-(prec + 16)
-        # of each other and of e^{-t} Ei(t)
-        prec = 192
+        # both grids of a chunk carried 2 * 4096 + 7 steps by the Taylor series
+        # through the derivative chain in 256-bit fixed point (the oracle) agree
+        # with the float series at every 1024th step and at the end, within its
+        # bound, and the oracle ends on e^{-t} Ei(t)
         r = SCHEDULE[rung]
-        w, coeffs, decay = kernel_setup(r.delta, r.z_lo - 1, prec)
+        w, n = 256, 2 * 4096 + 7
         taylor = taylor_coefficients(r.delta, r.z_lo - 1, w)
         one = 1 << w
-        tol = 1 << (w - prec - 16)
         d_f = to_fixed(mpf(r.delta)._mpf_, w)
         z_f = to_fixed(mpf(r.z_lo)._mpf_, w)
-        ts = [z_f - one, z_f + d_f]
-        new = old = [r_fixed(t_f, w) for t_f in ts]
-        for _ in range(2 * ramanujan._ANCHOR + 7):
-            inv = [(one << w) // t_f for t_f in ts]
-            new = [ramanujan._advance(x, i, coeffs, decay, w) for x, i in zip(new, inv)]
-            old = [advance_taylor(x, i, taylor, w) for x, i in zip(old, inv)]
-            assert max(abs(a - b) for a, b in zip(new, old)) <= tol
-            ts = [t_f + d_f for t_f in ts]
-        for x, t_f in zip(new, ts):
-            assert abs(x - r_fixed(t_f, w)) <= tol
+        for t_f in (z_f - one, z_f + d_f):
+            t = mpf(from_man_exp(t_f, -w))
+            sr = series(t, n * r.delta, r.delta)
+            x = r_fixed(t_f, w)
+            for k in range(1, n + 1):
+                x = advance_taylor(x, (one << w) // t_f, taylor, w)
+                t_f += d_f
+                if k % 1024 == 0 or k == n:
+                    with mp.workprec(400):
+                        assert abs(at(sr.c, k * r.delta) - mpf(x) / one) <= sr.err, k
+            assert abs(x - r_fixed(t_f, w)) <= 1 << (w - 192 - 16)
 
     @pytest.mark.parametrize("fits", [True, False])
-    def test_max_terms_boundary(self, monkeypatch, fits):
-        # N terms are needed when (delta/t)^(N+1) < 2^-(w+8) <= (delta/t)^N:
-        # the geometric middle of that range for N = _MAX_TERMS marches, and
-        # for N = _MAX_TERMS + 1 the window falls back to direct f and g
-        big_n, w = ramanujan._MAX_TERMS, 192 + ramanujan._GUARD_BITS
-        n_terms = big_n if fits else big_n + 1
+    def test_max_terms_boundary(self, fits):
+        # the deltas that took exactly 16 and 17 closed-form terms in the
+        # 256-bit fixed-point kernel this replaced (the 17-term one went to f
+        # and g there): both take the float path and match one f and g per step
+        w = 256
+        n_terms = 16 if fits else 17
         delta = 42 * 2.0 ** (-(w + 8) * (1 / n_terms + 1 / (n_terms + 1)) / 2)
-        _, coeffs, _ = kernel_setup(delta, 42)
-        assert (len(coeffs) == big_n) if fits else (coeffs is None)
-        march = ramanujan._march
-        marched = []
-
-        def spy(*args):
-            marched.append(args[3:5])
-            return march(*args)
-
-        monkeypatch.setattr(ramanujan, "_march", spy)
         regime = Regime(43.0, 44.0, A8PI, delta, math.inf)
         n = 6
         report = step_verify(regime, max_steps=n)
-        assert marched == ([(0, n)] if fits else [])
         low, low_at = min(direct_margins(regime, 0, n), key=lambda m: m[0])
         assert report.steps_checked == n
         assert report.min_margin_at == low_at
         assert rel(report.min_margin, low) < mpf("1e-40")
+
+
+def normalised(regime, k0, n, prec=192):
+    """For k0 <= k < k0 + n, e^{-2 z_k} (f(z_k) - g(y_k)) with y_k = min(z_k + delta,
+    z_hi), and, for k < k0 + n - 1, the rise e^{-2 z_k} (f(z_(k+1)) - g(z_(k+1) + delta)
+    - f(z_k) + g(y_k)) to the next step, unclamped; one f and g per step."""
+    with working_precision(prec):
+        d, top, a = mpf(regime.delta), mpf(regime.z_hi), mpf(regime.a)
+        zs = [mpf(regime.z_lo) + k * d for k in range(k0, k0 + n)]
+        fs = [f(z) for z in zs]
+        h = [fz - g(min(z + d, top), a) for z, fz in zip(zs, fs)]
+        h_next = h[1:]
+        if n > 1 and zs[-1] + d > top:
+            h_next[-1] = fs[-1] - g(zs[-1] + d, a)
+        scale = [mp.exp(-2 * z) for z in zs]
+        return ([x * s for x, s in zip(h, scale)],
+                [(x1 - x) * s for x1, x, s in zip(h_next, h, scale)])
+
+
+class TestFloatPath:
+    """step_verify's float64 decisions against one f and g per step."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(rung=st.integers(0, len(SCHEDULE) - 1),
+           where=st.sampled_from(["head", "tail", "interior"]),
+           frac=st.floats(0, 1), n=st.integers(2, 500), link=st.booleans())
+    def test_margins_and_rises_within_the_bound(self, rung, where, frac, n, link):
+        r = SCHEDULE[rung]
+        k0 = {"head": 0, "tail": r.n_steps - n, "interior": int(frac * (r.n_steps - n))}[where]
+        link = link and where != "tail"
+        stepper = ramanujan._Stepper(r, 192)
+        ch = stepper.chunk(k0, n - link, link)
+        margins, rises = normalised(r, k0, n)
+        assert len(ch.margins) == n - link and len(ch.rises) == n - 1
+        with working_precision(192):
+            assert all(abs(m - want) <= ch.bound for m, want in zip(ch.margins, margins))
+            assert all(abs(x - want) <= ch.rise_bound for x, want in zip(ch.rises, rises))
+
+    def test_clamped_last_step_within_the_bound(self):
+        # half a step past the last grid point: the window's last margin is
+        # formed with y = z_hi, far from the unclamped one, and within B
+        regime = Regime(43.0, 43.0 + 1234.5 * 5e-8, A8PI, 5e-8, published.STRONG_X_MAX)
+        n = 30
+        k0 = regime.n_steps - n
+        ch = ramanujan._Stepper(regime, 192).chunk(k0, n, False)
+        margins, rises = normalised(regime, k0, n)
+        with working_precision(192):
+            z = mpf(regime.z_lo) + (regime.n_steps - 1) * mpf(regime.delta)
+            unclamped = (f(z) - g(z + mpf(regime.delta), mpf(regime.a))) * mp.exp(-2 * z)
+            assert abs(margins[-1] - unclamped) > 1e6 * ch.bound
+            assert all(abs(m - want) <= ch.bound for m, want in zip(ch.margins, margins))
+            assert all(abs(x - want) <= ch.rise_bound for x, want in zip(ch.rises, rises))
+
+    @pytest.mark.parametrize("regime, n, from_end", [
+        (SCHEDULE[0], 30, False),
+        (SCHEDULE[1], 30, True),
+        (Regime(43.0, 44.0, 1.0, 1e-8, math.inf), 30, False),
+        (Regime(43.0, 53.0, 1e7, 10.0, 1e300), 1, False),
+    ])
+    def test_every_step_rechecked_gives_the_same_verdict(self, monkeypatch, regime, n, from_end):
+        # an infinite bound decides nothing in float64 and proves no order, so
+        # every step is re-decided and evaluated by f and g (the first from
+        # its anchors)
+        want = step_verify(regime, max_steps=n, from_end=from_end)
+        ei = ramanujan.ei
+        calls = []
+        monkeypatch.setattr(ramanujan, "ei", lambda y: calls.append(y) or ei(y))
+        monkeypatch.setattr(ramanujan, "_SLACK", math.inf)
+        assert step_verify(regime, max_steps=n, from_end=from_end) == want
+        assert len(calls) == 2 * n
+
+    @pytest.mark.parametrize("rung", [0, 1, 4, 8])
+    @pytest.mark.parametrize("from_end", [False, True])
+    def test_chunked_window_matches_one_chunk(self, monkeypatch, rung, from_end):
+        # 16-step chunks: each re-anchors and checks the carried R and links
+        # its last rise to the next; once the rising margins clear the first
+        # step's by more than the bound, chunks are proven above it without
+        # forming their rises
+        want = step_verify(SCHEDULE[rung], max_steps=300, from_end=from_end)
+        monkeypatch.setattr(ramanujan, "_CHUNK", 16)
+        chunk = ramanujan._Stepper.chunk
+        above = []
+
+        def spy(self, *args):
+            ch = chunk(self, *args)
+            above.append(bool(ch.above.all()))
+            return ch
+
+        monkeypatch.setattr(ramanujan._Stepper, "chunk", spy)
+        assert step_verify(SCHEDULE[rung], max_steps=300, from_end=from_end) == want
+        assert len(above) == 19 and not above[0] and above[-1]
+
+    def test_a_beyond_float_range(self):
+        # a y e^{-y/2} squared overflows a double: every float margin is
+        # non-finite, so every step is re-decided by f and g
+        regime = Regime(43.0, 44.0, 1e308, 1e-8, math.inf)
+        report = step_verify(regime, max_steps=3)
+        low, low_at = min(direct_margins(regime, 0, 3), key=lambda m: m[0])
+        assert not report.passed and report.first_failure == 43.0
+        assert report.min_margin_at == low_at
+        assert rel(report.min_margin, low) < mpf("1e-40")
+
+    def test_grid_must_be_exact_at_the_working_precision(self):
+        with pytest.raises(ParameterError, match="finer than the 192-bit grid"):
+            step_verify(Regime(43.0, 44.0, 1.0, 1e-90, math.inf), max_steps=3)
 
 
 class TestRegimeSchedule:
