@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: derive, tables, verify-primes, zeros (check), ramanujan, cache.
-Three global flags set a run, each from the flag alone: ``--precision-bits``
-(the ``working_precision`` scope the command runs in), ``--cache-dir`` (the
-prime-table cache, off without it) and ``--format json|text``.
+Subcommands: derive, tables, verify-primes, zeros (check), ramanujan.
+Two global flags set a run, each from the flag alone: ``--precision-bits``
+(the ``working_precision`` scope the command runs in) and
+``--format json|text``.  The hidden ``--cache-dir`` is accepted and ignored,
+with a note on stderr: prime tables are no longer cached.
 
 Exit codes are a stable scripting contract, the same for ``main()``,
 ``cli.main(..., standalone_mode=False)`` and click's test runner:
@@ -21,9 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import click
@@ -38,12 +37,11 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-DEFAULT_LIMIT = 1_000_000  # the default --limit of verify-primes and cache build
+DEFAULT_LIMIT = 1_000_000  # the default --limit of verify-primes
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    cache_dir: str | None
     output_format: str
 
 
@@ -63,23 +61,6 @@ def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
 def _echo_err(message: str) -> None:
     # an explicit stream for the same reason as in _emit
     click.echo(message, file=sys.stderr)
-
-
-def _cache_path(cfg: RunConfig, limit: int) -> str | None:
-    if cfg.cache_dir is None:
-        return None
-    os.makedirs(cfg.cache_dir, exist_ok=True)
-    return os.path.join(cfg.cache_dir, f"prime_tables_{limit}.txt")
-
-
-def _build_tables(limit: int, path: str | None) -> primes.PrimeTables:
-    # the library warns when it rebuilds an invalid cache; print that as one line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        tables_ = primes.build_tables(limit, cache_path=path)
-    for w in caught:
-        _echo_err(f"warning: {w.message}")
-    return tables_
 
 
 def _limit(limit: float) -> int:
@@ -105,15 +86,16 @@ class _Cli(click.Group):
 @click.group(cls=_Cli)
 @click.option("--precision-bits", type=int, default=hiprec.DEFAULT_PRECISION_BITS,
               help=f"working precision (>= {hiprec.MIN_PRECISION_BITS})")
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
-              help="prime-table cache directory")
+@click.option("--cache-dir", default=None, hidden=True)
 @click.option("--format", "output_format", type=click.Choice(["json", "text"]), default="text")
 @click.pass_context
 def cli(ctx, precision_bits, cache_dir, output_format):
     """Verification toolkit for explicit prime-counting bounds under
     partially verified zero data."""
+    if cache_dir is not None:
+        _echo_err("note: --cache-dir is ignored; prime tables are no longer cached")
     ctx.with_resource(hiprec.working_precision(precision_bits))
-    ctx.obj = RunConfig(cache_dir, output_format)
+    ctx.obj = RunConfig(output_format)
 
 
 @cli.command()
@@ -203,7 +185,7 @@ def verify_primes(cfg: RunConfig, limit, specs):
                 chosen.update(weak_catalog)
             else:
                 chosen[s] = catalog[s]
-    tables_ = _build_tables(limit, _cache_path(cfg, limit))
+    tables_ = primes.build_tables(limit)
     max_threshold = max(thr for _, thr in chosen.values())
     if limit <= max_threshold:
         _echo_err(
@@ -329,46 +311,6 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         "PASS" if report.passed else f"FAIL at z={report.first_failure}",
     ])
     raise SystemExit(EXIT_PASS if report.passed else EXIT_FAIL)
-
-
-@cli.group()
-def cache():
-    """Prime-table cache management."""
-
-
-@cache.command("path")
-@click.pass_obj
-def cache_path_cmd(cfg: RunConfig):
-    click.echo(cfg.cache_dir or "(cache disabled; set --cache-dir)", file=sys.stdout)
-    raise SystemExit(EXIT_PASS)
-
-
-@cache.command("build")
-@click.option("--limit", type=float, default=DEFAULT_LIMIT)
-@click.pass_obj
-def cache_build(cfg: RunConfig, limit):
-    limit = _limit(limit)
-    path = _cache_path(cfg, limit)
-    if path is None:
-        raise click.UsageError("no cache directory configured")
-    _build_tables(limit, path)
-    click.echo(path, file=sys.stdout)
-    raise SystemExit(EXIT_PASS)
-
-
-@cache.command("clear")
-@click.pass_obj
-def cache_clear(cfg: RunConfig):
-    if cfg.cache_dir is None or not os.path.isdir(cfg.cache_dir):
-        click.echo("nothing to clear", file=sys.stdout)
-        raise SystemExit(EXIT_PASS)
-    removed = 0
-    for name in os.listdir(cfg.cache_dir):
-        if name.startswith("prime_tables_") and name.endswith(".txt"):
-            os.remove(os.path.join(cfg.cache_dir, name))
-            removed += 1
-    click.echo(f"removed {removed} cache file(s)", file=sys.stdout)
-    raise SystemExit(EXIT_PASS)
 
 
 def main():

@@ -82,6 +82,7 @@ from .error_terms import (
     ProfileAt,
     STRONG,
     TermsAt,
+    check_kernel_shift,
     round_up_sig,
     shift_requirement,
 )
@@ -142,8 +143,9 @@ class ThresholdEquation:
             raise ParameterError("threshold equation needs constant > 0 and T > 0")
 
     def lhs(self, x) -> mpf:
-        """LHS(x) at mpmath's current precision."""
-        return self._lhs(mpf(x), mp)
+        """LHS(x) at the working precision."""
+        with working_precision():
+            return self._lhs(mpf(x), mp)
 
     def _lhs(self, x, m):
         """LHS(x) in number type ``m``: ``mp`` at mpmath's current precision,
@@ -608,6 +610,7 @@ def _seed_at(A, variant: BoundVariant, D=None, E=None) -> tuple:
         if E is None:
             E = 16.0 if strong else float(at.best[2]) if at.best else 2.4
         E = float(E)
+        check_kernel_shift(D, E)
         C = _display_shift(at.shift(D, E)[2], at.c_required)
         B = round_up_sig(_b_at(at._terms.L, mpf(D), mpf(E)), 3)
         return IterationState(float(A), float(B), float(C), D, E, variant), at

@@ -107,6 +107,12 @@ class BoundVariant:
 STRONG = BoundVariant("strong")
 
 
+def check_kernel_shift(D, E) -> None:
+    """The kernel parameters of a state: a finite E > 0 and a finite D >= 0."""
+    if not (0 < E < math.inf and 0 <= D < math.inf):
+        raise ParameterError("requires finite E > 0 and D >= 0")
+
+
 @dataclass(frozen=True)
 class IterationState:
     A: float
@@ -118,8 +124,7 @@ class IterationState:
 
     def __post_init__(self):
         self.variant.check_threshold(self.A)
-        if not (0 < self.E < math.inf and 0 <= self.D < math.inf):
-            raise ParameterError("requires finite E > 0 and D >= 0")
+        check_kernel_shift(self.D, self.E)
 
     def c_of(self, x) -> mpf:
         return mp.log(mpf(x)) / 2 + mpf(self.D)
@@ -167,17 +172,18 @@ def round_up_sig(value, sig: int) -> mpf:
     it: a decimal whose binary value lies above it rounds to itself, not to
     the next decimal up.
     """
-    v = mpf(value)
-    if v <= 0:
-        raise ParameterError("round_up_sig expects a positive value")
-    with mp.workprec(mp.prec + 16):
-        e = int(mp.floor(mp.log10(v))) - sig + 1
-        n = int(mp.ceil(v * 10 ** -e if e < 0 else v / 10 ** e))
-    if e < 0:
-        below, up = (mpf(k) / 10 ** -e for k in (n - 1, n))
-    else:
-        below, up = (mpf(k * 10 ** e) for k in (n - 1, n))
-    return below if below >= v else up
+    with working_precision():
+        v = mpf(value)
+        if v <= 0:
+            raise ParameterError("round_up_sig expects a positive value")
+        with mp.workprec(mp.prec + 16):
+            e = int(mp.floor(mp.log10(v))) - sig + 1
+            n = int(mp.ceil(v * 10 ** -e if e < 0 else v / 10 ** e))
+        if e < 0:
+            below, up = (mpf(k) / 10 ** -e for k in (n - 1, n))
+        else:
+            below, up = (mpf(k * 10 ** e) for k in (n - 1, n))
+        return below if below >= v else up
 
 
 # significant figures used when reproducing the two printed profiles

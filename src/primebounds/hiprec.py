@@ -4,10 +4,9 @@ All real-valued analytic evaluation in this package flows through mpmath's
 ``mpf`` type at the precision of the innermost ``working_precision(bits)``
 scope (192 bits outside any, never below 100).  That scope is the one way to
 set it: the package's functions evaluate at its bits, and one that needs more
-head room (the stepping verifier) opens a scope of its own.  Two arithmetic
-helpers, ``error_terms.round_up_sig`` and ``engine.ThresholdEquation.lhs``,
-work at mpmath's current precision instead.  The three functions the rest
-of the package needs beyond plain arithmetic are provided here:
+head room (the stepping verifier) opens a scope of its own.  The three
+functions the rest of the package needs beyond plain arithmetic are
+provided here:
 
 * ``ei`` / ``li`` -- the exponential integral and the logarithmic integral
   (Cauchy principal value),

@@ -17,20 +17,16 @@ float64 to be trusted is re-checked in extended precision from the exact
 columns.  A scan reads the jumps in range and the range ends that are not
 jumps, and settles each gap between these nodes from its two ends.
 
-Tables are built by segmented sieving, checkpointed per segment, and can be
-persisted to a versioned line-oriented cache with a content hash per
-segment; a partial or corrupted cache is completed or rebuilt (with a
-warning) rather than trusted.  Plain counts beyond the tables' reach, up to
-1e12, come from Lucy's O(x^(3/4)) recursion over the values floor(x/k), not
-from a sieve.
+Tables are built in full on every call, by segmented sieving, which bounds
+the working memory of the sieve.  Plain counts beyond the tables' reach, up
+to 1e12, come from Lucy's O(x^(3/4)) recursion over the values floor(x/k),
+not from a sieve.
 """
 
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,7 +55,6 @@ __all__ = [
     "scan_inequality",
     "segmented_prime_count",
     "threshold_consistent",
-    "CacheError",
 ]
 
 FIX_BITS = 96          # fractional bits of the exact theta/psi accumulators
@@ -89,13 +84,6 @@ assert 2 * SCALE["Pi"] < 1 << 53
 
 # a read at jump k from one side, as weights on (R[k - 1], R[k]) over 2 SCALE
 _SIDES = {"left": (2, 0), "at": (1, 1), "right": (0, 2)}
-
-CACHE_VERSION = "primebounds-tables v1"
-
-
-class CacheError(RuntimeError):
-    pass
-
 
 def _log_fixed(p: int, bits: int = FIX_BITS) -> int:
     """round(log(p) * 2^bits), half up, from log(p) rounded to LOG_PREC bits.
@@ -220,14 +208,6 @@ def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _Segment:
-    index: int
-    x_end: int
-    jumps: list          # (n, p, m, log p over 2^-FIX_BITS) per prime power n
-    digest: str
-
-
-@dataclass
 class PrimeTables:
     """Per-jump exact tables of the normalized counting functions.
 
@@ -237,7 +217,6 @@ class PrimeTables:
     """
 
     limit: int
-    segment_size: int
     jumps: np.ndarray          # int64 prime powers
     jump_m: np.ndarray         # int64 exponent
     right: dict                # kind -> list of int right limits over SCALE[kind]
@@ -331,8 +310,9 @@ def _exact_quotients(nums: np.ndarray, den: int) -> np.ndarray:
     return out
 
 
-def _build_segments(limit: int, segment_size: int, start_index: int, base):
-    """Generate segments (raw jump payloads) from start_index onward.
+def _build_segments(limit: int, segment_size: int, base):
+    """Generate each segment's jump rows (n, p, m, log p over 2^-FIX_BITS),
+    one per prime power n, ascending.
 
     The logs of each segment's primes are carried from prime to prime and
     anchored at the segment's first prime, so a segment depends on nothing
@@ -340,8 +320,7 @@ def _build_segments(limit: int, segment_size: int, start_index: int, base):
     """
     base_primes = base.tolist()
     base_logs = _prime_logs(base_primes)
-    seg_index = start_index
-    lo = 2 + seg_index * segment_size
+    lo = 2
     while lo <= limit:
         hi = min(lo + segment_size, limit + 1)
         seg_primes = _segment_primes(lo, hi, base).tolist()
@@ -359,21 +338,12 @@ def _build_segments(limit: int, segment_size: int, start_index: int, base):
                 n *= p
                 m += 1
         rows.sort()
-        yield _Segment(seg_index, hi - 1, rows, _digest(rows))
-        seg_index += 1
+        yield rows
         lo = hi
 
 
-def build_tables(
-    limit: int,
-    cache_path: Optional[str] = None,
-    segment_size: int = DEFAULT_SEGMENT,
-) -> PrimeTables:
-    """Sieve to ``limit`` and assemble exact per-jump tables.
-
-    With ``cache_path`` the per-segment payloads are persisted and reused;
-    a valid prefix of a cache is resumed, anything inconsistent is rebuilt.
-    """
+def build_tables(limit: int, *, segment_size: int = DEFAULT_SEGMENT) -> PrimeTables:
+    """Sieve to ``limit`` and assemble exact per-jump tables."""
     limit = int(limit)
     if limit < 100:
         raise ParameterError("build_tables requires limit >= 100")
@@ -383,20 +353,7 @@ def build_tables(
             "for plain counts beyond that"
         )
     base = _simple_sieve(int(limit ** 0.5) + 1)
-    cached_segments = []
-    if cache_path is not None:
-        try:
-            cached_segments = _load_cache_segments(cache_path, limit, segment_size)
-        except FileNotFoundError:
-            cached_segments = []
-        except (CacheError, ValueError, IndexError) as exc:
-            warnings.warn(f"prime-table cache invalid ({exc}); rebuilding")
-            cached_segments = []
-    segments = list(cached_segments)
-    n_expected = (limit - 2) // segment_size + 1
-    if len(segments) < n_expected:
-        segments.extend(_build_segments(limit, segment_size, len(segments), base))
-    rows = [row for seg in segments for row in seg.jumps]
+    rows = [row for seg in _build_segments(limit, segment_size, base) for row in seg]
     # each jump's step in every column, summed into its exact right limits
     steps = {
         "pi": (int(m == 1) for _, _, m, _ in rows),
@@ -404,76 +361,12 @@ def build_tables(
         "psi": (lf for _, _, _, lf in rows),
         "Pi": (SCALE["Pi"] // m for _, _, m, _ in rows),
     }
-    tables = PrimeTables(
+    return PrimeTables(
         limit=limit,
-        segment_size=segment_size,
         jumps=np.array([row[0] for row in rows], dtype=np.int64),
         jump_m=np.array([row[2] for row in rows], dtype=np.int64),
         right={kind: list(accumulate(col)) for kind, col in steps.items()},
     )
-    if cache_path is not None and len(cached_segments) < n_expected:
-        _write_cache(cache_path, limit, segment_size, segments)
-    return tables
-
-
-def _write_cache(path: str, limit: int, segment_size: int, segments: list) -> None:
-    with open(path, "w") as f:
-        f.write(f"{CACHE_VERSION} limit={limit} segment={segment_size} fix={FIX_BITS}\n")
-        for seg in segments:
-            f.write(f"S {seg.index} {seg.x_end} {seg.digest} {len(seg.jumps)}\n")
-            for n, p, m, lf in seg.jumps:
-                f.write(f"J {n} {p} {m} {lf:x}\n")
-
-
-def _load_cache_segments(path: str, limit: int, segment_size: int) -> list:
-    segments = []
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        expect = f"{CACHE_VERSION} limit={limit} segment={segment_size} fix={FIX_BITS}"
-        if header != expect:
-            raise CacheError(f"header mismatch: {header!r}")
-        current = None
-        remaining = 0
-        for line_no, line in enumerate(f, start=2):
-            parts = line.split()
-            if parts[0] == "S":
-                if current is not None and remaining != 0:
-                    raise CacheError(f"truncated segment before line {line_no}")
-                current = _Segment(int(parts[1]), int(parts[2]), [], parts[3])
-                remaining = int(parts[4])
-                segments.append(current)
-                if remaining == 0:
-                    _verify_segment(current)
-                    current = None
-            elif parts[0] == "J":
-                if current is None:
-                    raise CacheError(f"jump row outside segment at line {line_no}")
-                current.jumps.append(
-                    (int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4], 16))
-                )
-                remaining -= 1
-                if remaining == 0:
-                    _verify_segment(current)
-                    current = None
-            else:
-                raise CacheError(f"unrecognized record at line {line_no}")
-        if current is not None and remaining != 0:
-            raise CacheError("file ends mid-segment")
-    for k, seg in enumerate(segments):
-        if seg.index != k:
-            raise CacheError(f"segment {k} missing or out of order")
-    return segments
-
-
-def _digest(rows) -> str:
-    """Content hash of one segment's jump rows, as stored in the cache."""
-    text = "|".join(f"{n},{p},{m},{lf:x}" for n, p, m, lf in rows)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _verify_segment(seg: _Segment) -> None:
-    if _digest(seg.jumps) != seg.digest:
-        raise CacheError(f"segment {seg.index} hash mismatch")
 
 
 def psi_theta_gap(x, tables: PrimeTables) -> mpf:

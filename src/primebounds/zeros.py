@@ -83,8 +83,10 @@ _DECIMAL_MAX_LEN = 400
 def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
     """Parse an ordinate file, validate ordering, optionally truncate at limit.
 
-    Lines may carry an index column ("1 14.134725..."), detected from the
-    first data line.  Blank lines and '#' comments are skipped.
+    The file is UTF-8 text, decoded line by line so that a line that is not
+    names itself in the error.  Lines may carry an index column
+    ("1 14.134725..."), detected from the first data line.  Blank lines and
+    '#' comments are skipped.
 
     A plain decimal token is read as the exact ratio num / 10^d and rounded
     once at the working precision, which is the value ``mpf(token)`` gives;
@@ -101,9 +103,12 @@ def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
     with working_precision():
         prec = mp.prec
         lim = None if limit is None else mpf(limit)._mpf_
-        with open(path) as f:
+        with open(path, "rb") as f:
             for line_no, raw in enumerate(f, start=1):
-                line = raw.strip()
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise ZeroDataError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from exc
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split()

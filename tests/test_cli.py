@@ -136,42 +136,18 @@ class TestVerifyPrimes:
         assert entry["last_integer_violation"] == 58
         assert entry["consistent"] is True
 
-    def test_truncated_cache_rebuilds_to_the_fresh_result(self, runner, tmp_path):
-        fresh_dir, cut_dir = tmp_path / "fresh", tmp_path / "cut"
-        args = ["--format", "json", "verify-primes", "--limit", "100000"]
-        fresh = run(runner, ["--cache-dir", str(fresh_dir)] + args)
-        assert fresh.exit_code == EXIT_PASS
-        (cache,) = fresh_dir.iterdir()
-        cut_dir.mkdir()
-        (cut_dir / cache.name).write_bytes(cache.read_bytes()[:3000])
-        res = run(runner, ["--cache-dir", str(cut_dir)] + args)
-        assert res.exit_code == EXIT_PASS
-        assert "Traceback" not in res.output
+    def test_cache_dir_is_an_ignored_flag(self, runner, tmp_path):
+        # prime tables are no longer cached: the flag only prints a note
+        cache_dir = tmp_path / "cache"
+        args = ["verify-primes", "--limit", "1e4"]
+        plain = run(runner, args)
+        res = run(runner, ["--cache-dir", str(cache_dir)] + args)
+        assert res.exit_code == plain.exit_code == EXIT_PASS
+        assert res.stdout == plain.stdout
         assert res.stderr.splitlines() == [
-            "warning: prime-table cache invalid (file ends mid-segment); rebuilding"]
-        assert json.loads(res.stdout) == json.loads(fresh.stdout)
-        assert (cut_dir / cache.name).read_bytes() == cache.read_bytes()
-
-    def test_hash_mismatched_cache_rebuilds_to_the_fresh_result(self, runner, tmp_path):
-        fresh_dir, bad_dir = tmp_path / "fresh", tmp_path / "bad"
-        args = ["--format", "json", "verify-primes", "--limit", "100000"]
-        fresh = run(runner, ["--cache-dir", str(fresh_dir)] + args)
-        assert fresh.exit_code == EXIT_PASS
-        (cache,) = fresh_dir.iterdir()
-        # flip the last bit of the first jump row's log
-        lines = cache.read_text().splitlines(keepends=True)
-        i = next(i for i, line in enumerate(lines) if line.startswith("J "))
-        *row, log_hex = lines[i].split()
-        lines[i] = " ".join(row + [f"{int(log_hex, 16) ^ 1:x}"]) + "\n"
-        bad_dir.mkdir()
-        (bad_dir / cache.name).write_text("".join(lines))
-        res = run(runner, ["--cache-dir", str(bad_dir)] + args)
-        assert res.exit_code == EXIT_PASS
-        assert "Traceback" not in res.output
-        assert res.stderr.splitlines() == [
-            "warning: prime-table cache invalid (segment 0 hash mismatch); rebuilding"]
-        assert res.stdout == fresh.stdout
-        assert (bad_dir / cache.name).read_bytes() == cache.read_bytes()
+            "note: --cache-dir is ignored; prime tables are no longer cached"] + \
+            plain.stderr.splitlines()
+        assert not cache_dir.exists()
 
     def test_limit_below_thresholds_warns(self, runner):
         # 4000 is below theta_shift's threshold 5000: a warning, not a failure
@@ -219,6 +195,19 @@ class TestZeros:
         assert res.exit_code == EXIT_CONFIG
         assert len(res.stderr.strip().splitlines()) == 1
         assert message in res.stderr
+        assert "Traceback" not in res.output
+
+
+    @pytest.mark.parametrize("data", [b"14.134725141\n21.0\xff\n",
+                                      "14.134725141\n21.0\u00e9\n".encode("latin-1")],
+                             ids=["xff-byte", "latin-1"])
+    def test_non_utf8_ordinate_file_is_one_line_config_error(self, runner, tmp_path, data):
+        p = tmp_path / "z.txt"
+        p.write_bytes(data)
+        res = run(runner, ["zeros", "check", "--file", str(p)])
+        assert res.exit_code == EXIT_CONFIG
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "z.txt:2: not UTF-8 text" in res.stderr
         assert "Traceback" not in res.output
 
 
@@ -318,6 +307,11 @@ BAD_INPUTS = [
     ["derive", "--variant", "weak", "--a", "0"],
     ["derive", "--variant", "weak", "--a", "inf"],
     ["derive", "--seed-E", "inf"],
+    ["derive", "--seed-E", "0"],
+    ["derive", "--variant", "weak", "--seed-E", "0"],
+    ["derive", "--seed-E", "-1"],
+    ["derive", "--seed-D", "inf"],
+    ["derive", "--seed-D", "nan"],
     ["derive", "--seed-A", "nan"],
     ["derive", "--seed-A", "inf"],
     ["derive", "--seed-A", "1e27"],
@@ -407,9 +401,18 @@ class TestConfig:
         assert res.stdout == ""
 
     def test_cache_dir_environment_variable_is_ignored(self, runner, tmp_path):
-        res = run(runner, ["cache", "path"], env={"PRIMEBOUNDS_CACHE_DIR": str(tmp_path)})
+        res = run(runner, ["ramanujan", "--list"], env={"PRIMEBOUNDS_CACHE_DIR": str(tmp_path)})
         assert res.exit_code == EXIT_PASS
-        assert res.stdout == "(cache disabled; set --cache-dir)\n"
+        assert res.stderr == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["path", "build", "clear"])
+    def test_cache_commands_are_gone(self, runner, tmp_path, command):
+        # prime tables are built in full on every call; there is no cache
+        res = run(runner, ["--cache-dir", str(tmp_path), "cache", command])
+        assert res.exit_code == EXIT_CONFIG
+        assert "No such command 'cache'" in res.stderr
+        assert res.stdout == ""
 
     def test_grid_density_flag_is_gone(self, runner):
         res = run(runner, ["--grid-density", "256", "ramanujan", "--list"])
@@ -424,7 +427,7 @@ class TestConfig:
 
     def test_sieve_limit_flag_is_gone(self, runner):
         # it only set the default of --limit, now the constant 1e6
-        res = run(runner, ["--sieve-limit", "20000", "cache", "path"])
+        res = run(runner, ["--sieve-limit", "20000", "ramanujan", "--list"])
         assert res.exit_code == EXIT_CONFIG
         assert "--sieve-limit" in res.stderr
 
@@ -449,11 +452,3 @@ class TestConfig:
         res = run(runner, ["--precision-bits", "64", "zeros", "check"])
         assert res.exit_code == EXIT_CONFIG
         assert res.stderr == "error: precision 64 bits is below the 100-bit floor\n"
-
-    def test_cache_commands(self, runner, tmp_path):
-        res = run(runner, ["--cache-dir", str(tmp_path), "cache", "build",
-                           "--limit", "10000"])
-        assert res.exit_code == EXIT_PASS
-        res2 = run(runner, ["--cache-dir", str(tmp_path), "cache", "clear"])
-        assert res2.exit_code == EXIT_PASS
-        assert "removed 1" in res2.output

@@ -86,6 +86,16 @@ class TestSolveXMax:
             x = solve_x_max(eq)
             assert abs(eq.lhs(x) - mpf(eq.T)) / mpf(eq.T) < mpf("1e-10")
 
+    def test_lhs_exact_outside_any_scope(self):
+        # mpmath's ambient precision is 53 bits outside a scope; LHS is
+        # still evaluated at the 192-bit working precision
+        eq = ThresholdEquation("strong", 9.06)
+        got = eq.lhs(1e26)
+        with working_precision(192):
+            assert got == eq.lhs(1e26)
+            exact = mpf("2861438163986.50877502241971472963419710014214434471589402")
+            assert abs(got - exact) < mpf("1e-40")
+
     def test_monotone_in_constant(self):
         xs = [
             solve_x_max(ThresholdEquation("strong", k, 3e12))

@@ -43,7 +43,16 @@ class TestRoundUpSig:
         ],
     )
     def test_examples(self, value, sig, expected):
-        assert round_up_sig(mpf(value), sig) == mpf(expected)
+        with working_precision():
+            assert round_up_sig(mpf(value), sig) == mpf(expected)
+
+    def test_exact_outside_any_scope(self):
+        # mpmath's ambient precision is 53 bits outside a scope; the decimal
+        # is still the one entered at the 192-bit working precision
+        got = round_up_sig(mpf("9.0556494"), 3)
+        with working_precision(192):
+            assert got == mpf("9.06")
+            assert got == round_up_sig(mpf("9.0556494"), 3)
 
     def test_never_below_input(self):
         for v in ("0.001234", "5.6789", "123.456"):

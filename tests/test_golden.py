@@ -8,8 +8,9 @@ vacuous-band zero checks before the kernel-weight check moved from a
 per-zero loop to two endpoint evaluations.  Any change to a printed constant, threshold,
 shift, error value or verdict shows up here as a mismatch; a deliberate
 change must regenerate the file and be called out as a behaviour change.
-The sha256 of a prime-table cache file is frozen too, because caches written
-by earlier versions must keep loading without a rebuild.
+The sha256 of the exact prime tables to 1e5 is frozen too: the jumps, their
+exponents and the four exact right-limit columns, whose theta and psi steps
+are the 96-bit logs of the primes.  Every file here is read by a test.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from primebounds import zeros
+from primebounds import primes, zeros
 from primebounds.cli import EXIT_PASS, cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,6 +37,7 @@ CASES = {
     "zeros_check_partial_band.json": ["zeros", "check", "--kernel-c", "3", "--kernel-eps", "0.1", "--t2", "100"],
     "zeros_check_vacuous_band.json": ["zeros", "check", "--kernel-c", "3", "--kernel-eps", "0.25"],
 }
+TABLES_DIGEST = "tables_1e5.sha256"
 # the zero check prints the path it read; the frozen file names it by role
 BUNDLED = "<bundled>"
 
@@ -82,9 +84,20 @@ def test_cli_json_matches_golden(name):
         assert type(value) is type(expected) and value == expected, path
 
 
-def test_cache_file_bytes_match_golden(tmp_path):
-    want, name = (GOLDEN / "cache_1e5.sha256").read_text().split()
-    args = ["--cache-dir", str(tmp_path), "cache", "build", "--limit", "100000"]
-    res = CliRunner().invoke(cli, args)
-    assert res.exit_code == EXIT_PASS, res.output
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+def tables_text(tables) -> str:
+    """One line per jump: n, m and the pi, theta, psi and Pi right limits,
+    each an exact integer over its kind's scale."""
+    cols = [tables.jumps.tolist(), tables.jump_m.tolist(),
+            *(tables.right[kind] for kind in ("pi", "theta", "psi", "Pi"))]
+    return "".join(" ".join(map(str, row)) + "\n" for row in zip(*cols))
+
+
+def test_tables_match_golden():
+    want = (GOLDEN / TABLES_DIGEST).read_text().strip()
+    text = tables_text(primes.build_tables(10 ** 5))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_every_golden_file_is_read():
+    # a retired golden file must go with the test that read it
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, TABLES_DIGEST])

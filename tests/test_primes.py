@@ -1,4 +1,4 @@
-"""Exact tables, normalization conventions, scans, and the cache contract."""
+"""Exact tables, normalization conventions and scans."""
 
 import gc
 import json
@@ -58,8 +58,8 @@ A8PI = 0.039788735772973836  # 1/(8 pi)
 
 class TestBuildAndCount:
     def test_tables_hold_no_more_than_their_columns(self):
-        # the per-segment rows are only for the cache file; kept on the
-        # table they made it hold 28.0 MB at 1e6, against 16.1 MB without
+        # the per-segment jump rows are dropped once the columns are summed;
+        # kept on the table they made it hold 28.0 MB at 1e6, against 16.1 MB
         gc.collect()
         tracemalloc.start()
         try:
@@ -193,7 +193,7 @@ class TestCountOracle:
         ties_up = [(2 ** 54 + 6 + 8 * j) << 40 for j in range(n)]
         big_Pi = [2 ** 52 - 40 + j for j in range(n - 8)] + [2 ** 53 - 4 + j for j in range(8)]
         tables = primes.PrimeTables(
-            limit=2 + n, segment_size=n, jumps=np.arange(2, 2 + n), jump_m=np.ones(n, dtype=np.int64),
+            limit=2 + n, jumps=np.arange(2, 2 + n), jump_m=np.ones(n, dtype=np.int64),
             right={"pi": list(range(1, n + 1)), "theta": ties_down, "psi": ties_up, "Pi": big_Pi},
         )
         _assert_views_round_the_exact_reads(tables)
@@ -489,49 +489,6 @@ class TestScanAgainstSampledOracle:
         assert not scan_inequality(spec, 31.5, 32.5, tables).passed
 
 
-class TestCache:
-    def test_roundtrip_bit_identity(self, tmp_path):
-        path = str(tmp_path / "tables.txt")
-        cold = build_tables(10 ** 4, cache_path=path)
-        warm = build_tables(10 ** 4, cache_path=path)
-        assert np.array_equal(cold.jumps, warm.jumps)
-        assert set(cold.right) == {"pi", "theta", "psi", "Pi"}
-        assert cold.right == warm.right
-
-    def test_resume_from_partial_prefix(self, tmp_path):
-        path = str(tmp_path / "tables.txt")
-        cold = build_tables(3 * 10 ** 4, cache_path=path, segment_size=10 ** 4)
-        # drop the last segment and rebuild; the prefix must be reused and
-        # the result bit-identical
-        with open(path) as f:
-            lines = f.readlines()
-        cut = max(i for i, line in enumerate(lines) if line.startswith("S "))
-        with open(path, "w") as f:
-            f.writelines(lines[:cut])
-        resumed = build_tables(3 * 10 ** 4, cache_path=path, segment_size=10 ** 4)
-        assert np.array_equal(cold.jumps, resumed.jumps)
-        assert set(cold.right) == {"pi", "theta", "psi", "Pi"}
-        assert cold.right == resumed.right
-
-    def test_corrupted_cache_rebuilds_with_warning(self, tmp_path):
-        path = str(tmp_path / "tables.txt")
-        build_tables(10 ** 4, cache_path=path)
-        with open(path) as f:
-            content = f.read()
-        with open(path, "w") as f:
-            f.write(content.replace("J 2 2 1", "J 4 2 1", 1))
-        with pytest.warns(UserWarning, match="rebuilding"):
-            rebuilt = build_tables(10 ** 4, cache_path=path)
-        assert float(rebuilt.count("pi", 100)) == 25.0
-
-    def test_stale_params_rejected(self, tmp_path):
-        path = str(tmp_path / "tables.txt")
-        build_tables(10 ** 4, cache_path=path)
-        with pytest.warns(UserWarning, match="rebuilding"):
-            other = build_tables(2 * 10 ** 4, cache_path=path)
-        assert other.limit == 2 * 10 ** 4
-
-
 class TestSegmentedCount:
     def test_against_tables(self, tables_1e6):
         expected = len(tables_1e6.primes)
@@ -650,26 +607,22 @@ class TestCarriedLogs:
         for kind, col in steps.items():
             assert tables_1e6.right[kind] == list(accumulate(col)), kind
 
-    def test_segmented_build_matches_one_segment_and_exact_logs(self, tmp_path, monkeypatch):
+    def test_segmented_build_matches_one_segment_and_exact_logs(self, monkeypatch):
         # 1e4-wide segments restart the carry at each segment's first prime;
         # one segment runs 17,984 primes through four anchors
         limit = 2 * 10 ** 5
-        paths = {size: str(tmp_path / f"carried_{size}.txt") for size in (10 ** 4, primes.DEFAULT_SEGMENT)}
-        carried = {size: build_tables(limit, cache_path=path, segment_size=size) for size, path in paths.items()}
+        sizes = (10 ** 4, primes.DEFAULT_SEGMENT)
+        carried = {size: build_tables(limit, segment_size=size) for size in sizes}
         one, segmented = carried[primes.DEFAULT_SEGMENT], carried[10 ** 4]
         assert np.array_equal(one.jumps, segmented.jumps)
+        assert np.array_equal(one.jump_m, segmented.jump_m)
         assert one.right == segmented.right
-
-        def jump_rows(path):
-            return [line for line in Path(path).read_text().splitlines() if line.startswith("J ")]
-
-        assert jump_rows(paths[10 ** 4]) == jump_rows(paths[primes.DEFAULT_SEGMENT])
-        # the same builds with every log from _log_fixed write the same bytes
+        # the same builds with every log from _log_fixed give the same columns
         monkeypatch.setattr(primes, "_prime_logs", lambda ps: [_log_fixed(p) for p in ps])
-        for size, path in paths.items():
-            exact_path = tmp_path / f"exact_{size}.txt"
-            build_tables(limit, cache_path=str(exact_path), segment_size=size)
-            assert exact_path.read_bytes() == Path(path).read_bytes(), size
+        for size in sizes:
+            exact = build_tables(limit, segment_size=size)
+            assert np.array_equal(exact.jumps, carried[size].jumps), size
+            assert exact.right == carried[size].right, size
 
     def test_band_covering_everything_falls_back_at_every_prime(self, monkeypatch):
         want = build_tables(10 ** 5)
@@ -712,14 +665,13 @@ class TestLi64:
         assert len(xs) >= 4000
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
-    def test_verify_primes_runs_without_scipy(self, tmp_path):
+    def test_verify_primes_runs_without_scipy(self):
         # an entry of None in sys.modules makes ``import scipy`` fail
         code = ("import sys; sys.modules['scipy'] = None\n"
                 "from primebounds.cli import main; main()")
         package_root = str(Path(primebounds.__file__).resolve().parents[1])
         res = subprocess.run(
-            [sys.executable, "-c", code, "--cache-dir", str(tmp_path), "verify-primes",
-             "--limit", "3000"],
+            [sys.executable, "-c", code, "verify-primes", "--limit", "3000"],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": package_root})
         assert res.returncode == EXIT_PASS, res.stderr[-2000:]
