@@ -21,7 +21,9 @@ constants once (``error_terms.ProfileAt``, ``TermsAt``) and runs the
 search once (``best``).  Each round of the loop builds one, for its search
 and its shift C*; the first round's also checks the seed.  The strong
 search prunes: once a best B is known, an E whose smallest admissible D
-cannot beat it costs one evaluation instead of a bisection.
+cannot beat it costs one evaluation, and the smallest admissible D of any
+other E is found by galloping out from the D the stage's last answers
+predict (``_search_strong``).
 
 Each search decision is made in float64 first.  ``admissible`` runs the
 precondition tests, the profile substitution and the assembly of E(A) in
@@ -50,10 +52,22 @@ and of a, and 1e-13 absolute for c, an addition to log(A)/2 < 355; the
 192-bit values err by about 2^-180.  The band is over 2000 times these
 bounds, so a float64 answer kept is the 192-bit answer, and every output
 is bit-identical to deciding everything at 192 bits.  Measured over the
-3,860 decisions of ``derive --T 2.5e14`` and ``tables 1 2``: the float64
-and 192-bit margins differ by at most 4.2e-14 (2.1 u of S), the smallest
-|margin| is 7.8e-6, and no decision is re-decided.  The strong search's
-tests B < best take the same two stages, with the band 1e-9 * max(1, best).
+2,465 decisions of ``derive --T 2.5e14`` and ``tables 1 2`` (3,860 before
+the strong search galloped): the float64 and 192-bit margins differ by at
+most 4.2e-14 (2.1 u of S), the smallest |margin| is 7.8e-6, and no decision
+is re-decided.
+
+The strong search's tests B < best take the same two stages (``_b_below``),
+with the band 1e-9 * max(1, best).  In float64, B = E/2 + D E / log A is
+evaluated at the doubles of E = e_num/e_denom and D = n/d_denom, correctly
+rounded quotients of integers (u each), and of log A (u); E/2 is exact,
+the product, the quotient and the sum err by u each, and both summands are
+positive, so B errs by at most 6u relative.  The double of best errs by u
+and the difference is rounded once, so near a tie the float64 B - best is
+within 8u * max(1, best) (8.9e-16 of it) of the 192-bit one, and the band
+is over 1e6 times that.  Measured over the 1,758 such tests of the same commands:
+the error is at most 2.5u of max(1, best), and the 17 re-decided are exact
+ties, where a stage revisits the E of the best itself.
 """
 
 from __future__ import annotations
@@ -258,6 +272,7 @@ class _Admissibility:
         variant.check_threshold(float(A))
         self.variant = variant
         self.rechecks = 0
+        self._shifts = {}
         with working_precision():
             self.a = variant.leading_a()
             self._profiles = ProfileAt(float(A), variant)
@@ -301,12 +316,16 @@ class _Admissibility:
                 yield message.format(c=float(c), eps=float(eps))
 
     def shift(self, D, E):
-        """(profile, E(A), C*) for kernel parameters (D, E)."""
-        D = float(D)
-        with working_precision():
-            profile = self._profiles.profile(D, float(E))
-            e_at_a = self._terms._total(profile.coefficients, D, mp)[0]
-            return profile, e_at_a, -e_at_a / self.a
+        """(profile, E(A), C*) for kernel parameters (D, E), computed once
+        per pair of doubles (float(D), float(E)), all it depends on."""
+        key = (float(D), float(E))
+        if key not in self._shifts:
+            D, E = key
+            with working_precision():
+                profile = self._profiles.profile(D, E)
+                e_at_a = self._terms._total(profile.coefficients, D, mp)[0]
+                self._shifts[key] = (profile, e_at_a, -e_at_a / self.a)
+        return self._shifts[key]
 
     def margin(self, D, E) -> mpf:
         """C* - requirement: positive exactly when the shift is usable."""
@@ -420,15 +439,32 @@ def _grid(n: int, denom: int) -> mpf:
     return mpf(n) / denom
 
 
-def _first_admissible(ok, n_hi: int):
+def _first_admissible(ok, n_hi: int, guess: Optional[int] = None):
     """Smallest n in [0, n_hi] with ok(n), or None when ok(n_hi) fails.
 
     ok must be monotone on the grid (False up to some index, True from
-    there on); the answer is then found by bisection.
+    there on), so that index is unique.  Without a ``guess`` it is found by
+    bisecting [0, n_hi].  With one, ok is probed at the guess (clamped to
+    [0, n_hi]) and then at distances 1, 3, 7, ... from it, upward while ok
+    fails and downward while it holds; the bracket that gives is then
+    bisected.  Every probe keeps ok(lo) false and ok(hi) true, so both ways
+    end on the same index.
     """
     if not ok(n_hi):
         return None
     lo, hi = -1, n_hi      # ok(hi) holds; lo is the last index known to fail
+    if guess is not None:
+        n, step = min(max(guess, 0), n_hi), 1
+        if n < n_hi and not ok(n):
+            lo = n
+            while lo + step < hi and not ok(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(lo + step, hi)
+        else:
+            hi = n
+            while hi - step > lo and ok(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(hi - step, lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -438,28 +474,30 @@ def _first_admissible(ok, n_hi: int):
     return hi
 
 
-def _below_best(log_a, E, best, denom: int, n_hi: int) -> int:
-    """Largest grid index n <= n_hi with _b_at(log_a, n/denom, E) < best, or -1.
+def _b_below(E, D, log_a, best) -> bool:
+    """Whether B = E/2 + D E / log A is below ``best``.
 
-    _b_at is nondecreasing in n (each rounded operation is monotone), so the
-    real-valued estimate is corrected step by step with the test, which is
-    decided in float64 outside the guard band and at full precision inside.
+    E and D are grid points (numerator, denominator), log A and best each a
+    pair (mpf, its double).  Decided in float64 when B - best clears the
+    guard band 1e-9 * max(1, best) (module docstring), else by ``_b_at`` at
+    the working precision on the ``_grid`` values.
     """
-    e64, log64, best64 = float(E), float(log_a), float(best)
-    band = _GUARD * max(1.0, best64)
+    diff = _b_at(log_a[1], D[0] / D[1], E[0] / E[1]) - best[1]
+    if abs(diff) > _GUARD * max(1.0, best[1]):
+        return diff < 0
+    return _b_at(log_a[0], _grid(*D), _grid(*E)) < best[0]
 
-    def below(n: int) -> bool:
-        diff = _b_at(log64, n / denom, e64) - best64
-        if abs(diff) > band:
-            return diff < 0
-        return _b_at(log_a, _grid(n, denom), mpf(E)) < best
 
-    n = min(n_hi, max(-1, math.floor((best64 - e64 / 2) * log64 / e64 * denom)))
-    while n < n_hi and below(n + 1):
-        n += 1
-    while n >= 0 and not below(n):
-        n -= 1
-    return n
+def _predict(answers, x, default: int) -> int:
+    """The index at x on the line through the last two (x, n) answers, the
+    last answer when there is only one, ``default`` when there is none."""
+    if not answers:
+        return default
+    x1, n1 = answers[-1]
+    if len(answers) == 1:
+        return n1
+    x0, n0 = answers[-2]
+    return n1 + round((n1 - n0) * (x - x1) / (x1 - x0))
 
 
 def _search_strong(at: _Admissibility):
@@ -470,45 +508,68 @@ def _search_strong(at: _Admissibility):
     gives B = E/2 + D E/log A, and a strictly smaller B replaces the best.
     E(A) is decreasing in D over [0, 8], so admissibility is monotone in D.
 
-    All decisions go through the routine ``at`` for A.  Once a
-    best B exists, only D below the largest grid index n_cap whose B is still
-    smaller can improve it: one evaluation at n_cap rejects every other E,
-    and a bisection on [0, n_cap] finds the D of the rest.  The result is
-    the same as bisecting each E over the whole D range.
+    All decisions go through the routine ``at`` for A.  Once a best B
+    exists, only D up to the largest grid index n_cap whose B is still
+    smaller can improve it (B is nondecreasing in D): one evaluation at
+    n_cap rejects every other E, and for the rest the smallest admissible D
+    is at most n_cap, so it gives a new best.  Before any best, n_cap is
+    the top of the D grid.
+
+    The loop runs on grid integers: E = e_num/e_denom and D = n/d_denom,
+    probed as the doubles of those quotients, which are the doubles of the
+    ``_grid`` values (a test checks it), so 10 <= E <= 20 is a test on the
+    integers.  mpf values are built only for a new best, and the tests
+    B < best are ``_b_below``'s.
+
+    The smallest admissible D of consecutive E in a stage moves almost
+    linearly, and the first new best of a stage lies just below n_cap.  So
+    ``_first_admissible`` starts from the index on the line through the
+    stage's last two answers (the last answer when there is one, n_cap when
+    there is none) and gallops out from it to a bracket, which it bisects:
+    most E take 3 probes, against 8 to 10 for bisecting [0, n_cap].
+    Admissibility is monotone in D (a test checks it on every E visited),
+    so the smallest admissible index is unique, the galloping finds the one
+    the bisection finds, and the result is the same as bisecting each E
+    over the whole D range.
     """
-    log_a = at._terms.L
-    best = None
+    log_a = (at._terms.L, float(at._terms.L))
+    best = bound = None        # (B, D, E) in mpf; (B, its double)
 
-    def consider(e_num, e_denom, d_denom):
-        nonlocal best
-        E = _grid(e_num, e_denom)
-        if not (10 <= E <= 20):
-            return
-        n_hi = 8 * d_denom
-        if best is not None:
-            n_hi = _below_best(log_a, E, best[0], d_denom, n_hi)
-            if n_hi < 0:
-                return
-        # probes pass D as the double n / d_denom, which is what admissible
-        # reads: float(_grid(n, d)) == n / d on every grid (a test checks it)
-        n = _first_admissible(lambda n: at.admissible(n / d_denom, E), n_hi)
-        if n is None:
-            return
-        D = _grid(n, d_denom)
-        b = _b_at(log_a, D, E)
-        if best is None or b < best[0]:
-            best = (b, D, E)
+    def stage(e_nums, e_denom, d_denom):
+        nonlocal best, bound
+        answers = []           # (e_num, n) of each new best of the stage
+        for e_num in e_nums:
+            if not 10 * e_denom <= e_num <= 20 * e_denom:
+                continue
+            E, e64 = (e_num, e_denom), e_num / e_denom
+            n_cap = 8 * d_denom
+            if bound is not None:
+                # the largest n <= n_cap with B < best: the real-valued
+                # estimate, corrected step by step
+                n = math.floor((bound[1] - e64 / 2) * log_a[1] / e64 * d_denom)
+                n = min(n_cap, max(-1, n))
+                while n < n_cap and _b_below(E, (n + 1, d_denom), log_a, bound):
+                    n += 1
+                while n >= 0 and not _b_below(E, (n, d_denom), log_a, bound):
+                    n -= 1
+                if n < 0:
+                    continue
+                n_cap = n
+            guess = _predict(answers, e_num, n_cap)
+            n = _first_admissible(lambda n: at.admissible(n / d_denom, e64), n_cap, guess)
+            if n is not None:
+                answers.append((e_num, n))
+                D, E = _grid(n, d_denom), _grid(e_num, e_denom)
+                best = (_b_at(log_a[0], D, E), D, E)
+                bound = (best[0], float(best[0]))
 
-    for i in range(100, 201):          # E = 10.0 .. 20.0 step 0.1
-        consider(i, 10, 50)
+    stage(range(100, 201), 10, 50)     # E = 10.0 .. 20.0 step 0.1
     if best is None:
         return None
     e_center = int(round(float(best[2]) * 50))
-    for k in range(-6, 7):             # step 0.02 around the coarse best
-        consider(e_center + k, 50, 50)
+    stage(range(e_center - 6, e_center + 7), 50, 50)      # step 0.02
     e_center = int(round(float(best[2]) * 200))
-    for k in range(-4, 5):             # step 0.005, D grid refined alike
-        consider(e_center + k, 200, 200)
+    stage(range(e_center - 4, e_center + 5), 200, 200)    # step 0.005, D grid alike
     return best
 
 

@@ -13,11 +13,13 @@ recursion, the kernel weights are evaluated at every in-band ordinate
 instead of at the two ends the monotonicity lemma allows, the
 inequality scan samples every gap between jumps and checks every integer
 instead of settling gaps from their two ends, and each admissibility
-decision of the engine's searches, and each bisection test of its threshold
-root, is made at full precision instead of in float64 first.  The stepping
-kernel's per-step coefficients are integrated by quadrature instead of summed
-from delta^n/n!, e^{-t} Ei(t) comes from mpmath's ``ei`` instead of the
-package's series, and R is carried by its Taylor series through the
+decision of the engine's searches, each pruning test of its strong search
+and each bisection test of its threshold root is made at full precision
+instead of in float64 first; the strong search is also kept as it was
+before it galloped from a predicted D, bisecting every D range afresh.  The
+stepping kernel's per-step coefficients are integrated by quadrature instead
+of summed from delta^n/n!, e^{-t} Ei(t) comes from mpmath's ``ei`` instead
+of the package's series, and R is carried by its Taylor series through the
 derivative chain instead of the closed-form step.
 """
 
@@ -319,20 +321,76 @@ def margin64(at, D, E):
     return -total / at._a64 - at._c_required64, scale / at._a64
 
 
-def below_best_mpf(log_a, E, best, denom, n_hi) -> int:
-    """``engine._below_best`` with every test made at full precision:
-    B = E/2 + D E / log A against ``best`` for D = n/denom."""
-    E = mpf(E)
+def below_best_mpf(E, D, log_a, best) -> bool:
+    """``engine._b_below`` with the test made at full precision:
+    B = E/2 + D E / log A against ``best`` for the grid points E and D,
+    each (numerator, denominator), with log A and best the mpf of their
+    (mpf, double) pairs."""
+    E, D = mpf(E[0]) / E[1], mpf(D[0]) / D[1]
+    return E / 2 + D * E / log_a[0] < best[0]
 
-    def below(n):
-        return E / 2 + engine._grid(n, denom) * E / log_a < best
 
-    n = min(n_hi, max(-1, int(mp.floor((best - E / 2) * log_a / E * denom))))
-    while n < n_hi and below(n + 1):
-        n += 1
-    while n >= 0 and not below(n):
-        n -= 1
-    return n
+def search_strong_pruned(at, visited=None):
+    """The strong search of ``engine._search_strong`` as it was before it
+    ran on grid integers: the same three stages and the same pruning, with
+    each E's cap found by full-precision tests B < best and its smallest
+    admissible D by bisecting [0, n_cap] afresh.  Decisions go through
+    ``at.admissible``.  Appends (e_num, e_denom, d_denom) of every E a stage
+    visits in [10, 20] to ``visited`` when given.
+    """
+    with working_precision():
+        log_a = at._terms.L
+        best = None
+
+        def cap(E, n_hi, denom):
+            # the largest n <= n_hi with B(n/denom) < best, or -1
+            def below(n):
+                return E / 2 + mpf(n) / denom * E / log_a < best[0]
+
+            n = min(n_hi, max(-1, int(mp.floor((best[0] - E / 2) * log_a / E * denom))))
+            while n < n_hi and below(n + 1):
+                n += 1
+            while n >= 0 and not below(n):
+                n -= 1
+            return n
+
+        def consider(e_num, e_denom, d_denom):
+            nonlocal best
+            E = mpf(e_num) / e_denom
+            if not (10 <= E <= 20):
+                return
+            if visited is not None:
+                visited.append((e_num, e_denom, d_denom))
+            n_hi = 8 * d_denom
+            if best is not None:
+                n_hi = cap(E, n_hi, d_denom)
+                if n_hi < 0:
+                    return
+            if not at.admissible(n_hi / d_denom, E):
+                return
+            lo, hi = -1, n_hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if at.admissible(mid / d_denom, E):
+                    hi = mid
+                else:
+                    lo = mid
+            D = mpf(hi) / d_denom
+            b = E / 2 + D * E / log_a
+            if best is None or b < best[0]:
+                best = (b, D, E)
+
+        for i in range(100, 201):
+            consider(i, 10, 50)
+        if best is None:
+            return None
+        centre = int(round(float(best[2]) * 50))
+        for k in range(-6, 7):
+            consider(centre + k, 50, 50)
+        centre = int(round(float(best[2]) * 200))
+        for k in range(-4, 5):
+            consider(centre + k, 200, 200)
+        return best
 
 
 def solve_x_max_mpf(eq, prec=192):

@@ -1,5 +1,6 @@
 """Threshold solving, admissibility, the tightening loop, and both tables."""
 
+import contextlib
 import functools
 import math
 import random
@@ -45,7 +46,13 @@ from primebounds.kernel import (
     zero_sum_bound,
 )
 
-from .oracles import admissible_mpf, below_best_mpf, margin64, solve_x_max_mpf
+from .oracles import (
+    admissible_mpf,
+    below_best_mpf,
+    margin64,
+    search_strong_pruned,
+    solve_x_max_mpf,
+)
 
 
 def sig3(x):
@@ -386,6 +393,29 @@ def reference_search_strong(A, prec=192):
 SEARCH_THRESHOLDS = [s.A for s in STRONG_STATES] + [published.TABLE1[0][2], published.TABLE1[-1][2]]
 
 
+def mpf_bits(best):
+    """The raw mpf values of a search result (B, D, E), or None."""
+    return None if best is None else tuple(v._mpf_ for v in best)
+
+
+@contextlib.contextmanager
+def searches_checked_against_reference():
+    """Check every strong search run inside against ``search_strong_pruned``
+    on the same routine, bit for bit; yields the thresholds searched."""
+    searched = []
+    search = engine._search_strong
+
+    def checked(at):
+        got = search(at)
+        assert mpf_bits(got) == mpf_bits(search_strong_pruned(at)), float(at._terms.x)
+        searched.append(float(at._terms.x))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_search_strong", checked)
+        yield searched
+
+
 @functools.cache
 def routine_at(A):
     # one routine per threshold across examples, so memoised D parts are reused
@@ -418,8 +448,53 @@ class TestSearch:
             assert abs(margin - reference_margin(A, D, E)) <= tol
             assert at.admissible(D, E) == (margin > 0)
 
+    def test_search_matches_the_pruned_bisection(self):
+        # every threshold the CLI derivations and both tables search
+        with searches_checked_against_reference() as searched:
+            for args in (["derive", "--T", "3e12"], ["derive", "--T", "1e15"], ["tables", "1", "2"]):
+                derive_cli(args)
+        assert len(searched) >= 15
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_T=st.floats(math.log10(3e12), 16.0))
+    def test_search_matches_the_pruned_bisection_at_drawn_heights(self, log_T):
+        with searches_checked_against_reference() as searched:
+            iterate(10 ** log_T)
+        assert searched
+
+    def test_admissibility_is_monotone_in_D(self):
+        # the premise of the bisection and of the galloping: at every E the
+        # three stages visit, the decided admissibility switches from False
+        # to True at most once over the whole D grid
+        for A in (SEARCH_THRESHOLDS[0], SEARCH_THRESHOLDS[3], SEARCH_THRESHOLDS[-1]):
+            at = engine._Admissibility(A, STRONG)
+            visited = []
+            search_strong_pruned(at, visited)
+            assert len(visited) == 101 + 13 + 9
+            for e_num, e_denom, d_denom in visited:
+                E = e_num / e_denom
+                decided = [at.admissible(n / d_denom, E) for n in range(8 * d_denom + 1)]
+                assert decided == sorted(decided), (A, E)
+
+    def test_first_admissible_finds_the_boundary_from_any_guess(self):
+        for n_hi in range(12):
+            for first in range(n_hi + 2):      # first = n_hi + 1: none admissible
+                probes = []
+
+                def ok(n):
+                    assert 0 <= n <= n_hi
+                    probes.append(n)
+                    return n >= first
+
+                want = first if first <= n_hi else None
+                for guess in [None, *range(-2, n_hi + 3)]:
+                    probes.clear()
+                    assert engine._first_admissible(ok, n_hi, guess) == want, (n_hi, first, guess)
+                    assert len(probes) == len(set(probes)), (n_hi, first, guess)
+
     def test_iterate_evaluation_count(self, monkeypatch):
-        # the unpruned search needed 2,378 evaluations for this derivation
+        # the unpruned search needed 2,378 evaluations for this derivation,
+        # the pruned one bisecting each D range afresh 780
         calls = []
         admissible = engine._Admissibility.admissible
 
@@ -430,7 +505,24 @@ class TestSearch:
         monkeypatch.setattr(engine._Admissibility, "admissible", counted)
         report = iterate(3e12)
         assert float(report.final_constant) == published.STRONG_CONSTANT
-        assert 0 < len(calls) <= 1000
+        assert 0 < len(calls) <= 600
+
+    def test_shift_is_computed_once_per_pair_of_doubles(self, monkeypatch):
+        at = engine._Admissibility(2.169e25, STRONG)
+        computed = []
+        profile = at._profiles.profile
+
+        def counted(D, E):
+            computed.append((D, E))
+            return profile(D, E)
+
+        monkeypatch.setattr(at._profiles, "profile", counted)
+        with working_precision(192):
+            first = at.shift(mpf(6), mpf("16.4"))
+            assert at.shift(6.0, 16.4) is first
+            assert at.margin(6, 16.4) == first[2] - at.c_required
+            assert at.shift(6.0, 16.405) is not first
+        assert computed == [(6.0, 16.4), (6.0, 16.405)]
 
     def test_weak_search_below_floor_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="validity floor"):
@@ -490,8 +582,8 @@ def record_routines(monkeypatch):
 class TestFloatFirstDecisions:
     @pytest.mark.slow
     def test_every_search_decision_matches_the_oracle(self, monkeypatch):
-        decisions, mismatches = [], []
-        admissible, below_best = engine._Admissibility.admissible, engine._below_best
+        decisions, b_decisions, mismatches = [], [], []
+        admissible, b_below = engine._Admissibility.admissible, engine._b_below
 
         def checked(self, D, E):
             got = admissible(self, D, E)
@@ -501,18 +593,20 @@ class TestFloatFirstDecisions:
             return got
 
         def checked_below(*args):
-            got = below_best(*args)
+            got = b_below(*args)
+            b_decisions.append(got)
             if got != below_best_mpf(*args):
-                mismatches.append(("below_best",) + args)
+                mismatches.append(("b_below",) + args)
             return got
 
         monkeypatch.setattr(engine._Admissibility, "admissible", checked)
-        monkeypatch.setattr(engine, "_below_best", checked_below)
+        monkeypatch.setattr(engine, "_b_below", checked_below)
         strong = iterate(3e12).x_max
         iterate(1e15)
         table2([r[0] for r in published.TABLE2], strong_x_max=strong)
         assert mismatches == []
         assert len(decisions) > 1000 and True in decisions and False in decisions
+        assert len(b_decisions) > 500 and True in b_decisions and False in b_decisions
 
     @pytest.mark.parametrize(
         "derive",
@@ -531,11 +625,18 @@ class TestFloatFirstDecisions:
         assert keys and len(set(keys)) == len(keys)
 
     def test_probe_doubles_are_the_grid_values(self):
-        # the strong search probes D = n / d_denom as a double and keeps the
-        # exact grid value only for the chosen D: each probe decides alike
-        with working_precision(192):
-            for d in (10, 50, 200):
-                assert all(float(engine._grid(n, d)) == n / d for n in range(8 * d + 1))
+        # the strong search probes D = n / d_denom and E = e_num / e_denom as
+        # doubles and tests 10 <= E <= 20 on the integers, building the exact
+        # grid values only for a new best: each probe decides alike
+        for bits in (100, 192, 256):
+            with working_precision(bits):
+                for d in (10, 50, 200):
+                    assert all(float(engine._grid(n, d)) == n / d for n in range(8 * d + 1))
+                    for e in range(9 * d, 21 * d + 1):
+                        E = engine._grid(e, d)
+                        assert (10 * d <= e <= 20 * d) == (10 <= E <= 20), (e, d, bits)
+                        if 10 <= E <= 20:
+                            assert float(E) == e / d, (e, d, bits)
 
     def test_no_recheck_at_the_default_height(self, monkeypatch):
         routines = record_routines(monkeypatch)
@@ -546,10 +647,31 @@ class TestFloatFirstDecisions:
         weak = BoundVariant("weak", 1.0)
         want = [iterate(3e12).to_dict(), iterate(3e12, variant=weak).to_dict()]
         routines = record_routines(monkeypatch)
+        calls, b_tests, grid_values = [], [], []
+        admissible, b_below, grid = engine._Admissibility.admissible, engine._b_below, engine._grid
+
+        def counted(self, D, E):
+            calls.append((D, E))
+            return admissible(self, D, E)
+
+        def counted_b_below(*args):
+            b_tests.append(args)
+            return b_below(*args)
+
+        def counted_grid(n, denom):
+            grid_values.append((n, denom))
+            return grid(n, denom)
+
+        monkeypatch.setattr(engine._Admissibility, "admissible", counted)
+        monkeypatch.setattr(engine, "_b_below", counted_b_below)
+        monkeypatch.setattr(engine, "_grid", counted_grid)
         monkeypatch.setattr(engine, "_GUARD", math.inf)
         got = [iterate(3e12).to_dict(), iterate(3e12, variant=weak).to_dict()]
         assert got == want
-        assert sum(at.rechecks for at in routines) > 1000
+        # every decision was re-decided at full precision, each test B < best
+        # from the mpf values of its two grid points
+        assert sum(at.rechecks for at in routines) == len(calls) > 900
+        assert len(grid_values) >= 2 * len(b_tests) > 500
 
     @pytest.mark.slow
     def test_float_margins_are_inside_the_error_bound(self, monkeypatch):
