@@ -5,32 +5,38 @@ point the final summand carries weight 1/2, so the value at a prime power is
 the midpoint of the one-sided limits.  Each function is stored the same way,
 as a column of exact integer right limits over a fixed per-kind scale: pi
 over 1, theta and psi over 2^96 (each log p is log(p) at 160-bit precision
-rounded to 96 fractional bits), Pi over lcm(1..24).  The logs are carried
-from prime to prime in 144-bit fixed point, re-anchored every 4,096 primes
-and at each segment's start, and are bit for bit those 160-bit roundings:
-a carried value too close to a rounding tie for its proven error bound is
-redone at 160 bits.  Every read, exact or float64, is a left limit, starred
-value or right limit at one jump; the float64 views used by the vectorized
-scans are cached on the table on first use, each entry the correctly
-rounded image of its exact read, and any margin too close to zero for
-float64 to be trusted is re-checked in extended precision from the exact
-columns.  A scan reads the jumps in range and the range ends that are not
-jumps, and settles each gap between these nodes from its two ends.
+rounded to 96 fractional bits), Pi over lcm(1..24).  pi and Pi are int64
+running sums (Pi stays below 2^53), theta and psi running sums of Python
+ints.  The logs are carried from prime to prime in 144-bit fixed point,
+re-anchored every 4,096 primes and at each segment's start, and are bit for
+bit those 160-bit roundings: a carried value too close to a rounding tie
+for its proven error bound is redone at 160 bits.  Every read, exact or
+float64, is a left limit, starred value or right limit at one jump; the
+float64 views used by the vectorized scans, each entry the correctly
+rounded image of its exact read, and the per-jump arrays every scan of a
+kind needs (log x, sqrt x, li(x) and the deviations from the target) are
+built on first use, cached on the table read-only and shared by all its
+scans.  Any margin too close to zero for float64 to be trusted is
+re-checked in extended precision from the exact columns.  A scan reads the
+jumps in range and the range ends that are not jumps, and settles each gap
+between these nodes from its two ends.
 
 Tables are built in full on every call, by segmented sieving, which bounds
-the working memory of the sieve.  Plain counts beyond the tables' reach, up
-to 1e12, come from Lucy's O(x^(3/4)) recursion over the values floor(x/k),
-not from a sieve.
+the working memory of the sieve; each segment's jumps, exponents and logs
+are put in order as arrays, by one sort.  Plain counts beyond the tables'
+reach, up to 1e12, come from Lucy's O(x^(3/4)) recursion over the values
+floor(x/k), not from a sieve.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
@@ -219,7 +225,8 @@ class PrimeTables:
     limit: int
     jumps: np.ndarray          # int64 prime powers
     jump_m: np.ndarray         # int64 exponent
-    right: dict                # kind -> list of int right limits over SCALE[kind]
+    right: dict                # kind -> right limits over SCALE[kind]: int64 for
+                               # pi and Pi, lists of Python ints for theta and psi
 
     # -- exact accessors ------------------------------------------------
 
@@ -250,8 +257,8 @@ class PrimeTables:
             raise ParameterError(f"unknown counting kind {kind!r}")
         col = self.right[kind]
         w_left, w_right = _SIDES[side]
-        left = col[k - 1] if k > 0 else 0
-        right = col[k] if k >= 0 else 0
+        left = int(col[k - 1]) if k > 0 else 0
+        right = int(col[k]) if k >= 0 else 0
         return w_left * left + w_right * right
 
     def value(self, kind: str, k: int, side: str) -> mpf:
@@ -264,41 +271,83 @@ class PrimeTables:
         return self.value(kind, *self.locate(x))
 
     # -- float64 scan views ----------------------------------------------
+    # each built on first use, cached on the table and shared, read-only,
+    # by every scan against it
 
     @cached_property
     def float_views(self) -> dict:
-        """float64 per-jump arrays, built on first use: the jumps ``x`` and,
-        per side and kind, the left limit, starred value and right limit.
+        """float64 per-jump arrays: the jumps ``x`` and, per side and kind,
+        the left limit, starred value and right limit.
 
         Each entry is the correctly rounded image of the exact ``scaled``
         read: the right limits R[k] / SCALE and the starred values
-        (R[k - 1] + R[k]) / (2 SCALE), their numerators summed exactly as
-        Python ints (``_exact_quotients``).
+        (R[k - 1] + R[k]) / (2 SCALE), their numerators summed exactly, in
+        int64 for an int64 column and as Python ints otherwise
+        (``_exact_quotients``).
         """
-        views = {"x": self.jumps.astype(np.float64), "left": {}, "at": {}, "right": {}}
+        views = {"x": _read_only(self.jumps.astype(np.float64)), "left": {}, "at": {}, "right": {}}
         for kind, rights in self.right.items():
-            col = np.array(rights, dtype=object)
+            col = rights if isinstance(rights, np.ndarray) else np.array(rights, dtype=object)
             sums = col.copy()
             sums[1:] += col[:-1]
             right = _exact_quotients(col, SCALE[kind])
-            views["right"][kind] = right
-            views["left"][kind] = np.concatenate(([0.0], right[:-1]))
-            views["at"][kind] = _exact_quotients(sums, 2 * SCALE[kind])
+            views["right"][kind] = _read_only(right)
+            views["left"][kind] = _read_only(np.concatenate(([0.0], right[:-1])))
+            views["at"][kind] = _read_only(_exact_quotients(sums, 2 * SCALE[kind]))
         return views
 
     @cached_property
     def jump_li(self) -> np.ndarray:
-        """float64 li at every jump, built on first use."""
-        return _li64(self.float_views["x"])
+        """float64 li at every jump."""
+        return _read_only(_li64(self.float_views["x"]))
+
+    @cached_property
+    def jump_log(self) -> np.ndarray:
+        """float64 log x at every jump."""
+        return _read_only(np.log(self.float_views["x"]))
+
+    @cached_property
+    def jump_sqrt(self) -> np.ndarray:
+        """float64 sqrt x at every jump."""
+        return _read_only(np.sqrt(self.float_views["x"]))
+
+    @cached_property
+    def _deviation_cache(self) -> dict:
+        return {}
+
+    def deviations(self, kind: str, uses_li: bool) -> tuple:
+        """(dev, far, near) of a count kind against its target, li(x) or x.
+
+        ``dev[side]`` is the float64 read minus the target at every jump;
+        ``far[k]`` and ``near[k]`` are the larger and the smaller |dev| at
+        the two ends of the gap from jump k to jump k + 1, the right read at
+        k and the left read at k + 1, ``near`` 0 on a sign change
+        (``_gap_ends``).  Built on first use for each (kind, uses_li).
+        """
+        key = kind, uses_li
+        if key not in self._deviation_cache:
+            views = self.float_views
+            target = self.jump_li if uses_li else views["x"]
+            dev = {side: _read_only(views[side][kind] - target) for side in _SIDES}
+            far, near = _gap_ends(dev["right"][:-1], dev["left"][1:])
+            self._deviation_cache[key] = dev, _read_only(far), _read_only(near)
+        return self._deviation_cache[key]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _exact_quotients(nums: np.ndarray, den: int) -> np.ndarray:
-    """float64 n / den, correctly rounded, for an object array of ints n >= 0.
+    """float64 n / den, correctly rounded, for an int64 or object array of
+    ints n >= 0.
 
-    numpy's object-to-float64 cast rounds each int once, correctly.  For a
-    power-of-two ``den`` the division is then an exact ldexp.  Otherwise the
-    cast is exact for n < 2^53, where an IEEE division by a den below 2^53
-    rounds once, correctly; any larger n is divided exactly, one by one.
+    numpy's int64- and object-to-float64 casts round each int once,
+    correctly.  For a power-of-two ``den`` the division is then an exact
+    ldexp.  Otherwise the cast is exact for n < 2^53, where an IEEE division
+    by a den below 2^53 rounds once, correctly; any larger n is divided
+    exactly, one by one.
     """
     floats = nums.astype(np.float64)
     shift = den.bit_length() - 1
@@ -311,8 +360,9 @@ def _exact_quotients(nums: np.ndarray, den: int) -> np.ndarray:
 
 
 def _build_segments(limit: int, segment_size: int, base):
-    """Generate each segment's jump rows (n, p, m, log p over 2^-FIX_BITS),
-    one per prime power n, ascending.
+    """Generate each segment's jumps, ascending, as three columns: the prime
+    powers n, their exponents m and, as a list, the log of the prime under
+    each, over 2^-FIX_BITS.
 
     The logs of each segment's primes are carried from prime to prime and
     anchored at the segment's first prime, so a segment depends on nothing
@@ -320,25 +370,25 @@ def _build_segments(limit: int, segment_size: int, base):
     """
     base_primes = base.tolist()
     base_logs = _prime_logs(base_primes)
+    # every power p^m <= limit, m >= 2, of a base prime: (n, m, index of p)
+    powers = []
+    for i, p in enumerate(base_primes):
+        n, m = p * p, 2
+        while n <= limit:
+            powers.append((n, m, i))
+            n, m = n * p, m + 1
+    pow_n, pow_m, pow_i = np.array(sorted(powers), dtype=np.int64).reshape(-1, 3).T
     lo = 2
     while lo <= limit:
         hi = min(lo + segment_size, limit + 1)
-        seg_primes = _segment_primes(lo, hi, base).tolist()
-        rows = list(zip(seg_primes, seg_primes, repeat(1), _prime_logs(seg_primes)))
-        for p, lf in zip(base_primes, base_logs):
-            if p * p >= hi:
-                break
-            n = p * p
-            m = 2
-            while n < lo:
-                n *= p
-                m += 1
-            while n < hi:
-                rows.append((n, p, m, lf))
-                n *= p
-                m += 1
-        rows.sort()
-        yield rows
+        seg_primes = _segment_primes(lo, hi, base)
+        a, b = np.searchsorted(pow_n, (lo, hi))
+        # the segment's primes, then its powers, each row put in place by one sort
+        jumps = np.concatenate((seg_primes, pow_n[a:b]))
+        order = np.argsort(jumps, kind="stable")
+        jump_m = np.concatenate((np.ones(len(seg_primes), np.int64), pow_m[a:b]))
+        logs = _prime_logs(seg_primes.tolist()) + [base_logs[i] for i in pow_i[a:b].tolist()]
+        yield jumps[order], jump_m[order], list(map(logs.__getitem__, order.tolist()))
         lo = hi
 
 
@@ -353,20 +403,19 @@ def build_tables(limit: int, *, segment_size: int = DEFAULT_SEGMENT) -> PrimeTab
             "for plain counts beyond that"
         )
     base = _simple_sieve(int(limit ** 0.5) + 1)
-    rows = [row for seg in _build_segments(limit, segment_size, base) for row in seg]
-    # each jump's step in every column, summed into its exact right limits
-    steps = {
-        "pi": (int(m == 1) for _, _, m, _ in rows),
-        "theta": (lf if m == 1 else 0 for _, _, m, lf in rows),
-        "psi": (lf for _, _, _, lf in rows),
-        "Pi": (SCALE["Pi"] // m for _, _, m, _ in rows),
+    jumps, jump_m, logs = zip(*_build_segments(limit, segment_size, base))
+    jumps, jump_m = np.concatenate(jumps), np.concatenate(jump_m)
+    logs = list(chain.from_iterable(logs))
+    is_prime = jump_m == 1
+    # each jump's step in every column, summed into its exact right limits:
+    # pi and Pi in int64 (Pi stays below 2^53), theta and psi as Python ints
+    right = {
+        "pi": np.cumsum(is_prime, dtype=np.int64),
+        "theta": list(accumulate(map(operator.mul, logs, is_prime.tolist()))),
+        "psi": list(accumulate(logs)),
+        "Pi": np.cumsum(SCALE["Pi"] // jump_m),
     }
-    return PrimeTables(
-        limit=limit,
-        jumps=np.array([row[0] for row in rows], dtype=np.int64),
-        jump_m=np.array([row[2] for row in rows], dtype=np.int64),
-        right={kind: list(accumulate(col)) for kind, col in steps.items()},
-    )
+    return PrimeTables(limit=limit, jumps=jumps, jump_m=jump_m, right=right)
 
 
 def psi_theta_gap(x, tables: PrimeTables) -> mpf:
@@ -418,12 +467,15 @@ class InequalitySpec:
     def rhs(self, x, m):
         """The envelope at x in number type ``m``: numpy on float64 arrays,
         or mpmath's ``mp`` on an mpf, where a and C convert exactly."""
-        lx = m.log(x)
+        return self.envelope(m.sqrt(x), m.log(x))
+
+    def envelope(self, sqrt_x, log_x):
+        """The envelope from sqrt(x) and log(x), float64 arrays or mpfs."""
         if self.kind.endswith("_sq"):
-            return self.a * m.sqrt(x) * lx ** 2
+            return self.a * sqrt_x * log_x ** 2
         if self.kind.endswith("_shift"):
-            return self.a * m.sqrt(x) * lx * (lx - self.C)
-        return self.a * m.sqrt(x) * lx
+            return self.a * sqrt_x * log_x * (log_x - self.C)
+        return self.a * sqrt_x * log_x
 
 
 def _li_coefficients(n_terms: int) -> tuple:
@@ -469,7 +521,9 @@ def _li64(x: np.ndarray) -> np.ndarray:
 
 def _guard(rhs: np.ndarray) -> np.ndarray:
     """Half-width of the band around 0 in which a float64 margin is re-decided."""
-    return 1e-9 * np.maximum(rhs, 1.0)
+    g = np.maximum(rhs, 1.0)
+    g *= 1e-9
+    return g
 
 
 def scan_inequality(
@@ -540,36 +594,46 @@ def scan_inequality(
     views = tables.float_views
     xs = views["x"]
     ck = spec.count_kind
+    dev, far, near = tables.deviations(ck, spec.uses_li)
 
     def last_jump(x):   # the last jump <= x, where the count at x is read
         return np.searchsorted(xs, x, side="right") - 1
 
     k0 = int(np.searchsorted(xs, x_lo))   # first jump >= x_lo
     k1 = int(last_jump(x_hi))
-    in_range = slice(k0, k1 + 1)
-
-    # the nodes, ascending: each end that is not a jump, and the jumps in range
-    lo_end = int(k1 < k0 or xs[k0] != x_lo)
-    hi_end = k1 < k0 or xs[k1] != x_hi
-    end_x = np.array([float(x) for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
-
-    def on_nodes(at_ends, at_jumps):
-        return np.concatenate((at_ends[:lo_end], at_jumps, at_ends[lo_end:]))
-
-    node_x = on_nodes(end_x, xs[in_range])
-    is_jump = on_nodes(np.zeros(len(end_x), bool), np.ones(k1 + 1 - k0, bool))
-    target = on_nodes(_li64(end_x), tables.jump_li[in_range]) if spec.uses_li else node_x
-    # off the jumps the count is the same from every side
-    end_count = views["right"][ck][last_jump(end_x)]
-    dev = {side: on_nodes(end_count, views[side][ck][in_range]) for side in _SIDES}
-    for d in dev.values():
-        d -= target
-    rhs = spec.rhs(node_x, np)
+    n_jumps = k1 + 1 - k0
+    rhs = spec.envelope(tables.jump_sqrt[k0 : k1 + 1], tables.jump_log[k0 : k1 + 1])
     guard = _guard(rhs)
+    neg_guard = -guard
 
-    # every gap between consecutive nodes, bounded from its two ends
-    fails, opened = _gap_bounds(dev["right"][:-1], dev["left"][1:], rhs[:-1], rhs[1:])
-    open_k = last_jump(node_x[:-1][opened])
+    # the nodes are the jumps in range and each end that is not a jump, whose
+    # count is that of the last jump below it from every side
+    lo_end = n_jumps == 0 or xs[k0] != x_lo
+    hi_end = n_jumps == 0 or xs[k1] != x_hi
+    end_x = np.array([float(x) for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
+    end_k = last_jump(end_x)
+    end_dev = views["right"][ck][end_k] - (_li64(end_x) if spec.uses_li else end_x)
+    end_rhs = spec.rhs(end_x, np)
+
+    # every gap between consecutive nodes, bounded from its two ends: first
+    # the gaps between jumps (gap k runs from jump k to jump k + 1), then
+    # those that an end cuts, each in the gap of the last jump below its start
+    fails, opened = _gap_bounds(far[k0:k1], near[k0:k1], rhs[:-1], rhs[1:])
+    fail_k, open_k = k0 + np.flatnonzero(fails), k0 + np.flatnonzero(opened)
+    starts, ends = xs[open_k], xs[open_k + 1]
+    cut = []   # (start, end, k, deviation and envelope at the start, then at the end)
+    if n_jumps == 0:
+        cut.append((x_lo, x_hi, k1, end_dev[0], end_rhs[0], end_dev[1], end_rhs[1]))
+    if n_jumps > 0 and lo_end:
+        cut.append((x_lo, xs[k0], k0 - 1, end_dev[0], end_rhs[0], dev["left"][k0], rhs[0]))
+    if n_jumps > 0 and hi_end:
+        cut.append((xs[k1], x_hi, k1, dev["right"][k1], rhs[-1], end_dev[-1], end_rhs[-1]))
+    if cut:
+        start, end, k, lo_dev, lo_rhs, hi_dev, hi_rhs = np.array(cut).T
+        k = k.astype(np.int64)
+        fails, opened = _gap_bounds(*_gap_ends(lo_dev, hi_dev), lo_rhs, hi_rhs)
+        fail_k, open_k = np.concatenate((fail_k, k[fails])), np.concatenate((open_k, k[opened]))
+        starts, ends = np.concatenate((starts, start[opened])), np.concatenate((ends, end[opened]))
     n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)
 
     def inside_gaps(x, k, integer):
@@ -586,18 +650,18 @@ def scan_inequality(
         # margin and guard of its reads outside the clean side of the band.
         # A one-sided limit describes x on its side of the jump, so the left
         # limit at a jump counts when the jump is above x_lo and the right
-        # limit when it is below x_hi; an end is read once, as a point inside
-        # its gap
-        reads = {"left": is_jump & (node_x > x_lo), "at": is_jump,
-                 "right": ~is_jump | (node_x < x_hi)}
-        for side, mask in reads.items():
-            margin = np.abs(dev[side])
-            margin -= rhs
-            hot = np.flatnonzero(mask & ~(margin <= -guard))
-            hot_x = node_x[hot]
-            yield (int(mask.sum()), side, side == "at", hot_x, last_jump(hot_x),
-                   np.where(is_jump[hot], side, "interior"), margin[hot], guard[hot])
-        starts, ends = node_x[:-1][opened], node_x[1:][opened]
+        # limit when it is below x_hi
+        reads = {"left": (int(not lo_end), n_jumps), "at": (0, n_jumps),
+                 "right": (0, n_jumps - int(not hi_end))}
+        buffer = np.empty(n_jumps)
+        for side, (a, b) in reads.items():
+            margin = np.abs(dev[side][k0 + a : k0 + b], out=buffer[: b - a])
+            margin -= rhs[a:b]
+            hot = np.flatnonzero(~(margin <= neg_guard[a:b]))
+            yield (b - a, side, side == "at", xs[k0 + a + hot], k0 + a + hot,
+                   np.full(len(hot), side), margin[hot], guard[a + hot])
+        # an end is read once, as a point inside its gap
+        yield inside_gaps(end_x, end_k, False)
         fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
         yield inside_gaps((starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
                           np.repeat(open_k, interior_samples), False)
@@ -622,7 +686,7 @@ def scan_inequality(
                 int_violations.append(int(x))
 
     # the last integer of the last failing gap with any is its last violation
-    first, last = _gap_integer_bounds(tables.jumps, last_jump(node_x[:-1][fails]), n_lo, n_hi)
+    first, last = _gap_integer_bounds(tables.jumps, fail_k, n_lo, n_hi)
     if np.any(last >= first):
         int_violations.append(int(last[last >= first].max()))
 
@@ -639,16 +703,25 @@ def scan_inequality(
     )
 
 
-def _gap_bounds(lo_dev, hi_dev, lo_rhs, hi_rhs):
-    """(fails, open): the gaps with these deviations and envelopes at their
-    two ends that fail throughout, and those neither bound settles (the
-    lemma in ``scan_inequality``), each within the guard band of the larger
-    envelope."""
-    g = _guard(np.maximum(lo_rhs, hi_rhs))
-    upper = np.maximum(np.abs(lo_dev), np.abs(hi_dev)) - np.minimum(lo_rhs, hi_rhs)
-    closest = np.where(lo_dev * hi_dev > 0, np.minimum(np.abs(lo_dev), np.abs(hi_dev)), 0.0)
-    fails = closest - np.maximum(lo_rhs, hi_rhs) >= g
-    return fails, ~(upper <= -g) & ~fails
+def _gap_ends(lo_dev, hi_dev):
+    """(far, near): the larger and the smaller |deviation| at the two ends
+    of each gap, ``near`` 0 when the deviation changes sign across it."""
+    lo_abs, hi_abs = np.abs(lo_dev), np.abs(hi_dev)
+    near = np.where(lo_dev * hi_dev > 0, np.minimum(lo_abs, hi_abs), 0.0)
+    return np.maximum(lo_abs, hi_abs), near
+
+
+def _gap_bounds(far, near, lo_rhs, hi_rhs):
+    """(fails, open): the gaps with these end deviations (``_gap_ends``) and
+    envelopes at their two ends that fail throughout, and those neither
+    bound settles (the lemma in ``scan_inequality``), each within the guard
+    band of the larger envelope."""
+    top = np.maximum(lo_rhs, hi_rhs)
+    g = _guard(top)
+    fails = np.subtract(near, top, out=top) >= g
+    upper = np.minimum(lo_rhs, hi_rhs)
+    np.subtract(far, upper, out=upper)
+    return fails, ~(upper <= np.negative(g, out=g)) & ~fails
 
 
 def _gap_integer_bounds(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
@@ -664,8 +737,8 @@ def _gap_integer_bounds(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray
 
 
 def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
-    """The integers of [n_lo, n_hi] strictly inside each gap, and the gap of
-    each; ``gaps`` is ascending, so the integers are too."""
+    """The integers of [n_lo, n_hi] strictly inside each gap, gap by gap,
+    and the gap of each."""
     first, last = _gap_integer_bounds(jumps, gaps, n_lo, n_hi)
     lens = np.maximum(last - first + 1, 0)
     offsets = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
@@ -740,8 +813,11 @@ def _lucy_pi(x: int) -> int:
         k_max = min(r, x // (p * p))   # x // k >= p^2
         inside = min(k_max, r // p)    # k p <= r: x // (k p) is a large entry
         large[1 : inside + 1] -= large[p : inside * p + 1 : p] - below
-        large[inside + 1 : k_max + 1] -= small[x // (ks[inside + 1 : k_max + 1] * p)] - below
-        small[p * p :] -= small[ks[p * p :] // p] - below
+        # the last two updates are empty for most p: skip their numpy calls
+        if k_max > inside:
+            large[inside + 1 : k_max + 1] -= small[x // (ks[inside + 1 : k_max + 1] * p)] - below
+        if p * p <= r:
+            small[p * p :] -= small[ks[p * p :] // p] - below
     return int(large[1])
 
 

@@ -263,7 +263,8 @@ def test_criterion_9_property_suites(tables_1e6):
         whole = build_tables(10 ** 5)
         cut = build_tables(10 ** 5, segment_size=2 ** 14)
         ok &= set(whole.right) == {"pi", "theta", "psi", "Pi"}
-        ok &= whole.right == cut.right
+        ok &= all([int(v) for v in whole.right[kind]] == [int(v) for v in cut.right[kind]]
+                  for kind in whole.right)
         ok &= list(whole.jumps) == list(cut.jumps)
         ok &= list(whole.jump_m) == list(cut.jump_m)
     _report(9, "sandwich, weight sweeps, monotonicity, oracle digits, restart identity", ok and t.elapsed < 60.0, t.elapsed)

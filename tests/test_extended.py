@@ -9,11 +9,16 @@ a million-step block (0.08 s through 15 chunk re-anchor checks, 10.5 s with
 the fixed-point kernel this replaced) and 2e4-step tails of every rung.
 The counterexample boundary at 3.84e10 is four prime counts, about 1.3 s
 together, so it runs in the default suite (``tests/test_ramanujan.py``).
+The prime tables are checked at their cap, ``DETAIL_LIMIT_MAX`` = 2e7.
 """
 
+from itertools import accumulate
+
+import numpy as np
 import pytest
 
 from primebounds import published
+from primebounds.primes import DETAIL_LIMIT_MAX, SCALE, _exact_quotients, _prime_logs, build_tables
 from primebounds.ramanujan import Regime, regime_schedule, step_verify
 
 A8PI = 0.039788735772973836
@@ -44,3 +49,37 @@ def test_whole_first_rung():
     # the margins rise through the rung, so its minimum is at its foot
     assert report.min_margin_at == 43.0
     assert float(report.min_margin) == 2.3114524195448934e+27
+
+
+def test_tables_at_the_detail_limit():
+    """``build_tables`` at its cap, the one size where starred Pi numerators
+    pass 2^53 and the theta and psi columns reach 121 bits."""
+    tables = build_tables(DETAIL_LIMIT_MAX)
+    ns, ms = tables.jumps.tolist(), tables.jump_m.tolist()
+    primes = tables.primes.tolist()
+    logs = dict(zip(primes, _prime_logs(primes)))
+    under = [n if m == 1 else round(n ** (1 / m)) for n, m in zip(ns, ms)]
+    assert all(p ** m == n for p, m, n in zip(under, ms, ns))
+    # theta and psi: running sums of one carried run of logs over all primes
+    assert tables.right["theta"] == list(accumulate(logs[p] if m == 1 else 0
+                                                    for p, m in zip(under, ms)))
+    assert tables.right["psi"] == list(accumulate(logs[p] for p in under))
+    assert tables.right["psi"][-1].bit_length() == 121
+    # pi and Pi: int64 columns equal to running sums of Python ints
+    for kind, steps in (("pi", [int(m == 1) for m in ms]), ("Pi", [SCALE["Pi"] // m for m in ms])):
+        assert tables.right[kind].dtype == np.int64
+        assert tables.right[kind].tolist() == list(accumulate(steps)), kind
+    assert tables.right["Pi"][-1] < 2 ** 53
+    # every float view: _exact_quotients of the exact column as an object
+    # array of Python ints, the form theta and psi take
+    views = tables.float_views
+    for kind, col in tables.right.items():
+        exact = np.array([int(v) for v in col], dtype=object)
+        sums = exact.copy()
+        sums[1:] += exact[:-1]
+        right = _exact_quotients(exact, SCALE[kind])
+        assert np.array_equal(views["right"][kind], right), kind
+        assert np.array_equal(views["left"][kind], np.concatenate(([0.0], right[:-1]))), kind
+        assert np.array_equal(views["at"][kind], _exact_quotients(sums, 2 * SCALE[kind])), kind
+        if kind == "Pi":   # these reads take the exact per-entry division
+            assert int(np.count_nonzero(sums >= 2 ** 53)) == 429_871

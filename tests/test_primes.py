@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
 
@@ -140,6 +141,12 @@ class TestBuildAndCount:
 
 COUNT_KINDS = ("pi", "theta", "psi", "Pi")
 _JUMPS_TO_1E4 = [n for n, _, _ in prime_powers(10_000)]
+
+
+def _columns(tables) -> dict:
+    """The exact right-limit columns as lists of Python ints, element by
+    element: pi and Pi are int64 arrays, theta and psi lists."""
+    return {kind: [int(v) for v in col] for kind, col in tables.right.items()}
 
 
 def _assert_count_matches_oracle(tables, kind, x):
@@ -616,13 +623,13 @@ class TestCarriedLogs:
         one, segmented = carried[primes.DEFAULT_SEGMENT], carried[10 ** 4]
         assert np.array_equal(one.jumps, segmented.jumps)
         assert np.array_equal(one.jump_m, segmented.jump_m)
-        assert one.right == segmented.right
+        assert _columns(one) == _columns(segmented)
         # the same builds with every log from _log_fixed give the same columns
         monkeypatch.setattr(primes, "_prime_logs", lambda ps: [_log_fixed(p) for p in ps])
         for size in sizes:
             exact = build_tables(limit, segment_size=size)
             assert np.array_equal(exact.jumps, carried[size].jumps), size
-            assert exact.right == carried[size].right, size
+            assert _columns(exact) == _columns(carried[size]), size
 
     def test_band_covering_everything_falls_back_at_every_prime(self, monkeypatch):
         want = build_tables(10 ** 5)
@@ -637,7 +644,7 @@ class TestCarriedLogs:
         monkeypatch.setattr(primes, "_TIE_BAND", 1 << (CARRY_BITS - FIX_BITS))
         got = build_tables(10 ** 5)
         assert set(exact_calls) == set(got.primes.tolist())
-        assert got.right == want.right
+        assert _columns(got) == _columns(want)
 
     @pytest.mark.parametrize("start", [2, 10 ** 6])
     def test_carried_error_over_an_anchor_interval_is_within_the_bound(self, start):
@@ -651,6 +658,51 @@ class TestCarriedLogs:
             assert err < 1 + n * _STEP_ULPS, (n, err)
         assert max(errs) < primes._TIE_BAND
         assert carried[ANCHOR_EVERY] == _log_fixed(ps[ANCHOR_EVERY], CARRY_BITS)
+
+
+_ORACLE_LIMIT = 20_000
+_SQUARES_AND_CUBES = [n for n, _, m in prime_powers(_ORACLE_LIMIT) if m in (2, 3)]
+
+
+@lru_cache(maxsize=None)
+def _oracle_log(p):
+    return log_fixed_mp(p)
+
+
+@st.composite
+def _limits_and_segments(draw):
+    """(limit, segment_size): a segment edge 2 + s on a prime square or
+    cube or next to one, or one default-sized segment; a few hundred
+    segments at most."""
+    size = draw(st.one_of(
+        st.builds(lambda n, d: n + d - 2, st.sampled_from(_SQUARES_AND_CUBES),
+                  st.sampled_from((-1, 0, 1))),
+        st.just(primes.DEFAULT_SEGMENT)))
+    return draw(st.integers(100, min(_ORACLE_LIMIT, 100 + 300 * size))), size
+
+
+class TestTableAssembly:
+    @settings(max_examples=40, deadline=None)
+    @given(limit_and_size=_limits_and_segments())
+    # 25 = 5^2 and 125 = 5^3 start the second segment; with 2-wide segments
+    # every power of 2 starts one, and 27 = 3^3 ends one
+    @example(limit_and_size=(1000, 23))
+    @example(limit_and_size=(2000, 123))
+    @example(limit_and_size=(2000, 2))
+    @example(limit_and_size=(_ORACLE_LIMIT, primes.DEFAULT_SEGMENT))
+    def test_segments_merge_to_the_oracle_prime_powers(self, limit_and_size):
+        limit, size = limit_and_size
+        tables = build_tables(limit, segment_size=size)
+        rows = [row for row in prime_powers(_ORACLE_LIMIT) if row[0] <= limit]
+        assert tables.jumps.tolist() == [n for n, _, _ in rows]
+        assert tables.jump_m.tolist() == [m for _, _, m in rows]
+        steps = {
+            "pi": [int(m == 1) for _, _, m in rows],
+            "theta": [_oracle_log(p) if m == 1 else 0 for _, p, m in rows],
+            "psi": [_oracle_log(p) for _, p, _ in rows],
+            "Pi": [SCALE["Pi"] // m for _, _, m in rows],
+        }
+        assert _columns(tables) == {kind: list(accumulate(col)) for kind, col in steps.items()}
 
 
 class TestLi64:
@@ -728,17 +780,38 @@ class TestScanContext:
                 assert _report_fields(scan_inequality(spec, lo, hi, fresh, n)) == \
                     _report_fields(scan_inequality(spec, lo, hi, filled, n))
                 fresh = build_tables(30_000)
+        # every verify-primes spec, forward and then in reverse, against one
+        # table, each as against a table of its own
+        limit = 200_000
+        filled = build_tables(limit)
+        alone = {spec: _report_fields(scan_inequality(spec, 2, limit, build_tables(limit)))
+                 for spec in VERIFY_SPECS}
+        for spec in VERIFY_SPECS + VERIFY_SPECS[::-1]:
+            assert _report_fields(scan_inequality(spec, 2, limit, filled)) == alone[spec], spec
+        # the shared arrays cannot be written in place
+        views = filled.float_views
+        shared = [views["x"], filled.jump_li, filled.jump_log, filled.jump_sqrt]
+        shared += [views[side][kind] for side in ("left", "at", "right") for kind in COUNT_KINDS]
+        for kind, uses_li in (("psi", False), ("theta", False), ("Pi", True), ("pi", True)):
+            dev, far, near = filled.deviations(kind, uses_li)
+            shared += [*dev.values(), far, near]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                np.subtract(array, 1.0, out=array)
 
     def test_context_is_per_table_and_freed_with_it(self):
         # the scan views are cached properties of the table, not fields
         a, b = build_tables(10 ** 4), build_tables(10 ** 4)
-        for view in ("float_views", "jump_li"):
+        for view in ("float_views", "jump_li", "jump_log", "jump_sqrt"):
             assert getattr(a, view) is getattr(a, view)
             assert getattr(a, view) is not getattr(b, view)
             assert view not in repr(a)
+        assert a.deviations("pi", True) is a.deviations("pi", True)
+        assert a.deviations("pi", True) is not b.deviations("pi", True)
         # a dict cannot be weakly referenced; its columns can
         refs = [weakref.ref(a.float_views["x"]), weakref.ref(a.float_views["right"]["pi"]),
-                weakref.ref(a.jump_li)]
+                weakref.ref(a.jump_li), weakref.ref(a.jump_log),
+                weakref.ref(a.deviations("pi", True)[0]["at"])]
         del a
         gc.collect()
         assert all(ref() is None for ref in refs)
