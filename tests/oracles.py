@@ -20,21 +20,25 @@ before it galloped from a predicted D, bisecting every D range afresh.  The
 stepping kernel's per-step coefficients are integrated by quadrature instead
 of summed from delta^n/n!, e^{-t} Ei(t) comes from mpmath's ``ei`` instead
 of the package's series, and R is carried by its Taylor series through the
-derivative chain instead of the closed-form step.
+derivative chain instead of the closed-form step.  Zero-ordinate files are
+read line by line with one ``from_rational`` per plain decimal, and the zero
+sum is ``mp.fsum`` over ``1 / gamma``, as the zeros layer did before it moved
+to integer arithmetic.
 """
 
 import bisect
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 from mpmath import inf, log, mp, mpf, quad
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_rational, mpf_gt, round_nearest, to_fixed
 
-from primebounds import engine, kernel
-from primebounds.errors import BracketError, ParameterError
+from primebounds import engine, kernel, zeros
+from primebounds.errors import BracketError, CoverageError, ParameterError, ZeroDataError
 from primebounds.hiprec import working_precision
 from primebounds.primes import _li64, _odd_mask, _recheck, _simple_sieve
 from primebounds.verdict import Verdict
@@ -163,6 +167,93 @@ def kernel_weights_scan(zeros, params, prec=192, weight=None):
         warning = "" if checked else "no ordinates inside the kernel band; vacuous pass"
         return Verdict(True, checked=checked, skipped_out_of_band=skipped,
                        min_weight=lo, max_weight=hi, warning=warning)
+
+
+_DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
+
+
+def load_zeros_rational(path, limit=None):
+    """``zeros.load_zeros`` read line by line, each plain decimal rounded by
+    ``from_rational``; ``decimal_places`` counts only the ordinates kept."""
+    gammas = []
+    num_prev = den_prev = None
+    has_index = None
+    min_decimals = None
+    with working_precision():
+        prec = mp.prec
+        lim = None if limit is None else mpf(limit)._mpf_
+        with open(path, "rb") as f:
+            for line_no, raw in enumerate(f, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise ZeroDataError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from exc
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if has_index is None:
+                    if len(parts) not in (1, 2):
+                        raise ZeroDataError(f"{path}:{line_no}: unrecognized row {line!r}")
+                    has_index = len(parts) == 2
+                if len(parts) != (2 if has_index else 1):
+                    raise ZeroDataError(f"{path}:{line_no}: inconsistent column count")
+                token = parts[-1]
+                match = _DECIMAL.fullmatch(token) if len(token) <= 400 else None
+                if match:
+                    places = match[2] or ""
+                    num, den = int(match[1] + places), 10 ** len(places)
+                    g = from_rational(num, den, prec, round_nearest)
+                    decimals = len(places)
+                else:
+                    try:
+                        value = mpf(token)
+                    except Exception as exc:
+                        raise ZeroDataError(f"{path}:{line_no}: not a number: {token!r}") from exc
+                    if not mp.isfinite(value):
+                        raise ZeroDataError(f"{path}:{line_no}: non-finite ordinate {token}")
+                    sign, man, exp, _ = g = value._mpf_
+                    num, den = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+                    decimals = len(token.split(".")[1]) if "." in token else 0
+                if num <= 0:
+                    raise ZeroDataError(f"{path}:{line_no}: nonpositive ordinate {token}")
+                if gammas and (num * den_prev <= num_prev * den or g == gammas[-1]):
+                    raise ZeroDataError(f"{path}:{line_no}: ordinates not ascending")
+                if lim is not None and mpf_gt(g, lim):
+                    break
+                min_decimals = decimals if min_decimals is None else min(min_decimals, decimals)
+                gammas.append(g)
+                num_prev, den_prev = num, den
+        gammas = tuple(map(mp.make_mpf, gammas))
+    if gammas and not (zeros.FIRST_ZERO_LOW < gammas[0] < zeros.FIRST_ZERO_HIGH):
+        raise ZeroDataError(
+            f"first ordinate {float(gammas[0])} is not the first zeta zero; "
+            "file does not start at the bottom of the critical strip"
+        )
+    return zeros.ZeroList(gammas, source=path, decimal_places=min_decimals or 0)
+
+
+def check_zero_sum_fsum(zero_list, t2):
+    """``zeros.check_zero_sum`` with the sum taken as ``2 * mp.fsum(1 / g)``."""
+    with working_precision():
+        t2m = mpf(t2)
+        if not mp.isfinite(t2m):
+            raise ParameterError(f"t2 must be finite, got {t2}")
+        if zero_list.max_height < t2m:
+            raise CoverageError(
+                f"need ordinates up to {float(t2m)}, file reaches {float(zero_list.max_height)}"
+            )
+        bound = kernel.zero_sum_bound(t2m)
+        used = zero_list.below(t2m)
+        empirical = 2 * mp.fsum(1 / g for g in used)
+        return Verdict(
+            empirical <= bound,
+            t2=float(t2m),
+            empirical_sum=+empirical,
+            bound=+bound,
+            margin=+(bound - empirical),
+            zeros_used=len(used),
+            convention="sum over |Im rho|: each listed gamma counted twice (conjugate pair)",
+        )
 
 
 def sieve_prime_counts(points, segment_size: int = 1 << 24, progress=None) -> list[int]:

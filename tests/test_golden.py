@@ -5,9 +5,11 @@ command below: the derivation and table files were frozen before the
 engine's search was restructured, the sieve, Ramanujan and default
 zero-check files before the sieve layer was, and the partial-band and
 vacuous-band zero checks before the kernel-weight check moved from a
-per-zero loop to two endpoint evaluations.  Any change to a printed constant, threshold,
-shift, error value or verdict shows up here as a mismatch; a deliberate
-change must regenerate the file and be called out as a behaviour change.
+per-zero loop to two endpoint evaluations, and the 256-bit zero check before
+the ordinate ingest and the zero sum moved to integer arithmetic.  Any
+change to a printed constant, threshold, shift, error value or verdict shows
+up here as a mismatch; a deliberate change must regenerate the file and be
+called out as a behaviour change.
 The sha256 of the exact prime tables to 1e5 is frozen too: the jumps, their
 exponents and the four exact right-limit columns, whose theta and psi steps
 are the 96-bit logs of the primes.  Every file here is read by a test.
@@ -36,6 +38,7 @@ CASES = {
     "zeros_check.json": ["zeros", "check"],
     "zeros_check_partial_band.json": ["zeros", "check", "--kernel-c", "3", "--kernel-eps", "0.1", "--t2", "100"],
     "zeros_check_vacuous_band.json": ["zeros", "check", "--kernel-c", "3", "--kernel-eps", "0.25"],
+    "zeros_check_256_bits.json": ["--precision-bits", "256", "zeros", "check", "--t2", "4096"],
 }
 TABLES_DIGEST = "tables_1e5.sha256"
 # the zero check prints the path it read; the frozen file names it by role

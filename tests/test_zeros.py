@@ -2,15 +2,17 @@
 
 import dataclasses
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from primebounds import zeros
 from primebounds.hiprec import working_precision
-from primebounds.kernel import KernelParams, ParameterError, a_weight
+from primebounds.kernel import KernelParams, ParameterError, a_weight, zero_sum_bound
 from primebounds.zeros import (
     CoverageError,
     ZeroDataError,
@@ -20,7 +22,7 @@ from primebounds.zeros import (
     riemann_count_estimate,
 )
 
-from .oracles import kernel_weights_scan
+from .oracles import check_zero_sum_fsum, kernel_weights_scan, load_zeros_rational
 
 FIRST_THREE = "14.134725141\n21.022039639\n25.010857580\n"
 
@@ -310,3 +312,236 @@ class TestKernelWeightsAgainstScan:
         got = check_kernel_weights(zl, params)
         assert not got.passed and got.checked == first
         assert_same_verdict(got, kernel_weights_scan(zl, params, weight=weight))
+
+
+class TestDecimalPlacesAfterLimit:
+    def test_first_ordinate_past_the_limit_is_not_counted(self, tmp_path):
+        p = tmp_path / "z.txt"
+        p.write_text("14.134725141\n21.02\n")
+        zl = load_zeros(str(p), limit=20)
+        assert len(zl) == 1
+        assert zl.decimal_places == 9
+        assert load_zeros(str(p)).decimal_places == 2
+
+
+# -- the integer ingest and zero sum against the from_rational / fsum oracle --
+
+PRECISIONS = (100, 192, 256, 320)
+ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FIRST = Fraction(141347251417347, 10 ** 13)
+
+
+def decimal_token(value: Fraction, places: int) -> str:
+    """``value`` truncated to ``places`` decimals, written out plainly."""
+    scaled = value.numerator * 10 ** places // value.denominator
+    whole, frac = divmod(scaled, 10 ** places)
+    return f"{whole}.{frac:0{places}d}" if places else str(whole)
+
+
+def scientific_token(token: str) -> str:
+    whole, _, frac = token.partition(".")
+    return f"{whole[0]}.{whole[1:]}{frac}e{len(whole) - 1}"
+
+
+@st.composite
+def ordinate_files(draw):
+    """An ordinate file as bytes: mostly ascending decimals with mixed
+    places, and every kind of token and row the loader has a rule for."""
+    value = FIRST if draw(st.integers(0, 3)) else Fraction(draw(st.integers(1, 3000)), 100)
+    indexed = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    rows, prev = [], None
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ["plain"] * 6 + ["long", "scientific", "arabic", "underscore", "rounded-equal",
+                             "comment", "blank", "junk", "bad-bytes", "column"]))
+        token = decimal_token(value, draw(st.integers(0, 16)))
+        if kind == "long":
+            token += "." * ("." not in token)
+            token += "0" * (draw(st.sampled_from([399, 400, 401, 450])) - len(token))
+        elif kind == "scientific":
+            token = scientific_token(token)
+        elif kind == "arabic":
+            token = token.translate(ARABIC)
+        elif kind == "underscore" and len(token.partition(".")[0]) > 1:
+            token = token[0] + "_" + token[1:]
+        elif kind == "rounded-equal" and prev is not None and prev.replace(".", "").isdigit():
+            token = prev + "." * ("." not in prev) + "0" * draw(st.sampled_from([40, 100])) + "1"
+        elif kind == "junk":
+            token = draw(st.sampled_from(["abc", "nan", "-inf", "-1", "0.000", "0", "1__0.5", ".5"]))
+        row = (f"{i + 1} " if indexed else "") + token
+        if kind == "comment":
+            row = "# " + token
+        elif kind == "blank":
+            row = draw(st.sampled_from(["", "  ", "\t"]))
+        elif kind == "column":
+            row += " 7"
+        line = (row + newline).encode()
+        if kind == "bad-bytes":
+            line = row.encode() + draw(st.sampled_from([b"\xff", b"\xe2\x82", b"\xc3"])) + newline.encode()
+        rows.append(line)
+        prev = token
+        # mostly a step of 1 to 100; now and then a tiny one, zero or back
+        tiny = draw(st.integers(0, 7)) == 7
+        value += Fraction(draw(st.integers(-3, 3) if tiny else st.integers(10 ** 13, 10 ** 15)), 10 ** 13)
+    data = b"".join(rows)
+    if data and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    return data
+
+
+def outcome(load, path, limit):
+    try:
+        zl = load(path, limit)
+    except ZeroDataError as exc:
+        return str(exc)
+    return [g._mpf_ for g in zl.gammas], zl.decimal_places
+
+
+def sum_outcome(check, zl, t2):
+    try:
+        v = check(zl, t2)
+    except (CoverageError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return v.passed, [(k, getattr(f, "_mpf_", f)) for k, f in v.facts.items()]
+
+
+class TestAgainstRationalOracle:
+    """``load_zeros`` and ``check_zero_sum`` give what the per-line
+    ``from_rational`` ingest and the ``mp.fsum`` sum gave, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=ordinate_files(), limit=st.one_of(st.none(), st.floats(10, 100)))
+    def test_load_matches_oracle(self, tmp_path_factory, data, limit):
+        path = tmp_path_factory.getbasetemp() / "drawn_zeros.txt"
+        path.write_bytes(data)
+        for prec in PRECISIONS:
+            with working_precision(prec):
+                want = outcome(load_zeros_rational, str(path), limit)
+                assert outcome(load_zeros, str(path), limit) == want, prec
+                if isinstance(want, tuple) and want[0]:
+                    zl = load_zeros(str(path), limit)
+                    for t2 in (zl.gammas[len(zl) // 2], zl.max_height, 40):
+                        assert (sum_outcome(check_zero_sum, zl, t2)
+                                == sum_outcome(check_zero_sum_fsum, zl, t2))
+
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    def test_bundled_file_matches_oracle(self, prec):
+        path = zeros.bundled_zeros_path()
+        with working_precision(prec):
+            got, want = load_zeros(path), load_zeros_rational(path)
+            assert [g._mpf_ for g in got.gammas] == [g._mpf_ for g in want.gammas]
+            assert got.decimal_places == want.decimal_places
+            for t2 in (100, 1000, 3000, 4999.5, 5000):
+                assert sum_outcome(check_zero_sum, got, t2) == sum_outcome(check_zero_sum_fsum, want, t2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.integers(0, 2 ** 330), st.integers(0, 700)), min_size=1, max_size=8),
+        prec=st.sampled_from(PRECISIONS),
+    )
+    def test_sum_matches_fsum_on_drawn_lists(self, steps, prec):
+        # ascending ordinates from 16 up, with jumps far enough apart to
+        # reach mpf_sum's rule that drops a term 2 prec bits below the sum
+        with working_precision(prec):
+            g, gammas = mpf(16), []
+            for man, jump in steps:
+                g = g * mpf(2) ** jump + (man >> max(man.bit_length() - prec + 8, 0))
+                if g >= mpf(2) ** 1000:
+                    break
+                gammas.append(+g)
+            zl = zeros.ZeroList(tuple(gammas), source="drawn", decimal_places=0)
+            assert sum_outcome(check_zero_sum, zl, gammas[-1]) == sum_outcome(check_zero_sum_fsum, zl, gammas[-1])
+
+
+class TestRoundingEdges:
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("top", [0, 1])
+    def test_ties_and_their_neighbours_round_as_from_rational(self, tmp_path, prec, offset, top):
+        # (2^prec + 2 top + 1) 2^(4 - prec) lies halfway between two prec-bit
+        # values near 16 and has prec - 4 decimals; one unit in the last
+        # decimal either side moves it off the tie
+        places = prec - 4
+        num = (2 ** prec + 2 * top + 1) * 5 ** places + offset
+        token = decimal_token(Fraction(num, 10 ** places), places)
+        p = tmp_path / "z.txt"
+        p.write_text(f"14.134725141\n{token}\n")
+        with working_precision(prec):
+            zl = load_zeros(str(p))
+            assert zl.gammas[1]._mpf_ == from_rational(num, 10 ** places, prec, round_nearest)
+            assert zl.gammas[1]._mpf_ == mpf(token)._mpf_
+        assert zl.decimal_places == 9
+
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_integer_ties_round_as_from_rational(self, tmp_path, prec, offset):
+        num = 2 ** (prec + 1) + 1 + offset
+        p = tmp_path / "z.txt"
+        p.write_text(f"14.134725141\n{num}\n")
+        with working_precision(prec):
+            assert load_zeros(str(p)).gammas[1]._mpf_ == from_rational(num, 1, prec, round_nearest)
+
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    def test_sum_drops_what_fsum_drops(self, prec):
+        # 1/16 + 2^-(prec+4) is a tie at prec bits and rounds to 1/16; the
+        # last term lies over 2 prec bits below the sum's least bit, so
+        # mpf_sum drops it, where an exact sum would round the tie up
+        with working_precision(prec):
+            gammas = (mpf(16), mpf(2) ** (prec + 4), mpf(2) ** (3 * prec + 10))
+            zl = zeros.ZeroList(gammas, source="ties", decimal_places=0)
+            v = check_zero_sum(zl, gammas[-1])
+            assert v.empirical_sum == mpf(1) / 8
+            assert v.empirical_sum._mpf_ == (2 * mp.fsum(1 / g for g in gammas))._mpf_
+
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    def test_sum_with_a_last_ordinate_near_1e175(self, tmp_path, prec):
+        # mpf_sum drops the last term at 100 and 192 bits, not at 256 or 320
+        p = tmp_path / "z.txt"
+        p.write_text("14.134725141\n21.022039639\n25.010857580\n1" + "0" * 175 + ".5\n")
+        with working_precision(prec):
+            zl = load_zeros(str(p))
+            want = (2 * mp.fsum(1 / g for g in zl.gammas))._mpf_
+            assert check_zero_sum(zl, zl.max_height).empirical_sum._mpf_ == want
+
+
+class TestZeroSumSurvivesOrdinateRounding:
+    """Each listed ordinate is its zero's rounding to ``decimal_places``:
+    the true gamma lies within delta = 10^-places / 2 of it.  Moving every
+    gamma <= t2 that far moves sum 2/gamma by at most 2 delta/(gamma(gamma -
+    delta)) a zero, and a gamma within delta of t2 may enter or leave the
+    sum, 2/(gamma - delta) at most.  The PASS survives that when the margin
+    exceeds the total."""
+
+    @staticmethod
+    def uncertainty(gammas, t2, delta):
+        moved = mp.fsum(2 * delta / (g * (g - delta)) for g in gammas if g <= t2 + delta)
+        edge = mp.fsum(2 / (g - delta) for g in gammas if abs(g - t2) <= delta)
+        return moved + edge
+
+    @pytest.mark.parametrize("t2", [100, 1000, 3000, 5000])
+    def test_margin_exceeds_the_rounding_of_the_ordinates(self, zero_list, t2):
+        with working_precision():
+            delta = mpf(10) ** -zero_list.decimal_places / 2
+            v = check_zero_sum(zero_list, t2)
+            assert v.passed
+            assert v.margin > self.uncertainty(zero_list.gammas, mpf(t2), delta)
+
+    def test_margin_exceeds_it_at_every_integer_t2_of_the_constants_workload(self, zero_list):
+        # between two ordinates the sum is fixed and the bound grows with t2,
+        # so over the integers 1000..5000 the margin is least at 1000 and at
+        # the first integer at or above each ordinate; the running sums in
+        # 192 bits are off by under 1e-50, far inside the 1e-12 head room
+        with working_precision(192):
+            gammas = zero_list.gammas
+            delta = mpf(10) ** -zero_list.decimal_places / 2
+            running = [mpf(0)]
+            for g in gammas:
+                running.append(running[-1] + 2 / g)
+            worst = self.uncertainty(gammas, mpf(5000), delta)
+            worst += max((2 / (g - delta) for g in gammas
+                          if abs(g - mp.nint(g)) <= delta), default=mpf(0))
+            points = {1000} | {int(mp.ceil(g)) for g in gammas if 1000 < g <= 5000}
+            for t2 in sorted(points):
+                margin = zero_sum_bound(t2) - running[zero_list.count_below(t2)]
+                assert margin > worst + mpf("1e-12"), t2
