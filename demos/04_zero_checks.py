@@ -14,13 +14,12 @@ from primebounds.zeros import (
     check_kernel_weights,
     check_zero_sum,
     load_zeros,
-    riemann_count_estimate,
 )
 
 zl = load_zeros(bundled_zeros_path())
 print(f"{len(zl)} ordinates loaded, reaching height {float(zl.max_height):.2f}")
 for t in (100, 1000, 5000):
-    print(f"  N({t}) = {zl.count_below(t)}  (main term {float(riemann_count_estimate(t)):.1f})")
+    print(f"  {zl.count_below(t)} ordinates below {t}; mpmath.nzeros({t}) = {mp.nzeros(t)}")
 
 print("\nreciprocal-ordinate sum vs bound (conjugate pairs counted twice):")
 for t2 in (100, 1000, 5000):

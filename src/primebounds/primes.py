@@ -2,30 +2,32 @@
 
 The four counting functions are the *-normalized ones: at an integer jump
 point the final summand carries weight 1/2, so the value at a prime power is
-the midpoint of the one-sided limits.  Each function is stored the same way,
-as a column of exact integer right limits over a fixed per-kind scale: pi
-over 1, theta and psi over 2^96 (each log p is log(p) at 160-bit precision
-rounded to 96 fractional bits), Pi over lcm(1..24).  pi and Pi are int64
-running sums (Pi stays below 2^53), theta and psi running sums of Python
-ints.  The logs are carried from prime to prime in 144-bit fixed point,
-re-anchored every 4,096 primes and at each segment's start, and are bit for
-bit those 160-bit roundings: a carried value too close to a rounding tie
-for its proven error bound is redone at 160 bits.  Every read, exact or
-float64, is a left limit, starred value or right limit at one jump; the
-float64 views used by the vectorized scans, each entry the correctly
-rounded image of its exact read, and the per-jump arrays every scan of a
-kind needs (log x, sqrt x, li(x) and the deviations from the target) are
-built on first use, cached on the table read-only and shared by all its
-scans.  Any margin too close to zero for float64 to be trusted is
-re-checked in extended precision from the exact columns.  A scan reads the
-jumps in range and the range ends that are not jumps, and settles each gap
-between these nodes from its two ends.
+the midpoint of the one-sided limits.  A table holds the jumps (the prime
+powers up to its limit), the exponent of each and the prime under it.  Each
+function's exact value is a column of integer right limits over a fixed
+per-kind scale: pi over 1, theta and psi over 2^96 (each log p is log(p) at
+160-bit precision rounded to 96 fractional bits), Pi over lcm(1..24).  pi and
+Pi are int64 running sums (Pi stays below 2^53), theta and psi running sums
+of Python ints; each column is built on its first read.  Every exact read is
+a left limit, starred value or right limit at one jump.
+
+The vectorized scans read float64 views instead, built on first use, cached
+on the table read-only and shared by all its scans, with the per-jump arrays
+every scan of a kind needs (log x, sqrt x, li(x) and the deviations from the
+target).  The pi and Pi views are the correctly rounded images of the exact
+reads; the theta and psi views are the correctly rounded sums of the float64
+logs ``np.log(p)``, within a stated bound of the exact reads
+(``_log_sum_reads``), so the 96-bit columns are never built for a scan.  Any
+margin too close to zero for float64 to be trusted is re-checked in extended
+precision from the exact columns.  A scan reads the jumps in range and the
+range ends that are not jumps, and settles each gap between these nodes from
+its two ends.
 
 Tables are built in full on every call, by segmented sieving, which bounds
-the working memory of the sieve; each segment's jumps, exponents and logs
-are put in order as arrays, by one sort.  Plain counts beyond the tables'
-reach, up to 1e12, come from Lucy's O(x^(3/4)) recursion over the values
-floor(x/k), not from a sieve.
+the working memory of the sieve; each segment's jumps are put in order as
+arrays, by one sort.  Plain counts beyond the tables' reach, up to 1e12, come
+from Lucy's O(x^(3/4)) recursion over the values floor(x/k), not from a
+sieve.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -65,13 +68,6 @@ __all__ = [
 
 FIX_BITS = 96          # fractional bits of the exact theta/psi accumulators
 LOG_PREC = 160         # precision of the reference log p that FIX_BITS rounds
-CARRY_BITS = 144       # fractional bits of the logs carried from prime to prime
-ANCHOR_EVERY = 4096    # carried steps between anchors to LOG_PREC logs
-_STEP_ULPS = 40        # bound on one carried step's error, 2^-CARRY_BITS units
-# carried values this close to a FIX_BITS rounding tie, in 2^-CARRY_BITS
-# units, are re-done exactly: it covers the anchor's error, ANCHOR_EVERY - 1
-# steps and the reference's own rounding (see _carried_logs)
-_TIE_BAND = 1 + ANCHOR_EVERY * _STEP_ULPS
 DEFAULT_SEGMENT = 1 << 22
 PRIME_COUNT_MAX = 10 ** 12     # int64-exact; ~50 MB of arrays at the cap
 DETAIL_LIMIT_MAX = 20_000_000  # per-jump tables above this would not be desk scale
@@ -91,89 +87,18 @@ assert 2 * SCALE["Pi"] < 1 << 53
 # a read at jump k from one side, as weights on (R[k - 1], R[k]) over 2 SCALE
 _SIDES = {"left": (2, 0), "at": (1, 1), "right": (0, 2)}
 
-def _log_fixed(p: int, bits: int = FIX_BITS) -> int:
-    """round(log(p) * 2^bits), half up, from log(p) rounded to LOG_PREC bits.
+def _log_fixed(p: int) -> int:
+    """round(log(p) * 2^FIX_BITS), half up, from log(p) rounded to LOG_PREC
+    bits, for p >= 2: the step of a prime p in the exact theta and psi
+    columns.
 
-    The same arithmetic as floor(mp.log(p) * 2^bits + 1/2) at LOG_PREC bits,
-    done on the mantissa: the scaling by 2^bits is exact, and so is adding
-    1/2, because log(p) * 2^bits is far below 2^(LOG_PREC - 1) for both
-    widths used, FIX_BITS and CARRY_BITS.  Tables take it at CARRY_BITS as
-    the anchor of each run of carried logs, and at FIX_BITS for the rare
-    carried value that lands near a rounding tie (``_prime_logs``).
+    The same arithmetic as floor(mp.log(p) * 2^FIX_BITS + 1/2) at LOG_PREC
+    bits, done on the mantissa: the scaling by 2^FIX_BITS is exact, and so
+    is adding 1/2, because log(p) * 2^FIX_BITS is far below 2^(LOG_PREC - 1).
     """
     _, man, exp, _ = libmp.mpf_log(libmp.from_int(p), LOG_PREC, "n")
-    shift = exp + bits
-    if shift >= 0:
-        return man << shift
-    return (man + (1 << (-shift - 1))) >> -shift
-
-
-def _carried_logs(primes: list[int]) -> list[int]:
-    """log(p) * 2^CARRY_BITS as integers, within a proven bound, for a run
-    of consecutive primes.
-
-    The first prime, and every ANCHOR_EVERY-th after it, is anchored with
-    ``_log_fixed(p, CARRY_BITS)``; each other prime p is carried from the
-    one before it, q, as
-
-        log p = log q + 2 atanh(u),  u = g / s,  g = p - q,  s = p + q,
-
-    with 2 atanh(u) = sum_k 2 u^(2k+1) / (2k+1) summed in integers of
-    W = CARRY_BITS fractional bits: t_0 = floor(2 g 2^W / s),
-    t_k = floor(t_(k-1) g^2 / s^2), adding floor(t_k / (2k+1)) until t_K = 0.
-
-    Error of one step, in units of 2^-W.  Every operation rounds down, so a
-    step never exceeds its true value tau = sum_k tau_k / (2k+1),
-    tau_k = 2 u^(2k+1) 2^W.  Consecutive primes have u <= 1/4 (p <= 5q/3:
-    checked below 25, and above it Nagura's prime in (n, 6n/5) gives it).
-    The shortfall d_k = tau_k - t_k obeys d_0 < 1 and d_k < d_(k-1) u^2 + 1,
-    so d_k < 16/15.  Each summand is then short by less than
-    1 + (16/15) / (2k+1).  Every t_k with k < K is at least 1, so
-    2^(W + 1 - 2(2k+1)) >= tau_k >= 1 bounds K by 36; and the first zero
-    t_K leaves tau_K < 1 + 1/15 and a tail below (16/15)^2 / (2K+1) < 1.
-    So a step is short by less than 36 + (16/15) sum_(k<36) 1/(2k+1) + 1
-    < 36 + 3 + 1 = _STEP_ULPS = 40 units.
-
-    The anchor is off by at most 1/2 unit from rounding plus the reference's
-    own error: log p < 2^5 below DETAIL_LIMIT_MAX, so rounding it to
-    LOG_PREC = 160 bits costs under 2^-155, 2^-11 units.  n steps past an
-    anchor the carried value is therefore within 1 + 40 n units of
-    log(p) 2^W, and within that plus 2^-11 of the LOG_PREC reference.
-    """
-    out = []
-    for i, p in enumerate(primes):
-        if i % ANCHOR_EVERY == 0:
-            c = _log_fixed(p, CARRY_BITS)
-        else:
-            g, s = p - q, p + q
-            t = (g << (CARRY_BITS + 1)) // s
-            c += t
-            g2, s2 = g * g, s * s
-            k = 3
-            while t:
-                t = t * g2 // s2
-                c += t // k
-                k += 2
-        out.append(c)
-        q = p
-    return out
-
-
-def _prime_logs(primes: list[int]) -> list[int]:
-    """``_log_fixed(p)`` for a run of consecutive primes, bit for bit.
-
-    Each carried value (``_carried_logs``) is rounded half up to FIX_BITS.
-    It lies within _TIE_BAND units of 2^-CARRY_BITS of the LOG_PREC
-    reference that ``_log_fixed`` rounds, so when it is farther than that
-    from every rounding tie, both lie strictly inside the same rounding
-    interval and round alike.  Any other prime takes ``_log_fixed`` itself.
-    """
-    drop = CARRY_BITS - FIX_BITS
-    half, low = 1 << (drop - 1), (1 << drop) - 1
-    return [
-        _log_fixed(p) if abs((c & low) - half) <= _TIE_BAND else (c + half) >> drop
-        for p, c in zip(primes, _carried_logs(primes))
-    ]
+    shift = -exp - FIX_BITS
+    return (man + (1 << (shift - 1))) >> shift
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -215,20 +140,23 @@ def _segment_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PrimeTables:
-    """Per-jump exact tables of the normalized counting functions.
+    """Per-jump tables of the normalized counting functions.
 
     Arrays are indexed by jump points (prime powers <= limit, ascending).
     ``right[kind][k]`` is SCALE[kind] times the count just after jump k, an
-    exact int for every kind.
+    exact int for every kind (``_RightLimits``).
     """
 
     limit: int
     jumps: np.ndarray          # int64 prime powers
     jump_m: np.ndarray         # int64 exponent
-    right: dict                # kind -> right limits over SCALE[kind]: int64 for
-                               # pi and Pi, lists of Python ints for theta and psi
+    jump_p: np.ndarray         # int64 prime under each jump
 
     # -- exact accessors ------------------------------------------------
+
+    @cached_property
+    def right(self) -> Mapping:
+        return _RightLimits(self.jump_m, self.jump_p)
 
     @property
     def primes(self) -> np.ndarray:
@@ -253,7 +181,7 @@ class PrimeTables:
         'at' their mean, the starred value.  Below the first jump (k = -1)
         and left of it (k = 0, 'left') the sum is empty, 0.
         """
-        if kind not in self.right:
+        if kind not in SCALE:
             raise ParameterError(f"unknown counting kind {kind!r}")
         col = self.right[kind]
         w_left, w_right = _SIDES[side]
@@ -279,21 +207,25 @@ class PrimeTables:
         """float64 per-jump arrays: the jumps ``x`` and, per side and kind,
         the left limit, starred value and right limit.
 
-        Each entry is the correctly rounded image of the exact ``scaled``
-        read: the right limits R[k] / SCALE and the starred values
-        (R[k - 1] + R[k]) / (2 SCALE), their numerators summed exactly, in
-        int64 for an int64 column and as Python ints otherwise
-        (``_exact_quotients``).
+        pi and Pi: the correctly rounded images of the exact ``scaled``
+        reads, the right limits R[k] / SCALE and the starred values
+        (R[k - 1] + R[k]) / (2 SCALE), their numerators summed exactly in
+        int64 (``_exact_quotients``).  theta and psi: the same reads of the
+        running sums of the float64 logs of the primes, within the bound
+        of ``_log_sum_reads`` of the exact reads.
         """
         views = {"x": _read_only(self.jumps.astype(np.float64)), "left": {}, "at": {}, "right": {}}
-        for kind, rights in self.right.items():
-            col = rights if isinstance(rights, np.ndarray) else np.array(rights, dtype=object)
-            sums = col.copy()
-            sums[1:] += col[:-1]
-            right = _exact_quotients(col, SCALE[kind])
+        logs = np.log(self.jump_p.astype(np.float64))
+        for kind in SCALE:
+            if kind in ("pi", "Pi"):
+                col = self.right[kind]
+                right = _exact_quotients(col, SCALE[kind])
+                at = _exact_quotients(_pair_sums(col), 2 * SCALE[kind])
+            else:
+                right, at = _log_sum_reads(np.where(self.jump_m == 1, logs, 0.0) if kind == "theta" else logs)
             views["right"][kind] = _read_only(right)
             views["left"][kind] = _read_only(np.concatenate(([0.0], right[:-1])))
-            views["at"][kind] = _read_only(_exact_quotients(sums, 2 * SCALE[kind]))
+            views["at"][kind] = _read_only(at)
         return views
 
     @cached_property
@@ -334,20 +266,67 @@ class PrimeTables:
         return self._deviation_cache[key]
 
 
+class _RightLimits(Mapping):
+    """kind -> the exact right limits over SCALE[kind], each column built on
+    its first read: int64 for pi and Pi, lists of Python ints for theta and
+    psi, whose steps are ``_log_fixed`` of the prime under each jump."""
+
+    def __init__(self, jump_m: np.ndarray, jump_p: np.ndarray):
+        self._m, self._p, self._columns = jump_m, jump_p, {}
+
+    def __iter__(self):
+        return iter(SCALE)
+
+    def __len__(self) -> int:
+        return len(SCALE)
+
+    def __contains__(self, kind) -> bool:
+        return kind in SCALE
+
+    def __getitem__(self, kind: str):
+        if kind not in self._columns:
+            self._columns[kind] = self._build(kind)
+        return self._columns[kind]
+
+    def _build(self, kind: str):
+        is_prime = self._m == 1
+        if kind == "pi":
+            return np.cumsum(is_prime, dtype=np.int64)
+        if kind == "Pi":
+            return np.cumsum(SCALE["Pi"] // self._m)
+        if kind == "theta":
+            return list(accumulate(map(operator.mul, self._logs, is_prime.tolist())))
+        if kind == "psi":
+            return list(accumulate(self._logs))
+        raise KeyError(kind)
+
+    @cached_property
+    def _logs(self) -> list[int]:
+        """``_log_fixed`` of the prime under each jump, each prime's once."""
+        primes = self._p[self._m == 1].tolist()
+        fixed = dict(zip(primes, map(_log_fixed, primes)))
+        return list(map(fixed.__getitem__, self._p.tolist()))
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _exact_quotients(nums: np.ndarray, den: int) -> np.ndarray:
-    """float64 n / den, correctly rounded, for an int64 or object array of
-    ints n >= 0.
+def _pair_sums(col: np.ndarray) -> np.ndarray:
+    """col[k - 1] + col[k] at every k, col[-1] taken as 0."""
+    sums = col.copy()
+    sums[1:] += col[:-1]
+    return sums
 
-    numpy's int64- and object-to-float64 casts round each int once,
-    correctly.  For a power-of-two ``den`` the division is then an exact
-    ldexp.  Otherwise the cast is exact for n < 2^53, where an IEEE division
-    by a den below 2^53 rounds once, correctly; any larger n is divided
-    exactly, one by one.
+
+def _exact_quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """float64 n / den, correctly rounded, for an int64 array of n >= 0.
+
+    numpy's int64-to-float64 cast rounds each int once, correctly.  For a
+    power-of-two ``den`` the division is then an exact ldexp.  Otherwise the
+    cast is exact for n < 2^53, where an IEEE division by a den below 2^53
+    rounds once, correctly; any larger n is divided exactly, one by one.
     """
     floats = nums.astype(np.float64)
     shift = den.bit_length() - 1
@@ -359,25 +338,54 @@ def _exact_quotients(nums: np.ndarray, den: int) -> np.ndarray:
     return out
 
 
-def _build_segments(limit: int, segment_size: int, base):
-    """Generate each segment's jumps, ascending, as three columns: the prime
-    powers n, their exponents m and, as a list, the log of the prime under
-    each, over 2^-FIX_BITS.
+_HALF_BITS = 29   # each log is 2^-53 times an integer below 2^(2 _HALF_BITS)
 
-    The logs of each segment's primes are carried from prime to prime and
-    anchored at the segment's first prime, so a segment depends on nothing
-    built before it; powers take the logs of the sieving base's primes.
+
+def _log_sum_reads(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(right, at): the float64 running sums S_k of ``logs`` and the starred
+    values (S_(k-1) + S_k) / 2, each correctly rounded from the exact sum of
+    the float64 terms, for terms 0 or in [1/2, 32) and fewer than 2^23.
+
+    A float64 in [1/2, 32) is 2^-53 times an integer below 2^58, so each
+    term splits exactly into two 29-bit halves, a high and a low one, and
+    int64 running sums of each half, and their pairwise sums, stay below
+    2^53.  The high sum times 2^29 and the low sum are then exact doubles,
+    and one IEEE addition rounds their total, the exact sum, once.
+
+    The bound.  For theta and psi the terms are fl(log p) = ``np.log(p)``
+    for the prime p under each jump, so a view v of a count c differs from
+    c by at most 1/2 ulp(v) + sum |fl(log p) - log p| over the logs summed,
+    and from the exact read of the 96-bit columns by under 2^-96 more per
+    log.  numpy does not prove its log's accuracy: the assumption
+    |fl(log p) - log p| <= ulp(fl(log p)) is a measured one.  Over all
+    1,270,607 primes <= 2e7, ``np.log`` is correctly rounded at every prime
+    but 45, the worst of those within 0.50013 ulp.  With log p < 17 every
+    ulp is at most 2^-48, so at 2e7 the bound is below
+    1/2 ulp(2e7) + 1,270,607 * 2^-48 < 7e-9 (5.3e-9 summed term by term),
+    and at every jump to 2e7 it is under 1.3e-4 of the guard band of each
+    theta and psi spec ``verify-primes`` scans.
     """
-    base_primes = base.tolist()
-    base_logs = _prime_logs(base_primes)
-    # every power p^m <= limit, m >= 2, of a base prime: (n, m, index of p)
+    units = np.ldexp(logs, 53).astype(np.int64)
+    assert len(units) < 1 << 23
+    halves = np.cumsum(units >> _HALF_BITS), np.cumsum(units & ((1 << _HALF_BITS) - 1))
+
+    def rounded(high, low, exp):
+        return np.ldexp(np.ldexp(high, _HALF_BITS) + low, -exp)
+
+    return rounded(*halves, 53), rounded(*map(_pair_sums, halves), 54)
+
+
+def _build_segments(limit: int, segment_size: int, base):
+    """Generate each segment's jumps, ascending, as three int64 columns: the
+    prime powers n, their exponents m and the prime under each."""
+    # every power p^m <= limit, m >= 2, of a base prime: (n, m, p)
     powers = []
-    for i, p in enumerate(base_primes):
+    for p in base.tolist():
         n, m = p * p, 2
         while n <= limit:
-            powers.append((n, m, i))
+            powers.append((n, m, p))
             n, m = n * p, m + 1
-    pow_n, pow_m, pow_i = np.array(sorted(powers), dtype=np.int64).reshape(-1, 3).T
+    pow_n, pow_m, pow_p = np.array(sorted(powers), dtype=np.int64).reshape(-1, 3).T
     lo = 2
     while lo <= limit:
         hi = min(lo + segment_size, limit + 1)
@@ -387,13 +395,13 @@ def _build_segments(limit: int, segment_size: int, base):
         jumps = np.concatenate((seg_primes, pow_n[a:b]))
         order = np.argsort(jumps, kind="stable")
         jump_m = np.concatenate((np.ones(len(seg_primes), np.int64), pow_m[a:b]))
-        logs = _prime_logs(seg_primes.tolist()) + [base_logs[i] for i in pow_i[a:b].tolist()]
-        yield jumps[order], jump_m[order], list(map(logs.__getitem__, order.tolist()))
+        jump_p = np.concatenate((seg_primes, pow_p[a:b]))
+        yield jumps[order], jump_m[order], jump_p[order]
         lo = hi
 
 
 def build_tables(limit: int, *, segment_size: int = DEFAULT_SEGMENT) -> PrimeTables:
-    """Sieve to ``limit`` and assemble exact per-jump tables."""
+    """Sieve to ``limit`` and assemble per-jump tables."""
     limit = int(limit)
     if limit < 100:
         raise ParameterError("build_tables requires limit >= 100")
@@ -403,19 +411,8 @@ def build_tables(limit: int, *, segment_size: int = DEFAULT_SEGMENT) -> PrimeTab
             "for plain counts beyond that"
         )
     base = _simple_sieve(int(limit ** 0.5) + 1)
-    jumps, jump_m, logs = zip(*_build_segments(limit, segment_size, base))
-    jumps, jump_m = np.concatenate(jumps), np.concatenate(jump_m)
-    logs = list(chain.from_iterable(logs))
-    is_prime = jump_m == 1
-    # each jump's step in every column, summed into its exact right limits:
-    # pi and Pi in int64 (Pi stays below 2^53), theta and psi as Python ints
-    right = {
-        "pi": np.cumsum(is_prime, dtype=np.int64),
-        "theta": list(accumulate(map(operator.mul, logs, is_prime.tolist()))),
-        "psi": list(accumulate(logs)),
-        "Pi": np.cumsum(SCALE["Pi"] // jump_m),
-    }
-    return PrimeTables(limit=limit, jumps=jumps, jump_m=jump_m, right=right)
+    jumps, jump_m, jump_p = map(np.concatenate, zip(*_build_segments(limit, segment_size, base)))
+    return PrimeTables(limit=limit, jumps=jumps, jump_m=jump_m, jump_p=jump_p)
 
 
 def psi_theta_gap(x, tables: PrimeTables) -> mpf:

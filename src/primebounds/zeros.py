@@ -133,7 +133,9 @@ def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
     once at the working precision, with one integer division and one
     round-half-even step (``_round_decimal``): the correctly rounded value
     ``mpf(token)`` gives.  Any other token goes through ``mpf(token)``,
-    whose value is its own exact ratio.  Positivity and ascending order are
+    whose value is its own exact ratio, once its magnitude is known to lie
+    in the finite double range, below 2^1024 and not below 2^-1074; an
+    exponent outside it is refused.  Positivity and ascending order are
     checked on the exact ratios (numerators alone when two decimals have the
     same d), and two ordinates that round to the same value count as not
     ascending: as rounding is monotone, that rejects exactly what comparing
@@ -183,7 +185,11 @@ def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
                     raise ZeroDataError(f"{path}:{line_no}: not a number: {token!r}") from exc
                 if not mp.isfinite(value):
                     raise ZeroDataError(f"{path}:{line_no}: non-finite ordinate {token}")
-                sign, man, exp, _ = g = value._mpf_
+                sign, man, exp, bc = g = value._mpf_
+                # only a magnitude in the finite double range is shifted into an
+                # exact ratio: 1e100000000 would build a 40 MB integer first
+                if not -1074 < exp + bc <= 1024:
+                    raise ZeroDataError(f"{path}:{line_no}: out-of-range ordinate {token}")
                 num, den = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
                 decimals = len(token.split(".")[1]) if "." in token else 0
             if num <= 0:
@@ -320,17 +326,3 @@ def check_kernel_weights(zeros: ZeroList, params: KernelParams) -> Verdict:
                            warning=f"weight {float(weight(first))} outside (0,1] at gamma={float(gammas[first])}")
         return Verdict(True, checked=n, skipped_out_of_band=skipped,
                        min_weight=lo, max_weight=hi, warning="")
-
-
-def riemann_count_estimate(t) -> mpf:
-    """Main term of the zero-counting function: (t/2pi) log(t/2pi) - t/2pi + 7/8.
-
-    Used as an ingestion sanity check: a healthy table's count below t stays
-    within a few percent of this for t well above the first zero.
-    """
-    with working_precision():
-        t = mpf(t)
-        if t <= 2 * mp.pi:
-            raise ParameterError("count estimate needs t > 2*pi")
-        r = t / (2 * mp.pi)
-        return +(r * mp.log(r) - r + mpf(7) / 8)

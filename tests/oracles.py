@@ -7,7 +7,9 @@ series, the large-argument li sanity value comes from the divergent
 asymptotic series truncated at its smallest term, the fixed-point prime
 logs are rounded by mpmath's high-level floor instead of integer shifts,
 the normalized prime counts come from prime powers found by trial division,
-summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi), plain prime
+summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi), the float64
+theta and psi scan views are held to their stated error bound against the
+exact 96-bit columns in integer arithmetic, plain prime
 counts come from one odd-only segmented sieve pass instead of Lucy's
 recursion, the kernel weights are evaluated at every in-band ordinate
 instead of at the two ends the monotonicity lemma allows, the
@@ -92,6 +94,40 @@ def log_fixed_mp(p, fix_bits=96, prec=160):
     """round(log(p) * 2^fix_bits), half up, through mpmath's high-level API."""
     with mp.workprec(prec):
         return int(mp.floor(mp.log(p) * (mpf(2) ** fix_bits) + mpf("0.5")))
+
+
+def log_view_bounds(tables):
+    """The float64 theta and psi views against the exact 96-bit columns.
+
+    For each kind and side: (slack, bound).  ``bound`` is the stated error
+    bound of each view entry v at every jump (``primes._log_sum_reads``),
+    1/2 ulp(v) + sum ulp(fl(log p)) + 2^-96 per log summed, as floats;
+    ``slack`` is the least of bound - |v - exact read| over the jumps,
+    exactly, as an integer over 2^97: negative when a view breaks it.
+    """
+    logs = np.log(tables.jump_p.astype(np.float64))
+    out = {}
+    for kind in ("theta", "psi"):
+        terms = np.where(tables.jump_m == 1, logs, 0.0) if kind == "theta" else logs
+        # running counts of 2^-53 units of ulp(fl(log p)) and of logs summed,
+        # each at k and, for the starred read, at k - 1 and k (their larger)
+        ulps = np.cumsum(np.where(terms > 0, np.ldexp(np.spacing(terms), 53), 0).astype(np.int64))
+        n_logs = np.cumsum(terms > 0)
+        right = [2 * r for r in tables.right[kind]]
+        exact = {"right": right, "left": [0] + right[:-1],
+                 "at": [(a + b) // 2 for a, b in zip([0] + right[:-1], right)]}
+        out[kind] = {}
+        for side, reads in exact.items():
+            view = tables.float_views[side][kind]
+            u, n = (np.concatenate(([0], ulps[:-1])), np.concatenate(([0], n_logs[:-1]))) \
+                if side == "left" else (ulps, n_logs)
+            half_ulp = np.ldexp(np.spacing(view), 96)
+            slack = min(int(h) + (int(ui) << 44) + 2 * int(ni) - abs(int(v * 2.0 ** 97) - r)
+                        for v, r, h, ui, ni in zip(view.tolist(), reads, half_ulp.tolist(),
+                                                   u.tolist(), n.tolist()))
+            bound = np.ldexp(half_ulp, -97) + np.ldexp(u.astype(np.float64), -53) + np.ldexp(n, -96)
+            out[kind][side] = slack, bound
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +247,9 @@ def load_zeros_rational(path, limit=None):
                         raise ZeroDataError(f"{path}:{line_no}: not a number: {token!r}") from exc
                     if not mp.isfinite(value):
                         raise ZeroDataError(f"{path}:{line_no}: non-finite ordinate {token}")
-                    sign, man, exp, _ = g = value._mpf_
+                    sign, man, exp, bc = g = value._mpf_
+                    if not -1074 < exp + bc <= 1024:
+                        raise ZeroDataError(f"{path}:{line_no}: out-of-range ordinate {token}")
                     num, den = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
                     decimals = len(token.split(".")[1]) if "." in token else 0
                 if num <= 0:

@@ -259,7 +259,7 @@ def test_criterion_9_property_suites(tables_1e6):
             ok &= bool(abs(li(x) - mpf(frozen)) / mpf(frozen) < mpf("1e-12"))
         ok &= bool(abs(bessel_i1(1) - bessel_i1_series(1)) / bessel_i1(1) < mpf("1e-12"))
         # restart identity: a build cut into segments, each restarting the
-        # sieve and the carried logs, equals the one-segment build
+        # sieve, equals the one-segment build, exact columns included
         whole = build_tables(10 ** 5)
         cut = build_tables(10 ** 5, segment_size=2 ** 14)
         ok &= set(whole.right) == {"pi", "theta", "psi", "Pi"}

@@ -187,7 +187,12 @@ class TestZeros:
         ("14.134725141\n25.010857580\n21.022039639\n", "z.txt:3: ordinates not ascending"),
         ("14.134725141\n21.0x\n", "z.txt:2: not a number: '21.0x'"),
         ("21.022039639\n25.010857580\n", "is not the first zeta zero"),
-    ], ids=["descending", "non-numeric", "no-first-zero"])
+        ("14.134725141\n1e100000000\n", "z.txt:2: out-of-range ordinate 1e100000000"),
+        ("14.134725141\n1e-100000000\n", "z.txt:2: out-of-range ordinate 1e-100000000"),
+        ("14.134725141\n1.4e100000000000000000000000000000000000000001\n",
+         "z.txt:2: out-of-range ordinate 1.4e1000"),
+    ], ids=["descending", "non-numeric", "no-first-zero", "exponent-1e8", "exponent-minus-1e8",
+            "exponent-41-digits"])
     def test_bad_ordinate_file_is_one_line_config_error(self, runner, tmp_path, rows, message):
         p = tmp_path / "z.txt"
         p.write_text(rows)

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from primebounds import published
-from primebounds.primes import DETAIL_LIMIT_MAX, SCALE, _exact_quotients, _prime_logs, build_tables
+from primebounds.primes import DETAIL_LIMIT_MAX, SCALE, _exact_quotients, _log_fixed, _pair_sums, build_tables
 from primebounds.ramanujan import Regime, regime_schedule, step_verify
+
+from .test_primes import _assert_log_views_within_bound
 
 A8PI = 0.039788735772973836
 
@@ -56,11 +58,10 @@ def test_tables_at_the_detail_limit():
     pass 2^53 and the theta and psi columns reach 121 bits."""
     tables = build_tables(DETAIL_LIMIT_MAX)
     ns, ms = tables.jumps.tolist(), tables.jump_m.tolist()
-    primes = tables.primes.tolist()
-    logs = dict(zip(primes, _prime_logs(primes)))
-    under = [n if m == 1 else round(n ** (1 / m)) for n, m in zip(ns, ms)]
+    under = tables.jump_p.tolist()
     assert all(p ** m == n for p, m, n in zip(under, ms, ns))
-    # theta and psi: running sums of one carried run of logs over all primes
+    logs = {p: _log_fixed(p) for p in tables.primes.tolist()}
+    # theta and psi: running sums of the logs of the primes under the jumps
     assert tables.right["theta"] == list(accumulate(logs[p] if m == 1 else 0
                                                     for p, m in zip(under, ms)))
     assert tables.right["psi"] == list(accumulate(logs[p] for p in under))
@@ -70,16 +71,18 @@ def test_tables_at_the_detail_limit():
         assert tables.right[kind].dtype == np.int64
         assert tables.right[kind].tolist() == list(accumulate(steps)), kind
     assert tables.right["Pi"][-1] < 2 ** 53
-    # every float view: _exact_quotients of the exact column as an object
-    # array of Python ints, the form theta and psi take
+    # pi and Pi views: each exact read divided as a Python int, correctly
+    # rounded; theta and psi views: within their stated bound
     views = tables.float_views
-    for kind, col in tables.right.items():
-        exact = np.array([int(v) for v in col], dtype=object)
-        sums = exact.copy()
-        sums[1:] += exact[:-1]
-        right = _exact_quotients(exact, SCALE[kind])
-        assert np.array_equal(views["right"][kind], right), kind
-        assert np.array_equal(views["left"][kind], np.concatenate(([0.0], right[:-1]))), kind
+    for kind in ("pi", "Pi"):
+        col = tables.right[kind].tolist()
+        sums = _pair_sums(tables.right[kind])
+        right = [n / SCALE[kind] for n in col]
+        assert views["right"][kind].tolist() == right, kind
+        assert views["left"][kind].tolist() == [0.0] + right[:-1], kind
+        assert views["at"][kind].tolist() == [n / (2 * SCALE[kind]) for n in sums.tolist()], kind
         assert np.array_equal(views["at"][kind], _exact_quotients(sums, 2 * SCALE[kind])), kind
         if kind == "Pi":   # these reads take the exact per-entry division
             assert int(np.count_nonzero(sums >= 2 ** 53)) == 429_871
+    for kind in ("theta", "psi"):
+        _assert_log_views_within_bound(tables, kind)

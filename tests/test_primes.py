@@ -25,16 +25,15 @@ from primebounds import primes, published
 from primebounds.cli import EXIT_PASS, cli
 from primebounds.hiprec import li, working_precision
 from primebounds.primes import (
-    _STEP_ULPS,
-    ANCHOR_EVERY,
-    CARRY_BITS,
+    _SIDES,
     FIX_BITS,
     PRIME_COUNT_MAX,
     SCALE,
     InequalitySpec,
     ParameterError,
-    _carried_logs,
+    _exact_quotients,
     _log_fixed,
+    _log_sum_reads,
     _recheck,
     _simple_sieve,
     build_tables,
@@ -49,6 +48,7 @@ from primebounds.primes import (
 from .oracles import (
     count_star,
     log_fixed_mp,
+    log_view_bounds,
     prime_powers,
     scan_inequality_sampled,
     sieve_prime_counts,
@@ -163,12 +163,29 @@ def _assert_count_matches_oracle(tables, kind, x):
             assert err <= (k + 1) * mpf(2) ** -FIX_BITS, (kind, x, err)
 
 
+def _rounded_columns(tables) -> dict:
+    """Each kind's exact column that its float views round, with the
+    column's denominator: the right limits over SCALE for pi and Pi, the
+    running sums of the float64 logs over 2^53 for theta and psi."""
+    units = [int(v * 2.0 ** 53) for v in np.log(tables.jump_p.astype(np.float64)).tolist()]
+    is_prime = (tables.jump_m == 1).tolist()
+    return {"pi": ([int(v) for v in tables.right["pi"]], SCALE["pi"]),
+            "theta": (list(accumulate(u * m for u, m in zip(units, is_prime))), 1 << 53),
+            "psi": (list(accumulate(units)), 1 << 53),
+            "Pi": ([int(v) for v in tables.right["Pi"]], SCALE["Pi"])}
+
+
 def _assert_views_round_the_exact_reads(tables):
     views = tables.float_views
-    for kind in COUNT_KINDS:
-        for side in ("left", "at", "right"):
-            want = [tables.scaled(kind, k, side) / (2 * SCALE[kind]) for k in range(len(tables.jumps))]
+    for kind, (col, den) in _rounded_columns(tables).items():
+        for side, (w_left, w_right) in _SIDES.items():
+            want = [(w_left * left + w_right * right) / (2 * den)
+                    for left, right in zip([0] + col[:-1], col)]
             assert views[side][kind].tolist() == want, (kind, side)
+
+
+# terms whose running sums and starred values fall on rounding ties
+_LOG_TIES = [32 - 2.0 ** -48, 0.5, 0.5 + 2.0 ** -47, 0.0, 31.0, 0.5 + 2.0 ** -53]
 
 
 class TestCountOracle:
@@ -192,26 +209,47 @@ class TestCountOracle:
             _assert_views_round_the_exact_reads(tables)
 
     def test_float_views_at_rounding_ties_and_past_2_53(self):
-        # theta and psi: 55-bit right limits over 2^96 and 56-bit starred
-        # numerators over 2^97, each halfway between two doubles; Pi: right
-        # limits and starred numerators on both sides of 2^53
-        n = 80
-        ties_down = [(2 ** 54 + 2 + 8 * j) << 40 for j in range(n)]
-        ties_up = [(2 ** 54 + 6 + 8 * j) << 40 for j in range(n)]
-        big_Pi = [2 ** 52 - 40 + j for j in range(n - 8)] + [2 ** 53 - 4 + j for j in range(8)]
-        tables = primes.PrimeTables(
-            limit=2 + n, jumps=np.arange(2, 2 + n), jump_m=np.ones(n, dtype=np.int64),
-            right={"pi": list(range(1, n + 1)), "theta": ties_down, "psi": ties_up, "Pi": big_Pi},
-        )
-        _assert_views_round_the_exact_reads(tables)
-        views = tables.float_views
-        for kind in ("theta", "psi"):
-            for side in ("at", "right"):
-                for k, v in enumerate(views[side][kind].tolist()):
-                    exact = Fraction(tables.scaled(kind, k, side), 2 * SCALE[kind])
-                    assert abs(Fraction(v) - exact) == Fraction(math.ulp(v)) / 2, (kind, side, k)
-        sums = [tables.scaled("Pi", k, "at") for k in range(n)]
-        assert min(sums) < 2 ** 53 < max(sums) and max(big_Pi) > 2 ** 53
+        # theta and psi: float log sums halfway between two doubles, 2^-47
+        # apart above 32: 32.5 - 2^-48 rounds up to 32.5, 33 + 2^-48 down
+        # to 33 (the whole list is an example of the test below)
+        right, _ = _log_sum_reads(np.array(_LOG_TIES))
+        for k, want in ((1, 32.5), (2, 33.0)):
+            exact = sum(map(Fraction, _LOG_TIES[: k + 1]))
+            assert right[k] == want and abs(Fraction(want) - exact) == Fraction(2) ** -48
+        # Pi: right limits and starred numerators on both sides of 2^53 over
+        # SCALE and 2 SCALE, and pi's power-of-two denominators
+        nums = [2 ** 52 - 40 + j for j in range(80)] + [2 ** 53 - 4 + j for j in range(8)]
+        nums += [2 ** 54 - 1, 2 ** 62 + 1]
+        for den in (SCALE["Pi"], 2 * SCALE["Pi"], 1, 2):
+            got = _exact_quotients(np.array(nums, dtype=np.int64), den)
+            assert got.tolist() == [n / den for n in nums], den
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.sampled_from(_LOG_TIES[:3]),
+                              st.floats(0.5, 32, exclude_max=True)), min_size=1, max_size=60))
+    @example(_LOG_TIES)
+    def test_float_log_sums_round_the_exact_sums(self, terms):
+        right, at = _log_sum_reads(np.array(terms))
+        units = list(accumulate(int(t * 2.0 ** 53) for t in terms))
+        assert right.tolist() == [u / 2 ** 53 for u in units]
+        assert at.tolist() == [(a + b) / 2 ** 54 for a, b in zip([0] + units[:-1], units)]
+
+    @pytest.mark.parametrize("kind", ["theta", "psi"])
+    def test_log_views_within_their_bound_of_the_exact_reads(self, tables_1e6, kind):
+        _assert_log_views_within_bound(tables_1e6, kind)
+
+
+def _assert_log_views_within_bound(tables, kind):
+    """Every theta or psi float view lies within its stated bound of the exact
+    read, and the bound stays under 0.1% of the guard band of each spec on
+    that kind, at every jump."""
+    sqrt_x, log_x = np.sqrt(tables.jumps.astype(np.float64)), np.log(tables.jumps.astype(np.float64))
+    for side, (slack, bound) in log_view_bounds(tables)[kind].items():
+        assert slack >= 0, (kind, side)
+        for spec in VERIFY_SPECS:
+            if spec.count_kind == kind:
+                band = 1e-9 * np.maximum(spec.envelope(sqrt_x, log_x), 1.0)
+                assert np.max(bound / band) < 1e-3, (spec, side)
 
 
 class TestPsiThetaGap:
@@ -603,6 +641,9 @@ class TestLogFixed:
 
 
 class TestCarriedLogs:
+    """The exact theta and psi columns: running sums of ``_log_fixed``,
+    however the sieve is cut into segments."""
+
     def test_theta_psi_columns_sum_the_oracle_logs(self, tables_1e6):
         logs = {p: log_fixed_mp(p) for p in tables_1e6.primes.tolist()}
         steps = {"theta": [], "psi": []}
@@ -614,50 +655,15 @@ class TestCarriedLogs:
         for kind, col in steps.items():
             assert tables_1e6.right[kind] == list(accumulate(col)), kind
 
-    def test_segmented_build_matches_one_segment_and_exact_logs(self, monkeypatch):
-        # 1e4-wide segments restart the carry at each segment's first prime;
-        # one segment runs 17,984 primes through four anchors
+    def test_segmented_build_matches_one_segment_and_exact_logs(self):
+        # 1e4-wide segments restart the sieve twenty times
         limit = 2 * 10 ** 5
-        sizes = (10 ** 4, primes.DEFAULT_SEGMENT)
-        carried = {size: build_tables(limit, segment_size=size) for size in sizes}
-        one, segmented = carried[primes.DEFAULT_SEGMENT], carried[10 ** 4]
-        assert np.array_equal(one.jumps, segmented.jumps)
-        assert np.array_equal(one.jump_m, segmented.jump_m)
+        one = build_tables(limit)
+        segmented = build_tables(limit, segment_size=10 ** 4)
+        for column in ("jumps", "jump_m", "jump_p"):
+            assert np.array_equal(getattr(one, column), getattr(segmented, column)), column
         assert _columns(one) == _columns(segmented)
-        # the same builds with every log from _log_fixed give the same columns
-        monkeypatch.setattr(primes, "_prime_logs", lambda ps: [_log_fixed(p) for p in ps])
-        for size in sizes:
-            exact = build_tables(limit, segment_size=size)
-            assert np.array_equal(exact.jumps, carried[size].jumps), size
-            assert _columns(exact) == _columns(carried[size]), size
-
-    def test_band_covering_everything_falls_back_at_every_prime(self, monkeypatch):
-        want = build_tables(10 ** 5)
-        exact_calls = []
-        real_log_fixed = primes._log_fixed
-
-        def counting(p, bits=FIX_BITS):
-            exact_calls.extend([p] if bits == FIX_BITS else [])
-            return real_log_fixed(p, bits)
-
-        monkeypatch.setattr(primes, "_log_fixed", counting)
-        monkeypatch.setattr(primes, "_TIE_BAND", 1 << (CARRY_BITS - FIX_BITS))
-        got = build_tables(10 ** 5)
-        assert set(exact_calls) == set(got.primes.tolist())
-        assert _columns(got) == _columns(want)
-
-    @pytest.mark.parametrize("start", [2, 10 ** 6])
-    def test_carried_error_over_an_anchor_interval_is_within_the_bound(self, start):
-        # from 2 the steps are the largest, u up to 1/4, and take the most terms
-        ps = [p for p in _simple_sieve(start + 60_000).tolist() if p >= start][: ANCHOR_EVERY + 1]
-        assert len(ps) == ANCHOR_EVERY + 1
-        carried = _carried_logs(ps)
-        with mp.workprec(300):
-            errs = [abs(c - mp.log(p) * mpf(2) ** CARRY_BITS) for p, c in zip(ps, carried)]
-        for n, err in enumerate(errs[:ANCHOR_EVERY]):
-            assert err < 1 + n * _STEP_ULPS, (n, err)
-        assert max(errs) < primes._TIE_BAND
-        assert carried[ANCHOR_EVERY] == _log_fixed(ps[ANCHOR_EVERY], CARRY_BITS)
+        assert one.float_views["at"]["psi"].tolist() == segmented.float_views["at"]["psi"].tolist()
 
 
 _ORACLE_LIMIT = 20_000
@@ -764,6 +770,28 @@ class TestScanContext:
         assert [r.n_points for r in reports] == [
             54_559, 55_250, 54_939, 55_975, 54_707, 55_639, 54_392, 54_392, 54_376, 54_376]
         assert [r.n_rechecked for r in reports] == [0] * 10
+
+    def test_exact_log_columns_are_built_only_when_read(self, monkeypatch):
+        calls = []
+
+        def counting_log_fixed(p):
+            calls.append(p)
+            return log_fixed(p)
+
+        log_fixed = primes._log_fixed
+        monkeypatch.setattr(primes, "_log_fixed", counting_log_fixed)
+        # the ten verify-primes scans at 2e5 read only the float views
+        res = CliRunner().invoke(cli, ["--format", "json", "verify-primes", "--limit", "2e5"])
+        assert res.exit_code == EXIT_PASS, res.output
+        assert calls == []
+        # the first exact theta or psi read takes each prime's log once
+        tables = build_tables(10 ** 4)
+        for spec in VERIFY_SPECS:
+            scan_inequality(spec, 2, 10 ** 4, tables)
+        assert calls == []
+        assert list(tables.right) == list(SCALE)
+        psi_theta_gap(5000.5, tables)
+        assert sorted(calls) == tables.primes.tolist()
 
     def test_filled_context_gives_the_same_report(self):
         fresh = build_tables(30_000)

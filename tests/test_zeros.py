@@ -19,7 +19,6 @@ from primebounds.zeros import (
     check_kernel_weights,
     check_zero_sum,
     load_zeros,
-    riemann_count_estimate,
 )
 
 from .oracles import check_zero_sum_fsum, kernel_weights_scan, load_zeros_rational
@@ -110,13 +109,31 @@ class TestLoadZeros:
         ("14.134725141\n21.022039639\n21.0220396\n", "z.txt:3: ordinates not ascending"),
         ("14.134725141\n1__000.5\n", "z.txt:2: not a number: '1__000.5'"),
         ("14.134725141\n" + "1" * 5000 + "\n", "z.txt:2: not a number: '111"),
+        ("14.134725141\n1e100000000\n", "z.txt:2: out-of-range ordinate 1e100000000"),
+        ("14.134725141\n1e-100000000\n", "z.txt:2: out-of-range ordinate 1e-100000000"),
+        ("14.134725141\n1.4e100000000000000000000000000000000000000001\n",
+         "z.txt:2: out-of-range ordinate 1.4e100000000000000000000000000000000000000001"),
     ], ids=["14.", "14.-second", "0.000", "-1", "equal", "descending", "double-underscore",
-            "5000-digits"])
+            "5000-digits", "exponent-1e8", "exponent-minus-1e8", "exponent-41-digits"])
     def test_rejections_keep_their_message_and_line(self, tmp_path, rows, message):
         p = tmp_path / "z.txt"
         p.write_text(rows)
         with pytest.raises(ZeroDataError, match=re.escape(message)):
             load_zeros(str(p))
+
+    @pytest.mark.parametrize("token, message", [
+        ("1.7e308", None), ("1.8e308", "out-of-range ordinate 1.8e308"),
+        ("1e-323", "ordinates not ascending"), ("1e-324", "out-of-range ordinate 1e-324"),
+    ])
+    def test_exponent_tokens_are_read_inside_the_double_range(self, tmp_path, token, message):
+        p = tmp_path / "z.txt"
+        p.write_text(f"14.134725141\n{token}\n")
+        if message is None:
+            with working_precision(192):
+                assert load_zeros(str(p)).gammas[1] == mpf(token)
+        else:
+            with pytest.raises(ZeroDataError, match=re.escape(f"z.txt:2: {message}")):
+                load_zeros(str(p))
 
     def test_distinct_tokens_equal_at_the_precision_are_not_ascending(self, tmp_path):
         # 1e-70 apart: equal once rounded to 192 bits, distinct at 256
@@ -150,12 +167,22 @@ class TestLoadZeros:
 
 
 class TestZeroCountSanity:
+    """The bundled list is complete: it holds exactly N(T) ordinates below T.
+
+    N(T) comes from ``mpmath.nzeros``, which counts by Turing's method, so
+    the test is numerical-grade through mpmath's evaluation of Z(t), not a
+    proof.  Turing (1953) bounds the count from the sign changes of Z, and
+    Trudgian (Math. Comp. 2011) gives the explicit S(t) bound that would
+    make such a count rigorous.
+    """
+
     @pytest.mark.parametrize("t,expected", [(100, 29), (1000, 649), (5000, 4520)])
-    def test_counts_match_main_term_within_5_percent(self, zero_list, t, expected):
-        n = zero_list.count_below(t)
-        assert n == expected
-        estimate = riemann_count_estimate(t)
-        assert abs(n - estimate) / estimate < 0.05
+    def test_pinned_counts(self, zero_list, t, expected):
+        assert zero_list.count_below(t) == expected
+
+    @pytest.mark.parametrize("t", range(100, 5000, 250))
+    def test_count_below_equals_nzeros(self, zero_list, t):
+        assert zero_list.count_below(t) == mp.nzeros(t)
 
 
 class TestZeroSum:
