@@ -8,8 +8,9 @@ function's exact value is a column of integer right limits over a fixed
 per-kind scale: pi over 1, theta and psi over 2^96 (each log p is log(p) at
 160-bit precision rounded to 96 fractional bits), Pi over lcm(1..24).  pi and
 Pi are int64 running sums (Pi stays below 2^53), theta and psi running sums
-of Python ints; each column is built on its first read.  Every exact read is
-a left limit, starred value or right limit at one jump.
+of Python ints; each column is built on its first read, theta and psi only
+up to the last jump read so far.  Every exact read is a left limit, starred
+value or right limit at one jump.
 
 The vectorized scans read float64 views instead, built on first use, cached
 on the table read-only and shared by all its scans, with the per-jump arrays
@@ -26,8 +27,8 @@ its two ends.
 Tables are built in full on every call, by segmented sieving, which bounds
 the working memory of the sieve; each segment's jumps are put in order as
 arrays, by one sort.  Plain counts beyond the tables' reach, up to 1e12, come
-from Lucy's O(x^(3/4)) recursion over the values floor(x/k), not from a
-sieve.
+from Lucy's recursion over the values floor(x/k), stopped at the cube root
+of x and finished by the P2 term, not from a sieve.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Optional
 
 import numpy as np
@@ -183,7 +184,7 @@ class PrimeTables:
         """
         if kind not in SCALE:
             raise ParameterError(f"unknown counting kind {kind!r}")
-        col = self.right[kind]
+        col = self.right.prefix(kind, k + 1)
         w_left, w_right = _SIDES[side]
         left = int(col[k - 1]) if k > 0 else 0
         right = int(col[k]) if k >= 0 else 0
@@ -267,12 +268,15 @@ class PrimeTables:
 
 
 class _RightLimits(Mapping):
-    """kind -> the exact right limits over SCALE[kind], each column built on
-    its first read: int64 for pi and Pi, lists of Python ints for theta and
-    psi, whose steps are ``_log_fixed`` of the prime under each jump."""
+    """kind -> the exact right limits over SCALE[kind]: int64 for pi and Pi,
+    lists of Python ints for theta and psi, whose steps are ``_log_fixed``
+    of the prime under each jump.  Each column is built on its first read,
+    theta and psi only as far as the read needs (``prefix``) and extended on
+    later reads, taking each prime's log once."""
 
     def __init__(self, jump_m: np.ndarray, jump_p: np.ndarray):
         self._m, self._p, self._columns = jump_m, jump_p, {}
+        self._fixed, self._reach = {}, 0   # the logs of the primes in jumps[:_reach]
 
     def __iter__(self):
         return iter(SCALE)
@@ -284,28 +288,33 @@ class _RightLimits(Mapping):
         return kind in SCALE
 
     def __getitem__(self, kind: str):
-        if kind not in self._columns:
-            self._columns[kind] = self._build(kind)
-        return self._columns[kind]
+        return self.prefix(kind, len(self._m))
 
-    def _build(self, kind: str):
-        is_prime = self._m == 1
-        if kind == "pi":
-            return np.cumsum(is_prime, dtype=np.int64)
-        if kind == "Pi":
-            return np.cumsum(SCALE["Pi"] // self._m)
-        if kind == "theta":
-            return list(accumulate(map(operator.mul, self._logs, is_prime.tolist())))
+    def prefix(self, kind: str, n: int):
+        """The column of ``kind``, built through at least its first n entries."""
+        if kind in ("pi", "Pi"):
+            if kind not in self._columns:
+                steps = self._m == 1 if kind == "pi" else SCALE["Pi"] // self._m
+                self._columns[kind] = np.cumsum(steps, dtype=np.int64)
+            return self._columns[kind]
+        if kind not in ("theta", "psi"):
+            raise KeyError(kind)
+        col = self._columns.setdefault(kind, [])
+        if n > len(col):
+            total = col[-1] if col else 0
+            col.extend(islice(accumulate(self._steps(kind, len(col), n), initial=total), 1, None))
+        return col
+
+    def _steps(self, kind: str, lo: int, hi: int):
+        """The steps of theta or psi at jumps lo .. hi - 1."""
+        if hi > self._reach:
+            new = self._p[self._reach : hi][self._m[self._reach : hi] == 1].tolist()
+            self._fixed.update(zip(new, map(_log_fixed, new)))
+            self._reach = hi
+        logs = map(self._fixed.__getitem__, self._p[lo:hi].tolist())
         if kind == "psi":
-            return list(accumulate(self._logs))
-        raise KeyError(kind)
-
-    @cached_property
-    def _logs(self) -> list[int]:
-        """``_log_fixed`` of the prime under each jump, each prime's once."""
-        primes = self._p[self._m == 1].tolist()
-        fixed = dict(zip(primes, map(_log_fixed, primes)))
-        return list(map(fixed.__getitem__, self._p.tolist()))
+            return logs
+        return map(operator.mul, logs, (self._m[lo:hi] == 1).tolist())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -782,8 +791,9 @@ def prime_counts(points) -> list[int]:
 
     Count-only path for arguments far beyond what per-jump tables support
     (the Ramanujan counterexample neighborhood needs x ~ 3.8e10): Lucy's
-    recursion, once per distinct point >= 2.  Points above
-    ``PRIME_COUNT_MAX`` are rejected.
+    recursion over the primes up to the cube root of x, finished by the P2
+    term of Meissel and Lehmer (``_lucy_pi``), once per distinct point >= 2.
+    Points above ``PRIME_COUNT_MAX`` are rejected.
     """
     points = [int(x) for x in points]
     if max(points, default=0) > PRIME_COUNT_MAX:
@@ -792,30 +802,57 @@ def prime_counts(points) -> list[int]:
     return [counts.get(x, 0) for x in points]
 
 
-def _lucy_pi(x: int) -> int:
-    """pi(x), x >= 2, by Lucy's recursion: O(x^(3/4)) time, O(sqrt x) memory.
+def _icbrt(x: int) -> int:
+    """floor(x^(1/3)) for x >= 0: a float64 guess, corrected exactly."""
+    c = round(x ** (1 / 3))
+    while c ** 3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    return c
 
-    S(v) starts at v - 1, and each prime p <= sqrt(x) in turn strikes out the
+
+def _lucy_pi(x: int) -> int:
+    """pi(x), x >= 2, by Lucy's recursion stopped at c = icbrt(x) and the P2
+    term: O(x^(3/4) / log x) time, O(sqrt x) memory.
+
+    S(v) starts at v - 1, and each prime p <= c in turn strikes out the
     numbers whose least prime factor is p: S(v) -= S(v // p) - S(p - 1) for
     every v >= p^2, reading the values left by the previous prime.  Only
     v = x // k is ever needed, so S lives in small[v] for v <= r = isqrt(x)
-    and large[k] = S(x // k) for k <= r.  No value or index exceeds x.
+    and large[k] = S(x // k) for k <= r.  No value or index exceeds x.  The
+    index x // (k p) of a large entry read from ``small`` is (x // k) // p:
+    numpy divides an array by one scalar several times faster than x by an
+    array.
+
+    After the primes up to c, S(v) counts the primes up to v and the
+    composites whose least prime factor exceeds c.  Such a composite up to
+    x is p q with c < p <= q primes, since three such factors exceed x.  Let
+    q1 be the least prime above c, so q1^3 > x.  Every v <= r is below q1^2,
+    so small[v] = pi(v); for every prime p > c, x // p <= x / q1 < q1^2, so
+    large[p] = pi(x // p).  So S(x) = pi(x) + P2 with
+    P2 = sum over primes c < p <= r of (pi(x // p) - pi(p) + 1), the number
+    of primes q with p <= q <= x // p, read from the arrays as they stand.
     """
     r = math.isqrt(x)
     ks = np.arange(r + 1, dtype=np.int64)
     small = np.maximum(ks - 1, 0)
-    large = x // np.maximum(ks, 1) - 1   # large[0] is never read
-    for p in _simple_sieve(r).tolist():
+    quotients = x // np.maximum(ks, 1)   # x // k; index 0 is never read
+    large = quotients - 1
+    primes = _simple_sieve(r)
+    cut = int(np.searchsorted(primes, _icbrt(x), side="right"))
+    for p in primes[:cut].tolist():
         below = small[p - 1]
+        # p^3 <= x, so x // p^2 > r // p: the second update is never empty
         k_max = min(r, x // (p * p))   # x // k >= p^2
-        inside = min(k_max, r // p)    # k p <= r: x // (k p) is a large entry
+        inside = r // p                # k p <= r: x // (k p) is a large entry
         large[1 : inside + 1] -= large[p : inside * p + 1 : p] - below
-        # the last two updates are empty for most p: skip their numpy calls
-        if k_max > inside:
-            large[inside + 1 : k_max + 1] -= small[x // (ks[inside + 1 : k_max + 1] * p)] - below
+        large[inside + 1 : k_max + 1] -= small[quotients[inside + 1 : k_max + 1] // p] - below
         if p * p <= r:
-            small[p * p :] -= small[ks[p * p :] // p] - below
-    return int(large[1])
+            # v // p for v = p^2 .. r: each j = p .. r // p, p times in turn
+            small[p * p :] -= np.repeat(small[p : r // p + 1] - below, p)[: r - p * p + 1]
+    rest = primes[cut:]
+    return int(large[1] - (large[rest] - small[rest]).sum()) - len(rest)
 
 
 def segmented_prime_count(x: int) -> int:

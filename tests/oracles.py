@@ -11,7 +11,9 @@ summed as Fractions (pi, Pi) or as 192-bit logs (theta, psi), the float64
 theta and psi scan views are held to their stated error bound against the
 exact 96-bit columns in integer arithmetic, plain prime
 counts come from one odd-only segmented sieve pass instead of Lucy's
-recursion, the kernel weights are evaluated at every in-band ordinate
+recursion, and from Lucy's recursion run over every prime up to sqrt x, as
+it was before the loop stopped at the cube root and finished with the P2
+term, the kernel weights are evaluated at every in-band ordinate
 instead of at the two ends the monotonicity lemma allows, the
 inequality scan samples every gap between jumps and checks every integer
 instead of settling gaps from their two ends, and each admissibility
@@ -330,6 +332,32 @@ def sieve_prime_counts(points, segment_size: int = 1 << 24, progress=None) -> li
             progress(hi - 1, top)
         lo = hi
     return counts
+
+
+def lucy_pi_full(x: int) -> int:
+    """pi(x), x >= 2, by Lucy's recursion: O(x^(3/4)) time, O(sqrt x) memory.
+
+    S(v) starts at v - 1, and each prime p <= sqrt(x) in turn strikes out the
+    numbers whose least prime factor is p: S(v) -= S(v // p) - S(p - 1) for
+    every v >= p^2, reading the values left by the previous prime.  Only
+    v = x // k is ever needed, so S lives in small[v] for v <= r = isqrt(x)
+    and large[k] = S(x // k) for k <= r.  No value or index exceeds x.
+    """
+    r = math.isqrt(x)
+    ks = np.arange(r + 1, dtype=np.int64)
+    small = np.maximum(ks - 1, 0)
+    large = x // np.maximum(ks, 1) - 1   # large[0] is never read
+    for p in _simple_sieve(r).tolist():
+        below = small[p - 1]
+        k_max = min(r, x // (p * p))   # x // k >= p^2
+        inside = min(k_max, r // p)    # k p <= r: x // (k p) is a large entry
+        large[1 : inside + 1] -= large[p : inside * p + 1 : p] - below
+        # the last two updates are empty for most p: skip their numpy calls
+        if k_max > inside:
+            large[inside + 1 : k_max + 1] -= small[x // (ks[inside + 1 : k_max + 1] * p)] - below
+        if p * p <= r:
+            small[p * p :] -= small[ks[p * p :] // p] - below
+    return int(large[1])
 
 
 def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16):

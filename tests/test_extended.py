@@ -7,9 +7,10 @@ steps) takes 18 s to 5 minutes, and the whole ladder 25 minutes.  The
 profile runs the rung with the fewest steps, rung 0, in full (about 20 s),
 a million-step block (0.08 s through 15 chunk re-anchor checks, 10.5 s with
 the fixed-point kernel this replaced) and 2e4-step tails of every rung.
-The counterexample boundary at 3.84e10 is four prime counts, about 1.3 s
+The counterexample boundary at 3.84e10 is four prime counts, about 0.25 s
 together, so it runs in the default suite (``tests/test_ramanujan.py``).
-The prime tables are checked at their cap, ``DETAIL_LIMIT_MAX`` = 2e7.
+The prime tables are checked at their cap, ``DETAIL_LIMIT_MAX`` = 2e7, and
+plain prime counts at theirs, ``PRIME_COUNT_MAX`` = 1e12 (1-2 s).
 """
 
 from itertools import accumulate
@@ -18,7 +19,16 @@ import numpy as np
 import pytest
 
 from primebounds import published
-from primebounds.primes import DETAIL_LIMIT_MAX, SCALE, _exact_quotients, _log_fixed, _pair_sums, build_tables
+from primebounds.primes import (
+    DETAIL_LIMIT_MAX,
+    PRIME_COUNT_MAX,
+    SCALE,
+    _exact_quotients,
+    _log_fixed,
+    _pair_sums,
+    build_tables,
+    prime_counts,
+)
 from primebounds.ramanujan import Regime, regime_schedule, step_verify
 
 from .test_primes import _assert_log_views_within_bound
@@ -86,3 +96,9 @@ def test_tables_at_the_detail_limit():
             assert int(np.count_nonzero(sums >= 2 ** 53)) == 429_871
     for kind in ("theta", "psi"):
         _assert_log_views_within_bound(tables, kind)
+
+
+def test_prime_count_at_the_cap():
+    """pi(1e12), the largest count ``prime_counts`` accepts."""
+    assert PRIME_COUNT_MAX == 10 ** 12
+    assert prime_counts([PRIME_COUNT_MAX]) == [37_607_912_018]

@@ -3,7 +3,9 @@
 The files under ``tests/golden/`` are the ``--format json`` output of each
 command below: the derivation and table files were frozen before the
 engine's search was restructured, the sieve, Ramanujan and default
-zero-check files before the sieve layer was, and the partial-band and
+zero-check files before the sieve layer was, the counterexample counts at
+2e8 and at the last counterexample before Lucy's recursion was cut at the
+cube root, and the partial-band and
 vacuous-band zero checks before the kernel-weight check moved from a
 per-zero loop to two endpoint evaluations, and the 256-bit zero check before
 the ordinate ingest and the zero sum moved to integer arithmetic.  Any
@@ -23,7 +25,7 @@ import pytest
 from click.testing import CliRunner
 
 from primebounds import primes, zeros
-from primebounds.cli import EXIT_PASS, cli
+from primebounds.cli import EXIT_FAIL, EXIT_PASS, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,12 +36,16 @@ CASES = {
     "tables_1_2.json": ["tables", "1", "2", "--compare-published"],
     "verify_primes_2e5.json": ["verify-primes", "--limit", "200000"],
     "counterexample_1e7.json": ["ramanujan", "--counterexample", "10000000"],
+    "counterexample_2e8.json": ["ramanujan", "--counterexample", "200000000"],
+    "counterexample_last.json": ["ramanujan", "--counterexample", "38358837682"],
     "ramanujan_list.json": ["ramanujan", "--list"],
     "zeros_check.json": ["zeros", "check"],
     "zeros_check_partial_band.json": ["zeros", "check", "--kernel-c", "3", "--kernel-eps", "0.1", "--t2", "100"],
     "zeros_check_vacuous_band.json": ["zeros", "check", "--kernel-c", "3", "--kernel-eps", "0.25"],
     "zeros_check_256_bits.json": ["--precision-bits", "256", "zeros", "check", "--t2", "4096"],
 }
+# the last counterexample to Ramanujan's inequality is a FAIL by design
+EXIT_CODES = {"counterexample_last.json": EXIT_FAIL}
 TABLES_DIGEST = "tables_1e5.sha256"
 # the zero check prints the path it read; the frozen file names it by role
 BUNDLED = "<bundled>"
@@ -73,7 +79,7 @@ def leaves(doc, path=""):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_json_matches_golden(name):
     res = CliRunner().invoke(cli, ["--format", "json"] + CASES[name])
-    assert res.exit_code == EXIT_PASS, res.output
+    assert res.exit_code == EXIT_CODES.get(name, EXIT_PASS), res.output
     got = json_documents(res.output)
     for doc in got:
         if doc.get("file") == zeros.bundled_zeros_path():

@@ -32,6 +32,7 @@ from primebounds.primes import (
     InequalitySpec,
     ParameterError,
     _exact_quotients,
+    _icbrt,
     _log_fixed,
     _log_sum_reads,
     _recheck,
@@ -49,6 +50,7 @@ from .oracles import (
     count_star,
     log_fixed_mp,
     log_view_bounds,
+    lucy_pi_full,
     prime_powers,
     scan_inequality_sampled,
     sieve_prime_counts,
@@ -554,9 +556,17 @@ class TestSegmentedCount:
 
 _PI_TO_5000 = np.cumsum(np.isin(np.arange(5001), _simple_sieve(5000)))
 _PRIMES_TO_1414 = _simple_sieve(1414).tolist()  # p^2 <= 2e6
+_PRIMES_TO_2154 = _simple_sieve(2154).tolist()  # p^3 <= 1e10
 
-# pi(10^k), k = 1..10, from the standard table
-_PI_POWERS_OF_10 = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511]
+# pi(10^k), k = 1..11, from the standard table
+_PI_POWERS_OF_10 = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511,
+                    4118054813]
+
+
+def _cubes_and_neighbours(roots):
+    """k^3 - 1, k^3 and k^3 + 1 for k drawn from ``roots``: where the cube
+    root of x, the end of Lucy's loop, steps up."""
+    return st.builds(lambda k, d: k ** 3 + d, roots, st.sampled_from((-1, 0, 1)))
 
 
 class TestPrimeCounts:
@@ -596,6 +606,9 @@ class TestPrimeCounts:
                 # where isqrt(x), the length of both arrays, steps up
                 st.builds(lambda k, d: k * k + d, st.integers(1, 1414),
                           st.sampled_from((-1, 0))),
+                # where a prime p, or any k, joins the loop over p^3 <= x
+                _cubes_and_neighbours(st.sampled_from(_PRIMES_TO_2154[:30])),  # p^3 <= 2e6
+                _cubes_and_neighbours(st.integers(1, 125)),
             ),
             min_size=1, max_size=12,
         )
@@ -603,7 +616,25 @@ class TestPrimeCounts:
     def test_against_sieve_oracle(self, points):
         assert prime_counts(points) == sieve_prime_counts(points)
 
-    @pytest.mark.parametrize("k", range(1, 11))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        x=st.one_of(
+            st.integers(2, 10 ** 10),
+            _cubes_and_neighbours(st.sampled_from(_PRIMES_TO_2154)),
+            _cubes_and_neighbours(st.integers(2, 2154)),
+        )
+    )
+    @example(x=10 ** 10)
+    def test_against_full_loop_oracle(self, x):
+        # the oracle runs the loop over every prime up to sqrt x, with no P2 term
+        assert prime_counts([x]) == [lucy_pi_full(x)]
+
+    def test_integer_cube_root_to_the_cap(self):
+        # k^3 <= PRIME_COUNT_MAX = 1e12 for every k here
+        for k in range(1, 10 ** 4 + 1):
+            assert (_icbrt(k ** 3 - 1), _icbrt(k ** 3), _icbrt(k ** 3 + 1)) == (k - 1, k, k), k
+
+    @pytest.mark.parametrize("k", range(1, 12))
     def test_powers_of_10_against_table(self, k):
         assert prime_counts([10 ** k]) == [_PI_POWERS_OF_10[k - 1]]
 
@@ -784,14 +815,36 @@ class TestScanContext:
         res = CliRunner().invoke(cli, ["--format", "json", "verify-primes", "--limit", "2e5"])
         assert res.exit_code == EXIT_PASS, res.output
         assert calls == []
-        # the first exact theta or psi read takes each prime's log once
+        # exact theta and psi reads take each prime's log once, and only
+        # as far as the jumps read: to 5000 first, then the whole column
         tables = build_tables(10 ** 4)
         for spec in VERIFY_SPECS:
             scan_inequality(spec, 2, 10 ** 4, tables)
         assert calls == []
         assert list(tables.right) == list(SCALE)
         psi_theta_gap(5000.5, tables)
+        assert sorted(calls) == [p for p in tables.primes.tolist() if p <= 5000]
+        tables.right["psi"]
         assert sorted(calls) == tables.primes.tolist()
+
+    def test_exact_read_logs_only_the_primes_up_to_it(self, monkeypatch):
+        calls = []
+
+        def counting_log_fixed(p):
+            calls.append(p)
+            return log_fixed(p)
+
+        log_fixed = primes._log_fixed
+        monkeypatch.setattr(primes, "_log_fixed", counting_log_fixed)
+        tables = build_tables(10 ** 6)
+        tables.count("theta", 5000)
+        assert len(calls) == 669   # pi(5000), of the 78,498 primes in the table
+        # later, longer reads extend the prefix; the whole column is unchanged
+        partial, whole = build_tables(10 ** 5), build_tables(10 ** 5)
+        for x in (10, 5000, 3 * 10 ** 4, 2000):
+            partial.count("psi", x)
+        assert partial.right["psi"] == whole.right["psi"]
+        assert partial.right["theta"] == whole.right["theta"]
 
     def test_filled_context_gives_the_same_report(self):
         fresh = build_tables(30_000)
