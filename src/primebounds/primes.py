@@ -13,16 +13,19 @@ up to the last jump read so far.  Every exact read is a left limit, starred
 value or right limit at one jump.
 
 The vectorized scans read float64 views instead, built on first use, cached
-on the table read-only and shared by all its scans, with the per-jump arrays
-every scan of a kind needs (log x, sqrt x, li(x) and the deviations from the
-target).  The pi and Pi views are the correctly rounded images of the exact
-reads; the theta and psi views are the correctly rounded sums of the float64
-logs ``np.log(p)``, within a stated bound of the exact reads
-(``_log_sum_reads``), so the 96-bit columns are never built for a scan.  Any
-margin too close to zero for float64 to be trusted is re-checked in extended
-precision from the exact columns.  A scan reads the jumps in range and the
-range ends that are not jumps, and settles each gap between these nodes from
-its two ends.
+on the table read-only and shared by all its scans, with li(x) at every jump
+and, per count kind and target, the largest deviation from the target in
+each block of 256 jumps.  The pi and Pi views are the correctly rounded
+images of the exact reads; the theta and psi views are the correctly rounded
+sums of the float64 logs ``np.log(p)``, within a stated bound of the exact
+reads (``_log_sum_reads``), so the 96-bit columns are never built for a
+scan.  Any margin too close to zero for float64 to be trusted is re-checked
+in extended precision from the exact columns.  A scan first clears each
+block of jumps inside its range whose largest deviation stays below the
+envelope by the guard band, with one comparison, then reads the other jumps
+and the range ends that are not jumps, and settles each gap between these
+nodes from its two ends, so its cost follows the jumps near violations, not
+the size of the table.
 
 Tables are built in full on every call, by segmented sieving, which bounds
 the working memory of the sieve; each segment's jumps are put in order as
@@ -235,36 +238,29 @@ class PrimeTables:
         return _read_only(_li64(self.float_views["x"]))
 
     @cached_property
-    def jump_log(self) -> np.ndarray:
-        """float64 log x at every jump."""
-        return _read_only(np.log(self.float_views["x"]))
-
-    @cached_property
-    def jump_sqrt(self) -> np.ndarray:
-        """float64 sqrt x at every jump."""
-        return _read_only(np.sqrt(self.float_views["x"]))
-
-    @cached_property
-    def _deviation_cache(self) -> dict:
+    def _block_cache(self) -> dict:
         return {}
 
-    def deviations(self, kind: str, uses_li: bool) -> tuple:
-        """(dev, far, near) of a count kind against its target, li(x) or x.
+    def block_deviations(self, kind: str, uses_li: bool) -> np.ndarray:
+        """W_b, the largest |deviation| of a count kind from its target,
+        li(x) or x, in each block of ``_SCAN_BLOCK`` jumps.
 
-        ``dev[side]`` is the float64 read minus the target at every jump;
-        ``far[k]`` and ``near[k]`` are the larger and the smaller |dev| at
-        the two ends of the gap from jump k to jump k + 1, the right read at
-        k and the left read at k + 1, ``near`` 0 on a sign change
-        (``_gap_ends``).  Built on first use for each (kind, uses_li).
+        The deviations are the float64 reads minus the target: the left,
+        starred and right reads at every jump k of the block, and the left
+        read at k + 1, which closes the gap of k.  A NaN among them makes
+        W_b NaN.  Built on first use for each (kind, uses_li).
         """
         key = kind, uses_li
-        if key not in self._deviation_cache:
+        if key not in self._block_cache:
             views = self.float_views
             target = self.jump_li if uses_li else views["x"]
-            dev = {side: _read_only(views[side][kind] - target) for side in _SIDES}
-            far, near = _gap_ends(dev["right"][:-1], dev["left"][1:])
-            self._deviation_cache[key] = dev, _read_only(far), _read_only(near)
-        return self._deviation_cache[key]
+            left = np.abs(views["left"][kind] - target)
+            peak = np.maximum(np.abs(views["at"][kind] - target), np.abs(views["right"][kind] - target))
+            np.maximum(peak, left, out=peak)
+            np.maximum(peak[:-1], left[1:], out=peak[:-1])
+            starts = np.arange(0, len(peak), _SCAN_BLOCK)
+            self._block_cache[key] = _read_only(np.maximum.reduceat(peak, starts))
+        return self._block_cache[key]
 
 
 class _RightLimits(Mapping):
@@ -532,6 +528,10 @@ def _guard(rhs: np.ndarray) -> np.ndarray:
     return g
 
 
+_SCAN_BLOCK = 256         # jumps per block that a scan may clear with one bound
+_ENVELOPE_SLACK = 1e-12   # relative widening of the envelope at a block's two ends
+
+
 def scan_inequality(
     spec: InequalitySpec,
     x_lo: float,
@@ -589,6 +589,31 @@ def scan_inequality(
     unseen.  At 2e5 the weak Pi_li and pi_li specs (a = 1) pass the open
     gap (2, 3) this way.
 
+    Whole blocks of jumps are settled before any of them is read.  A block
+    is ``_SCAN_BLOCK`` consecutive jumps s..e of the table; jump k owns its
+    three reads and gap k, from jump k to jump k + 1.  Only a block strictly
+    inside the range's jumps, k0 < s and e < k1, may be cleared, so no range
+    end and no cut gap touches it.  Let W be the largest |deviation| of its
+    reads and of the left read at e + 1 (``block_deviations``, NaN when any
+    is NaN), and lo and hi the envelope at jumps s and e + 1, widened by the
+    relative slack ``_ENVELOPE_SLACK``.  The envelope is computed from
+    np.sqrt(x) and np.log(x) by rounded products and, for a shift kind, the
+    subtraction log x - C.  np.log rises from jump to jump, which are at
+    least 1 apart, by far more than its error, and rounding is monotone, so
+    once every factor is non-negative the computed envelope rises from jump
+    to jump: a shift block is cleared only when log x_s >= C.  So lo and hi
+    bound every envelope the reads compute at jumps s..e + 1, the slack
+    covering a last-bit difference of np.log between calls.  The block is
+    cleared when W - lo <= -guard(hi).  Then every read in it has
+    |dev| - rhs <= W - lo <= -guard(hi) <= -guard(rhs), rounded subtraction
+    being monotone too, so it would be neither flagged nor re-decided.
+    Every gap of the block has far - min(end envelopes) <= W - lo as well,
+    so none is open, and near <= far puts near - top below the guard band,
+    so none fails and none of its integers is read.  A NaN W compares false
+    and leaves its block to be read.  A cleared block adds its reads to
+    ``n_points`` uncomputed, so every field of the verdict is the one of
+    reading each of its jumps.
+
     float64 does the sweep; any margin within the guard band of the
     spec's own envelope, or NaN, is re-decided in extended precision from
     the exact tables.
@@ -600,7 +625,6 @@ def scan_inequality(
     views = tables.float_views
     xs = views["x"]
     ck = spec.count_kind
-    dev, far, near = tables.deviations(ck, spec.uses_li)
 
     def last_jump(x):   # the last jump <= x, where the count at x is read
         return np.searchsorted(xs, x, side="right") - 1
@@ -608,80 +632,92 @@ def scan_inequality(
     k0 = int(np.searchsorted(xs, x_lo))   # first jump >= x_lo
     k1 = int(last_jump(x_hi))
     n_jumps = k1 + 1 - k0
-    rhs = spec.envelope(tables.jump_sqrt[k0 : k1 + 1], tables.jump_log[k0 : k1 + 1])
+
+    # the jumps of the blocks no bound clears, and the deviation of every
+    # read at them; gap k runs from jump k to jump k + 1, the next entry
+    ks, own = _jumps_to_read(spec, tables, k0, k1)
+    jx = xs[ks]
+    rhs = spec.envelope(np.sqrt(jx), np.log(jx))
     guard = _guard(rhs)
-    neg_guard = -guard
+    target = tables.jump_li[ks] if spec.uses_li else jx
+    dev = {side: views[side][ck][ks] - target for side in _SIDES}
+    gaps = np.flatnonzero(own & (ks < k1))
+    fails, opened = _gap_bounds(*_gap_ends(dev["right"][gaps], dev["left"][gaps + 1]),
+                                rhs[gaps], rhs[gaps + 1])
+    fail_k, open_k = ks[gaps[fails]], ks[gaps[opened]]
 
     # the nodes are the jumps in range and each end that is not a jump, whose
     # count is that of the last jump below it from every side
     lo_end = n_jumps == 0 or xs[k0] != x_lo
     hi_end = n_jumps == 0 or xs[k1] != x_hi
     end_x = np.array([float(x) for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
-    end_k = last_jump(end_x)
-    end_dev = views["right"][ck][end_k] - (_li64(end_x) if spec.uses_li else end_x)
-    end_rhs = spec.rhs(end_x, np)
-
-    # every gap between consecutive nodes, bounded from its two ends: first
-    # the gaps between jumps (gap k runs from jump k to jump k + 1), then
-    # those that an end cuts, each in the gap of the last jump below its start
-    fails, opened = _gap_bounds(far[k0:k1], near[k0:k1], rhs[:-1], rhs[1:])
-    fail_k, open_k = k0 + np.flatnonzero(fails), k0 + np.flatnonzero(opened)
-    starts, ends = xs[open_k], xs[open_k + 1]
-    cut = []   # (start, end, k, deviation and envelope at the start, then at the end)
-    if n_jumps == 0:
-        cut.append((x_lo, x_hi, k1, end_dev[0], end_rhs[0], end_dev[1], end_rhs[1]))
+    n_end = len(end_x)
+    # the gaps that an end cuts, each in the gap of the last jump below its
+    # start, with the nodes at its two ends: the ends of the range first,
+    # then the left read at jump k0 and the right read at jump k1
+    cut = [(x_lo, x_hi, k1, 0, 1)] if n_jumps == 0 else []
     if n_jumps > 0 and lo_end:
-        cut.append((x_lo, xs[k0], k0 - 1, end_dev[0], end_rhs[0], dev["left"][k0], rhs[0]))
+        cut.append((x_lo, xs[k0], k0 - 1, 0, n_end))
     if n_jumps > 0 and hi_end:
-        cut.append((xs[k1], x_hi, k1, dev["right"][k1], rhs[-1], end_dev[-1], end_rhs[-1]))
-    if cut:
-        start, end, k, lo_dev, lo_rhs, hi_dev, hi_rhs = np.array(cut).T
-        k = k.astype(np.int64)
-        fails, opened = _gap_bounds(*_gap_ends(lo_dev, hi_dev), lo_rhs, hi_rhs)
-        fail_k, open_k = np.concatenate((fail_k, k[fails])), np.concatenate((open_k, k[opened]))
-        starts, ends = np.concatenate((starts, start[opened])), np.concatenate((ends, end[opened]))
+        cut.append((xs[k1], x_hi, k1, n_end + 1, n_end - 1))
+    cut_start, cut_end, cut_k, cut_lo, cut_hi = np.array(cut).reshape(-1, 5).T
+    cut_k, cut_lo, cut_hi = (a.astype(np.int64) for a in (cut_k, cut_lo, cut_hi))
+
+    # one pass reads every point inside a gap, each at R[k] of its gap k:
+    # the ends that are not jumps, then the samples and then the integers of
+    # the open gaps between jumps and of every cut gap, those of a cut gap
+    # dropped below unless it is open too.  Integers at jumps are the
+    # starred reads above
     n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)
+    gap_k = np.concatenate((open_k, cut_k))
+    starts, ends = np.concatenate((xs[open_k], cut_start)), np.concatenate((xs[open_k + 1], cut_end))
+    fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
+    ns, int_k = _gap_integers(tables.jumps, gap_k, n_lo, n_hi)
+    px = np.concatenate((end_x, (starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
+                         ns.astype(np.float64)))
+    pk = np.concatenate((last_jump(end_x), np.repeat(gap_k, interior_samples), int_k))
+    p_integer = np.arange(len(px)) >= len(px) - len(ns)
+    p_dev = views["right"][ck][pk] - (_li64(px) if spec.uses_li else px)
+    p_rhs = spec.rhs(px, np)
+    p_guard = _guard(p_rhs)
+    p_margin = np.abs(p_dev) - p_rhs
 
-    def inside_gaps(x, k, integer):
-        # points strictly inside the gaps of jumps k, each read at R[k]
-        rh = spec.rhs(x, np)
-        g = _guard(rh)
-        margin = np.abs(views["right"][ck][k] - (_li64(x) if spec.uses_li else x)) - rh
-        hot = np.flatnonzero(~(margin <= -g))
-        labels = np.full(len(hot), "interior")
-        return len(x), "right", integer, x[hot], k[hot], labels, margin[hot], g[hot]
+    # each cut gap bounded from its two nodes, of which only an open one keeps its points
+    node_dev = np.concatenate((p_dev[:n_end], dev["left"][:1], dev["right"][-1:]))
+    node_rhs = np.concatenate((p_rhs[:n_end], rhs[:1], rhs[-1:]))
+    cut_fails, cut_opened = _gap_bounds(*_gap_ends(node_dev[cut_lo], node_dev[cut_hi]),
+                                        node_rhs[cut_lo], node_rhs[cut_hi])
+    fail_k = np.concatenate((fail_k, cut_k[cut_fails]))
+    p_read = np.ones(len(px), dtype=bool)
+    for k in cut_k[~cut_opened].tolist():
+        p_read[n_end:] &= pk[n_end:] != k
 
-    def blocks():
-        # each block: number read, side, integer, then x, jump k, label,
-        # margin and guard of its reads outside the clean side of the band.
-        # A one-sided limit describes x on its side of the jump, so the left
-        # limit at a jump counts when the jump is above x_lo and the right
-        # limit when it is below x_hi
-        reads = {"left": (int(not lo_end), n_jumps), "at": (0, n_jumps),
-                 "right": (0, n_jumps - int(not hi_end))}
-        buffer = np.empty(n_jumps)
-        for side, (a, b) in reads.items():
-            margin = np.abs(dev[side][k0 + a : k0 + b], out=buffer[: b - a])
-            margin -= rhs[a:b]
-            hot = np.flatnonzero(~(margin <= neg_guard[a:b]))
-            yield (b - a, side, side == "at", xs[k0 + a + hot], k0 + a + hot,
-                   np.full(len(hot), side), margin[hot], guard[a + hot])
-        # an end is read once, as a point inside its gap
-        yield inside_gaps(end_x, end_k, False)
-        fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
-        yield inside_gaps((starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
-                          np.repeat(open_k, interior_samples), False)
-        # integer-argument convention: every integer of the open gaps, those
-        # at the jumps read above
-        ns, int_gap = _gap_integers(tables.jumps, open_k, n_lo, n_hi)
-        yield inside_gaps(ns.astype(np.float64), int_gap, True)
+    def reads():
+        # each group: number read, side, then x, jump k, label, margin,
+        # guard and integer flag of its reads outside the clean side of the
+        # band.  A one-sided limit describes x on its side of the jump, so
+        # the left limit at a jump counts when the jump is above x_lo and
+        # the right limit when it is below x_hi.  A cleared block's reads
+        # are counted too
+        at = np.flatnonzero(own)
+        skips = {"left": (int(not lo_end), 0), "at": (0, 0), "right": (0, int(not hi_end))}
+        for side, (a, b) in skips.items():
+            pos = at[a : len(at) - b]
+            margin = np.abs(dev[side][pos]) - rhs[pos]
+            hot = ~(margin <= -guard[pos])
+            i = pos[hot]
+            yield (n_jumps - a - b, side, jx[i], ks[i], np.full(len(i), side), margin[hot], guard[i],
+                   np.full(len(i), side == "at"))
+        hot = np.flatnonzero(p_read & ~(p_margin <= -p_guard))
+        yield (int(np.count_nonzero(p_read)), "right", px[hot], pk[hot], np.full(len(hot), "interior"),
+               p_margin[hot], p_guard[hot], p_integer[hot])
 
     worst_x = worst_side = None
     n_points = n_recheck = 0
     int_violations = []
-    for n_read, side, integer, *hot in blocks():
+    for n_read, side, *hot in reads():
         n_points += n_read
-        for x, k, label, margin, g in zip(*(a.tolist() for a in hot)):
+        for x, k, label, margin, g, integer in zip(*(a.tolist() for a in hot)):
             if not margin >= g:
                 n_recheck += 1
                 if not _recheck(spec, tables, k, side, x):
@@ -707,6 +743,43 @@ def scan_inequality(
         n_points=n_points,
         n_rechecked=n_recheck,
     )
+
+
+def _jumps_to_read(spec, tables, k0, k1) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, own): the jumps k0..k1 that no block bound clears, ascending,
+    each run of them followed by the jump after it when that one is
+    cleared, for the run's last gap; ``own`` is False at those.
+
+    A block b strictly inside k0..k1 is cleared when W_b - lo <= -guard(hi)
+    (``_block_envelopes``; the block lemma is in ``scan_inequality``).
+    """
+    B = _SCAN_BLOCK
+    blocks = np.arange(k0 // B + 1, k1 // B)   # b B > k0 and (b + 1) B - 1 < k1
+    lo, hi = _block_envelopes(spec, tables.float_views["x"], blocks)
+    cleared = blocks[tables.block_deviations(spec.count_kind, spec.uses_li)[blocks] - lo <= -_guard(hi)]
+    # the runs between cleared blocks, the empty ones between two dropped
+    first = np.concatenate(([k0], (cleared + 1) * B))
+    last = np.concatenate((cleared * B - 1, [k1]))
+    first, last = first[first <= last], last[first <= last]
+    stop = np.minimum(last + 1, k1)
+    ks = _concat_ranges(first, stop)
+    own = np.ones(len(ks), dtype=bool)
+    own[(np.cumsum(stop - first + 1) - 1)[last < k1]] = False
+    return ks, own
+
+
+def _block_envelopes(spec, xs, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): bounds from below and above on every envelope a scan
+    computes at the jumps b B .. (b + 1) B of each block b, its values at
+    the two ends widened by ``_ENVELOPE_SLACK``; lo is NaN for a shift
+    block that starts below e^C, where the envelope need not rise."""
+    edge_x = xs[np.stack((blocks, blocks + 1)) * _SCAN_BLOCK]
+    log_x = np.log(edge_x)
+    env = spec.envelope(np.sqrt(edge_x), log_x)
+    lo, hi = env[0] * (1 - _ENVELOPE_SLACK), env[1] * (1 + _ENVELOPE_SLACK)
+    if spec.kind.endswith("_shift"):
+        lo[log_x[0] < spec.C] = np.nan
+    return lo, hi
 
 
 def _gap_ends(lo_dev, hi_dev):
@@ -746,9 +819,14 @@ def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
     """The integers of [n_lo, n_hi] strictly inside each gap, gap by gap,
     and the gap of each."""
     first, last = _gap_integer_bounds(jumps, gaps, n_lo, n_hi)
+    return _concat_ranges(first, last), np.repeat(gaps, np.maximum(last - first + 1, 0))
+
+
+def _concat_ranges(first, last) -> np.ndarray:
+    """first[i]..last[i] for every i in turn, none when last[i] < first[i]."""
     lens = np.maximum(last - first + 1, 0)
     offsets = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-    return np.repeat(first, lens) + offsets, np.repeat(gaps, lens)
+    return np.repeat(first, lens) + offsets
 
 
 def threshold_consistent(scan: Verdict, threshold: float) -> bool:

@@ -16,3 +16,8 @@ def tables_10k():
 @pytest.fixture(scope="session")
 def zero_list():
     return zeros.load_zeros(zeros.bundled_zeros_path())
+
+
+@pytest.fixture(scope="session")
+def tables_2e5():
+    return primes.build_tables(200_000)

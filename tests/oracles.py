@@ -16,7 +16,8 @@ it was before the loop stopped at the cube root and finished with the P2
 term, the kernel weights are evaluated at every in-band ordinate
 instead of at the two ends the monotonicity lemma allows, the
 inequality scan samples every gap between jumps and checks every integer
-instead of settling gaps from their two ends, and each admissibility
+instead of settling gaps from their two ends, and reads every jump instead
+of clearing whole blocks of them with one bound, and each admissibility
 decision of the engine's searches, each pruning test of its strong search
 and each bisection test of its threshold root is made at full precision
 instead of in float64 first; the strong search is also kept as it was
@@ -44,7 +45,18 @@ from mpmath.libmp import from_rational, mpf_gt, round_nearest, to_fixed
 from primebounds import engine, kernel, zeros
 from primebounds.errors import BracketError, CoverageError, ParameterError, ZeroDataError
 from primebounds.hiprec import working_precision
-from primebounds.primes import _li64, _odd_mask, _recheck, _simple_sieve
+from primebounds.primes import (
+    _SIDES,
+    _gap_bounds,
+    _gap_ends,
+    _gap_integer_bounds,
+    _gap_integers,
+    _guard,
+    _li64,
+    _odd_mask,
+    _recheck,
+    _simple_sieve,
+)
 from primebounds.verdict import Verdict
 
 
@@ -454,6 +466,141 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16):
         n_points=n_points,
         n_rechecked=worst["rechecked"],
     )
+
+
+def _deviations(tables, kind, uses_li):
+    """(dev, far, near) of a count kind against its target at every jump:
+    ``dev[side]`` the float64 read minus the target, ``far[k]`` and
+    ``near[k]`` the larger and the smaller |dev| at the two ends of gap k,
+    as the table cached them for every scan before blocks were cleared."""
+    views = tables.float_views
+    target = tables.jump_li if uses_li else views["x"]
+    dev = {side: views[side][kind] - target for side in _SIDES}
+    far, near = _gap_ends(dev["right"][:-1], dev["left"][1:])
+    return dev, far, near
+
+
+def scan_inequality_per_read(spec, x_lo, x_hi, tables, interior_samples=16):
+    """The ``scan_inequality`` verdict with no block of jumps cleared by one
+    bound: every jump in range is read, and every gap between jumps bounded
+    from its two ends, as the scan did before it settled whole blocks.  The
+    range ends, samples and integers are read in three passes, not one.
+    """
+    if x_hi > tables.limit:
+        raise ParameterError(f"x_hi={x_hi} beyond table limit {tables.limit}")
+    if not (2 <= x_lo < x_hi):
+        raise ParameterError("requires 2 <= x_lo < x_hi")
+    views = tables.float_views
+    xs = views["x"]
+    ck = spec.count_kind
+    dev, far, near = _deviations(tables, ck, spec.uses_li)
+
+    def last_jump(x):   # the last jump <= x, where the count at x is read
+        return np.searchsorted(xs, x, side="right") - 1
+
+    k0 = int(np.searchsorted(xs, x_lo))   # first jump >= x_lo
+    k1 = int(last_jump(x_hi))
+    n_jumps = k1 + 1 - k0
+    rhs = spec.envelope(np.sqrt(xs[k0 : k1 + 1]), np.log(xs[k0 : k1 + 1]))
+    guard = _guard(rhs)
+    neg_guard = -guard
+
+    # the nodes are the jumps in range and each end that is not a jump, whose
+    # count is that of the last jump below it from every side
+    lo_end = n_jumps == 0 or xs[k0] != x_lo
+    hi_end = n_jumps == 0 or xs[k1] != x_hi
+    end_x = np.array([float(x) for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
+    end_k = last_jump(end_x)
+    end_dev = views["right"][ck][end_k] - (_li64(end_x) if spec.uses_li else end_x)
+    end_rhs = spec.rhs(end_x, np)
+
+    # every gap between consecutive nodes, bounded from its two ends: first
+    # the gaps between jumps (gap k runs from jump k to jump k + 1), then
+    # those that an end cuts, each in the gap of the last jump below its start
+    fails, opened = _gap_bounds(far[k0:k1], near[k0:k1], rhs[:-1], rhs[1:])
+    fail_k, open_k = k0 + np.flatnonzero(fails), k0 + np.flatnonzero(opened)
+    starts, ends = xs[open_k], xs[open_k + 1]
+    cut = []   # (start, end, k, deviation and envelope at the start, then at the end)
+    if n_jumps == 0:
+        cut.append((x_lo, x_hi, k1, end_dev[0], end_rhs[0], end_dev[1], end_rhs[1]))
+    if n_jumps > 0 and lo_end:
+        cut.append((x_lo, xs[k0], k0 - 1, end_dev[0], end_rhs[0], dev["left"][k0], rhs[0]))
+    if n_jumps > 0 and hi_end:
+        cut.append((xs[k1], x_hi, k1, dev["right"][k1], rhs[-1], end_dev[-1], end_rhs[-1]))
+    if cut:
+        start, end, k, lo_dev, lo_rhs, hi_dev, hi_rhs = np.array(cut).T
+        k = k.astype(np.int64)
+        fails, opened = _gap_bounds(*_gap_ends(lo_dev, hi_dev), lo_rhs, hi_rhs)
+        fail_k, open_k = np.concatenate((fail_k, k[fails])), np.concatenate((open_k, k[opened]))
+        starts, ends = np.concatenate((starts, start[opened])), np.concatenate((ends, end[opened]))
+    n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)
+
+    def inside_gaps(x, k, integer):
+        # points strictly inside the gaps of jumps k, each read at R[k]
+        rh = spec.rhs(x, np)
+        g = _guard(rh)
+        margin = np.abs(views["right"][ck][k] - (_li64(x) if spec.uses_li else x)) - rh
+        hot = np.flatnonzero(~(margin <= -g))
+        labels = np.full(len(hot), "interior")
+        return len(x), "right", integer, x[hot], k[hot], labels, margin[hot], g[hot]
+
+    def blocks():
+        # each block: number read, side, integer, then x, jump k, label,
+        # margin and guard of its reads outside the clean side of the band.
+        # A one-sided limit describes x on its side of the jump, so the left
+        # limit at a jump counts when the jump is above x_lo and the right
+        # limit when it is below x_hi
+        reads = {"left": (int(not lo_end), n_jumps), "at": (0, n_jumps),
+                 "right": (0, n_jumps - int(not hi_end))}
+        buffer = np.empty(n_jumps)
+        for side, (a, b) in reads.items():
+            margin = np.abs(dev[side][k0 + a : k0 + b], out=buffer[: b - a])
+            margin -= rhs[a:b]
+            hot = np.flatnonzero(~(margin <= neg_guard[a:b]))
+            yield (b - a, side, side == "at", xs[k0 + a + hot], k0 + a + hot,
+                   np.full(len(hot), side), margin[hot], guard[a + hot])
+        # an end is read once, as a point inside its gap
+        yield inside_gaps(end_x, end_k, False)
+        fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
+        yield inside_gaps((starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
+                          np.repeat(open_k, interior_samples), False)
+        # integer-argument convention: every integer of the open gaps, those
+        # at the jumps read above
+        ns, int_gap = _gap_integers(tables.jumps, open_k, n_lo, n_hi)
+        yield inside_gaps(ns.astype(np.float64), int_gap, True)
+
+    worst_x = worst_side = None
+    n_points = n_recheck = 0
+    int_violations = []
+    for n_read, side, integer, *hot in blocks():
+        n_points += n_read
+        for x, k, label, margin, g in zip(*(a.tolist() for a in hot)):
+            if not margin >= g:
+                n_recheck += 1
+                if not _recheck(spec, tables, k, side, x):
+                    continue
+            if worst_x is None or x > worst_x or (x == worst_x and label != "left"):
+                worst_x, worst_side = x, label
+            if integer:
+                int_violations.append(int(x))
+
+    # the last integer of the last failing gap with any is its last violation
+    first, last = _gap_integer_bounds(tables.jumps, fail_k, n_lo, n_hi)
+    if np.any(last >= first):
+        int_violations.append(int(last[last >= first].max()))
+
+    return Verdict(
+        worst_x is None,
+        spec=spec,
+        x_lo=float(x_lo),
+        x_hi=float(x_hi),
+        last_violation=worst_x,
+        last_violation_side=worst_side,
+        last_integer_violation=max(int_violations, default=None),
+        n_points=n_points,
+        n_rechecked=n_recheck,
+    )
+
 
 
 def admissible_mpf(at, D, E) -> bool:

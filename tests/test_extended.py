@@ -9,8 +9,9 @@ a million-step block (0.08 s through 15 chunk re-anchor checks, 10.5 s with
 the fixed-point kernel this replaced) and 2e4-step tails of every rung.
 The counterexample boundary at 3.84e10 is four prime counts, about 0.25 s
 together, so it runs in the default suite (``tests/test_ramanujan.py``).
-The prime tables are checked at their cap, ``DETAIL_LIMIT_MAX`` = 2e7, and
-plain prime counts at theirs, ``PRIME_COUNT_MAX`` = 1e12 (1-2 s).
+The prime tables are checked at their cap, ``DETAIL_LIMIT_MAX`` = 2e7, with
+the ten ``verify-primes`` scans there against reading every jump, and plain
+prime counts at theirs, ``PRIME_COUNT_MAX`` = 1e12 (1-2 s).
 """
 
 from itertools import accumulate
@@ -23,15 +24,18 @@ from primebounds.primes import (
     DETAIL_LIMIT_MAX,
     PRIME_COUNT_MAX,
     SCALE,
+    _SCAN_BLOCK,
     _exact_quotients,
     _log_fixed,
     _pair_sums,
     build_tables,
     prime_counts,
+    scan_inequality,
 )
 from primebounds.ramanujan import Regime, regime_schedule, step_verify
 
-from .test_primes import _assert_log_views_within_bound
+from .oracles import scan_inequality_per_read
+from .test_primes import VERIFY_SPECS, _assert_log_views_within_bound, _report_fields
 
 A8PI = 0.039788735772973836
 
@@ -96,6 +100,17 @@ def test_tables_at_the_detail_limit():
             assert int(np.count_nonzero(sums >= 2 ** 53)) == 429_871
     for kind in ("theta", "psi"):
         _assert_log_views_within_bound(tables, kind)
+
+
+def test_scans_at_the_detail_limit_match_reading_every_jump():
+    """The ten ``verify-primes`` scans at 2e7, where a scan may clear any of
+    4,967 blocks of jumps, give the verdicts of reading every jump."""
+    tables = build_tables(DETAIL_LIMIT_MAX)
+    assert -(-len(tables.jumps) // _SCAN_BLOCK) == 4_967
+    for spec in VERIFY_SPECS:
+        got = scan_inequality(spec, 2, DETAIL_LIMIT_MAX, tables)
+        assert _report_fields(got) == _report_fields(
+            scan_inequality_per_read(spec, 2, DETAIL_LIMIT_MAX, tables)), spec
 
 
 def test_prime_count_at_the_cap():

@@ -52,6 +52,7 @@ from .oracles import (
     log_view_bounds,
     lucy_pi_full,
     prime_powers,
+    scan_inequality_per_read,
     scan_inequality_sampled,
     sieve_prime_counts,
 )
@@ -871,11 +872,10 @@ class TestScanContext:
             assert _report_fields(scan_inequality(spec, 2, limit, filled)) == alone[spec], spec
         # the shared arrays cannot be written in place
         views = filled.float_views
-        shared = [views["x"], filled.jump_li, filled.jump_log, filled.jump_sqrt]
+        shared = [views["x"], filled.jump_li]
         shared += [views[side][kind] for side in ("left", "at", "right") for kind in COUNT_KINDS]
         for kind, uses_li in (("psi", False), ("theta", False), ("Pi", True), ("pi", True)):
-            dev, far, near = filled.deviations(kind, uses_li)
-            shared += [*dev.values(), far, near]
+            shared.append(filled.block_deviations(kind, uses_li))
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 np.subtract(array, 1.0, out=array)
@@ -883,16 +883,141 @@ class TestScanContext:
     def test_context_is_per_table_and_freed_with_it(self):
         # the scan views are cached properties of the table, not fields
         a, b = build_tables(10 ** 4), build_tables(10 ** 4)
-        for view in ("float_views", "jump_li", "jump_log", "jump_sqrt"):
+        for view in ("float_views", "jump_li"):
             assert getattr(a, view) is getattr(a, view)
             assert getattr(a, view) is not getattr(b, view)
             assert view not in repr(a)
-        assert a.deviations("pi", True) is a.deviations("pi", True)
-        assert a.deviations("pi", True) is not b.deviations("pi", True)
+        assert a.block_deviations("pi", True) is a.block_deviations("pi", True)
+        assert a.block_deviations("pi", True) is not b.block_deviations("pi", True)
         # a dict cannot be weakly referenced; its columns can
         refs = [weakref.ref(a.float_views["x"]), weakref.ref(a.float_views["right"]["pi"]),
-                weakref.ref(a.jump_li), weakref.ref(a.jump_log),
-                weakref.ref(a.deviations("pi", True)[0]["at"])]
+                weakref.ref(a.jump_li), weakref.ref(a.block_deviations("pi", True))]
         del a
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+
+_B = primes._SCAN_BLOCK
+_JUMPS_TO_2E5 = [n for n, _, _ in prime_powers(200_000)]
+_BLOCKS_2E5 = -(-len(_JUMPS_TO_2E5) // _B)
+# ends on jumps, off jumps and on the jumps at and next to a block's first
+_ENDS_2E5 = st.one_of(
+    st.integers(2, 200_000), st.floats(2, 200_000), st.just(200_000),
+    st.sampled_from(_JUMPS_TO_2E5),
+    st.builds(lambda b, d: _JUMPS_TO_2E5[b * _B + d],
+              st.integers(1, _BLOCKS_2E5 - 1), st.sampled_from((-1, 0, 1))))
+_DRAWN_SPECS = st.builds(
+    lambda kind, log_a, e_C: InequalitySpec(kind, 10 ** log_a, C=math.log(e_C)),
+    st.sampled_from(sorted(primes._KINDS)), st.floats(-3, 1), st.floats(2, 300))
+# small a leaves violations deep in the range, after blocks it clears
+PSI_SQ_DEEP = InequalitySpec("psi_sq", 0.005)
+PI_LI_DEEP = InequalitySpec("pi_li", 0.018)
+# block 67 is uncleared only through the left read at jump 68 B, after it
+PI_LI_NEXT_LEFT = InequalitySpec("pi_li", 0.0111)
+
+
+def _uncleared_blocks(spec, tables) -> list:
+    ks, own = primes._jumps_to_read(spec, tables, 0, len(tables.jumps) - 1)
+    return np.unique(ks[own] // _B).tolist()
+
+
+class TestBlockClearing:
+    """Blocks of jumps cleared by one bound give the verdict of reading every jump."""
+
+    @staticmethod
+    def _assert_same(spec, lo, hi, tables, samples=16):
+        got = scan_inequality(spec, lo, hi, tables, interior_samples=samples)
+        assert _report_fields(got) == _report_fields(
+            scan_inequality_per_read(spec, lo, hi, tables, interior_samples=samples))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.one_of(st.sampled_from(VERIFY_SPECS), _DRAWN_SPECS),
+           ends=st.tuples(_ENDS_2E5, _ENDS_2E5), samples=_SAMPLES)
+    @example(spec=PSI_SQ_DEEP, ends=(2, 200_000), samples=16)
+    @example(spec=PI_LI_DEEP, ends=(2, 200_000), samples=16)
+    @example(spec=PSI_SQ_DEEP, ends=(_JUMPS_TO_2E5[3 * _B - 1], _JUMPS_TO_2E5[30 * _B + 1]),
+             samples=4)
+    @example(spec=PI_LI_DEEP, ends=(_JUMPS_TO_2E5[9 * _B], 150_000.5), samples=0)
+    @example(spec=PI_LI_NEXT_LEFT, ends=(2, 200_000), samples=16)
+    def test_ranges(self, tables_2e5, spec, ends, samples):
+        lo, hi = sorted(ends)
+        assume(lo < hi)
+        self._assert_same(spec, lo, hi, tables_2e5, samples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.one_of(st.sampled_from(VERIFY_SPECS), _DRAWN_SPECS),
+           b=st.integers(0, _BLOCKS_2E5 - 2), fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+    def test_ranges_inside_one_block(self, tables_2e5, spec, b, fracs):
+        start, end = _JUMPS_TO_2E5[b * _B], _JUMPS_TO_2E5[(b + 1) * _B - 1]
+        lo, hi = (start + f * (end - start) for f in sorted(fracs))
+        assume(lo < hi)
+        self._assert_same(spec, lo, hi, tables_2e5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.one_of(st.sampled_from(VERIFY_SPECS), _DRAWN_SPECS),
+           b=st.integers(1, _BLOCKS_2E5 - 2), off=st.sampled_from((0.0, 0.5)))
+    def test_ranges_spanning_exactly_one_block(self, tables_2e5, spec, b, off):
+        # the jumps before and after block b, or points in the gaps next to them
+        lo, hi = _JUMPS_TO_2E5[b * _B - 1] + off, _JUMPS_TO_2E5[(b + 1) * _B] - off
+        self._assert_same(spec, lo, hi, tables_2e5)
+
+    def test_uncleared_blocks_of_verify_primes_at_2e5(self, tables_2e5):
+        # the first block holds x_lo and the last x_hi, so neither is cleared
+        assert _BLOCKS_2E5 == 71
+        counts = [len(_uncleared_blocks(spec, tables_2e5)) for spec in VERIFY_SPECS]
+        assert counts == [2, 3, 2, 4, 2, 4, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize("spec", [PSI_SQ_DEEP, PI_LI_DEEP])
+    def test_uncleared_blocks_need_not_be_a_prefix(self, tables_2e5, spec):
+        # psi_sq reads blocks 0-8, 10, 13, 17, 23 and 70; pi_li 0-13, 16, 17 and 70
+        *inner, last = _uncleared_blocks(spec, tables_2e5)
+        assert last == _BLOCKS_2E5 - 1
+        assert inner[-1] >= 17 and inner != list(range(len(inner)))
+        assert not scan_inequality(spec, 2, 200_000, tables_2e5).passed
+
+    @pytest.mark.parametrize("k0,k1", [(5 * _B + 3, 20 * _B + 7), (5 * _B, 21 * _B - 1),
+                                       (5 * _B - 1, 6 * _B)])
+    def test_blocks_at_the_range_ends_are_read(self, tables_2e5, k0, k1):
+        # weak pi_li holds past block 0, so every block strictly inside k0..k1
+        # is cleared and those holding k0 and k1 are read from k0 and to k1
+        ks, own = primes._jumps_to_read(VERIFY_SPECS[-1], tables_2e5, k0, k1)
+        assert ks[own].tolist() == list(range(k0, (k0 // _B + 1) * _B)) + \
+            list(range(k1 // _B * _B, k1 + 1))
+        assert ks[~own].tolist() == [(k0 // _B + 1) * _B]
+
+    def test_next_left_read_keeps_its_block(self, tables_2e5):
+        assert 67 in _uncleared_blocks(PI_LI_NEXT_LEFT, tables_2e5)
+        self._assert_same(PI_LI_NEXT_LEFT, 2, 200_000, tables_2e5)
+
+    def test_block_envelopes_bound_the_computed_envelope(self, tables_2e5):
+        xs = tables_2e5.float_views["x"]
+        blocks = np.arange((len(xs) - 1) // _B)   # each with a jump after it
+        for spec in VERIFY_SPECS:
+            env = spec.envelope(np.sqrt(xs), np.log(xs))
+            lo, hi = primes._block_envelopes(spec, xs, blocks)
+            for b in blocks.tolist():
+                window = env[b * _B : (b + 1) * _B + 1]
+                assert window.max() <= hi[b], (spec, b)
+                assert np.isnan(lo[b]) or lo[b] <= window.min(), (spec, b)
+            # only a shift block that starts below e^C goes without a lower bound
+            below = np.flatnonzero(np.isnan(lo)).tolist()
+            assert below == ([0] if spec.kind.endswith("_shift") else []), spec
+            # above e^C the computed envelope rises from jump to jump
+            rising = np.log(xs) >= (spec.C if spec.C is not None else -np.inf)
+            assert np.all(np.diff(env[rising]) > 0), spec
+
+    def test_one_li_pass_per_scan(self, monkeypatch):
+        # the range ends, samples and integers share one li call per scan
+        tables = build_tables(20_000)
+        tables.jump_li
+        calls = []
+        li64 = primes._li64
+        monkeypatch.setattr(primes, "_li64", lambda x: calls.append(len(x)) or li64(x))
+        for spec in VERIFY_SPECS:
+            scan_inequality(spec, 2.5, 19_999.5, tables)
+        assert len(calls) == sum(spec.uses_li for spec in VERIFY_SPECS) == 4
+
+    def test_nan_block_is_not_cleared(self, monkeypatch):
+        monkeypatch.setattr(primes, "_li64", lambda x: np.full(np.shape(x), np.nan))
+        tables = build_tables(200_000)
+        assert _uncleared_blocks(VERIFY_SPECS[5], tables) == list(range(_BLOCKS_2E5))
