@@ -287,7 +287,7 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         _emit(cfg, payload,
               [f"x={counterexample}: inequality {'holds' if verdict.holds else 'FAILS'}"])
         raise SystemExit(EXIT_PASS if verdict.holds else EXIT_FAIL)
-    if rung is not None and z_lo is not None:
+    if rung is not None and (z_lo, z_hi, delta, a_value) != (None,) * 4:
         raise click.UsageError("--rung and explicit window options are exclusive")
     if rung is not None:
         if not (0 <= rung < len(schedule)):

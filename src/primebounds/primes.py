@@ -90,6 +90,8 @@ assert 2 * SCALE["Pi"] < 1 << 53
 
 # a read at jump k from one side, as weights on (R[k - 1], R[k]) over 2 SCALE
 _SIDES = {"left": (2, 0), "at": (1, 1), "right": (0, 2)}
+# a scan's side codes 0..3, in the order in which a later read at the same x wins
+_LABELS = (*_SIDES, "interior")
 
 def _log_fixed(p: int) -> int:
     """round(log(p) * 2^FIX_BITS), half up, from log(p) rounded to LOG_PREC
@@ -415,6 +417,9 @@ def build_tables(limit: int, *, segment_size: int = DEFAULT_SEGMENT) -> PrimeTab
             f"per-jump tables capped at {DETAIL_LIMIT_MAX}; use prime_counts "
             "for plain counts beyond that"
         )
+    # a segment_size below 1 never advances a segment
+    if not (isinstance(segment_size, (int, np.integer)) and segment_size >= 1):
+        raise ParameterError(f"segment_size must be an integer >= 1, got {segment_size!r}")
     base = _simple_sieve(int(limit ** 0.5) + 1)
     jumps, jump_m, jump_p = map(np.concatenate, zip(*_build_segments(limit, segment_size, base)))
     return PrimeTables(limit=limit, jumps=jumps, jump_m=jump_m, jump_p=jump_p)
@@ -614,9 +619,13 @@ def scan_inequality(
     ``n_points`` uncomputed, so every field of the verdict is the one of
     reading each of its jumps.
 
-    float64 does the sweep; any margin within the guard band of the
-    spec's own envelope, or NaN, is re-decided in extended precision from
-    the exact tables.
+    Every read is then decided in one array pass over its float64 margin:
+    at or above the guard band of the spec's own envelope it violates, at
+    or below minus the band it holds, and inside the band, or NaN, it is
+    re-decided in extended precision from the exact tables.  The last
+    violation is the largest violating x; of the reads there, an
+    'interior' one wins over 'right', 'right' over 'at' and 'at' over
+    'left'.
     """
     if x_hi > tables.limit:
         raise ParameterError(f"x_hi={x_hi} beyond table limit {tables.limit}")
@@ -634,16 +643,16 @@ def scan_inequality(
     n_jumps = k1 + 1 - k0
 
     # the jumps of the blocks no bound clears, and the deviation of every
-    # read at them; gap k runs from jump k to jump k + 1, the next entry
+    # read at them, one row per side; gap k runs from jump k to jump k + 1,
+    # the next entry
     ks, own = _jumps_to_read(spec, tables, k0, k1)
     jx = xs[ks]
     rhs = spec.envelope(np.sqrt(jx), np.log(jx))
     guard = _guard(rhs)
-    target = tables.jump_li[ks] if spec.uses_li else jx
-    dev = {side: views[side][ck][ks] - target for side in _SIDES}
+    dev = np.stack([views[side][ck][ks] for side in _SIDES])
+    dev -= tables.jump_li[ks] if spec.uses_li else jx
     gaps = np.flatnonzero(own & (ks < k1))
-    fails, opened = _gap_bounds(*_gap_ends(dev["right"][gaps], dev["left"][gaps + 1]),
-                                rhs[gaps], rhs[gaps + 1])
+    fails, opened = _gap_bounds(dev[2, gaps], dev[0, gaps + 1], rhs[gaps], rhs[gaps + 1])
     fail_k, open_k = ks[gaps[fails]], ks[gaps[opened]]
 
     # the nodes are the jumps in range and each end that is not a jump, whose
@@ -660,8 +669,8 @@ def scan_inequality(
         cut.append((x_lo, xs[k0], k0 - 1, 0, n_end))
     if n_jumps > 0 and hi_end:
         cut.append((xs[k1], x_hi, k1, n_end + 1, n_end - 1))
-    cut_start, cut_end, cut_k, cut_lo, cut_hi = np.array(cut).reshape(-1, 5).T
-    cut_k, cut_lo, cut_hi = (a.astype(np.int64) for a in (cut_k, cut_lo, cut_hi))
+    cut_start, cut_end, *cut_nodes = np.array(cut).reshape(-1, 5).T
+    cut_k, cut_lo, cut_hi = np.array(cut_nodes, dtype=np.int64)
 
     # one pass reads every point inside a gap, each at R[k] of its gap k:
     # the ends that are not jumps, then the samples and then the integers of
@@ -676,61 +685,49 @@ def scan_inequality(
     px = np.concatenate((end_x, (starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
                          ns.astype(np.float64)))
     pk = np.concatenate((last_jump(end_x), np.repeat(gap_k, interior_samples), int_k))
-    p_integer = np.arange(len(px)) >= len(px) - len(ns)
     p_dev = views["right"][ck][pk] - (_li64(px) if spec.uses_li else px)
     p_rhs = spec.rhs(px, np)
-    p_guard = _guard(p_rhs)
-    p_margin = np.abs(p_dev) - p_rhs
 
     # each cut gap bounded from its two nodes, of which only an open one keeps its points
-    node_dev = np.concatenate((p_dev[:n_end], dev["left"][:1], dev["right"][-1:]))
+    node_dev = np.concatenate((p_dev[:n_end], dev[0, :1], dev[2, -1:]))
     node_rhs = np.concatenate((p_rhs[:n_end], rhs[:1], rhs[-1:]))
-    cut_fails, cut_opened = _gap_bounds(*_gap_ends(node_dev[cut_lo], node_dev[cut_hi]),
+    cut_fails, cut_opened = _gap_bounds(node_dev[cut_lo], node_dev[cut_hi],
                                         node_rhs[cut_lo], node_rhs[cut_hi])
     fail_k = np.concatenate((fail_k, cut_k[cut_fails]))
-    p_read = np.ones(len(px), dtype=bool)
-    for k in cut_k[~cut_opened].tolist():
-        p_read[n_end:] &= pk[n_end:] != k
+    p_read = ~np.isin(pk, cut_k[~cut_opened])
+    p_read[:n_end] = True
 
-    def reads():
-        # each group: number read, side, then x, jump k, label, margin,
-        # guard and integer flag of its reads outside the clean side of the
-        # band.  A one-sided limit describes x on its side of the jump, so
-        # the left limit at a jump counts when the jump is above x_lo and
-        # the right limit when it is below x_hi.  A cleared block's reads
-        # are counted too
-        at = np.flatnonzero(own)
-        skips = {"left": (int(not lo_end), 0), "at": (0, 0), "right": (0, int(not hi_end))}
-        for side, (a, b) in skips.items():
-            pos = at[a : len(at) - b]
-            margin = np.abs(dev[side][pos]) - rhs[pos]
-            hot = ~(margin <= -guard[pos])
-            i = pos[hot]
-            yield (n_jumps - a - b, side, jx[i], ks[i], np.full(len(i), side), margin[hot], guard[i],
-                   np.full(len(i), side == "at"))
-        hot = np.flatnonzero(p_read & ~(p_margin <= -p_guard))
-        yield (int(np.count_nonzero(p_read)), "right", px[hot], pk[hot], np.full(len(hot), "interior"),
-               p_margin[hot], p_guard[hot], p_integer[hot])
+    # every read as arrays: the three sides of each jump the scan owns, then
+    # the points, with side codes 0..3 for left, at, right and interior.  A
+    # one-sided limit describes x on its side of the jump, so the left limit
+    # at x_lo and the right limit at x_hi are read only when they are not jumps
+    at = np.flatnonzero(own)
+    jump_read = np.ones((3, len(at)), dtype=bool)
+    jump_read[0, :1], jump_read[2, -1:] = lo_end, hi_end
+    read = np.concatenate((jump_read.ravel(), p_read))
+    x = np.concatenate((np.tile(jx[at], 3), px))
+    k = np.concatenate((np.tile(ks[at], 3), pk))
+    band = np.concatenate((np.tile(guard[at], 3), _guard(p_rhs)))
+    margin = np.concatenate(((np.abs(dev[:, at]) - rhs[at]).ravel(), np.abs(p_dev) - p_rhs))
+    code = np.repeat(np.arange(4), (len(at),) * 3 + (len(px),))
+    integer = (code == 1) | (np.arange(len(x)) >= len(x) - len(ns))
 
+    # a margin at or above the guard band violates and one at or below minus
+    # it holds; those inside the band, or NaN, are re-decided one by one
+    violates = read & (margin >= band)
+    rechecks = np.flatnonzero(read & ~violates & ~(margin <= -band))
+    for i in rechecks.tolist():
+        violates[i] = _recheck(spec, tables, int(k[i]), _LABELS[min(code[i], 2)], float(x[i]))
+
+    # the last violation is the largest violating x, read from the side of
+    # highest code there, and the last integer violation the largest
+    # violating integer read or last integer of a failing gap
     worst_x = worst_side = None
-    n_points = n_recheck = 0
-    int_violations = []
-    for n_read, side, *hot in reads():
-        n_points += n_read
-        for x, k, label, margin, g, integer in zip(*(a.tolist() for a in hot)):
-            if not margin >= g:
-                n_recheck += 1
-                if not _recheck(spec, tables, k, side, x):
-                    continue
-            if worst_x is None or x > worst_x or (x == worst_x and label != "left"):
-                worst_x, worst_side = x, label
-            if integer:
-                int_violations.append(int(x))
-
-    # the last integer of the last failing gap with any is its last violation
+    if violates.any():
+        worst_x = float(x[violates].max())
+        worst_side = _LABELS[code[violates & (x == worst_x)].max()]
     first, last = _gap_integer_bounds(tables.jumps, fail_k, n_lo, n_hi)
-    if np.any(last >= first):
-        int_violations.append(int(last[last >= first].max()))
+    int_violations = np.concatenate((x[violates & integer], last[last >= first]))
 
     return Verdict(
         worst_x is None,
@@ -739,9 +736,9 @@ def scan_inequality(
         x_hi=float(x_hi),
         last_violation=worst_x,
         last_violation_side=worst_side,
-        last_integer_violation=max(int_violations, default=None),
-        n_points=n_points,
-        n_rechecked=n_recheck,
+        last_integer_violation=int(int_violations.max()) if len(int_violations) else None,
+        n_points=3 * n_jumps - (not lo_end) - (not hi_end) + int(np.count_nonzero(p_read)),
+        n_rechecked=len(rechecks),
     )
 
 
@@ -782,25 +779,18 @@ def _block_envelopes(spec, xs, blocks) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _gap_ends(lo_dev, hi_dev):
-    """(far, near): the larger and the smaller |deviation| at the two ends
-    of each gap, ``near`` 0 when the deviation changes sign across it."""
+def _gap_bounds(lo_dev, hi_dev, lo_rhs, hi_rhs):
+    """(fails, open): the gaps with these deviations and envelopes at their
+    two ends that fail throughout, and those neither bound settles (the
+    lemma in ``scan_inequality``), each within the guard band of the larger
+    envelope.  The bounds take the larger |deviation| at the two ends, and
+    the smaller, 0 when the deviation changes sign across the gap."""
     lo_abs, hi_abs = np.abs(lo_dev), np.abs(hi_dev)
     near = np.where(lo_dev * hi_dev > 0, np.minimum(lo_abs, hi_abs), 0.0)
-    return np.maximum(lo_abs, hi_abs), near
-
-
-def _gap_bounds(far, near, lo_rhs, hi_rhs):
-    """(fails, open): the gaps with these end deviations (``_gap_ends``) and
-    envelopes at their two ends that fail throughout, and those neither
-    bound settles (the lemma in ``scan_inequality``), each within the guard
-    band of the larger envelope."""
     top = np.maximum(lo_rhs, hi_rhs)
     g = _guard(top)
-    fails = np.subtract(near, top, out=top) >= g
-    upper = np.minimum(lo_rhs, hi_rhs)
-    np.subtract(far, upper, out=upper)
-    return fails, ~(upper <= np.negative(g, out=g)) & ~fails
+    fails = near - top >= g
+    return fails, ~(np.maximum(lo_abs, hi_abs) - np.minimum(lo_rhs, hi_rhs) <= -g) & ~fails
 
 
 def _gap_integer_bounds(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,6 @@ from primebounds.hiprec import working_precision
 from primebounds.primes import (
     _SIDES,
     _gap_bounds,
-    _gap_ends,
     _gap_integer_bounds,
     _gap_integers,
     _guard,
@@ -469,15 +468,12 @@ def scan_inequality_sampled(spec, x_lo, x_hi, tables, interior_samples=16):
 
 
 def _deviations(tables, kind, uses_li):
-    """(dev, far, near) of a count kind against its target at every jump:
-    ``dev[side]`` the float64 read minus the target, ``far[k]`` and
-    ``near[k]`` the larger and the smaller |dev| at the two ends of gap k,
-    as the table cached them for every scan before blocks were cleared."""
+    """``dev[side]``, the float64 read of a count kind from ``side`` minus
+    its target at every jump, as the table cached it for every scan before
+    blocks were cleared."""
     views = tables.float_views
     target = tables.jump_li if uses_li else views["x"]
-    dev = {side: views[side][kind] - target for side in _SIDES}
-    far, near = _gap_ends(dev["right"][:-1], dev["left"][1:])
-    return dev, far, near
+    return {side: views[side][kind] - target for side in _SIDES}
 
 
 def scan_inequality_per_read(spec, x_lo, x_hi, tables, interior_samples=16):
@@ -493,7 +489,7 @@ def scan_inequality_per_read(spec, x_lo, x_hi, tables, interior_samples=16):
     views = tables.float_views
     xs = views["x"]
     ck = spec.count_kind
-    dev, far, near = _deviations(tables, ck, spec.uses_li)
+    dev = _deviations(tables, ck, spec.uses_li)
 
     def last_jump(x):   # the last jump <= x, where the count at x is read
         return np.searchsorted(xs, x, side="right") - 1
@@ -517,7 +513,7 @@ def scan_inequality_per_read(spec, x_lo, x_hi, tables, interior_samples=16):
     # every gap between consecutive nodes, bounded from its two ends: first
     # the gaps between jumps (gap k runs from jump k to jump k + 1), then
     # those that an end cuts, each in the gap of the last jump below its start
-    fails, opened = _gap_bounds(far[k0:k1], near[k0:k1], rhs[:-1], rhs[1:])
+    fails, opened = _gap_bounds(dev["right"][k0:k1], dev["left"][k0 + 1 : k1 + 1], rhs[:-1], rhs[1:])
     fail_k, open_k = k0 + np.flatnonzero(fails), k0 + np.flatnonzero(opened)
     starts, ends = xs[open_k], xs[open_k + 1]
     cut = []   # (start, end, k, deviation and envelope at the start, then at the end)
@@ -530,7 +526,7 @@ def scan_inequality_per_read(spec, x_lo, x_hi, tables, interior_samples=16):
     if cut:
         start, end, k, lo_dev, lo_rhs, hi_dev, hi_rhs = np.array(cut).T
         k = k.astype(np.int64)
-        fails, opened = _gap_bounds(*_gap_ends(lo_dev, hi_dev), lo_rhs, hi_rhs)
+        fails, opened = _gap_bounds(lo_dev, hi_dev, lo_rhs, hi_rhs)
         fail_k, open_k = np.concatenate((fail_k, k[fails])), np.concatenate((open_k, k[opened]))
         starts, ends = np.concatenate((starts, start[opened])), np.concatenate((ends, end[opened]))
     n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)

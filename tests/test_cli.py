@@ -241,6 +241,14 @@ class TestRamanujan:
         res = run(runner, ["ramanujan", "--rung", "99"])
         assert res.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("option, value", [
+        ("--z-lo", "43"), ("--z-hi", "44"), ("--delta", "1e-8"), ("--a", "5")])
+    def test_rung_with_a_window_option_is_usage_error(self, runner, option, value):
+        # each was once dropped in silence, the rung's own value used instead
+        res = run(runner, ["ramanujan", "--rung", "0", option, value, "--steps", "3"])
+        assert res.exit_code == EXIT_CONFIG
+        assert "exclusive" in res.stderr
+
     def test_schedule_listing(self, runner):
         res = run(runner, ["ramanujan", "--list"])
         assert res.exit_code == EXIT_PASS

@@ -742,6 +742,12 @@ class TestTableAssembly:
         }
         assert _columns(tables) == {kind: list(accumulate(col)) for kind, col in steps.items()}
 
+    @pytest.mark.parametrize("size", [0, -5, 0.5, 2.5, "64"])
+    def test_segment_size_below_one_or_not_an_integer_is_refused(self, size):
+        # a segment_size of 0 once yielded empty segments forever
+        with pytest.raises(ParameterError, match="segment_size"):
+            build_tables(1000, segment_size=size)
+
 
 class TestLi64:
     def test_against_120_bit_li(self):
@@ -802,6 +808,20 @@ class TestScanContext:
         assert [r.n_points for r in reports] == [
             54_559, 55_250, 54_939, 55_975, 54_707, 55_639, 54_392, 54_392, 54_376, 54_376]
         assert [r.n_rechecked for r in reports] == [0] * 10
+
+    def test_finite_margins_rechecked_in_a_wider_band_give_the_same_verdicts(
+            self, monkeypatch, tables_2e5):
+        # a band 1e6 times wider sends finite margins of either sign to the
+        # extended-precision recheck, which must decide them as float64 did
+        def fields(report):
+            return (report.passed, report.last_violation, report.last_violation_side,
+                    report.last_integer_violation)
+
+        want = [scan_inequality(spec, 2, 200_000, tables_2e5) for spec in VERIFY_SPECS]
+        monkeypatch.setattr(primes, "_guard", lambda rhs: 1e-3 * np.maximum(rhs, 1.0))
+        got = [scan_inequality(spec, 2, 200_000, tables_2e5) for spec in VERIFY_SPECS]
+        assert list(map(fields, got)) == list(map(fields, want))
+        assert [r.n_rechecked for r in got] == [0, 6, 1, 22, 1, 32, 0, 0, 0, 0]
 
     def test_exact_log_columns_are_built_only_when_read(self, monkeypatch):
         calls = []
