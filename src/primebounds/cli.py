@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass
 
 import click
+from click.core import ParameterSource
 
 from . import engine, error_terms, hiprec, published, primes, ramanujan, zeros
 from .errors import ParameterError
@@ -273,12 +274,30 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
 @click.pass_obj
 def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
                   delta, a_value, counterexample):
-    """Stepping verification windows and the counterexample spot check."""
+    """Stepping verification windows and the counterexample spot check.
+
+    One of --list, --counterexample X, --rung N or the window
+    --z-lo/--z-hi/--delta/--a; --steps and --from-end go with the last two.
+    """
+    modes = [name for name, given in (
+        ("--list", list_only),
+        ("--counterexample", counterexample is not None),
+        ("--rung", rung is not None),
+        ("--z-lo/--z-hi/--delta/--a", (z_lo, z_hi, delta, a_value) != (None,) * 4),
+    ) if given]
+    if len(modes) > 1:
+        raise ParameterError(f"{' and '.join(modes)} are exclusive")
+    ctx = click.get_current_context()
+    stepping = any(ctx.get_parameter_source(p) is not ParameterSource.DEFAULT
+                   for p in ("steps", "from_end"))
+    if stepping and modes and modes[0] in ("--list", "--counterexample"):
+        raise ParameterError(f"{modes[0]} and --steps/--from-end are exclusive")
     schedule = ramanujan.regime_schedule()
     if list_only:
-        _emit(cfg, {"schedule": [r.__dict__ | {"n_steps": r.n_steps} for r in schedule]},
+        rows = [(r, r.n_steps) for r in schedule]
+        _emit(cfg, {"schedule": [r.__dict__ | {"n_steps": n} for r, n in rows]},
               [f"rung {i}: z ({r.z_lo}, {r.z_hi}] a={r.a:.4g} delta={r.delta:g} "
-               f"steps={r.n_steps}" for i, r in enumerate(schedule)])
+               f"steps={n}" for i, (r, n) in enumerate(rows)])
         raise SystemExit(EXIT_PASS)
     if counterexample is not None:
         verdict = ramanujan.counterexample_check_direct(counterexample)
@@ -287,8 +306,6 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         _emit(cfg, payload,
               [f"x={counterexample}: inequality {'holds' if verdict.holds else 'FAILS'}"])
         raise SystemExit(EXIT_PASS if verdict.holds else EXIT_FAIL)
-    if rung is not None and (z_lo, z_hi, delta, a_value) != (None,) * 4:
-        raise click.UsageError("--rung and explicit window options are exclusive")
     if rung is not None:
         if not (0 <= rung < len(schedule)):
             raise click.UsageError(

@@ -62,12 +62,15 @@ with the band 1e-9 * max(1, best).  In float64, B = E/2 + D E / log A is
 evaluated at the doubles of E = e_num/e_denom and D = n/d_denom, correctly
 rounded quotients of integers (u each), and of log A (u); E/2 is exact,
 the product, the quotient and the sum err by u each, and both summands are
-positive, so B errs by at most 6u relative.  The double of best errs by u
-and the difference is rounded once, so near a tie the float64 B - best is
-within 8u * max(1, best) (8.9e-16 of it) of the 192-bit one, and the band
-is over 1e6 times that.  Measured over the 1,758 such tests of the same commands:
-the error is at most 2.5u of max(1, best), and the 17 re-decided are exact
-ties, where a stage revisits the E of the best itself.
+positive, so B errs by at most 6u relative.  The best is kept as its grid
+points and that float64 B, which errs by 6u as well, and the difference
+is rounded once, so near a tie the float64 B - best is within
+13u * max(1, best) (1.5e-15 of it) of the 192-bit one, and the band is
+over 6e5 times that.  Measured over the 2,110 such tests of ``derive --T
+3e12``, ``derive --T 2.5e14`` and ``tables 1 2``: the error is at most 3.5u
+of max(1, best), and the 21 re-decided are exact ties, where a stage
+revisits the E of the best itself; mpf values are built for those and for
+the 18 results alone.
 """
 
 from __future__ import annotations
@@ -135,6 +138,13 @@ _GUARD = 1e-9
 # ``solve_x_max`` is re-decided at full precision (its docstring)
 _X_MAX_GUARD = 1e-12
 
+# inside that band, a secant value is kept only outside +-1e-20 T and when
+# its two points lie within 1e-11 x of each other (same docstring)
+_SECANT_GUARD = 1e-20
+_SECANT_SPAN = 1e-11
+
+_U = 2.0 ** -53
+
 _EQ_KINDS = ("strong", "weak", "comparison")
 
 
@@ -182,35 +192,75 @@ def solve_x_max(eq: ThresholdEquation) -> mpf:
 
     The bisection runs at the working precision; only its tests
     LHS(x) < T are decided in float64 first, by ``_lhs`` at float(x),
-    and kept when |LHS - T| > 1e-12 T (``_X_MAX_GUARD``).  Anything closer,
-    or not finite, is re-decided by ``lhs`` at full precision.  The bound
+    and kept when |LHS - T| > 1e-12 T (``_X_MAX_GUARD``).  The bound
     behind the band, with u = 2^-53, each float64 operation and sqrt
     erring by at most u relative, each libm log and pow by at most 2u, and
-    K and T doubles: float(x) errs by u, so log x by 2u + u/log x <= 2.4u
-    relative on x >= 30 (log x > 3.4); x/log x by 4.4u, its sqrt by 3.2u,
-    and the comparison shape by 4.2u with K; log log x by 2.5u absolute,
-    over 1.22, so 4.1u relative with libm, and the strong shape by 9.3u;
-    the weak cube L ** 3 by 3 * 2.4u + 2u = 9.2u, x/log^3 x by 11.2u and
-    the weak shape by 7.6u.  So the float64 LHS lies within 10u (1.1e-15)
-    of LHS relative, rounding its difference with T adds u, and the
-    full-precision LHS errs by about 2^-185.  The band is over 800 times
-    these 11u, so every answer kept is the full-precision one, each step
-    moves lo or hi exactly as deciding everything at full precision would,
-    and the root is bit-identical to it.  Only the last steps, where the
-    bracket is narrower than about 2e-12 relative, are re-decided.
+    K and T doubles: float(x) rounds down, so errs by 2u, and log x by
+    2u + 2u/log x <= 2.6u relative on x >= 30 (log x > 3.4); x/log x by
+    5.6u, its sqrt by 3.8u, and the comparison shape by 4.8u with K; log
+    log x by 2.6u absolute, over 1.22, so 4.2u relative with libm, and the
+    strong shape by 9.9u; the weak cube L ** 3 by 3 * 2.6u + 2u = 9.8u,
+    x/log^3 x by 12.8u and the weak shape by 8.4u.  So the float64 LHS
+    lies within 10u (1.1e-15) of LHS relative, rounding its difference with
+    T adds u, and the full-precision LHS errs by about 2^-185.  The band is
+    over 800 times these 11u.
+
+    A test whose float64 difference is not finite is decided by ``lhs`` at
+    full precision, and so is one inside the band while fewer than two
+    have been; every later one in the band first by the secant through the
+    last two full-precision values f_i = LHS(x_i) - T (as doubles),
+    s = f_1 + (f_2 - f_1) q with q = d/h, where d = x - x_1 and h = x_2 - x_1
+    are the ``mpf_sub`` offsets rounded once to doubles.  s is kept when
+    |h| <= 1e-11 x (``_SECANT_SPAN``), |q| <= 3 and
+    |s| > 1e-20 T + 32u (|f_1| + |f_2|) (``_SECANT_GUARD``); anything else
+    goes to ``lhs``, which then replaces the older point.  The bound: with
+    L = log x and LHS = sqrt(x) phi(L), LHS'' = LHS (phi''/phi - 1/4) / x^2,
+    and phi''/phi is k(k+1)/L^2 for phi = L^-k (k = 1/2 comparison, 3/2
+    weak) and 1/(2L^2) + (l+1)/(L l)^2 + (1/(2L) + 1/(L l))^2 with
+    l = log L (strong), all in (0, 0.33] on x >= 30, so
+    |LHS''| <= LHS/(4 x^2).  The secant of a C^2 function errs by
+    |LHS''(xi)| |x - x_1| |x - x_2| / 2 for some xi on the span of the
+    three points, where |x - x_1| <= 3|h| <= 3e-11 x and
+    |x - x_2| <= 4e-11 x; x is in the band and LHS increases by at most
+    sqrt(1 + 4e-11) over the span, so LHS(xi) <= 1.01 T (for any band
+    up to 1e-3 T) and the secant errs by at most 1.52 * (1e-11)^2 T =
+    1.6e-22 T.  In float64 the f_i err by u relative plus the
+    full-precision error eta, d, h and the difference by u each, q by 3u,
+    and s then by at most u F (1 + 6.03|q|) + eta (1.01 + 2.02|q|) +
+    1.01u|s| <= 20u F + 8 eta + 1.01u|s|, with F = |f_1| + |f_2|.  So a
+    kept s is over 60 times its error from zero and has the sign of
+    LHS(x) - T, and of the full-precision difference, which is further
+    from zero than its own error.
+
+    So every answer kept is the full-precision one, each step moves lo or
+    hi exactly as deciding everything at full precision would, and the
+    root is bit-identical to it.  Only the last steps, where the bracket is
+    narrower than about 4e-12 relative, are in the band, and of those only
+    the first two go to ``lhs`` (a secant value within its band of zero
+    would take a third).  The stop test hi - lo < 1e-13 lo runs at full
+    precision only when the doubles of the ends, each rounded down and so
+    within 2u of its value, give hi - lo < 1.01e-13 lo; otherwise the
+    bracket is wider than 1.005e-13 lo and the test fails.
     """
     with working_precision():
         prec = mp.prec
         T = mpf(eq.T)
         T64 = float(eq.T)
         band = _X_MAX_GUARD * T64
+        known = []             # (x, LHS(x) - T as a double) of the last two lhs tests
 
-        def below(x) -> bool:
-            # eq.lhs(x) < T for a raw mpf x, in float64 outside the band
-            diff = eq._lhs(to_float(x), math) - T64
-            if math.isfinite(diff) and abs(diff) > band:
-                return diff < 0
-            return eq.lhs(mp.make_mpf(x)) < T
+        def below(x, x64) -> bool:
+            # eq.lhs(x) < T for a raw mpf x and its double x64
+            diff = eq._lhs(x64, math) - T64
+            if math.isfinite(diff):
+                if abs(diff) > band:
+                    return diff < 0
+                s = _secant(known, x, x64, T64) if len(known) == 2 else None
+                if s is not None:
+                    return s < 0
+            f = eq.lhs(mp.make_mpf(x)) - T
+            known[:] = known[-1:] + [(x, float(f))]
+            return f < 0
 
         def geometric_mean(lo, hi):
             # mp.sqrt(lo * hi) on raw mpf values, rounded to nearest at prec
@@ -219,20 +269,37 @@ def solve_x_max(eq: ThresholdEquation) -> mpf:
 
         for ends in (("1e5", "1e60"), ("30", "1e300")):
             lo, hi = (from_str(v, prec, round_nearest) for v in ends)
-            if below(lo) and not below(hi):
+            lo64, hi64 = to_float(lo), to_float(hi)
+            if below(lo, lo64) and not below(hi, hi64):
                 break
         else:
             raise BracketError(f"no sign change for {eq.variant} K={eq.constant} T={eq.T}")
         tol = from_float(1e-13)
         for _ in range(600):
             mid = geometric_mean(lo, hi)
-            if below(mid):
-                lo = mid
+            mid64 = to_float(mid)
+            if below(mid, mid64):
+                lo, lo64 = mid, mid64
             else:
-                hi = mid
-            if mpf_lt(mpf_sub(hi, lo, prec, round_nearest), mpf_mul(tol, lo, prec, round_nearest)):
+                hi, hi64 = mid, mid64
+            if hi64 - lo64 < 1.01e-13 * lo64 and mpf_lt(
+                    mpf_sub(hi, lo, prec, round_nearest), mpf_mul(tol, lo, prec, round_nearest)):
                 break
         return mp.make_mpf(geometric_mean(lo, hi))
+
+
+def _secant(known, x, x64: float, T64: float):
+    """LHS(x) - T by the secant through ``known``, the last two (x_i, f_i)
+    of ``solve_x_max``'s full-precision tests, when it is kept (that
+    docstring), else None.  x is a raw mpf and x64 its double."""
+    (x1, f1), (x2, f2) = known
+    h = to_float(mpf_sub(x2, x1, 53, round_nearest))
+    q = to_float(mpf_sub(x, x1, 53, round_nearest)) / h
+    if abs(h) <= _SECANT_SPAN * x64 and abs(q) <= 3:
+        s = f1 + (f2 - f1) * q
+        if abs(s) > _SECANT_GUARD * T64 + 32 * _U * (abs(f1) + abs(f2)):
+            return s
+    return None
 
 
 def admissible_B(state: IterationState) -> mpf:
@@ -475,17 +542,19 @@ def _first_admissible(ok, n_hi: int, guess: Optional[int] = None):
 
 
 def _b_below(E, D, log_a, best) -> bool:
-    """Whether B = E/2 + D E / log A is below ``best``.
+    """Whether B = E/2 + D E / log A is below the best's.
 
-    E and D are grid points (numerator, denominator), log A and best each a
-    pair (mpf, its double).  Decided in float64 when B - best clears the
-    guard band 1e-9 * max(1, best) (module docstring), else by ``_b_at`` at
-    the working precision on the ``_grid`` values.
+    E and D are grid points (numerator, denominator), log A a pair (mpf,
+    its double) and ``best`` the best's grid points and float64 B,
+    (E, D, B).  Decided in float64 when B - best clears the guard band
+    1e-9 * max(1, best) (module docstring), else by ``_b_at`` at the
+    working precision on the ``_grid`` values of both.
     """
-    diff = _b_at(log_a[1], D[0] / D[1], E[0] / E[1]) - best[1]
-    if abs(diff) > _GUARD * max(1.0, best[1]):
+    diff = _b_at(log_a[1], D[0] / D[1], E[0] / E[1]) - best[2]
+    if abs(diff) > _GUARD * max(1.0, best[2]):
         return diff < 0
-    return _b_at(log_a[0], _grid(*D), _grid(*E)) < best[0]
+    B = _b_at(log_a[0], _grid(*D), _grid(*E))
+    return B < _b_at(log_a[0], _grid(*best[1]), _grid(*best[0]))
 
 
 def _predict(answers, x, default: int) -> int:
@@ -518,8 +587,9 @@ def _search_strong(at: _Admissibility):
     The loop runs on grid integers: E = e_num/e_denom and D = n/d_denom,
     probed as the doubles of those quotients, which are the doubles of the
     ``_grid`` values (a test checks it), so 10 <= E <= 20 is a test on the
-    integers.  mpf values are built only for a new best, and the tests
-    B < best are ``_b_below``'s.
+    integers.  The best is kept as its grid points and its float64 B, the
+    tests B < best are ``_b_below``'s, and mpf values are built only for
+    the result.
 
     The smallest admissible D of consecutive E in a stage moves almost
     linearly, and the first new best of a stage lies just below n_cap.  So
@@ -533,24 +603,24 @@ def _search_strong(at: _Admissibility):
     over the whole D range.
     """
     log_a = (at._terms.L, float(at._terms.L))
-    best = bound = None        # (B, D, E) in mpf; (B, its double)
+    best = None                # (E, D, float64 B), E and D grid points
 
     def stage(e_nums, e_denom, d_denom):
-        nonlocal best, bound
+        nonlocal best
         answers = []           # (e_num, n) of each new best of the stage
         for e_num in e_nums:
             if not 10 * e_denom <= e_num <= 20 * e_denom:
                 continue
             E, e64 = (e_num, e_denom), e_num / e_denom
             n_cap = 8 * d_denom
-            if bound is not None:
+            if best is not None:
                 # the largest n <= n_cap with B < best: the real-valued
                 # estimate, corrected step by step
-                n = math.floor((bound[1] - e64 / 2) * log_a[1] / e64 * d_denom)
+                n = math.floor((best[2] - e64 / 2) * log_a[1] / e64 * d_denom)
                 n = min(n_cap, max(-1, n))
-                while n < n_cap and _b_below(E, (n + 1, d_denom), log_a, bound):
+                while n < n_cap and _b_below(E, (n + 1, d_denom), log_a, best):
                     n += 1
-                while n >= 0 and not _b_below(E, (n, d_denom), log_a, bound):
+                while n >= 0 and not _b_below(E, (n, d_denom), log_a, best):
                     n -= 1
                 if n < 0:
                     continue
@@ -559,18 +629,17 @@ def _search_strong(at: _Admissibility):
             n = _first_admissible(lambda n: at.admissible(n / d_denom, e64), n_cap, guess)
             if n is not None:
                 answers.append((e_num, n))
-                D, E = _grid(n, d_denom), _grid(e_num, e_denom)
-                best = (_b_at(log_a[0], D, E), D, E)
-                bound = (best[0], float(best[0]))
+                best = (E, (n, d_denom), _b_at(log_a[1], n / d_denom, e64))
 
     stage(range(100, 201), 10, 50)     # E = 10.0 .. 20.0 step 0.1
     if best is None:
         return None
-    e_center = int(round(float(best[2]) * 50))
+    e_center = int(round(best[0][0] / best[0][1] * 50))
     stage(range(e_center - 6, e_center + 7), 50, 50)      # step 0.02
-    e_center = int(round(float(best[2]) * 200))
+    e_center = int(round(best[0][0] / best[0][1] * 200))
     stage(range(e_center - 4, e_center + 5), 200, 200)    # step 0.005, D grid alike
-    return best
+    D, E = _grid(*best[1]), _grid(*best[0])
+    return _b_at(log_a[0], D, E), D, E
 
 
 def _search_weak(at: _Admissibility):

@@ -623,11 +623,14 @@ def margin64(at, D, E):
 
 def below_best_mpf(E, D, log_a, best) -> bool:
     """``engine._b_below`` with the test made at full precision:
-    B = E/2 + D E / log A against ``best`` for the grid points E and D,
-    each (numerator, denominator), with log A and best the mpf of their
-    (mpf, double) pairs."""
-    E, D = mpf(E[0]) / E[1], mpf(D[0]) / D[1]
-    return E / 2 + D * E / log_a[0] < best[0]
+    B = E/2 + D E / log A against the best's for the grid points E and D,
+    each (numerator, denominator), with log A the mpf of its (mpf, double)
+    pair and ``best`` (E, D, float64 B) the best's grid points."""
+    def b(E, D):
+        E, D = mpf(E[0]) / E[1], mpf(D[0]) / D[1]
+        return E / 2 + D * E / log_a[0]
+
+    return b(E, D) < b(*best[:2])
 
 
 def search_strong_pruned(at, visited=None):

@@ -11,7 +11,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from primebounds import engine, hiprec, published
+from primebounds import engine, hiprec, published, ramanujan
 from primebounds.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, cli, main
 
 
@@ -254,6 +254,31 @@ class TestRamanujan:
         assert res.exit_code == EXIT_PASS
         assert "rung 0" in res.output
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_schedule_listing_counts_each_rung_once(self, runner, monkeypatch, fmt):
+        # n_steps is exact Fraction arithmetic; the listing computes it once
+        # per rung for both formats
+        calls = []
+        n_steps = ramanujan.Regime.n_steps
+
+        def counted(regime):
+            calls.append(regime)
+            return n_steps.fget(regime)
+
+        monkeypatch.setattr(ramanujan.Regime, "n_steps", property(counted))
+        res = run(runner, ["--format", fmt, "ramanujan", "--list"])
+        assert res.exit_code == EXIT_PASS
+        assert len(calls) == len(ramanujan.regime_schedule())
+
+    @pytest.mark.parametrize("args", [
+        ["--rung", "0"],
+        ["--z-lo", "43", "--z-hi", "44", "--delta", "1e-8", "--a", "1"],
+    ])
+    def test_steps_and_from_end_go_with_a_rung_or_a_window(self, runner, args):
+        res = run(runner, ["--format", "json", "ramanujan", *args, "--steps", "3", "--from-end"])
+        assert res.exit_code in (EXIT_PASS, EXIT_FAIL)
+        assert json.loads(res.stdout)["steps_checked"] == 3
+
     @pytest.mark.parametrize("bad", [
         {"--z-lo": "40"}, {"--delta": "0"}, {"--delta": "nan"}, {"--delta": "inf"},
         {"--delta": "1e-90"}, {"--a": "-1"}, {"--steps": "0"}, {"--steps": "-5"},
@@ -339,6 +364,22 @@ BAD_INPUTS = [
     ["ramanujan", "--counterexample", "1"],
     ["ramanujan", "--counterexample", "-5"],
     ["ramanujan", "--counterexample", "1000000000001"],
+    # the four modes of ramanujan mixed, and --steps/--from-end (given, even
+    # at their defaults) with --list or --counterexample; each once ran the
+    # first mode and dropped the rest in silence
+    ["ramanujan", "--list", "--counterexample", "1000"],
+    ["ramanujan", "--list", "--rung", "0"],
+    ["ramanujan", "--list", "--a", "5"],
+    ["ramanujan", "--list", "--steps", "5"],
+    ["ramanujan", "--list", "--steps", "20000"],
+    ["ramanujan", "--list", "--from-end"],
+    ["ramanujan", "--counterexample", "1000", "--rung", "0"],
+    ["ramanujan", "--counterexample", "1000", "--z-lo", "43"],
+    ["ramanujan", "--counterexample", "1000", "--delta", "1e-8"],
+    ["ramanujan", "--counterexample", "1000", "--steps", "5"],
+    ["ramanujan", "--counterexample", "1000", "--from-end"],
+    ["ramanujan", "--rung", "0", "--a", "5", "--counterexample", "1000"],
+    ["ramanujan", "--rung", "0", "--z-hi", "44", "--steps", "3", "--from-end"],
 ]
 
 

@@ -70,6 +70,35 @@ WEAK_STATES = [
 ]
 
 
+def drawn_roots(test):
+    """Hypothesis over the variant, K and a drawn root, as (variant, log_k,
+    log_root), with examples: roots below 30, in the expanded bracket's low
+    and high parts, on the default bracket's ends, and above 1e300."""
+    for variant, log_k, log_root in [
+        ("comparison", 0.0, 1.2),
+        ("strong", 0.0, 3.0),
+        ("weak", -7.0, 5.0),
+        ("strong", 1.0, 60.0),
+        ("weak", -3.0, 200.0),
+        ("comparison", 0.5, 300.0),
+        ("strong", 0.9, 320.0),
+    ]:
+        test = example(variant=variant, log_k=log_k, log_root=log_root)(test)
+    return settings(max_examples=40, deadline=None)(given(
+        variant=st.sampled_from(["strong", "weak", "comparison"]),
+        log_k=st.floats(-7, math.log10(20)),
+        log_root=st.floats(1, 340),
+    )(test))
+
+
+def equation_at_root(variant, log_k, log_root):
+    # the equation whose T is LHS at the root 10^log_root, to 192 bits
+    K = 10.0 ** log_k
+    with working_precision(192):
+        T = float(ThresholdEquation(variant, K).lhs(mpf(10) ** log_root))
+    return ThresholdEquation(variant, K, T)
+
+
 class TestSolveXMax:
     def test_comparison_bound_reach(self):
         x = solve_x_max(ThresholdEquation("comparison", published.COMPARISON_K, 3e12))
@@ -114,21 +143,7 @@ class TestSolveXMax:
         with pytest.raises(BracketError):
             solve_x_max(ThresholdEquation("comparison", 4.92, 1e200))
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        variant=st.sampled_from(["strong", "weak", "comparison"]),
-        log_k=st.floats(-7, math.log10(20)),
-        log_root=st.floats(1, 340),
-    )
-    # roots below 30, in the expanded bracket's low and high parts, on the
-    # default bracket's ends, and above 1e300
-    @example(variant="comparison", log_k=0.0, log_root=1.2)
-    @example(variant="strong", log_k=0.0, log_root=3.0)
-    @example(variant="weak", log_k=-7.0, log_root=5.0)
-    @example(variant="strong", log_k=1.0, log_root=60.0)
-    @example(variant="weak", log_k=-3.0, log_root=200.0)
-    @example(variant="comparison", log_k=0.5, log_root=300.0)
-    @example(variant="strong", log_k=0.9, log_root=320.0)
+    @drawn_roots
     def test_root_is_the_full_precision_bisection(self, variant, log_k, log_root):
         # T = LHS at a drawn root, so every bracket case is reached
         K = 10.0 ** log_k
@@ -144,6 +159,65 @@ class TestSolveXMax:
             else:
                 with working_precision(prec):
                     assert solve_x_max(eq)._mpf_ == want
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("_SECANT_GUARD", math.inf), ("_X_MAX_GUARD", 1e-3)],
+        ids=["no-secant-kept", "band-widened"],
+    )
+    @drawn_roots
+    def test_root_with_the_secant_off_or_stretched(self, name, value, variant, log_k, log_root):
+        # no secant value kept: every test in the band goes to lhs; the band
+        # widened to 1e-3 T: the secant serves far more tests, and its span
+        # check must turn away those whose points lie far apart
+        eq = equation_at_root(variant, log_k, log_root)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, name, value)
+            for prec in (192, 256):
+                try:
+                    want = solve_x_max_mpf(eq, prec)._mpf_
+                except BracketError as exc:
+                    with pytest.raises(BracketError, match=re.escape(str(exc))), \
+                            working_precision(prec):
+                        solve_x_max(eq)
+                else:
+                    with working_precision(prec):
+                        assert solve_x_max(eq)._mpf_ == want
+
+    @pytest.mark.parametrize("band", [1e-12, 1e-3])
+    def test_secant_values_are_inside_the_error_bound(self, monkeypatch, band):
+        # the bound of solve_x_max's docstring on each secant value kept:
+        # 1.52 SPAN^2 T for the curvature, 20u (|f_1| + |f_2|) + 1.01u |s|
+        # for the float64 rounding; the secant band is 60 times the first
+        u = 2.0 ** -53
+        kept = []
+        secant = engine._secant
+
+        def recorded(known, x, x64, T64):
+            s = secant(known, x, x64, T64)
+            if s is not None:
+                kept.append((known, x, s))
+            return s
+
+        monkeypatch.setattr(engine, "_secant", recorded)
+        monkeypatch.setattr(engine, "_X_MAX_GUARD", band)
+        rng = random.Random(1)
+        worst, n_kept = 0.0, 0
+        for _ in range(300):
+            eq = equation_at_root(rng.choice(["strong", "weak", "comparison"]),
+                                  rng.uniform(-7, math.log10(20)), rng.uniform(1.5, 300))
+            kept.clear()
+            with working_precision(192):
+                solve_x_max(eq)
+                for known, x, s in kept:
+                    f = eq.lhs(mp.make_mpf(x)) - mpf(eq.T)
+                    bound = (1.52 * engine._SECANT_SPAN ** 2 * eq.T
+                             + 20 * u * (abs(known[0][1]) + abs(known[1][1])) + 1.01 * u * abs(s))
+                    worst = max(worst, float(abs(s - f)) / bound)
+            n_kept += len(kept)
+        assert n_kept > 1000
+        assert worst <= 1
+        assert engine._SECANT_GUARD >= 60 * 1.52 * engine._SECANT_SPAN ** 2
 
     def test_float_lhs_is_inside_the_error_bound(self):
         # the bound of solve_x_max's docstring: 10 u of LHS, plus u for the
@@ -176,12 +250,13 @@ class TestSolveXMax:
 
         monkeypatch.setattr(ThresholdEquation, "lhs", counted_lhs)
         monkeypatch.setattr(engine, "solve_x_max", counted_solve)
-        for args in (["derive", "--T", "3e12"], ["derive", "--T", "2.5e14"], ["tables", "1", "2"]):
+        for args in CONSTANTS_COMMANDS:
             derive_cli(args)
         # 28 calls and 199 tests before round_up_sig was idempotent: the weak
-        # a = 100 row's first round then took B = 0.0116 up to 0.0117
-        assert counts == {"lhs": 192, "solve": 27}
-        assert counts["lhs"] <= 0.15 * 1484
+        # a = 100 row's first round then took B = 0.0116 up to 0.0117; 192
+        # tests in 27 calls before the secant decided the band's later tests
+        assert counts == {"lhs": 54, "solve": 27}
+        assert counts["lhs"] <= 2 * counts["solve"]
 
 
 class TestAdmissibleB:
@@ -561,6 +636,10 @@ class TestDecisionReplay:
         assert {"c(A)", "eps(A)", "sqrt(2c)/eps", True} <= seen
 
 
+# derive at two heights and both tables, the commands whose engine counts are pinned
+CONSTANTS_COMMANDS = (["derive", "--T", "3e12"], ["derive", "--T", "2.5e14"], ["tables", "1", "2"])
+
+
 def derive_cli(args):
     res = CliRunner().invoke(cli, args)
     assert res.exit_code == EXIT_PASS, res.output
@@ -627,7 +706,7 @@ class TestFloatFirstDecisions:
     def test_probe_doubles_are_the_grid_values(self):
         # the strong search probes D = n / d_denom and E = e_num / e_denom as
         # doubles and tests 10 <= E <= 20 on the integers, building the exact
-        # grid values only for a new best: each probe decides alike
+        # grid values only for the result: each probe decides alike
         for bits in (100, 192, 256):
             with working_precision(bits):
                 for d in (10, 50, 200):
@@ -638,6 +717,60 @@ class TestFloatFirstDecisions:
                         if 10 <= E <= 20:
                             assert float(E) == e / d, (e, d, bits)
 
+    def test_float_b_is_inside_the_error_bound(self, monkeypatch):
+        # the bound of the module docstring on each test B < best of the
+        # strong search: B and best each err by 6u and their difference by u
+        # more, 13u of max(1, best) near a tie; far from one, 6u of B + best
+        # plus u of the difference
+        u = 2.0 ** -53
+        errors = []
+        b_below = engine._b_below
+
+        def measured(E, D, log_a, best):
+            diff64 = engine._b_at(log_a[1], D[0] / D[1], E[0] / E[1]) - best[2]
+            with working_precision(192):
+                exact = [engine._b_at(log_a[0], mpf(d[0]) / d[1], mpf(e[0]) / e[1])
+                         for e, d in ((E, D), best[:2])]
+            error = abs(diff64 - float(exact[0] - exact[1]))
+            assert error <= 6 * u * float(exact[0] + exact[1]) + u * abs(diff64)
+            errors.append(error / max(1.0, best[2]) / u)
+            return b_below(E, D, log_a, best)
+
+        monkeypatch.setattr(engine, "_b_below", measured)
+        for args in CONSTANTS_COMMANDS:
+            derive_cli(args)
+        assert len(errors) > 1500
+        assert max(errors) <= 13
+
+    def test_grid_values_only_for_results_and_band_fallbacks(self, monkeypatch):
+        # the strong search keeps its best as grid integers: two grid values
+        # for each result, and four for each test B < best inside the band
+        counts = {"grid": 0, "fallback": 0, "result": 0}
+        grid, b_below, search = engine._grid, engine._b_below, engine._search_strong
+
+        def counted_grid(n, denom):
+            counts["grid"] += 1
+            return grid(n, denom)
+
+        def counted_b_below(E, D, log_a, best):
+            diff = engine._b_at(log_a[1], D[0] / D[1], E[0] / E[1]) - best[2]
+            counts["fallback"] += abs(diff) <= engine._GUARD * max(1.0, best[2])
+            return b_below(E, D, log_a, best)
+
+        def counted_search(at):
+            best = search(at)
+            counts["result"] += best is not None
+            return best
+
+        monkeypatch.setattr(engine, "_grid", counted_grid)
+        monkeypatch.setattr(engine, "_b_below", counted_b_below)
+        monkeypatch.setattr(engine, "_search_strong", counted_search)
+        for args in CONSTANTS_COMMANDS:
+            derive_cli(args)
+        assert counts["grid"] == 2 * counts["result"] + 4 * counts["fallback"]
+        # each fallback is an exact tie, where a stage revisits the best's E
+        assert counts == {"grid": 120, "fallback": 21, "result": 18}
+
     def test_no_recheck_at_the_default_height(self, monkeypatch):
         routines = record_routines(monkeypatch)
         iterate(3e12)
@@ -647,8 +780,9 @@ class TestFloatFirstDecisions:
         weak = BoundVariant("weak", 1.0)
         want = [iterate(3e12).to_dict(), iterate(3e12, variant=weak).to_dict()]
         routines = record_routines(monkeypatch)
-        calls, b_tests, grid_values = [], [], []
+        calls, b_tests, grid_values, results = [], [], [], []
         admissible, b_below, grid = engine._Admissibility.admissible, engine._b_below, engine._grid
+        search = engine._search_strong
 
         def counted(self, D, E):
             calls.append((D, E))
@@ -662,16 +796,25 @@ class TestFloatFirstDecisions:
             grid_values.append((n, denom))
             return grid(n, denom)
 
+        def counted_search(at):
+            best = search(at)
+            results.append(best)
+            return best
+
         monkeypatch.setattr(engine._Admissibility, "admissible", counted)
         monkeypatch.setattr(engine, "_b_below", counted_b_below)
         monkeypatch.setattr(engine, "_grid", counted_grid)
+        monkeypatch.setattr(engine, "_search_strong", counted_search)
         monkeypatch.setattr(engine, "_GUARD", math.inf)
         got = [iterate(3e12).to_dict(), iterate(3e12, variant=weak).to_dict()]
         assert got == want
         # every decision was re-decided at full precision, each test B < best
-        # from the mpf values of its two grid points
+        # from the mpf values of its own and the best's grid points, and each
+        # search built the grid values of its result
         assert sum(at.rechecks for at in routines) == len(calls) > 900
-        assert len(grid_values) >= 2 * len(b_tests) > 500
+        assert None not in results
+        assert len(grid_values) == 4 * len(b_tests) + 2 * len(results)
+        assert len(b_tests) > 500
 
     @pytest.mark.slow
     def test_float_margins_are_inside_the_error_bound(self, monkeypatch):
