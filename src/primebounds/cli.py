@@ -294,10 +294,9 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         raise ParameterError(f"{modes[0]} and --steps/--from-end are exclusive")
     schedule = ramanujan.regime_schedule()
     if list_only:
-        rows = [(r, r.n_steps) for r in schedule]
-        _emit(cfg, {"schedule": [r.__dict__ | {"n_steps": n} for r, n in rows]},
+        _emit(cfg, {"schedule": [r.__dict__ for r in schedule]},
               [f"rung {i}: z ({r.z_lo}, {r.z_hi}] a={r.a:.4g} delta={r.delta:g} "
-               f"steps={n}" for i, (r, n) in enumerate(rows)])
+               f"steps={r.n_steps}" for i, r in enumerate(schedule)])
         raise SystemExit(EXIT_PASS)
     if counterexample is not None:
         verdict = ramanujan.counterexample_check_direct(counterexample)

@@ -746,12 +746,23 @@ def _seed_at(A, variant: BoundVariant, D=None, E=None) -> tuple:
         return IterationState(float(A), float(B), float(C), D, E, variant), at
 
 
-def _display_shift(c_star: mpf, c_req: mpf) -> mpf:
-    """Largest multiple of the double nearest 0.005 below C*, falling back
-    to C* when the window between requirement and C* is narrower."""
+def _display_shift(c_star: mpf, c_req: mpf) -> float:
+    """The C a state stores: the largest multiple of the double nearest 0.005
+    below C*, falling back to the largest double <= C* when the window
+    between requirement and C* is narrower.  Refuses a window that holds no
+    double; with no window at all (C* below the requirement) the check of
+    the state reports that."""
     step = mpf(0.005)
     floored = mp.floor(c_star / step) * step
-    return floored if floored >= c_req else +c_star
+    c = float(floored if floored >= c_req else c_star)
+    if c > c_star:
+        c = math.nextafter(c, -math.inf)
+    if c < c_req <= c_star:
+        raise ParameterError(
+            f"no double lies between the required shift {mp.nstr(c_req, 20)} "
+            f"and C*={mp.nstr(c_star, 20)}"
+        )
+    return c
 
 
 def iterate(

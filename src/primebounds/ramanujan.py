@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -59,6 +58,7 @@ _BLOCK = 1 << 13
 _REPORT_GUARD = 64
 _U = 2.0 ** -53
 _SLACK = 1 + 2.0 ** -20
+_FIXED_GUARD = 32
 
 # 1/(8 pi) rounded up in the last decimal: the sharp bound constant must be
 # covered from above when g is evaluated with a plain float
@@ -79,7 +79,7 @@ def f(z) -> mpf:
         z = mpf(z)
         if not z > 1:
             raise ParameterError("f requires z > 1 (li(e^{z-1}) hits the singularity)")
-        return _f_at(z, ei(z - 1))
+        return +(mp.exp(z + 1) / z * ei(z - 1))
 
 
 def g(z, a) -> mpf:
@@ -89,17 +89,7 @@ def g(z, a) -> mpf:
         a = mpf(a)
         if not (z > 1 and a > 0):
             raise ParameterError("g requires z > 1 and a > 0")
-        return _g_at(z, a, ei(z))
-
-
-def _f_at(z: mpf, ei_z1: mpf) -> mpf:
-    # f(z) from ei(z - 1)
-    return +(mp.exp(z + 1) / z * ei_z1)
-
-
-def _g_at(z: mpf, a: mpf, ei_z: mpf) -> mpf:
-    # g(z) from ei(z)
-    return +(a * (z - 1) / z * mp.exp((3 * z + 1) / 2) + (ei_z + a * z * mp.exp(z / 2)) ** 2)
+        return +(a * (z - 1) / z * mp.exp((3 * z + 1) / 2) + (ei(z) + a * z * mp.exp(z / 2)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -107,7 +97,11 @@ class Regime:
     """One rung of the verification ladder.
 
     ``floor_valid`` is the largest x where the constant a's bound is known,
-    so the rung may not extend past log(floor_valid).
+    so the rung may not extend past log(floor_valid).  ``n_steps`` counts the
+    steps of width delta from z_lo to z_hi, the last one clamped at z_hi.  It
+    is taken once, from the exact quotient of the stored doubles: a float
+    quotient can round down onto an integer and drop the last sliver below
+    z_hi.
     """
 
     z_lo: float
@@ -115,6 +109,7 @@ class Regime:
     a: float
     delta: float
     floor_valid: float
+    n_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("z_lo", "z_hi", "a", "delta"):
@@ -132,15 +127,13 @@ class Regime:
             raise ParameterError(
                 f"rung top e^{self.z_hi} exceeds the bound's validity ceiling {self.floor_valid:g}"
             )
+        object.__setattr__(self, "n_steps", _step_count(self.z_lo, self.z_hi, self.delta))
 
-    @property
-    def n_steps(self) -> int:
-        """Steps of width delta from z_lo to z_hi, the last one clamped at z_hi.
 
-        Taken from the exact quotient of the stored doubles: a float quotient
-        can round down onto an integer and drop the last sliver below z_hi.
-        """
-        return math.ceil((Fraction(self.z_hi) - Fraction(self.z_lo)) / Fraction(self.delta))
+def _step_count(z_lo: float, z_hi: float, delta: float) -> int:
+    # ceil((z_hi - z_lo)/delta) in the exact ratios of the doubles
+    (hi, hi_d), (lo, lo_d), (dn, dd) = (v.as_integer_ratio() for v in (z_hi, z_lo, delta))
+    return -((lo * hi_d - hi * lo_d) * dd // (hi_d * lo_d * dn))
 
 
 def step_verify(
@@ -168,14 +161,15 @@ def step_verify(
     fixed-point kernel did), so ``min_margin``, ``min_margin_at`` and
     ``first_failure`` are those of a direct 192-bit loop (to 1e-40) and the
     printed doubles are the same.  Where the margins rise through a window,
-    the one step left is its first, whose ``ei`` values are the chunk's
+    the one step left is its first, whose R values are the chunk's
     anchors.  Measured on a 2 vCPU KVM guest (Python 3.11, numpy 2.4,
     mpmath 1.3 without gmpy2), medians of seven runs of a head window on
-    each rung: 0.12-0.18 us per step in 2e4-step windows and 4.6-8.4 us in
-    200-step ones, where the two anchor ``ei`` calls and the minimum weigh
-    most (5.4-10.3 and 8.5-9.9 us with the fixed-point kernel this
-    replaced); whole rungs run at 50-59 ns per step, the 2.735e10-step
-    ladder in 25 minutes.
+    each rung, alternating with the two-``ei`` chunk setup this replaced:
+    0.135-0.152 us per step in 2e4-step windows (0.172-0.194 before) and
+    4.4-4.9 us in 200-step ones (7.5-8.6), where the chunk's one Ei series
+    and the minimum weigh most; 4e6-step windows of rungs 0 and 8 run at
+    56-57 ns per step (68-72 before).  The whole 2.735e10-step ladder took
+    25 minutes before on a faster run of the same guest.
     """
     prec = _step_precision()
     total = regime.n_steps
@@ -246,7 +240,7 @@ class _Chunk:
     bound: float            # B: |margin - m_j| <= B
     rises: np.ndarray       # (h~_(j+1) - h_j) e^{-2 z_j}, one per step that has a next
     rise_bound: float       # |rise - its exact value| <= rise_bound
-    anchors: tuple          # ei(z_0 - 1), ei(y_0) at 64 guard bits
+    anchors: tuple          # R on both grids, e^{-y_0/2}, e^{1 - z_0}: see _Stepper.grids
     above: np.ndarray       # steps proven above the best margin given to ``chunk``
 
 
@@ -260,12 +254,17 @@ class _Stepper:
         Q = S^2 + tau,  S = R(y) + y P,  tau = sqrt(e) (1 - 1/y) P.
 
     A chunk of steps k_0 + j (0 <= j < count, plus the next chunk's first
-    step when ``link``) takes ``ei`` once on each grid, at t_1 = z_0 - 1
-    and t_2 = y_0, and carries R to the offsets s = j delta <= S_c (S_c =
-    (count - 1 + link) delta) by its Taylor polynomial (``_taylor``).  The
-    rise of h = f - g to the next step is formed from increments, never as
-    a difference of two float margins: with e2 = e^{2 delta}, em = expm1(2
-    delta), ex = expm1(-delta/2) and primes marking step j + 1,
+    step when ``link``) sums the Ei series once, at t_1 = z_0 - 1, and
+    carries R on both grids, from t_1 and from t_2 = y_0, to the offsets
+    s = j delta <= S_c (S_c = (count - 1 + link) delta) by its Taylor
+    polynomials (``grids``, ``_series``).  R(t_2) comes from R's own Taylor
+    series at t_1 over s_2 = t_2 - t_1 <= 1 + delta.  The coefficients of
+    both polynomials and of their difference polynomials are built in
+    fixed point at W = w + 32 bits (w = the working precision + 64), and
+    each is rounded once to its nearest double.  The rise of h = f - g to
+    the next step is formed from increments, never as a difference of two
+    float margins: with e2 = e^{2 delta}, em = expm1(2 delta), ex =
+    expm1(-delta/2) and primes marking step j + 1,
 
         (h~_(j+1) - h_j) e^{-2 z_j} = F - e2 D,
         F = em A' + dR_1/z' - R_1 delta/(z z'),
@@ -276,11 +275,37 @@ class _Stepper:
     where dR = R(t + delta) - R(t) is the difference polynomial of the
     Taylor polynomial and h~ takes g(z + delta) even at the clamped step.
 
+    Anchor and coefficients.  R(t_1) = Ei(t_1) e^{-t_1} at w bits is within
+    rho = 3 2^-w relative of R(t_1) (the series sum rounded, two additions
+    of smaller terms, exp and the product), and W bits hold it exactly.
+    Chunk offsets stay within 2 (``chunk_size``), and s_2 within 3/2 (for
+    delta > 1/2, t_2 takes its own ``ei``), so each coefficient is kept as
+    C_n = c_n 2^(W + n), and R(t + s) = 2^-W sum C_n (s/2)^n with s/2 <= 1.
+    C_n = (P_n - 2 C_(n-1))/n with P_n = (-1)^(n-1) (2/t)^n 2^W, both
+    floored: P_n is within 3 units (2/t <= 1/21), and C_n within (3 + 2
+    e_(n-1))/n + 1 <= 7 units of the recurrence run exactly from the
+    anchor.  The anchor's own error moves c_n by at most rho c_0/n!.
+
+    The jump to t_2 stops at the first N with M s_2^N <= 2^-W (M as in
+    ``_series``).  Horner's rule at s_2/2 <= 3/4 floors N times more, so
+    R(t_2) is within (4 + 28 + 1) 2^-W + rho c_0 e^-1 of R(t_2): 4 units for the
+    floors, 28 for the coefficients' 7, 1 for the remainder, and the
+    anchor's error through sum (-s_2)^n/n! <= e^-1.  That is under 1.2 2^-w
+    relative for t_1 >= 42.  The Taylor shift by delta/2 that gives a
+    difference polynomial floors N^2/2 times, and carries each error by
+    at most (1 + delta/2)^N <= 2^N.  A chunk's polynomials have N <= 64
+    terms, so these errors move each Horner sum by at most 2^-(W-82) +
+    2^-(w-8) c_0 <= 2^-(w-57) c_0, the second term the anchor's error
+    through e^(S_c + delta) <= e^4 on either grid.  That is under 2^-100
+    of either bound below, which ``_SLACK`` covers.
+
     Error bound.  u = 2^-53.  Every float operation is correctly rounded
-    (relative error <= u), numpy's exp is within one ulp (2u), and each
+    (relative error <= u), numpy's exp is within one ulp (2u), each
     constant is the double nearest its value at the working precision
-    (u); terms of order u^2 are covered by ``_SLACK``.  Counting relative
-    errors in units of u: s = j delta 1, z = z_0 + s 2, y = y_0 + s 2,
+    (u), and each coefficient the double nearest its fixed-point value (u,
+    with that value's error above); terms of order u^2 are covered by
+    ``_SLACK``.  Counting relative errors in units of u: s = j delta 1,
+    z = z_0 + s 2, y = y_0 + s 2,
     1/z 3, 1/y 3, P = (a e^{-y_0/2}) exp(-s/2) alpha = 4 + S_c/2 (the
     offset's rounding moves exp(-s/2) by u s/2).  Horner's rule over N
     coefficients at a float offset is off from R by at most
@@ -325,12 +350,13 @@ class _Stepper:
             self.top, self.a = mpf(regime.z_hi), mpf(regime.a)
             # exp - 1 keeps 70 bits or more for any delta _check_grid admits
             e2, eh = mp.exp(2 * self.d), mp.exp(-self.d / 2)
+            self.e2_mp = e2         # e^{2(y - z)} at every unclamped step, for ``exact``
             self.e2, self.em, self.ex, self.eh = float(e2), float(e2 - 1), float(eh - 1), float(eh)
 
     def chunk_size(self, k: int, end: int):
         """(steps, link) of the chunk from step k: at most ``_CHUNK`` steps and
-        offsets of at most t/8, where R's Taylor series falls by 8 a term."""
-        cap = int((self.z_at(k) - 1) / (8 * self.delta))
+        offsets of at most 2, where R's Taylor series falls by t/2 >= 21 a term."""
+        cap = int(2 / self.delta)
         if cap == 0:
             return 1, False
         count = min(_CHUNK, end - k, cap)
@@ -341,13 +367,18 @@ class _Stepper:
             return float(self.z_lo + k * self.d)
 
     def exact(self, k: int, anchors=None) -> mpf:
-        """f(z_k) - g(y_k) 64 bits above the working precision."""
+        """f(z_k) - g(y_k) 64 bits above the working precision: at a chunk's
+        first step as e^{2z} m from the chunk's ``anchors``."""
         with working_precision(self.w):
             z = self.z_lo + k * self.d
             y = min(z + self.d, self.top)
             if anchors is None:
                 return f(z) - g(y, self.a)
-            return _f_at(z, anchors[0]) - _g_at(y, self.a, anchors[1])
+            r1, r2, x, e_t = anchors
+            p = self.a * x
+            e2c = self.e2_mp if y == z + self.d else mp.exp(2 * (y - z))
+            m = r1 / z - e2c * ((r2 + y * p) ** 2 + mp.sqrt(mp.e) * (1 - 1 / y) * p)
+            return m * (mp.e / e_t) ** 2
 
     def chunk(self, k: int, count: int, link: bool, best: Optional[mpf] = None) -> _Chunk:
         """Steps k .. k + count - 1 in float64, and the rise into step k + count
@@ -363,10 +394,8 @@ class _Stepper:
             if best is not None and best > 0:
                 floor = float(best * mp.exp(-2 * z0)) * (1 + 4 * u)
             y0 = min(z0 + self.d, self.top)
-            anchors = (ei(z0 - 1), ei(y0))
-            t1 = _taylor(anchors[0] * mp.exp(1 - z0), z0 - 1, span, self.d)
-            t2 = _taylor(anchors[1] * mp.exp(-y0), y0, span, self.d)
-            pa = float(self.a * mp.exp(-y0 / 2))
+            anchors, t1, t2 = self.grids(z0, y0, span)
+            pa = float(self.a * anchors[2])
             clamped = y0 != z0 + self.d
             e2c = float(mp.exp(2 * (y0 - z0))) if clamped else self.e2
             if self.carried is not None:
@@ -416,9 +445,27 @@ class _Stepper:
             self.carried = (r1[-1], r2[-1], t1.err + u * t1.c[0], t2.err + u * t2.c[0])
         return _Chunk(margins, bound, rises, rise_bound, anchors, above)
 
+    def grids(self, z0: mpf, y0: mpf, span: float):
+        """The anchors (R(z_0 - 1), R(y_0), e^{-y_0/2}, e^{1 - z_0}) and R's
+        polynomials on both grids out to ``span``, from one Ei series; see
+        the class docstring."""
+        t = z0 - 1
+        e_t = mp.exp(-t)
+        r1 = ei(t) * e_t
+        bits = self.w + _FIXED_GUARD
+        # past 3/2 (delta > 1/2) the series at t converges too slowly, and the
+        # second grid takes its own ei
+        far = y0 - t > 1.5
+        t1, r2 = _series(_fixed(r1, bits), t, span, self.d, bits, None if far else y0)
+        if far:
+            r2 = _fixed(ei(y0) * mp.exp(-y0), bits)
+        t2, _ = _series(r2, y0, span, self.d, bits)
+        return (r1, mp.ldexp(r2, -bits), mp.exp(-y0 / 2), e_t), t1, t2
+
     def _tripwire(self, r1: float, r2: Optional[float], z0: mpf) -> None:
-        """The last chunk's Taylor-carried R against this chunk's fresh anchors
-        (the second grid's unless its anchor is clamped off that grid)."""
+        """The last chunk's Taylor-carried R against this chunk's anchors, the
+        first grid's fresh and the second's derived from it (unless clamped
+        off that grid)."""
         c1, c2, e1, e2 = self.carried
         if abs(c1 - r1) > e1 * _SLACK or (r2 is not None and abs(c2 - r2) > e2 * _SLACK):
             raise PrecisionError(
@@ -465,46 +512,101 @@ class _Series:
     d_err: float     # bounds |Horner(d, s) - dR(t + s)| for 0 <= s <= span - delta
 
 
-def _taylor(r: mpf, t: mpf, span: float, delta: mpf) -> _Series:
-    """R = e^{-t} Ei(t) from its value r at t out to t + span, as a polynomial.
+def _mantissa(x: mpf, e: int = 0):
+    """(m, k) with x 2^e = m 2^-k exactly and k >= 0."""
+    man, exp = x.man_exp
+    exp += e
+    return (man << exp, 0) if exp > 0 else (man, -exp)
 
-    The coefficients c_n = R^(n)(t)/n! come from R' = 1/t - R, which gives
-    c_n = ((-1)^(n-1) t^-n - c_(n-1))/n.  With E_n(t) = R(t) - sum_(j<n)
-    j!/t^(j+1), R^(n) = (-1)^n E_n and E_n' = n!/t^(n+1) - E_n, so for
-    t <= xi <= t + span E_n(xi) is a mean of E_n(t) and values of n!/v^(n+1)
-    at v >= t, and |R^(N)(xi)|/N! <= M = max(|c_N|, t^-(N+1)).  N terms
-    then leave at most rem = M span^N, and their difference polynomial
-    (d_i = sum_(n>i) c_n C(n, i) delta^(n-i)) at most N M span^(N-1) delta
-    of dR.  N is the first count taking the latter below 2^-63 |c_1| delta.
-    """
-    tf = float(t)
-    cs = [r]
-    p = 1 / t       # (-1)^(n-1) t^-n for the next n
+
+def _fixed(x: mpf, bits: int) -> int:
+    """x at ``bits`` fractional bits, exact when x has no more than that."""
+    man, k = _mantissa(x, bits)
+    return man >> k
+
+
+def _coefficients(c: int, t: mpf, bits: int):
+    """C_n = c_n 2^(bits + n) for n = 0, 1, ... from C_0 = c, each floored:
+    c_n = R^(n)(t)/n! = ((-1)^(n-1) t^-n - c_(n-1))/n by R' = 1/t - R."""
+    tm, k = _mantissa(t)
+    p, n = (1 << (bits + 1 + k)) // tm, 1      # P_n = (-1)^(n-1) (2/t)^n 2^bits
     while True:
-        n = len(cs)
-        cs.append((p - cs[-1]) / n)
-        p = -p / t
-        m = max(abs(float(cs[-1])), tf ** -(n + 1))
-        if span == 0 or n * m * span ** (n - 1) <= 2.0 ** -63 * abs(float(cs[1])) or n == 64:
-            break
-    n_terms = len(cs) - 1 if span else 1
-    c = cs[:n_terms]
-    steps = [delta ** i for i in range(n_terms)]
-    d = [sum(c[j] * math.comb(j, i) * steps[j - i] for j in range(i + 1, n_terms))
-         for i in range(n_terms - 1)]
-    cf, df = [float(v) for v in c], [float(v) for v in d]
+        yield c
+        c = (p - 2 * c) // n
+        p = -((p << (1 + k)) // tm)
+        n += 1
+
+
+def _series(r: int, t: mpf, span: float, delta: mpf, bits: int, to: Optional[mpf] = None):
+    """R = e^{-t} Ei(t) from its value r 2^-bits at t out to t + span, as a
+    polynomial, and R(to) at the same fixed point when ``to`` (t < to <= t +
+    3/2) is given.
+
+    The coefficients c_n = R^(n)(t)/n! are kept as C_n = c_n 2^(bits + n)
+    (``_coefficients``).  With E_n(t) = R(t) - sum_(j<n) j!/t^(j+1), R^(n) =
+    (-1)^n E_n and E_n' = n!/t^(n+1) - E_n, so for t <= xi <= t + span E_n(xi)
+    is a mean of E_n(t) and values of n!/v^(n+1) at v >= t, and
+    |R^(N)(xi)|/N! <= M = max(|c_N|, t^-(N+1)).  N terms then leave at most
+    rem = M span^N, and their difference polynomial (d_i = sum_(n>i) c_n
+    C(n, i) delta^(n-i), by Taylor shifts of the C_n) at most N M span^(N-1)
+    delta of dR.  N is the first count taking the latter below 2^-63 |c_1|
+    delta.  R(to) sums the same series at s = to - t to the first N with
+    M s^N <= 2^-bits.
+    """
+    more = _coefficients(r, t, bits)
+    cs = []
+
+    def at(n):
+        while len(cs) <= n:
+            cs.append(next(more))
+        return cs[n]
+
+    def c(n):
+        return at(n) / (1 << (bits + n))
+
+    tf = float(t)
+    cf, m = [c(0)], 0.0
+    if span:
+        c1 = abs(c(1))
+        for n in range(1, 65):
+            cn = c(n)
+            m = max(abs(cn), tf ** -(n + 1))
+            if n * m * span ** (n - 1) <= 2.0 ** -63 * c1 or n == 64:
+                break
+            cf.append(cn)
+    n_terms = len(cf)
+    dm, k = _mantissa(delta, -1)
+    shifted = cs[:n_terms]
+    for i in range(n_terms - 1):
+        for j in range(n_terms - 2, i - 1, -1):
+            shifted[j] += shifted[j + 1] * dm >> k
+    df = [(shifted[i] - cs[i]) / (1 << (bits + i)) for i in range(n_terms - 1)]
     rem = m * span ** n_terms if span else 0.0
     h = sum(abs(v) * span ** i for i, v in enumerate(cf) if i)
     hd = sum(abs(v) * span ** i for i, v in enumerate(df) if i)
     d_rem = n_terms * m * span ** (n_terms - 1) * float(delta) if span else 0.0
     d0 = abs(df[0]) if df else 0.0
-    return _Series(
+    series = _Series(
         c=cf,
         d=df,
         err=_U * (2 * cf[0] + 3 * n_terms * h) + rem,
         d_max=d0 + hd + d_rem,
         d_err=_U * (2 * d0 + 3 * n_terms * hd) + d_rem,
     )
+    if to is None:
+        return series, None
+    s = to - t
+    sm, k = _mantissa(s, -1)
+    lt, ls = math.log2(tf), math.log2(s)
+    # t^-(n+1) s^n <= 2^-(bits+1) from this n on, and then |c_n| s^n <= 2^-bits
+    # once (|C_n| + 7) (s/2)^n <= 1, C_n being within 7 units of c_n 2^(bits+n)
+    n = max(1, math.ceil((bits + 1 - lt) / (lt - ls)))
+    while max(at(n).bit_length(), 3) + 1 + n * (ls - 1) > 0:
+        n += 1
+    v = cs[n - 1]
+    for x in reversed(cs[:n - 1]):
+        v = x + (v * sm >> k)
+    return series, v
 
 
 def _terms(r1, r2, z, y, p):
@@ -524,8 +626,9 @@ def _horner(coeffs: list, s: np.ndarray) -> np.ndarray:
 
 def _check_grid(regime: Regime, prec: int) -> None:
     # every z_lo + k delta up to z_hi + delta must be exact at prec bits
-    scale = max(Fraction(regime.z_lo).denominator, Fraction(regime.delta).denominator)
-    if (Fraction(regime.z_hi) + Fraction(regime.delta)) * scale >= 2 ** prec:
+    (hi, hi_d), (dn, dd) = regime.z_hi.as_integer_ratio(), regime.delta.as_integer_ratio()
+    scale = max(regime.z_lo.as_integer_ratio()[1], dd)
+    if (hi * dd + dn * hi_d) * scale >= (hi_d * dd) << prec:
         raise ParameterError(f"delta {regime.delta:g} is finer than the {prec}-bit grid")
 
 

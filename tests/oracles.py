@@ -25,7 +25,10 @@ before it galloped from a predicted D, bisecting every D range afresh.  The
 stepping kernel's per-step coefficients are integrated by quadrature instead
 of summed from delta^n/n!, e^{-t} Ei(t) comes from mpmath's ``ei`` instead
 of the package's series, and R is carried by its Taylor series through the
-derivative chain instead of the closed-form step.  Zero-ordinate files are
+derivative chain instead of the closed-form step.  The stepping chunk's
+Taylor polynomials are built in mpf from a fresh ``ei`` on each grid
+instead of in fixed point from one Ei series, and that series multiplies
+each term by y's fixed-point value instead of its mantissa.  Zero-ordinate files are
 read line by line with one ``from_rational`` per plain decimal, and the zero
 sum is ``mp.fsum`` over ``1 / gamma``, as the zeros layer did before it moved
 to integer arithmetic.
@@ -40,7 +43,7 @@ from itertools import accumulate
 
 import numpy as np
 from mpmath import inf, log, mp, mpf, quad
-from mpmath.libmp import from_rational, mpf_gt, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_gt, round_nearest, to_fixed
 
 from primebounds import engine, kernel, zeros
 from primebounds.errors import BracketError, CoverageError, ParameterError, ZeroDataError
@@ -56,6 +59,7 @@ from primebounds.primes import (
     _recheck,
     _simple_sieve,
 )
+from primebounds.ramanujan import _U, _Series
 from primebounds.verdict import Verdict
 
 
@@ -762,3 +766,67 @@ def advance_taylor(r, inv_t, coeffs, w):
         dr = p - dr
         total += dr * coeffs[n] >> w
     return total
+
+
+def ei_by_series_loop(y, prec):
+    """Ei(y) for 1 <= y <= 0.75 prec as ``hiprec.ei`` forms it, with the
+    series summed as before it multiplied by y's mantissa: every term times
+    y's w-bit fixed-point value."""
+    with working_precision(prec):
+        y = mpf(y)
+        w = prec + 30
+        yfix = to_fixed(y._mpf_, w)
+        term = 1 << w
+        total = 0
+        n = 1
+        n_floor = int(y) + 2
+        while n < 100_000:
+            term = (term * yfix >> w) // n
+            total += term // n
+            n += 1
+            if n > n_floor and term <= (total >> (prec + 8)) + 1:
+                break
+        series = mpf(from_man_exp(total, -w, prec, "n"))
+        return +(mp.euler + mp.log(y) + series)
+
+
+def taylor_mpf(r: mpf, t: mpf, span: float, delta: mpf) -> _Series:
+    """R = e^{-t} Ei(t) from its value r at t out to t + span, as a polynomial.
+
+    The coefficients c_n = R^(n)(t)/n! come from R' = 1/t - R, which gives
+    c_n = ((-1)^(n-1) t^-n - c_(n-1))/n.  With E_n(t) = R(t) - sum_(j<n)
+    j!/t^(j+1), R^(n) = (-1)^n E_n and E_n' = n!/t^(n+1) - E_n, so for
+    t <= xi <= t + span E_n(xi) is a mean of E_n(t) and values of n!/v^(n+1)
+    at v >= t, and |R^(N)(xi)|/N! <= M = max(|c_N|, t^-(N+1)).  N terms
+    then leave at most rem = M span^N, and their difference polynomial
+    (d_i = sum_(n>i) c_n C(n, i) delta^(n-i)) at most N M span^(N-1) delta
+    of dR.  N is the first count taking the latter below 2^-63 |c_1| delta.
+    """
+    tf = float(t)
+    cs = [r]
+    p = 1 / t       # (-1)^(n-1) t^-n for the next n
+    while True:
+        n = len(cs)
+        cs.append((p - cs[-1]) / n)
+        p = -p / t
+        m = max(abs(float(cs[-1])), tf ** -(n + 1))
+        if span == 0 or n * m * span ** (n - 1) <= 2.0 ** -63 * abs(float(cs[1])) or n == 64:
+            break
+    n_terms = len(cs) - 1 if span else 1
+    c = cs[:n_terms]
+    steps = [delta ** i for i in range(n_terms)]
+    d = [sum(c[j] * math.comb(j, i) * steps[j - i] for j in range(i + 1, n_terms))
+         for i in range(n_terms - 1)]
+    cf, df = [float(v) for v in c], [float(v) for v in d]
+    rem = m * span ** n_terms if span else 0.0
+    h = sum(abs(v) * span ** i for i, v in enumerate(cf) if i)
+    hd = sum(abs(v) * span ** i for i, v in enumerate(df) if i)
+    d_rem = n_terms * m * span ** (n_terms - 1) * float(delta) if span else 0.0
+    d0 = abs(df[0]) if df else 0.0
+    return _Series(
+        c=cf,
+        d=df,
+        err=_U * (2 * cf[0] + 3 * n_terms * h) + rem,
+        d_max=d0 + hd + d_rem,
+        d_err=_U * (2 * d0 + 3 * n_terms * hd) + d_rem,
+    )

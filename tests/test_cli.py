@@ -256,19 +256,21 @@ class TestRamanujan:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_schedule_listing_counts_each_rung_once(self, runner, monkeypatch, fmt):
-        # n_steps is exact Fraction arithmetic; the listing computes it once
-        # per rung for both formats
+        # n_steps is an exact rational quotient, taken once per regime when
+        # the regime is built; the listing takes it once per rung for both
+        # formats, however often it reads it
+        rungs = len(ramanujan.regime_schedule())
         calls = []
-        n_steps = ramanujan.Regime.n_steps
+        step_count = ramanujan._step_count
 
-        def counted(regime):
-            calls.append(regime)
-            return n_steps.fget(regime)
+        def counted(*args):
+            calls.append(args)
+            return step_count(*args)
 
-        monkeypatch.setattr(ramanujan.Regime, "n_steps", property(counted))
+        monkeypatch.setattr(ramanujan, "_step_count", counted)
         res = run(runner, ["--format", fmt, "ramanujan", "--list"])
         assert res.exit_code == EXIT_PASS
-        assert len(calls) == len(ramanujan.regime_schedule())
+        assert len(calls) == rungs
 
     @pytest.mark.parametrize("args", [
         ["--rung", "0"],

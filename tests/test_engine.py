@@ -298,6 +298,31 @@ class TestCheckAdmissible:
         for state in STRONG_STATES[:3]:
             assert check_admissible(state, strict=True).passed
 
+    def test_every_derived_round_passes_strict(self, monkeypatch):
+        # where C* - requirement is too narrow for a multiple of 0.005 the
+        # stored C is the largest double <= C*, never float(C*) rounded up
+        # (both rounds at 3e12, 1e14's second, 1e15's first and weak a = 10's
+        # first once stored C a few 1e-16 above C*)
+        reports = [iterate(T) for T in (3e12, 1e13, 1e14, 1e15)]
+        run = engine._iterate
+        monkeypatch.setattr(engine, "_iterate", lambda *args: reports.append(run(*args)) or reports[-1])
+        table2([r[0] for r in published.TABLE2], strong_x_max=reports[0].x_max)
+        rounds = [rnd for report in reports for rnd in report.rounds]
+        assert len(rounds) == 17
+        for rnd in rounds:
+            verdict = check_admissible(rnd.state, strict=True)
+            assert verdict.passed and verdict.declared_c_exact, (rnd.state, verdict.failures)
+
+    def test_a_narrow_window_takes_the_largest_double_below_c_star(self):
+        # no multiple of 0.005 lies in either window; the second holds no double
+        with working_precision(192):
+            c_req = mpf("2.4321")
+            c_star = c_req + mpf("1e-15")
+            c = engine._display_shift(c_star, c_req)
+            assert c_req <= c <= c_star < math.nextafter(c, math.inf)
+            with pytest.raises(ParameterError):
+                engine._display_shift(c_req + mpf(2) ** -70, c_req)
+
     def test_overclaimed_shift_fails(self):
         state = IterationState(2.169e25, 9.65, 2.60, 6.0, 16.0)
         report = check_admissible(state)

@@ -20,7 +20,7 @@ from primebounds.hiprec import (
     working_precision,
 )
 
-from .oracles import bessel_i1_series, li_asymptotic, li_quadrature
+from .oracles import bessel_i1_series, ei_by_series_loop, li_asymptotic, li_quadrature
 
 # quadrature-oracle values, frozen (see oracles.li_quadrature)
 LI_ORACLE = {
@@ -77,6 +77,24 @@ class TestLi:
             b = mp.ei(y)
         assert rel_err(a, b) < mpf("1e-40")
         assert ei(y) == b
+
+    @pytest.mark.parametrize("prec", [100, 192, 256])
+    def test_series_by_the_mantissa_is_bit_identical(self, prec):
+        # multiplying each term by y's mantissa floors the same product as
+        # y's fixed-point value: integers, halves, and stepping-grid points
+        # z_lo + k delta - 1 of every rung (mantissas of about 90 bits)
+        from primebounds.ramanujan import regime_schedule
+
+        with working_precision(prec):
+            ys = [mpf(n) for n in (1, 2, 3, 42, 58, 68, 75, 101, 102, 144)]
+            ys += [mpf(n) + mpf(0.5) for n in (1, 41, 57, 74, 100, 143)]
+            for i, r in enumerate(regime_schedule()):
+                for k in (1, 7919 * (i + 1), 123456789 + i):
+                    ys.append(mpf(r.z_lo) + k * mpf(r.delta) - 1)
+            ys = [y for y in ys if y <= hiprec._SERIES_TO * prec]
+            assert len(ys) >= 20
+            for y in ys:
+                assert ei(y) == ei_by_series_loop(y, prec), y
 
     def test_small_and_negative_ei_arguments(self):
         # Ei(log 0.5) = li(0.5); series branch with cancellation head room

@@ -21,11 +21,18 @@ from primebounds.ramanujan import (
     regime_schedule,
     step_verify,
 )
-from primebounds.hiprec import PrecisionError, working_precision
+from primebounds import hiprec
+from primebounds.hiprec import PrecisionError, ei, working_precision
 from primebounds.primes import prime_counts
 from primebounds.verdict import Verdict
 
-from .oracles import advance_taylor, r_exact, step_coefficient_quad, taylor_coefficients
+from .oracles import (
+    advance_taylor,
+    r_exact,
+    step_coefficient_quad,
+    taylor_coefficients,
+    taylor_mpf,
+)
 
 # frozen 25-digit fixtures, independently evaluated through the quadrature-
 # backed li oracle at 256 bits during development
@@ -198,10 +205,12 @@ class TestKernel:
         regime = Regime(43.0, 44.0, 1.0, 1e-8, math.inf)
         n = 2 * ramanujan._CHUNK + 7
         report = step_verify(regime, max_steps=n)
-        # three chunks, each a fresh Ei on both grids (every re-anchor passed
-        # its check against the carried values), and f and g at the last step,
+        # three chunks, each one fresh Ei series on the first grid (the second
+        # grid's anchor is derived from it, and every re-anchor passed its
+        # check against the carried values), and f and g at the last step,
         # the only one the proven falling margins leave
-        assert len(calls) == 8
+        assert calls[:3] == [42.0, 42.0 + 1e-8 * ramanujan._CHUNK, 42.0 + 2e-8 * ramanujan._CHUNK]
+        assert len(calls) == 5
         monkeypatch.setattr(ramanujan, "ei", ei)
         ((last, last_at),) = direct_margins(regime, n - 1, 1)
         assert report.steps_checked == n and report.first_failure == 43.0
@@ -225,6 +234,58 @@ class TestKernel:
 
         monkeypatch.setattr(ramanujan, "ei", skewed_ei)
         with pytest.raises(PrecisionError):
+            step_verify(SCHEDULE[0], max_steps=40)
+
+    def test_one_series_per_chunk(self, monkeypatch):
+        # 200-step windows at the head and tail of every rung, whole and in
+        # 16-step chunks: each chunk sums the Ei series once, on its first grid
+        series = hiprec._ei_series_fixed
+        calls = []
+        monkeypatch.setattr(hiprec, "_ei_series_fixed", lambda y, prec: calls.append(y) or series(y, prec))
+        chunk = ramanujan._Stepper.chunk
+        chunks = []
+
+        def spy(self, k, *args):
+            before = len(calls)
+            ch = chunk(self, k, *args)
+            chunks.append(k)
+            with working_precision(self.w):
+                assert calls[before:] == [self.z_lo + k * self.d - 1]
+            return ch
+
+        monkeypatch.setattr(ramanujan._Stepper, "chunk", spy)
+        for from_end in (False, True):
+            for r in SCHEDULE:
+                step_verify(r, max_steps=200, from_end=from_end)
+        assert len(chunks) == 2 * len(SCHEDULE)
+        monkeypatch.setattr(ramanujan, "_CHUNK", 16)
+        step_verify(SCHEDULE[4], max_steps=200)
+        assert len(chunks) == 2 * len(SCHEDULE) + 13
+
+    def test_drift_check_catches_a_shifted_second_anchor(self, monkeypatch):
+        # the second grid's anchor is derived from the first's series; moved
+        # by 2^-40 relative, far outside the float64 bound on the value the
+        # chunk before carried there, it is refused, and moved by 2^-80, far
+        # inside, it gives the one-chunk verdict
+        one_chunk = step_verify(SCHEDULE[0], max_steps=40)
+        monkeypatch.setattr(ramanujan, "_CHUNK", 16)
+        series = ramanujan._series
+
+        def shifted(shift):
+            jumps = []
+
+            def jump(*args):
+                s, r2 = series(*args)
+                if r2 is not None:
+                    jumps.append(r2)
+                    r2 += (r2 >> shift) if len(jumps) > 1 else 0
+                return s, r2
+            return jump
+
+        monkeypatch.setattr(ramanujan, "_series", shifted(80))
+        assert step_verify(SCHEDULE[0], max_steps=40) == one_chunk
+        monkeypatch.setattr(ramanujan, "_series", shifted(40))
+        with pytest.raises(PrecisionError, match="misses its fresh anchor"):
             step_verify(SCHEDULE[0], max_steps=40)
 
     def test_from_end_window_clamps_last_step(self):
@@ -253,9 +314,12 @@ class TestKernel:
 
 def series(t, span, delta, prec=192):
     """The Taylor series step_verify carries e^{-t} Ei(t) on from an anchor at t."""
-    with working_precision(prec + ramanujan._REPORT_GUARD):
+    w = prec + ramanujan._REPORT_GUARD
+    bits = w + ramanujan._FIXED_GUARD
+    with working_precision(w):
         t = mpf(t)
-        return ramanujan._taylor(ramanujan.ei(t) * mp.exp(-t), t, span, mpf(delta))
+        r = ramanujan._fixed(ramanujan.ei(t) * mp.exp(-t), bits)
+        return ramanujan._series(r, t, span, mpf(delta), bits)[0]
 
 
 def at(coeffs, s):
@@ -330,6 +394,34 @@ class TestStepKernel:
                     with mp.workprec(400):
                         assert abs(at(sr.c, k * r.delta) - mpf(x) / one) <= sr.err, k
             assert abs(x - r_fixed(t_f, w)) <= 1 << (w - 192 - 16)
+
+    @pytest.mark.parametrize("prec", [192, 320])
+    @pytest.mark.parametrize("rung", range(len(SCHEDULE)))
+    def test_fixed_point_chunk_data_matches_the_mpf_series(self, rung, prec):
+        # the head, a 200-step tail (its last step clamped), the clamped last
+        # step alone and a linked interior chunk: both grids' polynomials
+        # from one Ei series in fixed point give the doubles of the mpf
+        # series from a fresh ei on each grid, and R(y_0) from the jump is
+        # within 2^-(w-2) of mpmath's own
+        r = SCHEDULE[rung]
+        n = 200
+        stepper = ramanujan._Stepper(r, prec)
+        windows = [(0, n, False), (r.n_steps - n, n, False), (r.n_steps - 1, 1, False),
+                   (int(0.37 * r.n_steps), n - 1, True)]
+        for k, count, link in windows:
+            span = (count - 1 + link) * r.delta
+            with working_precision(stepper.w):
+                z0 = stepper.z_lo + k * stepper.d
+                y0 = min(z0 + stepper.d, stepper.top)
+                (_, r2, _, _), t1, t2 = stepper.grids(z0, y0, span)
+                want1 = taylor_mpf(ei(z0 - 1) * mp.exp(1 - z0), z0 - 1, span, stepper.d)
+                want2 = taylor_mpf(ei(y0) * mp.exp(-y0), y0, span, stepper.d)
+            for got, want in ((t1, want1), (t2, want2)):
+                assert got.c == want.c and got.d == want.d, k
+                for name in ("err", "d_max", "d_err"):
+                    assert abs(getattr(got, name) - getattr(want, name)) <= 2.0 ** -40 * getattr(want, name)
+            with mp.workprec(400):
+                assert rel(r2, r_exact(y0)) <= mpf(2) ** -(stepper.w - 2), k
 
     @pytest.mark.parametrize("fits", [True, False])
     def test_max_terms_boundary(self, fits):
@@ -408,14 +500,15 @@ class TestFloatPath:
     def test_every_step_rechecked_gives_the_same_verdict(self, monkeypatch, regime, n, from_end):
         # an infinite bound decides nothing in float64 and proves no order, so
         # every step is re-decided and evaluated by f and g (the first from
-        # its anchors)
+        # its anchors: one Ei, and a second only where delta > 1/2 puts the
+        # second grid out of the first's series' reach)
         want = step_verify(regime, max_steps=n, from_end=from_end)
         ei = ramanujan.ei
         calls = []
         monkeypatch.setattr(ramanujan, "ei", lambda y: calls.append(y) or ei(y))
         monkeypatch.setattr(ramanujan, "_SLACK", math.inf)
         assert step_verify(regime, max_steps=n, from_end=from_end) == want
-        assert len(calls) == 2 * n
+        assert len(calls) == 2 * n - (regime.delta <= 0.5)
 
     @pytest.mark.parametrize("rung", [0, 1, 4, 8])
     @pytest.mark.parametrize("from_end", [False, True])
