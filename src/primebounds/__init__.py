@@ -55,6 +55,7 @@ from .primes import (
     build_tables,
     prime_counts,
     psi_theta_gap,
+    scan_inequalities,
     scan_inequality,
     segmented_prime_count,
 )

@@ -196,8 +196,8 @@ def verify_primes(cfg: RunConfig, limit, specs):
     results = []
     lines = []
     worst = EXIT_PASS
-    for name, (spec, threshold) in chosen.items():
-        report = primes.scan_inequality(spec, 2, limit, tables_)
+    reports = primes.scan_inequalities([spec for spec, _ in chosen.values()], 2, limit, tables_)
+    for (name, (spec, threshold)), report in zip(chosen.items(), reports):
         # Pi's published thresholds are integer ones: halving at its jumps
         # keeps it violated on the real line up to 97, past the 59 at integers
         if spec.kind == "Pi_li":

@@ -25,7 +25,9 @@ block of jumps inside its range whose largest deviation stays below the
 envelope by the guard band, with one comparison, then reads the other jumps
 and the range ends that are not jumps, and settles each gap between these
 nodes from its two ends, so its cost follows the jumps near violations, not
-the size of the table.
+the size of the table.  The scans of many specs over one range share one
+array pass (``scan_inequalities``), so they pay numpy's fixed cost per call
+once, not once per spec.
 
 Tables are built in full on every call, by segmented sieving, which bounds
 the working memory of the sieve; each segment's jumps are put in order as
@@ -65,6 +67,7 @@ __all__ = [
     "integer_threshold_consistent",
     "prime_counts",
     "psi_theta_gap",
+    "scan_inequalities",
     "scan_inequality",
     "segmented_prime_count",
     "threshold_consistent",
@@ -508,12 +511,37 @@ _EULER = 0.5772156649015329
 def _li64(x: np.ndarray) -> np.ndarray:
     """float64 li(x) for 2 <= x <= 6e9, by Ramanujan's series
 
-        li(x) = gamma + log log x + sqrt(x) sum_{n>=1} c_n (log x)^n,
+        li(x) = gamma + log L + P,  P = sqrt(x) S,  S = sum_{n>=1} c_n L^n,
 
-    summed by Horner's rule over the terms that the largest x needs.  The
-    largest term exceeds the sum by a factor of about 2 sqrt(log x), below
-    10, so the alternating series loses little to cancellation: against
-    120-bit values the relative error stays below 5e-15.
+    L = log x, summed by Horner's rule over the first N terms, N the fewest
+    that the largest x needs (``_LI_REACH``).
+
+    The bound.  Let u = 2^-53 and T = max |c_n| L^n.  The terms alternate
+    in sign and rise, then fall, in size, so every tail sum_{n>=j} c_n L^n
+    lies within 2T of 0.  T/S, the cancellation factor, is about
+    2 sqrt(L) and below 10 (9.6 at 6e9); S is above 1/2.  Against S, the
+    computed sum errs by at most
+    - 2^-70 / S < 2^-69 for the terms dropped, each below 2^-70 at every L
+      up to the largest, alternating and falling;
+    - u N T / S < 10 N u for the coefficients, each the double nearest its
+      rational;
+    - 2 (2 N - 1) u T / S < 40 N u for Horner's 2 N - 1 roundings, each of
+      a value within 2T.
+    L is np.log(x), taken within one ulp, 2 u L, as ``_log_sum_reads``
+    takes np.log.  Differentiating li(e^L) = e^L / L gives
+    sqrt(x) dS/dL = (x - 1) / L - P / 2 exactly, so that error moves
+    log L + P by at most 2 u (1 + max(x - 1, L P / 2)).  The rounding of
+    sqrt(x), of the product, of log L and of the two sums adds
+    u (3 P + 4 |log L| + 3) with gamma < 1, so that, with 1.001 covering the
+    products of the (1 + u) factors,
+
+        |li64(x) - li(x)| <= 1.001 u ((50 N + 5) P + 2 x + L P + 4 |log L| + 5).
+
+    At every x <= 2e7 (``DETAIL_LIMIT_MAX``, N <= 55) that is below 0.14 of
+    the guard band 1e-9 max(a sqrt(x) log x, 1) of the Pi_li and pi_li specs
+    ``verify-primes`` scans with a = 1/(8 pi), and below 0.006 of those
+    with a = 1, the ratio largest at 2e7.  Against 120-bit values the error
+    measures about 1% of the bound.
     """
     lx = np.log(x)
     n_terms = bisect.bisect_left(_LI_REACH, np.max(lx, initial=0.0)) + 1
@@ -535,26 +563,54 @@ def _guard(rhs: np.ndarray) -> np.ndarray:
 
 _SCAN_BLOCK = 256         # jumps per block that a scan may clear with one bound
 _ENVELOPE_SLACK = 1e-12   # relative widening of the envelope at a block's two ends
+_SHAPES = ("sq", "shift", "li")   # the envelope shapes, by the suffix of the kind
+_SQ, _SHIFT = 0, 1
 
 
-def scan_inequality(
-    spec: InequalitySpec,
+class _SpecArrays:
+    """Specs as arrays indexed by spec, for the steps a scan batches: the
+    envelope's shape (a code into ``_SHAPES``), a, C (0 for the shapes
+    without one, below the log of every x scanned), the count kind's code
+    (its index in SCALE) and whether the target is li."""
+
+    def __init__(self, specs):
+        self.specs = tuple(specs)
+        self.shape = np.array([_SHAPES.index(s.kind.split("_")[1]) for s in self.specs], dtype=np.int64)
+        self.a = np.array([s.a for s in self.specs], dtype=np.float64)
+        self.C = np.array([s.C if s.kind.endswith("_shift") else 0.0 for s in self.specs], dtype=np.float64)
+        self.kind = np.array([list(SCALE).index(s.count_kind) for s in self.specs], dtype=np.int64)
+        self.uses_li = np.array([s.uses_li for s in self.specs], dtype=bool)
+
+    def envelopes(self, index, sqrt_x, log_x) -> np.ndarray:
+        """The envelope of spec ``index`` at each element, broadcast, from
+        sqrt(x) and log(x): each with its own shape's operations in
+        ``InequalitySpec.envelope``'s order, so bit for bit the spec's."""
+        shape = self.shape[index]
+        env = self.a[index] * sqrt_x
+        env *= np.where(shape == _SQ, log_x ** 2, log_x)
+        np.multiply(env, log_x - self.C[index], out=env, where=shape == _SHIFT)
+        return env
+
+
+def scan_inequalities(
+    specs,
     x_lo: float,
     x_hi: float,
     tables: PrimeTables,
     interior_samples: int = 16,
-) -> Verdict:
-    """Check the inequality for all real x in [x_lo, x_hi].
+) -> list[Verdict]:
+    """Check each inequality for all real x in [x_lo, x_hi]: one verdict per
+    spec, in their order, from one array pass over the reads of them all.
 
-    The verdict passes when no real x in range violates it, and reports the
-    last violation (``last_violation_side`` 'left' when violations approach
-    it from below, 'interior' for a point inside a gap or a range end that
-    is not a jump) and the last violating integer, each None when clean.
-    Every violating point read moves the last violation, integers too.  In
-    a gap that neither bound below settles it is the last violating sample
-    or integer, a lower bound on the true one: psi_sq with a = 0.002 on
-    [2, 1e4] fails at 9996 by 0.435 and holds at 9996.5 by 0.065, and the
-    scan reports 9996.
+    A verdict passes when no real x in range violates its inequality, and
+    reports the last violation (``last_violation_side`` 'left' when
+    violations approach it from below, 'interior' for a point inside a gap
+    or a range end that is not a jump) and the last violating integer, each
+    None when clean.  Every violating point read moves the last violation,
+    integers too.  In a gap that neither bound below settles it is the last
+    violating sample or integer, a lower bound on the true one: psi_sq with
+    a = 0.002 on [2, 1e4] fails at 9996 by 0.435 and holds at 9996.5 by
+    0.065, and the scan reports 9996.
     ``n_points`` counts the reads made: the jump reads in range, the range
     ends that are not jumps, the samples and the integers checked one by
     one; ``n_rechecked`` counts those re-decided in extended precision.
@@ -626,14 +682,29 @@ def scan_inequality(
     violation is the largest violating x; of the reads there, an
     'interior' one wins over 'right', 'right' over 'at' and 'at' over
     'left'.
+
+    The specs share every step.  Their blocks are cleared by one
+    (spec x block) comparison, and the jumps left to read, spec after spec,
+    carry the index of their spec, which picks each read's count kind,
+    target and envelope parameters.  The range ends and the gaps they cut
+    are found once and bounded per spec; the points inside gaps, li at all
+    of them in one ``_li64`` call, and every read are decided together, and
+    each verdict is reduced from the reads of its own spec, so it is the
+    one a scan of that spec alone gives.
     """
     if x_hi > tables.limit:
         raise ParameterError(f"x_hi={x_hi} beyond table limit {tables.limit}")
     if not (2 <= x_lo < x_hi):
         raise ParameterError("requires 2 <= x_lo < x_hi")
+    # a negative count or a fraction once reached numpy as an array shape
+    if not (isinstance(interior_samples, (int, np.integer)) and interior_samples >= 0):
+        raise ParameterError(f"interior_samples must be an integer >= 0, got {interior_samples!r}")
+    specs = _SpecArrays(specs)
+    n_specs = len(specs.specs)
+    if not n_specs:
+        return []
     views = tables.float_views
     xs = views["x"]
-    ck = spec.count_kind
 
     def last_jump(x):   # the last jump <= x, where the count at x is read
         return np.searchsorted(xs, x, side="right") - 1
@@ -641,19 +712,6 @@ def scan_inequality(
     k0 = int(np.searchsorted(xs, x_lo))   # first jump >= x_lo
     k1 = int(last_jump(x_hi))
     n_jumps = k1 + 1 - k0
-
-    # the jumps of the blocks no bound clears, and the deviation of every
-    # read at them, one row per side; gap k runs from jump k to jump k + 1,
-    # the next entry
-    ks, own = _jumps_to_read(spec, tables, k0, k1)
-    jx = xs[ks]
-    rhs = spec.envelope(np.sqrt(jx), np.log(jx))
-    guard = _guard(rhs)
-    dev = np.stack([views[side][ck][ks] for side in _SIDES])
-    dev -= tables.jump_li[ks] if spec.uses_li else jx
-    gaps = np.flatnonzero(own & (ks < k1))
-    fails, opened = _gap_bounds(dev[2, gaps], dev[0, gaps + 1], rhs[gaps], rhs[gaps + 1])
-    fail_k, open_k = ks[gaps[fails]], ks[gaps[opened]]
 
     # the nodes are the jumps in range and each end that is not a jump, whose
     # count is that of the last jump below it from every side
@@ -672,117 +730,223 @@ def scan_inequality(
     cut_start, cut_end, *cut_nodes = np.array(cut).reshape(-1, 5).T
     cut_k, cut_lo, cut_hi = np.array(cut_nodes, dtype=np.int64)
 
-    # one pass reads every point inside a gap, each at R[k] of its gap k:
-    # the ends that are not jumps, then the samples and then the integers of
-    # the open gaps between jumps and of every cut gap, those of a cut gap
-    # dropped below unless it is open too.  Integers at jumps are the
-    # starred reads above
+    (fail_k, fail_s), (open_k, open_s), jump_nodes, jump_hot = _read_jumps(
+        specs, tables, k0, k1, lo_end, hi_end)
+
+    # one pass reads every point inside a gap, each at R[k] of its gap k: the
+    # ends that are not jumps of every spec, then the samples and then the
+    # integers of the open gaps between jumps and of every spec's cut gaps,
+    # those of a cut gap dropped below unless it is open too.  Integers at
+    # jumps are the starred reads
     n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)
-    gap_k = np.concatenate((open_k, cut_k))
-    starts, ends = np.concatenate((xs[open_k], cut_start)), np.concatenate((xs[open_k + 1], cut_end))
+    gap_k = np.concatenate((open_k, np.tile(cut_k, n_specs)))
+    gap_s = np.concatenate((open_s, np.repeat(np.arange(n_specs), len(cut_k))))
+    starts = np.concatenate((xs[open_k], np.tile(cut_start, n_specs)))
+    ends = np.concatenate((xs[open_k + 1], np.tile(cut_end, n_specs)))
     fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
-    ns, int_k = _gap_integers(tables.jumps, gap_k, n_lo, n_hi)
-    px = np.concatenate((end_x, (starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
+    ns, owner = _gap_integers(tables.jumps, gap_k, n_lo, n_hi)
+    px = np.concatenate((np.tile(end_x, n_specs), (starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
                          ns.astype(np.float64)))
-    pk = np.concatenate((last_jump(end_x), np.repeat(gap_k, interior_samples), int_k))
-    p_dev = views["right"][ck][pk] - (_li64(px) if spec.uses_li else px)
-    p_rhs = spec.rhs(px, np)
+    pk = np.concatenate((np.tile(last_jump(end_x), n_specs), np.repeat(gap_k, interior_samples), gap_k[owner]))
+    ps = np.concatenate((np.repeat(np.arange(n_specs), n_end), np.repeat(gap_s, interior_samples), gap_s[owner]))
+    p_dev = _gather([views["right"]], specs.kind[ps], pk)[0]
+    li = specs.uses_li[ps]
+    p_dev[~li] -= px[~li]
+    if li.any():
+        p_dev[li] -= _li64(px[li])
+    p_rhs = specs.envelopes(ps, np.sqrt(px), np.log(px))
 
-    # each cut gap bounded from its two nodes, of which only an open one keeps its points
-    node_dev = np.concatenate((p_dev[:n_end], dev[0, :1], dev[2, -1:]))
-    node_rhs = np.concatenate((p_rhs[:n_end], rhs[:1], rhs[-1:]))
-    cut_fails, cut_opened = _gap_bounds(node_dev[cut_lo], node_dev[cut_hi],
-                                        node_rhs[cut_lo], node_rhs[cut_hi])
-    fail_k = np.concatenate((fail_k, cut_k[cut_fails]))
-    p_read = ~np.isin(pk, cut_k[~cut_opened])
-    p_read[:n_end] = True
+    # each cut gap bounded per spec from its two nodes, of which only an open
+    # one keeps its points
+    n_ends = n_specs * n_end
+    node_dev, node_rhs = p_dev[:n_ends].reshape(n_specs, n_end), p_rhs[:n_ends].reshape(n_specs, n_end)
+    if n_jumps > 0:
+        node_dev = np.column_stack((node_dev, jump_nodes[0], jump_nodes[2]))
+        node_rhs = np.column_stack((node_rhs, jump_nodes[1], jump_nodes[3]))
+    cut_fails, cut_opened = _gap_bounds(node_dev[:, cut_lo], node_dev[:, cut_hi],
+                                        node_rhs[:, cut_lo], node_rhs[:, cut_hi])
+    fail_k = np.concatenate((fail_k, np.broadcast_to(cut_k, cut_fails.shape)[cut_fails]))
+    fail_s = np.concatenate((fail_s, np.nonzero(cut_fails)[0]))
+    gap_read = np.concatenate((np.ones(len(open_k), dtype=bool), cut_opened.ravel()))
+    p_read = np.concatenate((np.ones(n_ends, dtype=bool), np.repeat(gap_read, interior_samples), gap_read[owner]))
 
-    # every read as arrays: the three sides of each jump the scan owns, then
-    # the points, with side codes 0..3 for left, at, right and interior.  A
-    # one-sided limit describes x on its side of the jump, so the left limit
-    # at x_lo and the right limit at x_hi are read only when they are not jumps
-    at = np.flatnonzero(own)
-    jump_read = np.ones((3, len(at)), dtype=bool)
-    jump_read[0, :1], jump_read[2, -1:] = lo_end, hi_end
-    read = np.concatenate((jump_read.ravel(), p_read))
-    x = np.concatenate((np.tile(jx[at], 3), px))
-    k = np.concatenate((np.tile(ks[at], 3), pk))
-    band = np.concatenate((np.tile(guard[at], 3), _guard(p_rhs)))
-    margin = np.concatenate(((np.abs(dev[:, at]) - rhs[at]).ravel(), np.abs(p_dev) - p_rhs))
-    code = np.repeat(np.arange(4), (len(at),) * 3 + (len(px),))
-    integer = (code == 1) | (np.arange(len(x)) >= len(x) - len(ns))
+    # the reads that do not clearly hold, at the jumps and then at the points
+    # read, as arrays, with side codes 0..3 for left, at, right and interior
+    p_margin, p_band = np.abs(p_dev, out=p_dev), _guard(p_rhs)
+    p_margin -= p_rhs
+    point = np.flatnonzero(p_read & ~(p_margin <= -p_band))
+    x, k, spec_of, code, margin, band = (
+        np.concatenate(pair) for pair in zip(jump_hot, (px[point], pk[point], ps[point], np.full(len(point), 3),
+                                                        p_margin[point], p_band[point])))
+    integer = np.concatenate((jump_hot[3] == 1, point >= len(px) - len(ns)))
 
     # a margin at or above the guard band violates and one at or below minus
     # it holds; those inside the band, or NaN, are re-decided one by one
-    violates = read & (margin >= band)
-    rechecks = np.flatnonzero(read & ~violates & ~(margin <= -band))
+    violates = margin >= band
+    rechecks = np.flatnonzero(~violates)
     for i in rechecks.tolist():
-        violates[i] = _recheck(spec, tables, int(k[i]), _LABELS[min(code[i], 2)], float(x[i]))
+        violates[i] = _recheck(specs.specs[spec_of[i]], tables, int(k[i]),
+                               _LABELS[min(code[i], 2)], float(x[i]))
+    n_rechecked = np.bincount(spec_of[rechecks], minlength=n_specs)
 
-    # the last violation is the largest violating x, read from the side of
-    # highest code there, and the last integer violation the largest
+    # per spec, the last violation is the largest violating x, read from the
+    # side of highest code there, and the last integer violation the largest
     # violating integer read or last integer of a failing gap
-    worst_x = worst_side = None
-    if violates.any():
-        worst_x = float(x[violates].max())
-        worst_side = _LABELS[code[violates & (x == worst_x)].max()]
-    first, last = _gap_integer_bounds(tables.jumps, fail_k, n_lo, n_hi)
-    int_violations = np.concatenate((x[violates & integer], last[last >= first]))
+    x, spec_of, code, integer = x[violates], spec_of[violates], code[violates], integer[violates]
+    worst_x, worst_code = np.full(n_specs, -np.inf), np.full(n_specs, -1)
+    np.maximum.at(worst_x, spec_of, x)
+    top = x == worst_x[spec_of]
+    np.maximum.at(worst_code, spec_of[top], code[top])
+    int_first, int_last = _gap_integer_bounds(tables.jumps, fail_k, n_lo, n_hi)
+    has_ints = int_last >= int_first
+    int_violations = np.full(n_specs, -1.0)
+    np.maximum.at(int_violations, np.concatenate((spec_of[integer], fail_s[has_ints])),
+                  np.concatenate((x[integer], int_last[has_ints])))
+    n_points = 3 * n_jumps - (not lo_end) - (not hi_end) + np.bincount(ps[p_read], minlength=n_specs)
 
-    return Verdict(
-        worst_x is None,
-        spec=spec,
-        x_lo=float(x_lo),
-        x_hi=float(x_hi),
-        last_violation=worst_x,
-        last_violation_side=worst_side,
-        last_integer_violation=int(int_violations.max()) if len(int_violations) else None,
-        n_points=3 * n_jumps - (not lo_end) - (not hi_end) + int(np.count_nonzero(p_read)),
-        n_rechecked=len(rechecks),
-    )
+    return [
+        Verdict(
+            bool(worst_code[i] < 0),
+            spec=spec,
+            x_lo=float(x_lo),
+            x_hi=float(x_hi),
+            last_violation=float(worst_x[i]) if worst_code[i] >= 0 else None,
+            last_violation_side=_LABELS[worst_code[i]] if worst_code[i] >= 0 else None,
+            last_integer_violation=int(int_violations[i]) if int_violations[i] >= 0 else None,
+            n_points=int(n_points[i]),
+            n_rechecked=int(n_rechecked[i]),
+        )
+        for i, spec in enumerate(specs.specs)
+    ]
 
 
-def _jumps_to_read(spec, tables, k0, k1) -> tuple[np.ndarray, np.ndarray]:
-    """(ks, own): the jumps k0..k1 that no block bound clears, ascending,
-    each run of them followed by the jump after it when that one is
-    cleared, for the run's last gap; ``own`` is False at those.
+def _read_jumps(specs: _SpecArrays, tables, k0, k1, lo_end, hi_end):
+    """The reads of every spec at the jumps k0..k1 that its blocks leave,
+    and the gaps between them, in one pass: (fails, opens, nodes, hot).
 
-    A block b strictly inside k0..k1 is cleared when W_b - lo <= -guard(hi)
-    (``_block_envelopes``; the block lemma is in ``scan_inequality``).
+    fails and opens hold the jump k and spec s of each gap k that fails
+    throughout and of each that neither bound settles (``_gap_bounds``).
+    nodes holds, one column per spec, the deviation and envelope of its
+    left read at k0 and of its right read at k1, where its cut gaps end.
+    hot holds the reads that do not clearly hold, each with its x, jump,
+    spec, side code, margin and guard band; the left limit at x_lo is read
+    only if ``lo_end``, the right limit at x_hi only if ``hi_end``.  Built
+    in a function of its own, the per-entry arrays are freed before the
+    scan reads its points.
+    """
+    views = tables.float_views
+    n_specs = len(specs.specs)
+    # the jumps of the blocks no bound clears, spec after spec, each with its
+    # spec s and the deviation of every read at it, one row per side; gap k
+    # runs from jump k to jump k + 1, the next entry
+    ks, own, s = _jumps_to_read(specs, tables, k0, k1)
+    jx = views["x"][ks]
+    rhs = specs.envelopes(s, np.sqrt(jx), np.log(jx))
+    guard = _guard(rhs)
+    dev = _gather([views[side] for side in _SIDES], specs.kind[s], ks)
+    li = specs.uses_li[s]
+    dev -= np.where(li, tables.jump_li[ks], jx) if li.any() else jx
+    gap = (own & (ks < k1))[:-1]
+    fails, opened = _gap_bounds(dev[2, :-1], dev[0, 1:], rhs[:-1], rhs[1:])
+    fails, opened = np.flatnonzero(fails & gap), np.flatnonzero(opened & gap)
+    # each spec's first entry, the jump k0, and its last, the jump k1; a
+    # one-sided limit describes x on its side of the jump
+    read = np.tile(own, (3, 1))
+    nodes = np.empty((4, 0))
+    if len(ks):
+        first = np.searchsorted(s, np.arange(n_specs))
+        last = np.searchsorted(s, np.arange(n_specs), side="right") - 1
+        nodes = np.stack((dev[0, first], rhs[first], dev[2, last], rhs[last]))
+        read[0, first], read[2, last] = lo_end, hi_end
+    margin = np.abs(dev, out=dev)
+    margin -= rhs
+    side, entry = np.nonzero(read & ~(margin <= -guard))
+    hot = jx[entry], ks[entry], s[entry], side, margin[side, entry], guard[entry]
+    return (ks[fails], s[fails]), (ks[opened], s[opened]), nodes, hot
+
+
+def scan_inequality(
+    spec: InequalitySpec,
+    x_lo: float,
+    x_hi: float,
+    tables: PrimeTables,
+    interior_samples: int = 16,
+) -> Verdict:
+    """Check the inequality for all real x in [x_lo, x_hi]: the verdict of
+    ``scan_inequalities`` for this one spec, whose docstring states its
+    fields and the lemmas by which whole gaps and blocks are settled."""
+    return scan_inequalities((spec,), x_lo, x_hi, tables, interior_samples)[0]
+
+
+def _gather(columns, kinds, k) -> np.ndarray:
+    """``columns[j][kind][k]`` at every element, one row per j, the kind
+    given by its code (index in SCALE) element by element."""
+    out = np.empty((len(columns), len(k)))
+    for code, kind in enumerate(SCALE):
+        i = np.flatnonzero(kinds == code)
+        if len(i):
+            at = k[i]
+            for row, column in zip(out, columns):
+                row[i] = column[kind][at]
+    return out
+
+
+def _jumps_to_read(specs: _SpecArrays, tables, k0, k1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ks, own, s): for each spec s in turn, the jumps k0..k1 that no block
+    bound clears for it, ascending, each run of them followed by the jump
+    after it when that one is cleared, for the run's last gap; ``own`` is
+    False at those, and s holds the spec of each entry.
+
+    A block b strictly inside k0..k1 is cleared for a spec when
+    W_b - lo <= -guard(hi) (``_block_envelopes``; the block lemma is in
+    ``scan_inequalities``), one comparison for every (spec, block).
     """
     B = _SCAN_BLOCK
+    n_specs = len(specs.specs)
     blocks = np.arange(k0 // B + 1, k1 // B)   # b B > k0 and (b + 1) B - 1 < k1
-    lo, hi = _block_envelopes(spec, tables.float_views["x"], blocks)
-    cleared = blocks[tables.block_deviations(spec.count_kind, spec.uses_li)[blocks] - lo <= -_guard(hi)]
-    # the runs between cleared blocks, the empty ones between two dropped
-    first = np.concatenate(([k0], (cleared + 1) * B))
-    last = np.concatenate((cleared * B - 1, [k1]))
-    first, last = first[first <= last], last[first <= last]
+    # W first: reading it may build the table's per-jump arrays, which built
+    # after the (spec x block) envelope arrays took 10 MB more peak RSS at 2e7
+    deviations = np.stack([tables.block_deviations(spec.count_kind, spec.uses_li)[blocks]
+                           for spec in specs.specs])
+    lo, hi = _block_envelopes(specs, tables.float_views["x"], blocks)
+    cleared_s, cleared = np.nonzero(deviations - lo <= -_guard(hi))
+    cleared = blocks[cleared]
+    # the runs between cleared blocks, spec after spec: a first run from k0
+    # and a last one to k1 around each spec's cleared blocks, the empty
+    # ones between two cleared blocks then dropped
+    heads = np.searchsorted(cleared_s, np.arange(n_specs))
+    tails = np.searchsorted(cleared_s, np.arange(n_specs), side="right")
+    first = np.insert((cleared + 1) * B, heads, k0)
+    last = np.insert(cleared * B - 1, tails, k1)
+    run_s = np.insert(cleared_s, heads, np.arange(n_specs))
+    runs = first <= last
+    first, last, run_s = first[runs], last[runs], run_s[runs]
     stop = np.minimum(last + 1, k1)
+    lens = stop - first + 1
     ks = _concat_ranges(first, stop)
     own = np.ones(len(ks), dtype=bool)
-    own[(np.cumsum(stop - first + 1) - 1)[last < k1]] = False
-    return ks, own
+    own[(np.cumsum(lens) - 1)[last < k1]] = False
+    return ks, own, np.repeat(run_s, lens)
 
 
-def _block_envelopes(spec, xs, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): bounds from below and above on every envelope a scan
-    computes at the jumps b B .. (b + 1) B of each block b, its values at
-    the two ends widened by ``_ENVELOPE_SLACK``; lo is NaN for a shift
-    block that starts below e^C, where the envelope need not rise."""
+def _block_envelopes(specs: _SpecArrays, xs, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), one row per spec: bounds from below and above on every
+    envelope a scan computes at the jumps b B .. (b + 1) B of each block b,
+    its values at the two ends widened by ``_ENVELOPE_SLACK``; lo is NaN
+    for a shift block that starts below e^C, where the envelope need not
+    rise."""
     edge_x = xs[np.stack((blocks, blocks + 1)) * _SCAN_BLOCK]
     log_x = np.log(edge_x)
-    env = spec.envelope(np.sqrt(edge_x), log_x)
-    lo, hi = env[0] * (1 - _ENVELOPE_SLACK), env[1] * (1 + _ENVELOPE_SLACK)
-    if spec.kind.endswith("_shift"):
-        lo[log_x[0] < spec.C] = np.nan
+    env = specs.envelopes(np.s_[:, None, None], np.sqrt(edge_x), log_x)
+    lo, hi = env[:, 0] * (1 - _ENVELOPE_SLACK), env[:, 1] * (1 + _ENVELOPE_SLACK)
+    lo[log_x[0] < specs.C[:, None]] = np.nan
     return lo, hi
 
 
 def _gap_bounds(lo_dev, hi_dev, lo_rhs, hi_rhs):
     """(fails, open): the gaps with these deviations and envelopes at their
     two ends that fail throughout, and those neither bound settles (the
-    lemma in ``scan_inequality``), each within the guard band of the larger
+    lemma in ``scan_inequalities``), each within the guard band of the larger
     envelope.  The bounds take the larger |deviation| at the two ends, and
     the smaller, 0 when the deviation changes sign across the gap."""
     lo_abs, hi_abs = np.abs(lo_dev), np.abs(hi_dev)
@@ -807,9 +971,9 @@ def _gap_integer_bounds(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray
 
 def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
     """The integers of [n_lo, n_hi] strictly inside each gap, gap by gap,
-    and the gap of each."""
+    and the index in ``gaps`` of the gap of each."""
     first, last = _gap_integer_bounds(jumps, gaps, n_lo, n_hi)
-    return _concat_ranges(first, last), np.repeat(gaps, np.maximum(last - first + 1, 0))
+    return _concat_ranges(first, last), np.repeat(np.arange(len(gaps)), np.maximum(last - first + 1, 0))
 
 
 def _concat_ranges(first, last) -> np.ndarray:

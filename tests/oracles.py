@@ -566,8 +566,8 @@ def scan_inequality_per_read(spec, x_lo, x_hi, tables, interior_samples=16):
                           np.repeat(open_k, interior_samples), False)
         # integer-argument convention: every integer of the open gaps, those
         # at the jumps read above
-        ns, int_gap = _gap_integers(tables.jumps, open_k, n_lo, n_hi)
-        yield inside_gaps(ns.astype(np.float64), int_gap, True)
+        ns, owner = _gap_integers(tables.jumps, open_k, n_lo, n_hi)
+        yield inside_gaps(ns.astype(np.float64), open_k[owner], True)
 
     worst_x = worst_side = None
     n_points = n_recheck = 0

@@ -30,7 +30,7 @@ from primebounds.primes import (
     _pair_sums,
     build_tables,
     prime_counts,
-    scan_inequality,
+    scan_inequalities,
 )
 from primebounds.ramanujan import Regime, regime_schedule, step_verify
 
@@ -103,12 +103,12 @@ def test_tables_at_the_detail_limit():
 
 
 def test_scans_at_the_detail_limit_match_reading_every_jump():
-    """The ten ``verify-primes`` scans at 2e7, where a scan may clear any of
-    4,967 blocks of jumps, give the verdicts of reading every jump."""
+    """The ten ``verify-primes`` scans at 2e7, one pass in which a scan may
+    clear any of 4,967 blocks of jumps, give the verdicts of reading every
+    jump."""
     tables = build_tables(DETAIL_LIMIT_MAX)
     assert -(-len(tables.jumps) // _SCAN_BLOCK) == 4_967
-    for spec in VERIFY_SPECS:
-        got = scan_inequality(spec, 2, DETAIL_LIMIT_MAX, tables)
+    for spec, got in zip(VERIFY_SPECS, scan_inequalities(VERIFY_SPECS, 2, DETAIL_LIMIT_MAX, tables)):
         assert _report_fields(got) == _report_fields(
             scan_inequality_per_read(spec, 2, DETAIL_LIMIT_MAX, tables)), spec
 

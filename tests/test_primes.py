@@ -1,5 +1,6 @@
 """Exact tables, normalization conventions and scans."""
 
+import bisect
 import gc
 import json
 import math
@@ -41,6 +42,7 @@ from primebounds.primes import (
     integer_threshold_consistent,
     prime_counts,
     psi_theta_gap,
+    scan_inequalities,
     scan_inequality,
     segmented_prime_count,
     threshold_consistent,
@@ -761,6 +763,40 @@ class TestLi64:
         assert len(xs) >= 4000
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
+    def test_within_its_derived_bound(self):
+        # the bound of _li64's docstring, and each fact it rests on, on log
+        # grids to the largest scan and to the top of its range
+        u, coefficients = 2.0 ** -53, primes._LI_COEFFICIENTS
+        for top, n_terms in ((2e7, 55), (6e9, 64)):
+            xs = np.geomspace(2, top, 300)
+            assert bisect.bisect_left(primes._LI_REACH, np.log(top)) + 1 == n_terms
+            with mp.workprec(120):
+                for x, got in zip(xs.tolist(), primes._li64(xs).tolist()):
+                    L, li_x = mp.log(x), mp.li(x)
+                    P = li_x - mp.euler - mp.log(L)
+                    sizes = [abs(mpf(c)) * L ** n for n, c in enumerate(coefficients[:n_terms], 1)]
+                    peak = sizes.index(max(sizes))
+                    assert sizes[: peak + 1] == sorted(sizes[: peak + 1])
+                    assert sizes[peak:] == sorted(sizes[peak:], reverse=True)
+                    assert P / mp.sqrt(x) > 0.5 and max(sizes) < 10 * P / mp.sqrt(x)
+                    bound = 1.001 * u * ((50 * n_terms + 5) * P + 2 * x + L * P
+                                         + 4 * abs(mp.log(L)) + 5)
+                    assert abs(got - li_x) <= bound, x
+                    # below the guard band of the li specs verify-primes scans
+                    if top == 2e7:
+                        envelope = A8PI * math.sqrt(x) * math.log(x)
+                        assert bound < 0.14 * 1e-9 * max(envelope, 1.0)
+
+    def test_terms_dropped_sum_below_2_to_the_minus_70(self):
+        # at the largest L that uses n terms, every term after the n-th
+        # falls, so the alternating tail is below the first of them
+        terms = primes._li_coefficients(128)
+        with mp.workprec(120):
+            for n, reach in enumerate(primes._LI_REACH, 1):
+                sizes = [abs(mpf(c)) * mpf(reach) ** m for m, c in enumerate(terms, 1)][n - 1 :]
+                assert sizes == sorted(sizes, reverse=True)
+                assert sizes[0] <= 2 ** -70 * (1 + 1e-12) and sizes[-1] < 2 ** -200
+
     def test_verify_primes_runs_without_scipy(self):
         # an entry of None in sys.modules makes ``import scipy`` fail
         code = ("import sys; sys.modules['scipy'] = None\n"
@@ -937,7 +973,7 @@ PI_LI_NEXT_LEFT = InequalitySpec("pi_li", 0.0111)
 
 
 def _uncleared_blocks(spec, tables) -> list:
-    ks, own = primes._jumps_to_read(spec, tables, 0, len(tables.jumps) - 1)
+    ks, own, _ = primes._jumps_to_read(primes._SpecArrays((spec,)), tables, 0, len(tables.jumps) - 1)
     return np.unique(ks[own] // _B).tolist()
 
 
@@ -1000,7 +1036,7 @@ class TestBlockClearing:
     def test_blocks_at_the_range_ends_are_read(self, tables_2e5, k0, k1):
         # weak pi_li holds past block 0, so every block strictly inside k0..k1
         # is cleared and those holding k0 and k1 are read from k0 and to k1
-        ks, own = primes._jumps_to_read(VERIFY_SPECS[-1], tables_2e5, k0, k1)
+        ks, own, _ = primes._jumps_to_read(primes._SpecArrays(VERIFY_SPECS[-1:]), tables_2e5, k0, k1)
         assert ks[own].tolist() == list(range(k0, (k0 // _B + 1) * _B)) + \
             list(range(k1 // _B * _B, k1 + 1))
         assert ks[~own].tolist() == [(k0 // _B + 1) * _B]
@@ -1012,9 +1048,9 @@ class TestBlockClearing:
     def test_block_envelopes_bound_the_computed_envelope(self, tables_2e5):
         xs = tables_2e5.float_views["x"]
         blocks = np.arange((len(xs) - 1) // _B)   # each with a jump after it
-        for spec in VERIFY_SPECS:
+        all_lo, all_hi = primes._block_envelopes(primes._SpecArrays(VERIFY_SPECS), xs, blocks)
+        for spec, lo, hi in zip(VERIFY_SPECS, all_lo, all_hi):
             env = spec.envelope(np.sqrt(xs), np.log(xs))
-            lo, hi = primes._block_envelopes(spec, xs, blocks)
             for b in blocks.tolist():
                 window = env[b * _B : (b + 1) * _B + 1]
                 assert window.max() <= hi[b], (spec, b)
@@ -1041,3 +1077,94 @@ class TestBlockClearing:
         monkeypatch.setattr(primes, "_li64", lambda x: np.full(np.shape(x), np.nan))
         tables = build_tables(200_000)
         assert _uncleared_blocks(VERIFY_SPECS[5], tables) == list(range(_BLOCKS_2E5))
+
+
+_SPEC_LISTS = st.lists(st.one_of(st.sampled_from(VERIFY_SPECS), _DRAWN_SPECS), min_size=1, max_size=12)
+
+
+class TestScanInequalities:
+    """One pass over many specs gives each the verdict of reading its every jump alone."""
+
+    @staticmethod
+    def _assert_each_alone(specs, lo, hi, tables, samples=16):
+        got = scan_inequalities(specs, lo, hi, tables, interior_samples=samples)
+        assert len(got) == len(specs)
+        for spec, verdict in zip(specs, got):
+            assert verdict.spec == spec
+            assert verdict.to_dict() == scan_inequality_per_read(
+                spec, lo, hi, tables, interior_samples=samples).to_dict(), spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs=_SPEC_LISTS, ends=st.tuples(_ENDS_2E5, _ENDS_2E5), samples=_SAMPLES)
+    @example(specs=VERIFY_SPECS, ends=(2, 200_000), samples=16)
+    @example(specs=[PSI_SQ_DEEP, PI_LI_DEEP, PI_LI_NEXT_LEFT, PSI_SQ_DEEP], ends=(2, 200_000),
+             samples=4)
+    @example(specs=VERIFY_SPECS[::-1], ends=(_JUMPS_TO_2E5[3 * _B - 1], 150_000.5), samples=0)
+    def test_shared_ranges(self, tables_2e5, specs, ends, samples):
+        lo, hi = sorted(ends)
+        assume(lo < hi)
+        self._assert_each_alone(specs, lo, hi, tables_2e5, samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs=_SPEC_LISTS, b=st.integers(0, _BLOCKS_2E5 - 2),
+           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)), samples=_SAMPLES)
+    def test_ranges_inside_one_block(self, tables_2e5, specs, b, fracs, samples):
+        start, end = _JUMPS_TO_2E5[b * _B], _JUMPS_TO_2E5[(b + 1) * _B - 1]
+        lo, hi = (start + f * (end - start) for f in sorted(fracs))
+        assume(lo < hi)
+        self._assert_each_alone(specs, lo, hi, tables_2e5, samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs=_SPEC_LISTS,
+           k=st.one_of(st.integers(0, 20), st.integers(0, len(_JUMPS_TO_2E5) - 2)),
+           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)), samples=_SAMPLES)
+    def test_ranges_with_no_jump(self, tables_2e5, specs, k, fracs, samples):
+        # the low gaps hold the shift kinds' envelope below e^C
+        start, end = _JUMPS_TO_2E5[k], _JUMPS_TO_2E5[k + 1]
+        lo, hi = (start + f * (end - start) for f in sorted(fracs))
+        assume(start < lo < hi < end)
+        self._assert_each_alone(specs, lo, hi, tables_2e5, samples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs=_SPEC_LISTS, xs=st.lists(st.floats(2, 2e7), min_size=1, max_size=20))
+    def test_envelopes_are_each_specs_own(self, specs, xs):
+        # bit for bit, so a read decides as in a scan of its spec alone
+        x = np.array(xs)
+        arrays = primes._SpecArrays(specs)
+        got = arrays.envelopes(np.repeat(np.arange(len(specs)), len(x)),
+                               np.tile(np.sqrt(x), len(specs)), np.tile(np.log(x), len(specs)))
+        want = np.concatenate([spec.envelope(np.sqrt(x), np.log(x)) for spec in specs])
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_specs_no_verdicts(self, tables_10k):
+        assert scan_inequalities([], 2, 10_000, tables_10k) == []
+
+    @pytest.mark.parametrize("samples", [-1, 2.5, "16", None])
+    def test_interior_samples_must_be_an_integer_of_at_least_zero(self, tables_10k, samples):
+        # -1 once reached numpy as a negative dimension, and 2.5 as a shape
+        # that no array broadcast to
+        with pytest.raises(ParameterError, match="interior_samples"):
+            scan_inequalities(VERIFY_SPECS, 2, 10_000, tables_10k, interior_samples=samples)
+        with pytest.raises(ParameterError, match="interior_samples"):
+            scan_inequality(VERIFY_SPECS[0], 2, 10_000, tables_10k, interior_samples=samples)
+
+    def test_verify_primes_takes_li_in_two_calls(self, monkeypatch):
+        # li on the jumps, then li at every point of every li spec in one pass
+        calls = []
+        li64 = primes._li64
+        monkeypatch.setattr(primes, "_li64", lambda x: calls.append(len(x)) or li64(x))
+        res = CliRunner().invoke(cli, ["--format", "json", "verify-primes", "--limit", "2e5"])
+        assert res.exit_code == EXIT_PASS, res.output
+        assert len(json.loads(res.stdout)["results"]) == 10
+        assert len(calls) <= 2
+        assert calls[0] == len(_JUMPS_TO_2E5)
+
+    def test_verify_primes_scans_once(self, monkeypatch):
+        calls = []
+        scan = primes.scan_inequalities
+        monkeypatch.setattr(primes, "scan_inequalities", lambda specs, *a: calls.append(specs) or scan(specs, *a))
+        res = CliRunner().invoke(cli, ["--format", "json", "verify-primes", "--limit", "2e4",
+                                       "--spec", "pi_li", "--spec", "weak"])
+        assert res.exit_code == EXIT_PASS, res.output
+        assert [spec.kind for spec in calls[0]] == ["pi_li", "psi_sq", "theta_sq", "Pi_li", "pi_li"]
+        assert len(calls) == 1
