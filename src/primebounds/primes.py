@@ -23,11 +23,13 @@ scan.  Any margin too close to zero for float64 to be trusted is re-checked
 in extended precision from the exact columns.  A scan first clears each
 block of jumps inside its range whose largest deviation stays below the
 envelope by the guard band, with one comparison, then reads the other jumps
-and the range ends that are not jumps, and settles each gap between these
-nodes from its two ends, so its cost follows the jumps near violations, not
-the size of the table.  The scans of many specs over one range share one
-array pass (``scan_inequalities``), so they pay numpy's fixed cost per call
-once, not once per spec.
+and the range ends that are not jumps, one array of nodes, and settles each
+gap between consecutive nodes from its two ends, so its cost follows the
+jumps near violations, not the size of the table.  The scans of many specs
+over one range share one array pass (``scan_inequalities``), so they pay
+numpy's fixed cost per call once, not once per spec.  Off the jumps, li
+takes at most two calls per pass: one on the range ends and one on the
+points inside the gaps that their two ends leave open.
 
 Tables are built in full on every call, by segmented sieving, which bounds
 the working memory of the sieve; each segment's jumps are put in order as
@@ -44,7 +46,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, islice
 from typing import Optional
 
@@ -547,10 +549,17 @@ def _li64(x: np.ndarray) -> np.ndarray:
     n_terms = bisect.bisect_left(_LI_REACH, np.max(lx, initial=0.0)) + 1
     if n_terms > len(_LI_COEFFICIENTS):
         raise ParameterError("the float64 li is for x <= 6e9")
-    acc = np.full(np.shape(lx), _LI_COEFFICIENTS[n_terms - 1])
-    for c in _LI_COEFFICIENTS[n_terms - 2 :: -1]:
-        acc *= lx
-        acc += c
+    top, *rest = _LI_COEFFICIENTS[n_terms - 1 :: -1]
+    if lx.size <= 2:
+        # a scan's range ends: Python floats round each product and sum as
+        # numpy does, without its fixed cost per call on a tiny array
+        acc = np.reshape([reduce(lambda v, c: v * L + c, rest, top) for L in lx.ravel().tolist()],
+                         lx.shape)
+    else:
+        acc = np.full(np.shape(lx), top)
+        for c in rest:
+            acc *= lx
+            acc += c
     return _EULER + np.log(lx) + np.sqrt(x) * (acc * lx)
 
 
@@ -654,7 +663,7 @@ def scan_inequalities(
     is ``_SCAN_BLOCK`` consecutive jumps s..e of the table; jump k owns its
     three reads and gap k, from jump k to jump k + 1.  Only a block strictly
     inside the range's jumps, k0 < s and e < k1, may be cleared, so no range
-    end and no cut gap touches it.  Let W be the largest |deviation| of its
+    end and no gap at one touches it.  Let W be the largest |deviation| of its
     reads and of the left read at e + 1 (``block_deviations``, NaN when any
     is NaN), and lo and hi the envelope at jumps s and e + 1, widened by the
     relative slack ``_ENVELOPE_SLACK``.  The envelope is computed from
@@ -684,13 +693,16 @@ def scan_inequalities(
     'left'.
 
     The specs share every step.  Their blocks are cleared by one
-    (spec x block) comparison, and the jumps left to read, spec after spec,
-    carry the index of their spec, which picks each read's count kind,
-    target and envelope parameters.  The range ends and the gaps they cut
-    are found once and bounded per spec; the points inside gaps, li at all
-    of them in one ``_li64`` call, and every read are decided together, and
-    each verdict is reduced from the reads of its own spec, so it is the
-    one a scan of that spec alone gives.
+    (spec x block) comparison, and the nodes left to read are one array,
+    spec after spec, each carrying the index of its spec, which picks each
+    read's count kind, target and envelope parameters.  Each end that is not
+    a jump is a node of every spec, first or last among its nodes, so every
+    gap runs from one node to the next and one ``_gap_bounds`` call bounds
+    them all.  li at the ends is one ``_li64`` call, before the gaps are
+    bounded, and li at every point inside an open gap one more; those points
+    and every read are decided together, and each verdict is reduced from
+    the reads of its own spec, so it is the one a scan of that spec alone
+    gives.
     """
     if x_hi > tables.limit:
         raise ParameterError(f"x_hi={x_hi} beyond table limit {tables.limit}")
@@ -703,52 +715,28 @@ def scan_inequalities(
     n_specs = len(specs.specs)
     if not n_specs:
         return []
+    x_lo, x_hi = float(x_lo), float(x_hi)
     views = tables.float_views
     xs = views["x"]
-
-    def last_jump(x):   # the last jump <= x, where the count at x is read
-        return np.searchsorted(xs, x, side="right") - 1
-
-    k0 = int(np.searchsorted(xs, x_lo))   # first jump >= x_lo
-    k1 = int(last_jump(x_hi))
+    k0 = int(np.searchsorted(xs, x_lo))                    # first jump >= x_lo
+    k1 = int(np.searchsorted(xs, x_hi, side="right")) - 1   # last jump <= x_hi
     n_jumps = k1 + 1 - k0
-
-    # the nodes are the jumps in range and each end that is not a jump, whose
-    # count is that of the last jump below it from every side
+    # the nodes are the jumps in range and each end that is not a jump
     lo_end = n_jumps == 0 or xs[k0] != x_lo
     hi_end = n_jumps == 0 or xs[k1] != x_hi
-    end_x = np.array([float(x) for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
-    n_end = len(end_x)
-    # the gaps that an end cuts, each in the gap of the last jump below its
-    # start, with the nodes at its two ends: the ends of the range first,
-    # then the left read at jump k0 and the right read at jump k1
-    cut = [(x_lo, x_hi, k1, 0, 1)] if n_jumps == 0 else []
-    if n_jumps > 0 and lo_end:
-        cut.append((x_lo, xs[k0], k0 - 1, 0, n_end))
-    if n_jumps > 0 and hi_end:
-        cut.append((xs[k1], x_hi, k1, n_end + 1, n_end - 1))
-    cut_start, cut_end, *cut_nodes = np.array(cut).reshape(-1, 5).T
-    cut_k, cut_lo, cut_hi = np.array(cut_nodes, dtype=np.int64)
+    end_x = np.array([x for x, end in ((x_lo, lo_end), (x_hi, hi_end)) if end])
 
-    (fail_k, fail_s), (open_k, open_s), jump_nodes, jump_hot = _read_jumps(
-        specs, tables, k0, k1, lo_end, hi_end)
+    (fail_s, fail_n), (starts, ends, open_k, open_s, n_first, n_last), hot = _read_nodes(
+        specs, tables, x_lo, x_hi, k0, k1, end_x)
 
-    # one pass reads every point inside a gap, each at R[k] of its gap k: the
-    # ends that are not jumps of every spec, then the samples and then the
-    # integers of the open gaps between jumps and of every spec's cut gaps,
-    # those of a cut gap dropped below unless it is open too.  Integers at
-    # jumps are the starred reads
-    n_lo, n_hi = math.ceil(x_lo), math.floor(x_hi)
-    gap_k = np.concatenate((open_k, np.tile(cut_k, n_specs)))
-    gap_s = np.concatenate((open_s, np.repeat(np.arange(n_specs), len(cut_k))))
-    starts = np.concatenate((xs[open_k], np.tile(cut_start, n_specs)))
-    ends = np.concatenate((xs[open_k + 1], np.tile(cut_end, n_specs)))
+    # one pass reads every point inside an open gap, each at R[k] of its gap
+    # k: the samples of every open gap, then their integers
     fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
-    ns, owner = _gap_integers(tables.jumps, gap_k, n_lo, n_hi)
-    px = np.concatenate((np.tile(end_x, n_specs), (starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
-                         ns.astype(np.float64)))
-    pk = np.concatenate((np.tile(last_jump(end_x), n_specs), np.repeat(gap_k, interior_samples), gap_k[owner]))
-    ps = np.concatenate((np.repeat(np.arange(n_specs), n_end), np.repeat(gap_s, interior_samples), gap_s[owner]))
+    n_ints = np.maximum(n_last - n_first + 1, 0)
+    px = np.concatenate(((starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
+                         _concat_ranges(n_first, n_last).astype(np.float64)))
+    pk = np.concatenate((np.repeat(open_k, interior_samples), np.repeat(open_k, n_ints)))
+    ps = np.concatenate((np.repeat(open_s, interior_samples), np.repeat(open_s, n_ints)))
     p_dev = _gather([views["right"]], specs.kind[ps], pk)[0]
     li = specs.uses_li[ps]
     p_dev[~li] -= px[~li]
@@ -756,29 +744,15 @@ def scan_inequalities(
         p_dev[li] -= _li64(px[li])
     p_rhs = specs.envelopes(ps, np.sqrt(px), np.log(px))
 
-    # each cut gap bounded per spec from its two nodes, of which only an open
-    # one keeps its points
-    n_ends = n_specs * n_end
-    node_dev, node_rhs = p_dev[:n_ends].reshape(n_specs, n_end), p_rhs[:n_ends].reshape(n_specs, n_end)
-    if n_jumps > 0:
-        node_dev = np.column_stack((node_dev, jump_nodes[0], jump_nodes[2]))
-        node_rhs = np.column_stack((node_rhs, jump_nodes[1], jump_nodes[3]))
-    cut_fails, cut_opened = _gap_bounds(node_dev[:, cut_lo], node_dev[:, cut_hi],
-                                        node_rhs[:, cut_lo], node_rhs[:, cut_hi])
-    fail_k = np.concatenate((fail_k, np.broadcast_to(cut_k, cut_fails.shape)[cut_fails]))
-    fail_s = np.concatenate((fail_s, np.nonzero(cut_fails)[0]))
-    gap_read = np.concatenate((np.ones(len(open_k), dtype=bool), cut_opened.ravel()))
-    p_read = np.concatenate((np.ones(n_ends, dtype=bool), np.repeat(gap_read, interior_samples), gap_read[owner]))
-
-    # the reads that do not clearly hold, at the jumps and then at the points
+    # the reads that do not clearly hold, at the nodes and then at the points
     # read, as arrays, with side codes 0..3 for left, at, right and interior
     p_margin, p_band = np.abs(p_dev, out=p_dev), _guard(p_rhs)
     p_margin -= p_rhs
-    point = np.flatnonzero(p_read & ~(p_margin <= -p_band))
+    point = np.flatnonzero(~(p_margin <= -p_band))
     x, k, spec_of, code, margin, band = (
-        np.concatenate(pair) for pair in zip(jump_hot, (px[point], pk[point], ps[point], np.full(len(point), 3),
-                                                        p_margin[point], p_band[point])))
-    integer = np.concatenate((jump_hot[3] == 1, point >= len(px) - len(ns)))
+        np.concatenate(pair) for pair in zip(hot, (px[point], pk[point], ps[point], np.full(len(point), 3),
+                                                   p_margin[point], p_band[point])))
+    integer = np.concatenate((hot[3] == 1, point >= len(open_k) * interior_samples))
 
     # a margin at or above the guard band violates and one at or below minus
     # it holds; those inside the band, or NaN, are re-decided one by one
@@ -797,19 +771,19 @@ def scan_inequalities(
     np.maximum.at(worst_x, spec_of, x)
     top = x == worst_x[spec_of]
     np.maximum.at(worst_code, spec_of[top], code[top])
-    int_first, int_last = _gap_integer_bounds(tables.jumps, fail_k, n_lo, n_hi)
-    has_ints = int_last >= int_first
     int_violations = np.full(n_specs, -1.0)
-    np.maximum.at(int_violations, np.concatenate((spec_of[integer], fail_s[has_ints])),
-                  np.concatenate((x[integer], int_last[has_ints])))
-    n_points = 3 * n_jumps - (not lo_end) - (not hi_end) + np.bincount(ps[p_read], minlength=n_specs)
+    np.maximum.at(int_violations, np.concatenate((spec_of[integer], fail_s)),
+                  np.concatenate((x[integer], fail_n)))
+    # every jump is read from three sides, bar the left limit at x_lo and the
+    # right limit at x_hi, and every end once
+    n_points = 3 * n_jumps - (not lo_end) - (not hi_end) + len(end_x) + np.bincount(ps, minlength=n_specs)
 
     return [
         Verdict(
             bool(worst_code[i] < 0),
             spec=spec,
-            x_lo=float(x_lo),
-            x_hi=float(x_hi),
+            x_lo=x_lo,
+            x_hi=x_hi,
             last_violation=float(worst_x[i]) if worst_code[i] >= 0 else None,
             last_violation_side=_LABELS[worst_code[i]] if worst_code[i] >= 0 else None,
             last_integer_violation=int(int_violations[i]) if int_violations[i] >= 0 else None,
@@ -820,49 +794,68 @@ def scan_inequalities(
     ]
 
 
-def _read_jumps(specs: _SpecArrays, tables, k0, k1, lo_end, hi_end):
-    """The reads of every spec at the jumps k0..k1 that its blocks leave,
-    and the gaps between them, in one pass: (fails, opens, nodes, hot).
+def _read_nodes(specs: _SpecArrays, tables, x_lo, x_hi, k0, k1, end_x):
+    """The reads of every spec at its nodes, the jumps k0..k1 that its
+    blocks leave and the ends ``end_x`` of the range that are not jumps, and
+    the gaps between them, in one pass: (fails, opens, hot).
 
-    fails and opens hold the jump k and spec s of each gap k that fails
-    throughout and of each that neither bound settles (``_gap_bounds``).
-    nodes holds, one column per spec, the deviation and envelope of its
-    left read at k0 and of its right read at k1, where its cut gaps end.
-    hot holds the reads that do not clearly hold, each with its x, jump,
-    spec, side code, margin and guard band; the left limit at x_lo is read
-    only if ``lo_end``, the right limit at x_hi only if ``hi_end``.  Built
-    in a function of its own, the per-entry arrays are freed before the
-    scan reads its points.
+    fails holds the spec s and the last integer of each gap that fails
+    throughout and has one, and opens the start and end x, jump k, spec s
+    and first and last integer of each gap that neither bound settles
+    (``_gap_bounds``).  hot holds the reads that do not clearly hold, each
+    with its x, jump, spec, side code, margin and guard band.  Built in a
+    function of its own, the per-entry arrays are freed before the scan
+    reads its points.
     """
     views = tables.float_views
     n_specs = len(specs.specs)
-    # the jumps of the blocks no bound clears, spec after spec, each with its
-    # spec s and the deviation of every read at it, one row per side; gap k
-    # runs from jump k to jump k + 1, the next entry
+    # the jumps of the blocks no bound clears, spec after spec, then each end
+    # put first or last among its spec's nodes, at the last jump below it,
+    # each node with its spec s and the deviation of every read at it, one
+    # row per side; gap i runs from node i to node i + 1
     ks, own, s = _jumps_to_read(specs, tables, k0, k1)
-    jx = views["x"][ks]
-    rhs = specs.envelopes(s, np.sqrt(jx), np.log(jx))
+    # node i is entry order[i] of the jumps followed by the ends
+    n_ends = n_specs * len(end_x)
+    at = np.searchsorted(s, np.arange(n_specs)[:, None] + (end_x == x_hi)).ravel()
+    order = np.insert(np.arange(len(ks)), at, np.arange(len(ks), len(ks) + n_ends))
+    jump = order < len(ks)
+    end = np.flatnonzero(~jump)
+    x, ks, own, s = (np.concatenate(pair)[order] for pair in (
+        (views["x"][ks], np.tile(end_x, n_specs)),
+        (ks, np.tile(np.searchsorted(views["x"], end_x) - 1, n_specs)),
+        (own, np.ones(n_ends, dtype=bool)),
+        (s, np.repeat(np.arange(n_specs), len(end_x)))))
+    rhs = specs.envelopes(s, np.sqrt(x), np.log(x))
     guard = _guard(rhs)
     dev = _gather([views[side] for side in _SIDES], specs.kind[s], ks)
+    dev[:2, end] = dev[2, end]   # an end has the count of its jump k from every side
     li = specs.uses_li[s]
-    dev -= np.where(li, tables.jump_li[ks], jx) if li.any() else jx
-    gap = (own & (ks < k1))[:-1]
+    if li.any():
+        li_x = tables.jump_li[ks]
+        if len(end_x):
+            li_x[end] = np.tile(_li64(end_x), n_specs)
+        dev -= np.where(li, li_x, x)
+    else:
+        dev -= x
+    gap = own[:-1] & (s[:-1] == s[1:])
     fails, opened = _gap_bounds(dev[2, :-1], dev[0, 1:], rhs[:-1], rhs[1:])
     fails, opened = np.flatnonzero(fails & gap), np.flatnonzero(opened & gap)
-    # each spec's first entry, the jump k0, and its last, the jump k1; a
-    # one-sided limit describes x on its side of the jump
-    read = np.tile(own, (3, 1))
-    nodes = np.empty((4, 0))
-    if len(ks):
-        first = np.searchsorted(s, np.arange(n_specs))
-        last = np.searchsorted(s, np.arange(n_specs), side="right") - 1
-        nodes = np.stack((dev[0, first], rhs[first], dev[2, last], rhs[last]))
-        read[0, first], read[2, last] = lo_end, hi_end
+
+    def integers(i):
+        # the integers strictly inside gap i, an end that is one included
+        return np.ceil(x[i]).astype(np.int64) + jump[i], np.floor(x[i + 1]).astype(np.int64) - jump[i + 1]
+
+    first, last = integers(fails)
+    fails, fail_n = fails[last >= first], last[last >= first]
+    # an end is read once, with side code 3; a one-sided limit at a jump
+    # describes x on its side of it
+    read = np.stack((jump & (x > x_lo), own, jump & (x < x_hi)))
+    read &= own
     margin = np.abs(dev, out=dev)
     margin -= rhs
     side, entry = np.nonzero(read & ~(margin <= -guard))
-    hot = jx[entry], ks[entry], s[entry], side, margin[side, entry], guard[entry]
-    return (ks[fails], s[fails]), (ks[opened], s[opened]), nodes, hot
+    hot = x[entry], ks[entry], s[entry], np.where(jump[entry], side, 3), margin[side, entry], guard[entry]
+    return (s[fails], fail_n), (x[opened], x[opened + 1], ks[opened], s[opened], *integers(opened)), hot
 
 
 def scan_inequality(
@@ -955,25 +948,6 @@ def _gap_bounds(lo_dev, hi_dev, lo_rhs, hi_rhs):
     g = _guard(top)
     fails = near - top >= g
     return fails, ~(np.maximum(lo_abs, hi_abs) - np.minimum(lo_rhs, hi_rhs) <= -g) & ~fails
-
-
-def _gap_integer_bounds(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
-    """(first, last): the integers of [n_lo, n_hi] strictly inside gap k are
-    first..last, none when last < first.
-
-    Gap k runs from jump k to jump k + 1; gap len(jumps) - 1 has no right
-    end.  The ranges scanned start at 2, the first jump, so no gap is -1.
-    """
-    last = len(jumps) - 1
-    before_next = np.where(gaps < last, jumps[np.minimum(gaps + 1, last)] - 1, n_hi)
-    return np.maximum(jumps[gaps] + 1, n_lo), np.minimum(before_next, n_hi)
-
-
-def _gap_integers(jumps, gaps, n_lo, n_hi) -> tuple[np.ndarray, np.ndarray]:
-    """The integers of [n_lo, n_hi] strictly inside each gap, gap by gap,
-    and the index in ``gaps`` of the gap of each."""
-    first, last = _gap_integer_bounds(jumps, gaps, n_lo, n_hi)
-    return _concat_ranges(first, last), np.repeat(np.arange(len(gaps)), np.maximum(last - first + 1, 0))
 
 
 def _concat_ranges(first, last) -> np.ndarray:

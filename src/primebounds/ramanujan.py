@@ -629,7 +629,8 @@ def _check_grid(regime: Regime, prec: int) -> None:
     (hi, hi_d), (dn, dd) = regime.z_hi.as_integer_ratio(), regime.delta.as_integer_ratio()
     scale = max(regime.z_lo.as_integer_ratio()[1], dd)
     if (hi * dd + dn * hi_d) * scale >= (hi_d * dd) << prec:
-        raise ParameterError(f"delta {regime.delta:g} is finer than the {prec}-bit grid")
+        raise ParameterError(f"the grid z_lo + k delta up to z_hi + delta is not exact at {prec} bits "
+                             f"(z_hi {regime.z_hi:g}, delta {regime.delta:g})")
 
 
 def regime_schedule() -> list:

@@ -50,9 +50,8 @@ from primebounds.errors import BracketError, CoverageError, ParameterError, Zero
 from primebounds.hiprec import working_precision
 from primebounds.primes import (
     _SIDES,
+    _concat_ranges,
     _gap_bounds,
-    _gap_integer_bounds,
-    _gap_integers,
     _guard,
     _li64,
     _odd_mask,
@@ -478,6 +477,25 @@ def _deviations(tables, kind, uses_li):
     views = tables.float_views
     target = tables.jump_li if uses_li else views["x"]
     return {side: views[side][kind] - target for side in _SIDES}
+
+
+def _gap_integer_bounds(jumps, gaps, n_lo, n_hi):
+    """(first, last): the integers of [n_lo, n_hi] strictly inside gap k are
+    first..last, none when last < first.
+
+    Gap k runs from jump k to jump k + 1; gap len(jumps) - 1 has no right
+    end.  The ranges scanned start at 2, the first jump, so no gap is -1.
+    """
+    last = len(jumps) - 1
+    before_next = np.where(gaps < last, jumps[np.minimum(gaps + 1, last)] - 1, n_hi)
+    return np.maximum(jumps[gaps] + 1, n_lo), np.minimum(before_next, n_hi)
+
+
+def _gap_integers(jumps, gaps, n_lo, n_hi):
+    """The integers of [n_lo, n_hi] strictly inside each gap, gap by gap,
+    and the index in ``gaps`` of the gap of each."""
+    first, last = _gap_integer_bounds(jumps, gaps, n_lo, n_hi)
+    return _concat_ranges(first, last), np.repeat(np.arange(len(gaps)), np.maximum(last - first + 1, 0))
 
 
 def scan_inequality_per_read(spec, x_lo, x_hi, tables, interior_samples=16):

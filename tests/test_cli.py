@@ -249,6 +249,14 @@ class TestRamanujan:
         assert res.exit_code == EXIT_CONFIG
         assert "exclusive" in res.stderr
 
+    def test_window_too_long_for_the_grid_names_z_hi(self, runner):
+        # delta = 1 is exact; z_hi = 1e300 puts the grid's top past 192 bits,
+        # which the message once blamed on delta
+        res = run(runner, ["ramanujan", "--z-lo", "43", "--z-hi", "1e300", "--delta", "1", "--a", "1"])
+        assert res.exit_code == EXIT_CONFIG
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "z_hi 1e+300" in res.stderr and "not exact at 192 bits" in res.stderr
+
     def test_schedule_listing(self, runner):
         res = run(runner, ["ramanujan", "--list"])
         assert res.exit_code == EXIT_PASS

@@ -515,19 +515,32 @@ class TestScanAgainstSampledOracle:
         self._assert_same(spec, lo, hi, tables_10k, 16)
         assert scan_inequality(spec, lo, hi, tables_10k).last_integer_violation == last_int
 
-    @pytest.mark.parametrize("lo,hi,side,n_points", [
-        (2.5, 2.9, "interior", 2 + 16),          # two ends, 16 samples
-        (2.1, 3.0, "left", 1 + 2 + 16),          # one end, the jump 3 but its right limit, 16 samples
+    @pytest.mark.parametrize("spec,lo,hi,read", [
+        # psi = log 2 on [2, 3): the margin is 0.48 at 2.5 and 0.28 at 2.9;
+        # two ends, 16 samples
+        pytest.param(InequalitySpec("psi_sq", 1.0), 2.5, 2.9, (2.9, "interior", None, 2 + 16),
+                     id="2.5-2.9-interior-18"),
+        # one end, the jump 3 but its right limit, 16 samples
+        pytest.param(InequalitySpec("psi_sq", 1.0), 2.1, 3.0, (3.0, "left", None, 1 + 2 + 16),
+                     id="2.1-3.0-left-19"),
+        # an end that is an integer but not a jump is read as its node, which
+        # is no integer read, and again as an integer of its gap when open.
+        # 9996 fails, at the start of the open gap (9996, 10000), and so does
+        # its first sample: two ends, 16 samples and the integers 9996..10000
+        pytest.param(PSI_SQ_9996, 9996, 10_000, (9996 + 4 * (1 / 17), "interior", 9996, 2 + 16 + 5),
+                     id="integer-x_lo"),
+        # 40 fails, at the end of the open gap (37, 40): the jump 37 but its
+        # left limit, one end, 16 samples and the integers 38..40
+        pytest.param(VERIFY_SPECS[0], 37, 40, (40, "interior", 40, 2 + 1 + 16 + 3),
+                     id="integer-x_hi"),
     ])
-    def test_ends_inside_a_gap_are_read(self, lo, hi, side, n_points):
-        # psi = log 2 on [2, 3): the margin is 0.48 at 2.5 and 0.28 at 2.9
-        spec = InequalitySpec("psi_sq", 1.0)
-        tables = build_tables(1000)
-        self._assert_same(spec, lo, hi, tables, 16)
-        report = scan_inequality(spec, lo, hi, tables)
+    def test_ends_inside_a_gap_are_read(self, tables_10k, spec, lo, hi, read):
+        self._assert_same(spec, lo, hi, tables_10k, 16)
+        report = scan_inequality(spec, lo, hi, tables_10k)
+        assert report.to_dict() == scan_inequality_per_read(spec, lo, hi, tables_10k).to_dict()
         assert not report.passed
-        assert (report.last_violation, report.last_violation_side) == (hi, side)
-        assert report.n_points == n_points
+        assert (report.last_violation, report.last_violation_side,
+                report.last_integer_violation, report.n_points) == read
 
     def test_right_limit_at_x_hi_is_not_read(self):
         # psi - x jumps at 32 = 2^5 from -0.09 to 0.60, past the envelope
@@ -762,6 +775,15 @@ class TestLi64:
         got = primes._li64(xs)
         assert len(xs) >= 4000
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    def test_one_or_two_values_round_as_an_array_does(self):
+        # up to two values are summed in Python floats; a third copy of the
+        # larger keeps the number of terms and takes the numpy path
+        xs = np.concatenate([np.geomspace(2, 6e9, 501), [2.0, 2.5, 2657.0, 2e5, 2e7]]).tolist()
+        for a, b in zip(xs, xs[1:]):
+            array = primes._li64(np.array([a, b, max(a, b)]))
+            assert primes._li64(np.array([a]))[0] == primes._li64(np.array([a, a, a]))[0]
+            assert np.array_equal(primes._li64(np.array([a, b])), array[:2])
 
     def test_within_its_derived_bound(self):
         # the bound of _li64's docstring, and each fact it rests on, on log
@@ -1063,15 +1085,20 @@ class TestBlockClearing:
             assert np.all(np.diff(env[rising]) > 0), spec
 
     def test_one_li_pass_per_scan(self, monkeypatch):
-        # the range ends, samples and integers share one li call per scan
+        # the first li scan takes li on the table's jumps; each li scan then
+        # takes it once on its two ends, neither a jump, and once on the
+        # samples and integers of its open gaps, if it has any
         tables = build_tables(20_000)
-        tables.jump_li
-        calls = []
+        n_jumps = int(np.count_nonzero((tables.jumps > 2.5) & (tables.jumps < 19_999.5)))
+        calls, want = [], []
         li64 = primes._li64
         monkeypatch.setattr(primes, "_li64", lambda x: calls.append(len(x)) or li64(x))
         for spec in VERIFY_SPECS:
-            scan_inequality(spec, 2.5, 19_999.5, tables)
-        assert len(calls) == sum(spec.uses_li for spec in VERIFY_SPECS) == 4
+            n_inside = scan_inequality(spec, 2.5, 19_999.5, tables).n_points - 3 * n_jumps - 2
+            if spec.uses_li:
+                want += [len(tables.jumps)] * (not want) + [2] + [n_inside] * (n_inside > 0)
+        assert calls == want
+        assert want.count(2) == 4 and len(want) == 7
 
     def test_nan_block_is_not_cleared(self, monkeypatch):
         monkeypatch.setattr(primes, "_li64", lambda x: np.full(np.shape(x), np.nan))
@@ -1148,16 +1175,33 @@ class TestScanInequalities:
         with pytest.raises(ParameterError, match="interior_samples"):
             scan_inequality(VERIFY_SPECS[0], 2, 10_000, tables_10k, interior_samples=samples)
 
-    def test_verify_primes_takes_li_in_two_calls(self, monkeypatch):
-        # li on the jumps, then li at every point of every li spec in one pass
+    def test_verify_primes_takes_li_in_two_calls(self, monkeypatch, tables_2e5):
+        # the table takes li on its jumps once; the scan then takes it in two
+        # calls, at the end 2e5, which is not a jump, and at every point inside
+        # an open gap of every li spec.  The range [2, 2e5] has every jump of
+        # the table, each read from three sides but the left limit at 2
+        li_specs = [spec for spec in VERIFY_SPECS if spec.uses_li]
+        n_inside = sum(v.n_points - (3 * len(_JUMPS_TO_2E5) - 1) - 1
+                       for v in scan_inequalities(li_specs, 2, 200_000, tables_2e5))
         calls = []
         li64 = primes._li64
         monkeypatch.setattr(primes, "_li64", lambda x: calls.append(len(x)) or li64(x))
         res = CliRunner().invoke(cli, ["--format", "json", "verify-primes", "--limit", "2e5"])
         assert res.exit_code == EXIT_PASS, res.output
         assert len(json.loads(res.stdout)["results"]) == 10
-        assert len(calls) <= 2
-        assert calls[0] == len(_JUMPS_TO_2E5)
+        assert n_inside > 0
+        assert calls == [len(_JUMPS_TO_2E5), 1, n_inside]
+
+    def test_a_scan_without_li_specs_takes_no_li(self, monkeypatch):
+        # li on the jumps is built on first use, and only a li spec uses it;
+        # the ends 2.5 and 19999.5 are not jumps
+        tables = build_tables(20_000)
+        calls = []
+        li64 = primes._li64
+        monkeypatch.setattr(primes, "_li64", lambda x: calls.append(len(x)) or li64(x))
+        scan_inequalities([spec for spec in VERIFY_SPECS if not spec.uses_li], 2.5, 19_999.5, tables)
+        assert calls == []
+        assert "jump_li" not in tables.__dict__
 
     def test_verify_primes_scans_once(self, monkeypatch):
         calls = []

@@ -542,7 +542,7 @@ class TestFloatPath:
         assert rel(report.min_margin, low) < mpf("1e-40")
 
     def test_grid_must_be_exact_at_the_working_precision(self):
-        with pytest.raises(ParameterError, match="finer than the 192-bit grid"):
+        with pytest.raises(ParameterError, match="not exact at 192 bits"):
             step_verify(Regime(43.0, 44.0, 1.0, 1e-90, math.inf), max_steps=3)
 
 
