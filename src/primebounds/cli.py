@@ -6,16 +6,19 @@ Two global flags set a run, each from the flag alone: ``--precision-bits``
 ``--format json|text``.  The hidden ``--cache-dir`` is accepted and ignored,
 with a note on stderr: prime tables are no longer cached.
 
-Exit codes are a stable scripting contract, the same for ``main()``,
-``cli.main(..., standalone_mode=False)`` and click's test runner:
+Exit codes are a stable scripting contract, the same for ``main()`` (the
+console script), ``cli.main(..., standalone_mode=False)`` and click's test
+runner in either mode:
   0  every check passed;
   1  a checked inequality genuinely failed, and nothing else;
-  2  bad input: a usage error, or a ``ParameterError`` (``errors``: failed
+  2  bad input: a usage error (an unknown command or option, a malformed
+     or out-of-range value), or a ``ParameterError`` (``errors``: failed
      precondition, malformed zero table, precision below the floor, no
      root bracket, ...) or ``OverflowError`` raised while running;
   3  an I/O error (``OSError``), such as an unreadable ordinate file.
-Errors are mapped to codes 2 and 3 in one place, the ``cli`` group, and
-print a one-line message to stderr instead of a traceback.
+Errors are mapped to codes 2 and 3 in one place, ``_Cli.main``, which every
+entry point runs, and print a one-line message to stderr instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 from click.core import ParameterSource
@@ -41,17 +43,12 @@ EXIT_IO = 3
 DEFAULT_LIMIT = 1_000_000  # the default --limit of verify-primes
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    output_format: str
-
-
-def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
+def _emit(output_format: str, payload: dict, text_lines) -> None:
     # An explicit file skips click's per-stream wrapper cache: that cache maps
     # a plain text stream to itself in a WeakKeyDictionary, so every sys.stdout
     # a caller swaps in (and all it holds) would stay alive for good.
     out = sys.stdout
-    if cfg.output_format == "json":
+    if output_format == "json":
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         click.echo(json.dumps(payload, indent=2, default=float), file=out)
     else:
@@ -73,15 +70,21 @@ def _limit(limit: float) -> int:
 class _Cli(click.Group):
     """The top-level group: the one place errors become exit codes."""
 
-    def invoke(self, ctx):
+    def main(self, *args, standalone_mode=True, **extra):
+        # click runs non-standalone whatever the caller asked, so every error
+        # reaches this chain; each command ends in SystemExit with its code
         try:
-            return super().invoke(ctx)
-        except (ParameterError, OverflowError) as exc:
+            return super().main(*args, standalone_mode=False, **extra)
+        except click.UsageError as exc:
+            _echo_err(f"usage error: {exc.format_message()}")
+        except click.exceptions.Abort:
+            _echo_err("aborted")
+        except (click.ClickException, ParameterError, OverflowError) as exc:
             _echo_err(f"error: {exc}")
-            raise SystemExit(EXIT_CONFIG)
         except OSError as exc:
             _echo_err(f"I/O error: {exc}")
             raise SystemExit(EXIT_IO)
+        raise SystemExit(EXIT_CONFIG)
 
 
 @click.group(cls=_Cli)
@@ -96,7 +99,7 @@ def cli(ctx, precision_bits, cache_dir, output_format):
     if cache_dir is not None:
         _echo_err("note: --cache-dir is ignored; prime tables are no longer cached")
     ctx.with_resource(hiprec.working_precision(precision_bits))
-    ctx.obj = RunConfig(output_format)
+    ctx.obj = output_format
 
 
 @cli.command()
@@ -108,7 +111,7 @@ def cli(ctx, precision_bits, cache_dir, output_format):
 @click.option("--seed-E", "seed_e", type=float, default=None)
 @click.option("--max-rounds", type=int, default=8)
 @click.pass_obj
-def derive(cfg: RunConfig, T, variant, a_value, seed_a, seed_d, seed_e, max_rounds):
+def derive(output_format, T, variant, a_value, seed_a, seed_d, seed_e, max_rounds):
     """Run the iterative tightening loop and print the trace."""
     var = error_terms.STRONG if variant == "strong" else error_terms.BoundVariant("weak", a_value)
     report = engine.iterate(T, max_rounds=max_rounds, variant=var, A=seed_a, D=seed_d, E=seed_e)
@@ -120,7 +123,7 @@ def derive(cfg: RunConfig, T, variant, a_value, seed_a, seed_d, seed_e, max_roun
             f"E(A)={float(rnd.e_at_a):.6f} x_max={float(rnd.x_max):.4g}"
         )
     lines.append(f"final: K={float(report.final_constant):.4g} x_max={float(report.x_max):.4g}")
-    _emit(cfg, report.to_dict(), lines)
+    _emit(output_format, report.to_dict(), lines)
     raise SystemExit(EXIT_PASS)
 
 
@@ -129,7 +132,7 @@ def derive(cfg: RunConfig, T, variant, a_value, seed_a, seed_d, seed_e, max_roun
 @click.option("--compare-published", "compare", is_flag=True,
               help="add published reference rows and per-row verdicts")
 @click.pass_obj
-def tables(cfg: RunConfig, which, compare):
+def tables(output_format, which, compare):
     """Regenerate the threshold-constant tables (choose 1, 2, or both)."""
     if not which or any(w not in ("1", "2") for w in which):
         raise click.UsageError("select tables 1 and/or 2")
@@ -156,7 +159,7 @@ def tables(cfg: RunConfig, which, compare):
                               "dominates": ok})
             rows_out.append(entry)
             lines.append("  " + " ".join(f"{k}={v}" for k, v in entry.items()))
-        _emit(cfg, {"table": w, "rows": rows_out}, lines)
+        _emit(output_format, {"table": w, "rows": rows_out}, lines)
     raise SystemExit(EXIT_PASS if all_ok else EXIT_FAIL)
 
 
@@ -165,7 +168,7 @@ def tables(cfg: RunConfig, which, compare):
 @click.option("--spec", "specs", multiple=True, type=click.Choice([*primes._KINDS, "weak"]),
               help="inequality kinds; default all strong kinds plus weak a=1 set")
 @click.pass_obj
-def verify_primes(cfg: RunConfig, limit, specs):
+def verify_primes(output_format, limit, specs):
     """Scan the prime-counting inequalities against exact sieve tables."""
     limit = _limit(limit)
     shifts = {"psi_shift": published.PSI_SHIFT_C, "theta_shift": published.THETA_SHIFT_C}
@@ -218,7 +221,7 @@ def verify_primes(cfg: RunConfig, limit, specs):
             f"{name}: last violation {report.last_violation} ({report.last_violation_side}); "
             f"threshold {threshold} {'confirmed' if consistent else 'NOT confirmed'}"
         )
-    _emit(cfg, {"limit": limit, "results": results}, lines)
+    _emit(output_format, {"limit": limit, "results": results}, lines)
     raise SystemExit(worst)
 
 
@@ -234,7 +237,7 @@ def zeros_group():
 @click.option("--kernel-c", type=float, default=35.17)
 @click.option("--kernel-eps", type=float, default=1e-8)
 @click.pass_obj
-def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
+def zeros_check(output_format, path, t2, kernel_c, kernel_eps):
     """Check the reciprocal-ordinate sum bound and the kernel weight bound."""
     from .kernel import KernelParams
 
@@ -255,7 +258,7 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
         f"{weights_verdict.skipped_out_of_band} out of band: "
         f"{'pass' if weights_verdict else 'FAIL'}",
     ]
-    _emit(cfg, payload, lines)
+    _emit(output_format, payload, lines)
     raise SystemExit(EXIT_PASS if (sum_verdict and weights_verdict) else EXIT_FAIL)
 
 
@@ -272,7 +275,7 @@ def zeros_check(cfg: RunConfig, path, t2, kernel_c, kernel_eps):
 @click.option("--counterexample", type=int, default=None,
               help="direct count-only inequality check at this x <= 1e12 (two prime counts)")
 @click.pass_obj
-def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
+def ramanujan_cmd(output_format, rung, list_only, steps, from_end, z_lo, z_hi,
                   delta, a_value, counterexample):
     """Stepping verification windows and the counterexample spot check.
 
@@ -294,7 +297,7 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         raise ParameterError(f"{modes[0]} and --steps/--from-end are exclusive")
     schedule = ramanujan.regime_schedule()
     if list_only:
-        _emit(cfg, {"schedule": [r.__dict__ for r in schedule]},
+        _emit(output_format, {"schedule": [r.__dict__ for r in schedule]},
               [f"rung {i}: z ({r.z_lo}, {r.z_hi}] a={r.a:.4g} delta={r.delta:g} "
                f"steps={r.n_steps}" for i, r in enumerate(schedule)])
         raise SystemExit(EXIT_PASS)
@@ -302,7 +305,7 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         verdict = ramanujan.counterexample_check_direct(counterexample)
         payload = verdict.to_dict()
         del payload["passed"]  # this document states the outcome as "holds"
-        _emit(cfg, payload,
+        _emit(output_format, payload,
               [f"x={counterexample}: inequality {'holds' if verdict.holds else 'FAILS'}"])
         raise SystemExit(EXIT_PASS if verdict.holds else EXIT_FAIL)
     if rung is not None:
@@ -320,7 +323,7 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
         raise OverflowError(
             f"the minimum margin, at z={report.min_margin_at}, does not fit a double"
         )
-    _emit(cfg, report.to_dict(), [
+    _emit(output_format, report.to_dict(), [
         f"rung z=({regime.z_lo}, {regime.z_hi}] a={regime.a:.4g} delta={regime.delta:g}",
         f"checked {report.steps_checked} steps at {report.precision_bits} bits: "
         f"min margin {float(report.min_margin):.6g} at z={report.min_margin_at}",
@@ -329,17 +332,7 @@ def ramanujan_cmd(cfg: RunConfig, rung, list_only, steps, from_end, z_lo, z_hi,
     raise SystemExit(EXIT_PASS if report.passed else EXIT_FAIL)
 
 
-def main():
-    try:
-        cli(standalone_mode=False)
-    except click.UsageError as exc:
-        _echo_err(f"usage error: {exc.format_message()}")
-        sys.exit(EXIT_CONFIG)
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
-    except click.exceptions.Abort:
-        sys.exit(EXIT_CONFIG)
+main = cli  # the console script
 
 
 if __name__ == "__main__":

@@ -221,7 +221,6 @@ class ProfileAt:
             self.A = mpf(A)
             self.L = L = mp.log(self.A)
             root = mp.sqrt(self.A)
-            self._eps_max = mpf("1e-3")
             self._at = _InBothTypes(
                 L=L, half_L=L / 2, eps_num=_eps_numerator(L, variant), root=root, norm=root * L,
                 g_scale=mpf("0.16") * (self.A + 1), g_rate=mpf("0.71"), inv_e=1 / mp.e,
@@ -236,14 +235,11 @@ class ProfileAt:
         return k.half_L + D, k.eps_num / (E * k.root)
 
     def profile(self, D, E) -> ErrorProfile:
-        """Exact (unrounded) coefficients of the five error terms."""
+        """Exact (unrounded) coefficients of the five error terms, whether
+        or not (D, E) meets the lemma preconditions."""
         with working_precision():
             E = mpf(E)
             c, eps = self._kernel(mpf(D), E, mp)
-            if c < 3 or eps > self._eps_max:
-                raise ParameterError(
-                    f"lemma preconditions need c >= 3 and eps <= 1e-3 at A (c={float(c):.3f}, eps={float(eps):.3g})"
-                )
             return ErrorProfile(*self._profile(D, E, c, eps, mp))
 
     def _profile(self, D, E, c, eps, m) -> tuple:
@@ -347,8 +343,17 @@ def derive_profile(state: IterationState, rounding: Optional[dict] = None) -> Er
     With ``rounding=None`` the exact substitution values are returned; passing
     ``PRINTED_FIRST`` or ``PRINTED_REFINED`` rounds each coefficient up at the
     printed precision (and attaches the exact profile as ``.exact``).
+    Refuses a state whose kernel at A breaks the lemma preconditions,
+    c >= 3 and eps <= 1e-3.
     """
-    exact = ProfileAt(state.A, state.variant).profile(state.D, state.E)
+    at = ProfileAt(state.A, state.variant)
+    with working_precision():
+        c, eps = at._kernel(mpf(state.D), mpf(state.E), mp)
+        if c < 3 or eps > mpf("1e-3"):
+            raise ParameterError(
+                f"lemma preconditions need c >= 3 and eps <= 1e-3 at A (c={float(c):.3f}, eps={float(eps):.3g})"
+            )
+    exact = at.profile(state.D, state.E)
     if rounding is None:
         return exact
     with working_precision():

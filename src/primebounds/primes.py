@@ -234,8 +234,9 @@ class PrimeTables:
                 at = _exact_quotients(_pair_sums(col), 2 * SCALE[kind])
             else:
                 right, at = _log_sum_reads(np.where(self.jump_m == 1, logs, 0.0) if kind == "theta" else logs)
-            views["right"][kind] = _read_only(right)
-            views["left"][kind] = _read_only(np.concatenate(([0.0], right[:-1])))
+            # left is right shifted by one, [0.0, *right], the views of one array
+            padded = _read_only(np.concatenate(([0.0], right)))
+            views["right"][kind], views["left"][kind] = padded[1:], padded[:-1]
             views["at"][kind] = _read_only(at)
         return views
 
@@ -571,6 +572,7 @@ def _guard(rhs: np.ndarray) -> np.ndarray:
 
 
 _SCAN_BLOCK = 256         # jumps per block that a scan may clear with one bound
+_GAP_SAMPLES = 16         # evenly spaced points read inside each open gap
 _ENVELOPE_SLACK = 1e-12   # relative widening of the envelope at a block's two ends
 _SHAPES = ("sq", "shift", "li")   # the envelope shapes, by the suffix of the kind
 _SQ, _SHIFT = 0, 1
@@ -606,7 +608,6 @@ def scan_inequalities(
     x_lo: float,
     x_hi: float,
     tables: PrimeTables,
-    interior_samples: int = 16,
 ) -> list[Verdict]:
     """Check each inequality for all real x in [x_lo, x_hi]: one verdict per
     spec, in their order, from one array pass over the reads of them all.
@@ -652,7 +653,7 @@ def scan_inequalities(
       is a later violation than any point inside and is recorded already,
       so only the gap's last integer is added.
 
-    Every other gap gets ``interior_samples`` evenly spaced points and all
+    Every other gap gets ``_GAP_SAMPLES`` (16) evenly spaced points and all
     of its integers.  An integer at a jump reads the starred value, so the
     node reads decide it.  Such a gap is decided from its samples and
     integers, not proved: a violation between two reads that hold goes
@@ -708,9 +709,6 @@ def scan_inequalities(
         raise ParameterError(f"x_hi={x_hi} beyond table limit {tables.limit}")
     if not (2 <= x_lo < x_hi):
         raise ParameterError("requires 2 <= x_lo < x_hi")
-    # a negative count or a fraction once reached numpy as an array shape
-    if not (isinstance(interior_samples, (int, np.integer)) and interior_samples >= 0):
-        raise ParameterError(f"interior_samples must be an integer >= 0, got {interior_samples!r}")
     specs = _SpecArrays(specs)
     n_specs = len(specs.specs)
     if not n_specs:
@@ -731,12 +729,12 @@ def scan_inequalities(
 
     # one pass reads every point inside an open gap, each at R[k] of its gap
     # k: the samples of every open gap, then their integers
-    fracs = np.arange(1, interior_samples + 1) / (interior_samples + 1.0)
+    fracs = np.arange(1, _GAP_SAMPLES + 1) / (_GAP_SAMPLES + 1.0)
     n_ints = np.maximum(n_last - n_first + 1, 0)
     px = np.concatenate(((starts[:, None] + (ends - starts)[:, None] * fracs).ravel(),
                          _concat_ranges(n_first, n_last).astype(np.float64)))
-    pk = np.concatenate((np.repeat(open_k, interior_samples), np.repeat(open_k, n_ints)))
-    ps = np.concatenate((np.repeat(open_s, interior_samples), np.repeat(open_s, n_ints)))
+    pk = np.concatenate((np.repeat(open_k, _GAP_SAMPLES), np.repeat(open_k, n_ints)))
+    ps = np.concatenate((np.repeat(open_s, _GAP_SAMPLES), np.repeat(open_s, n_ints)))
     p_dev = _gather([views["right"]], specs.kind[ps], pk)[0]
     li = specs.uses_li[ps]
     p_dev[~li] -= px[~li]
@@ -752,7 +750,7 @@ def scan_inequalities(
     x, k, spec_of, code, margin, band = (
         np.concatenate(pair) for pair in zip(hot, (px[point], pk[point], ps[point], np.full(len(point), 3),
                                                    p_margin[point], p_band[point])))
-    integer = np.concatenate((hot[3] == 1, point >= len(open_k) * interior_samples))
+    integer = np.concatenate((hot[3] == 1, point >= len(open_k) * _GAP_SAMPLES))
 
     # a margin at or above the guard band violates and one at or below minus
     # it holds; those inside the band, or NaN, are re-decided one by one
@@ -863,12 +861,11 @@ def scan_inequality(
     x_lo: float,
     x_hi: float,
     tables: PrimeTables,
-    interior_samples: int = 16,
 ) -> Verdict:
     """Check the inequality for all real x in [x_lo, x_hi]: the verdict of
     ``scan_inequalities`` for this one spec, whose docstring states its
     fields and the lemmas by which whole gaps and blocks are settled."""
-    return scan_inequalities((spec,), x_lo, x_hi, tables, interior_samples)[0]
+    return scan_inequalities((spec,), x_lo, x_hi, tables)[0]
 
 
 def _gather(columns, kinds, k) -> np.ndarray:

@@ -29,10 +29,9 @@ import bisect
 import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_gt, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import CoverageError, ParameterError, ZeroDataError
 from .hiprec import working_precision
@@ -120,8 +119,8 @@ def _round_decimal(num: int, scale: tuple, prec: int) -> tuple:
     return (0, man, exp, man.bit_length())
 
 
-def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
-    """Parse an ordinate file, validate ordering, optionally truncate at limit.
+def load_zeros(path: str) -> ZeroList:
+    """Parse an ordinate file and validate its ordering.
 
     The file is UTF-8 text, read and decoded whole; a byte that is not UTF-8
     names its own line in the error, after the lines before it have been
@@ -141,8 +140,7 @@ def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
     ascending: as rounding is monotone, that rejects exactly what comparing
     the rounded values would.
 
-    ``decimal_places`` is the fewest places of an ordinate kept; the first
-    ordinate past ``limit`` is not counted.
+    ``decimal_places`` is the fewest places of an ordinate.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -159,7 +157,6 @@ def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
     min_decimals = None
     with working_precision():
         prec = mp.prec
-        lim = None if limit is None else mpf(limit)._mpf_
         for line_no, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line or line[0] == "#":
@@ -197,16 +194,13 @@ def load_zeros(path: str, limit: Optional[float] = None) -> ZeroList:
             if gammas and ((num <= num_prev if den == den_prev else num * den_prev <= num_prev * den)
                            or g == gammas[-1]):
                 raise ZeroDataError(f"{path}:{line_no}: ordinates not ascending")
-            if lim is not None and mpf_gt(g, lim):
-                break
             if min_decimals is None or decimals < min_decimals:
                 min_decimals = decimals
             gammas.append(g)
             num_prev, den_prev = num, den
-        else:
-            if bad is not None:
-                line_no = data.count(b"\n", 0, bad.start) + 1
-                raise ZeroDataError(f"{path}:{line_no}: not UTF-8 text ({bad.reason})") from bad
+        if bad is not None:
+            line_no = data.count(b"\n", 0, bad.start) + 1
+            raise ZeroDataError(f"{path}:{line_no}: not UTF-8 text ({bad.reason})") from bad
         gammas = tuple(map(mp.make_mpf, gammas))
     if gammas and not (FIRST_ZERO_LOW < gammas[0] < FIRST_ZERO_HIGH):
         raise ZeroDataError(

@@ -43,7 +43,7 @@ from itertools import accumulate
 
 import numpy as np
 from mpmath import inf, log, mp, mpf, quad
-from mpmath.libmp import from_man_exp, from_rational, mpf_gt, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from primebounds import engine, kernel, zeros
 from primebounds.errors import BracketError, CoverageError, ParameterError, ZeroDataError
@@ -224,16 +224,15 @@ def kernel_weights_scan(zeros, params, prec=192, weight=None):
 _DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
 
 
-def load_zeros_rational(path, limit=None):
+def load_zeros_rational(path):
     """``zeros.load_zeros`` read line by line, each plain decimal rounded by
-    ``from_rational``; ``decimal_places`` counts only the ordinates kept."""
+    ``from_rational``."""
     gammas = []
     num_prev = den_prev = None
     has_index = None
     min_decimals = None
     with working_precision():
         prec = mp.prec
-        lim = None if limit is None else mpf(limit)._mpf_
         with open(path, "rb") as f:
             for line_no, raw in enumerate(f, start=1):
                 try:
@@ -272,8 +271,6 @@ def load_zeros_rational(path, limit=None):
                     raise ZeroDataError(f"{path}:{line_no}: nonpositive ordinate {token}")
                 if gammas and (num * den_prev <= num_prev * den or g == gammas[-1]):
                     raise ZeroDataError(f"{path}:{line_no}: ordinates not ascending")
-                if lim is not None and mpf_gt(g, lim):
-                    break
                 min_decimals = decimals if min_decimals is None else min(min_decimals, decimals)
                 gammas.append(g)
                 num_prev, den_prev = num, den

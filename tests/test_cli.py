@@ -4,13 +4,17 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import primebounds
 from primebounds import engine, hiprec, published, ramanujan
 from primebounds.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, cli, main
 
@@ -25,7 +29,8 @@ def invoke(runner, args, **kw):
 
 
 def run(runner, args, **kw):
-    # standalone mode gives us the real exit-code path
+    # standalone mode, as the console script runs; the exit codes are the
+    # same without it
     return runner.invoke(cli, args, **kw)
 
 
@@ -48,6 +53,13 @@ class TestDerive:
                            "--seed-E", "10.0"])
         assert res.exit_code == EXIT_CONFIG
         assert "not admissible" in res.output
+
+    def test_seed_with_eps_past_the_profile_range_is_not_admissible(self, runner):
+        # it once stopped at the profile's own "lemma preconditions" refusal
+        res = run(runner, ["derive", "--seed-E", "1e-7"])
+        assert res.exit_code == EXIT_CONFIG
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: seed state not admissible: eps(A)=0.00389 > 1e-4; ")
 
     def test_seed_a_alone_recomputes_b_and_c_there(self, runner):
         # B and C once came from the default threshold 2.169e25, and the
@@ -390,16 +402,24 @@ BAD_INPUTS = [
     ["ramanujan", "--counterexample", "1000", "--from-end"],
     ["ramanujan", "--rung", "0", "--a", "5", "--counterexample", "1000"],
     ["ramanujan", "--rung", "0", "--z-hi", "44", "--steps", "3", "--from-end"],
+    # usage errors, raised by click or by a command; in-process they once
+    # escaped as click exceptions, which the runner reported as exit 1
+    ["ramanujan", "--rung", "99"],
+    ["verify-primes", "--limit", "abc"],
+    ["ramanujan", "--bogus"],
+    ["tables", "3"],
+    ["nosuch"],
 ]
 
 
 class TestFaults:
     @pytest.mark.parametrize("args", BAD_INPUTS, ids=" ".join)
     def test_bad_input_exits_2(self, runner, args):
-        res = run(runner, args)
-        assert res.exit_code == EXIT_CONFIG
-        assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert len(res.stderr.strip().splitlines()) == 1
+        for standalone_mode in (True, False):
+            res = runner.invoke(cli, args, standalone_mode=standalone_mode)
+            assert res.exit_code == EXIT_CONFIG
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+            assert len(res.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("args", BAD_INPUTS, ids=" ".join)
     def test_in_process_entry_points_exit_2(self, monkeypatch, args):
@@ -420,6 +440,29 @@ class TestFaults:
         res = run(runner, ["--format", "json", "ramanujan", "--counterexample", "2"])
         assert res.exit_code == EXIT_FAIL
         assert json.loads(res.stdout)["holds"] is False
+
+
+class TestConsoleEntry:
+    """``python -m primebounds.cli`` in a process of its own, as a shell runs it."""
+
+    @staticmethod
+    def _run(*args):
+        package_root = str(Path(primebounds.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "primebounds.cli", *args], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": package_root})
+
+    def test_json_schedule(self):
+        res = self._run("--format", "json", "ramanujan", "--list")
+        assert res.returncode == EXIT_PASS, res.stderr
+        assert len(json.loads(res.stdout)["schedule"]) == len(ramanujan.regime_schedule())
+
+    def test_usage_error_exits_2_with_one_line(self):
+        res = self._run("ramanujan", "--rung", "99")
+        assert res.returncode == EXIT_CONFIG
+        assert res.stderr.splitlines() == [
+            f"usage error: rung must be in [0, {len(ramanujan.regime_schedule()) - 1}], got 99"]
+        assert res.stdout == ""
 
 
 class TestOutput:

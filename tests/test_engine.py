@@ -328,6 +328,13 @@ class TestCheckAdmissible:
         report = check_admissible(state)
         assert not report.passed
 
+    def test_eps_past_the_profile_range_is_a_failing_verdict(self):
+        # eps(A) = 0.00389 is above the 1e-3 that derive_profile refuses; the
+        # profile is still evaluated, and the verdict fails on eps(A)
+        report = check_admissible(IterationState(2.169e25, 9.65, 2.44, 6.0, 1e-7))
+        assert not report.passed
+        assert report.failures[0] == "eps(A)=0.00389 > 1e-4"
+
     @pytest.mark.parametrize("state", WEAK_STATES, ids=["w1", "w2"])
     def test_published_weak_states_pass(self, state):
         report = check_admissible(state)

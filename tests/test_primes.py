@@ -428,52 +428,51 @@ PSI_SQ_9996 = InequalitySpec("psi_sq", 0.002)
 
 _SCAN_ENDS = st.one_of(st.integers(2, 10_000), st.floats(2, 10_000), st.just(10_000),
                        st.sampled_from(_JUMPS_TO_1E4))
-_SAMPLES = st.sampled_from((0, 4, 16))
 
 
 class TestScanAgainstSampledOracle:
     """Gaps settled from their two ends give the verdict of sampling them all."""
 
     @staticmethod
-    def _assert_same(spec, lo, hi, tables, samples):
+    def _assert_same(spec, lo, hi, tables):
         # n_points counts the reads each makes; the scan's are a subset
-        got = scan_inequality(spec, lo, hi, tables, interior_samples=samples).to_dict()
-        want = scan_inequality_sampled(spec, lo, hi, tables, interior_samples=samples).to_dict()
+        got = scan_inequality(spec, lo, hi, tables).to_dict()
+        want = scan_inequality_sampled(spec, lo, hi, tables,
+                                       interior_samples=primes._GAP_SAMPLES).to_dict()
         assert 0 < got.pop("n_points") <= want.pop("n_points")
         assert got == want
 
     @settings(max_examples=300, deadline=None)
-    @given(spec=st.sampled_from(VERIFY_SPECS), ends=st.tuples(_SCAN_ENDS, _SCAN_ENDS),
-           samples=_SAMPLES)
+    @given(spec=st.sampled_from(VERIFY_SPECS), ends=st.tuples(_SCAN_ENDS, _SCAN_ENDS))
     # its last violation is the integer 9996, inside an open gap
-    @example(spec=PSI_SQ_9996, ends=(2, 10_000), samples=16)
-    def test_ranges(self, tables_10k, spec, ends, samples):
+    @example(spec=PSI_SQ_9996, ends=(2, 10_000))
+    def test_ranges(self, tables_10k, spec, ends):
         lo, hi = sorted(ends)
         assume(lo < hi)
-        self._assert_same(spec, lo, hi, tables_10k, samples)
+        self._assert_same(spec, lo, hi, tables_10k)
 
     @settings(max_examples=200, deadline=None)
     @given(spec=st.sampled_from(VERIFY_SPECS),
            k=st.one_of(st.integers(0, 20), st.integers(0, len(_JUMPS_TO_1E4) - 2)),
-           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)), samples=_SAMPLES)
-    def test_ranges_inside_one_gap(self, tables_10k, spec, k, fracs, samples):
+           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+    def test_ranges_inside_one_gap(self, tables_10k, spec, k, fracs):
         # the low gaps hold the shift kinds' envelope below e^C
         start, end = _JUMPS_TO_1E4[k], _JUMPS_TO_1E4[k + 1]
         lo, hi = (start + f * (end - start) for f in sorted(fracs))
         assume(lo < hi)
-        self._assert_same(spec, lo, hi, tables_10k, samples)
+        self._assert_same(spec, lo, hi, tables_10k)
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(sorted(primes._KINDS)), log_a=st.floats(-3, 1),
-           e_C=st.floats(2, 300), ends=st.tuples(_SCAN_ENDS, _SCAN_ENDS), samples=_SAMPLES)
-    def test_drawn_specs(self, tables_10k, kind, log_a, e_C, ends, samples):
+           e_C=st.floats(2, 300), ends=st.tuples(_SCAN_ENDS, _SCAN_ENDS))
+    def test_drawn_specs(self, tables_10k, kind, log_a, e_C, ends):
         # e^C among the small jumps puts the shift envelope's turn inside a gap
         lo, hi = sorted(ends)
         assume(lo < hi)
         spec = InequalitySpec(kind, 10 ** log_a, C=math.log(e_C))
-        self._assert_same(spec, lo, hi, tables_10k, samples)
+        self._assert_same(spec, lo, hi, tables_10k)
         # a violating integer is a violating point of the real line
-        report = scan_inequality(spec, lo, hi, tables_10k, interior_samples=samples)
+        report = scan_inequality(spec, lo, hi, tables_10k)
         if report.last_integer_violation is not None:
             assert report.last_violation >= report.last_integer_violation
 
@@ -512,7 +511,7 @@ class TestScanAgainstSampledOracle:
         (InequalitySpec("psi_sq", 0.01), 2, 211, 202),
     ])
     def test_last_integer_violation(self, tables_10k, spec, lo, hi, last_int):
-        self._assert_same(spec, lo, hi, tables_10k, 16)
+        self._assert_same(spec, lo, hi, tables_10k)
         assert scan_inequality(spec, lo, hi, tables_10k).last_integer_violation == last_int
 
     @pytest.mark.parametrize("spec,lo,hi,read", [
@@ -535,7 +534,7 @@ class TestScanAgainstSampledOracle:
                      id="integer-x_hi"),
     ])
     def test_ends_inside_a_gap_are_read(self, tables_10k, spec, lo, hi, read):
-        self._assert_same(spec, lo, hi, tables_10k, 16)
+        self._assert_same(spec, lo, hi, tables_10k)
         report = scan_inequality(spec, lo, hi, tables_10k)
         assert report.to_dict() == scan_inequality_per_read(spec, lo, hi, tables_10k).to_dict()
         assert not report.passed
@@ -547,7 +546,7 @@ class TestScanAgainstSampledOracle:
         # 0.43, but the right limit describes only x > 32
         spec = InequalitySpec("psi_sq", 0.00633)
         tables = build_tables(1000)
-        self._assert_same(spec, 31.5, 32, tables, 16)
+        self._assert_same(spec, 31.5, 32, tables)
         assert scan_inequality(spec, 31.5, 32, tables).passed
         assert not scan_inequality(spec, 31.5, 32.5, tables).passed
 
@@ -931,14 +930,14 @@ class TestScanContext:
         # other specs and sample counts fill the shared context first
         for kind, C in (("pi_li", None), ("theta_shift", published.THETA_SHIFT_C)):
             warm = InequalitySpec(kind, 1.0, C=C)
-            scan_inequality(warm, 2, 30_000, filled, interior_samples=4)
-            scan_inequality(warm, 10.5, 20_000.5, filled, interior_samples=16)
+            scan_inequality(warm, 2, 30_000, filled)
+            scan_inequality(warm, 10.5, 20_000.5, filled)
         for kind, C in (("pi_li", None), ("Pi_li", None), ("psi_sq", None),
                         ("theta_shift", published.THETA_SHIFT_C)):
             spec = InequalitySpec(kind, A8PI, C=C)
-            for lo, hi, n in ((2, 30_000, 16), (10.5, 20_000.5, 4)):
-                assert _report_fields(scan_inequality(spec, lo, hi, fresh, n)) == \
-                    _report_fields(scan_inequality(spec, lo, hi, filled, n))
+            for lo, hi in ((2, 30_000), (10.5, 20_000.5)):
+                assert _report_fields(scan_inequality(spec, lo, hi, fresh)) == \
+                    _report_fields(scan_inequality(spec, lo, hi, filled))
                 fresh = build_tables(30_000)
         # every verify-primes spec, forward and then in reverse, against one
         # table, each as against a table of its own
@@ -1003,24 +1002,23 @@ class TestBlockClearing:
     """Blocks of jumps cleared by one bound give the verdict of reading every jump."""
 
     @staticmethod
-    def _assert_same(spec, lo, hi, tables, samples=16):
-        got = scan_inequality(spec, lo, hi, tables, interior_samples=samples)
+    def _assert_same(spec, lo, hi, tables):
+        got = scan_inequality(spec, lo, hi, tables)
         assert _report_fields(got) == _report_fields(
-            scan_inequality_per_read(spec, lo, hi, tables, interior_samples=samples))
+            scan_inequality_per_read(spec, lo, hi, tables, interior_samples=primes._GAP_SAMPLES))
 
     @settings(max_examples=300, deadline=None)
     @given(spec=st.one_of(st.sampled_from(VERIFY_SPECS), _DRAWN_SPECS),
-           ends=st.tuples(_ENDS_2E5, _ENDS_2E5), samples=_SAMPLES)
-    @example(spec=PSI_SQ_DEEP, ends=(2, 200_000), samples=16)
-    @example(spec=PI_LI_DEEP, ends=(2, 200_000), samples=16)
-    @example(spec=PSI_SQ_DEEP, ends=(_JUMPS_TO_2E5[3 * _B - 1], _JUMPS_TO_2E5[30 * _B + 1]),
-             samples=4)
-    @example(spec=PI_LI_DEEP, ends=(_JUMPS_TO_2E5[9 * _B], 150_000.5), samples=0)
-    @example(spec=PI_LI_NEXT_LEFT, ends=(2, 200_000), samples=16)
-    def test_ranges(self, tables_2e5, spec, ends, samples):
+           ends=st.tuples(_ENDS_2E5, _ENDS_2E5))
+    @example(spec=PSI_SQ_DEEP, ends=(2, 200_000))
+    @example(spec=PI_LI_DEEP, ends=(2, 200_000))
+    @example(spec=PSI_SQ_DEEP, ends=(_JUMPS_TO_2E5[3 * _B - 1], _JUMPS_TO_2E5[30 * _B + 1]))
+    @example(spec=PI_LI_DEEP, ends=(_JUMPS_TO_2E5[9 * _B], 150_000.5))
+    @example(spec=PI_LI_NEXT_LEFT, ends=(2, 200_000))
+    def test_ranges(self, tables_2e5, spec, ends):
         lo, hi = sorted(ends)
         assume(lo < hi)
-        self._assert_same(spec, lo, hi, tables_2e5, samples)
+        self._assert_same(spec, lo, hi, tables_2e5)
 
     @settings(max_examples=100, deadline=None)
     @given(spec=st.one_of(st.sampled_from(VERIFY_SPECS), _DRAWN_SPECS),
@@ -1113,44 +1111,43 @@ class TestScanInequalities:
     """One pass over many specs gives each the verdict of reading its every jump alone."""
 
     @staticmethod
-    def _assert_each_alone(specs, lo, hi, tables, samples=16):
-        got = scan_inequalities(specs, lo, hi, tables, interior_samples=samples)
+    def _assert_each_alone(specs, lo, hi, tables):
+        got = scan_inequalities(specs, lo, hi, tables)
         assert len(got) == len(specs)
         for spec, verdict in zip(specs, got):
             assert verdict.spec == spec
             assert verdict.to_dict() == scan_inequality_per_read(
-                spec, lo, hi, tables, interior_samples=samples).to_dict(), spec
+                spec, lo, hi, tables, interior_samples=primes._GAP_SAMPLES).to_dict(), spec
 
     @settings(max_examples=60, deadline=None)
-    @given(specs=_SPEC_LISTS, ends=st.tuples(_ENDS_2E5, _ENDS_2E5), samples=_SAMPLES)
-    @example(specs=VERIFY_SPECS, ends=(2, 200_000), samples=16)
-    @example(specs=[PSI_SQ_DEEP, PI_LI_DEEP, PI_LI_NEXT_LEFT, PSI_SQ_DEEP], ends=(2, 200_000),
-             samples=4)
-    @example(specs=VERIFY_SPECS[::-1], ends=(_JUMPS_TO_2E5[3 * _B - 1], 150_000.5), samples=0)
-    def test_shared_ranges(self, tables_2e5, specs, ends, samples):
+    @given(specs=_SPEC_LISTS, ends=st.tuples(_ENDS_2E5, _ENDS_2E5))
+    @example(specs=VERIFY_SPECS, ends=(2, 200_000))
+    @example(specs=[PSI_SQ_DEEP, PI_LI_DEEP, PI_LI_NEXT_LEFT, PSI_SQ_DEEP], ends=(2, 200_000))
+    @example(specs=VERIFY_SPECS[::-1], ends=(_JUMPS_TO_2E5[3 * _B - 1], 150_000.5))
+    def test_shared_ranges(self, tables_2e5, specs, ends):
         lo, hi = sorted(ends)
         assume(lo < hi)
-        self._assert_each_alone(specs, lo, hi, tables_2e5, samples)
+        self._assert_each_alone(specs, lo, hi, tables_2e5)
 
     @settings(max_examples=40, deadline=None)
     @given(specs=_SPEC_LISTS, b=st.integers(0, _BLOCKS_2E5 - 2),
-           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)), samples=_SAMPLES)
-    def test_ranges_inside_one_block(self, tables_2e5, specs, b, fracs, samples):
+           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+    def test_ranges_inside_one_block(self, tables_2e5, specs, b, fracs):
         start, end = _JUMPS_TO_2E5[b * _B], _JUMPS_TO_2E5[(b + 1) * _B - 1]
         lo, hi = (start + f * (end - start) for f in sorted(fracs))
         assume(lo < hi)
-        self._assert_each_alone(specs, lo, hi, tables_2e5, samples)
+        self._assert_each_alone(specs, lo, hi, tables_2e5)
 
     @settings(max_examples=40, deadline=None)
     @given(specs=_SPEC_LISTS,
            k=st.one_of(st.integers(0, 20), st.integers(0, len(_JUMPS_TO_2E5) - 2)),
-           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)), samples=_SAMPLES)
-    def test_ranges_with_no_jump(self, tables_2e5, specs, k, fracs, samples):
+           fracs=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+    def test_ranges_with_no_jump(self, tables_2e5, specs, k, fracs):
         # the low gaps hold the shift kinds' envelope below e^C
         start, end = _JUMPS_TO_2E5[k], _JUMPS_TO_2E5[k + 1]
         lo, hi = (start + f * (end - start) for f in sorted(fracs))
         assume(start < lo < hi < end)
-        self._assert_each_alone(specs, lo, hi, tables_2e5, samples)
+        self._assert_each_alone(specs, lo, hi, tables_2e5)
 
     @settings(max_examples=100, deadline=None)
     @given(specs=_SPEC_LISTS, xs=st.lists(st.floats(2, 2e7), min_size=1, max_size=20))
@@ -1165,15 +1162,6 @@ class TestScanInequalities:
 
     def test_no_specs_no_verdicts(self, tables_10k):
         assert scan_inequalities([], 2, 10_000, tables_10k) == []
-
-    @pytest.mark.parametrize("samples", [-1, 2.5, "16", None])
-    def test_interior_samples_must_be_an_integer_of_at_least_zero(self, tables_10k, samples):
-        # -1 once reached numpy as a negative dimension, and 2.5 as a shape
-        # that no array broadcast to
-        with pytest.raises(ParameterError, match="interior_samples"):
-            scan_inequalities(VERIFY_SPECS, 2, 10_000, tables_10k, interior_samples=samples)
-        with pytest.raises(ParameterError, match="interior_samples"):
-            scan_inequality(VERIFY_SPECS[0], 2, 10_000, tables_10k, interior_samples=samples)
 
     def test_verify_primes_takes_li_in_two_calls(self, monkeypatch, tables_2e5):
         # the table takes li on its jumps once; the scan then takes it in two

@@ -72,12 +72,6 @@ class TestLoadZeros:
         with pytest.raises(ZeroDataError, match="first zeta zero"):
             load_zeros(str(p))
 
-    def test_truncation_at_limit(self, tmp_path):
-        p = tmp_path / "z.txt"
-        p.write_text(FIRST_THREE)
-        zl = load_zeros(str(p), limit=22)
-        assert len(zl) == 2
-
     @pytest.mark.parametrize("prec", [192, 256])
     def test_bundled_ordinates_are_the_mpf_of_their_tokens(self, prec):
         path = zeros.bundled_zeros_path()
@@ -341,16 +335,6 @@ class TestKernelWeightsAgainstScan:
         assert_same_verdict(got, kernel_weights_scan(zl, params, weight=weight))
 
 
-class TestDecimalPlacesAfterLimit:
-    def test_first_ordinate_past_the_limit_is_not_counted(self, tmp_path):
-        p = tmp_path / "z.txt"
-        p.write_text("14.134725141\n21.02\n")
-        zl = load_zeros(str(p), limit=20)
-        assert len(zl) == 1
-        assert zl.decimal_places == 9
-        assert load_zeros(str(p)).decimal_places == 2
-
-
 # -- the integer ingest and zero sum against the from_rational / fsum oracle --
 
 PRECISIONS = (100, 192, 256, 320)
@@ -417,9 +401,9 @@ def ordinate_files(draw):
     return data
 
 
-def outcome(load, path, limit):
+def outcome(load, path):
     try:
-        zl = load(path, limit)
+        zl = load(path)
     except ZeroDataError as exc:
         return str(exc)
     return [g._mpf_ for g in zl.gammas], zl.decimal_places
@@ -438,16 +422,16 @@ class TestAgainstRationalOracle:
     ``from_rational`` ingest and the ``mp.fsum`` sum gave, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(data=ordinate_files(), limit=st.one_of(st.none(), st.floats(10, 100)))
-    def test_load_matches_oracle(self, tmp_path_factory, data, limit):
+    @given(data=ordinate_files())
+    def test_load_matches_oracle(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "drawn_zeros.txt"
         path.write_bytes(data)
         for prec in PRECISIONS:
             with working_precision(prec):
-                want = outcome(load_zeros_rational, str(path), limit)
-                assert outcome(load_zeros, str(path), limit) == want, prec
+                want = outcome(load_zeros_rational, str(path))
+                assert outcome(load_zeros, str(path)) == want, prec
                 if isinstance(want, tuple) and want[0]:
-                    zl = load_zeros(str(path), limit)
+                    zl = load_zeros(str(path))
                     for t2 in (zl.gammas[len(zl) // 2], zl.max_height, 40):
                         assert (sum_outcome(check_zero_sum, zl, t2)
                                 == sum_outcome(check_zero_sum_fsum, zl, t2))
